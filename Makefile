@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test stats-smoke scaling-smoke ooc-smoke chaos-smoke \
         telemetry-smoke bench-history-smoke kernel-smoke serve-smoke \
-        ingest-smoke lint-clocks bench bench-quick examples lint clean
+        ingest-smoke lint-clocks bench bench-quick bench-e2e examples lint clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -86,8 +86,9 @@ serve-smoke:
 
 # Durable-ingest smoke: bulk columnar ingest bit-identical to batched
 # ingest (and clearly faster than per-edge apply), WAL close/reopen and
-# post-checkpoint recovery bit-identical, pinned epochs byte-stable
-# under concurrent ingest, and scrub reporting the store clean.
+# post-checkpoint recovery bit-identical (with the forest's update_work
+# and nbytes equal to their recorded constants), pinned epochs
+# byte-stable under concurrent ingest, and scrub reporting the store clean.
 ingest-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.streaming.smoke
 	@echo "ingest-smoke: durability + epoch isolation hold"
@@ -109,6 +110,13 @@ bench-output:
 # Smaller datasets + fewer walks: a fast sanity pass.
 bench-quick:
 	REPRO_BENCH_SCALE=0.25 REPRO_BENCH_R=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The gated end-to-end benchmark (BENCHMARK.json), shortened: every
+# workload once with all its correctness checks. Timings from a --quick
+# pass are not comparable; for numbers run `python3 -m bench_e2e run`.
+bench-e2e:
+	python3 -m bench_e2e run --seed 1 --quick
+	@echo "bench-e2e: checks only — not for numbers"
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

@@ -13,6 +13,7 @@ acceptance bar instead. Three arms over the same edge stream:
                   prefix so the run stays tractable — the prefix's
                   smaller index makes the gate conservative).
 
+Every arm is timed as the fastest of ``ROUNDS`` runs on fresh engines.
 Each run appends ``edges_per_sec_*`` to
 ``bench_results/history/ingest_throughput.jsonl`` so
 ``repro bench compare --bench ingest_throughput`` gates regressions.
@@ -36,6 +37,9 @@ from repro.walks.spec import WalkSpec
 NUM_EDGES = int(24_000 * BENCH_SCALE)
 PER_EDGE_PREFIX = int(3_000 * BENCH_SCALE)
 BATCH_SIZE = 1_000
+#: Each arm is the fastest of this many runs: single shots of a 0.2 s arm
+#: spread ±30 % on a shared box, which a 10 % compare gate cannot resolve.
+ROUNDS = 3
 
 _metrics = {}
 
@@ -56,25 +60,29 @@ def _stream():
     )
 
 
+def _best(run):
+    """Fastest of ``ROUNDS`` runs on fresh engines; returns the last engine too."""
+    best = float("inf")
+    for _ in range(ROUNDS):
+        engine = StreamingTeaEngine(_spec())
+        t0 = time.perf_counter()
+        run(engine)
+        best = min(best, time.perf_counter() - t0)
+    return best, engine
+
+
 def _run_arms():
     stream = _stream()
-
-    bulk = StreamingTeaEngine(_spec())
-    t0 = time.perf_counter()
-    bulk.add_multiple_edges(stream.src, stream.dst, stream.time)
-    bulk_s = time.perf_counter() - t0
-
-    batched = StreamingTeaEngine(_spec())
-    t0 = time.perf_counter()
-    batched.ingest(stream, batch_size=BATCH_SIZE)
-    batched_s = time.perf_counter() - t0
-
     prefix = stream[:PER_EDGE_PREFIX]
-    per_edge = StreamingTeaEngine(_spec())
-    t0 = time.perf_counter()
-    for i in range(len(prefix)):
-        per_edge.apply_batch(prefix[i : i + 1])
-    per_edge_s = time.perf_counter() - t0
+
+    def per_edge_loop(engine):
+        for i in range(len(prefix)):
+            engine.apply_batch(prefix[i : i + 1])
+
+    bulk_s, bulk = _best(
+        lambda e: e.add_multiple_edges(stream.src, stream.dst, stream.time))
+    batched_s, batched = _best(lambda e: e.ingest(stream, batch_size=BATCH_SIZE))
+    per_edge_s, _ = _best(per_edge_loop)
 
     # Same index, same walks: bulk and batched ingest must agree
     # bit-for-bit (the decay forest is batch-boundary-canonical).

@@ -12,12 +12,33 @@ sequence of time-contiguous blocks (newest block first), each block a
 self-contained mini-HPAT (time-descending edges, per-level alias tables,
 prefix sums — exactly the static structure of
 :mod:`repro.core.hpat`, per block). Appending a batch builds one new
-block; first, any *front* blocks no larger than the batch are absorbed
-into it (the carry), so block sizes grow geometrically front-to-back and
-every edge is re-indexed O(log d) times amortised — versus O(d log d)
-per batch for a from-scratch rebuild. That asymmetry is what Figure 13d
-measures: for degree ≫ batch size the speedup is enormous; for degree ≲
-batch size the two converge.
+block per touched vertex; first, any *front* blocks no larger than the
+batch are absorbed into it (the carry), so block sizes grow
+geometrically front-to-back and every edge is re-indexed O(log d) times
+amortised — versus O(d log d) per batch for a from-scratch rebuild. That
+asymmetry is what Figure 13d measures: for degree ≫ batch size the
+speedup is enormous; for degree ≲ batch size the two converge.
+
+The forest is built **once per batch, not once per vertex**
+(:meth:`IncrementalHPAT.apply_batch` → :func:`_carry_append`, the only
+construction path), in three batch-wide phases:
+
+1. **Prologue** — one stable sort groups the batch by source, one
+   vectorised pass validates in-group order, a light per-group Python
+   pass does the fault site, vertex lookup, undo snapshot and
+   stream-order check, and one vectorised evaluation yields every weight.
+2. **Carry plan** — integer arithmetic alone decides which front blocks
+   each new block absorbs, so only the *final* extent is ever built
+   (``merged_edges`` still charges each step of the progressive merge).
+3. **Size-class build** — final blocks of equal size share one
+   ``(T, size)`` matrix per array (one concatenate, one row-wise cumsum)
+   and level ``k`` of *all* blocks is one lock-step alias build (Section
+   4.2's parallel pass); blocks are read-only row views of the matrices.
+
+Per batch that is O(touched vertices) Python steps, O(batch + carried
+edges) array work and O(levels) alias-builder calls, not O(vertices ×
+levels). A table depends only on its own row, so the result is
+bit-identical to building each vertex alone (``tests/carry_oracle.py``).
 
 Sampling stays distribution-identical to a from-scratch HPAT
 (property-tested): ITS chooses among the covered blocks, then within the
@@ -38,7 +59,7 @@ from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.sampling.alias import alias_draw, build_alias_arrays_batch
 from repro.sampling.counters import CostCounters
-from repro.sampling.prefix_sum import build_prefix_sums, draw_in_range, its_search
+from repro.sampling.prefix_sum import draw_in_range
 
 
 class _Block:
@@ -47,42 +68,24 @@ class _Block:
     Edges are stored newest-first; ``levels[k-1]`` holds the flat alias
     tables of all aligned 2^k trunks (coverage ``(size >> k) << k``), and
     ``c`` the per-edge prefix sums — the same layout as the static HPAT,
-    scoped to this block.
+    scoped to this block. Arrays are read-only row views into matrices
+    shared with same-size batch-mates (built only by :func:`_carry_append`).
     """
 
     __slots__ = ("size", "dst", "times", "weights", "c", "levels")
 
-    def __init__(self, dst, times, weights):
-        self.size = int(dst.size)
+    def __init__(self, dst, times, weights, c):
+        self.size = dst.size
         self.dst = dst
         self.times = times
         self.weights = weights
-        self.c = build_prefix_sums(weights)
+        self.c = c
         self.levels: List[Tuple[np.ndarray, np.ndarray]] = []
-        k = 1
-        while (1 << k) <= self.size:
-            width = 1 << k
-            rows = weights[: (self.size >> k) << k].reshape(-1, width)
-            sums = rows.sum(axis=1)
-            if np.any(sums <= 0):
-                rows = rows.copy()
-                rows[sums <= 0] = 1.0
-            p, a = build_alias_arrays_batch(rows)
-            self.levels.append((p.ravel(), a.ravel()))
-            k += 1
-
-    @classmethod
-    def merge(cls, newer: "_Block", older: "_Block") -> "_Block":
-        """Concatenate two adjacent blocks and re-derive the hierarchy."""
-        return cls(
-            np.concatenate([newer.dst, older.dst]),
-            np.concatenate([newer.times, older.times]),
-            np.concatenate([newer.weights, older.weights]),
-        )
 
     def candidate_count(self, t: float) -> int:
         """Edges of this block with time strictly greater than t."""
-        return int(np.searchsorted(-self.times, -t, side="left"))
+        # Reversed *view* (ascending): O(log size), no per-query allocation.
+        return self.size - int(self.times[::-1].searchsorted(t, side="right"))
 
     def total_weight(self, s: int) -> float:
         return float(self.c[s])
@@ -120,6 +123,131 @@ class _Block:
         return int(n)
 
 
+def _static_weights(model: WeightModel, times: np.ndarray, t_ref, first_rank
+                    ) -> np.ndarray:
+    """Static weights of edges in stream order.
+
+    ``t_ref`` (the vertex's frozen reference time) and ``first_rank``
+    (stream rank of position 0) are scalars for one vertex or per-edge
+    arrays for a batch; the arithmetic per edge is the same either way.
+    """
+    kind = model.kind
+    if kind == "uniform":
+        return np.ones_like(times)
+    if kind == "linear_rank":
+        # Rank = 1-based position in stream order; stable under appends.
+        return (first_rank + np.arange(times.size)).astype(np.float64)
+    if kind == "linear_time":
+        return times - t_ref + 1.0
+    if kind == "exponential_decay":
+        # Decay falls off as edges recede from the frozen reference
+        # (t_ref = earliest edge): exp((t_min - t_i)/scale), matching
+        # the static builder. The shared exp() fall-through below
+        # carries the *growth* sign — using it for decay silently
+        # inverted the bias on streaming builds.
+        return np.exp((t_ref - times) / model.scale)
+    return np.exp((times - t_ref) / model.scale)
+
+
+def _carry_append(model: WeightModel, verts, starts: np.ndarray,
+                  ends: np.ndarray, dst: np.ndarray, times: np.ndarray) -> None:
+    """Append edges ``[starts[g], ends[g])`` (ascending time) to carry
+    forest ``verts[g]``, for all groups ``g`` at once.
+
+    No vertex changes before every block of the batch is built, so a
+    stream-order violation in any group leaves all of them untouched.
+    """
+    lows, highs = starts.tolist(), ends.tolist()
+    firsts, lasts = times[starts].tolist(), times[ends - 1].tolist()
+    # Carry plan: absorb front blocks no larger than the running size, so
+    # sizes grow geometrically and an edge is re-indexed O(log d) times.
+    refs, ranks = [], []  # per group: frozen reference time, rank offset
+    plans = []  # per group: (absorbed front blocks, merged edges)
+    classes: Dict[int, List[int]] = {}  # final block size -> groups
+    for g, vert in enumerate(verts):
+        if vert._t_newest is not None and firsts[g] < vert._t_newest:
+            raise NotSupportedError(
+                f"streaming updates must not precede existing edges "
+                f"(got {firsts[g]} < {vert._t_newest})"
+            )
+        refs.append(firsts[g] if vert._t_ref is None else vert._t_ref)
+        ranks.append(vert.num_edges + 1 - lows[g])
+        size = highs[g] - lows[g]
+        merged = absorbed = 0
+        for b in vert.blocks:
+            if b.size > size:
+                break
+            merged += b.size + size
+            size += b.size
+            absorbed += 1
+        plans.append((absorbed, merged))
+        classes.setdefault(size, []).append(g)
+    # Weights for the whole batch, then every group newest-first.
+    if len(verts) == 1:
+        weights = _static_weights(model, times, refs[0], ranks[0])
+        dst, times, weights = dst[::-1], times[::-1], weights[::-1]
+    else:
+        counts = ends - starts
+        weights = _static_weights(model, times, np.repeat(refs, counts),
+                                  np.repeat(ranks, counts))
+        flip = np.repeat(starts + ends - 1, counts) - np.arange(times.size)
+        dst, times, weights = dst[flip], times[flip], weights[flip]
+    # Size-class build. Prefix sums are per row: a global cumsum minus
+    # offsets would cancel (``exponential`` weights span e^83).
+    built: Dict[int, _Block] = {}
+    levelled = []  # (size, weight matrix, blocks) of classes with size > 1
+    for size, groups in classes.items():
+        pieces = []
+        for g in groups:
+            lo, hi = lows[g], highs[g]
+            pieces.append((dst[lo:hi], times[lo:hi], weights[lo:hi]))
+            pieces += [(b.dst, b.times, b.weights)
+                       for b in verts[g].blocks[: plans[g][0]]]
+        d, t, w = (np.concatenate(col).reshape(len(groups), size)
+                   for col in zip(*pieces))
+        c = np.zeros((len(groups), size + 1))
+        np.cumsum(w, axis=1, out=c[:, 1:])
+        for arr in (d, t, w, c):
+            arr.setflags(write=False)
+        made = [_Block(*rows) for rows in zip(d, t, w, c)]
+        built.update(zip(groups, made))
+        if size > 1:
+            levelled.append((size, w, made))
+    k = 1
+    while levelled:  # level k of *every* block: one lock-step alias build
+        rows = [w[:, : (size >> k) << k].reshape(-1, 1 << k)
+                for size, w, _ in levelled]
+        rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
+        sums = rows.sum(axis=1)
+        if np.any(sums <= 0):
+            rows = rows.copy()
+            rows[sums <= 0] = 1.0
+        prob, alias = build_alias_arrays_batch(rows)
+        r = 0
+        for size, _, made in levelled:
+            stop = r + len(made) * (size >> k)
+            p = prob[r:stop].reshape(len(made), -1)
+            a = alias[r:stop].reshape(len(made), -1)
+            if len(levelled) > 1:
+                # A class owns its tables: a surviving block must not
+                # pin the tables of every other class of its batch.
+                p, a = p.copy(), a.copy()
+            p.setflags(write=False)
+            a.setflags(write=False)
+            for blk, level in zip(made, zip(p, a)):
+                blk.levels.append(level)
+            r = stop
+        k += 1
+        levelled = [cls for cls in levelled if cls[0] >= 1 << k]
+    # Install: the only place a vertex changes.
+    for g, vert in enumerate(verts):
+        absorbed, merged = plans[g]
+        vert.blocks[:absorbed] = [built[g]]
+        vert.num_edges += highs[g] - lows[g]
+        vert.merged_edges += merged
+        vert._t_ref, vert._t_newest = refs[g], lasts[g]
+
+
 class VertexIncrementalHPAT:
     """Streaming HPAT for one vertex's out-edges.
 
@@ -150,6 +278,7 @@ class VertexIncrementalHPAT:
         ``times`` must be ascending within the batch; violating the
         stream order raises :class:`NotSupportedError` (the paper's
         engine does not support out-of-order mutation, Section 4.4).
+        The one-group call into the batch-wide builder.
         """
         dst = np.asarray(dst, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
@@ -157,44 +286,8 @@ class VertexIncrementalHPAT:
             return
         if times.size > 1 and np.any(times[:-1] > times[1:]):
             raise NotSupportedError("batch times must be ascending")
-        if self._t_newest is not None and times[0] < self._t_newest:
-            raise NotSupportedError(
-                f"streaming updates must not precede existing edges "
-                f"(got {times[0]} < {self._t_newest})"
-            )
-        if self._t_ref is None:
-            self._t_ref = float(times[0])
-        self._t_newest = float(times[-1])
-        weights = self._static_weights(times, base_rank=self.num_edges)
-        block = _Block(dst[::-1].copy(), times[::-1].copy(), weights[::-1].copy())
-        # Carry: absorb front blocks no larger than the incoming block, so
-        # sizes grow geometrically front-to-back (each absorbed edge lands
-        # in a block at least twice its previous home — O(log d) amortised
-        # re-index work per edge).
-        while self.blocks and self.blocks[0].size <= block.size:
-            absorbed = self.blocks.pop(0)
-            self.merged_edges += absorbed.size + block.size
-            block = _Block.merge(block, absorbed)
-        self.blocks.insert(0, block)
-        self.num_edges += int(dst.size)
-
-    def _static_weights(self, times: np.ndarray, base_rank: int) -> np.ndarray:
-        kind = self.weight_model.kind
-        if kind == "uniform":
-            return np.ones_like(times)
-        if kind == "linear_rank":
-            # Rank = 1-based position in stream order; stable under appends.
-            return np.arange(base_rank + 1, base_rank + times.size + 1, dtype=np.float64)
-        if kind == "linear_time":
-            return times - self._t_ref + 1.0
-        if kind == "exponential_decay":
-            # Decay falls off as edges recede from the frozen reference
-            # (t_ref = earliest edge): exp((t_min - t_i)/scale), matching
-            # the static builder. The shared exp() fall-through below
-            # carries the *growth* sign — using it for decay silently
-            # inverted the bias on streaming builds.
-            return np.exp((self._t_ref - times) / self.weight_model.scale)
-        return np.exp((times - self._t_ref) / self.weight_model.scale)
+        _carry_append(self.weight_model, [self], np.array([0]),
+                      np.array([dst.size]), dst, times)
 
     # -- queries ---------------------------------------------------------------
 
@@ -276,9 +369,9 @@ class VertexIncrementalHPAT:
         """O(num_blocks) state capture for transactional appends.
 
         Cheap because :class:`_Block` instances are immutable once
-        built — ``append_batch`` only ever pops, merges into *new*
-        blocks, and inserts — so a shallow copy of the block list pins
-        the entire pre-batch structure.
+        built — an append only ever replaces the absorbed front of the
+        list with one *new* block — so a shallow copy of the block list
+        pins the entire pre-batch structure.
         """
         return (
             list(self.blocks), self.num_edges, self._t_ref, self._t_newest,
@@ -293,8 +386,8 @@ class VertexIncrementalHPAT:
     def view(self) -> "VertexIncrementalHPAT":
         """A frozen copy-on-write capture for epoch-snapshot reads.
 
-        Blocks are immutable once built and ``append_batch`` only ever
-        replaces the *list*, so sharing the block objects under a
+        Blocks are immutable once built and an append only ever edits
+        the live *list*, so sharing the block objects under a
         private list pins this vertex's entire structure in
         O(num_blocks). The view answers the full query API but is
         never appended to.
@@ -347,52 +440,60 @@ class IncrementalHPAT:
         if graph is not None and graph.num_edges:
             self.apply_batch(graph.to_stream())
 
-    def apply_batch(self, batch: EdgeStream) -> None:
+    def apply_batch(self, batch: EdgeStream) -> Dict[int, Optional[tuple]]:
         """Apply one time-ordered batch of new edges (paper's update unit).
 
-        Atomic: validates and applies per vertex group, snapshotting
-        each touched forest first; any failure restores every snapshot
-        (and drops vertices created by this batch) before re-raising.
+        Atomic: groups the batch by source, snapshots each touched
+        forest, builds the whole batch at once; any failure restores
+        every snapshot (and drops vertices this batch created) before
+        re-raising. Returns the undo record ``{vertex: pre-batch
+        snapshot, or None if created here}`` for :meth:`restore_vertices`.
         """
-        if not len(batch):
-            return
+        undo: Dict[int, Optional[tuple]] = {}
+        n = len(batch)
+        if not n:
+            return undo
         if batch.weight is not None:
             raise NotSupportedError(
                 "the incremental index computes static weights from the "
                 "weight model; user edge weights are only supported on "
                 "static builds"
             )
-        order = np.argsort(batch.src, kind="stable")
-        src = batch.src[order]
-        dst = batch.dst[order]
-        times = batch.time[order]
-        boundaries = np.flatnonzero(np.diff(src)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [src.size]])
-        # v -> pre-batch snapshot, or None when this batch created v.
-        touched: Dict[int, Optional[tuple]] = {}
+        src, dst, times = batch.src, batch.dst, batch.time
+        if n > 1:
+            order = np.argsort(src, kind="stable")
+            src, dst, times = src[order], dst[order], times[order]
+        cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [n]))
+        late = times[1:] < times[:-1]
+        late[cuts - 1] = False  # a drop across a group boundary is no violation
         try:
-            for lo, hi in zip(starts, ends):
+            if late.any():
+                raise NotSupportedError("batch times must be ascending")
+            verts = []
+            for v, lo, hi in zip(src[starts].tolist(), starts.tolist(),
+                                 ends.tolist()):
                 if self.fault_injector is not None:
                     self.fault_injector.check("streaming_apply")
-                v = int(src[lo])
                 vert = self.vertices.get(v)
                 if vert is None:
-                    touched[v] = None
+                    undo[v] = None
                     vert = self.vertices[v] = self._new_vertex()
                 else:
-                    touched[v] = vert.snapshot()
-                vert.append_batch(dst[lo:hi], times[lo:hi])
-        except BaseException:
-            for v, state in touched.items():
-                if state is None:
-                    self.vertices.pop(v, None)
+                    undo[v] = vert.snapshot()
+                if self.factorized:
+                    vert.append_batch(dst[lo:hi], times[lo:hi])
                 else:
-                    self.vertices[v].restore(state)
-            self.rollbacks += 1
+                    verts.append(vert)
+            if verts:
+                _carry_append(self.weight_model, verts, starts, ends, dst, times)
+        except BaseException:
+            self.restore_vertices(undo, 0)
             raise
-        self.num_edges += len(batch)
-        self._dirty.update(touched)
+        self.num_edges += n
+        self._dirty.update(undo)
+        return undo
 
     def _new_vertex(self):
         """A fresh per-vertex index of the configured flavour."""
@@ -435,24 +536,12 @@ class IncrementalHPAT:
 
     # -- durability hooks --------------------------------------------------
 
-    def capture_vertices(self, vertex_ids) -> Dict[int, Optional[tuple]]:
-        """Pre-batch snapshots of the given vertices (``None`` = absent).
-
-        Taken *before* an apply so the caller can undo a batch whose
-        durability step (WAL append) fails after the in-memory apply
-        succeeded — the inverse direction of ``apply_batch``'s own
-        mid-apply rollback.
-        """
-        captured: Dict[int, Optional[tuple]] = {}
-        for v in vertex_ids:
-            vert = self.vertices.get(int(v))
-            captured[int(v)] = None if vert is None else vert.snapshot()
-        return captured
-
-    def restore_vertices(self, captured: Dict[int, Optional[tuple]],
+    def restore_vertices(self, undo: Dict[int, Optional[tuple]],
                          edges_removed: int) -> None:
-        """Undo an applied batch from :meth:`capture_vertices` state."""
-        for v, state in captured.items():
+        """Undo a batch from :meth:`apply_batch`'s undo record — its own
+        mid-apply failures, or a caller whose durability step (WAL
+        append) failed after the in-memory apply succeeded."""
+        for v, state in undo.items():
             if state is None:
                 self.vertices.pop(v, None)
             else:

@@ -11,7 +11,8 @@ gate (the durable-ingest ISSUE's acceptance criteria, executable):
   regression can't hide between bench runs).
 * **Durability roundtrip** — a WAL-backed engine closed and reopened
   recovers the identical epoch and walks bit-identical to the original,
-  before and after a checkpoint trims the log.
+  before and after a checkpoint trims the log; the ingested forest's
+  ``update_work()`` and ``nbytes()`` equal their recorded constants.
 * **Epoch isolation** — walks pinned to epoch N return byte-identical
   results while later epochs ingest, and the current view advances.
 * **Scrub contract** — ``scrub_wal`` reports the log and checkpoint
@@ -28,7 +29,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-
 
 def _smoke_spec():
     from repro.walks.apps import exponential_walk
@@ -106,6 +106,11 @@ def durability_smoke(verbose: bool) -> dict:
         wal_dir = Path(tmp) / "wal"
         with StreamingTeaEngine(spec, wal_dir=wal_dir, group_commit=8) as eng:
             eng.ingest(stream, batch_size=150)
+            # Recorded from the sequential per-vertex builder: however
+            # construction is scheduled, the forest it leaves must not move.
+            work_bytes = (eng.index.update_work(), eng.nbytes())
+            assert work_bytes == (3501, 110728), (
+                f"ingest smoke: forest (update_work, nbytes) moved: {work_bytes}")
             epoch = eng.epoch
             starts = eng.active_vertices()[:12]
             want = [w.hops for w in eng.run_walks(starts, max_length=15, seed=4)]

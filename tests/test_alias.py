@@ -87,6 +87,23 @@ class TestBatchConstruction:
         prob, alias = build_alias_arrays_batch(rows)
         assert np.allclose(prob, 1.0)
 
+    @pytest.mark.parametrize("width", [2, 4, 8, 16, 64])
+    def test_rows_are_independent_of_their_batch_mates(self, width):
+        """Row i of a batch is *bitwise* the single-table build of row i,
+        on both sides of the ``T < w`` switch (per-row fallback vs
+        lock-step) — what lets the streaming forest build one level of
+        many vertices in one call without changing any table."""
+        rng = make_rng(width)
+        # Weights spanning ~e^80, as the streaming exponential kind does.
+        rows = np.exp(rng.uniform(0.0, 80.0, size=(3 * width, width)))
+        rows[::5] = rng.uniform(0.1, 1.0, size=rows[::5].shape)
+        singles = [build_alias_arrays(row) for row in rows]
+        for tables in (1, width - 1, width, 3 * width):
+            prob, alias = build_alias_arrays_batch(rows[:tables])
+            for i in range(tables):
+                assert prob[i].tobytes() == singles[i][0].tobytes(), (tables, i)
+                assert alias[i].tobytes() == singles[i][1].tobytes(), (tables, i)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             build_alias_arrays_batch(np.ones(5))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.incremental import IncrementalHPAT, VertexIncrementalHPAT
 from repro.core.weights import WeightModel
@@ -9,6 +11,7 @@ from repro.exceptions import EmptyCandidateSetError, NotSupportedError
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng
+from tests.carry_oracle import OracleVertexForest, forest_state
 from tests.conftest import chisquare_ok
 
 
@@ -175,3 +178,154 @@ class TestWeightKinds:
         assert np.all(w > 0)
         if kind != "uniform":
             assert np.all(w[:-1] >= w[1:] - 1e-12)  # newest-first ⇒ non-increasing
+
+
+class TestCandidateSearch:
+    def test_duplicate_timestamps_at_the_cut(self):
+        """Strictly-greater semantics when the query time ties stored edges,
+        inside one block and across a block boundary."""
+        times = [1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 5.0]
+        for splits in ([7], [3, 4], [4, 3], [1] * 7):
+            batches, pos = [], 0
+            for size in splits:
+                batches.append((list(range(pos, pos + size)), times[pos:pos + size]))
+                pos += size
+            vert = vertex_with_batches(batches)
+            for t, want in [(0.0, 7), (1.0, 6), (1.5, 6), (2.0, 3), (3.0, 1),
+                            (4.0, 1), (5.0, 0), (6.0, 0), (None, 7)]:
+                assert vert.candidate_count(t) == want, (splits, t)
+
+
+CARRY_KINDS = [("uniform", 1.0), ("linear_rank", 1.0), ("linear_time", 1.0),
+               ("exponential", 6.0), ("exponential_decay", 6.0)]
+
+
+class TestBatchWideEqualsSequential:
+    """The batch-wide builder is bit-identical to one vertex at a time."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=160),
+        st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
+        st.booleans(),
+        st.sampled_from(CARRY_KINDS),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_per_vertex_oracle(self, num_vertices, num_edges, splits,
+                                       ties, kind, seed):
+        rng = make_rng(seed)
+        # Skewed sources (a hub plus a tail) and, optionally, heavy
+        # timestamp ties; the exponential scale makes weights span many
+        # orders of magnitude, where a subtractive prefix sum would cancel.
+        src = (num_vertices * rng.random(num_edges) ** 3).astype(np.int64)
+        dst = rng.integers(0, num_vertices, num_edges)
+        times = (np.sort(rng.integers(0, 12, num_edges)).astype(float) if ties
+                 else np.sort(rng.uniform(0.0, 500.0, num_edges)))
+        model = WeightModel(*kind)
+        index = IncrementalHPAT(model, factorized=False)
+        oracle = {}
+        pos = 0
+        for size in splits + [num_edges]:
+            lo, hi = pos, min(pos + size, num_edges)
+            pos = hi
+            if lo == hi:
+                break
+            index.apply_batch(EdgeStream(src[lo:hi], dst[lo:hi], times[lo:hi]))
+            for v in np.unique(src[lo:hi]):
+                mine = np.flatnonzero(src[lo:hi] == v) + lo
+                oracle.setdefault(int(v), OracleVertexForest(model)).append_batch(
+                    dst[mine], times[mine])
+        assert index.num_edges == num_edges
+        assert set(index.vertices) == set(oracle)
+        for v, want in oracle.items():
+            assert forest_state(index.vertices[v]) == forest_state(want), v
+        assert index.update_work() == num_edges + sum(
+            o.merged_edges for o in oracle.values())
+
+    def test_single_vertex_api_is_the_same_builder(self):
+        rng = make_rng(3)
+        times = np.sort(rng.uniform(0, 300, 90))
+        model = WeightModel("exponential", 6.0)
+        vert, want = VertexIncrementalHPAT(model), OracleVertexForest(model)
+        for lo, hi in [(0, 1), (1, 2), (2, 9), (9, 10), (10, 64), (64, 90)]:
+            vert.append_batch(np.arange(lo, hi), times[lo:hi])
+            want.append_batch(np.arange(lo, hi), times[lo:hi])
+            assert forest_state(vert) == forest_state(want)
+
+
+class TestAtomicity:
+    """A failed batch leaves the index exactly as it found it."""
+
+    @staticmethod
+    def full_state(index):
+        return (
+            index.num_edges, set(index._dirty),
+            {v: (forest_state(vert), [id(b) for b in vert.blocks])
+             for v, vert in index.vertices.items()},
+        )
+
+    def seeded(self, fault_injector=None):
+        index = IncrementalHPAT(WeightModel("exponential", 6.0),
+                                fault_injector=fault_injector)
+        index.apply_batch(EdgeStream([0, 1, 1, 2], [1, 2, 0, 0],
+                                     [1.0, 2.0, 3.0, 4.0]))
+        index.clear_dirty()
+        index.apply_batch(EdgeStream([1], [2], [5.0]))  # leaves vertex 1 dirty
+        return index
+
+    def test_order_violation_in_last_group(self):
+        index = self.seeded()
+        before = self.full_state(index)
+        # Groups 0, 1 and the new vertex 5 are fine; vertex 9 is new too;
+        # the last group (vertex 2) precedes its newest edge (4.0).
+        bad = EdgeStream([0, 1, 5, 9, 2], [3, 3, 3, 3, 3],
+                         [6.0, 7.0, 8.0, 9.0, 3.5], sort=False)
+        with pytest.raises(NotSupportedError):
+            index.apply_batch(bad)
+        assert self.full_state(index) == before
+        assert index.rollbacks == 1
+
+    def test_unsorted_group_is_rejected_atomically(self):
+        index = self.seeded()
+        before = self.full_state(index)
+        bad = EdgeStream([0, 7, 7], [3, 3, 3], [6.0, 9.0, 8.0], sort=False)
+        with pytest.raises(NotSupportedError, match="ascending"):
+            index.apply_batch(bad)
+        assert self.full_state(index) == before
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_apply_fault_at_group_k(self, k):
+        from repro.exceptions import TransientIOError
+        from repro.resilience import FaultInjector
+
+        # Seeding spends 3 + 1 checks (one per vertex group).
+        injector = FaultInjector.from_plan({"rules": [
+            {"site": "streaming_apply", "kind": "io_error", "calls": [4 + k]}
+        ]})
+        index = self.seeded(injector)
+        before = self.full_state(index)
+        batch = EdgeStream([0, 1, 2, 5, 9], [3, 3, 3, 3, 3],
+                           [6.0, 7.0, 8.0, 9.0, 10.0])
+        with pytest.raises(TransientIOError):
+            index.apply_batch(batch)
+        assert self.full_state(index) == before
+        # The retry lands exactly like a clean ingest.
+        index.apply_batch(batch)
+        clean = self.seeded()
+        clean.apply_batch(batch)
+        assert self.full_state(index)[0] == clean.num_edges
+        assert ({v: forest_state(x) for v, x in index.vertices.items()}
+                == {v: forest_state(x) for v, x in clean.vertices.items()})
+
+    def test_undo_record_takes_a_landed_batch_back(self):
+        index = self.seeded()
+        before = self.full_state(index)
+        batch = EdgeStream([0, 1, 5], [3, 3, 3], [6.0, 7.0, 8.0])
+        undo = index.apply_batch(batch)
+        assert set(undo) == {0, 1, 5} and undo[5] is None
+        index.restore_vertices(undo, len(batch))
+        after = self.full_state(index)
+        # Dirty marks survive (the next publish re-pins identical state).
+        assert (after[0], after[2]) == (before[0], before[2])

@@ -166,6 +166,30 @@ class TestEpochIsolation:
         assert current.num_edges == 600
         assert _hops(current, starts) != before
 
+    def test_pinned_view_shares_immutable_blocks(self, stream):
+        """Copy-on-write pins block *objects*: their arrays are read-only
+        and keep their bytes however many carries happen after the pin."""
+        engine = StreamingTeaEngine(exponential_walk(scale=20.0))
+        engine.apply_batch(stream[:300])
+        pinned = engine.pin()
+
+        def arrays(view):
+            for v in view.active_vertices():
+                for block in view._vertices[v].blocks:
+                    yield from (block.dst, block.times, block.weights, block.c)
+                    for prob, alias in block.levels:
+                        yield from (prob, alias)
+
+        held = list(arrays(pinned))
+        before = [a.tobytes() for a in held]
+        walks = _hops(pinned, pinned.active_vertices())
+        assert held and not any(a.flags.writeable for a in held)
+        for batch in stream[300:].batches(7):
+            engine.apply_batch(batch)
+        assert [a.tobytes() for a in held] == before
+        assert all(x is y for x, y in zip(arrays(pinned), held))
+        assert _hops(pinned, pinned.active_vertices()) == walks
+
     def test_pin_by_id_and_retirement(self, stream):
         from repro.exceptions import EpochRetiredError
 
@@ -281,6 +305,53 @@ class TestDurability:
         engine.apply_batch(batches[2])
         assert engine.num_edges == 600 and engine.epoch == 3
         engine.close()
+
+
+class TestStageTimings:
+    """`/metrics` splits an accepted batch into its three stages."""
+
+    STAGES = ("index_apply", "wal_append", "publish")
+
+    @staticmethod
+    def seconds(engine, name):
+        return engine.registry.histogram(f"streaming.{name}_seconds")
+
+    def test_each_stage_observed_once_per_accepted_batch(self, stream, tmp_path):
+        with StreamingTeaEngine(exponential_walk(scale=20.0),
+                                wal_dir=tmp_path) as engine:
+            batches = engine.ingest(stream, batch_size=100)
+            total = self.seconds(engine, "apply")
+            stages = [self.seconds(engine, name) for name in self.STAGES]
+        assert total.count == batches == 6
+        assert [h.count for h in stages] == [batches] * 3
+        # The stages partition the batch: only clock reads fall between.
+        assert sum(h.total for h in stages) == pytest.approx(total.total, rel=0.10)
+        assert all(h.total > 0 for h in stages)
+
+    def test_memory_only_engine_times_the_same_stages(self, stream):
+        engine = StreamingTeaEngine(exponential_walk(scale=20.0))
+        engine.ingest(stream, batch_size=200)
+        assert [self.seconds(engine, n).count for n in self.STAGES] == [3, 3, 3]
+
+    @pytest.mark.parametrize("site", ["streaming_apply", "wal_append"])
+    def test_rolled_back_batch_observes_nothing(self, stream, tmp_path, site):
+        from repro.exceptions import TransientIOError
+        from repro.resilience import FaultInjector
+
+        injector = FaultInjector.from_plan(
+            {"rules": [{"site": site, "kind": "io_error", "calls": [0]}]}
+        )
+        with StreamingTeaEngine(exponential_walk(scale=20.0), wal_dir=tmp_path,
+                                fault_injector=injector) as engine:
+            with pytest.raises(TransientIOError):
+                engine.apply_batch(stream[:100])
+            assert engine.num_edges == 0 and engine.epoch == 0
+            assert [self.seconds(engine, n).count
+                    for n in ("apply",) + self.STAGES] == [0, 0, 0, 0]
+            assert engine.registry.counter_value("resilience.rollbacks") == 1
+            engine.apply_batch(stream[:100])
+            assert self.seconds(engine, "apply").count == 1
+            assert [self.seconds(engine, n).count for n in self.STAGES] == [1, 1, 1]
 
 
 class TestStreamService:
