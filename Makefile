@@ -4,7 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test stats-smoke scaling-smoke ooc-smoke chaos-smoke \
         telemetry-smoke bench-history-smoke kernel-smoke serve-smoke \
-        ingest-smoke lint-clocks bench bench-quick bench-e2e examples lint clean
+        ingest-smoke lint-clocks bench bench-quick bench-e2e loc examples \
+        lint clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -117,6 +118,10 @@ bench-quick:
 bench-e2e:
 	python3 -m bench_e2e run --seed 1 --quick
 	@echo "bench-e2e: checks only — not for numbers"
+
+# Source size, the number simplification PRs are judged on.
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done

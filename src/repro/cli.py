@@ -127,7 +127,6 @@ def cmd_walk(args) -> int:
             chunk_size=args.chunk_size, backend=args.parallel_backend,
             retries=args.retries, chunk_timeout=args.chunk_timeout,
             fault_injector=injector,
-            warm_pool=args.warm_pool,
             chunk_target_ms=args.chunk_target_ms,
             interleave=args.interleave,
             kernel_backend=args.kernel_backend,
@@ -148,7 +147,6 @@ def cmd_walk(args) -> int:
             retry_policy=retry_policy,
             verify_checksums=args.verify_checksums,
             fault_injector=injector,
-            kernel_backend=args.kernel_backend,
         )
     elif args.engine == "tea-batch":
         engine = BatchTeaEngine(graph, spec,
@@ -732,12 +730,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel-backend", default="auto",
                    choices=["auto", "process", "thread", "serial"],
                    help="worker pool type for tea-parallel")
-    p.add_argument("--warm-pool", dest="warm_pool", action="store_true",
-                   default=True,
-                   help="keep worker pools alive across runs (default)")
-    p.add_argument("--no-warm-pool", dest="warm_pool", action="store_false",
-                   help="tear pools down after every run (cold-start "
-                        "comparison mode)")
     p.add_argument("--kernel-backend", default="auto",
                    choices=["auto", "numpy", "numba"],
                    help="sampling-kernel implementation for the batch "

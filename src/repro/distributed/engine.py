@@ -21,7 +21,10 @@ The cluster is simulated in-process with explicit cost accounting:
 
 Sampling statistics are identical to the single-node engine (tested):
 distribution depends only on the per-vertex index, which sharding does
-not change.
+not change. Each superstep advances a walker with the single-node
+engine's own step (:meth:`repro.engines.base.Engine._step`), and the run
+as a whole goes through :meth:`repro.engines.base.Engine.run` — the
+superstep loop is that skeleton's walk phase.
 """
 
 from __future__ import annotations
@@ -31,16 +34,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import builder
 from repro.distributed.partition import PARTITIONERS, edge_cut, partition_load
-from repro.engines.base import Workload
+from repro.engines.base import FrontierResult, Workload
+from repro.engines.tea import TeaEngine
 from repro.graph.temporal_graph import TemporalGraph
-from repro.telemetry import MemoryReport, PhaseTimer
 from repro.rng import RngLike, make_rng, spawn
 from repro.sampling.counters import CostCounters
-from repro.telemetry import MetricsRegistry, Tracer
+from repro.telemetry import MemoryReport, MetricsRegistry, Tracer
 from repro.walks.spec import WalkSpec
-from repro.walks.walker import WalkPath
 
 DEFAULT_STEP_COST = 1.0  # model units per sampling step
 DEFAULT_MESSAGE_COST = 0.2  # model units per walker migration
@@ -91,21 +92,18 @@ class DistributedStats:
 class _Worker:
     """One simulated worker: a vertex shard plus its walker queue.
 
-    Each worker owns a private :class:`CostCounters` *and* a private
-    :class:`MetricsRegistry` — the per-worker discipline that makes the
-    shared-counter thread hazard structurally impossible (see the note
-    in :mod:`repro.sampling.counters`); the engine folds both at the
-    barrier via their merge paths.
+    Each worker owns a private :class:`CostCounters` — the per-worker
+    discipline that makes the shared-counter thread hazard structurally
+    impossible (see the note in :mod:`repro.sampling.counters`); the
+    engine folds them at the barrier via their merge path.
     """
 
-    __slots__ = ("worker_id", "counters", "registry", "queue", "steps")
+    __slots__ = ("worker_id", "counters", "queue")
 
     def __init__(self, worker_id: int):
         self.worker_id = worker_id
         self.counters = CostCounters()
-        self.registry = MetricsRegistry()
         self.queue: List[int] = []  # walker ids resident this superstep
-        self.steps = 0
 
 
 @dataclass
@@ -124,6 +122,42 @@ class _WalkerState:
     @property
     def prev_vertex(self) -> Optional[int]:
         return self.hops[-2][0] if len(self.hops) > 1 else None
+
+
+class _BspDriver(TeaEngine):
+    """:meth:`Engine.run`'s skeleton around a cluster's superstep loop.
+
+    A default :class:`TeaEngine` (one global HPAT build — see
+    :meth:`DistributedTeaEngine.prepare`) whose walk phase is the
+    cluster's BSP loop and whose scalar step every worker shares.
+    """
+
+    name = "tea-distributed"
+
+    def __init__(self, graph: TemporalGraph, spec: WalkSpec,
+                 cluster: "DistributedTeaEngine"):
+        super().__init__(graph, spec)
+        self._cluster = cluster
+
+    def _prepare(self) -> None:
+        super()._prepare()
+        cluster = self._cluster
+        cluster.owners = cluster._partition_fn(self.graph, cluster.num_workers)
+
+    def _walk(self, starts, workload: Workload, rng, counters, registry,
+              keep_hops, span) -> FrontierResult:
+        span.set("workers", self._cluster.num_workers)
+        return self._cluster._supersteps(
+            starts, workload.max_length, counters, keep_hops
+        )
+
+    def publish_telemetry(self, registry: MetricsRegistry) -> None:
+        stats = self._cluster.stats
+        registry.counter(
+            "distributed.worker_steps", "sampling steps across workers"
+        ).inc(stats.total_steps)
+        for key, value in stats.snapshot().items():
+            registry.gauge(f"distributed.{key}", "cluster-level run stat").set(value)
 
 
 class DistributedTeaEngine:
@@ -152,8 +186,6 @@ class DistributedTeaEngine:
     ):
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self.graph = spec.restrict(graph)
-        self.spec = spec
         self.num_workers = int(num_workers)
         if callable(partitioner):
             self._partition_fn = partitioner
@@ -170,9 +202,19 @@ class DistributedTeaEngine:
         self.step_cost = float(step_cost)
         self.message_cost = float(message_cost)
         self.owners: Optional[np.ndarray] = None
-        self.index = None
-        self.candidate_sizes: Optional[np.ndarray] = None
-        self._prepared = False
+        self.stats: Optional[DistributedStats] = None
+        self._driver = _BspDriver(graph, spec, self)
+        self.graph = self._driver.graph
+        self.spec = spec
+        self._worker_rngs: list = []
+
+    @property
+    def index(self):
+        return self._driver.index
+
+    @property
+    def candidate_sizes(self) -> Optional[np.ndarray]:
+        return self._driver.candidate_sizes
 
     # -- preprocessing -------------------------------------------------------
 
@@ -184,13 +226,7 @@ class DistributedTeaEngine:
         simply index into their own vertices' slices. (Tested against
         per-shard construction in the test suite.)
         """
-        if self._prepared:
-            return
-        self.owners = self._partition_fn(self.graph, self.num_workers)
-        pre = builder.preprocess(self.graph, self.spec.weight_model)
-        self.index = pre.index
-        self.candidate_sizes = pre.candidate_sizes
-        self._prepared = True
+        self._driver.prepare()
 
     # -- execution -------------------------------------------------------------
 
@@ -198,92 +234,78 @@ class DistributedTeaEngine:
             record_paths: bool = True,
             registry: Optional[MetricsRegistry] = None,
             tracer: Optional[Tracer] = None):
-        """Run the workload in BSP supersteps; returns (paths, stats).
+        """Run the workload in BSP supersteps; returns ``(paths, stats,
+        counters, timer)``.
 
-        ``registry``, when given, receives the merged per-worker
-        registries plus cluster-level gauges after the run.
+        ``registry``, when given, receives the run's metrics plus the
+        cluster-level ``distributed.*`` gauges.
         """
-        if registry is None:
-            registry = MetricsRegistry()
-        self.last_registry = registry
-        tracer = tracer if tracer is not None else Tracer(enabled=True)
-        timer = PhaseTimer()
-        with timer.phase("prepare"), tracer.span("prepare", engine="tea-distributed"):
-            self.prepare()
         rng = make_rng(seed)
-        worker_rngs = spawn(rng, self.num_workers)
-        workers = [_Worker(w) for w in range(self.num_workers)]
-        beta = self.spec.dynamic_parameter
-        beta_max = beta.beta_max if beta is not None else 1.0
-        g = self.graph
+        # Worker streams are spawned before the starts are resolved from
+        # the same generator (which the driver's run continues).
+        self._worker_rngs = spawn(rng, self.num_workers)
+        result = self._driver.run(
+            workload, seed=rng, record_paths=record_paths,
+            registry=registry, tracer=tracer,
+        )
+        self.last_registry = result.registry
+        return result.paths, self.stats, result.counters, result.timer
 
-        starts = workload.resolve_starts(g.num_vertices, rng)
+    def _supersteps(self, starts: np.ndarray, max_length: int,
+                    counters: CostCounters, keep_hops: bool) -> FrontierResult:
+        """The BSP loop: every resident walker one edge per superstep."""
+        g = self.graph
+        workers = [_Worker(w) for w in range(self.num_workers)]
         walkers = [
-            _WalkerState(hops=[(int(u), None)], remaining=workload.max_length)
-            for u in starts
+            _WalkerState(hops=[(u, None)], remaining=max_length)
+            for u in starts.tolist()
         ]
         for wid, state in enumerate(walkers):
             workers[self.owners[state.vertex]].queue.append(wid)
 
-        stats = DistributedStats(
+        self.stats = stats = DistributedStats(
             num_workers=self.num_workers,
             steps_per_worker=np.zeros(self.num_workers, dtype=np.int64),
             edge_cut=edge_cut(g, self.owners),
             load=partition_load(g, self.owners, self.num_workers),
         )
+        while any(worker.queue for worker in workers):
+            stats.supersteps += 1
+            superstep_steps = np.zeros(self.num_workers, dtype=np.int64)
+            outgoing: Dict[int, List[int]] = {w: [] for w in range(self.num_workers)}
+            messages_this_step = 0
+            for worker in workers:
+                wrng = self._worker_rngs[worker.worker_id]
+                queue, worker.queue = worker.queue, []
+                for wid in queue:
+                    state = walkers[wid]
+                    if not self._advance(state, wrng, worker.counters):
+                        continue  # walk finished
+                    superstep_steps[worker.worker_id] += 1
+                    dest = int(self.owners[state.vertex])
+                    if dest != worker.worker_id:
+                        messages_this_step += 1
+                        worker.counters.record_io(64)  # walker state ships
+                    outgoing[dest].append(wid)
+            for w, arrivals in outgoing.items():
+                workers[w].queue.extend(arrivals)
+            stats.steps_per_worker += superstep_steps
+            stats.messages += messages_this_step
+            stats.modeled_makespan += (
+                float(superstep_steps.max()) * self.step_cost
+                + messages_this_step * self.message_cost / self.num_workers
+            )
 
-        with timer.phase("walk"), tracer.span(
-            "walk", engine="tea-distributed", workers=self.num_workers
-        ):
-            while any(worker.queue for worker in workers):
-                stats.supersteps += 1
-                superstep_steps = np.zeros(self.num_workers, dtype=np.int64)
-                outgoing: Dict[int, List[int]] = {w: [] for w in range(self.num_workers)}
-                messages_this_step = 0
-                for worker in workers:
-                    wrng = worker_rngs[worker.worker_id]
-                    queue, worker.queue = worker.queue, []
-                    for wid in queue:
-                        state = walkers[wid]
-                        advanced = self._advance(state, wrng, worker.counters, beta, beta_max)
-                        if not advanced:
-                            continue  # walk finished
-                        superstep_steps[worker.worker_id] += 1
-                        worker.steps += 1
-                        dest = int(self.owners[state.vertex])
-                        if dest == worker.worker_id:
-                            outgoing[dest].append(wid)
-                        else:
-                            messages_this_step += 1
-                            worker.counters.record_io(64)  # walker state ships
-                            outgoing[dest].append(wid)
-                for w, arrivals in outgoing.items():
-                    workers[w].queue.extend(arrivals)
-                stats.steps_per_worker += superstep_steps
-                stats.messages += messages_this_step
-                stats.modeled_makespan += (
-                    float(superstep_steps.max()) * self.step_cost
-                    + messages_this_step * self.message_cost / self.num_workers
-                )
-
-        # Fold the per-worker accounts: CostCounters merge for the
-        # legacy return value, registry merge for telemetry (each worker
-        # publishes into its own registry first — the merge path the
-        # counters module's thread-safety note prescribes).
-        counters = CostCounters.merge_all(w.counters for w in workers)
+        # Fold the per-worker accounts at the barrier.
         for worker in workers:
-            worker.counters.publish(worker.registry)
-            worker.registry.counter(
-                "distributed.worker_steps", "sampling steps across workers"
-            ).inc(worker.steps)
-            registry.merge(worker.registry)
-        for key, value in stats.snapshot().items():
-            registry.gauge(f"distributed.{key}", "cluster-level run stat").set(value)
-        paths = [WalkPath(hops=list(s.hops)) for s in walkers] if record_paths else []
-        return paths, stats, counters, timer
+            counters.merge(worker.counters)
+        out = FrontierResult.empty(starts, max_length, keep_hops)
+        for wid, state in enumerate(walkers):
+            out.record(wid, state.hops)
+        return out
 
-    def _advance(self, state: _WalkerState, rng, counters: CostCounters,
-                 beta, beta_max: float) -> bool:
+    def _advance(self, state: _WalkerState, rng,
+                 counters: CostCounters) -> bool:
         """One walk step on the owning worker; False when the walk ends."""
         if state.remaining <= 0:
             return False
@@ -294,18 +316,9 @@ class DistributedTeaEngine:
         if s <= 0:
             return False
         counters.record_step()
-        for _ in range(1_000_000):
-            idx = self.index.sample(v, s, rng, counters)
-            pos = int(g.indptr[v]) + idx
-            v2 = int(g.nbr[pos])
-            t2 = float(g.etime[pos])
-            if beta is None:
-                break
-            b = beta(g, state.prev_vertex, v2)
-            ok = rng.random() * beta_max <= b
-            counters.record_trial(ok)
-            if ok:
-                break
+        _, v2, t2, _ = self._driver._step(
+            v, s, t, state.prev_vertex, rng, counters
+        )
         state.hops.append((v2, t2))
         state.remaining -= 1
         return True

@@ -8,7 +8,16 @@ Every engine implements two primitives:
 The walk loop itself — candidate tracking, the Dynamic_parameter
 rejection (Algorithm 2 lines 18–22), path recording, termination — is
 shared, so engine comparisons isolate exactly the sampling strategy, as
-the paper's experiments do. Two loop behaviours differ by engine flag:
+the paper's experiments do. It exists once at each level:
+
+* :meth:`Engine.run` is the only prepare → walk → finalize skeleton;
+  engines plug their walk phase in through the :meth:`Engine._walk`
+  hook, which returns a columnar :class:`FrontierResult`;
+* :meth:`Engine._step` is the only scalar step; :meth:`Engine._walk_one`
+  loops over it, and the default ``_walk`` / :meth:`Engine.run_lanes`
+  loop over that.
+
+Two loop behaviours differ by engine flag:
 
 * ``has_candidate_index``: TEA precomputes |Γt(v)| per edge during
   preprocessing (Section 4.2), so candidate-set lookup during the walk is
@@ -23,8 +32,9 @@ the paper's experiments do. Two loop behaviours differ by engine flag:
 from __future__ import annotations
 
 import abc
-from collections import Counter as _LengthCounter
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,6 +100,82 @@ class Workload:
     def describe(self) -> str:
         cap = f", max_walks={self.max_walks}" if self.max_walks else ""
         return f"R={self.walks_per_vertex}, L={self.max_length}{cap}"
+
+
+@dataclass
+class FrontierResult:
+    """Columnar outcome of one batch of walks — what every engine's
+    walk phase produces.
+
+    Hops are recorded per *column* (step index) into dense ``(num_walks,
+    max_length)`` arrays — every lane active at iteration ``k`` has taken
+    exactly ``k`` hops, so the frontier loop scatters once per iteration
+    instead of appending per lane. Walk ``i``'s valid hops are
+    ``hop_vertex[i, :lengths[i]]`` / ``hop_time[i, :lengths[i]]``.
+    ``hop_vertex``/``hop_time`` are ``None`` when hop recording was off.
+    """
+
+    starts: np.ndarray
+    lengths: np.ndarray
+    hop_vertex: Optional[np.ndarray] = None
+    hop_time: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls, starts: np.ndarray, max_length: int,
+              keep_hops: bool) -> "FrontierResult":
+        """Zero-length walks from ``starts`` (hop columns only if kept)."""
+        num = starts.size
+        hop_vertex = hop_time = None
+        if keep_hops:
+            hop_vertex = np.zeros((num, max_length), dtype=np.int64)
+            hop_time = np.zeros((num, max_length), dtype=np.float64)
+        return cls(starts, np.zeros(num, dtype=np.int64), hop_vertex, hop_time)
+
+    def record(self, i: int, hops: List[Tuple[int, Optional[float]]]) -> None:
+        """Store walk ``i`` from a walker's hop list (start hop first)."""
+        n = len(hops) - 1
+        self.lengths[i] = n
+        if n and self.hop_vertex is not None:
+            self.hop_vertex[i, :n], self.hop_time[i, :n] = zip(*hops[1:])
+
+    @property
+    def total_steps(self) -> int:
+        return int(self.lengths.sum())
+
+    def materialise_paths(self, record_paths: bool = True, sink=None) -> List[WalkPath]:
+        """Build :class:`WalkPath` objects from the columnar arrays.
+
+        Runs once per batch after the walk phase (never inside it);
+        ``sink`` receives every walk, the returned list only fills when
+        ``record_paths`` is true.
+        """
+        paths: List[WalkPath] = []
+        if self.hop_vertex is None or (not record_paths and sink is None):
+            return paths
+        starts = self.starts.tolist()
+        lengths = self.lengths.tolist()
+        for i, (start, length) in enumerate(zip(starts, lengths)):
+            hops = [(start, None)]
+            if length:
+                hops.extend(
+                    zip(
+                        self.hop_vertex[i, :length].tolist(),
+                        self.hop_time[i, :length].tolist(),
+                    )
+                )
+            walk = WalkPath(hops=hops)
+            if record_paths:
+                paths.append(walk)
+            if sink is not None:
+                sink.append(walk)
+        return paths
+
+    def observe_lengths(self, histogram) -> None:
+        """Fold walk lengths into ``histogram`` one distinct value at a
+        time."""
+        values, counts = np.unique(self.lengths, return_counts=True)
+        for value, n in zip(values.tolist(), counts.tolist()):
+            histogram.observe_n(value, n)
 
 
 @dataclass
@@ -285,6 +371,35 @@ class Engine(abc.ABC):
         r = draw_in_range(rng, 0.0, prefix[s])
         return its_search(prefix, r, 0, s)
 
+    def _step(
+        self, v: int, s: int, t: Optional[float], prev: Optional[int],
+        rng: np.random.Generator, counters: CostCounters,
+    ) -> Tuple[int, int, float, int]:
+        """One Algorithm 2 step (lines 18–22) from vertex ``v``.
+
+        Samples from the candidate prefix ``[0, s)`` and accepts against
+        the Dynamic_parameter (applications without one always accept);
+        after :data:`BETA_REJECTION_BUDGET` refusals, one exact
+        β-adjusted scan. Returns ``(edge position, next vertex, arrival
+        time, β trials)``.
+        """
+        g = self.graph
+        beta = self.spec.dynamic_parameter
+        base = int(g.indptr[v])
+        trials = 0
+        if beta is None:
+            pos = base + self.sample_edge(v, s, t, rng, counters)
+        else:
+            for trials in range(1, BETA_REJECTION_BUDGET + 1):
+                pos = base + self.sample_edge(v, s, t, rng, counters)
+                ok = rng.random() * beta.beta_max <= beta(g, prev, int(g.nbr[pos]))
+                counters.record_trial(ok)
+                if ok:
+                    break
+            else:
+                pos = base + self._beta_exact_draw(v, s, prev, beta, rng, counters)
+        return pos, int(g.nbr[pos]), float(g.etime[pos]), trials
+
     def _walk_one(
         self,
         start: int,
@@ -292,118 +407,143 @@ class Engine(abc.ABC):
         rng: np.random.Generator,
         counters: CostCounters,
         stop_probability: float = 0.0,
+        observer=None,
     ) -> Walker:
-        # The untraced fast path. _walk_one_traced below is its
-        # instrumented twin — any change to this loop body must be
-        # mirrored there (the two are kept separate so the common case
-        # pays zero per-step telemetry branches; the <5% overhead
-        # budget in ISSUE's acceptance criteria is why).
+        """Walk from ``start`` to termination.
+
+        ``observer(step_seconds, beta_trials)``, when given, is called
+        after every step; it must not draw from ``rng``.
+        """
         walker = Walker(start)
-        spec = self.spec
-        beta = spec.dynamic_parameter
-        beta_max = beta.beta_max if beta is not None else 1.0
         v = start
         s = self._initial_candidates(v)
         while walker.num_edges < max_length and s > 0:
             if stop_probability and rng.random() < stop_probability:
                 break
+            step_t0 = _now() if observer is not None else 0.0
             counters.record_step()
-            t = walker.current_time
-            # Algorithm 2 lines 18–22: sample, then accept against the
-            # dynamic parameter; applications without one always accept.
-            accepted: Optional[Tuple[int, int, float]] = None
-            for _ in range(BETA_REJECTION_BUDGET):
-                idx = self.sample_edge(v, s, t, rng, counters)
-                pos = int(self.graph.indptr[v]) + idx
-                v2 = int(self.graph.nbr[pos])
-                t2 = float(self.graph.etime[pos])
-                if beta is None:
-                    accepted = (pos, v2, t2)
-                    break
-                b = beta(self.graph, walker.previous_vertex, v2)
-                ok = rng.random() * beta_max <= b
-                counters.record_trial(ok)
-                if ok:
-                    accepted = (pos, v2, t2)
-                    break
-            if accepted is None:
-                # Rejection budget exhausted: one exact β-adjusted scan.
-                idx = self._beta_exact_draw(
-                    v, s, walker.previous_vertex, beta, rng, counters
-                )
-                pos = int(self.graph.indptr[v]) + idx
-                accepted = (pos, int(self.graph.nbr[pos]), float(self.graph.etime[pos]))
-            pos, v2, t2 = accepted
-            walker.advance(v2, t2)
-            s = self._next_candidates(pos, v2, t2, counters)
-            v = v2
+            pos, v, t, trials = self._step(
+                v, s, walker.current_time, walker.previous_vertex, rng, counters
+            )
+            walker.advance(v, t)
+            s = self._next_candidates(pos, v, t, counters)
+            if observer is not None:
+                observer(_now() - step_t0, trials)
         return walker
 
-    def _walk_one_traced(
-        self,
-        start: int,
-        max_length: int,
-        rng: np.random.Generator,
-        counters: CostCounters,
-        trace_span,
-        registry: MetricsRegistry,
-        stop_probability: float = 0.0,
-    ) -> Walker:
-        # Instrumented twin of _walk_one: identical sampling semantics
-        # (same rng call sequence), plus per-step latency and
-        # trials-per-step histograms. Only tracer-sampled walks run it.
-        step_hist = registry.histogram(
-            "walk.step_seconds", "per-step latency (traced walks)",
-            **LATENCY_BUCKETS,
-        )
-        trials_hist = registry.histogram(
-            "sampling.trials_per_step",
-            "β rejection trials per step (traced walks)",
-        )
-        walker = Walker(start)
-        spec = self.spec
-        beta = spec.dynamic_parameter
-        beta_max = beta.beta_max if beta is not None else 1.0
-        v = start
-        s = self._initial_candidates(v)
-        while walker.num_edges < max_length and s > 0:
-            if stop_probability and rng.random() < stop_probability:
-                break
-            step_t0 = _now()
-            counters.record_step()
-            t = walker.current_time
-            accepted: Optional[Tuple[int, int, float]] = None
-            trials = 0
-            for _ in range(BETA_REJECTION_BUDGET):
-                idx = self.sample_edge(v, s, t, rng, counters)
-                pos = int(self.graph.indptr[v]) + idx
-                v2 = int(self.graph.nbr[pos])
-                t2 = float(self.graph.etime[pos])
-                if beta is None:
-                    accepted = (pos, v2, t2)
-                    break
-                trials += 1
-                b = beta(self.graph, walker.previous_vertex, v2)
-                ok = rng.random() * beta_max <= b
-                counters.record_trial(ok)
-                if ok:
-                    accepted = (pos, v2, t2)
-                    break
-            if accepted is None:
-                idx = self._beta_exact_draw(
-                    v, s, walker.previous_vertex, beta, rng, counters
+    def _walk_scalar(
+        self, starts: np.ndarray, rngs, max_length: int,
+        stop_probability: float, counters: CostCounters, keep_hops: bool,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> FrontierResult:
+        """One :meth:`_walk_one` per start; walk ``i`` draws from the
+        ``i``-th generator of ``rngs``.
+
+        With a ``registry`` the active tracer's 1-in-N sampled walks
+        open a ``walk.one`` span and feed the per-step histograms.
+        """
+        tracer = self.tracer
+        every = 0
+        observer = None
+        if registry is not None and tracer.enabled and starts.size:
+            every = max(0, tracer.walk_sample_every)  # <= 0: never sample
+        if every:
+            step_hist = registry.histogram(
+                "walk.step_seconds", "per-step latency (traced walks)",
+                **LATENCY_BUCKETS,
+            )
+            trials_hist = registry.histogram(
+                "sampling.trials_per_step",
+                "β rejection trials per step (traced walks)",
+            )
+
+            def observer(seconds: float, trials: int) -> None:
+                step_hist.observe(seconds)
+                trials_hist.observe(trials)
+
+        out = FrontierResult.empty(starts, max_length, keep_hops)
+        for i, (u, rng) in enumerate(zip(starts.tolist(), rngs)):
+            if every and i % every == 0:
+                with tracer.span("walk.one", walk=i, start_vertex=u) as span:
+                    walker = self._walk_one(
+                        u, max_length, rng, counters, stop_probability, observer
+                    )
+                    span.set("length", walker.num_edges)
+                    span.set("end_vertex", walker.current_vertex)
+            else:
+                walker = self._walk_one(
+                    u, max_length, rng, counters, stop_probability
                 )
-                pos = int(self.graph.indptr[v]) + idx
-                accepted = (pos, int(self.graph.nbr[pos]), float(self.graph.etime[pos]))
-            pos, v2, t2 = accepted
-            walker.advance(v2, t2)
-            s = self._next_candidates(pos, v2, t2, counters)
-            v = v2
-            step_hist.observe(_now() - step_t0)
-            trials_hist.observe(trials)
-        trace_span.set("length", walker.num_edges)
-        trace_span.set("end_vertex", v)
-        return walker
+            out.record(i, walker.hops)
+        return out
+
+    def _walk(
+        self, starts: np.ndarray, workload: Workload,
+        rng: np.random.Generator, counters: CostCounters,
+        registry: MetricsRegistry, keep_hops: bool, span,
+    ) -> FrontierResult:
+        """The walk phase of :meth:`run`: advance every start to
+        termination, charging ``counters``. ``span`` is the open
+        ``walk`` span. The default is the scalar loop over one shared
+        generator; frontier engines override it.
+        """
+        return self._walk_scalar(
+            starts, repeat(rng), workload.max_length,
+            workload.stop_probability, counters, keep_hops, registry,
+        )
+
+    def run_lanes(
+        self,
+        starts: np.ndarray,
+        seeds: np.ndarray,
+        max_length: int,
+        stop_probability: float = 0.0,
+        keep_hops: bool = True,
+        counters: Optional[CostCounters] = None,
+        registry: Optional[MetricsRegistry] = None,
+    ) -> FrontierResult:
+        """Walk ``starts`` with explicit per-walk lane seeds.
+
+        Walk ``i``'s sampled path is a pure function of ``(starts[i],
+        seeds[i])`` — independent of which other walks share the call,
+        their order, or how the caller partitions a workload into
+        ``run_lanes`` calls. This is the coalescing contract the serving
+        batcher (:mod:`repro.serve`) is built on: batched requests are
+        bit-identical to solo runs. Engines implement it in
+        :meth:`_walk_lanes`.
+        """
+        self.prepare()
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        seeds = np.ascontiguousarray(seeds)
+        if starts.size != seeds.size:
+            raise ValueError("starts and seeds must be equal length")
+        return self._walk_lanes(
+            starts, seeds, int(max_length), float(stop_probability),
+            bool(keep_hops),
+            counters if counters is not None else CostCounters(), registry,
+        )
+
+    def _walk_lanes(
+        self, starts: np.ndarray, seeds: np.ndarray, max_length: int,
+        stop_probability: float, keep_hops: bool, counters: CostCounters,
+        registry: Optional[MetricsRegistry],
+    ) -> FrontierResult:
+        """:meth:`run_lanes` behind its argument checks — the lane-seeded
+        twin of :meth:`_walk`. The scalar default gives every lane its
+        own generator seeded from its lane seed."""
+        return self._walk_scalar(
+            starts, (np.random.default_rng(seed) for seed in seeds.tolist()),
+            max_length, stop_probability, counters, keep_hops,
+        )
+
+    @contextmanager
+    def _phase(self, timer: PhaseTimer, name: str, **attributes):
+        """Open run phase ``name`` on the run's timer, the active tracer
+        and the profiler together — the one place the three meet."""
+        with timer.phase(name), self.tracer.span(
+            name, engine=self.name, **attributes
+        ) as span, self.profiler.phase(name):
+            yield span
 
     def run(
         self,
@@ -416,84 +556,40 @@ class Engine(abc.ABC):
     ) -> EngineResult:
         """Run the workload; returns paths plus cost/time/memory accounts.
 
+        The one prepare → walk → finalize skeleton (Algorithm 2's Main)
+        of every engine; subclasses plug in through :meth:`_prepare`,
+        :meth:`_walk` and :meth:`publish_telemetry`.
+
         ``sink`` is an optional open :class:`repro.walks.sink.WalkSink`;
-        completed walks stream to it (flushed in batches of 1,024, the
-        paper's §4.1 policy) so huge corpora never accumulate in memory —
-        pass ``record_paths=False`` alongside for constant-memory runs.
+        completed walks are written to it (flushed in batches of 1,024,
+        the paper's §4.1 policy) — pass ``record_paths=False`` alongside
+        to keep only the columnar hops, never ``WalkPath`` objects.
 
         ``registry`` collects this run's metrics (one is created when
         not supplied — every run returns a populated registry on the
         result). ``tracer`` controls span tracing: the default records
         only the two phase root spans; pass one with
-        ``walk_sample_every=N`` to additionally trace 1-in-N walks with
-        per-step latency histograms.
+        ``walk_sample_every=N`` to additionally trace 1-in-N walks of a
+        scalar engine with per-step latency histograms.
         """
         registry = registry if registry is not None else MetricsRegistry()
-        tracer = tracer if tracer is not None else Tracer(enabled=True)
-        self.tracer = tracer
-        profiler = self.profiler
+        self.tracer = tracer if tracer is not None else Tracer(enabled=True)
         timer = PhaseTimer()
-        with timer.phase("prepare"), tracer.span("prepare", engine=self.name), \
-                profiler.phase("prepare"):
+        with self._phase(timer, "prepare"):
             self.prepare()
         rng = make_rng(seed)
         counters = CostCounters()
-        paths: List[WalkPath] = []
         starts = workload.resolve_starts(self.graph.num_vertices, rng)
-        walk_length_hist = registry.histogram(
-            "walk.length", "edges per completed walk"
-        )
-        # Per-walk telemetry is kept off the hot path: lengths go into a
-        # plain list (folded into the histogram per distinct value after
-        # the loop), and the untraced variant of the loop carries no
-        # sampling branch at all — short-walk workloads are dominated by
-        # per-walk overhead, and the acceptance bar is <5% wall regression.
-        # (max with 0: <= 0 means "never sample", matching sample_walk)
-        sample_every = max(0, tracer.walk_sample_every) if tracer.enabled else 0
-        lengths: List[int] = []
-        lengths_append = lengths.append
-        with timer.phase("walk"), tracer.span(
-            "walk", engine=self.name, walks=int(starts.size)
-        ), profiler.phase("walk"):
-            if sample_every:
-                for walk_index, u in enumerate(starts):
-                    if walk_index % sample_every == 0:
-                        with tracer.span(
-                            "walk.one", walk=walk_index, start_vertex=int(u)
-                        ) as walk_span:
-                            walker = self._walk_one_traced(
-                                int(u), workload.max_length, rng, counters,
-                                walk_span, registry,
-                                stop_probability=workload.stop_probability,
-                            )
-                    else:
-                        walker = self._walk_one(
-                            int(u), workload.max_length, rng, counters,
-                            stop_probability=workload.stop_probability,
-                        )
-                    lengths_append(walker.num_edges)
-                    if record_paths or sink is not None:
-                        finished = walker.finish()
-                        if record_paths:
-                            paths.append(finished)
-                        if sink is not None:
-                            sink.append(finished)
-            else:
-                for u in starts:
-                    walker = self._walk_one(
-                        int(u), workload.max_length, rng, counters,
-                        stop_probability=workload.stop_probability,
-                    )
-                    lengths_append(walker.num_edges)
-                    if record_paths or sink is not None:
-                        finished = walker.finish()
-                        if record_paths:
-                            paths.append(finished)
-                        if sink is not None:
-                            sink.append(finished)
-        with profiler.phase("finalize"):
-            for length, n in _LengthCounter(lengths).items():
-                walk_length_hist.observe_n(length, n)
+        with self._phase(timer, "walk", walks=int(starts.size)) as span:
+            outcome = self._walk(
+                starts, workload, rng, counters, registry,
+                record_paths or sink is not None, span,
+            )
+        with self.profiler.phase("finalize"):
+            outcome.observe_lengths(
+                registry.histogram("walk.length", "edges per completed walk")
+            )
+            paths = outcome.materialise_paths(record_paths=record_paths, sink=sink)
             memory = self.memory_report()
             counters.publish(registry)
             registry.counter("walk.walks", "walks executed").inc(int(starts.size))
@@ -509,6 +605,6 @@ class Engine(abc.ABC):
             memory=memory,
             time_divisor=self.time_divisor,
             registry=registry,
-            trace=tracer,
+            trace=self.tracer,
             run_id=current_run_id(),
         )

@@ -24,90 +24,30 @@ what lets benchmarks run the paper's full R·|V| workloads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 
 from repro.core import builder
-from repro.engines.base import Engine, EngineResult, Workload
+from repro.engines.base import Engine, FrontierResult, Workload
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import (
     KernelScratch,
     resolve_backend,
     sample_batch as _kernel_sample_batch,
 )
-from repro.rng import GeneratorLanes, LaneRng, RngLike, make_rng
+from repro.rng import GeneratorLanes, LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import (
     MemoryReport,
     MetricsRegistry,
     NULL_PROFILER,
-    PhaseTimer,
-    Tracer,
+    NULL_TRACER,
 )
-from repro.telemetry.events import current_run_id
 from repro.walks.spec import WalkSpec
-from repro.walks.walker import WalkPath
 
 _MAX_BETA_ROUNDS = 16
-
-
-@dataclass
-class FrontierResult:
-    """Columnar outcome of one frontier-vectorised walk batch.
-
-    Hops are recorded per *column* (step index) into dense ``(num_walks,
-    max_length)`` arrays — every lane active at iteration ``k`` has taken
-    exactly ``k`` hops, so a scatter per iteration replaces the per-lane
-    Python append the loop used to pay. Walk ``i``'s valid hops are
-    ``hop_vertex[i, :lengths[i]]`` / ``hop_time[i, :lengths[i]]``.
-    ``hop_vertex``/``hop_time`` are ``None`` when hop recording was off.
-    """
-
-    starts: np.ndarray
-    lengths: np.ndarray
-    hop_vertex: Optional[np.ndarray] = None
-    hop_time: Optional[np.ndarray] = None
-
-    @property
-    def total_steps(self) -> int:
-        return int(self.lengths.sum())
-
-    def materialise_paths(self, record_paths: bool = True, sink=None) -> List[WalkPath]:
-        """Build :class:`WalkPath` objects from the columnar arrays.
-
-        Runs once per batch after the walk phase (never inside it);
-        ``sink`` receives every walk, the returned list only fills when
-        ``record_paths`` is true.
-        """
-        paths: List[WalkPath] = []
-        if self.hop_vertex is None or (not record_paths and sink is None):
-            return paths
-        starts = self.starts.tolist()
-        lengths = self.lengths.tolist()
-        for i, (start, length) in enumerate(zip(starts, lengths)):
-            hops = [(start, None)]
-            if length:
-                hops.extend(
-                    zip(
-                        self.hop_vertex[i, :length].tolist(),
-                        self.hop_time[i, :length].tolist(),
-                    )
-                )
-            walk = WalkPath(hops=hops)
-            if record_paths:
-                paths.append(walk)
-            if sink is not None:
-                sink.append(walk)
-        return paths
-
-    def observe_lengths(self, histogram) -> None:
-        """Fold walk lengths into ``histogram`` one distinct value at a
-        time (the ``np.unique`` twin of the scalar loop's Counter fold)."""
-        values, counts = np.unique(self.lengths, return_counts=True)
-        for value, n in zip(values.tolist(), counts.tolist()):
-            histogram.observe_n(value, n)
 
 
 def hpat_sample_batch(
@@ -217,8 +157,6 @@ class BatchTeaEngine(Engine):
         engine.weights = None
         engine.candidate_sizes = candidate_sizes
         engine.kernel = resolve_backend(kernel_backend)
-        from repro.telemetry import NULL_TRACER
-
         engine.tracer = NULL_TRACER
         engine.profiler = NULL_PROFILER
         engine._static_keys = static_keys
@@ -318,12 +256,18 @@ class BatchTeaEngine(Engine):
         choice = (prefix < r[:, None]).sum(axis=1) - 1
         return np.clip(choice, 0, ss - 1)
 
-    def _on_frontier_advance(self, vs: np.ndarray, ss: np.ndarray) -> None:
-        """Hook fired after each frontier iteration with the lanes that
-        stay active — ``(vertex, candidate size)`` pairs the *next*
-        iteration will sample. The in-memory engine needs no lookahead;
-        the out-of-core subclass predicts trunk demand here and hands it
-        to the async prefetcher."""
+    @contextmanager
+    def _frontier_scope(self, profiler, counters: CostCounters):
+        """Per-run resources of one frontier loop (seam 2 of 2; the
+        index provider :meth:`_sample_batch` is the other).
+
+        Entered once around the loop; yields an optional lookahead
+        callback fired after each iteration with the surviving lanes'
+        ``(vertex, candidate size)`` pairs — exactly what the *next*
+        iteration will sample. The in-memory index needs neither; the
+        out-of-core engine runs its prefetcher and store profiler here.
+        """
+        yield None
 
     # -- frontier kernel ---------------------------------------------------------
 
@@ -332,19 +276,21 @@ class BatchTeaEngine(Engine):
         starts: np.ndarray,
         max_length: int,
         stop_probability: float,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         counters: CostCounters,
         keep_hops: bool,
-        frontier_hist=None,
-        profiler=None,
+        registry: Optional[MetricsRegistry] = None,
+        profiler=NULL_PROFILER,
         lane_rng=None,
         interleave: int = 1,
     ) -> FrontierResult:
         """Advance every walk in ``starts`` to completion, vectorised.
 
-        The reusable core of this engine: the parallel executor
-        (:mod:`repro.parallel`) runs exactly this kernel per chunk inside
-        worker threads/processes, against the same shared index arrays.
+        The one frontier loop of every storage tier: :meth:`run`,
+        :meth:`run_lanes` and the parallel executor's chunks
+        (:mod:`repro.parallel`) all run exactly this, in memory or
+        against a trunk store — engines differ only in the two seams
+        :meth:`_sample_batch` and :meth:`_frontier_scope`.
         Hops land in columnar ``(num, max_length)`` arrays — all lanes
         active at iteration ``k`` have taken ``k`` hops, so recording is
         one scatter per iteration instead of a Python append per lane.
@@ -355,26 +301,31 @@ class BatchTeaEngine(Engine):
         Phase cost is charged per frontier *iteration*, not per step, so
         the bookkeeping stays far under the <5% overhead budget.
 
-        ``lane_rng`` substitutes counter-based per-walk streams
+        ``registry``, when given, receives the ``batch.frontier_size``
+        histogram. ``lane_rng`` substitutes counter-based per-walk streams
         (:class:`~repro.rng.LaneRng`, one lane per start) for the shared
-        generator; ``interleave`` > 1 then splits the frontier into that
+        generator ``rng`` (which may then be ``None``); ``interleave`` > 1 then splits the frontier into that
         many walker cohorts advanced round-robin (ThunderRW-style step
         interleaving) — bit-identical to the single-cohort pass because
         each lane's draws are keyed on its own counter, not call order.
         Without ``lane_rng`` a cohort schedule would perturb the shared
         generator's draw order, so ``interleave`` is forced to 1.
         """
-        prof = profiler if profiler is not None else NULL_PROFILER
         g = self.graph
         beta = self.spec.dynamic_parameter
         beta_max = beta.beta_max if beta is not None else 1.0
         if beta is not None and g.num_vertices and g._static_indptr is None:
             g._build_static_adjacency()
+        frontier_hist = (
+            registry.histogram(
+                "batch.frontier_size", "active walkers per frontier iteration"
+            )
+            if registry is not None
+            else None
+        )
         num = starts.size
-        hop_vertex = hop_time = None
-        if keep_hops:
-            hop_vertex = np.zeros((num, max_length), dtype=np.int64)
-            hop_time = np.zeros((num, max_length), dtype=np.float64)
+        out = FrontierResult.empty(starts, max_length, keep_hops)
+        hop_vertex, hop_time = out.hop_vertex, out.hop_time
 
         draw_src = lane_rng if lane_rng is not None else GeneratorLanes(rng)
         if lane_rng is None:
@@ -396,7 +347,7 @@ class BatchTeaEngine(Engine):
             ``steps_left``/hop columns); cohorts hold disjoint lane sets,
             so interleaved calls never touch the same rows.
             """
-            with prof.phase("gather"):
+            with profiler.phase("gather"):
                 if frontier_hist is not None:
                     frontier_hist.observe(lanes.size)
                 if stop_probability:
@@ -409,7 +360,7 @@ class BatchTeaEngine(Engine):
                 ss = s[lanes]
                 pending = np.arange(lanes.size)
                 idx_out = np.empty(lanes.size, dtype=np.int64)
-            with prof.phase("draw"):
+            with profiler.phase("draw"):
                 for _ in range(_MAX_BETA_ROUNDS):
                     drawn = self._sample_batch(
                         vs[pending], ss[pending], rng, counters,
@@ -447,7 +398,7 @@ class BatchTeaEngine(Engine):
                         vs[pending], ss[pending], prev[lanes][pending],
                         beta, draw_src, lanes[pending], counters,
                     )
-            with prof.phase("scatter"):
+            with profiler.phase("scatter"):
                 pos = g.indptr[vs] + idx_out
                 nxt = g.nbr[pos].astype(np.int64)
                 t_next = g.etime[pos]
@@ -461,136 +412,55 @@ class BatchTeaEngine(Engine):
                 steps_left[lanes] -= 1
                 still = (s_next > 0) & (steps_left[lanes] > 0)
                 lanes = lanes[still]
-                if lanes.size:
-                    self._on_frontier_advance(cur[lanes], s[lanes])
+                if lookahead is not None and lanes.size:
+                    lookahead(cur[lanes], s[lanes])
             return lanes
 
         frontier = np.flatnonzero(active)
-        if interleave <= 1:
-            iteration = 0
-            while frontier.size:
-                frontier = advance(frontier, iteration)
-                iteration += 1
-        else:
-            # ThunderRW-style ring: split the frontier into k cohorts and
-            # advance them round-robin, so cohort i+1's gather works a
-            # different region of the index while cohort i's draw/scatter
-            # results are still warm. Each ring entry carries its own
-            # iteration count — all lanes of a cohort still share one hop
-            # column per pass, preserving the columnar hop layout.
-            k = max(1, min(int(interleave), int(frontier.size)))
-            ring = deque(
-                (part, 0) for part in np.array_split(frontier, k) if part.size
-            )
-            while ring:
-                cohort, iteration = ring.popleft()
-                with prof.phase("cohort"):
-                    cohort = advance(cohort, iteration)
-                if cohort.size:
-                    ring.append((cohort, iteration + 1))
+        with self._frontier_scope(profiler, counters) as lookahead:
+            if interleave <= 1:
+                iteration = 0
+                while frontier.size:
+                    frontier = advance(frontier, iteration)
+                    iteration += 1
+            else:
+                # ThunderRW-style ring: split the frontier into k cohorts
+                # and advance them round-robin, so cohort i+1's gather
+                # works a different region of the index while cohort i's
+                # draw/scatter results are still warm. Each ring entry
+                # carries its own iteration count — all lanes of a cohort
+                # still share one hop column per pass, preserving the
+                # columnar hop layout.
+                k = max(1, min(int(interleave), int(frontier.size)))
+                ring = deque(
+                    (part, 0) for part in np.array_split(frontier, k)
+                    if part.size
+                )
+                while ring:
+                    cohort, iteration = ring.popleft()
+                    with profiler.phase("cohort"):
+                        cohort = advance(cohort, iteration)
+                    if cohort.size:
+                        ring.append((cohort, iteration + 1))
 
-        return FrontierResult(
-            starts=starts,
-            lengths=max_length - steps_left,
-            hop_vertex=hop_vertex,
-            hop_time=hop_time,
-        )
+        out.lengths = max_length - steps_left
+        return out
 
     # -- lane-seeded execution ---------------------------------------------------
 
-    def run_lanes(
-        self,
-        starts: np.ndarray,
-        seeds: np.ndarray,
-        max_length: int,
-        stop_probability: float = 0.0,
-        keep_hops: bool = True,
-        counters: Optional[CostCounters] = None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> FrontierResult:
-        """Walk ``starts`` with explicit per-walk lane seeds.
-
-        Walk ``i`` is advanced by a counter-based stream keyed on
-        ``seeds[i]`` (:class:`~repro.rng.LaneRng`), so its sampled path
-        is a pure function of ``(starts[i], seeds[i])`` — independent of
-        which other walks share the frontier, their order, or how the
-        caller partitions a workload into ``run_lanes`` calls. This is
-        the coalescing contract the serving batcher
-        (:mod:`repro.serve`) is built on: batched requests are
-        bit-identical to solo runs.
-        """
-        self.prepare()
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        seeds = np.ascontiguousarray(seeds)
-        if starts.size != seeds.size:
-            raise ValueError("starts and seeds must be equal length")
-        counters = counters if counters is not None else CostCounters()
-        frontier_hist = (
-            registry.histogram(
-                "batch.frontier_size", "active walkers per frontier iteration"
-            )
-            if registry is not None
-            else None
-        )
+    def _walk_lanes(self, starts, seeds, max_length, stop_probability,
+                    keep_hops, counters, registry) -> FrontierResult:
+        # Walk i is advanced by a counter-based stream keyed on seeds[i].
         return self._run_frontier(
-            starts, int(max_length), float(stop_probability),
-            np.random.default_rng(0),  # unused: draws come from the lanes
-            counters, keep_hops, frontier_hist,
-            lane_rng=LaneRng(seeds),
+            starts, max_length, stop_probability, None, counters, keep_hops,
+            registry, lane_rng=LaneRng(seeds),
         )
 
-    # -- run ---------------------------------------------------------------------
-
-    def run(self, workload: Workload, seed: RngLike = 0,
-            record_paths: bool = True, sink=None,
-            registry: Optional[MetricsRegistry] = None,
-            tracer: Optional[Tracer] = None) -> EngineResult:
-        registry = registry if registry is not None else MetricsRegistry()
-        tracer = tracer if tracer is not None else Tracer(enabled=True)
-        self.tracer = tracer
-        profiler = self.profiler
-        timer = PhaseTimer()
-        with timer.phase("prepare"), tracer.span("prepare", engine=self.name), \
-                profiler.phase("prepare"):
-            self.prepare()
-        rng = make_rng(seed)
-        counters = CostCounters()
-        frontier_hist = registry.histogram(
-            "batch.frontier_size", "active walkers per frontier iteration"
-        )
-        starts = workload.resolve_starts(self.graph.num_vertices, rng).astype(np.int64)
-        keep_hops = record_paths or sink is not None
-
-        with timer.phase("walk"), tracer.span(
-            "walk", engine=self.name, walks=int(starts.size)
-        ), profiler.phase("walk"):
-            result = self._run_frontier(
-                starts, workload.max_length, workload.stop_probability,
-                rng, counters, keep_hops, frontier_hist,
-                profiler=profiler if profiler.enabled else None,
-            )
-
-        with profiler.phase("finalize"):
-            result.observe_lengths(
-                registry.histogram("walk.length", "edges per completed walk")
-            )
-            paths = result.materialise_paths(record_paths=record_paths, sink=sink)
-            memory = self.memory_report()
-            counters.publish(registry)
-            registry.counter("walk.walks", "walks executed").inc(int(starts.size))
-            registry.gauge("memory.bytes", "engine structure bytes").set(memory.total)
-            self.publish_telemetry(registry)
-        return EngineResult(
-            engine=self.name,
-            spec=self.spec.describe(),
-            workload=workload.describe(),
-            paths=paths,
-            counters=counters,
-            timer=timer,
-            memory=memory,
-            registry=registry,
-            trace=tracer,
-            run_id=current_run_id(),
+    def _walk(self, starts, workload: Workload, rng, counters, registry,
+              keep_hops, span) -> FrontierResult:
+        return self._run_frontier(
+            starts, workload.max_length, workload.stop_probability,
+            rng, counters, keep_hops, registry, profiler=self.profiler,
         )
 
     def memory_report(self) -> MemoryReport:

@@ -80,9 +80,6 @@ class TeaSession:
     max_engines:
         LRU capacity: distinct prepared (window, weights, β) engines
         kept alive simultaneously.
-    vectorised:
-        Legacy switch between :class:`BatchTeaEngine` (default) and the
-        scalar engine; ignored when ``engine`` is given.
     engine:
         Engine kind to build per cache entry: ``"tea"`` (scalar),
         ``"tea-batch"`` (vectorised frontier, the default), or
@@ -103,15 +100,12 @@ class TeaSession:
         self,
         graph: TemporalGraph,
         max_engines: int = 8,
-        vectorised: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "tea-batch",
         engine_kwargs: Optional[Dict] = None,
         max_bytes: Optional[int] = None,
     ):
         if max_engines < 1:
             raise ValueError("max_engines must be >= 1")
-        if engine is None:
-            engine = "tea-batch" if vectorised else "tea"
         if engine not in ENGINE_KINDS:
             raise ValueError(
                 f"unknown engine kind {engine!r}; expected one of {ENGINE_KINDS}"
@@ -121,7 +115,6 @@ class TeaSession:
         self.graph = graph
         self.max_engines = int(max_engines)
         self.engine_kind = engine
-        self.vectorised = engine != "tea"
         self.engine_kwargs = dict(engine_kwargs or {})
         self.max_bytes = max_bytes
         self._engines: "OrderedDict[Tuple, object]" = OrderedDict()

@@ -21,10 +21,18 @@ trunk-boundary ITS, same in-trunk alias draw, same partial-trunk search
 — evaluated in numpy lockstep, so the per-step distribution matches the
 scalar engine (chi-squared tested) even though the vectorised RNG
 consumption order differs.
+
+The frontier loop is :meth:`BatchTeaEngine._run_frontier` itself; this
+engine supplies only its two seams — the index provider
+(``_sample_batch`` → :func:`ooc_sample_batch`, drawing per lane like the
+in-memory kernel) and the per-run scope (``_frontier_scope``: the
+prefetcher and the store's profiler) — so whatever the loop offers,
+``run_lanes`` included, works on disk too.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
@@ -38,6 +46,8 @@ from repro.engines.tea_outofcore.scalar import (
     build_ooc_index,
 )
 from repro.graph.temporal_graph import TemporalGraph
+from repro.kernels import KernelScratch
+from repro.rng import GeneratorLanes
 from repro.telemetry import MemoryReport
 from repro.sampling.counters import CostCounters
 from repro.walks.spec import WalkSpec
@@ -57,8 +67,11 @@ def ooc_sample_batch(
     index: OutOfCorePAT,
     vs: np.ndarray,
     ss: np.ndarray,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     counters: Optional[CostCounters] = None,
+    *,
+    draw=None,
+    lanes: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vectorised PAT-over-TrunkStore draws for (vertex, size) arrays.
 
@@ -70,11 +83,19 @@ def ooc_sample_batch(
     must be >= 1. Probe counts for the lockstep boundary search are
     exact; partial-trunk search probes are the usual batched
     approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
+
+    Row ``i`` takes its (up to three) uniforms from lane ``lanes[i]`` of
+    ``draw``, like the in-memory kernel; the default is the
+    bit-compatible :class:`~repro.rng.GeneratorLanes` over ``rng``.
     """
     store = index.store
     n = vs.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    if draw is None:
+        draw = GeneratorLanes(rng)
+    if lanes is None:
+        lanes = np.arange(n, dtype=np.int64)
     ss = ss.astype(np.int64)
     ts = index.trunk_sizes[vs].astype(np.int64)
     full = ss // ts
@@ -94,7 +115,7 @@ def ooc_sample_batch(
         blocks, inv = store.read_batch("c", los, los + 1, counters)
         totals[ragged] = np.array([float(b[0]) for b in blocks])[inv]
 
-    r = totals - rng.random(n) * totals  # draws in (0, total]
+    r = totals - draw.uniform(lanes) * totals  # draws in (0, total]
     full_weight = index.tr_prefix[tb + full]
     in_full = (full > 0) & (r <= full_weight)
     out = np.empty(n, dtype=np.int64)
@@ -127,9 +148,9 @@ def ooc_sample_batch(
         alias_cat = np.concatenate([b[1] for b in blocks])
         base = offs[inv]
         w = ts[rows]
-        cell = (rng.random(rows.size) * w).astype(np.int64)
+        cell = (draw.uniform(lanes[rows]) * w).astype(np.int64)
         cell = np.minimum(cell, w - 1)
-        take = rng.random(rows.size) < prob_cat[base + cell]
+        take = draw.uniform(lanes[rows]) < prob_cat[base + cell]
         local = np.where(take, cell, alias_cat[base + cell])
         out[rows] = trunk * ts[rows] + local
         if counters is not None:
@@ -176,13 +197,8 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         retry_policy=None,
         verify_checksums: bool = False,
         fault_injector=None,
-        kernel_backend="auto",
     ):
-        # ``kernel_backend`` is accepted (and resolved) for interface
-        # parity with the in-memory engine — this engine's own kernel is
-        # the trunk-store sampler below, but the scalar Engine fallbacks
-        # and any future in-memory fast path run the resolved backend.
-        super().__init__(graph, spec, kernel_backend=kernel_backend)
+        super().__init__(graph, spec)
         self.trunk_size = int(trunk_size)
         self._storage_dir = storage_dir
         self._tmpdir = None
@@ -217,14 +233,13 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
 
     # -- vectorised kernel -----------------------------------------------------
 
-    def _sample_batch(self, vs, ss, rng, counters, draw=None, lanes=None,
-                      scratch=None):
-        # ``draw``/``lanes``/``scratch`` are accepted for base-kernel signature
-        # compatibility but unused: the out-of-core kernel draws from the
-        # chunk generator directly. The parallel executor never routes
-        # lane streams through this engine (workers run the in-memory
-        # kernel over the shared index image), so determinism here stays
-        # keyed on the per-run generator as before.
+    def _sample_batch(
+        self, vs: np.ndarray, ss: np.ndarray, rng: np.random.Generator,
+        counters: CostCounters, draw=None, lanes: Optional[np.ndarray] = None,
+        scratch: Optional[KernelScratch] = None,
+    ) -> np.ndarray:
+        """Trunk-store draws (``scratch`` serves the in-memory kernel
+        only; this sampler's staging lives in the block cache)."""
         if self._prefetcher is not None:
             # Settle outstanding predictions before sampling: they were
             # issued for exactly this round's read_batch, so waiting the
@@ -238,7 +253,8 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
                 # on this thread instead of vanishing with the worker.
                 self._prefetcher.close(counters)
                 self._prefetcher = None
-        return ooc_sample_batch(self.index, vs, ss, rng, counters)
+        return ooc_sample_batch(self.index, vs, ss, rng, counters,
+                                draw=draw, lanes=lanes)
 
     def _on_frontier_advance(self, vs: np.ndarray, ss: np.ndarray) -> None:
         if self._prefetcher is None:
@@ -273,7 +289,11 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
             best_w = np.full(rows.size, -np.inf)
             for k in range(int(kmax.max())):
                 act = k < kmax
-                w = index.tr_prefix[tb[rows] + k + 1] - index.tr_prefix[tb[rows] + k]
+                # Rows past their last complete trunk are masked out by
+                # ``act``, but the gather still runs for them: clamp it
+                # so it never reads past the end of tr_prefix.
+                at = tb[rows] + np.minimum(k, kmax - 1)
+                w = index.tr_prefix[at + 1] - index.tr_prefix[at]
                 upd = act & (w > best_w)
                 best_w[upd] = w[upd]
                 best[upd] = k
@@ -282,24 +302,18 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
                 requests.append(("pa", lo, hi))
         self._prefetcher.submit(requests)
 
-    def _run_frontier(self, starts, max_length, stop_probability, rng,
-                      counters, keep_hops, frontier_hist=None,
-                      profiler=None):
-        if self.prefetch:
-            self._prefetcher = AsyncPrefetcher(self.index.store)
-            self._prefetcher.start()
-        # Route the store's ooc.* phases to this kernel's profiler. The
+    @contextmanager
+    def _frontier_scope(self, profiler, counters: CostCounters):
+        # Route the store's ooc.* phases to this loop's profiler. The
         # prefetch worker thread never touches it: _load runs there with
         # the store's NULL default, only synchronous reads are charged.
         store = self.index.store
-        prev_profiler = store.profiler
-        if profiler is not None:
-            store.profiler = profiler
+        prev_profiler, store.profiler = store.profiler, profiler
+        if self.prefetch:
+            self._prefetcher = AsyncPrefetcher(store)
+            self._prefetcher.start()
         try:
-            return super()._run_frontier(
-                starts, max_length, stop_probability, rng, counters,
-                keep_hops, frontier_hist, profiler=profiler,
-            )
+            yield self._on_frontier_advance if self.prefetch else None
         finally:
             store.profiler = prev_profiler
             if self._prefetcher is not None:

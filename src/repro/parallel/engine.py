@@ -15,7 +15,7 @@ Design invariants:
   (:mod:`repro.parallel.chunks`) and is advanced by a counter-based
   lane stream (:class:`~repro.rng.LaneRng`), so results are
   bit-identical across worker counts, backends, chunk sizes (fixed or
-  adaptive), warm or cold pools, interleave settings, and scheduling
+  adaptive), pool generations, interleave settings, and scheduling
   orders for a fixed ``seed``. ``--workers 1`` is the reference run,
   not a special case.
 * **Warm pools** — worker pools and the shared-memory image are
@@ -53,8 +53,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.persist import hpat_array_catalogue
-from repro.engines.base import EngineResult, Workload
-from repro.engines.batch import BatchTeaEngine, FrontierResult
+from repro.engines.base import FrontierResult, Workload
+from repro.engines.batch import BatchTeaEngine
 from repro.exceptions import WorkerCrashError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.chunks import (
@@ -75,15 +75,9 @@ from repro.parallel.worker import (
     _process_chunk,
     execute_chunk,
 )
-from repro.rng import LaneRng, RngLike, make_rng
+from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
-from repro.telemetry import (
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    PhaseTimer,
-    Tracer,
-    events,
-)
+from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, events
 from repro.telemetry.events import current_run_id
 from repro.walks.spec import WalkSpec
 
@@ -121,10 +115,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         ``auto`` (shared memory, falling back to fork/copy-on-write),
         ``shm``, or ``inherit`` (copy-on-write only). Only the process
         backend ships arrays; threads share the address space.
-    warm_pool:
-        Keep worker pools alive across ``run()`` calls (default). With
-        ``False`` pools are torn down after every run — the PR-2
-        behaviour, kept for cold-start comparisons.
     interleave:
         Walker cohorts per chunk advanced round-robin inside a worker
         (ThunderRW-style step interleaving); 1 disables. Output is
@@ -144,7 +134,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         retries: int = DEFAULT_CHUNK_RETRIES,
         chunk_timeout: Optional[float] = None,
         fault_injector=None,
-        warm_pool: bool = True,
         chunk_target_ms: Optional[float] = None,
         interleave: int = 1,
         kernel_backend="auto",
@@ -170,7 +159,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             raise ValueError("interleave must be >= 1")
         self.backend = backend
         self.share_mode = share_mode
-        self.warm_pool = bool(warm_pool)
         #: Per-chunk retry budget: a chunk may fail (crash, hang, broken
         #: pool) this many times beyond its first attempt before the run
         #: aborts with :class:`WorkerCrashError`.
@@ -237,7 +225,8 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             arrays["static.keys"] = self._static_keys
         return arrays
 
-    def _prebuild_static(self) -> None:
+    def _prepare(self) -> None:
+        super()._prepare()
         # Build the static adjacency once in the parent (any dynamic
         # parameter may consult it): workers then share it instead of
         # each lazily rebuilding, and the thread backend avoids a
@@ -343,32 +332,26 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         t0 = time.monotonic()
         self._run_frontier(
             plan.starts[:n], workload.max_length, workload.stop_probability,
-            np.random.default_rng(0), CostCounters(), False,
-            lane_rng=LaneRng(plan.seeds[:n]),
+            None, CostCounters(), False, lane_rng=LaneRng(plan.seeds[:n]),
         )
         return (time.monotonic() - t0) / n
 
     def _plan(self, starts: np.ndarray, workload: Workload,
-              rng: np.random.Generator, profiler) -> ChunkPlan:
+              rng: np.random.Generator) -> ChunkPlan:
         """Draw per-walk seeds, then pick the partition.
 
         Seeds are drawn before (and independently of) the chunk-size
         decision, which is what makes fixed and adaptive plans walk
         bit-identical paths.
         """
+        plan = plan_chunks(starts, self.chunk_size or max(1, starts.size), rng)
         if self.chunk_size:
-            return plan_chunks(starts, self.chunk_size, rng)
-        plan = plan_chunks(starts, max(1, starts.size), rng)
+            return plan
         per_walk = self._per_walk_seconds
         if per_walk is None:
-            with profiler.phase("probe"):
+            with self.profiler.phase("probe"):
                 per_walk = self._probe(plan, workload)
-        size = adaptive_chunk_size(
-            starts.size, self.workers, per_walk,
-            self.chunk_target_ms if self.chunk_target_ms is not None
-            else DEFAULT_CHUNK_TARGET_MS,
-        )
-        return rechunk(plan, size)
+        return rechunk(plan, self._chunk_size_for(starts.size, per_walk))
 
     def _make_task(self, plan: ChunkPlan, chunk_id: int, attempt: int,
                    rp: Dict[str, object]) -> ChunkTask:
@@ -551,157 +534,53 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         # the fold below is then deterministic.
         return [results[cid] for cid in sorted(results)]
 
-    # -- lane-seeded execution ---------------------------------------------
+    # -- the shared core of run() and run_lanes() --------------------------
 
-    def run_lanes(
-        self,
-        starts: np.ndarray,
-        seeds: np.ndarray,
-        max_length: int,
-        stop_probability: float = 0.0,
-        keep_hops: bool = True,
-        counters=None,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> FrontierResult:
-        """Chunk-parallel twin of :meth:`BatchTeaEngine.run_lanes`.
+    def _workers_for(self, plan: ChunkPlan) -> int:
+        """The effective pool never exceeds the number of chunks."""
+        return max(1, min(self.workers, plan.num_chunks))
 
-        The caller supplies per-walk seeds; the engine only decides the
-        partition (fixed ``chunk_size`` or the adaptive planner's
-        calibration memory) and the backend. Because every walk's
-        randomness is keyed on its own seed, the result is bit-identical
-        to the serial ``run_lanes`` — across worker counts, backends,
-        chunkings, retries, and degradations — which lets the serving
-        batcher coalesce requests onto this engine without changing any
-        response. Chunk failures go through the same supervised
-        retry/degradation path as :meth:`run`.
-        """
-        self.prepare()
-        self._prebuild_static()
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        seeds = np.ascontiguousarray(seeds)
+    def _chunk_size_for(self, num_walks: int,
+                        per_walk: Optional[float]) -> int:
         if self.chunk_size:
-            size = self.chunk_size
-        else:
-            size = adaptive_chunk_size(
-                starts.size, self.workers, self._per_walk_seconds,
-                self.chunk_target_ms if self.chunk_target_ms is not None
-                else DEFAULT_CHUNK_TARGET_MS,
-            )
-        plan = plan_for_seeds(starts, seeds, size)
-        workers_used = max(1, min(self.workers, plan.num_chunks))
-        backend = self._resolve_backend(workers_used)
-        self.last_backend = backend
+            return self.chunk_size
+        return adaptive_chunk_size(
+            num_walks, self.workers, per_walk,
+            self.chunk_target_ms if self.chunk_target_ms is not None
+            else DEFAULT_CHUNK_TARGET_MS,
+        )
+
+    def _run_plan(
+        self, plan: ChunkPlan, max_length: int, stop_probability: float,
+        keep_hops: bool, counters: CostCounters,
+        registry: Optional[MetricsRegistry], profile: bool = False,
+    ):
+        """Execute ``plan`` under supervision and stitch the chunks.
+
+        Everything :meth:`run` and :meth:`run_lanes` have in common once
+        the per-walk seeds are fixed: resolve the backend, execute (with
+        retry/degradation), refine the calibration memory, adopt worker
+        events, fold per-chunk counters/registries, and stitch the
+        chunk slices into one columnar result. Returns ``(frontier,
+        chunk results)``.
+        """
         self.last_events = {"chunk_retries": 0, "degraded": []}
         self.last_pool = {"reuses": 0, "builds": 0,
                           "startup_seconds": 0.0, "attach_seconds": 0.0}
+        workers_used = self._workers_for(plan)
+        backend = self._resolve_backend(workers_used)
+        self.last_backend = backend
         rp = {
             "max_length": int(max_length),
             "stop_probability": float(stop_probability),
             "keep_hops": bool(keep_hops),
             "run_id": current_run_id(),
-            "profile": False,
+            "profile": profile,
         }
         results = self._execute_chunks(plan, backend, workers_used, rp)
 
-        # Refine the adaptive planner's calibration memory, same as run().
-        if plan.num_walks and results:
-            total_wall = sum(res.wall_seconds for res in results)
-            if total_wall > 0:
-                self._per_walk_seconds = total_wall / plan.num_walks
-
-        parent_log = events.current()
-        if parent_log is not None:
-            for res in results:
-                if res.events:
-                    parent_log.extend(res.events)
-
-        num = int(starts.size)
-        lengths = np.zeros(num, dtype=np.int64)
-        hop_vertex = hop_time = None
-        if keep_hops:
-            hop_vertex = np.zeros((num, int(max_length)), dtype=np.int64)
-            hop_time = np.zeros((num, int(max_length)), dtype=np.float64)
-        for res in results:
-            lo, hi = plan.chunk(res.chunk_id)
-            lengths[lo:hi] = res.lengths
-            if keep_hops and res.hop_vertex is not None:
-                width = res.hop_vertex.shape[1]
-                hop_vertex[lo:hi, :width] = res.hop_vertex
-                hop_time[lo:hi, :width] = res.hop_time
-        if counters is not None:
-            counters.merge(CostCounters.merge_all(res.counters for res in results))
-        if registry is not None:
-            for res in results:
-                registry.merge(res.registry)
-            registry.counter(
-                "parallel.chunk_retries",
-                "chunk executions repeated after a crash/hang/broken pool",
-            ).inc(int(self.last_events["chunk_retries"]))
-            registry.counter(
-                "resilience.degraded",
-                "backend degradations (process->thread->serial) this run",
-            ).inc(len(self.last_events["degraded"]))
-            if self.fault_injector is not None:
-                self.fault_injector.publish(registry)
-        return FrontierResult(
-            starts=starts, lengths=lengths,
-            hop_vertex=hop_vertex, hop_time=hop_time,
-        )
-
-    # -- run ---------------------------------------------------------------
-
-    def run(self, workload: Workload, seed: RngLike = 0,
-            record_paths: bool = True, sink=None,
-            registry: Optional[MetricsRegistry] = None,
-            tracer: Optional[Tracer] = None) -> EngineResult:
-        registry = registry if registry is not None else MetricsRegistry()
-        tracer = tracer if tracer is not None else Tracer(enabled=True)
-        self.tracer = tracer
-        profiler = self.profiler
-        timer = PhaseTimer()
-        with timer.phase("prepare"), tracer.span("prepare", engine=self.name), \
-                profiler.phase("prepare"):
-            self.prepare()
-        rng = make_rng(seed)
-        starts = workload.resolve_starts(self.graph.num_vertices, rng).astype(np.int64)
-        keep_hops = record_paths or sink is not None
-
-        self.last_events = {"chunk_retries": 0, "degraded": []}
-        self.last_pool = {"reuses": 0, "builds": 0,
-                          "startup_seconds": 0.0, "attach_seconds": 0.0}
-        self._prebuild_static()
-        plan = self._plan(starts, workload, rng, profiler)
-        chunk_size = int(np.diff(plan.bounds).max()) if plan.num_chunks else 1
-        workers_used = max(1, min(self.workers, plan.num_chunks))
-        backend = self._resolve_backend(workers_used)
-        self.last_backend = backend
-        rp = {
-            "max_length": workload.max_length,
-            "stop_probability": workload.stop_probability,
-            "keep_hops": keep_hops,
-            "run_id": current_run_id(),
-            "profile": profiler.enabled,
-        }
-
-        with timer.phase("walk"), tracer.span(
-            "walk", engine=self.name, walks=int(starts.size),
-            workers=workers_used, chunks=plan.num_chunks, backend=backend,
-        ) as walk_span, profiler.phase("walk"):
-            results = self._execute_chunks(plan, backend, workers_used, rp)
-            walk_span.set("share_mode", self.last_share_mode)
-            if self.last_events["degraded"]:
-                walk_span.set("degraded_to", self.last_backend)
-            for res in results:
-                walk_span.children.extend(res.spans)
-
-        if not self.warm_pool:
-            # Cold mode: the PR-2 cost model — pools die with the run.
-            for pool in self._pools.values():
-                pool.close()
-            self._pools = {}
-
-        # Refine the calibration memory from what the run actually
-        # measured: next run's adaptive plan skips the probe.
+        # Refine the calibration memory from what was actually
+        # measured: the next adaptive plan skips the probe.
         if plan.num_walks and results:
             total_wall = sum(res.wall_seconds for res in results)
             if total_wall > 0:
@@ -714,6 +593,67 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             for res in results:
                 if res.events:
                     parent_log.extend(res.events)
+
+        # Fold at the barrier, in chunk order. Merge is associative, so
+        # this equals any completion order — but a fixed order keeps
+        # reports stable.
+        for res in results:
+            counters.merge(res.counters)
+            if registry is not None:
+                registry.merge(res.registry)
+        frontier = FrontierResult.empty(plan.starts, rp["max_length"], keep_hops)
+        for res in results:
+            lo, hi = plan.chunk(res.chunk_id)
+            frontier.lengths[lo:hi] = res.lengths
+            if res.hop_vertex is not None:
+                width = res.hop_vertex.shape[1]
+                frontier.hop_vertex[lo:hi, :width] = res.hop_vertex
+                frontier.hop_time[lo:hi, :width] = res.hop_time
+        return frontier, results
+
+    def _walk_lanes(self, starts, seeds, max_length, stop_probability,
+                    keep_hops, counters, registry) -> FrontierResult:
+        """Chunk-parallel :meth:`BatchTeaEngine._walk_lanes`.
+
+        The caller supplies per-walk seeds; the engine only decides the
+        partition (fixed ``chunk_size`` or the adaptive planner's
+        calibration memory) and the backend. Because every walk's
+        randomness is keyed on its own seed, the result is bit-identical
+        to the serial ``run_lanes`` — across worker counts, backends,
+        chunkings, retries, and degradations — which lets the serving
+        batcher coalesce requests onto this engine without changing any
+        response. Chunk failures go through the same supervised
+        retry/degradation path as :meth:`run`.
+        """
+        plan = plan_for_seeds(
+            starts, seeds,
+            self._chunk_size_for(starts.size, self._per_walk_seconds),
+        )
+        frontier, _ = self._run_plan(
+            plan, max_length, stop_probability, keep_hops, counters, registry,
+        )
+        if registry is not None:
+            self._publish_supervision(registry)
+        return frontier
+
+    def _walk(self, starts, workload: Workload, rng, counters, registry,
+              keep_hops, span) -> FrontierResult:
+        profiler = self.profiler
+        plan = self._plan(starts, workload, rng)
+        frontier, results = self._run_plan(
+            plan, workload.max_length, workload.stop_probability, keep_hops,
+            counters, registry, profile=profiler.enabled,
+        )
+        workers_used = self._workers_for(plan)
+        span.set("workers", workers_used)
+        span.set("chunks", plan.num_chunks)
+        span.set("backend", self._resolve_backend(workers_used))  # as planned
+        span.set("share_mode", self.last_share_mode)
+        if self.last_events["degraded"]:
+            span.set("degraded_to", self.last_backend)
+        if self.tracer.enabled:
+            for res in results:
+                span.children.extend(res.spans)
 
         # Absorb per-chunk profiles under the walk phase. Chunks ran
         # concurrently, so their summed inclusive time can exceed the
@@ -743,51 +683,8 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
                     float(self.last_pool["startup_seconds"]),
                     calls=int(self.last_pool["builds"]),
                 )
-
-        # Fold at the barrier, in chunk order: counters, registries,
-        # lengths, paths. Merge is associative, so this equals any
-        # completion order — but a fixed order keeps reports stable.
-        with profiler.phase("fold"):
-            counters = CostCounters.merge_all(res.counters for res in results)
-            for res in results:
-                registry.merge(res.registry)
-
-            lengths = (
-                np.concatenate([res.lengths for res in results])
-                if results else np.zeros(0, dtype=np.int64)
-            )
-            FrontierResult(starts=starts, lengths=lengths).observe_lengths(
-                registry.histogram("walk.length", "edges per completed walk")
-            )
-            paths = []
-            for res in results:
-                lo, hi = plan.chunk(res.chunk_id)
-                chunk = FrontierResult(
-                    starts=plan.starts[lo:hi], lengths=res.lengths,
-                    hop_vertex=res.hop_vertex, hop_time=res.hop_time,
-                )
-                paths.extend(chunk.materialise_paths(record_paths=record_paths, sink=sink))
-
-            self._publish_parallel_metrics(
-                registry, results, workers_used, plan, chunk_size
-            )
-            memory = self.memory_report()
-            counters.publish(registry)
-            registry.counter("walk.walks", "walks executed").inc(int(starts.size))
-            registry.gauge("memory.bytes", "engine structure bytes").set(memory.total)
-            self.publish_telemetry(registry)
-        return EngineResult(
-            engine=self.name,
-            spec=self.spec.describe(),
-            workload=workload.describe(),
-            paths=paths,
-            counters=counters,
-            timer=timer,
-            memory=memory,
-            registry=registry,
-            trace=tracer,
-            run_id=current_run_id(),
-        )
+        self._publish_parallel_metrics(registry, results, workers_used, plan)
+        return frontier
 
     def _publish_parallel_metrics(
         self,
@@ -795,13 +692,12 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         results: List[ChunkResult],
         workers_used: int,
         plan: ChunkPlan,
-        chunk_size: int,
     ) -> None:
         registry.gauge("parallel.workers", "worker pool size").set(workers_used)
         registry.counter("parallel.chunks", "chunks executed").inc(plan.num_chunks)
         registry.gauge(
             "parallel.chunk_size", "walks per chunk the planner chose"
-        ).set(chunk_size)
+        ).set(int(np.diff(plan.bounds).max()) if plan.num_chunks else 1)
         # The per-chunk registries already folded their queue-wait
         # observations into parallel.queue_wait_seconds via merge();
         # touch it here so the metric exists even for zero-chunk runs.
@@ -835,6 +731,9 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         )
         for steps in per_worker.values():
             steps_hist.observe(steps)
+        self._publish_supervision(registry)
+
+    def _publish_supervision(self, registry: MetricsRegistry) -> None:
         # Supervision ledger: always exported so dashboards can alert on
         # transitions from zero, not on metric appearance.
         registry.counter(

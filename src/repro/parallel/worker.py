@@ -42,6 +42,7 @@ from repro.telemetry import (
     LATENCY_BUCKETS,
     EventLog,
     MetricsRegistry,
+    NULL_PROFILER,
     PhaseProfiler,
     Span,
     Tracer,
@@ -217,28 +218,17 @@ def execute_chunk(
     # Per-chunk profiler, same discipline as registry/tracer: private to
     # the chunk, folded by the engine at the barrier. calibrate=False —
     # the per-event cost is measured once per process and cached.
-    profiler = PhaseProfiler(calibrate=False) if task.profile else None
-    frontier_hist = registry.histogram(
-        "batch.frontier_size", "active walkers per frontier iteration"
-    )
+    profiler = PhaseProfiler(calibrate=False) if task.profile else NULL_PROFILER
     label = worker_label()
-    rng = np.random.default_rng(0)  # unused: draws come from lane_rng
     with tracer.span(
         "walk.chunk", chunk=task.chunk_id, walks=task.starts.size, worker=label
     ) as span:
-        if profiler is not None:
-            with profiler.phase("chunk_exec"):
-                result: FrontierResult = engine._run_frontier(
-                    task.starts, task.max_length, task.stop_probability,
-                    rng, counters, task.keep_hops, frontier_hist,
-                    profiler=profiler, lane_rng=lane_rng,
-                    interleave=task.interleave,
-                )
-        else:
-            result = engine._run_frontier(
+        with profiler.phase("chunk_exec"):
+            result: FrontierResult = engine._run_frontier(
                 task.starts, task.max_length, task.stop_probability,
-                rng, counters, task.keep_hops, frontier_hist,
-                lane_rng=lane_rng, interleave=task.interleave,
+                None, counters, task.keep_hops, registry,
+                profiler=profiler, lane_rng=lane_rng,
+                interleave=task.interleave,
             )
         span.set("steps", result.total_steps)
         span.set("queue_wait_seconds", round(queue_wait, 6))
@@ -276,7 +266,7 @@ def execute_chunk(
         worker_label=label,
         events=(list(log.events[event_mark:])
                 if (log is not None and in_child) else []),
-        profile=profiler.snapshot() if profiler is not None else None,
+        profile=profiler.snapshot() if task.profile else None,
     )
 
 

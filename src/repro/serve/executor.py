@@ -8,8 +8,9 @@ hence one prepared engine) into a single lane-seeded frontier run:
 2. concatenate every request's expanded starts and per-request lane
    seeds (``spawn_seeds`` over the request's own seed — identical to a
    solo run, which is the whole parity argument);
-3. run ``engine.run_lanes`` (vectorised / chunk-parallel engines) or a
-   scalar per-lane loop (the ``tea`` engine kind);
+3. run ``engine.run_lanes`` — every engine has one; the frontier and
+   chunk-parallel engines vectorise it, the ``tea`` kind walks lane by
+   lane;
 4. split the columnar result back into per-request responses.
 
 The parallel path runs through the supervised chunk executor, so the
@@ -27,7 +28,6 @@ import numpy as np
 from repro.engines.batch import FrontierResult
 from repro.engines.session import TeaSession
 from repro.exceptions import ServeError
-from repro.sampling.counters import CostCounters
 from repro.serve.batcher import PendingRequest
 from repro.serve.protocol import SERVE_SCHEMA
 from repro.telemetry.registry import MetricsRegistry
@@ -62,19 +62,14 @@ class BatchExecutor:
         keep_hops = any(
             p.request.record_paths or p.request.kind == "recommend" for p in group
         )
-        if hasattr(engine, "run_lanes"):
-            frontier = engine.run_lanes(
-                starts,
-                seeds,
-                max_length,
-                stop_probability=stop_probability,
-                keep_hops=keep_hops,
-                registry=self.registry,
-            )
-        else:
-            frontier = self._run_scalar(
-                engine, starts, seeds, max_length, stop_probability, keep_hops
-            )
+        frontier = engine.run_lanes(
+            starts,
+            seeds,
+            max_length,
+            stop_probability=stop_probability,
+            keep_hops=keep_hops,
+            registry=self.registry,
+        )
         last_events = getattr(engine, "last_events", None)
         if self._retries is not None and last_events:
             self._retries.inc(int(last_events.get("chunk_retries", 0)))
@@ -85,37 +80,6 @@ class BatchExecutor:
                 pending, frontier, offset, offset + n, batched_with=len(group)
             )
             offset += n
-
-    def _run_scalar(
-        self, engine, starts, seeds, max_length, stop_probability, keep_hops
-    ) -> FrontierResult:
-        """Per-lane scalar loop for the ``tea`` engine kind.
-
-        Each lane walks with its own generator seeded from its lane
-        seed, so — like the vectorised path — batch composition is
-        invisible to the sampled edges.
-        """
-        counters = CostCounters()
-        num = int(starts.size)
-        lengths = np.zeros(num, dtype=np.int64)
-        hop_vertex = hop_time = None
-        if keep_hops:
-            hop_vertex = np.zeros((num, int(max_length)), dtype=np.int64)
-            hop_time = np.zeros((num, int(max_length)), dtype=np.float64)
-        for i in range(num):
-            rng = np.random.default_rng(int(seeds[i]))
-            walker = engine._walk_one(
-                int(starts[i]), int(max_length), rng, counters, stop_probability
-            )
-            hops = walker.hops[1:]
-            lengths[i] = len(hops)
-            if keep_hops:
-                for j, (vertex, t) in enumerate(hops):
-                    hop_vertex[i, j] = vertex
-                    hop_time[i, j] = t
-        return FrontierResult(
-            starts=starts, lengths=lengths, hop_vertex=hop_vertex, hop_time=hop_time
-        )
 
     def _encode(
         self,

@@ -16,7 +16,7 @@ taxonomy, profiler phases, and event-log schema):
 * :mod:`repro.telemetry.clock` — the sanctioned engine time source
   (enforced by ``tools/lint_clocks.py``);
 * :class:`MemoryReport` / :class:`PhaseTimer` — byte accounting and
-  the legacy phase timer, consolidated here from ``repro.metrics``;
+  the always-on per-run phase seconds behind ``EngineResult.timer``;
 * exporters — Prometheus text exposition, schema-versioned JSON run
   reports, and the ``--stats`` human table.
 """

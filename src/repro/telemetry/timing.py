@@ -1,12 +1,11 @@
-"""Tiny phase timer used by engines and benchmarks.
+"""Per-run phase seconds: the ``EngineResult.timer`` accumulator.
 
-.. deprecated::
-    ``PhaseTimer`` is superseded by :class:`repro.telemetry.Tracer`
-    (nested spans with attributes) and, for cost attribution, by
-    :class:`repro.telemetry.profile.PhaseProfiler`. The timer remains
-    for back-compat callers (the ``EngineResult.timer`` field and the
-    Figure 11/13 benchmarks read it), and engines keep filling it
-    alongside spans.
+Spans carry attributes and the profiler attributes cost inside a phase,
+but a disabled :class:`~repro.telemetry.Tracer` records nothing and the
+profiler is off by default; this is the always-on wall-clock total per
+run phase that ``prepare_seconds`` / ``walk_seconds`` read. Engines
+fill it from exactly one place, :meth:`repro.engines.base.Engine._phase`,
+which opens each phase once — so there is no nesting to account for.
 """
 
 from __future__ import annotations
@@ -20,44 +19,18 @@ from repro.telemetry.clock import now as _now
 
 @dataclass
 class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase.
-
-    Re-entering a phase name *while it is still open* (nested use) is
-    counted once, against the outermost entry: historically the inner
-    ``with`` double-counted the overlapped wall time, so a nested
-    ``phase("walk")`` inside ``phase("walk")`` reported up to 2× the
-    elapsed seconds. Sequential re-entry still accumulates.
-
-    Deprecated in favour of :class:`repro.telemetry.Tracer` spans (see
-    the module note); kept for back-compat callers.
-
-    >>> timer = PhaseTimer()
-    >>> with timer.phase("preprocess"):
-    ...     pass
-    >>> "preprocess" in timer.seconds
-    True
-    """
+    """Accumulates wall-clock seconds per named phase; sequential
+    re-entry of a name adds up."""
 
     seconds: Dict[str, float] = field(default_factory=dict)
-    _depth: Dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    _open_since: Dict[str, float] = field(default_factory=dict, repr=False, compare=False)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        depth = self._depth.get(name, 0)
-        if depth == 0:
-            self._open_since[name] = _now()
-        self._depth[name] = depth + 1
+        start = _now()
         try:
             yield
         finally:
-            remaining = self._depth[name] - 1
-            self._depth[name] = remaining
-            if remaining == 0:
-                start = self._open_since.pop(name)
-                self.seconds[name] = self.seconds.get(name, 0.0) + (
-                    _now() - start
-                )
+            self.seconds[name] = self.seconds.get(name, 0.0) + (_now() - start)
 
     @property
     def total(self) -> float:

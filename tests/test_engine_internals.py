@@ -14,6 +14,7 @@ from repro.exceptions import SamplingBudgetExceeded
 from repro.walks.apps import (
     exponential_walk,
     linear_walk,
+    temporal_node2vec,
     unbiased_walk,
 )
 from repro.walks.spec import WalkSpec
@@ -137,3 +138,79 @@ class TestEmptyAndDegenerateGraphs:
         times = [t for _, t in path.hops if t is not None]
         assert times == sorted(times)
         assert all(v == 0 for v in path.vertices)
+
+
+def _engine_subclasses():
+    import repro.distributed  # noqa: F401 — registers its Engine subclass
+    import repro.engines  # noqa: F401
+    import repro.parallel  # noqa: F401
+    from repro.engines.base import Engine
+
+    seen, stack = [], [Engine]
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            if sub not in seen:
+                seen.append(sub)
+                stack.append(sub)
+    return seen
+
+
+class TestOneDriver:
+    """Algorithm 2 exists once: one run skeleton, one frontier loop,
+    one scalar step."""
+
+    def test_only_engine_defines_run(self):
+        subclasses = _engine_subclasses()
+        assert len(subclasses) >= 10  # the zoo is actually being walked
+        offenders = [c.__name__ for c in subclasses if "run" in vars(c)]
+        assert offenders == []
+
+    def test_only_batch_engine_defines_the_frontier_loop(self):
+        from repro.engines import BatchTeaEngine
+
+        owners = [c for c in _engine_subclasses() if "_run_frontier" in vars(c)]
+        assert owners == [BatchTeaEngine]
+
+    def test_sample_batch_overrides_keep_the_seam_signature(self):
+        import inspect
+
+        from repro.engines import BatchTeaEngine
+
+        base = inspect.signature(BatchTeaEngine._sample_batch)
+        overrides = [
+            c for c in _engine_subclasses()
+            if "_sample_batch" in vars(c) and c is not BatchTeaEngine
+        ]
+        assert overrides  # the out-of-core index provider, at least
+        for cls in overrides:
+            assert inspect.signature(cls._sample_batch) == base, cls.__name__
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda g, s: TeaEngine(g, s),
+            lambda g, s: TeaEngine(g, s, structure="pat"),
+            lambda g, s: GraphWalkerEngine(g, s),
+            lambda g, s: KnightKingEngine(g, s),
+        ],
+        ids=["tea-hpat", "tea-pat", "graphwalker", "knightking"],
+    )
+    @pytest.mark.parametrize(
+        "spec_fn", [exponential_walk, temporal_node2vec], ids=["exp", "n2v"]
+    )
+    def test_step_observer_consumes_no_randomness(self, small_graph, make,
+                                                  spec_fn):
+        """A traced run (every walk observed per step) and an untraced
+        one walk the same paths at the same cost."""
+        from repro.telemetry import Tracer
+
+        wl = Workload(max_length=12, max_walks=40, stop_probability=0.05)
+        plain = make(small_graph, spec_fn()).run(wl, seed=3)
+        traced = make(small_graph, spec_fn()).run(
+            wl, seed=3, tracer=Tracer(enabled=True, walk_sample_every=1)
+        )
+        assert [p.hops for p in traced.paths] == [p.hops for p in plain.paths]
+        assert traced.counters.snapshot() == plain.counters.snapshot()
+        steps = traced.registry.histogram("walk.step_seconds").count
+        assert steps == plain.counters.steps > 0
+        assert len(traced.trace.find("walk.one")) == 40

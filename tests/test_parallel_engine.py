@@ -356,7 +356,6 @@ class TestEndToEnd:
             "--length", "6", "--workers", "2",
             "--parallel-backend", "thread",
             "--chunk-target-ms", "20", "--interleave", "3",
-            "--no-warm-pool",
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -431,8 +430,9 @@ class TestAdaptivePlanning:
 
 class TestDeterminismMatrix:
     def test_chunking_warm_interleave_invariant(self, small_graph):
-        """One seed, one answer: fixed vs adaptive chunking, warm vs
-        cold pools, and interleave on/off are all bit-identical."""
+        """One seed, one answer: fixed vs adaptive chunking, a pool
+        rebuilt after ``close()`` (cold), and interleave on/off are all
+        bit-identical."""
         spec = exponential_walk(scale=20.0)
         wl = Workload(walks_per_vertex=2, max_length=8)
         reference = ParallelBatchTeaEngine(
@@ -445,18 +445,22 @@ class TestDeterminismMatrix:
             dict(chunk_size=64),
             dict(chunk_target_ms=0.5),
             dict(chunk_target_ms=500.0),
-            dict(chunk_size=16, warm_pool=False),
+            dict(chunk_size=16),
             dict(chunk_size=16, interleave=4),
-            dict(chunk_target_ms=50.0, interleave=3, warm_pool=False),
+            dict(chunk_target_ms=50.0, interleave=3),
         ]
         for kw in variants:
             engine = ParallelBatchTeaEngine(
                 small_graph, spec, workers=3, backend="thread", **kw
             )
-            res = engine.run(wl, seed=11)
+            first = engine.run(wl, seed=11)
+            engine.close()  # cold: the next run pays pool startup again
+            cold = engine.run(wl, seed=11)
+            assert engine.last_pool["builds"] >= 1, kw
             engine.close()
-            assert _paths_equal(ref.paths, res.paths), kw
-            assert ref.counters.snapshot() == res.counters.snapshot(), kw
+            for res in (first, cold):
+                assert _paths_equal(ref.paths, res.paths), kw
+                assert ref.counters.snapshot() == res.counters.snapshot(), kw
 
     def test_warm_second_run_identical_and_reused(self, small_graph):
         spec = linear_walk()
@@ -506,14 +510,16 @@ class TestDeterminismMatrix:
         r_warm_1 = warm.run(wl, seed=9)
         r_warm_2 = warm.run(wl, seed=9)  # actually-warm pool
         warm.close()
+        # "Cold" is close() between runs: the engine stays usable and
+        # the next run rebuilds its pool and shared image from scratch.
         cold = ParallelBatchTeaEngine(
-            small_graph, spec, workers=2, backend="process", chunk_size=16,
-            warm_pool=False,
+            small_graph, spec, workers=2, backend="process", chunk_size=16
         )
         r_cold = cold.run(wl, seed=9)
-        assert cold.last_pool["builds"] >= 1  # pool was rebuilt, not reused
+        assert cold.last_pool["builds"] >= 1
+        cold.close()
         r_cold_2 = cold.run(wl, seed=9)
-        assert cold.last_pool["builds"] >= 1  # torn down after each run
+        assert cold.last_pool["builds"] >= 1  # rebuilt, not reused
         cold.close()
         for other in (r_warm_2, r_cold, r_cold_2):
             assert _paths_equal(r_warm_1.paths, other.paths)

@@ -66,7 +66,7 @@ class TestResults:
         assert [p.hops for p in direct.paths] == [p.hops for p in via_session.paths]
 
     def test_scalar_mode(self, small_graph):
-        session = TeaSession(small_graph, vectorised=False)
+        session = TeaSession(small_graph, engine="tea")
         result = session.query(unbiased_walk(), Workload(max_length=4, max_walks=5))
         assert result.num_walks == 5
 
@@ -187,10 +187,15 @@ class TestEngineKinds:
             TeaSession(small_graph, engine="tea-warp")
 
     def test_scalar_kind_maps_to_vectorised_false(self, small_graph):
+        """``engine="tea"`` is the whole scalar switch (the
+        ``vectorised=`` keyword it superseded is gone)."""
+        from repro.engines import TeaEngine
+
         session = TeaSession(small_graph, engine="tea")
-        assert session.vectorised is False
-        session = TeaSession(small_graph, vectorised=False)
         assert session.engine_kind == "tea"
+        assert isinstance(session.engine_for(unbiased_walk()), TeaEngine)
+        with pytest.raises(TypeError):
+            TeaSession(small_graph, vectorised=False)
 
     def test_parallel_kind_invariant_across_configs(self, small_graph):
         """Session-served tea-parallel results depend only on the query
