@@ -78,12 +78,13 @@ bench-history-smoke:
 	@echo "bench-history-smoke: regression gate behaves"
 
 # Serving smoke: boot a real daemon on a loopback port and check the
-# three properties serving must never lose — staged-batch responses
+# four properties serving must never lose — staged-batch responses
 # bit-identical to solo runs, 429s (and telemetry conservation) when
-# the admission queue fills, and a clean bounded-join shutdown.
+# the admission queue fills, a median queue wait < 1 ms for a lone
+# sequential client, and a clean bounded-join shutdown.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.serve.smoke
-	@echo "serve-smoke: parity + admission + shutdown hold"
+	@echo "serve-smoke: parity + admission + no idle wait + shutdown hold"
 
 # Durable-ingest smoke: bulk columnar ingest bit-identical to batched
 # ingest (and clearly faster than per-edge apply), WAL close/reopen and

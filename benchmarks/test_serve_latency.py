@@ -110,10 +110,8 @@ def _arm(graph, batching):
         graph,
         engine="tea-batch",
         batching=batching,
-        batch_window_ms=4.0,
-        # One batch per convoy: with closed-loop clients at most
-        # CLIENT_THREADS requests are ever in flight, so this cap lets
-        # the linger short-circuit the moment all of them have parked.
+        # With closed-loop clients at most CLIENT_THREADS requests are
+        # ever in flight; whatever parks while one batch runs is the next.
         max_batch=CLIENT_THREADS,
         queue_depth=TOTAL + CLIENT_THREADS,
         request_timeout=120.0,

@@ -89,7 +89,7 @@ def main() -> None:
     graph = build_graph()
     print(f"interaction graph: {graph}")
 
-    with WalkService(graph, engine="tea-batch", batch_window_ms=4.0) as service:
+    with WalkService(graph, engine="tea-batch") as service:
         client = ServeClient(port=service.port)
         print(f"daemon: http://{service.host}:{service.port} "
               f"({client.healthz()['status']})")

@@ -618,6 +618,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+#: Events a daemon started with --events-out keeps (the most recent).
+SERVE_EVENT_TAIL = 65_536
+
+
 def cmd_serve(args) -> int:
     from repro.resilience import load_fault_injector
     from repro.serve import WalkService
@@ -650,7 +654,8 @@ def cmd_serve(args) -> int:
             group_commit=args.group_commit,
             retain_epochs=args.retain_epochs,
         )
-    event_log = EventLog()
+    # No --events-out, no log: nobody would ever drain it.
+    event_log = EventLog() if args.events_out else None
     previous_log = telemetry_events.install(event_log)
     service = WalkService(
         graph,
@@ -659,7 +664,6 @@ def cmd_serve(args) -> int:
         max_engines=args.max_engines,
         max_bytes=args.max_bytes,
         queue_depth=args.queue_depth,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         batching=not args.no_batching,
         host=args.host,
@@ -680,16 +684,19 @@ def cmd_serve(args) -> int:
                   f"/stream/recommend · GET /stream/epoch "
                   f"(epoch {streaming.epoch}, {durable})")
         try:
-            while True:
-                time.sleep(3600)
+            while True:  # idle, but keep only the log's recent tail
+                time.sleep(1.0)
+                if event_log is not None:
+                    event_log.trim(SERVE_EVENT_TAIL)
         except KeyboardInterrupt:
             print("\nshutting down ...")
     finally:
         clean = service.close(timeout=10.0)
         telemetry_events.install(previous_log)
-        if args.events_out:
+        if event_log is not None:
             count = event_log.write(args.events_out)
-            print(f"event log ({count} events) -> {args.events_out}")
+            print(f"event log ({count} events, {event_log.dropped} older "
+                  f"dropped) -> {args.events_out}")
     print(f"shutdown {'clean' if clean else 'TIMED OUT'}")
     return 0 if clean else 1
 
@@ -808,8 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resident-index byte budget for the engine LRU")
     p.add_argument("--queue-depth", type=int, default=64,
                    help="admission bound: parked requests before 429")
-    p.add_argument("--batch-window-ms", type=float, default=2.0,
-                   help="linger window for coalescing concurrent requests")
     p.add_argument("--max-batch", type=int, default=64,
                    help="max requests coalesced into one frontier run")
     p.add_argument("--no-batching", action="store_true",

@@ -210,6 +210,17 @@ class BatchTeaEngine(Engine):
             out[undecided] = np.where(is_neighbor, 1.0, 1.0 / beta.q)
         return out
 
+    def _beta_values(self, beta, prev: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """β(prev, cand) per pair: vectorised for node2vec, one scalar
+        call each for a custom ``Dynamic_parameter``."""
+        if self._static_ready:
+            return self._beta_batch(prev, cand)
+        g = self.graph
+        return np.fromiter(
+            (beta(g, int(p), int(c)) for p, c in zip(prev, cand)),
+            dtype=np.float64, count=prev.size,
+        )
+
     def _beta_fallback_batch(
         self, vs: np.ndarray, ss: np.ndarray, prevs: np.ndarray,
         beta, draw_src, lanes: np.ndarray, counters: CostCounters,
@@ -238,15 +249,7 @@ class BatchTeaEngine(Engine):
         rows, cols = np.nonzero(valid & (prevs[:, None] >= 0))
         if rows.size:
             cand = g.nbr[g.indptr[vs[rows]] + cols]
-            pv = prevs[rows]
-            if self._static_ready:
-                bvals = self._beta_batch(pv, cand)
-            else:
-                bvals = np.fromiter(
-                    (beta(g, int(a), int(c)) for a, c in zip(pv, cand)),
-                    dtype=np.float64, count=rows.size,
-                )
-            wb[rows, cols] *= bvals
+            wb[rows, cols] *= self._beta_values(beta, prevs[rows], cand)
         # Lanes without a previous vertex keep β ≡ beta_max — a per-lane
         # constant that cancels under the normalised draw below.
         prefix = np.zeros((p, max_s + 1), dtype=np.float64)
@@ -361,30 +364,35 @@ class BatchTeaEngine(Engine):
                 pending = np.arange(lanes.size)
                 idx_out = np.empty(lanes.size, dtype=np.int64)
             with profiler.phase("draw"):
+                base = None
+                if beta is not None:
+                    # Invariants of the rejection rounds, gathered once:
+                    # edge offsets, predecessors, and whether any lane
+                    # still lacks one (only on a lane's first hop).
+                    base = g.indptr[vs]
+                    lane_prev = prev[lanes]
+                    all_prev = bool((lane_prev >= 0).all())
                 for _ in range(_MAX_BETA_ROUNDS):
+                    round_lanes = lanes[pending]
                     drawn = self._sample_batch(
                         vs[pending], ss[pending], rng, counters,
-                        draw=draw_src, lanes=lanes[pending], scratch=scratch,
+                        draw=draw_src, lanes=round_lanes, scratch=scratch,
                     )
                     idx_out[pending] = drawn
                     if beta is None:
                         pending = pending[:0]
                         break
-                    pos_try = g.indptr[vs[pending]] + drawn
-                    cand = g.nbr[pos_try]
-                    pv = prev[lanes][pending]
-                    has_prev = pv >= 0
-                    b = np.full(pending.size, beta_max)
-                    if has_prev.any():
-                        if self._static_ready:
-                            b[has_prev] = self._beta_batch(pv[has_prev], cand[has_prev])
-                        else:  # custom Dynamic_parameter: scalar evaluation
-                            b[has_prev] = np.fromiter(
-                                (beta(g, int(p), int(c))
-                                 for p, c in zip(pv[has_prev], cand[has_prev])),
-                                dtype=np.float64,
-                            )
-                    accept = draw_src.uniform(lanes[pending]) * beta_max <= b
+                    cand = g.nbr[base[pending] + drawn]
+                    pv = lane_prev[pending]
+                    if all_prev:
+                        b = self._beta_values(beta, pv, cand)
+                    else:
+                        has_prev = pv >= 0
+                        b = np.full(pending.size, beta_max)
+                        if has_prev.any():
+                            b[has_prev] = self._beta_values(
+                                beta, pv[has_prev], cand[has_prev])
+                    accept = draw_src.uniform(round_lanes) * beta_max <= b
                     counters.rejection_trials += pending.size
                     counters.edges_evaluated += pending.size
                     counters.rejected += int((~accept).sum())
@@ -395,11 +403,11 @@ class BatchTeaEngine(Engine):
                 # to the exact β-adjusted scan, all lanes at once.
                 if pending.size:
                     idx_out[pending] = self._beta_fallback_batch(
-                        vs[pending], ss[pending], prev[lanes][pending],
+                        vs[pending], ss[pending], lane_prev[pending],
                         beta, draw_src, lanes[pending], counters,
                     )
             with profiler.phase("scatter"):
-                pos = g.indptr[vs] + idx_out
+                pos = (g.indptr[vs] if base is None else base) + idx_out
                 nxt = g.nbr[pos].astype(np.int64)
                 t_next = g.etime[pos]
                 s_next = self.candidate_sizes[pos].astype(np.int64)

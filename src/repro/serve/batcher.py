@@ -7,8 +7,11 @@ groups compatible requests by :meth:`~repro.serve.protocol.WalkRequest.
 batch_key`, and hands each group to the executor as a single frontier
 run. Walk engines are not re-entrant (shared scratch arenas), so a
 single consumer is both the safety argument and the batching
-opportunity — everything that queues up while one batch runs coalesces
-into the next.
+opportunity. Batching is *natural*: the batcher blocks only while the
+queue is empty and then takes everything already parked, so whatever
+arrived while one batch ran is the next batch — an idle daemon serves a
+lone request at once, a busy one coalesces, and there is no window to
+tune (docs/serving.md has the measurements).
 
 Admission control is the queue bound: a full queue rejects at submit
 time (the HTTP layer maps this to 429) rather than buffering unbounded
@@ -31,7 +34,7 @@ from typing import List, Optional
 from repro.serve.protocol import WalkRequest
 from repro.telemetry import events
 from repro.telemetry.clock import monotonic
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import LATENCY_BUCKETS, MetricsRegistry
 from repro.walks.spec import WalkSpec
 
 
@@ -45,6 +48,7 @@ class PendingRequest:
     done: threading.Event = field(default_factory=threading.Event)
     response: Optional[dict] = None
     error: Optional[BaseException] = None
+    admitted_at: float = 0.0  # monotonic stamp set by RequestQueue.submit
 
     def batch_key(self):
         return self.request.batch_key(self.spec)
@@ -82,17 +86,15 @@ class RequestQueue:
             if self._closed or len(self._items) >= self.max_depth:
                 self._rejected.inc()
                 return False
+            pending.admitted_at = monotonic()
             self._items.append(pending)
             self._depth.set(len(self._items))
             self._cond.notify()
             return True
 
-    def take(
-        self, max_items: int, linger_s: float = 0.0, timeout: float = 0.2
-    ) -> List[PendingRequest]:
-        """Pop up to ``max_items``, blocking up to ``timeout`` for the
-        first arrival then lingering ``linger_s`` to let stragglers
-        coalesce (the wait releases the lock, so submits land).
+    def take(self, max_items: int, timeout: float = 0.2) -> List[PendingRequest]:
+        """Pop everything already parked, up to ``max_items``; blocks
+        (up to ``timeout``) only while there is nothing to hand out.
 
         A paused queue never hands out items: the flag is checked under
         the same lock as :meth:`submit`, so once :meth:`pause` returns,
@@ -103,18 +105,10 @@ class RequestQueue:
                 self._cond.wait(timeout)
             if self._paused or not self._items:
                 return []
-            if linger_s > 0 and len(self._items) < max_items:
-                deadline = monotonic() + linger_s
-                while len(self._items) < max_items:
-                    remaining = deadline - monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                if self._paused:
-                    return []
-            batch: List[PendingRequest] = []
-            while self._items and len(batch) < max_items:
-                batch.append(self._items.popleft())
+            batch = [
+                self._items.popleft()
+                for _ in range(min(max_items, len(self._items)))
+            ]
             self._depth.set(len(self._items))
             return batch
 
@@ -154,7 +148,6 @@ class Batcher(threading.Thread):
         self,
         queue: RequestQueue,
         executor,
-        batch_window_ms: float = 2.0,
         max_batch: int = 64,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -163,7 +156,6 @@ class Batcher(threading.Thread):
             raise ValueError("max_batch must be >= 1")
         self.queue = queue
         self.executor = executor
-        self.linger_s = max(0.0, float(batch_window_ms)) / 1000.0
         self.max_batch = int(max_batch)
         registry = registry if registry is not None else MetricsRegistry()
         self._served = registry.counter("serve.served", "requests answered 200")
@@ -174,6 +166,15 @@ class Batcher(threading.Thread):
         )
         self._batch_size = registry.histogram(
             "serve.batch_size", "requests coalesced per frontier run"
+        )
+        self._queue_wait = registry.histogram(
+            "serve.queue_wait_seconds",
+            "admission to hand-off to the executor, per request",
+            **LATENCY_BUCKETS,
+        )
+        self._execute = registry.histogram(
+            "serve.execute_seconds", "executor time per frontier run",
+            **LATENCY_BUCKETS,
         )
         self._stopping = threading.Event()
 
@@ -198,7 +199,7 @@ class Batcher(threading.Thread):
 
     def run(self) -> None:
         while True:
-            batch = self.queue.take(self.max_batch, self.linger_s, timeout=0.1)
+            batch = self.queue.take(self.max_batch, timeout=0.1)
             if not batch:
                 if self._stopping.is_set() and self.queue.depth() == 0:
                     break
@@ -219,13 +220,16 @@ class Batcher(threading.Thread):
                 requests=len(group),
                 walks=sum(p.request.num_walks for p in group),
             )
+            handed = monotonic()
+            for pending in group:
+                self._queue_wait.observe(handed - pending.admitted_at)
+            error: Optional[BaseException] = None
             try:
                 self.executor.execute(group)
             except BaseException as exc:  # noqa: BLE001 - resolve waiters
-                for pending in group:
-                    self._failed.inc()
-                    pending.resolve(None, exc)
-            else:
-                for pending in group:
-                    self._served.inc()
-                    pending.resolve(pending.response, None)
+                error = exc
+            self._execute.observe(monotonic() - handed)
+            outcome = self._served if error is None else self._failed
+            for pending in group:
+                outcome.inc()
+                pending.resolve(pending.response if error is None else None, error)

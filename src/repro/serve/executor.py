@@ -29,7 +29,7 @@ from repro.engines.batch import FrontierResult
 from repro.engines.session import TeaSession
 from repro.exceptions import ServeError
 from repro.serve.batcher import PendingRequest
-from repro.serve.protocol import SERVE_SCHEMA
+from repro.serve.protocol import SERVE_SCHEMA, rank_visits
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -90,28 +90,27 @@ class BatchExecutor:
         batched_with: int,
     ) -> dict:
         request = pending.request
-        lengths = frontier.lengths[lo:hi]
+        # Columnar: one ``tolist`` per array slice, then list slicing by
+        # length — never a Python call per hop.
+        lengths = frontier.lengths[lo:hi].tolist()
         response = {
             "schema": SERVE_SCHEMA,
             "kind": request.kind,
             "run_id": pending.request_id,
             "num_walks": int(hi - lo),
-            "lengths": [int(n) for n in lengths],
+            "lengths": lengths,
             "batched_with": int(batched_with),
             "engine": self.session.engine_kind,
         }
         if request.record_paths and frontier.hop_vertex is not None:
-            walks, times = [], []
-            starts = frontier.starts[lo:hi]
-            for i in range(hi - lo):
-                n = int(lengths[i])
-                walks.append(
-                    [int(starts[i])]
-                    + [int(v) for v in frontier.hop_vertex[lo + i, :n]]
-                )
-                times.append([float(t) for t in frontier.hop_time[lo + i, :n]])
-            response["walks"] = walks
-            response["times"] = times
+            starts = frontier.starts[lo:hi].tolist()
+            hop_vertex = frontier.hop_vertex[lo:hi].tolist()
+            hop_time = frontier.hop_time[lo:hi].tolist()
+            response["walks"] = [
+                [start] + row[:n]
+                for start, row, n in zip(starts, hop_vertex, lengths)
+            ]
+            response["times"] = [row[:n] for row, n in zip(hop_time, lengths)]
         if request.kind == "recommend":
             response["recommendations"] = self._recommend(
                 request, frontier, lo, hi
@@ -120,24 +119,12 @@ class BatchExecutor:
 
     @staticmethod
     def _recommend(request, frontier: FrontierResult, lo: int, hi: int) -> list:
-        """Visit-count top-k over the request's walks, starts excluded.
-
-        Ties break on vertex id so the ranking is deterministic — the
-        chaos test compares recommendations bit-for-bit across retries.
-        """
+        """Visit-count top-k over the request's walks, starts excluded."""
         if frontier.hop_vertex is None:
             return []
-        exclude = set(request.starts)
-        counts: dict = {}
-        for i in range(lo, hi):
-            n = int(frontier.lengths[i])
-            for vertex in frontier.hop_vertex[i, :n]:
-                vertex = int(vertex)
-                if vertex in exclude:
-                    continue
-                counts[vertex] = counts.get(vertex, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [[vertex, count] for vertex, count in ranked[: request.top_k]]
+        hops = frontier.hop_vertex[lo:hi]
+        valid = np.arange(hops.shape[1]) < frontier.lengths[lo:hi, None]
+        return rank_visits(hops[valid], frontier.starts[lo:hi], request.top_k)
 
     # -- GNN sampling ------------------------------------------------------
 

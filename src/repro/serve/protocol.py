@@ -44,6 +44,10 @@ SERVE_SCHEMA = "tea-repro/serve/v1"
 #: batcher (admission control bounds queue *depth*; this bounds width).
 MAX_WALKS_PER_REQUEST = 100_000
 
+#: Largest request body the daemon reads (413 beyond): room for a
+#: million-edge ``/stream/ingest`` batch, far above any walk query.
+MAX_BODY_BYTES = 64 << 20
+
 APPS = ("linear", "exponential", "node2vec", "unbiased")
 
 
@@ -79,6 +83,34 @@ def _require(cond: bool, message: str) -> None:
         raise ServeError(message)
 
 
+def valid_starts(payload: dict) -> list:
+    """The ``starts`` of a walk query (static or streaming), validated."""
+    starts = payload.get("starts")
+    _require(
+        isinstance(starts, (list, tuple)) and len(starts) > 0,
+        "'starts' must be a non-empty list of vertex ids",
+    )
+    _require(
+        all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+            for v in starts),
+        "'starts' entries must be non-negative integers",
+    )
+    return starts
+
+
+def rank_visits(visited: np.ndarray, starts, top_k: int) -> list:
+    """``[[vertex, visits], ...]``: the ``top_k`` most visited vertices,
+    starts excluded. Ties rank by vertex id (``np.unique`` sorts
+    ascending, the sort on −count is stable), so the ranking is
+    deterministic — the chaos test compares it bit-for-bit across
+    retries."""
+    vertices, counts = np.unique(visited, return_counts=True)
+    keep = ~np.isin(vertices, starts)
+    vertices, counts = vertices[keep], counts[keep]
+    top = np.argsort(-counts, kind="stable")[:top_k]
+    return np.stack([vertices[top], counts[top]], axis=1).tolist()
+
+
 @dataclass(frozen=True)
 class WalkRequest:
     """One validated walk/recommend query.
@@ -109,16 +141,7 @@ class WalkRequest:
     def from_json(cls, payload, kind: str = "walk") -> "WalkRequest":
         """Validate a decoded JSON body; raises :class:`ServeError` (→ 400)."""
         _require(isinstance(payload, dict), "request body must be a JSON object")
-        starts = payload.get("starts")
-        _require(
-            isinstance(starts, (list, tuple)) and len(starts) > 0,
-            "'starts' must be a non-empty list of vertex ids",
-        )
-        _require(
-            all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                for v in starts),
-            "'starts' entries must be non-negative integers",
-        )
+        starts = valid_starts(payload)
         app = payload.get("app", "exponential")
         _require(app in APPS, f"'app' must be one of {APPS}, got {app!r}")
         wpv = payload.get("walks_per_vertex", 1)

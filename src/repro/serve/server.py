@@ -42,7 +42,7 @@ from repro.exceptions import ServeError, TeaError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve.batcher import Batcher, PendingRequest, RequestQueue
 from repro.serve.executor import BatchExecutor
-from repro.serve.protocol import WalkRequest
+from repro.serve.protocol import MAX_BODY_BYTES, WalkRequest
 from repro.serve.streaming import StreamService
 from repro.telemetry import events
 from repro.telemetry.clock import monotonic, now
@@ -67,12 +67,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- helpers -----------------------------------------------------------
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, json.dumps(payload), "application/json")
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         body = text.encode()
@@ -83,7 +78,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0))
+        raw = self.headers.get("Content-Length", "")
+        length = int(raw) if raw.isascii() and raw.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so drop the connection after the
+            # answer rather than parse leftovers as the next request.
+            self.close_connection = True
+            if length < 0:
+                raise ServeError("missing or malformed Content-Length")
+            raise ServeError(
+                f"request body exceeds {MAX_BODY_BYTES} bytes", status=413
+            )
         try:
             return json.loads(self.rfile.read(length) or b"null")
         except (ValueError, UnicodeDecodeError):
@@ -116,18 +121,14 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST --------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/walk":
-            self._serve_walk("walk")
-        elif self.path == "/recommend":
-            self._serve_walk("recommend")
+        service = self.service
+        if self.path in ("/walk", "/recommend"):
+            self._serve_walk(self.path[1:])
         elif self.path == "/gnn/sample":
-            self._serve_gnn()
-        elif self.path == "/stream/ingest":
-            self._serve_stream("ingest")
-        elif self.path == "/stream/walk":
-            self._serve_stream("walk")
-        elif self.path == "/stream/recommend":
-            self._serve_stream("recommend")
+            if self._serve_inline("gnn_sample", service.executor.gnn_sample):
+                service.gnn_served.inc()
+        elif self.path in ("/stream/ingest", "/stream/walk", "/stream/recommend"):
+            self._serve_stream(self.path.rsplit("/", 1)[1])
         else:
             self._send_json(404, {"error": f"unknown path {self.path}"})
 
@@ -151,74 +152,48 @@ class _Handler(BaseHTTPRequestHandler):
             num_walks=request.num_walks,
         )
         if not service.queue.submit(pending):
-            self._finish(
-                request_id, 429, {"error": "queue full", "run_id": request_id},
-                t0, kind,
-            )
+            status, error = 429, "queue full"
+        elif not pending.done.wait(service.request_timeout):
+            status, error = 504, "request timed out"
+        elif pending.error is None:
+            self._finish(request_id, 200, pending.response, t0, kind)
             return
-        if not pending.done.wait(service.request_timeout):
-            self._finish(
-                request_id, 504, {"error": "request timed out", "run_id": request_id},
-                t0, kind,
-            )
-            return
-        if pending.error is not None:
-            status = pending.error.status if isinstance(pending.error, ServeError) \
-                else 500
-            self._finish(
-                request_id, status,
-                {"error": str(pending.error), "run_id": request_id}, t0, kind,
-            )
-            return
-        self._finish(request_id, 200, pending.response, t0, kind)
-
-    def _serve_gnn(self) -> None:
-        service = self.service
-        t0 = now()
-        request_id = events.new_run_id()
-        events.emit("serve.request", run_id=request_id, endpoint="gnn_sample")
-        try:
-            response = service.executor.gnn_sample(self._read_json())
-        except ServeError as exc:
-            self._finish(request_id, exc.status, {"error": str(exc)}, t0, "gnn")
-            return
-        except TeaError as exc:
-            self._finish(request_id, 500, {"error": str(exc)}, t0, "gnn")
-            return
-        response["run_id"] = request_id
-        service.gnn_served.inc()
-        self._finish(request_id, 200, response, t0, "gnn")
+        else:
+            error = pending.error
+            status = error.status if isinstance(error, ServeError) else 500
+        self._finish(
+            request_id, status, {"error": str(error), "run_id": request_id},
+            t0, kind,
+        )
 
     def _serve_stream(self, verb: str) -> None:
         """Streaming endpoints run inline: ingest must not be coalesced
         (it mutates), and pinned-view walks are lock-free reads."""
-        service = self.service
-        endpoint = f"stream_{verb}"
+        stream = self.service.stream
+
+        def handle(payload):
+            if stream is None:
+                raise ServeError("no streaming engine attached", status=404)
+            if verb == "ingest":
+                return stream.ingest(payload)
+            return stream.walk(payload, kind=verb)
+
+        self._serve_inline(f"stream_{verb}", handle)
+
+    def _serve_inline(self, endpoint: str, handle) -> bool:
+        """Answer ``handle(body)`` on the handler thread; True iff 200."""
         t0 = now()
         request_id = events.new_run_id()
         events.emit("serve.request", run_id=request_id, endpoint=endpoint)
-        if service.stream is None:
-            self._finish(
-                request_id, 404, {"error": "no streaming engine attached"},
-                t0, endpoint,
-            )
-            return
+        status = 200
         try:
-            payload = self._read_json()
-            if verb == "ingest":
-                response = service.stream.ingest(payload)
-            else:
-                response = service.stream.walk(payload, kind=verb)
-        except ServeError as exc:
-            self._finish(
-                request_id, exc.status, {"error": str(exc)}, t0, endpoint
-            )
-            return
+            response = handle(self._read_json())
+            response["run_id"] = request_id
         except TeaError as exc:
-            self._finish(request_id, 500, {"error": str(exc)}, t0, endpoint)
-            return
-        response["run_id"] = request_id
-        self._finish(request_id, 200, response, t0, endpoint)
+            status = exc.status if isinstance(exc, ServeError) else 500
+            response = {"error": str(exc)}
+        self._finish(request_id, status, response, t0, endpoint)
+        return status == 200
 
     def _finish(
         self, request_id: str, status: int, payload: dict, t0: float, kind: str
@@ -265,7 +240,6 @@ class WalkService:
         max_engines: int = 8,
         max_bytes: Optional[int] = None,
         queue_depth: int = 64,
-        batch_window_ms: float = 2.0,
         max_batch: int = 64,
         batching: bool = True,
         host: str = "127.0.0.1",
@@ -291,13 +265,11 @@ class WalkService:
         self.batching = bool(batching)
         if not self.batching:
             max_batch = 1
-            batch_window_ms = 0.0
         self.queue = RequestQueue(max_depth=queue_depth, registry=self.registry)
         self.executor = BatchExecutor(self.session, registry=self.registry)
         self.batcher = Batcher(
             self.queue,
             self.executor,
-            batch_window_ms=batch_window_ms,
             max_batch=max_batch,
             registry=self.registry,
         )

@@ -1,15 +1,18 @@
-"""Serving smoke: parity + rejection + clean shutdown in < 30 s.
+"""Serving smoke: idle wait + parity + rejection + clean shutdown in < 30 s.
 
 Run with ``make serve-smoke`` (gated in ``make test``). Boots a real
-daemon on a loopback port and checks the three properties the serving
+daemon on a loopback port and checks the four properties the serving
 layer must never lose:
 
-1. **Batching parity** — a staged 4-request batch returns walks
+1. **No idle wait** — 50 sequential requests from one client each
+   leave the queue in under a millisecond (median of
+   ``serve.queue_wait_seconds``): an idle daemon holds nothing back;
+2. **Batching parity** — a staged 4-request batch returns walks
    bit-identical to the same queries run solo;
-2. **Admission control** — with the batcher paused and the queue full,
+3. **Admission control** — with the batcher paused and the queue full,
    excess requests get 429 and the conservation identity
    ``received == served + rejected + failed`` holds;
-3. **Clean shutdown** — ``close()`` joins every thread within its
+4. **Clean shutdown** — ``close()`` joins every thread within its
    bound and reports it.
 """
 
@@ -21,6 +24,14 @@ import time
 from repro.graph.generators import temporal_powerlaw
 from repro.graph.temporal_graph import TemporalGraph
 from repro.serve import ServeClient, WalkService
+
+
+def _wait_until(condition, what: str) -> None:
+    deadline = time.monotonic() + 10.0
+    while not condition():
+        if time.monotonic() > deadline:
+            raise AssertionError(what)
+        time.sleep(0.005)
 
 
 def _stage_batch(service: WalkService, client: ServeClient, requests):
@@ -37,11 +48,8 @@ def _stage_batch(service: WalkService, client: ServeClient, requests):
     ]
     for t in threads:
         t.start()
-    deadline = time.monotonic() + 10.0
-    while service.queue.depth() < len(requests):
-        if time.monotonic() > deadline:
-            raise AssertionError("requests never queued")
-        time.sleep(0.005)
+    _wait_until(lambda: service.queue.depth() >= len(requests),
+                "requests never queued")
     service.batcher.resume()
     for t in threads:
         t.join(timeout=30.0)
@@ -56,14 +64,20 @@ def main() -> None:
             time_horizon=200.0, seed=11,
         )
     )
-    service = WalkService(
-        graph, engine="tea-batch", batch_window_ms=2.0, queue_depth=4
-    ).start()
+    service = WalkService(graph, engine="tea-batch", queue_depth=4).start()
     client = ServeClient(port=service.port)
     try:
         assert client.healthz()["status"] == "ok"
 
-        # 1. batching parity: staged batch vs solo runs, bit-identical.
+        # 1. no idle wait: a lone sequential client never queues (first,
+        # while the histogram holds nothing else).
+        for i in range(50):
+            client.walk(starts=[1 + i % 40], seed=i, max_length=4)
+        waits = service.registry.histogram("serve.queue_wait_seconds")
+        fast = sum(n for bound, n in zip(waits.bounds, waits.counts) if bound <= 1e-3)
+        assert fast > 25, f"median idle queue wait >= 1 ms ({fast}/50 under)"
+
+        # 2. batching parity: staged batch vs solo runs, bit-identical.
         queries = [
             dict(starts=[3 + i], walks_per_vertex=3, seed=700 + i, max_length=8)
             for i in range(4)
@@ -78,7 +92,7 @@ def main() -> None:
             assert solo["times"] == batched[idx]["times"], "time parity broken"
             assert solo["lengths"] == batched[idx]["lengths"]
 
-        # 2. admission control: overfill the paused queue, expect 429s.
+        # 3. admission control: overfill the paused queue, expect 429s.
         service.batcher.pause()
         statuses = []
 
@@ -91,16 +105,11 @@ def main() -> None:
         threads = [threading.Thread(target=_push, args=(i,)) for i in range(8)]
         for t in threads:
             t.start()
-        deadline = time.monotonic() + 10.0
-        while service.queue.depth() < service.queue.max_depth:
-            if time.monotonic() > deadline:
-                raise AssertionError("queue never filled")
-            time.sleep(0.005)
+        _wait_until(lambda: service.queue.depth() >= service.queue.max_depth,
+                    "queue never filled")
         # Parked submits hold the depth at max; stragglers must reject.
-        while len(statuses) < 8 - service.queue.max_depth:
-            if time.monotonic() > deadline:
-                raise AssertionError("rejections never arrived")
-            time.sleep(0.005)
+        _wait_until(lambda: len(statuses) >= 8 - service.queue.max_depth,
+                    "rejections never arrived")
         service.batcher.resume()
         for t in threads:
             t.join(timeout=30.0)
@@ -112,15 +121,19 @@ def main() -> None:
             counters["served"] + counters["rejected"] + counters["failed"]
         ), counters
         assert counters["rejected"] >= 4
-        assert "tea_serve_received" in client.metrics()
+        assert waits.count == counters["served"], (waits.count, counters)
+        metrics = client.metrics()
+        for name in ("received", "queue_wait_seconds", "execute_seconds"):
+            assert f"tea_serve_{name}" in metrics, name
+
     finally:
-        # 3. clean shutdown with a bounded join.
+        # 4. clean shutdown with a bounded join.
         clean = service.close(timeout=10.0)
     assert clean, "shutdown did not join within its bound"
     print(
         "serve smoke OK: parity x4, "
         f"rejected={counters['rejected']}, served={counters['served']}, "
-        "shutdown clean"
+        f"idle queue wait < 1 ms x{fast}/50, shutdown clean"
     )
 
 

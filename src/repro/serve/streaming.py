@@ -20,19 +20,18 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+import numpy as np
+
 from repro.exceptions import (
     EpochRetiredError,
     GraphFormatError,
     NotSupportedError,
     ServeError,
 )
-from repro.serve.protocol import MAX_WALKS_PER_REQUEST, SERVE_SCHEMA
+from repro.serve.protocol import (
+    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _require, rank_visits, valid_starts,
+)
 from repro.telemetry.registry import MetricsRegistry
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ServeError(message)
 
 
 class StreamService:
@@ -109,16 +108,7 @@ class StreamService:
 
     def walk(self, payload, kind: str) -> dict:
         _require(isinstance(payload, dict), "request body must be a JSON object")
-        starts = payload.get("starts")
-        _require(
-            isinstance(starts, (list, tuple)) and len(starts) > 0,
-            "'starts' must be a non-empty list of vertex ids",
-        )
-        _require(
-            all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                for v in starts),
-            "'starts' entries must be non-negative integers",
-        )
+        starts = valid_starts(payload)
         _require(
             len(starts) <= MAX_WALKS_PER_REQUEST,
             f"request exceeds {MAX_WALKS_PER_REQUEST} walks",
@@ -152,22 +142,11 @@ class StreamService:
             "times": [[float(t) for t in p.times[1:]] for p in paths],
         }
         if kind == "recommend":
-            response["recommendations"] = self._recommend(
-                paths, set(starts), top_k
+            visited = [v for path in paths for v in path.vertices[1:]]
+            response["recommendations"] = rank_visits(
+                np.asarray(visited, dtype=np.int64), starts, top_k
             )
         return response
-
-    @staticmethod
-    def _recommend(paths, exclude, top_k: int) -> list:
-        """Visit-count top-k, starts excluded, vertex-id tie-break."""
-        counts: dict = {}
-        for path in paths:
-            for vertex in path.vertices[1:]:
-                if vertex in exclude:
-                    continue
-                counts[vertex] = counts.get(vertex, 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [[vertex, count] for vertex, count in ranked[:top_k]]
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -30,9 +30,6 @@ from typing import List, Optional
 
 from repro.telemetry.clock import wall as _wall
 
-#: Schema stamp written into the header event of serialised logs.
-EVENT_SCHEMA = "tea-repro/events/v1"
-
 
 def new_run_id() -> str:
     """A fresh 16-hex-char run correlation id."""
@@ -51,6 +48,7 @@ class EventLog:
     def __init__(self, run_id: Optional[str] = None):
         self.run_id = run_id if run_id is not None else new_run_id()
         self.events: List[dict] = []
+        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.events)
@@ -69,6 +67,16 @@ class EventLog:
     def extend(self, events) -> None:
         """Adopt events shipped back from a worker process."""
         self.events.extend(events)
+
+    def trim(self, keep: int) -> None:
+        """Forget all but the newest ``keep`` events, counting the rest
+        in ``dropped`` — how a process without an end (the serve daemon)
+        bounds its log. One trimming thread at a time; emitters need not
+        pause (the slice delete is atomic under the GIL)."""
+        excess = len(self.events) - keep
+        if excess > 0:
+            del self.events[:excess]
+            self.dropped += excess
 
     def kinds(self) -> List[str]:
         return [e["kind"] for e in self.events]

@@ -1,0 +1,56 @@
+"""Per-walk response assembly: the encoding oracle.
+
+This is how ``repro.serve.executor.BatchExecutor`` built a response
+before it went columnar: one ``int()`` / ``float()`` call per hop, a
+dict of visit counts per recommendation. It is kept here, unoptimised,
+as the reference the columnar ``_encode`` / ``_recommend`` must equal
+byte for byte once JSON-encoded — see
+``tests/test_serve_batching.py::TestColumnarEncodeEqualsPerWalk``.
+"""
+
+from repro.serve.protocol import SERVE_SCHEMA
+
+
+def encode(pending, frontier, lo, hi, batched_with, engine_kind):
+    request = pending.request
+    lengths = frontier.lengths[lo:hi]
+    response = {
+        "schema": SERVE_SCHEMA,
+        "kind": request.kind,
+        "run_id": pending.request_id,
+        "num_walks": int(hi - lo),
+        "lengths": [int(n) for n in lengths],
+        "batched_with": int(batched_with),
+        "engine": engine_kind,
+    }
+    if request.record_paths and frontier.hop_vertex is not None:
+        walks, times = [], []
+        starts = frontier.starts[lo:hi]
+        for i in range(hi - lo):
+            n = int(lengths[i])
+            walks.append(
+                [int(starts[i])]
+                + [int(v) for v in frontier.hop_vertex[lo + i, :n]]
+            )
+            times.append([float(t) for t in frontier.hop_time[lo + i, :n]])
+        response["walks"] = walks
+        response["times"] = times
+    if request.kind == "recommend":
+        response["recommendations"] = recommend(request, frontier, lo, hi)
+    return response
+
+
+def recommend(request, frontier, lo, hi):
+    if frontier.hop_vertex is None:
+        return []
+    exclude = set(request.starts)
+    counts = {}
+    for i in range(lo, hi):
+        n = int(frontier.lengths[i])
+        for vertex in frontier.hop_vertex[i, :n]:
+            vertex = int(vertex)
+            if vertex in exclude:
+                continue
+            counts[vertex] = counts.get(vertex, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [[vertex, count] for vertex, count in ranked[: request.top_k]]

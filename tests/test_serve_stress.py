@@ -36,9 +36,7 @@ def event_log():
 def test_stress_conservation_and_run_ids(small_graph, event_log):
     statuses = []
     lock = threading.Lock()
-    with WalkService(
-        small_graph, engine="tea-batch", queue_depth=6, batch_window_ms=1.0
-    ) as service:
+    with WalkService(small_graph, engine="tea-batch", queue_depth=6) as service:
         client = ServeClient(port=service.port)
 
         def _hammer(worker):
