@@ -13,14 +13,21 @@ acceptance bar instead. Three arms over the same edge stream:
                   prefix so the run stays tractable — the prefix's
                   smaller index makes the gate conservative).
 
+A fourth arm reads what was ingested: ``pinned_walks_per_sec`` is
+``READ_STARTS`` walks of length ``READ_LENGTH`` on the batched engine's
+newest epoch, every round on an epoch published just before it by a
+one-edge batch (the first read of an epoch pays its pack; see
+docs/streaming.md).
+
 Every arm is timed as the fastest of ``ROUNDS`` runs on fresh engines.
-Each run appends ``edges_per_sec_*`` to
+Each run appends ``edges_per_sec_*`` and ``pinned_walks_per_sec`` to
 ``bench_results/history/ingest_throughput.jsonl`` so
 ``repro bench compare --bench ingest_throughput`` gates regressions.
 """
 
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import (
@@ -37,6 +44,8 @@ from repro.walks.spec import WalkSpec
 NUM_EDGES = int(24_000 * BENCH_SCALE)
 PER_EDGE_PREFIX = int(3_000 * BENCH_SCALE)
 BATCH_SIZE = 1_000
+READ_STARTS = 2_000
+READ_LENGTH = 20
 #: Each arm is the fastest of this many runs: single shots of a 0.2 s arm
 #: spread ±30 % on a shared box, which a 10 % compare gate cannot resolve.
 ROUNDS = 3
@@ -93,7 +102,21 @@ def _run_arms():
     ]
     assert bulk_walks == batched_walks, "bulk and batched ingest diverged"
 
+    read_starts = np.random.default_rng(5).choice(
+        batched.active_vertices(), READ_STARTS)
+    last = stream[-1:]
+    read_s = float("inf")
+    for seed in range(ROUNDS):
+        # A new epoch, so every round is a first read and pays the pack.
+        batched.add_multiple_edges(last.src, last.dst, last.time + seed + 1.0)
+        view = batched.pin()
+        t0 = time.perf_counter()
+        paths = view.run_walks(read_starts, max_length=READ_LENGTH, seed=seed)
+        read_s = min(read_s, time.perf_counter() - t0)
+        assert len(paths) == READ_STARTS
+
     return {
+        "pinned_walks_per_sec": READ_STARTS / max(read_s, 1e-9),
         "edges_per_sec_bulk": len(stream) / max(bulk_s, 1e-9),
         "edges_per_sec_batched": len(stream) / max(batched_s, 1e-9),
         "edges_per_sec_per_edge": len(prefix) / max(per_edge_s, 1e-9),
@@ -133,6 +156,8 @@ def report():
         f"{_metrics['edges_per_sec_per_edge']:>12,.0f}"
         f"  ({PER_EDGE_PREFIX}-edge prefix)",
         f"  bulk / per-edge speedup : {speedup:>12.1f}x  (gate: >= 5x)",
+        f"  pinned walks/s          : {_metrics['pinned_walks_per_sec']:>12,.0f}"
+        f"  ({READ_STARTS} starts x length {READ_LENGTH}, pack included)",
     ]
     write_result("ingest_throughput", "\n".join(lines))
     write_json_result(
@@ -149,6 +174,7 @@ def report():
             "edges_per_sec_per_edge": round(
                 _metrics["edges_per_sec_per_edge"], 1
             ),
+            "pinned_walks_per_sec": round(_metrics["pinned_walks_per_sec"], 1),
         },
         num_edges=NUM_EDGES,
         batch_size=BATCH_SIZE,

@@ -357,6 +357,17 @@ class VertexIncrementalHPAT:
             np.concatenate([b.weights for b in self.blocks]),
         )
 
+    def segments(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Newest-first ``(dst, times, mass, exponent)`` per block.
+
+        ``mass[k]`` is the mass of the block's newest ``k`` edges (so one
+        entry more than edges) and an edge weighs ``mass · 2^exponent``
+        (always 0 here) — the shape
+        :class:`repro.streaming.snapshot.EpochView` packs, shared with
+        :meth:`repro.kernels.decay.DecayRadixForest.segments`.
+        """
+        return [(b.dst, b.times, b.c, 0) for b in self.blocks]
+
     def num_blocks(self) -> int:
         return len(self.blocks)
 

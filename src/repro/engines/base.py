@@ -102,6 +102,10 @@ class Workload:
         return f"R={self.walks_per_vertex}, L={self.max_length}{cap}"
 
 
+#: Walks :meth:`FrontierResult.materialise_paths` flattens at a time.
+_MATERIALISE_BLOCK = 1024
+
+
 @dataclass
 class FrontierResult:
     """Columnar outcome of one batch of walks — what every engine's
@@ -152,22 +156,27 @@ class FrontierResult:
         paths: List[WalkPath] = []
         if self.hop_vertex is None or (not record_paths and sink is None):
             return paths
-        starts = self.starts.tolist()
-        lengths = self.lengths.tolist()
-        for i, (start, length) in enumerate(zip(starts, lengths)):
-            hops = [(start, None)]
-            if length:
-                hops.extend(
-                    zip(
-                        self.hop_vertex[i, :length].tolist(),
-                        self.hop_time[i, :length].tolist(),
-                    )
-                )
-            walk = WalkPath(hops=hops)
+        # Taken hops only, flattened a block of walks at a time: two
+        # ``tolist`` calls per block instead of two array slices per
+        # walk, and never a padded or whole-batch copy.
+        steps = np.arange(self.hop_vertex.shape[1])
+        for lo in range(0, self.starts.size, _MATERIALISE_BLOCK):
+            block = slice(lo, lo + _MATERIALISE_BLOCK)
+            lengths = self.lengths[block]
+            taken = steps < lengths[:, None]
+            hops = list(zip(self.hop_vertex[block][taken].tolist(),
+                            self.hop_time[block][taken].tolist()))
+            ends = np.cumsum(lengths).tolist()
+            walks = list(map(WalkPath, [
+                [(start, None)] + hops[first:end]
+                for start, first, end in zip(
+                    self.starts[block].tolist(), [0] + ends, ends)
+            ]))
             if record_paths:
-                paths.append(walk)
+                paths += walks
             if sink is not None:
-                sink.append(walk)
+                for walk in walks:
+                    sink.append(walk)
         return paths
 
     def observe_lengths(self, histogram) -> None:

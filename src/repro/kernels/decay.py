@@ -307,6 +307,22 @@ class DecayRadixForest:
                 ws.append(np.ldexp(b.relw[: b.n][::-1], b.exponent))
         return np.concatenate(dsts), np.concatenate(ts), np.concatenate(ws)
 
+    def segments(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, int]]:
+        """Newest-first ``(dst, times, mass, exponent)`` per bucket.
+
+        ``mass[k]`` is the mantissa mass of the bucket's newest ``k``
+        edges (so one entry more than edges; :meth:`_RadixBucket.
+        suffix_mass` for every ``k`` at once) and an edge weighs
+        ``mantissa · 2^exponent`` — the shape
+        :class:`repro.streaming.snapshot.EpochView` packs, shared with
+        the carry forest's ``segments()``.
+        """
+        return [
+            (b.dst[:b.n][::-1], b.times[:b.n][::-1],
+             b.cum[b.n] - b.cum[:b.n + 1][::-1], b.exponent)
+            for b in self.buckets
+        ]
+
     def num_blocks(self) -> int:
         return len(self.buckets)
 

@@ -29,7 +29,7 @@ from repro.engines.batch import FrontierResult
 from repro.engines.session import TeaSession
 from repro.exceptions import ServeError
 from repro.serve.batcher import PendingRequest
-from repro.serve.protocol import SERVE_SCHEMA, rank_visits
+from repro.serve.protocol import SERVE_SCHEMA, rank_frontier, walk_lists
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -90,8 +90,6 @@ class BatchExecutor:
         batched_with: int,
     ) -> dict:
         request = pending.request
-        # Columnar: one ``tolist`` per array slice, then list slicing by
-        # length — never a Python call per hop.
         lengths = frontier.lengths[lo:hi].tolist()
         response = {
             "schema": SERVE_SCHEMA,
@@ -103,14 +101,8 @@ class BatchExecutor:
             "engine": self.session.engine_kind,
         }
         if request.record_paths and frontier.hop_vertex is not None:
-            starts = frontier.starts[lo:hi].tolist()
-            hop_vertex = frontier.hop_vertex[lo:hi].tolist()
-            hop_time = frontier.hop_time[lo:hi].tolist()
-            response["walks"] = [
-                [start] + row[:n]
-                for start, row, n in zip(starts, hop_vertex, lengths)
-            ]
-            response["times"] = [row[:n] for row, n in zip(hop_time, lengths)]
+            response["walks"], response["times"] = walk_lists(
+                frontier, lo, hi, lengths)
         if request.kind == "recommend":
             response["recommendations"] = self._recommend(
                 request, frontier, lo, hi
@@ -122,9 +114,7 @@ class BatchExecutor:
         """Visit-count top-k over the request's walks, starts excluded."""
         if frontier.hop_vertex is None:
             return []
-        hops = frontier.hop_vertex[lo:hi]
-        valid = np.arange(hops.shape[1]) < frontier.lengths[lo:hi, None]
-        return rank_visits(hops[valid], frontier.starts[lo:hi], request.top_k)
+        return rank_frontier(frontier, lo, hi, request.top_k)
 
     # -- GNN sampling ------------------------------------------------------
 

@@ -91,11 +91,33 @@ def valid_starts(payload: dict) -> list:
         "'starts' must be a non-empty list of vertex ids",
     )
     _require(
-        all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+        all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 1 << 63
             for v in starts),
-        "'starts' entries must be non-negative integers",
+        "'starts' entries must be non-negative 64-bit integers",
     )
     return starts
+
+
+def walk_lists(frontier, lo: int, hi: int, lengths: list) -> Tuple[list, list]:
+    """``(walks, times)`` of walks ``lo..hi`` of a columnar frontier as
+    JSON lists: one ``tolist`` per array slice, then list slicing by
+    ``lengths`` (``frontier.lengths[lo:hi].tolist()``) — never a Python
+    call per hop. A walk lists its start first; its times are arrivals."""
+    starts = frontier.starts[lo:hi].tolist()
+    hop_vertex = frontier.hop_vertex[lo:hi].tolist()
+    hop_time = frontier.hop_time[lo:hi].tolist()
+    return (
+        [[start] + row[:n] for start, row, n in zip(starts, hop_vertex, lengths)],
+        [row[:n] for row, n in zip(hop_time, lengths)],
+    )
+
+
+def rank_frontier(frontier, lo: int, hi: int, top_k: int) -> list:
+    """:func:`rank_visits` over walks ``lo..hi``: their taken hops
+    counted, their own starts excluded."""
+    hops = frontier.hop_vertex[lo:hi]
+    taken = np.arange(hops.shape[1]) < frontier.lengths[lo:hi, None]
+    return rank_visits(hops[taken], frontier.starts[lo:hi], top_k)
 
 
 def rank_visits(visited: np.ndarray, starts, top_k: int) -> list:

@@ -20,16 +20,16 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
-import numpy as np
-
 from repro.exceptions import (
     EpochRetiredError,
     GraphFormatError,
     NotSupportedError,
     ServeError,
 )
+from repro.rng import make_rng, spawn_seeds
 from repro.serve.protocol import (
-    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _require, rank_visits, valid_starts,
+    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _require, rank_frontier, valid_starts,
+    walk_lists,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -129,23 +129,24 @@ class StreamService:
             except EpochRetiredError as exc:
                 raise ServeError(str(exc), status=410)
         # Outside the lock: the view is immutable, ingest may proceed.
-        paths = view.run_walks(starts, max_length=max_length, seed=seed)
-        self._walked.inc(len(paths))
+        frontier = view.run_lanes(
+            starts, spawn_seeds(make_rng(seed), len(starts)), max_length)
+        self._walked.inc(len(starts))
+        lengths = frontier.lengths.tolist()
+        walks, times = walk_lists(frontier, 0, len(starts), lengths)
         response = {
             "schema": SERVE_SCHEMA,
             "kind": f"stream_{kind}",
             "epoch": int(view.epoch),
             "num_edges": int(view.num_edges),
-            "num_walks": len(paths),
-            "lengths": [p.num_edges for p in paths],
-            "walks": [[int(v) for v in p.vertices] for p in paths],
-            "times": [[float(t) for t in p.times[1:]] for p in paths],
+            "num_walks": len(starts),
+            "lengths": lengths,
+            "walks": walks,
+            "times": times,
         }
         if kind == "recommend":
-            visited = [v for path in paths for v in path.vertices[1:]]
-            response["recommendations"] = rank_visits(
-                np.asarray(visited, dtype=np.int64), starts, top_k
-            )
+            response["recommendations"] = rank_frontier(
+                frontier, 0, len(starts), top_k)
         return response
 
     # -- lifecycle ---------------------------------------------------------

@@ -6,8 +6,9 @@ time-ordered batches of *new* edges; PAT/HPAT are extended incrementally
 :class:`StreamingTeaEngine` owns an
 :class:`~repro.core.incremental.IncrementalHPAT` and interleaves
 ``apply_batch`` calls with temporal walks over everything ingested so
-far. Walks run directly on the block forest, so no global rebuild ever
-happens between batches.
+far. A single ``walk`` runs directly on the block forest and a burst
+(``run_walks``) on the current epoch's packed columns, so no global
+rebuild ever happens between batches.
 
 On top of the paper's in-memory maintenance this engine layers the two
 production properties ROADMAP item 3 asks for:
@@ -49,6 +50,7 @@ from repro.graph.edge_stream import EdgeStream
 from repro.rng import RngLike, make_rng
 from repro.sampling.counters import CostCounters
 from repro.streaming.snapshot import (
+    EpochReads,
     EpochView,
     load_checkpoint,
     walk_index,
@@ -109,12 +111,15 @@ class StreamingTeaEngine:
                 **LATENCY_BUCKETS)
             for stage in ("apply", "index_apply", "wal_append", "publish")
         ]
+        # Read side, shared by every published view (same reason).
+        self._reads = EpochReads(self.registry)
         #: Monotone batch counter; every accepted batch advances it and
         #: publishes a frozen view under the new id.
         self.epoch = 0
         self._retain_epochs = int(retain_epochs)
         self._views: "OrderedDict[int, EpochView]" = OrderedDict()
-        self._current_view = EpochView.capture(0, self.index)
+        self._current_view = EpochView.capture(0, self.index,
+                                               reads=self._reads)
         self._views[0] = self._current_view
         # Durable-history columns in arrival order (one entry per
         # accepted batch) — the checkpoint source. O(E) like the index.
@@ -205,6 +210,10 @@ class StreamingTeaEngine:
         return manifest
 
     def close(self) -> None:
+        """Release what the engine holds beyond its index: the log, and
+        the cached pack (a closed engine often outlives its use; a view
+        a reader still holds rebuilds the pack on its next burst)."""
+        self._reads.cached = None
         if self.wal is not None:
             self.wal.close()
 
@@ -316,7 +325,8 @@ class StreamingTeaEngine:
 
     def _publish_epoch(self) -> None:
         view = EpochView.capture(self.epoch, self.index,
-                                 previous=self._current_view)
+                                 previous=self._current_view,
+                                 reads=self._reads)
         self._current_view = view
         self._views[view.epoch] = view
         while len(self._views) > self._retain_epochs:
@@ -360,12 +370,9 @@ class StreamingTeaEngine:
         max_length: int = 80,
         seed: RngLike = 0,
     ) -> List[WalkPath]:
-        """Walks from each start vertex, sharing one RNG stream."""
-        rng = make_rng(seed)
-        return [
-            walk_index(self.index, int(u), int(max_length), rng, self.counters)
-            for u in np.asarray(starts)
-        ]
+        """Walks from each start vertex over the current epoch (see
+        :meth:`EpochView.run_walks`)."""
+        return self.pin().run_walks(starts, max_length, seed, self.counters)
 
     def nbytes(self) -> int:
         return self.index.nbytes()

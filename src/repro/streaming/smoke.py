@@ -15,6 +15,11 @@ gate (the durable-ingest ISSUE's acceptance criteria, executable):
   ``update_work()`` and ``nbytes()`` equal their recorded constants.
 * **Epoch isolation** — walks pinned to epoch N return byte-identical
   results while later epochs ingest, and the current view advances.
+* **Read bursts** — a burst of walks on a pinned epoch packs that epoch
+  once (a second burst on it packs nothing, N epochs read pack N
+  times, publishing and recovery pack nothing), advances its frontier
+  at most ``max_length`` times, and charges steps and probes per
+  iteration.
 * **Scrub contract** — ``scrub_wal`` reports the log and checkpoint
   clean after all of the above.
 """
@@ -118,6 +123,9 @@ def durability_smoke(verbose: bool) -> dict:
             assert recovered.epoch == epoch, (
                 f"ingest smoke: recovered epoch {recovered.epoch} != {epoch}"
             )
+            assert not recovered.registry.histogram(
+                "streaming.epoch_pack_seconds").count, (
+                "ingest smoke: recovery packed the epoch it published")
             got = [w.hops for w in
                    recovered.run_walks(starts, max_length=15, seed=4)]
             assert got == want, "ingest smoke: recovery diverged"
@@ -157,6 +165,42 @@ def isolation_smoke(verbose: bool) -> dict:
             "current_epoch": int(current.epoch)}
 
 
+def read_burst_smoke(verbose: bool) -> dict:
+    """Bursts pack an epoch once and advance it at most max_length times."""
+    from repro.streaming.batch import StreamingTeaEngine
+
+    stream = _smoke_stream()
+    engine = StreamingTeaEngine(_smoke_spec(), retain_epochs=8)
+    engine.ingest(stream, batch_size=200)
+    packs = engine.registry.histogram("streaming.epoch_pack_seconds")
+    bursts = engine.registry.histogram("streaming.pinned_walk_seconds")
+    widths = engine.registry.histogram("streaming.frontier_size")
+    assert packs.count == 0, "ingest smoke: publishing an epoch packed it"
+    starts = engine.active_vertices()
+    max_length = 15
+    engine.run_walks(starts, max_length=max_length, seed=8)
+    iterations = widths.count
+    engine.run_walks(starts, max_length=max_length, seed=9)
+    assert (packs.count, bursts.count) == (1, 2), (
+        f"ingest smoke: two bursts on one epoch packed {packs.count} times"
+    )
+    assert 0 < iterations <= max_length and widths.max <= len(starts), (
+        f"ingest smoke: {iterations} frontier iterations for "
+        f"max_length={max_length}"
+    )
+    steps, probes = engine.counters.steps, engine.counters.binary_search_probes
+    assert 0 < steps <= 2 * len(starts) * max_length and probes >= steps, (
+        f"ingest smoke: burst charged {steps} steps, {probes} probes"
+    )
+    for epoch in (2, 3, 4):
+        engine.pin(epoch).run_walks(starts, max_length=max_length, seed=8)
+    assert (packs.count, bursts.count) == (4, 5), (
+        f"ingest smoke: three more epochs read, {packs.count - 1} more packs"
+    )
+    return {"epoch_pack_ms": round(packs.total / packs.count * 1e3, 2),
+            "frontier_iterations": int(iterations)}
+
+
 def scrub_smoke(verbose: bool) -> dict:
     """scrub_wal reports a healthy store clean, with a manifest attached."""
     from repro.streaming.batch import StreamingTeaEngine
@@ -182,6 +226,7 @@ SMOKES = (
     ("bulk_equivalence", bulk_equivalence_smoke),
     ("durability", durability_smoke),
     ("isolation", isolation_smoke),
+    ("read_burst", read_burst_smoke),
     ("scrub", scrub_smoke),
 )
 

@@ -6,9 +6,14 @@ dict of visit counts per recommendation. It is kept here, unoptimised,
 as the reference the columnar ``_encode`` / ``_recommend`` must equal
 byte for byte once JSON-encoded — see
 ``tests/test_serve_batching.py::TestColumnarEncodeEqualsPerWalk``.
+:func:`stream_encode` is the same for ``StreamService.walk``, which
+built its response from a list of ``WalkPath`` objects
+(``TestStreamEncodeEqualsPerPath``).
 """
 
-from repro.serve.protocol import SERVE_SCHEMA
+import numpy as np
+
+from repro.serve.protocol import SERVE_SCHEMA, rank_visits
 
 
 def encode(pending, frontier, lo, hi, batched_with, engine_kind):
@@ -54,3 +59,22 @@ def recommend(request, frontier, lo, hi):
             counts[vertex] = counts.get(vertex, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [[vertex, count] for vertex, count in ranked[: request.top_k]]
+
+
+def stream_encode(view, paths, kind, starts, top_k):
+    response = {
+        "schema": SERVE_SCHEMA,
+        "kind": f"stream_{kind}",
+        "epoch": int(view.epoch),
+        "num_edges": int(view.num_edges),
+        "num_walks": len(paths),
+        "lengths": [p.num_edges for p in paths],
+        "walks": [[int(v) for v in p.vertices] for p in paths],
+        "times": [[float(t) for t in p.times[1:]] for p in paths],
+    }
+    if kind == "recommend":
+        visited = [v for path in paths for v in path.vertices[1:]]
+        response["recommendations"] = rank_visits(
+            np.asarray(visited, dtype=np.int64), starts, top_k
+        )
+    return response

@@ -205,6 +205,58 @@ class TestColumnarEncodeEqualsPerWalk:
         assert BatchExecutor._recommend(request, frontier, 0, 3) == [[2, 2], [5, 2]]
 
 
+@st.composite
+def _stream_frontier(draw):
+    """A frontier as a pinned epoch hands it back, the query that asked
+    for it, and its kind."""
+    max_length = draw(st.integers(1, 6))
+    starts = draw(st.lists(st.integers(0, 6), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.integers(0, max_length + 1, len(starts))
+    if draw(st.booleans()):
+        lengths[:] = 0
+    frontier = FrontierResult(
+        np.array(starts), lengths.astype(np.int64),
+        rng.integers(0, 7, (len(starts), max_length)),
+        rng.normal(0.0, 1e3, (len(starts), max_length)))
+    payload = {"starts": starts, "max_length": max_length,
+               "top_k": draw(st.integers(1, 10))}
+    return frontier, payload, draw(st.sampled_from(["walk", "recommend"]))
+
+
+class TestStreamEncodeEqualsPerPath:
+    @settings(max_examples=200, deadline=None)
+    @given(_stream_frontier())
+    def test_json_bytes_equal(self, case):
+        from repro.serve.streaming import StreamService
+
+        frontier, payload, kind = case
+        view = types.SimpleNamespace(
+            epoch=3, num_edges=17, run_lanes=lambda *args: frontier)
+        service = StreamService(types.SimpleNamespace(pin=lambda epoch: view))
+        want = serve_encode_oracle.stream_encode(
+            view, frontier.materialise_paths(), kind, payload["starts"],
+            payload["top_k"])
+        assert json.dumps(service.walk(payload, kind)) == json.dumps(want)
+
+    @pytest.mark.parametrize("kind", ["walk", "recommend"])
+    def test_a_request_walks_as_run_walks_does_with_its_seed(self, kind):
+        from repro.graph.generators import temporal_powerlaw
+        from repro.serve.streaming import StreamService
+
+        engine = StreamingTeaEngine(unbiased_walk())
+        engine.ingest(temporal_powerlaw(num_vertices=30, num_edges=400, seed=1,
+                                        time_horizon=50.0), 100)
+        payload = {"starts": engine.active_vertices()[:9] + [99], "seed": 11,
+                   "max_length": 8, "top_k": 4}
+        view = engine.pin()
+        want = serve_encode_oracle.stream_encode(
+            view, view.run_walks(payload["starts"], 8, seed=11), kind,
+            payload["starts"], 4)
+        assert json.dumps(StreamService(engine).walk(payload, kind)) == json.dumps(want)
+        assert max(want["lengths"]) > 1 and want["lengths"][-1] == 0
+
+
 # -- malformed Content-Length -------------------------------------------------
 
 def _raw_post(port, path, content_length, body=b""):
