@@ -8,7 +8,11 @@ Not a paper figure: this bench gates the kernel-fusion work itself.
   (power-law temporal graph, exponential recency weights, lane counts
   matching real frontier widths under the executor's ~75ms chunk
   target). Acceptance: >= 1.5x aggregate speedup. Both kernels burn
-  identical RNG streams, so the comparison is pure compute.
+  identical RNG streams, so the comparison is pure compute. The
+  compiled ``c`` backend (whatever ``auto`` resolves to) is timed on the
+  same bursts — ``c_speedup_n*`` is numpy time over its time — and every
+  backend gets a 128-lane ``sample_batch_us`` row: the serving-width
+  call, where ``LaneRng`` and call overhead, not the passes, dominate.
 
 * **Streaming decay-bias maintenance** — appending E edges in B
   batches under ``exponential_decay``: the BINGO-style radix forest
@@ -38,6 +42,8 @@ from repro.rng import LaneRng
 # chunking (75ms target) hands the kernel batches of hundreds to a few
 # thousand lanes.
 LANE_COUNTS = (1000, 2000, 4000)
+#: The serve daemon's frontier width (one row per backend, in µs).
+NARROW = 128
 _fusion = {}
 _decay = {}
 
@@ -73,10 +79,11 @@ def test_kernel_fusion_throughput(benchmark, skewed_index):
     lively = np.flatnonzero(deg >= min(64, max(2, int(deg.max() // 4))))
     legacy = resolve_backend("legacy")
     fused = resolve_backend("numpy")
+    compiled = resolve_backend("auto")
 
     def measure():
         rows = {}
-        for n in LANE_COUNTS:
+        for n in LANE_COUNTS + (NARROW,):
             vs = lively[rng.integers(0, lively.size, size=n)].astype(np.int64)
             ss = np.maximum((deg[vs] * rng.random(n)).astype(np.int64), 1)
             lanes = np.arange(n, dtype=np.int64)
@@ -93,11 +100,14 @@ def test_kernel_fusion_throughput(benchmark, skewed_index):
 
             t_leg = _best_of(lambda: burst(legacy, None)) / reps
             t_fus = _best_of(lambda: burst(fused, scratch)) / reps
-            rows[n] = {"legacy_s": t_leg, "fused_s": t_fus,
-                       "speedup": t_leg / t_fus}
+            t_c = _best_of(lambda: burst(compiled, KernelScratch())) / reps
+            rows[n] = {"legacy_s": t_leg, "fused_s": t_fus, "c_s": t_c,
+                       "speedup": t_leg / t_fus, "c_speedup": t_fus / t_c}
         return rows
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    _fusion["narrow"] = rows.pop(NARROW)
+    _fusion["compiled"] = compiled.name
     _fusion.update(rows)
     benchmark.extra_info.update(
         {f"n={n}": f"{row['speedup']:.2f}x" for n, row in rows.items()}
@@ -190,6 +200,7 @@ def report():
         return
     payload = {
         "sampling": {str(n): _fusion[n] for n in LANE_COUNTS},
+        f"sampling_{NARROW}": _fusion["narrow"],
         "aggregate_speedup": _fusion["aggregate"],
         "decay_streaming": dict(_decay),
     }
@@ -197,6 +208,10 @@ def report():
         f"\n===== kernel_fusion =====\n"
         f"fused vs legacy: {_fusion['aggregate']:.2f}x aggregate "
         f"({ {n: round(_fusion[n]['speedup'], 2) for n in LANE_COUNTS} })\n"
+        f"{_fusion['compiled']} vs fused: "
+        f"{ {n: round(_fusion[n]['c_speedup'], 2) for n in LANE_COUNTS} }; "
+        f"{NARROW}-lane sample_batch "
+        f"{ {k[:-2]: round(v * 1e6, 1) for k, v in _fusion['narrow'].items() if k.endswith('_s')} } us\n"
         f"decay stream: radix {_decay['radix_s']:.3f}s, carry "
         f"{_decay['carry_s']:.3f}s, rebuild {_decay['rebuild_s']:.3f}s"
     )
@@ -207,9 +222,13 @@ def report():
                "decay_rebuild_s": _decay["rebuild_s"]}
     for n in LANE_COUNTS:
         metrics[f"speedup_n{n}"] = _fusion[n]["speedup"]
+        metrics[f"c_speedup_n{n}"] = _fusion[n]["c_speedup"]
+    for name, key in (("legacy", "legacy_s"), ("numpy", "fused_s"),
+                      (_fusion["compiled"], "c_s")):
+        metrics[f"sample_batch_us_{name}"] = _fusion["narrow"][key] * 1e6
     record_history(
         "kernel_fusion", metrics,
-        backend=resolve_backend("numpy").name,
+        backend=_fusion["compiled"],
         lane_counts=list(LANE_COUNTS),
         decay_edges=_decay["num_edges"],
         decay_batches=_decay["num_batches"],

@@ -53,6 +53,7 @@ from repro.exceptions import TeaError
 from repro.graph import io as graph_io
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.temporal_graph import TemporalGraph
+from repro.kernels import BACKEND_CHOICES
 from repro.walks.apps import APPLICATIONS
 
 ENGINES = {
@@ -738,11 +739,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "process", "thread", "serial"],
                    help="worker pool type for tea-parallel")
     p.add_argument("--kernel-backend", default="auto",
-                   choices=["auto", "numpy", "numba"],
+                   choices=list(BACKEND_CHOICES),
                    help="sampling-kernel implementation for the batch "
-                        "engines (auto prefers numba when installed; an "
-                        "explicit numba request without numba falls back "
-                        "to numpy)")
+                        "engines (auto = the compiled C passes when the "
+                        "system cc built them, else numpy; same walks "
+                        "either way)")
     p.add_argument("--interleave", type=int, default=1, metavar="K",
                    help="walker cohorts per chunk advanced round-robin "
                         "inside each worker (1 disables; output is "
@@ -803,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-size", type=int, default=None, metavar="M")
     p.add_argument("--chunk-target-ms", type=float, default=None)
     p.add_argument("--kernel-backend", default="auto",
-                   choices=["auto", "numpy", "numba"])
+                   choices=list(BACKEND_CHOICES))
     p.add_argument("--retries", type=int, default=2, metavar="R",
                    help="tea-parallel: chunk retry budget")
     p.add_argument("--chunk-timeout", type=float, default=None, metavar="S")

@@ -1,20 +1,15 @@
 """Vectorised batch walk execution for the TEA engine.
 
 The scalar walk loop pays interpreter overhead per step; this executor
-advances an entire *frontier* of walkers per iteration with numpy,
-keeping TEA's exact sampling semantics:
-
-1. gather each active walker's candidate total from the prefix-sum
-   array and draw ``r ∈ (0, total]``;
-2. run the ITS-over-trunks step for all walkers simultaneously by
-   scanning bit positions of the candidate sizes from high to low
-   (≤ ~20 vectorised passes — the binary decomposition evaluated in
-   lockstep instead of per walker);
-3. one vectorised alias draw inside every selected trunk;
-4. vectorised node2vec β rejection (static-adjacency membership via the
-   same offset-key ``searchsorted`` trick the candidate search uses),
-   re-drawing only the rejected lanes;
-5. advance, retire exhausted walkers, repeat until the frontier drains.
+advances an entire *frontier* of walkers per iteration, keeping TEA's
+exact sampling semantics. One iteration is the three passes of
+:mod:`repro.kernels` — **select** (candidate total, ``r ∈ (0, total]``,
+ITS over the trunks of the binary decomposition), **alias** (one draw
+inside every selected trunk), **scatter** (advance, record, retire
+exhausted walkers) — compiled C loops where the system ``cc`` built them,
+numpy passes otherwise, plus vectorised node2vec β rejection
+(static-adjacency membership via the same offset-key ``searchsorted``
+trick the candidate search uses), re-drawing only the rejected lanes.
 
 Distribution-equivalent to :class:`~repro.engines.tea.TeaEngine`
 (property-tested); typically ~10× faster per step in CPython, which is
@@ -34,6 +29,8 @@ from repro.engines.base import Engine, FrontierResult, Workload
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import (
     KernelScratch,
+    WalkState,
+    publish_backend,
     resolve_backend,
     sample_batch as _kernel_sample_batch,
 )
@@ -74,12 +71,9 @@ def hpat_sample_batch(
     :class:`~repro.rng.GeneratorLanes` default over ``rng``): row ``i``
     draws from lane ``lanes[i]``, which is what makes the parallel
     executor's output independent of chunking and scheduling.
-
-    Since the kernel-fusion refactor this is a thin dispatcher over
-    :mod:`repro.kernels`: ``backend`` names a kernel backend (or passes
-    a resolved :class:`~repro.kernels.KernelBackend`), ``scratch``
-    carries the reusable staging buffers across calls. All backends are
-    bit-identical, so callers that ignore both keep their exact output.
+    ``backend`` names a kernel backend (or is a resolved
+    :class:`~repro.kernels.KernelBackend`; all are bit-identical) and
+    ``scratch`` carries the reusable staging buffers across calls.
     """
     return _kernel_sample_batch(
         resolve_backend(backend), index, vs, ss, rng, counters,
@@ -328,7 +322,6 @@ class BatchTeaEngine(Engine):
         )
         num = starts.size
         out = FrontierResult.empty(starts, max_length, keep_hops)
-        hop_vertex, hop_time = out.hop_vertex, out.hop_time
 
         draw_src = lane_rng if lane_rng is not None else GeneratorLanes(rng)
         if lane_rng is None:
@@ -342,13 +335,18 @@ class BatchTeaEngine(Engine):
         s = (g.indptr[cur + 1] - g.indptr[cur]).astype(np.int64)
         steps_left = np.full(num, max_length, dtype=np.int64)
         active = (s > 0) & (steps_left > 0)
+        walk = WalkState(g.indptr, g.nbr, g.etime, self.candidate_sizes,
+                         cur, prev, s, steps_left, out.hop_vertex, out.hop_time)
+        scatter = self.kernel.scatter
 
         def advance(lanes: np.ndarray, iteration: int) -> np.ndarray:
             """One frontier iteration over ``lanes``; returns survivors.
 
             Closes over the walk-state arrays (``cur``/``prev``/``s``/
             ``steps_left``/hop columns); cohorts hold disjoint lane sets,
-            so interleaved calls never touch the same rows.
+            so interleaved calls never touch the same rows. ``lanes`` is
+            this loop's own array — the scatter pass may compact it in
+            place.
             """
             with profiler.phase("gather"):
                 if frontier_hist is not None:
@@ -361,68 +359,63 @@ class BatchTeaEngine(Engine):
                 counters.steps += lanes.size
                 vs = cur[lanes]
                 ss = s[lanes]
-                pending = np.arange(lanes.size)
-                idx_out = np.empty(lanes.size, dtype=np.int64)
             with profiler.phase("draw"):
-                base = None
-                if beta is not None:
-                    # Invariants of the rejection rounds, gathered once:
-                    # edge offsets, predecessors, and whether any lane
-                    # still lacks one (only on a lane's first hop).
-                    base = g.indptr[vs]
-                    lane_prev = prev[lanes]
-                    all_prev = bool((lane_prev >= 0).all())
-                for _ in range(_MAX_BETA_ROUNDS):
-                    round_lanes = lanes[pending]
-                    drawn = self._sample_batch(
-                        vs[pending], ss[pending], rng, counters,
-                        draw=draw_src, lanes=round_lanes, scratch=scratch,
+                if beta is None:
+                    idx_out = self._sample_batch(
+                        vs, ss, rng, counters,
+                        draw=draw_src, lanes=lanes, scratch=scratch,
                     )
-                    idx_out[pending] = drawn
-                    if beta is None:
-                        pending = pending[:0]
-                        break
-                    cand = g.nbr[base[pending] + drawn]
-                    pv = lane_prev[pending]
-                    if all_prev:
-                        b = self._beta_values(beta, pv, cand)
-                    else:
-                        has_prev = pv >= 0
-                        b = np.full(pending.size, beta_max)
-                        if has_prev.any():
-                            b[has_prev] = self._beta_values(
-                                beta, pv[has_prev], cand[has_prev])
-                    accept = draw_src.uniform(round_lanes) * beta_max <= b
-                    counters.rejection_trials += pending.size
-                    counters.edges_evaluated += pending.size
-                    counters.rejected += int((~accept).sum())
-                    pending = pending[~accept]
-                    if not pending.size:
-                        break
-                # Rare lanes that exhausted the rejection budget fall back
-                # to the exact β-adjusted scan, all lanes at once.
-                if pending.size:
-                    idx_out[pending] = self._beta_fallback_batch(
-                        vs[pending], ss[pending], lane_prev[pending],
-                        beta, draw_src, lanes[pending], counters,
-                    )
+                else:
+                    idx_out = beta_rounds(lanes, vs, ss)
             with profiler.phase("scatter"):
-                pos = (g.indptr[vs] if base is None else base) + idx_out
-                nxt = g.nbr[pos].astype(np.int64)
-                t_next = g.etime[pos]
-                s_next = self.candidate_sizes[pos].astype(np.int64)
-                if keep_hops:
-                    hop_vertex[lanes, iteration] = nxt
-                    hop_time[lanes, iteration] = t_next
-                prev[lanes] = cur[lanes]
-                cur[lanes] = nxt
-                s[lanes] = s_next
-                steps_left[lanes] -= 1
-                still = (s_next > 0) & (steps_left[lanes] > 0)
-                lanes = lanes[still]
+                lanes = scatter(walk, lanes, vs, idx_out, iteration, scratch)
                 if lookahead is not None and lanes.size:
                     lookahead(cur[lanes], s[lanes])
             return lanes
+
+        def beta_rounds(lanes, vs, ss) -> np.ndarray:
+            """Algorithm 2 lines 18–22 for the whole lane set: draw,
+            accept with probability β/β_max, re-draw the rejected."""
+            pending = np.arange(lanes.size)
+            idx_out = np.empty(lanes.size, dtype=np.int64)
+            # Invariants of the rejection rounds, gathered once: edge
+            # offsets, predecessors, and whether any lane still lacks
+            # one (only on a lane's first hop).
+            base = g.indptr[vs]
+            lane_prev = prev[lanes]
+            all_prev = bool((lane_prev >= 0).all())
+            for _ in range(_MAX_BETA_ROUNDS):
+                round_lanes = lanes[pending]
+                drawn = self._sample_batch(
+                    vs[pending], ss[pending], rng, counters,
+                    draw=draw_src, lanes=round_lanes, scratch=scratch,
+                )
+                idx_out[pending] = drawn
+                cand = g.nbr[base[pending] + drawn]
+                pv = lane_prev[pending]
+                if all_prev:
+                    b = self._beta_values(beta, pv, cand)
+                else:
+                    has_prev = pv >= 0
+                    b = np.full(pending.size, beta_max)
+                    if has_prev.any():
+                        b[has_prev] = self._beta_values(
+                            beta, pv[has_prev], cand[has_prev])
+                accept = draw_src.uniform(round_lanes) * beta_max <= b
+                counters.rejection_trials += pending.size
+                counters.edges_evaluated += pending.size
+                counters.rejected += int((~accept).sum())
+                pending = pending[~accept]
+                if not pending.size:
+                    break
+            # Rare lanes that exhausted the rejection budget fall back
+            # to the exact β-adjusted scan, all lanes at once.
+            if pending.size:
+                idx_out[pending] = self._beta_fallback_batch(
+                    vs[pending], ss[pending], lane_prev[pending],
+                    beta, draw_src, lanes[pending], counters,
+                )
+            return idx_out
 
         frontier = np.flatnonzero(active)
         with self._frontier_scope(profiler, counters) as lookahead:
@@ -470,6 +463,9 @@ class BatchTeaEngine(Engine):
             starts, workload.max_length, workload.stop_probability,
             rng, counters, keep_hops, registry, profiler=self.profiler,
         )
+
+    def publish_telemetry(self, registry: MetricsRegistry) -> None:
+        publish_backend(registry, self.kernel)
 
     def memory_report(self) -> MemoryReport:
         report = super().memory_report()

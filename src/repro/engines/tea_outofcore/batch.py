@@ -324,6 +324,7 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
 
     def publish_telemetry(self, registry) -> None:
         """Cache + prefetch + coalescing counters, resident footprint."""
+        super().publish_telemetry(registry)
         self.index.store.publish_telemetry(registry)
         registry.gauge(
             "ooc.resident_bytes", "memory-resident trunk-boundary prefix bytes"

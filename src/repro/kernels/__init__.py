@@ -1,46 +1,47 @@
-"""Pluggable sampling-kernel backends (ROADMAP item 4).
+"""Pluggable sampling-kernel backends (ROADMAP direction 3).
 
-The frontier hot loop is factored into structure-of-arrays passes
-behind the narrow ABI of :mod:`repro.kernels.base`; this package is
-the registry that picks which implementation runs them:
+One frontier hop is three structure-of-arrays passes — select, alias,
+scatter — behind the narrow ABI of :mod:`repro.kernels.base`; this
+package is the registry that picks which implementation runs them:
 
+``c``
+    Per-lane C loops (``hop.c`` via :mod:`repro.kernels.c_backend`),
+    compiled on first use with the system ``cc``. ``auto`` resolves to
+    it whenever it compiled, loaded and passed its self-test; otherwise
+    to ``numpy``, and :func:`backend_fallback_note` says why.
 ``numpy``
-    The fused reference backend — per-lane next-set-bit ITS probing
-    over a compressed active set, scratch-array reuse, one uniform
-    block per lane set. Always available; bit-identical to the
-    pre-fusion kernel.
-``numba``
-    Per-lane njit loops (warp-per-walker shape). Auto-detected: when
-    numba is importable ``auto`` resolves to it, otherwise requests
-    fall back cleanly to ``numpy`` (recorded in
-    :func:`backend_fallback_note`). Bit-identical to ``numpy``.
+    The fused reference backend. Always available.
 ``legacy``
     The pre-fusion kernel, verbatim — parity oracle and bench
     baseline. Not offered by the CLI.
 
-Backend choice never changes walk output: all backends consume the
-same per-lane uniform streams and compute the same pure selection
-functions, so swapping them is purely a throughput decision.
-
-The BINGO-style factorized time-decay bias for streaming updates lives
-in :mod:`repro.kernels.decay`.
+Backend choice never changes walk output — every backend consumes the
+uniforms the shared driver drew — so the only selection is "did it
+compile". The BINGO-style factorized time-decay bias for streaming
+updates lives in :mod:`repro.kernels.decay`.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.kernels.base import KernelBackend, KernelScratch, sample_batch
+from repro.kernels.base import (
+    KernelBackend,
+    KernelScratch,
+    WalkState,
+    sample_batch,
+)
 
 #: CLI-facing choices (``legacy`` is intentionally absent: it exists
 #: for parity tests and benchmarks, not for users).
-BACKEND_CHOICES = ("auto", "numpy", "numba")
+BACKEND_CHOICES = ("auto", "numpy", "c")
 
 _CACHE = {}
 _FALLBACK_NOTE: Optional[str] = None
 
 
 def _load(name: str) -> Optional[KernelBackend]:
+    global _FALLBACK_NOTE
     if name in _CACHE:
         return _CACHE[name]
     backend: Optional[KernelBackend]
@@ -48,61 +49,62 @@ def _load(name: str) -> Optional[KernelBackend]:
         from repro.kernels.numpy_backend import BACKEND as backend
     elif name == "legacy":
         from repro.kernels.legacy import BACKEND as backend
-    elif name == "numba":
+    elif name == "c":
+        from repro.kernels import c_backend
+
         try:
-            from repro.kernels.numba_backend import BACKEND as backend
-        except ImportError:
+            backend = c_backend.load()
+        except c_backend.Unavailable as exc:
             backend = None
+            _FALLBACK_NOTE = (
+                f"kernel backend 'c' unavailable ({exc}); using 'numpy'"
+            )
     else:
         raise ValueError(
             f"unknown kernel backend {name!r} "
-            f"(choices: auto, numpy, numba, legacy)"
+            f"(choices: auto, numpy, c, legacy)"
         )
     _CACHE[name] = backend
     return backend
 
 
-def numba_available() -> bool:
-    """True when the njit backend can actually be built."""
-    return _load("numba") is not None
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Concrete (non-``auto``) backends importable in this process."""
+    """Concrete (non-``auto``) backends usable in this process."""
     names = ["numpy", "legacy"]
-    if numba_available():
-        names.insert(1, "numba")
+    if _load("c") is not None:
+        names.insert(0, "c")
     return tuple(names)
 
 
 def resolve_backend(name: str = "auto") -> KernelBackend:
     """Resolve a backend request to a concrete :class:`KernelBackend`.
 
-    ``auto`` prefers numba when importable, else numpy. An explicit
-    ``numba`` request on a host without numba **falls back** to numpy
-    rather than failing — the degradation is recorded for
-    :func:`backend_fallback_note` so telemetry and smoke checks can
-    observe it. Backend objects are stateless and shared.
+    ``auto`` — and an explicit ``c`` — is the compiled backend when it
+    built, loaded and self-tested in this process, else ``numpy``; the
+    reason for a fallback is kept for :func:`backend_fallback_note`.
+    Backend objects are stateless and shared.
     """
-    global _FALLBACK_NOTE
     if isinstance(name, KernelBackend):
         return name
     name = (name or "auto").lower()
-    if name == "auto":
-        backend = _load("numba")
-        return backend if backend is not None else _load("numpy")
-    backend = _load(name)
-    if backend is None:  # numba requested but absent
-        _FALLBACK_NOTE = (
-            "kernel backend 'numba' unavailable (numba not importable); "
-            "fell back to 'numpy'"
-        )
-        return _load("numpy")
-    return backend
+    backend = _load("c" if name == "auto" else name)
+    return backend if backend is not None else _load("numpy")
+
+
+def publish_backend(registry, backend="auto") -> str:
+    """Set the ``kernel.backend{name=…}`` info gauge on ``registry`` to 1
+    for the backend ``backend`` resolves to; returns that name."""
+    name = resolve_backend(backend).name
+    registry.gauge(
+        f'kernel.backend{{name="{name}"}}',
+        "sampling-kernel backend serving the hops (info gauge, always 1)",
+    ).set(1)
+    return name
 
 
 def backend_fallback_note() -> Optional[str]:
-    """The most recent graceful-fallback message, or None."""
+    """Why ``c`` is not serving (no ``cc``, the compiler's first error
+    line, a load error, a self-test mismatch), or None if it is."""
     return _FALLBACK_NOTE
 
 
@@ -110,9 +112,10 @@ __all__ = [
     "BACKEND_CHOICES",
     "KernelBackend",
     "KernelScratch",
+    "WalkState",
     "available_backends",
     "backend_fallback_note",
-    "numba_available",
+    "publish_backend",
     "resolve_backend",
     "sample_batch",
 ]

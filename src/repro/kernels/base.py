@@ -1,39 +1,44 @@
 """Backend ABI for the fused SoA sampling kernel.
 
-The frontier hot loop (ROADMAP item 4) is three structure-of-arrays
+One frontier hop (ROADMAP direction 3) is three structure-of-arrays
 passes over the walker population:
 
-1. **gather** — per-lane candidate totals from the prefix-sum array and
-   one uniform block per lane set;
-2. **ITS + alias draw** — trunk selection by lockstep binary
-   decomposition, then one alias draw inside each selected trunk;
-3. **scatter** — local edge indices back into the frontier arrays.
+1. **select** — gather each lane's candidate total from the prefix-sum
+   array, turn its uniform into ``r ∈ (0, total]`` and pick a trunk by
+   ITS over the binary decomposition of the candidate size;
+2. **alias** — one alias-table draw inside each *deep* lane's trunk;
+3. **scatter** — follow the drawn edges: hop columns, next vertex,
+   next candidate size, surviving lanes.
 
-A *backend* supplies the two compute passes behind a narrow ABI — pure
-array-in/array-out functions over the flat HPAT arrays — while this
-module owns everything stateful: uniform draws (so counter-based
-:class:`~repro.rng.LaneRng` streams stay bit-identical across
-backends), scratch-array reuse, and cost accounting. That split is what
-makes an njit (or, later, GPU warp-per-walker) backend a drop-in: the
-passes see only contiguous int64/float64 arrays.
+A *backend* supplies those passes behind a narrow ABI — array-in /
+array-out functions over flat int64/float64 arrays — while the drivers
+(:func:`sample_batch` here, ``BatchTeaEngine._run_frontier`` for the
+scatter) own everything stateful: **every uniform draw** (so
+counter-based :class:`~repro.rng.LaneRng` streams stay bit-identical
+across backends — parity is structural, not tested-in), scratch reuse,
+and :class:`~repro.sampling.counters.CostCounters`. A pass given an
+out-of-range vertex, candidate size, lane or edge index raises
+:class:`IndexError`; it never reads out of bounds.
 
-``its_select(c, cbase, ss, r, level, offset, scratch)``
-    For each lane ``i`` find the trunk of the binary decomposition of
-    ``ss[i]`` whose cumulative boundary covers the draw ``r[i]``:
-    writes the trunk's level to ``level[i]`` and its edge offset to
-    ``offset[i]`` (in place; both pre-zeroed). Pure — consumes no
-    randomness — so any two backends given equal ``r`` must agree
-    exactly. ``scratch`` is a :class:`KernelScratch`; backends that
-    need no staging buffers ignore it.
+``select(index, vs, ss, u, level, out, scratch, count) -> (deep, probes)``
+    For each lane ``i`` draw ``r = total − u[i]·total`` (two roundings)
+    and find the trunk of the binary decomposition of ``ss[i]`` whose
+    cumulative boundary covers it: the trunk's level goes to
+    ``level[i]``, its edge offset to ``out[i]``. Returns the rows with
+    ``level > 0`` and, when ``count``, the cost model's probe total
+    (``⌈log2 max(popcount s, 2)⌉ + 1`` per lane). May overwrite ``u``.
 
-``alias_select(prob, alias, lvl_ptr, lvl_base, vs, level, offset,
-u_cell, u_take, out)``
-    For each *deep* lane (``level > 0``, arrays pre-compressed) draw a
-    cell of the level-``level`` alias table with ``u_cell``, accept or
-    redirect with ``u_take``, and write the selected local edge index
-    (trunk offset + in-trunk pick) into ``out`` (in place). The two
-    uniforms arrive pre-drawn — one ``uniform_block`` per deep lane
-    set — so the backend never touches an RNG.
+``alias(index, vs, level, out, deep, u_cell, u_take, scratch)``
+    For each deep row draw a cell of its level's alias table with
+    ``u_cell``, accept or redirect with ``u_take``, and add the in-trunk
+    pick to ``out[row]`` in place.
+
+``scatter(walk, lanes, vs, idx, iteration, scratch) -> lanes``
+    Lane ``lanes[i]`` at vertex ``vs[i]`` takes local edge ``idx[i]``:
+    records the hop in column ``iteration`` (when hop columns are kept),
+    updates ``walk.prev/cur/s/steps_left`` and returns the lanes that
+    walk on. ``lanes`` must be the caller's own array — a backend may
+    compact it in place and return a prefix view.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.aux_index import _popcount
 from repro.rng import GeneratorLanes
 from repro.sampling.counters import CostCounters
 
@@ -55,13 +59,16 @@ class KernelScratch:
     chunk in the parallel executor — never shared across threads) and
     hands out views sized to the current lane set, so the per-iteration
     temporaries of the sampling kernel cost zero allocations after the
-    first iteration at peak frontier size.
+    first iteration at peak frontier size. ``bound`` is the backends'
+    per-run memo (the compiled backend keeps its verified array
+    addresses there, so arrays are checked once per run, not per hop).
     """
 
-    __slots__ = ("_bufs",)
+    __slots__ = ("_bufs", "bound")
 
     def __init__(self):
         self._bufs: Dict[str, np.ndarray] = {}
+        self.bound: Dict[str, tuple] = {}
 
     def array(self, name: str, n: int, dtype) -> np.ndarray:
         """An uninitialised view of length ``n`` under ``name``."""
@@ -71,20 +78,41 @@ class KernelScratch:
             self._bufs[name] = buf
         return buf[:n]
 
-    def nbytes(self) -> int:
-        return sum(b.nbytes for b in self._bufs.values())
+
+@dataclass
+class WalkState:
+    """The arrays one frontier run advances — ``scatter``'s operands.
+
+    The graph's CSR (``indptr``/``nbr``/``etime``) and the per-edge
+    candidate sizes are read; ``cur``/``prev``/``s``/``steps_left`` (one
+    entry per walk) and the ``(walks, max_length)`` hop columns (``None``
+    when hops are not kept) are written.
+    """
+
+    indptr: np.ndarray
+    nbr: np.ndarray
+    etime: np.ndarray
+    candidate_sizes: np.ndarray
+    cur: np.ndarray
+    prev: np.ndarray
+    s: np.ndarray
+    steps_left: np.ndarray
+    hop_vertex: Optional[np.ndarray] = None
+    hop_time: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One implementation of the two compute passes (see module doc)."""
+    """One implementation of the three passes (see module doc)."""
 
     name: str
-    its_select: Callable
-    alias_select: Callable
-    #: Optional whole-kernel override (the ``legacy`` reference backend
-    #: keeps the exact pre-fusion code path this way). When set, the
-    #: driver delegates wholesale instead of orchestrating passes.
+    select: Optional[Callable]
+    alias: Optional[Callable]
+    scatter: Callable
+    #: Optional whole-sampler override (the ``legacy`` reference backend
+    #: keeps the exact pre-fusion code path this way). When set,
+    #: :func:`sample_batch` delegates wholesale instead of orchestrating
+    #: ``select``/``alias``.
     sample_override: Optional[Callable] = None
 
 
@@ -102,16 +130,17 @@ def sample_batch(
 ) -> np.ndarray:
     """One fused HPAT draw per (vertex, candidate-size) pair.
 
-    The shared driver around a backend's passes: gathers totals, draws
-    one uniform block per lane set, runs ``its_select`` /
-    ``alias_select``, and accounts costs. Returns per-lane edge indices
-    local to each vertex's adjacency; the result is a scratch view —
-    valid until the next call on the same ``scratch``.
+    The shared driver around a backend's ``select``/``alias``: draws one
+    uniform per lane, then one block of two per deep lane, and accounts
+    costs. Returns per-lane edge indices local to each vertex's
+    adjacency; the result is a scratch view — valid until the next call
+    on the same ``scratch``. Raises :class:`IndexError` for a vertex
+    outside the index or a candidate size outside ``1..deg(v)``.
     """
     n = vs.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    # Backends (the njit passes in particular) see int64 only.
+    # Backends see contiguous int64 only.
     vs = np.ascontiguousarray(vs, dtype=np.int64)
     ss = np.ascontiguousarray(ss, dtype=np.int64)
     if draw is None:
@@ -123,43 +152,17 @@ def sample_batch(
     if backend.sample_override is not None:
         return backend.sample_override(index, vs, ss, draw, lanes, counters)
 
-    # -- gather: candidate totals and one uniform per lane ------------------
-    cbase = scratch.array("cbase", n, np.int64)
-    np.take(index.indptr, vs, out=cbase)
-    cbase += vs
-    gidx = scratch.array("gidx", n, np.int64)
-    np.add(cbase, ss, out=gidx)
-    totals = scratch.array("totals", n, np.float64)
-    np.take(index.c, gidx, out=totals)
-    r = draw.uniform(lanes)
-    np.multiply(r, totals, out=r)
-    np.subtract(totals, r, out=r)  # draws in (0, total]
-
-    # -- ITS over trunks ----------------------------------------------------
     level = scratch.array("level", n, np.int64)
-    offset = scratch.array("offset", n, np.int64)
-    level[:] = 0
-    offset[:] = 0
-    backend.its_select(index.c, cbase, ss, r, level, offset, scratch)
-
-    if counters is not None:
-        blocks = _popcount(ss.astype(np.int64))
-        probes = np.ceil(np.log2(np.maximum(blocks, 2))).astype(np.int64) + 1
-        counters.binary_search_probes += int(probes.sum())
-        counters.edges_evaluated += int(probes.sum())
-
-    # -- alias draw inside each selected trunk (level 0 = identity) ---------
     out = scratch.array("out", n, np.int64)
-    np.copyto(out, offset)
-    deep = np.flatnonzero(level)
+    deep, probes = backend.select(index, vs, ss, draw.uniform(lanes),
+                                  level, out, scratch, counters is not None)
+    if counters is not None:
+        counters.binary_search_probes += probes
+        counters.edges_evaluated += probes
+    # Alias draw inside each selected trunk (level 0 is the identity).
     if deep.size:
         u = draw.uniform_block(lanes[deep], 2)
-        out_deep = scratch.array("out_deep", deep.size, np.int64)
-        backend.alias_select(
-            index.prob, index.alias, index.lvl_ptr, index.lvl_base,
-            vs[deep], level[deep], offset[deep], u[0], u[1], out_deep,
-        )
-        out[deep] = out_deep
+        backend.alias(index, vs, level, out, deep, u[0], u[1], scratch)
         if counters is not None:
             counters.alias_draws += int(deep.size)
             counters.edges_evaluated += int(deep.size)

@@ -1,0 +1,272 @@
+"""Compiled backend: ``hop.c`` built with the system ``cc``, called via ctypes.
+
+:func:`load` compiles ``hop.c`` (next to this file) on first use into a
+content-addressed shared object in a per-user cache directory, loads it
+with :class:`ctypes.CDLL` — so the GIL is released while a pass runs —
+and checks ~130 lanes against the numpy passes bit for bit. Any failure
+raises :class:`Unavailable` with the reason; the registry serves numpy.
+
+Memory safety is split in two. Python proves, once per run, that every
+array is C-contiguous int64/float64 and that lengths agree (:func:`_addr`;
+verified addresses are memoised in ``KernelScratch.bound``); the C loops
+check every index they derive from array *contents* and return
+``−1 − row``, raised here as :class:`IndexError`. Arrays that do not fit
+(say a non-int64 ``nbr``) run the numpy pass instead — chosen from the
+arrays, never from an option.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import stat
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from repro.kernels import numpy_backend
+from repro.kernels.base import KernelBackend, KernelScratch, WalkState
+
+#: ``-ffp-contract=off``: ``r = total − u·total`` must round twice.
+CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_SOURCE = Path(__file__).with_name("hop.c")
+#: Argument lists of the three entry points (q = int64, p = pointer).
+_SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
+               "hop_scatter": "qpppqpqpppqppppqqpp"}
+_I64, _F64 = np.dtype(np.int64), np.dtype(np.float64)
+
+
+class Unavailable(RuntimeError):
+    """The compiled backend cannot serve; ``str()`` is the reason."""
+
+
+def find_cc():
+    return shutil.which("cc")
+
+
+def _trusted(path: Path) -> bool:
+    """Ours alone: owned by this uid, not group/world-writable."""
+    st = path.stat()
+    return st.st_uid == os.getuid() and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+
+
+def _cache_dir() -> Path:
+    """``${XDG_CACHE_HOME:-~/.cache}/repro-kernels`` (0700), or a private
+    temporary directory when that cannot be made, written or trusted."""
+    path = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache",
+                "repro-kernels")
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if _trusted(path) and os.access(path, os.W_OK | os.X_OK):
+            return path
+    except OSError:
+        pass
+    return Path(tempfile.mkdtemp(prefix="repro-kernels-"))
+
+
+def _build() -> ctypes.CDLL:
+    cc = find_cc()
+    if cc is None:
+        raise Unavailable("no C compiler: 'cc' is not on PATH")
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True,
+                                 timeout=30).stdout
+        abi = sysconfig.get_config_var("SOABI") or ""
+        digest = hashlib.sha256(b"\0".join(
+            (_SOURCE.read_bytes(), version, " ".join(CFLAGS).encode(),
+             abi.encode()))).hexdigest()
+        cache = _cache_dir()
+        target = cache / f"hop-{digest[:32]}.so"
+        if not target.exists():
+            # Temp name + rename: processes racing a cold cache all win.
+            fd, tmp = tempfile.mkstemp(dir=cache, suffix=".tmp")
+            os.close(fd)
+            try:
+                proc = subprocess.run([cc, *CFLAGS, "-o", tmp, str(_SOURCE)],
+                                      capture_output=True, text=True, timeout=120)
+                if proc.returncode != 0:
+                    lines = proc.stderr.strip().splitlines() or ["no output"]
+                    raise Unavailable(f"cc failed: {lines[0]}")
+                os.replace(tmp, target)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        if not (_trusted(cache) and _trusted(target)):
+            raise Unavailable(f"refusing {target}: not owned by this user "
+                              f"alone, or writable by others")
+        return ctypes.CDLL(str(target))
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise Unavailable(f"build/load error: {exc}") from exc
+
+
+def load() -> KernelBackend:
+    """Build (or reuse), load, self-test; raises :class:`Unavailable`."""
+    lib = _build()
+    for name, signature in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_int64 if kind == "q" else ctypes.c_void_p
+                       for kind in signature]
+    backend = _make_backend(lib)
+    _self_test(backend)
+    return backend
+
+
+def _addr(a: np.ndarray, dtype, size=None) -> int:
+    """Address of ``a``, proven a C-contiguous ``dtype`` array (of
+    ``size`` elements); read-only mmaps and shared-memory views pass."""
+    if a.dtype != dtype or not a.flags.c_contiguous or (
+            size is not None and a.size != size):
+        raise ValueError(f"kernel pass needs a C-contiguous {dtype} array"
+                         + (f" of {size} elements" if size is not None else ""))
+    try:  # 4x cheaper than ``a.ctypes.data``; what a 128-lane hop feels
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    except (TypeError, ValueError):  # read-only or empty buffer
+        return a.ctypes.data
+
+
+def _bound(scratch: KernelScratch, key: str, owner, describe):
+    """``describe(owner)``'s C arguments, verified once per ``scratch``;
+    ``None`` when the arrays do not fit the ABI (the numpy pass serves).
+    The memo keeps the arrays alive while their addresses are held."""
+    hit = scratch.bound.get(key)
+    if hit is None or hit[0] is not owner:
+        try:
+            hit = (owner, *describe(owner))
+        except ValueError:
+            hit = (owner, None)
+        scratch.bound[key] = hit
+    return hit[1]
+
+
+def _index_args(index):
+    arrays = (index.indptr, index.c, index.lvl_base, index.lvl_ptr,
+              index.prob, index.alias)
+    indptr, c, lvl_base, lvl_ptr, prob, alias = arrays
+    V = indptr.size - 1
+    select = (V, _addr(indptr, _I64), c.size, _addr(c, _F64))
+    draw = (V, _addr(lvl_base, _I64, V + 1), lvl_ptr.size, _addr(lvl_ptr, _I64),
+            prob.size, _addr(prob, _F64), _addr(alias, _I64, prob.size))
+    return (select, draw), arrays
+
+
+def _walk_args(walk: WalkState):
+    V, E, num = walk.indptr.size - 1, walk.nbr.size, walk.cur.size
+    stride, hops = 0, (None, None)
+    if walk.hop_vertex is not None:
+        stride = walk.hop_vertex.shape[-1]
+        hops = (_addr(walk.hop_vertex, _I64, num * stride),
+                _addr(walk.hop_time, _F64, num * stride))
+    state = (V, _addr(walk.indptr, _I64), E, _addr(walk.nbr, _I64),
+             _addr(walk.etime, _F64, E), _addr(walk.candidate_sizes, _I64, E),
+             num, _addr(walk.cur, _I64), _addr(walk.prev, _I64, num),
+             _addr(walk.s, _I64, num), _addr(walk.steps_left, _I64, num), stride)
+    return (state, hops), tuple(vars(walk).values())
+
+
+def _checked(code: int, what: str) -> int:
+    if code < 0:
+        raise IndexError(f"kernel {what}: row {-1 - code} is out of bounds")
+    return code
+
+
+def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
+    def select(index, vs, ss, u, level, out, scratch, count):
+        args = _bound(scratch, "index", index, _index_args)
+        if args is None:
+            return numpy_backend.select(index, vs, ss, u, level, out,
+                                        scratch, count)
+        n = vs.size
+        deep = scratch.array("deep", n, np.int64)
+        probes = ctypes.c_int64()
+        found = _checked(lib.hop_select(
+            n, _addr(vs, _I64), _addr(ss, _I64, n), _addr(u, _F64, n),
+            *args[0], _addr(level, _I64, n), _addr(out, _I64, n),
+            _addr(deep, _I64), ctypes.addressof(probes),
+        ), "select (vertex, or candidate size outside 1..deg)")
+        return deep[:found], probes.value
+
+    def alias(index, vs, level, out, deep, u_cell, u_take, scratch):
+        args = _bound(scratch, "index", index, _index_args)
+        if args is None:
+            return numpy_backend.alias(index, vs, level, out, deep,
+                                       u_cell, u_take, scratch)
+        n, k = vs.size, deep.size
+        _checked(lib.hop_alias(
+            k, _addr(deep, _I64), n, _addr(vs, _I64), _addr(level, _I64, n),
+            _addr(out, _I64, n), _addr(u_cell, _F64, k), _addr(u_take, _F64, k),
+            *args[1],
+        ), "alias (cell outside the level's table)")
+
+    def scatter(walk, lanes, vs, idx, iteration, scratch):
+        args = _bound(scratch, "walk", walk, _walk_args)
+        if args is None:
+            return numpy_backend.scatter(walk, lanes, vs, idx, iteration, scratch)
+        if lanes.dtype != _I64 or not (lanes.flags.c_contiguous
+                                       and lanes.flags.writeable):
+            lanes = np.array(lanes, dtype=np.int64)
+        n = lanes.size
+        alive = _checked(lib.hop_scatter(
+            n, _addr(lanes, _I64), _addr(vs, _I64, n),
+            _addr(np.ascontiguousarray(idx, dtype=np.int64), _I64, n),
+            *args[0], int(iteration), *args[1],
+        ), f"scatter (lane, edge index or hop column {iteration})")
+        return lanes[:alive]
+
+    return KernelBackend(name="c", select=select, alias=alias, scatter=scatter)
+
+
+def _self_test(backend: KernelBackend) -> None:
+    """One synthetic hop through both backends; any differing bit refuses
+    the build. Vertices 0..95 are FMA tripwires: degree 3 with the first
+    trunk boundary set to the twice-rounded ``r`` itself, so a contracted
+    ``total − u·total`` lands on the other side of it. (The tables hold
+    arbitrary numbers — parity, not distribution, is what is checked.)"""
+    from repro.core.builder import hpat_layout
+
+    rng = np.random.default_rng(2023)
+    deg = np.array([3] * 96 + [1, 37, 64, 100])
+    V, E = deg.size, int(deg.sum())
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    vs = np.concatenate([np.arange(96), rng.integers(96, V, size=36)])
+    ss = np.concatenate([np.full(96, 3), 1 + rng.integers(0, 2**30, 36) % deg[vs[96:]]])
+    n, width = vs.size, vs.size + 5
+    u, u2 = rng.random(n), rng.random((2, n))
+    c = rng.random(E + V) + 0.05
+    trip = indptr[:96] + np.arange(96)
+    c[trip + 2] = c[trip + 3] - u[:96] * c[trip + 3]
+    lvl_base, lvl_ptr, cells = hpat_layout(deg)
+    index = SimpleNamespace(
+        indptr=indptr, c=c, lvl_base=lvl_base, lvl_ptr=lvl_ptr,
+        prob=rng.random(cells), alias=rng.integers(0, 2, size=cells))
+    nbr, etime, sizes = rng.integers(0, V, E), rng.random(E), rng.integers(0, 3, E)
+    lanes, left = rng.permutation(width)[:n], rng.integers(1, 3, width)
+
+    def one_hop(passes):
+        scratch = KernelScratch()
+        level, out = np.empty(n, np.int64), np.empty(n, np.int64)
+        deep, probes = passes.select(index, vs, ss, u.copy(), level, out,
+                                     scratch, True)
+        passes.alias(index, vs, level, out, deep, u2[0, :deep.size].copy(),
+                     u2[1, :deep.size].copy(), scratch)
+        walk = WalkState(
+            indptr, nbr, etime, sizes, np.zeros(width, np.int64),
+            np.full(width, -1), np.zeros(width, np.int64), left.copy(),
+            np.zeros((width, 4), np.int64), np.zeros((width, 4)))
+        alive = passes.scatter(walk, lanes.copy(), vs, out, 2, scratch)
+        return [level, out, deep, np.int64(probes), alive,
+                *list(vars(walk).values())[4:]]
+
+    try:
+        same = all(map(np.array_equal, one_hop(numpy_backend), one_hop(backend)))
+    except (IndexError, ValueError) as exc:
+        raise Unavailable(f"self-test raised {exc!r}") from exc
+    if not same:
+        raise Unavailable("self-test mismatch against the numpy passes "
+                          "(miscompiling or FMA-contracting toolchain?)")

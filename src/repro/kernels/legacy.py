@@ -6,7 +6,7 @@ temporaries, a full-population scan per bit of the ITS lockstep, the
 per alias stage. It exists for two reasons:
 
 * **parity oracle** — ``make kernel-smoke`` and the kernel tests assert
-  the fused numpy (and, when installed, numba) backends are
+  the fused numpy and compiled C backends are
   bit-identical to this reference under both
   :class:`~repro.rng.LaneRng` and :class:`~repro.rng.GeneratorLanes`
   draw sources;
@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.base import KernelBackend
+from repro.kernels.numpy_backend import scatter
 
 
 def _sample_legacy(index, vs, ss, draw, lanes, counters):
@@ -82,6 +83,6 @@ def _sample_legacy(index, vs, ss, draw, lanes, counters):
 
 
 BACKEND = KernelBackend(
-    name="legacy", its_select=None, alias_select=None,
+    name="legacy", select=None, alias=None, scatter=scatter,
     sample_override=_sample_legacy,
 )

@@ -20,13 +20,78 @@ The probe order per lane — its set bits, highest first, with the same
 the global bit-scan visited, so ``level``/``offset`` match the legacy
 kernel bit for bit; selection is a pure function of ``r`` and the
 prefix-sum array, and all uniforms are drawn by the shared driver.
+
+``select``/``alias``/``scatter`` are the three-pass ABI of
+:mod:`repro.kernels.base` over those kernels — the reference the
+compiled backend is self-tested against, and the passes that serve
+whenever it is absent or an array does not fit its ABI.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.base import KernelBackend, KernelScratch
+from repro.core.aux_index import _popcount
+from repro.kernels.base import KernelBackend, KernelScratch, WalkState
+
+
+def _reject(bad: np.ndarray, values: np.ndarray, what: str) -> None:
+    if bad.any():
+        row = int(np.flatnonzero(bad)[0])
+        raise IndexError(f"kernel select: row {row}: {what} {values[row]}")
+
+
+def select(index, vs, ss, u, level, out, scratch: KernelScratch, count):
+    """Gather totals, ``r = total − u·total`` (in ``u``), ITS; see ABI."""
+    n = vs.size
+    indptr = index.indptr
+    _reject((vs < 0) | (vs >= indptr.size - 1), vs, "no such vertex")
+    cbase = scratch.array("cbase", n, np.int64)
+    np.take(indptr, vs, out=cbase)
+    _reject((ss < 1) | (ss > np.take(indptr, vs + 1) - cbase), ss,
+            "candidate size outside 1..deg(v):")
+    cbase += vs
+    gidx = scratch.array("gidx", n, np.int64)
+    np.add(cbase, ss, out=gidx)
+    totals = scratch.array("totals", n, np.float64)
+    np.take(index.c, gidx, out=totals)
+    np.multiply(u, totals, out=u)
+    np.subtract(totals, u, out=u)  # draws in (0, total]
+    level[:] = 0
+    out[:] = 0
+    its_select(index.c, cbase, ss, u, level, out, scratch)
+    probes = 0
+    if count:
+        blocks = _popcount(ss)
+        probes = int(np.ceil(np.log2(np.maximum(blocks, 2))).sum()) + n
+    return np.flatnonzero(level), probes
+
+
+def alias(index, vs, level, out, deep, u_cell, u_take, scratch: KernelScratch):
+    """Alias draw for the ``deep`` rows, added to ``out`` in place."""
+    out_deep = scratch.array("out_deep", deep.size, np.int64)
+    alias_select(
+        index.prob, index.alias, index.lvl_ptr, index.lvl_base,
+        vs[deep], level[deep], out[deep], u_cell, u_take, out_deep,
+    )
+    out[deep] = out_deep
+
+
+def scatter(walk: WalkState, lanes, vs, idx, iteration, scratch):
+    """Follow the drawn edges; returns the surviving lanes (a copy)."""
+    pos = walk.indptr[vs] + idx
+    nxt = walk.nbr[pos].astype(np.int64)
+    t_next = walk.etime[pos]
+    s_next = walk.candidate_sizes[pos].astype(np.int64)
+    if walk.hop_vertex is not None:
+        walk.hop_vertex[lanes, iteration] = nxt
+        walk.hop_time[lanes, iteration] = t_next
+    walk.prev[lanes] = vs
+    walk.cur[lanes] = nxt
+    walk.s[lanes] = s_next
+    walk.steps_left[lanes] -= 1
+    still = (s_next > 0) & (walk.steps_left[lanes] > 0)
+    return lanes[still]
 
 
 def its_select(
@@ -101,5 +166,5 @@ def alias_select(
 
 
 BACKEND = KernelBackend(
-    name="numpy", its_select=its_select, alias_select=alias_select
+    name="numpy", select=select, alias=alias, scatter=scatter
 )

@@ -3,14 +3,14 @@
 ``python -m repro.kernels.smoke`` is the Makefile's ``kernel-smoke``
 gate (the kernel-fusion ISSUE's acceptance criteria, executable):
 
-* **Backend parity** — the fused numpy backend must be bit-identical to
-  the preserved pre-fusion (``legacy``) kernel under both
-  counter-based :class:`~repro.rng.LaneRng` streams and the shared
-  :class:`~repro.rng.GeneratorLanes` source, across scratch reuse.
-* **Numba parity / graceful fallback** — when numba is importable the
-  njit backend must match numpy bit-for-bit on the same draws; when it
-  is absent, an explicit ``numba`` request must resolve to numpy and
-  leave a fallback note for telemetry.
+* **Backend parity** — the compiled ``c`` and fused ``numpy`` backends
+  must be bit-identical to the preserved pre-fusion (``legacy``) kernel
+  under both counter-based :class:`~repro.rng.LaneRng` streams and the
+  shared :class:`~repro.rng.GeneratorLanes` source, across scratch
+  reuse.
+* **Compile is the gate** — prints what ``auto`` resolved to; with a
+  ``cc`` on PATH the compiled backend **must** have loaded (a failure,
+  not a skip), without one the fallback note must say why.
 * **Walk-level parity** — a full :class:`BatchTeaEngine` node2vec run
   must produce identical walks under every available backend.
 * **Factorized decay equivalence** — the radix forest's reconstructed
@@ -20,16 +20,13 @@ gate (the kernel-fusion ISSUE's acceptance criteria, executable):
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.kernels import (
     available_backends,
     backend_fallback_note,
-    numba_available,
     resolve_backend,
     sample_batch,
     KernelScratch,
@@ -57,7 +54,7 @@ def _smoke_index():
     return pre.index, vs, ss
 
 
-def backend_parity_smoke(verbose: bool) -> dict:
+def backend_parity_smoke() -> dict:
     """Every available backend bit-identical to legacy on shared draws."""
     index, vs, ss = _smoke_index()
     legacy = resolve_backend("legacy")
@@ -81,38 +78,31 @@ def backend_parity_smoke(verbose: bool) -> dict:
                 f"backend {name!r} diverged from legacy under {label}"
             )
             checked += 1
-    if verbose:
-        print(f"kernel parity: {names} == legacy over {checked} draws "
-              f"({vs.size} lanes each)")
+    print(f"kernel parity: {names} == legacy over {checked} draws "
+          f"({vs.size} lanes each)")
     return {"backends": names, "checks": checked}
 
 
-def fallback_smoke(verbose: bool) -> dict:
-    """Explicit numba request degrades to numpy cleanly when absent."""
-    resolved = resolve_backend("numba")
-    if numba_available():
-        assert resolved.name == "numba", (
-            "numba importable but request resolved to " + resolved.name
+def fallback_smoke() -> dict:
+    """``auto`` is ``c`` wherever a compiler exists; else numpy + a note."""
+    from repro.kernels.c_backend import find_cc
+
+    resolved = resolve_backend("auto").name
+    note = backend_fallback_note()
+    print(f"kernel backend: auto -> {resolved}"
+          + (f"  ({note})" if note else ""))
+    if find_cc() is not None:
+        assert resolved == "c", (
+            f"cc is on PATH but the compiled backend did not load: {note}"
         )
-        note = None
     else:
-        assert resolved.name == "numpy", (
-            "absent numba must fall back to numpy, got " + resolved.name
+        assert resolved == "numpy" and note and "cc" in note, (
+            "without a compiler auto must serve numpy and say why"
         )
-        note = backend_fallback_note()
-        assert note and "numba" in note, (
-            "graceful fallback must leave a telemetry note"
-        )
-    assert resolve_backend("auto").name == (
-        "numba" if numba_available() else "numpy"
-    )
-    if verbose:
-        print(f"kernel fallback: numba_available={numba_available()} "
-              f"auto->{resolve_backend('auto').name} note={note!r}")
-    return {"numba_available": numba_available(), "note": note}
+    return {"resolved": resolved, "note": note}
 
 
-def walk_parity_smoke(verbose: bool) -> dict:
+def walk_parity_smoke() -> dict:
     """Whole node2vec runs identical across backends (hop-for-hop)."""
     from repro.engines.base import Workload
     from repro.engines.batch import BatchTeaEngine
@@ -134,13 +124,12 @@ def walk_parity_smoke(verbose: bool) -> dict:
             assert walks == baseline, (
                 f"backend {name!r} changed walk output"
             )
-    if verbose:
-        print(f"walk parity: {len(baseline)} node2vec walks identical "
-              f"across {names}")
+    print(f"walk parity: {len(baseline)} node2vec walks identical "
+          f"across {names}")
     return {"walks": len(baseline), "backends": names}
 
 
-def factorized_decay_smoke(verbose: bool) -> dict:
+def factorized_decay_smoke() -> dict:
     """Radix forest == carry forest on a streamed decay workload."""
     from repro.core.incremental import VertexIncrementalHPAT
     from repro.core.weights import WeightModel
@@ -167,23 +156,18 @@ def factorized_decay_smoke(verbose: bool) -> dict:
     # candidate counts agree at every probe time
     for t in np.linspace(times[0] - 1, times[-1] + 1, 13):
         assert carry.candidate_count(float(t)) == radix.candidate_count(float(t))
-    if verbose:
-        print(f"factorized decay: weights equal (rtol 1e-12); carry "
-              f"re-indexed {carry.merged_edges} edges, radix 0 "
-              f"(buckets touched: {radix.buckets_touched})")
+    print(f"factorized decay: weights equal (rtol 1e-12); carry "
+          f"re-indexed {carry.merged_edges} edges, radix 0 "
+          f"(buckets touched: {radix.buckets_touched})")
     return {"carry_merged": carry.merged_edges,
             "radix_buckets_touched": radix.buckets_touched}
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    verbose = not args.quiet
-    backend_parity_smoke(verbose)
-    fallback_smoke(verbose)
-    walk_parity_smoke(verbose)
-    factorized_decay_smoke(verbose)
+def main() -> int:
+    backend_parity_smoke()
+    fallback_smoke()
+    walk_parity_smoke()
+    factorized_decay_smoke()
     return 0
 
 

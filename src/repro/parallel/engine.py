@@ -271,7 +271,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             injector=self.fault_injector,
             # The resolved *name*, not the object: process workers
             # re-resolve after fork/spawn (and degrade gracefully if the
-            # parent had numba but the child can't import it).
+            # parent loaded the compiled backend but the child cannot).
             kernel_backend=self.kernel.name,
         )
         return self._static_ctx
@@ -577,7 +577,9 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             "run_id": current_run_id(),
             "profile": profile,
         }
+        t0 = time.monotonic()
         results = self._execute_chunks(plan, backend, workers_used, rp)
+        self._dispatch_seconds = time.monotonic() - t0
 
         # Refine the calibration memory from what was actually
         # measured: the next adaptive plan skips the probe.
@@ -722,15 +724,26 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             "chunk passes served by an already-warm pool",
         ).inc(int(self.last_pool["reuses"]))
         per_worker: Dict[str, int] = {}
+        busy: Dict[str, float] = {}
         for res in results:
             per_worker[res.worker_label] = (
                 per_worker.get(res.worker_label, 0) + res.total_steps
+            )
+            busy[res.worker_label] = (
+                busy.get(res.worker_label, 0.0) + res.wall_seconds
             )
         steps_hist = registry.histogram(
             "parallel.worker_steps", "sampling steps per worker (fold of chunks)"
         )
         for steps in per_worker.values():
             steps_hist.observe(steps)
+        # A lower bound on the walk phase is its busiest worker's chunk
+        # time; the rest is dispatch (submit, IPC, result pickling, idle
+        # gaps) — an absolute cost that means the same on any host.
+        registry.gauge(
+            "parallel.dispatch_overhead_seconds",
+            "chunk-execution wall beyond the busiest worker's chunk seconds",
+        ).set(max(0.0, self._dispatch_seconds - max(busy.values(), default=0.0)))
         self._publish_supervision(registry)
 
     def _publish_supervision(self, registry: MetricsRegistry) -> None:

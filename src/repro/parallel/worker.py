@@ -72,9 +72,9 @@ class WorkerContext:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     #: Resolved kernel-backend *name* (never the backend object — it
     #: must survive pickling into process workers; each worker
-    #: re-resolves locally, falling back if e.g. numba exists only in
-    #: the parent).
-    kernel_backend: str = "numpy"
+    #: re-resolves locally, falling back to numpy if the compiled
+    #: backend loaded only in the parent).
+    kernel_backend: str = "auto"
     #: Optional :class:`repro.resilience.faults.FaultInjector` evaluated
     #: at the ``chunk`` site with key ``(chunk_id, attempt)`` — chaos
     #: plans crash/hang specific chunk attempts deterministically, in

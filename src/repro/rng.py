@@ -165,10 +165,11 @@ class GeneratorLanes:
         return self._rng.random(lanes.size)
 
     def uniform_block(self, lanes: np.ndarray, k: int) -> np.ndarray:
-        """``k`` successive :meth:`uniform` calls, stacked — implemented
-        literally as such so the legacy generator consumes its bit
-        stream in exactly the pre-fusion order (bit-compat contract)."""
-        return np.stack([self.uniform(lanes) for _ in range(k)])
+        """``k`` successive :meth:`uniform` calls, stacked: one C-order
+        fill consumes the generator's bit stream in exactly that order
+        (the bit-compat contract with the pre-fusion kernel), without
+        the copy ``np.stack`` would make."""
+        return self._rng.random((k, lanes.size))
 
     def scalar(self, lane: int) -> np.random.Generator:
         return self._rng

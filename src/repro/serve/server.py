@@ -12,7 +12,7 @@ Endpoints
 ``POST /walk``        run temporal random walks (paths + lengths)
 ``POST /recommend``   walks aggregated into a visit-count top-k
 ``POST /gnn/sample``  temporal neighbor blocks (per-request, inline)
-``GET  /healthz``     liveness + uptime
+``GET  /healthz``     liveness + uptime + engine kind + kernel backend
 ``GET  /metrics``     Prometheus text exposition
 ``GET  /stats``       session/queue/counter snapshot (JSON)
 
@@ -40,6 +40,7 @@ from typing import Optional
 from repro.engines.session import TeaSession
 from repro.exceptions import ServeError, TeaError
 from repro.graph.temporal_graph import TemporalGraph
+from repro.kernels import publish_backend
 from repro.serve.batcher import Batcher, PendingRequest, RequestQueue
 from repro.serve.executor import BatchExecutor
 from repro.serve.protocol import MAX_BODY_BYTES, WalkRequest
@@ -103,6 +104,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "status": "ok",
                 "uptime_seconds": round(service.uptime_seconds(), 3),
                 "engine": service.session.engine_kind,
+                "kernel_backend": service.kernel_backend,
             })
         elif self.path == "/metrics":
             self._send_text(
@@ -262,6 +264,10 @@ class WalkService:
             engine_kwargs=engine_kwargs,
             max_bytes=max_bytes,
         )
+        #: What the batch engines' hops run on (``None`` for the scalar
+        #: ``tea`` kind, which has no kernel) — /healthz and /metrics.
+        self.kernel_backend = None if engine == "tea" else publish_backend(
+            self.registry, self.session.engine_kwargs.get("kernel_backend", "auto"))
         self.batching = bool(batching)
         if not self.batching:
             max_batch = 1

@@ -34,7 +34,10 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _prom_name(name: str, prefix: str = "tea") -> str:
-    flat = _NAME_RE.sub("_", name)
+    # An info gauge may carry literal labels (``kernel.backend{name="c"}``):
+    # only the part before the brace is a metric name to sanitise.
+    base, brace, labels = name.partition("{")
+    flat = _NAME_RE.sub("_", base) + brace + labels
     return f"{prefix}_{flat}" if prefix else flat
 
 
@@ -94,9 +97,10 @@ def to_prometheus(registry: MetricsRegistry, prefix: str = "tea") -> str:
         lines.append(f"{name} {_prom_value(c.value)}")
     for g in registry.gauges():
         name = names.assign(g.name)
+        family = name.partition("{")[0]
         if g.help:
-            lines.append(f"# HELP {name} {g.help}")
-        lines.append(f"# TYPE {name} gauge")
+            lines.append(f"# HELP {family} {g.help}")
+        lines.append(f"# TYPE {family} gauge")
         lines.append(f"{name} {_prom_value(g.value)}")
     for h in registry.histograms():
         name = names.assign(h.name)
@@ -119,7 +123,8 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
     Counters and gauges map to ``{"type": ..., "value": ...}``;
     histograms to ``{"type": "histogram", "buckets": {le: cumulative},
     "sum": ..., "count": ...}``. Supports exactly what
-    :func:`to_prometheus` emits (no labels besides ``le``).
+    :func:`to_prometheus` emits (labels: ``le``, and an info gauge's
+    literal ones, which stay part of its key).
     """
     out: Dict[str, dict] = {}
     types: Dict[str, str] = {}
@@ -147,7 +152,8 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
         if key.endswith("_count") and key[:-6] in types and types[key[:-6]] == "histogram":
             out.setdefault(key[:-6], {"type": "histogram", "buckets": {}})["count"] = number
             continue
-        out[key] = {"type": types.get(key, "untyped"), "value": number}
+        family = key.partition("{")[0]
+        out[key] = {"type": types.get(family, "untyped"), "value": number}
     return out
 
 

@@ -1,0 +1,448 @@
+"""The three-pass kernel ABI: ``c`` ≡ ``numpy`` ≡ ``legacy``, bit for bit.
+
+Parity (Hypothesis, over graphs with degree-1 vertices, power-of-two
+hubs at the last vertex id, chains of all-ones candidate sizes and dead
+ends), memory safety (a bad lane raises ``IndexError`` from either
+backend — never a crash), build/cache hygiene and the visible fallback of
+the compiled backend. Tests that need the compiled passes fail — not
+skip — wherever a ``cc`` exists.
+"""
+
+import os
+import stat
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.kernels as kernels
+from repro.core.hpat import HierarchicalPAT
+from repro.engines import Workload
+from repro.engines.batch import BatchTeaEngine
+from repro.graph.edge_stream import EdgeStream
+from repro.graph.temporal_graph import TemporalGraph
+from repro.kernels import (
+    KernelScratch,
+    WalkState,
+    backend_fallback_note,
+    c_backend,
+    numpy_backend,
+    resolve_backend,
+    sample_batch,
+)
+from repro.parallel import ParallelBatchTeaEngine
+from repro.rng import LaneRng, make_rng
+from repro.sampling.counters import CostCounters
+from repro.telemetry.exporters import parse_prometheus, to_prometheus
+from repro.telemetry.registry import MetricsRegistry
+from repro.walks.apps import exponential_walk, temporal_node2vec
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+BOTH = ("numpy", "c")
+needs_cc = pytest.mark.skipif(c_backend.find_cc() is None,
+                              reason="needs a C compiler")
+COUNTER_FIELDS = ("steps", "edges_evaluated", "binary_search_probes",
+                  "alias_draws", "rejection_trials", "rejected")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def compiled():
+    """The suite's premise: with a compiler present, ``c`` is serving."""
+    backend = resolve_backend("c")
+    if c_backend.find_cc() is not None:
+        assert backend.name == "c", backend_fallback_note()
+    return backend
+
+
+@st.composite
+def graphs(draw):
+    """A temporal graph built to hit the kernel's corner cases: the last
+    vertex id is a hub (often of power-of-two degree), vertex 0 has no
+    out-edges, a chain of degree-1 vertices gives all-ones candidate
+    sizes, the rest is skewed random; optional heavy timestamp ties."""
+    n = draw(st.integers(3, 14))
+    rng = make_rng(draw(st.integers(0, 2**31 - 1)))
+    hub = draw(st.sampled_from([1, 2, 3, 8, 16, 31, 32, 33, 64, 100]))
+    extra = draw(st.integers(0, 60))
+    src = [np.full(hub, n - 1), np.arange(1, n - 1),
+           1 + ((n - 2) * rng.random(extra) ** 2).astype(np.int64)]
+    dst = [rng.integers(0, n, hub), np.arange(2, n), rng.integers(0, n, extra)]
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    times = (rng.integers(0, 6, src.size).astype(float) if draw(st.booleans())
+             else rng.uniform(0.0, 100.0, src.size))
+    return TemporalGraph.from_stream(EdgeStream(src, dst, times))
+
+
+def _engine(graph, spec):
+    engine = BatchTeaEngine(graph, spec, kernel_backend="numpy")
+    engine.prepare()
+    return engine
+
+
+def _frontier(engine, name, starts, seed, *, keep_hops=True, stop=0.0,
+              interleave=1, lanes=True, length=12):
+    engine.kernel = resolve_backend(name)
+    counters = CostCounters()
+    if lanes:
+        seeds = np.arange(starts.size, dtype=np.uint64) + np.uint64(seed)
+        out = engine._run_frontier(starts, length, stop, None, counters,
+                                   keep_hops, lane_rng=LaneRng(seeds),
+                                   interleave=interleave)
+    else:
+        out = engine._run_frontier(starts, length, stop, make_rng(seed),
+                                   counters, keep_hops)
+    return out, counters
+
+
+def _same(a, b):
+    (ra, ca), (rb, cb) = a, b
+    assert np.array_equal(ra.lengths, rb.lengths)
+    assert (ra.hop_vertex is None) == (rb.hop_vertex is None)
+    if ra.hop_vertex is not None:
+        assert np.array_equal(ra.hop_vertex, rb.hop_vertex)
+        assert np.array_equal(ra.hop_time, rb.hop_time)
+    for field in COUNTER_FIELDS:
+        assert getattr(ca, field) == getattr(cb, field), field
+
+
+class TestPassParity:
+    @PROPERTY
+    @given(graphs(), st.integers(0, 2**31 - 1))
+    def test_select_alias_bit_identical(self, graph, seed):
+        """``level``/offset/``out``, the deep rows and the integer probe
+        count agree on arbitrary (vertex, size) pairs — including size 1,
+        powers of two and the full degree — and ``out`` matches legacy."""
+        index = _engine(graph, exponential_walk(scale=3.0)).index
+        deg = np.diff(graph.indptr)
+        rng = make_rng(seed)
+        vs = rng.choice(np.flatnonzero(deg), size=64)
+        kinds = rng.integers(0, 4, vs.size)
+        ss = np.where(kinds == 0, 1, np.where(
+            kinds == 1, deg[vs], np.where(
+                kinds == 2, 1 << (np.log2(deg[vs]).astype(np.int64)),
+                1 + (rng.random(vs.size) * deg[vs]).astype(np.int64))))
+        u, u2 = rng.random(vs.size), rng.random((2, vs.size))
+        got = {}
+        for name in BOTH:
+            backend, scratch = resolve_backend(name), KernelScratch()
+            level, out = np.empty(64, np.int64), np.empty(64, np.int64)
+            deep, probes = backend.select(index, vs, ss, u.copy(), level, out,
+                                          scratch, True)
+            deep = deep.copy()
+            offset = out.copy()
+            backend.alias(index, vs, level, out, deep, u2[0, :deep.size].copy(),
+                          u2[1, :deep.size].copy(), scratch)
+            got[name] = (level, offset, out, deep, probes)
+        for a, b in zip(got["numpy"], got["c"]):
+            assert np.array_equal(a, b)
+        blocks = np.array([bin(int(s)).count("1") for s in ss])
+        assert got["c"][4] == int(
+            (np.ceil(np.log2(np.maximum(blocks, 2))) + 1).sum())
+        lanes = np.arange(64)
+        outs = [sample_batch(resolve_backend(name), index, vs, ss, None,
+                             draw=LaneRng(lanes.astype(np.uint64) + 9),
+                             lanes=lanes).copy()
+                for name in ("legacy", "numpy", "c")]
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
+
+    @PROPERTY
+    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
+           st.sampled_from([0.0, 0.15]), st.sampled_from([1, 3]), st.booleans())
+    def test_frontier_bit_identical(self, graph, seed, keep_hops, stop,
+                                    interleave, lanes):
+        """Whole ``_run_frontier`` results and every ``CostCounters``
+        field, for both draw sources, with and without hop columns, stop
+        probability and cohort interleaving."""
+        engine = _engine(graph, exponential_walk(scale=3.0))
+        starts = np.tile(np.arange(graph.num_vertices), 3)
+        runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
+                          stop=stop, interleave=interleave, lanes=lanes)
+                for name in ("legacy", "numpy", "c")]
+        _same(runs[0], runs[1])
+        _same(runs[0], runs[2])
+
+    @PROPERTY
+    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans())
+    def test_node2vec_rounds_bit_identical(self, graph, seed, lanes):
+        engine = _engine(graph, temporal_node2vec(p=2.0, q=0.25, scale=3.0))
+        starts = np.tile(np.arange(graph.num_vertices), 3)
+        runs = [_frontier(engine, name, starts, seed, lanes=lanes)
+                for name in ("legacy", "numpy", "c")]
+        _same(runs[0], runs[1])
+        _same(runs[0], runs[2])
+
+    def test_thread_backend_matches_serial(self, medium_graph):
+        """Chunks on two threads run the GIL-releasing passes at once."""
+        spec = exponential_walk(scale=8.0)
+        workload = Workload(walks_per_vertex=20, max_length=30)
+        serial = BatchTeaEngine(medium_graph, spec, kernel_backend="numpy")
+        seeds = np.arange(4000, dtype=np.uint64) + 77
+        starts = np.tile(np.arange(200), 20)
+        ref = serial.run_lanes(starts, seeds, 30)
+        threaded = ParallelBatchTeaEngine(
+            medium_graph, spec, workers=2, backend="thread", chunk_size=250,
+            kernel_backend="c")
+        try:
+            got = threaded.run_lanes(starts, seeds, 30)
+            assert threaded.last_backend == "thread"
+            run = threaded.run(workload, seed=3, record_paths=False)
+        finally:
+            threaded.close()
+        assert np.array_equal(ref.lengths, got.lengths)
+        assert np.array_equal(ref.hop_vertex, got.hop_vertex)
+        assert np.array_equal(ref.hop_time, got.hop_time)
+        again = ParallelBatchTeaEngine(medium_graph, spec, workers=1,
+                                       backend="serial", kernel_backend="numpy")
+        assert again.run(workload, seed=3, record_paths=False
+                         ).counters.snapshot() == run.counters.snapshot()
+
+
+@pytest.mark.parametrize("name", BOTH)
+class TestMemorySafety:
+    """numpy raised ``IndexError``; C must too — before dereferencing."""
+
+    @pytest.fixture
+    def engine(self, medium_graph):
+        return _engine(medium_graph, exponential_walk(scale=8.0))
+
+    @pytest.mark.parametrize("v, s", [
+        (5, 0), (5, -3), (5, 10**6), (-1, 1), (200, 1), (10**12, 1),
+    ])
+    def test_bad_lane_raises(self, engine, name, v, s):
+        deg = int(np.diff(engine.graph.indptr)[5])
+        vs = np.array([5, v, 5], dtype=np.int64)
+        ss = np.array([deg, s, 1], dtype=np.int64)
+        with pytest.raises(IndexError, match="row 1"):
+            sample_batch(resolve_backend(name), engine.index, vs, ss,
+                         make_rng(0), CostCounters())
+
+    def test_size_one_past_the_degree_raises(self, engine, name):
+        deg = np.diff(engine.graph.indptr)
+        vs = np.flatnonzero(deg)[:4]
+        with pytest.raises(IndexError):
+            sample_batch(resolve_backend(name), engine.index, vs, deg[vs] + 1,
+                         make_rng(0))
+
+    def test_poisoned_candidate_sizes_raise(self, engine, name):
+        engine.candidate_sizes = np.full_like(engine.candidate_sizes, 10**9)
+        starts = np.arange(engine.graph.num_vertices)
+        with pytest.raises(IndexError):
+            _frontier(engine, name, starts, 1)
+
+    def test_scatter_rejects_bad_lane_and_hop_column(self, engine, name):
+        g = engine.graph
+        scatter = resolve_backend(name).scatter
+        vs = np.flatnonzero(np.diff(g.indptr))[:3]
+
+        def walk(stride=4):
+            return WalkState(
+                g.indptr, g.nbr, g.etime, engine.candidate_sizes,
+                vs.copy(), np.full(3, -1), np.ones(3, np.int64),
+                np.full(3, 2), np.zeros((3, stride), np.int64),
+                np.zeros((3, stride)))
+
+        zeros = np.zeros(3, np.int64)
+        ok = scatter(walk(), np.arange(3), vs, zeros, 3, KernelScratch())
+        assert ok.size <= 3
+        with pytest.raises(IndexError):
+            scatter(walk(), np.array([0, 7, 2]), vs, zeros, 0, KernelScratch())
+        with pytest.raises(IndexError):
+            scatter(walk(), np.arange(3), vs, zeros, 4, KernelScratch())
+
+
+class TestCompiledOnlyChecks:
+    """Indices numpy bounds-checks by construction, C by hand."""
+
+    @needs_cc
+    def test_edge_index_past_the_degree(self, medium_graph):
+        engine = _engine(medium_graph, exponential_walk(scale=8.0))
+        g = engine.graph
+        deg = np.diff(g.indptr)
+        vs = np.flatnonzero(deg)[:3]
+        walk = WalkState(g.indptr, g.nbr, g.etime, engine.candidate_sizes,
+                         vs.copy(), np.full(3, -1), np.ones(3, np.int64),
+                         np.full(3, 2))
+        for idx in (deg[vs], np.full(3, -1)):
+            with pytest.raises(IndexError, match="row 0"):
+                resolve_backend("c").scatter(
+                    walk, np.arange(3), vs, idx, 0, KernelScratch())
+
+    @needs_cc
+    def test_alias_cell_outside_the_table(self, medium_graph):
+        index = _engine(medium_graph, exponential_walk(scale=8.0)).index
+        v = int(np.argmax(np.diff(index.indptr)))
+        vs = np.array([v], dtype=np.int64)
+        for level, offset in ((40, 0), (3, 2**40), (0, 0), (3, -8)):
+            with pytest.raises(IndexError):
+                resolve_backend("c").alias(
+                    index, vs, np.array([level]), np.array([offset]),
+                    np.array([0]), np.array([0.5]), np.array([0.5]),
+                    KernelScratch())
+
+    def test_mismatched_arrays_run_the_numpy_passes(self, medium_graph):
+        """A non-int64 ``nbr`` (or ``candidate_sizes``) is served by the
+        numpy scatter — chosen from the arrays, same walks."""
+        engine = _engine(medium_graph, exponential_walk(scale=8.0))
+        starts = np.arange(200)
+        ref = _frontier(engine, "c", starts, 5)
+        engine.candidate_sizes = engine.candidate_sizes.astype(np.int32)
+        engine.graph.nbr = engine.graph.nbr.astype(np.int32)
+        _same(ref, _frontier(engine, "c", starts, 5))
+        walk = WalkState(engine.graph.indptr, engine.graph.nbr,
+                         engine.graph.etime, engine.candidate_sizes,
+                         *(np.zeros(1, np.int64) for _ in range(4)))
+        scratch = KernelScratch()
+        assert c_backend._bound(scratch, "walk", walk, c_backend._walk_args) is None
+
+    def test_read_only_mmap_index(self, medium_graph, tmp_path):
+        index = _engine(medium_graph, exponential_walk(scale=8.0)).index
+        fields = ("indptr", "c", "prob", "alias", "lvl_ptr", "lvl_base")
+        for f in fields:
+            np.save(tmp_path / f"{f}.npy", getattr(index, f))
+        mapped = HierarchicalPAT(**{
+            f: np.load(tmp_path / f"{f}.npy", mmap_mode="r") for f in fields})
+        assert not mapped.c.flags.writeable
+        deg = np.diff(index.indptr)
+        vs = np.flatnonzero(deg)
+        got = sample_batch(resolve_backend("c"), mapped, vs, deg[vs], make_rng(1))
+        ref = sample_batch(resolve_backend("numpy"), index, vs, deg[vs], make_rng(1))
+        assert np.array_equal(got, ref)
+
+
+@pytest.fixture
+def fresh_registry(monkeypatch, tmp_path):
+    """A registry that has resolved nothing, over an empty cache dir."""
+    monkeypatch.setattr(kernels, "_CACHE", {})
+    monkeypatch.setattr(kernels, "_FALLBACK_NOTE", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path
+
+
+def _walks(graph):
+    result = BatchTeaEngine(graph, exponential_walk(scale=8.0)).run(
+        Workload(max_length=15, max_walks=120), seed=4, record_paths=True)
+    return [p.hops for p in result.paths]
+
+
+class TestVisibleFallback:
+    """Every way ``c`` can be absent resolves ``auto`` to numpy, says
+    why, and changes no walk."""
+
+    def test_no_compiler(self, fresh_registry, monkeypatch, medium_graph):
+        expected = _walks(medium_graph)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(c_backend, "find_cc", lambda: None)
+        assert resolve_backend("auto").name == "numpy"
+        assert "'cc' is not on PATH" in backend_fallback_note()
+        assert "c" not in kernels.available_backends()
+        assert _walks(medium_graph) == expected
+
+    def test_failing_compiler(self, fresh_registry, monkeypatch, medium_graph):
+        expected = _walks(medium_graph)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        fake = fresh_registry / "fake-cc"
+        fake.write_text('#!/bin/sh\n[ "$1" = --version ] && { echo fake 1.0; '
+                        'exit 0; }\necho "fake-cc: error: no backend" >&2\n'
+                        'echo "second line" >&2\nexit 1\n')
+        fake.chmod(0o755)
+        monkeypatch.setattr(c_backend, "find_cc", lambda: str(fake))
+        assert resolve_backend("auto").name == "numpy"
+        note = backend_fallback_note()
+        assert "fake-cc: error: no backend" in note and "second" not in note
+        assert _walks(medium_graph) == expected
+        # The failed build leaves no temporary beside the real artefact
+        # the first ``_walks`` compiled.
+        assert not list((fresh_registry / "xdg" / "repro-kernels").glob("*.tmp"))
+
+    @needs_cc
+    def test_unwritable_cache(self, fresh_registry, monkeypatch, medium_graph):
+        expected = _walks(medium_graph)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(c_backend, "_cache_dir",
+                            lambda: fresh_registry / "missing" / "dir")
+        assert resolve_backend("auto").name == "numpy"
+        assert "build/load error" in backend_fallback_note()
+        assert _walks(medium_graph) == expected
+
+    @needs_cc
+    def test_self_test_mismatch(self, fresh_registry, monkeypatch):
+        monkeypatch.setattr(numpy_backend, "alias",
+                            lambda index, vs, level, out, *rest: out.__iadd__(1))
+        assert resolve_backend("c").name == "numpy"
+        assert "self-test mismatch" in backend_fallback_note()
+
+
+@needs_cc
+class TestCacheHygiene:
+    def test_cold_cache_race(self, fresh_registry):
+        """Two loaders racing an empty cache both succeed, and leave one
+        artefact and no temporary behind."""
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(c_backend.load().name))
+            for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+        assert results == ["c", "c"]
+        cache = fresh_registry / "xdg" / "repro-kernels"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        names = [p.name for p in cache.iterdir()]
+        assert len(names) == 1 and names[0].startswith("hop-") \
+            and names[0].endswith(".so")
+
+    def test_artefact_name_tracks_the_flags(self, fresh_registry, monkeypatch):
+        c_backend.load()
+        monkeypatch.setattr(c_backend, "CFLAGS", c_backend.CFLAGS + ("-DX=1",))
+        c_backend.load()
+        assert len(list((fresh_registry / "xdg" / "repro-kernels").iterdir())) == 2
+
+    def test_writable_by_others_is_refused(self, fresh_registry):
+        cache = fresh_registry / "xdg" / "repro-kernels"
+        cache.mkdir(parents=True)
+        cache.chmod(0o777)
+        private = c_backend._cache_dir()
+        assert private != cache
+        assert stat.S_IMODE(private.stat().st_mode) == 0o700
+        os.rmdir(private)
+        cache.chmod(0o700)
+        c_backend.load()
+        (artefact,) = cache.iterdir()
+        artefact.chmod(0o775)
+        with pytest.raises(c_backend.Unavailable, match="refusing"):
+            c_backend.load()
+
+
+class TestBackendIsVisible:
+    def test_info_gauge_round_trips(self):
+        registry = MetricsRegistry()
+        name = kernels.publish_backend(registry, "numpy")
+        assert name == "numpy"
+        text = to_prometheus(registry)
+        assert '# TYPE tea_kernel_backend gauge' in text
+        assert 'tea_kernel_backend{name="numpy"} 1' in text
+        parsed = parse_prometheus(text)
+        assert parsed['tea_kernel_backend{name="numpy"}'] == {
+            "type": "gauge", "value": 1.0}
+
+    def test_run_report_and_healthz(self, medium_graph):
+        from repro.serve.client import ServeClient
+        from repro.serve.server import WalkService
+
+        serving = resolve_backend("auto").name
+        result = BatchTeaEngine(medium_graph, exponential_walk(scale=8.0)).run(
+            Workload(max_length=5, max_walks=10), seed=1)
+        assert result.run_report()["gauges"][
+            f'kernel.backend{{name="{serving}"}}'] == 1
+        with WalkService(medium_graph, engine="tea-batch") as service:
+            client = ServeClient(port=service.port)
+            assert client.healthz()["kernel_backend"] == serving
+            assert f'tea_kernel_backend{{name="{serving}"}} 1' in client.metrics()
+        with WalkService(medium_graph, engine="tea") as service:
+            assert ServeClient(port=service.port).healthz()[
+                "kernel_backend"] is None

@@ -22,10 +22,10 @@ from repro.kernels import (
     KernelScratch,
     available_backends,
     backend_fallback_note,
-    numba_available,
     resolve_backend,
     sample_batch,
 )
+from repro.kernels import c_backend
 from repro.kernels.decay import DecayRadixForest
 from repro.rng import GeneratorLanes, LaneRng, make_rng
 from repro.sampling.counters import CostCounters
@@ -62,20 +62,21 @@ class TestBackendRegistry:
         assert isinstance(backend, KernelBackend)
         assert resolve_backend(backend) is backend
         auto = resolve_backend("auto")
-        assert auto.name == ("numba" if numba_available() else "numpy")
+        assert auto.name == ("c" if "c" in available_backends() else "numpy")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("cuda")
 
-    def test_numba_request_degrades_cleanly_when_absent(self):
-        resolved = resolve_backend("numba")
-        if numba_available():
-            assert resolved.name == "numba"
+    def test_compiled_backend_serves_wherever_a_compiler_exists(self):
+        # Compile-is-the-gate: a host with cc runs the C passes (no skip).
+        resolved = resolve_backend("c")
+        if c_backend.find_cc() is not None:
+            assert resolved.name == "c", backend_fallback_note()
+            assert backend_fallback_note() is None
         else:
             assert resolved.name == "numpy"
-            note = backend_fallback_note()
-            assert note is not None and "numba" in note
+            assert "cc" in backend_fallback_note()
 
 
 class TestUniformBlockContract:
