@@ -48,9 +48,13 @@ scaling-smoke:
 
 # Out-of-core smoke: scalar-vs-batched step parity at max_length=1,
 # coalescing (strictly fewer backing reads), cache hit-rate floor,
-# prefetch conservation and fixed-seed determinism.
+# prefetch conservation, fixed-seed determinism, and the structural
+# width-independence gate (one frontier iteration makes the same number
+# of Python-level calls at 1k and at 16k lanes: no per-range loops).
 ooc-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.engines.tea_outofcore.smoke
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
+		"tests/test_ooc_batch.py::TestWidthIndependence"
 	@echo "ooc-smoke: out-of-core invariants hold"
 
 # Resilience chaos smoke: inject every failure mode (worker crash, hang,

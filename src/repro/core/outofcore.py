@@ -5,19 +5,22 @@ smaller PAT and keeps only the *trunk-granularity* prefix sums resident
 (size |E| / trunkSize); the per-trunk alias tables and per-edge prefix
 sums live on disk and are loaded per sampling step:
 
+* candidate boundary inside a trunk → load that trunk's slice of the
+  per-edge prefix-sum array (the candidate total, and the ITS when the
+  draw lands in this partial trunk, both come out of it);
 * complete trunk selected → load that trunk's alias table
-  (O(trunkSize) bytes of I/O);
-* draw lands in the partial trunk → load that trunk's slice of the
-  per-edge prefix-sum array and ITS inside it.
+  (O(trunkSize) bytes of I/O).
 
 Either way a step reads O(trunkSize) bytes — versus GraphWalker's O(D)
 (it must load the vertex's whole neighbor list to rebuild the dynamic
 distribution). That I/O asymmetry is the entire story of Figure 14.
 
 :class:`TrunkStore` persists a built PAT to three flat binary files and
-reopens them as memory-maps; every access is accounted through
-:class:`~repro.sampling.counters.CostCounters` in I/O blocks so the
-benchmark reports a machine-independent I/O volume alongside wall time.
+reopens them as memory-maps; loaded trunks are kept for re-entry in a
+:class:`~repro.core.frame_pool.FramePool`, and every backing read is
+accounted through :class:`~repro.sampling.counters.CostCounters` in I/O
+blocks so the benchmark reports a machine-independent I/O volume
+alongside wall time.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.frame_pool import FramePool
 from repro.core.pat import PersistentAliasTable
 from repro.exceptions import ChecksumError, EmptyCandidateSetError
 from repro.sampling.alias import alias_draw
-from repro.sampling.counters import CostCounters
+from repro.sampling.counters import BLOCK_BYTES, CostCounters
 from repro.sampling.prefix_sum import draw_in_range, its_search
-from repro.telemetry import events
+from repro.telemetry import BYTES_BUCKETS, NULL_PROFILER, Histogram, events
 
 PathLike = Union[str, os.PathLike]
 
@@ -54,8 +58,10 @@ _ELEM_BYTES = 8
 
 _CHECKSUM_MANIFEST = "checksums.json"
 
-#: Files backing each logical region, in slice order.
+#: Files backing each logical region, in slice order, and the low key
+#: bits that tell their pool frames apart.
 _REGION_FILES = {"c": ("c",), "pa": ("prob", "alias")}
+_FILE_TAGS = {"c": np.array([0]), "pa": np.array([1, 2])}
 
 
 def _crc_pages(data: bytes, page_bytes: int) -> np.ndarray:
@@ -68,26 +74,37 @@ def _crc_pages(data: bytes, page_bytes: int) -> np.ndarray:
     return out
 
 
-def coalesce_runs(ranges):
-    """Merge lo-ascending ``(lo, hi, tag)`` ranges into maximal runs.
+#: Bits of a pool key holding a range's length; ranges are trunk-sized
+#: by contract, so a longer one is a caller bug, not a cache miss.
+_KEY_LEN_BITS = 20
+
+
+def coalesce_runs(los: np.ndarray, his: np.ndarray):
+    """Merge lo-ascending ``[lo, hi)`` ranges into maximal backing runs.
 
     Overlapping or exactly adjacent ranges (``next.lo <= run.hi``) join
-    the current run. Yields ``(run_lo, run_hi, [tags...])`` triples —
-    each run is one backing read whose union covers every member range.
+    the current run. Returns ``(first, run_lo, run_hi)`` arrays, one
+    entry per run: ``first`` is the row of the run's first member (rows
+    ``first[k] .. first[k+1]-1`` belong to run ``k``) and each run is
+    one backing read whose span covers every member range.
     """
-    run_lo = run_hi = None
-    members: list = []
-    for lo, hi, tag in ranges:
-        if run_lo is None:
-            run_lo, run_hi, members = lo, hi, [tag]
-        elif lo <= run_hi:
-            run_hi = max(run_hi, hi)
-            members.append(tag)
-        else:
-            yield run_lo, run_hi, members
-            run_lo, run_hi, members = lo, hi, [tag]
-    if run_lo is not None:
-        yield run_lo, run_hi, members
+    if not los.size:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    reach = np.maximum.accumulate(his)
+    starts = np.ones(los.size, dtype=bool)
+    starts[1:] = los[1:] > reach[:-1]
+    first = np.flatnonzero(starts)
+    return first, los[first], reach[np.append(first[1:] - 1, los.size - 1)]
+
+
+def _observe_values(hist, values: np.ndarray) -> None:
+    """One batched histogram update: a fold per *distinct* value."""
+    distinct, counts = values, np.ones(1, dtype=np.int64)
+    if values.size > 1:  # a batch of one is its own dedupe
+        distinct, counts = np.unique(values, return_counts=True)
+    for value, n in zip(distinct.tolist(), counts.tolist()):
+        hist.observe_n(value, n)
 
 
 class TrunkStore:
@@ -95,31 +112,41 @@ class TrunkStore:
 
     ``persist`` writes ``c.bin``, ``prob.bin`` and ``alias.bin`` into a
     directory; ``open`` maps them read-only. The maps are accessed only in
-    trunk-sized slices by :class:`OutOfCorePAT`, which accounts each
+    trunk-sized ranges by :class:`OutOfCorePAT`, which accounts each
     access as disk I/O.
 
-    Two read paths share one accounting discipline (:meth:`_read_region`):
-    the scalar per-step reads (``read_c`` / ``read_alias_trunk``) and the
-    batched frontier path (:meth:`read_batch`), which serves a whole
-    step's ranges at once and **coalesces** adjacent/overlapping misses
-    into single large backing reads — strictly fewer read operations for
-    the same logical bytes. The async prefetcher's bookkeeping
-    (issued/hit/wasted conservation, pin lifetimes) also lives here so
-    every counter is mutated from the sampling thread only.
+    There is one read path, :meth:`read_batch`: a whole frontier step's
+    ranges are deduplicated, looked up in the :class:`FramePool`
+    (``cache``), and the misses — sorted, so adjacent/overlapping ranges
+    **coalesce** into single backing runs — are gathered from the maps
+    in one fancy-index pass per file and admitted. The scalar reads
+    (``read_c`` / ``read_alias_trunk``) are batches of one. The async
+    prefetcher gathers off-thread through the same :meth:`_fetch` but
+    hands every result back to the sampling thread, so the pool and all
+    counters are mutated from that thread only.
+
+    Pool frames are ``max trunk + 1`` elements wide — one C-slice trunk
+    (``trunk + 1`` prefix sums), or one *file* of an alias trunk: its
+    prob row and its alias row (int64 bits) take a frame each, admitted
+    side by side, and the trunk is a hit when both are resident.
+    ``persist`` records the PAT's widest trunk in the manifest; a store
+    persisted without it sizes its pool from the first batch it serves.
+    Wider ranges, and every range when ``cache_bytes`` is below one
+    frame, bypass the pool and are served from the gather itself.
     """
 
     def __init__(self, directory: PathLike, cache_bytes: int = 0,
                  retry_policy=None, verify_checksums: bool = False,
                  fault_injector=None):
         self.directory = Path(directory)
-        self._c: Optional[np.memmap] = None
-        self._prob: Optional[np.memmap] = None
-        self._alias: Optional[np.memmap] = None
+        self._c: Optional[np.ndarray] = None
+        self._prob: Optional[np.ndarray] = None
+        self._alias: Optional[np.ndarray] = None
         #: Resilience wiring (see :mod:`repro.resilience`): transient
         #: read failures retry under ``retry_policy``; when
         #: ``verify_checksums`` every load is page-CRC-verified against
         #: the persisted manifest; ``fault_injector`` hooks the
-        #: ``trunk_read`` site into every backing load.
+        #: ``trunk_read`` site into every backing run.
         self.retry_policy = retry_policy
         self.verify_checksums = bool(verify_checksums)
         self.fault_injector = fault_injector
@@ -128,47 +155,50 @@ class TrunkStore:
         self._crc: Optional[dict] = None
         self._page_elems = CHECKSUM_PAGE_ELEMS
         # Paper §4.1's re-entry optimisation: reuse prior loaded data.
-        from repro.core.block_cache import BlockCache
-        from repro.telemetry import BYTES_BUCKETS, Histogram
-
-        self.cache = BlockCache(cache_bytes, on_evict=self._on_evict)
+        self.cache = FramePool(cache_bytes)
         # Phase attribution (ooc.cache / ooc.read / ooc.decode): NULL by
         # default; the owning engine routes its run profiler here. Only
         # the sampling thread's accounted reads charge phases — the
-        # prefetch worker calls _load directly and stays profiler-free
+        # prefetch worker calls _fetch directly and stays profiler-free
         # (the profiler stack is single-threaded by design).
-        from repro.telemetry import NULL_PROFILER
-
         self.profiler = NULL_PROFILER
         # Standalone histogram of bytes per trunk load (cache misses
         # only); merged into a run's registry by publish_telemetry.
         self.read_bytes_hist = Histogram(
             "ooc.trunk_read_bytes", "bytes per trunk payload load", **BYTES_BUCKETS
         )
-        # Bytes per *backing* read after coalescing (batched path and
-        # prefetcher only — scalar reads are their own backing reads).
+        # Bytes per *backing* run after coalescing (sync misses and the
+        # prefetcher alike).
         self.coalesced_hist = Histogram(
             "ooc.coalesced_read_bytes", "bytes per coalesced backing read",
             **BYTES_BUCKETS,
         )
-        #: Backing-store read operations (cache misses + prefetch runs).
+        #: Backing-store read operations (coalesced runs, sync + prefetch).
         #: The coalescing win is this number shrinking, not io_bytes.
         self.read_ops = 0
-        # -- prefetch bookkeeping (sampling-thread only) ----------------
-        # key -> admission generation; a key leaves exactly once, into
-        # hits (consumed), or wasted (evicted unused / unused at exit).
-        self._prefetch_pending: dict = {}
-        self._prefetch_gen = 0
+        # -- prefetch ledger (sampling-thread only) ---------------------
+        # A warmed trunk waits in the pool flagged ``pending`` and leaves
+        # exactly once: consumed by the sampler (hit) or evicted / never
+        # used (wasted); both exits are flag sums inside the pool.
         self.prefetch_enabled = False
         self.prefetch_issued = 0
-        self.prefetch_hits = 0
-        self.prefetch_wasted = 0
+        self._prefetch_redundant = 0
         self.prefetch_in_flight = 0
         self.prefetch_overlap_seconds = 0.0
         # Dropped submissions (queue full) and worker failures never
         # enter the issued ledger; they get their own visible counters.
         self.prefetch_dropped = 0
         self.prefetch_failures = 0
+
+    @property
+    def prefetch_hits(self) -> int:
+        return self.cache.consumed
+
+    @property
+    def prefetch_wasted(self) -> int:
+        """Warmed but evicted/never used, plus arrivals the pool did not
+        need (already resident) or could not hold."""
+        return self.cache.lost + self._prefetch_redundant
 
     @classmethod
     def persist(cls, pat: PersistentAliasTable, directory: PathLike,
@@ -180,6 +210,7 @@ class TrunkStore:
             "version": 1,
             "algorithm": "crc32",
             "page_elems": CHECKSUM_PAGE_ELEMS,
+            "max_trunk": int(pat.trunk_sizes.max(initial=1)),
             "files": {},
         }
         arrays = {
@@ -199,13 +230,20 @@ class TrunkStore:
         return store
 
     def open(self) -> "TrunkStore":
-        self._c = np.memmap(self.directory / "c.bin", dtype=np.float64, mode="r")
-        self._prob = np.memmap(self.directory / "prob.bin", dtype=np.float64, mode="r")
-        self._alias = np.memmap(self.directory / "alias.bin", dtype=np.int64, mode="r")
+        # Plain ndarray views of the maps: the gathers below index them
+        # with fancy indices, which np.memmap would route through its
+        # Python-level subclass hooks. The view keeps the map alive.
+        self._c, self._prob, self._alias = (
+            np.asarray(np.memmap(self.directory / f"{name}.bin", dtype=dtype, mode="r"))
+            for name, dtype in (("c", np.float64), ("prob", np.float64),
+                                ("alias", np.int64))
+        )
         manifest_path = self.directory / _CHECKSUM_MANIFEST
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text())
             self._page_elems = int(manifest.get("page_elems", CHECKSUM_PAGE_ELEMS))
+            if "max_trunk" in manifest and not self.cache.width:
+                self.cache.set_width(int(manifest["max_trunk"]) + 1)
             self._crc = {
                 name: np.fromfile(self.directory / f"{name}.crc", dtype=np.uint32)
                 for name in ("c", "prob", "alias")
@@ -228,31 +266,34 @@ class TrunkStore:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- accounted reads ------------------------------------------------------
+    # -- backing loads ---------------------------------------------------------
 
     def _region_maps(self, region: str):
         return (self._c,) if region == "c" else (self._prob, self._alias)
 
-    def _load(self, region: str, lo: int, hi: int):
-        """Copy a region slice out of the memory-maps (no accounting).
+    def _fetch(self, region: str, los: np.ndarray, lens: np.ndarray):
+        """Gather lo-ascending ranges from the maps, one run at a time
+        as far as the backing store is concerned: ``(staging,
+        run_bytes)``. No accounting and no pool access, so the prefetch
+        worker may call it off-thread (``io_retries`` is the one
+        counter touched, under its own lock).
 
-        Returns owned arrays, never memmap views: cached blocks must
-        stay valid after :meth:`close` and must not pin the maps' pages.
-        The prefetch worker calls this off-thread — it touches only the
-        read-only maps, never the cache or any counter (``io_retries``
-        is the one exception, incremented under its own lock).
-
-        Resilience wiring: transient failures (including injected
-        ``io_error`` faults) retry under :attr:`retry_policy`; when
-        :attr:`verify_checksums` is set the load is page-aligned and
-        every covered page's CRC32 is checked against the persisted
-        manifest, raising :class:`ChecksumError` on mismatch.
+        Resilience wiring: the ``trunk_read`` fault site fires once per
+        backing run; transient failures (including injected
+        ``io_error`` faults) retry the whole gather under
+        :attr:`retry_policy`; when :attr:`verify_checksums` is set every
+        distinct CRC page under the ranges is checked once, before its
+        bytes are served, raising :class:`ChecksumError` on mismatch.
         """
+        first, run_lo, run_hi = coalesce_runs(los, los + lens)
         if self.retry_policy is None:
-            return self._load_once(region, lo, hi)
-        return self.retry_policy.call(
-            self._load_once, region, lo, hi, on_retry=self._on_io_retry
-        )
+            staging = self._gather(region, los, lens, first)
+        else:
+            staging = self.retry_policy.call(
+                self._gather, region, los, lens, first,
+                on_retry=self._on_io_retry,
+            )
+        return staging, (run_hi - run_lo) * _REGION_WIDTH[region]
 
     def _on_io_retry(self, attempt: int, exc: BaseException) -> None:
         with self._retry_lock:
@@ -260,61 +301,62 @@ class TrunkStore:
         events.emit("io.retry", site="trunk_read", attempt=int(attempt),
                     error=type(exc).__name__)
 
-    def _load_once(self, region: str, lo: int, hi: int):
-        token = None
+    def _gather(self, region: str, los, lens, first) -> np.ndarray:
+        """``(ranges, files, widest)`` float64 staging matrix: row ``i``
+        holds ``[los[i], los[i] + lens[i])`` of each region file (alias
+        indices as their int64 bits), padded by repeating its last
+        element — an owned copy that stays valid after :meth:`close`."""
+        tokens = ()
         if self.fault_injector is not None:
-            token = self.fault_injector.check("trunk_read")
-        if not self.verify_checksums and token is None:
-            if region == "c":
-                return np.array(self._c[lo:hi])
-            return (np.array(self._prob[lo:hi]), np.array(self._alias[lo:hi]))
-        return self._load_checked(region, lo, hi, token)
-
-    def _load_checked(self, region: str, lo: int, hi: int, token):
-        """Verified (and/or fault-corrupted) load of one region slice.
-
-        When verifying, the read widens to page boundaries so whole
-        pages can be CRC-checked; injected corruption lands on the
-        loaded copy *before* verification, which is exactly how real
-        bit rot between persist and read presents.
-        """
+            tokens = [self.fault_injector.check("trunk_read") for _ in first]
+        idx = los[:, None] + np.minimum(np.arange(lens.max()), lens[:, None] - 1)
         names = _REGION_FILES[region]
-        page = self._page_elems
-        out = []
-        for which, (name, mm) in enumerate(zip(names, self._region_maps(region))):
+        out = np.empty((los.size, len(names)) + idx.shape[1:], dtype=np.float64)
+        for plane, (name, mm) in enumerate(zip(names, self._region_maps(region))):
             if self.verify_checksums:
-                plo = (lo // page) * page
-                phi = min(((hi + page - 1) // page) * page, mm.size)
+                got = self._gather_verified(name, mm, idx, first, tokens)
             else:
-                plo, phi = lo, hi
-            span = np.array(mm[plo:phi])
-            if token is not None and which == 0 and span.size:
-                buf = span.view(np.uint8)
-                buf[token % buf.size] ^= np.uint8(1 << (token % 8))
-            if self.verify_checksums:
-                self._verify_span(name, plo, span)
-            out.append(np.array(span[lo - plo : hi - plo]))
-        return out[0] if region == "c" else tuple(out)
+                got = mm[idx]
+                self._corrupt(got, first, lens[first], tokens)
+            out[:, plane] = got.view(np.float64)
+            tokens = ()  # injected corruption lands on the first file only
+        return out
 
-    def _verify_span(self, name: str, plo: int, span: np.ndarray) -> None:
+    @staticmethod
+    def _corrupt(buf: np.ndarray, rows, valid, tokens) -> None:
+        """Flip the bit each fired ``corrupt_block`` token addresses,
+        inside the valid prefix of its run's first row of ``buf``."""
+        raw = buf.view(np.uint8)
+        for row, n, token in zip(rows, valid, tokens):
+            if token is not None:
+                raw[row, token % (int(n) * _ELEM_BYTES)] ^= np.uint8(1 << (token % 8))
+
+    def _gather_verified(self, name: str, mm, idx, first, tokens) -> np.ndarray:
+        """Serve ``mm[idx]`` out of whole, CRC-checked pages. Injected
+        corruption lands on the loaded pages *before* verification,
+        which is exactly how real bit rot between persist and read
+        presents."""
+        page = self._page_elems
+        pages, where = np.unique((idx // page).ravel(), return_inverse=True)
+        where = where.reshape(idx.shape)
+        valid = np.minimum(page, mm.size - pages * page)
+        buf = mm[np.minimum(pages[:, None] * page + np.arange(page), mm.size - 1)]
+        rows = where[first, 0]
+        self._corrupt(buf, rows, valid[rows], tokens)
         crc = (self._crc or {}).get(name)
         path = self.directory / f"{name}.bin"
         if crc is None:
-            raise ChecksumError(
-                f"no checksum sidecar for {path}", path=path
-            )
-        page_bytes = self._page_elems * _ELEM_BYTES
-        data = span.tobytes()
-        first_page = plo // self._page_elems
-        for k, actual in enumerate(_crc_pages(data, page_bytes)):
-            expected = int(crc[first_page + k])
-            if int(actual) != expected:
+            raise ChecksumError(f"no checksum sidecar for {path}", path=path)
+        for k, number in enumerate(pages.tolist()):
+            actual = zlib.crc32(buf[k, : valid[k]].tobytes())
+            expected = int(crc[number])
+            if actual != expected:
                 raise ChecksumError(
-                    f"checksum mismatch in {path} page {first_page + k} "
-                    f"(expected {expected:#010x}, got {int(actual):#010x})",
-                    path=path, page=first_page + k,
-                    expected=expected, actual=int(actual),
+                    f"checksum mismatch in {path} page {number} "
+                    f"(expected {expected:#010x}, got {actual:#010x})",
+                    path=path, page=number, expected=expected, actual=actual,
                 )
+        return buf[where, idx % page]
 
     def scrub(self) -> dict:
         """Verify every page of every store file against the manifest.
@@ -371,115 +413,111 @@ class TrunkStore:
             if opened_here:
                 self.close()
 
-    def _read_region(self, region: str, lo: int, hi: int,
-                     counters: Optional[CostCounters]):
-        """One accounted read: cache consult, then a charged miss load."""
-        key = (region, lo, hi)
-        with self.profiler.phase("ooc.cache"):
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._note_consumed(key)
-                return cached
-        nbytes = (hi - lo) * _REGION_WIDTH[region]
+    # -- accounted reads ------------------------------------------------------
+
+    def frame_keys(self, region: str, los: np.ndarray, lens: np.ndarray) -> np.ndarray:
+        """``(ranges, files)`` pool keys of ``[lo, lo + len)`` ranges: one
+        frame per region file, ``(lo, len, file)`` packed into one int64,
+        so sorting keys sorts by ``lo``. Bounds are checked here, once,
+        before anything indexes the maps."""
+        size = self._region_maps(region)[0].size
+        # lo >= 0, 1 <= len < 2^bits, lo + len <= size: each term is
+        # negative exactly when its bound is broken, and so is their OR.
+        if ((los | (lens - 1) | (size - los - lens)
+             | ((1 << _KEY_LEN_BITS) - 1 - lens)) < 0).any():
+            raise IndexError(
+                f"range outside region {region!r} of {size} elements "
+                f"(or longer than {1 << _KEY_LEN_BITS})"
+            )
+        return ((los << _KEY_LEN_BITS | lens) << 2)[:, None] | _FILE_TAGS[region]
+
+    def frame_entries(self, widest: int) -> int:
+        """Elements one pool frame holds. A store persisted without its
+        trunk width sizes the pool from the first batch it serves."""
+        if not self.cache.width:
+            self.cache.set_width(widest + 1)
+        return self.cache.width
+
+    def _account_runs(self, run_bytes: np.ndarray,
+                      counters: Optional[CostCounters]) -> None:
         if counters is not None:
-            counters.record_io(nbytes)
-        self.read_bytes_hist.observe(nbytes)
-        self.read_ops += 1
-        with self.profiler.phase("ooc.read"):
-            block = self._load(region, lo, hi)
-        self.cache.put(key, block)
-        return block
-
-    def read_c(self, lo: int, hi: int, counters: Optional[CostCounters]) -> np.ndarray:
-        return self._read_region("c", lo, hi, counters)
-
-    def read_alias_trunk(self, lo: int, hi: int, counters: Optional[CostCounters]):
-        return self._read_region("pa", lo, hi, counters)
+            counters.io_bytes += int(run_bytes.sum())
+            counters.io_blocks += int((-(-run_bytes // BLOCK_BYTES)).sum())
+        self.read_ops += run_bytes.size
+        _observe_values(self.coalesced_hist, run_bytes)
 
     def read_batch(self, region: str, los, his,
                    counters: Optional[CostCounters]):
         """Serve a whole frontier step's ranges in one accounted pass.
 
-        Duplicate ranges collapse to one lookup; misses are sorted and
-        **coalesced** — overlapping or exactly adjacent ``(lo, hi)``
-        ranges become one backing read spanning their union — so a step
-        needing k ranges costs at most k (and typically far fewer) read
-        operations. Returns ``(blocks, inverse)`` with
-        ``blocks[inverse[i]]`` the block for ``(los[i], his[i])``.
+        Duplicate ranges collapse to one lookup; misses are **coalesced**
+        — overlapping or exactly adjacent ``[lo, hi)`` ranges are one
+        backing run spanning their union — so a step needing k ranges
+        costs at most k (and typically far fewer) read operations.
+        Returns ``(payload, lengths, inverse)``: range ``i`` is
+        ``payload[inverse[i], ..., :lengths[inverse[i]]]`` — a read-only
+        matrix with one row per distinct range, shaped ``(rows, widest)``
+        for ``"c"`` and ``(rows, 2, widest)`` (prob, alias bits) for
+        ``"pa"``; columns past a row's length are padding.
         """
-        los = np.asarray(los, dtype=np.int64)
-        his = np.asarray(his, dtype=np.int64)
-        n = los.size
-        if n == 0:
-            return [], np.zeros(0, dtype=np.int64)
-        # Manual unique-by-pair (np.unique(axis=0) inverse shapes vary
-        # across numpy versions): lexsort puts equal pairs together and
-        # misses in lo-ascending order, which coalescing needs anyway.
-        order = np.lexsort((his, los))
-        slo, shi = los[order], his[order]
-        new = np.ones(n, dtype=bool)
-        new[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[order] = np.cumsum(new) - 1
-        uniq_lo = slo[new].tolist()
-        uniq_hi = shi[new].tolist()
-        width = _REGION_WIDTH[region]
-        blocks: list = [None] * len(uniq_lo)
-        missing = []
-        cache_get = self.cache.get
-        note = self._note_consumed if self._prefetch_pending else None
+        los = np.asarray(los, dtype=np.int64).ravel()
+        lens = np.asarray(his, dtype=np.int64).ravel() - los
+        pool = self.cache
+        files = len(_REGION_FILES[region])
+        if not los.size:
+            empty = np.zeros((0, files, 0))
+            return (empty[:, 0] if files == 1 else empty), lens, lens
         profiler = self.profiler
         with profiler.phase("ooc.cache"):
-            for j, (lo, hi) in enumerate(zip(uniq_lo, uniq_hi)):
-                key = (region, lo, hi)
-                cached = cache_get(key)
-                if cached is not None:
-                    if note is not None:
-                        note(key)
-                    blocks[j] = cached
-                else:
-                    missing.append(j)
-        for run in coalesce_runs(
-            [(uniq_lo[j], uniq_hi[j], j) for j in missing]
-        ):
-            run_lo, run_hi, members = run
-            nbytes = (run_hi - run_lo) * width
-            if counters is not None:
-                counters.record_io(nbytes)
-            self.coalesced_hist.observe(nbytes)
-            self.read_ops += 1
+            keys = self.frame_keys(region, los, lens)
+            inverse = np.zeros(1, dtype=np.int64)
+            if los.size > 1:  # a batch of one is its own dedupe
+                _, first, inverse = np.unique(
+                    keys[:, 0], return_index=True, return_inverse=True)
+                keys, los, lens = keys[first], los[first], lens[first]
+            widest = int(lens.max())
+            fits = lens <= self.frame_entries(widest)
+            frames = pool.touch(np.where(fits[:, None], keys, -1).ravel())
+            frames = frames.reshape(keys.shape)
+            hit = (frames >= 0).all(axis=1)  # every file's frame resident
+            payload = np.empty((los.size, files, widest), dtype=np.float64)
+            span = min(widest, pool.width)
+            payload[hit, :, :span] = pool.slab[frames[hit], :span]
+        if not hit.all():
+            miss = np.flatnonzero(~hit)
             with profiler.phase("ooc.read"):
-                big = self._load(region, run_lo, run_hi)
+                staging, run_bytes = self._fetch(region, los[miss], lens[miss])
             with profiler.phase("ooc.decode"):
-                for j in members:
-                    lo, hi = uniq_lo[j], uniq_hi[j]
-                    if region == "c":
-                        block = np.array(big[lo - run_lo : hi - run_lo])
-                    else:
-                        block = (
-                            np.array(big[0][lo - run_lo : hi - run_lo]),
-                            np.array(big[1][lo - run_lo : hi - run_lo]),
-                        )
-                    self.read_bytes_hist.observe((hi - lo) * width)
-                    self.cache.put((region, lo, hi), block)
-                    blocks[j] = block
-        return blocks, inverse
+                self._account_runs(run_bytes, counters)
+                _observe_values(self.read_bytes_hist,
+                                lens[miss] * _REGION_WIDTH[region])
+                payload[miss, :, : staging.shape[2]] = staging
+                keep = miss[fits[miss]]
+                self._admit(keys[keep], lens[keep], staging[fits[miss]])
+        payload.setflags(write=False)
+        return (payload[:, 0] if files == 1 else payload), lens, inverse
 
-    # -- prefetch bookkeeping --------------------------------------------------
-    # The async prefetcher (engines.tea_outofcore.prefetch) reads the
-    # maps off-thread but hands every result back to the sampling thread,
-    # which calls these hooks — so the cache and all counters stay
+    def _admit(self, keys, lens, staging, pin: bool = False) -> np.ndarray:
+        """Admit ``(ranges, files, n)`` staging rows, one frame per file,
+        a range's frames side by side (so a pool too full for the batch
+        turns whole ranges away, not their halves); the admitted mask."""
+        return self.cache.admit(
+            keys.ravel(), staging.reshape(keys.size, staging.shape[2]),
+            np.repeat(lens * _ELEM_BYTES, keys.shape[1]), pin=pin)
+
+    def read_c(self, lo: int, hi: int, counters: Optional[CostCounters]) -> np.ndarray:
+        return self.read_batch("c", lo, hi, counters)[0][0]
+
+    def read_alias_trunk(self, lo: int, hi: int, counters: Optional[CostCounters]):
+        payload = self.read_batch("pa", lo, hi, counters)[0]
+        return payload[0, 0], payload[0, 1].view(np.int64)
+
+    # -- prefetch ledger -------------------------------------------------------
+    # The async prefetcher (engines.tea_outofcore.prefetch) gathers off-
+    # thread but hands every result back to the sampling thread, which
+    # calls these hooks — so the pool and all counters stay
     # single-threaded. Conservation invariant (tested, exported):
     #     issued == hits + wasted + in_flight_at_exit.
-
-    def _note_consumed(self, key) -> None:
-        if self._prefetch_pending.pop(key, None) is not None:
-            self.prefetch_hits += 1
-            self.cache.unpin(key)
-
-    def _on_evict(self, key) -> None:
-        if self._prefetch_pending.pop(key, None) is not None:
-            self.prefetch_wasted += 1
 
     def note_prefetch_issued(self, n: int) -> None:
         self.prefetch_enabled = True
@@ -497,41 +535,22 @@ class TrunkStore:
         self.prefetch_failures += 1
         events.emit("prefetch.failure")
 
-    def begin_prefetch_generation(self) -> None:
-        """Unpin pending blocks from earlier steps (missed their window).
-
-        They stay cached and still count as prefetch hits if consumed
-        later — the pin, not the entry, expires. Bounds pinned bytes to
-        roughly one step's predictions.
-        """
-        self._prefetch_gen += 1
-        for key, gen in list(self._prefetch_pending.items()):
-            if gen < self._prefetch_gen:
-                self.cache.unpin(key)
-
-    def admit_prefetched(self, key, value) -> None:
-        """Admit one warmed block (sampling thread, at queue drain)."""
-        if key in self._prefetch_pending:
-            self.prefetch_wasted += 1  # duplicate arrival: redundant read
-            return
-        if key in self.cache:
-            # The sampler got there first: the warmed copy is redundant.
-            self.prefetch_wasted += 1
-            return
-        self.cache.put(key, value, pin=True)
-        if key in self.cache:
-            self._prefetch_pending[key] = self._prefetch_gen
-        else:
-            self.prefetch_wasted += 1  # rejected (oversized / disabled)
+    def admit_prefetched(self, keys, lens, staging, run_bytes,
+                         counters: Optional[CostCounters]) -> None:
+        """Admit one region's warmed trunks pinned (sampling thread, at
+        queue drain). The runs are charged here — to the walk's own
+        counters, because they are real backing reads issued on its
+        behalf. Frames the sampler beat to the pool, or the pool cannot
+        hold, are redundant reads: wasted."""
+        self._account_runs(run_bytes, counters)
+        admitted = self._admit(keys, lens, staging, pin=True)
+        self._prefetch_redundant += int(keys.size - admitted.sum())
 
     def finalize_prefetch(self, in_flight: int, overlap_seconds: float) -> None:
-        """Close out a run: unconsumed warm blocks become wasted."""
+        """Close out a run: unconsumed warm trunks become wasted."""
         self.prefetch_in_flight += int(in_flight)
         self.prefetch_overlap_seconds += float(overlap_seconds)
-        for key in list(self._prefetch_pending):
-            self.cache.unpin(key)
-            self.prefetch_wasted += 1
-        self._prefetch_pending.clear()
+        self.cache.settle_awaiting()
 
     def publish_telemetry(self, registry) -> None:
         """Cache hit/miss/bytes counters plus the trunk-load histogram."""
@@ -542,18 +561,8 @@ class TrunkStore:
         registry.counter(
             "ooc.read_ops", "backing reads (cache misses + prefetch runs)"
         ).inc(self.read_ops)
-        registry.histogram(
-            "ooc.trunk_read_bytes", self.read_bytes_hist.help,
-            start=self.read_bytes_hist.start,
-            growth=self.read_bytes_hist.growth,
-            buckets=len(self.read_bytes_hist.bounds),
-        ).merge_from(self.read_bytes_hist)
-        registry.histogram(
-            "ooc.coalesced_read_bytes", self.coalesced_hist.help,
-            start=self.coalesced_hist.start,
-            growth=self.coalesced_hist.growth,
-            buckets=len(self.coalesced_hist.bounds),
-        ).merge_from(self.coalesced_hist)
+        for hist in (self.read_bytes_hist, self.coalesced_hist):
+            registry.histogram(hist.name, hist.help, **BYTES_BUCKETS).merge_from(hist)
         if self.io_retries:
             registry.counter(
                 "resilience.io_retries",
@@ -562,23 +571,16 @@ class TrunkStore:
         if self.fault_injector is not None:
             self.fault_injector.publish(registry)
         if self.prefetch_enabled:
-            registry.counter(
-                "prefetch.issued", "prefetch requests submitted"
-            ).inc(self.prefetch_issued)
-            registry.counter(
-                "prefetch.hits", "prefetched blocks consumed by the sampler"
-            ).inc(self.prefetch_hits)
-            registry.counter(
-                "prefetch.wasted", "prefetched blocks never consumed"
-            ).inc(self.prefetch_wasted)
-            registry.counter(
-                "prefetch.dropped",
-                "prefetch submissions rejected by a full request queue",
-            ).inc(self.prefetch_dropped)
-            registry.counter(
-                "prefetch.failures",
-                "prefetch worker errors (read-ahead disabled, sync fallback)",
-            ).inc(self.prefetch_failures)
+            for name, help_text, value in (
+                ("issued", "prefetch requests submitted", self.prefetch_issued),
+                ("hits", "prefetched trunks consumed by the sampler", self.prefetch_hits),
+                ("wasted", "prefetched trunks never consumed", self.prefetch_wasted),
+                ("dropped", "prefetch submissions rejected by a full request queue",
+                 self.prefetch_dropped),
+                ("failures", "prefetch worker errors (read-ahead disabled, sync fallback)",
+                 self.prefetch_failures),
+            ):
+                registry.counter(f"prefetch.{name}", help_text).inc(value)
             registry.gauge(
                 "prefetch.in_flight", "requests still in flight at exit"
             ).set(self.prefetch_in_flight)
@@ -607,6 +609,12 @@ class OutOfCorePAT:
     :class:`PersistentAliasTable` exactly (tested), because the sampling
     logic consumes randomness identically — only the storage tier of each
     array differs.
+
+    The unit read from disk is the paper's: a whole trunk. A step reads
+    at most the **C-slice trunk** holding its candidate boundary
+    (prefix sums ``C[k·ts .. min((k+1)·ts, d)]`` of trunk ``k = s // ts``:
+    the candidate total *and* the partial-trunk ITS come out of it) and
+    the winning complete trunk's **alias trunk**.
     """
 
     __slots__ = ("indptr", "trunk_sizes", "tr_indptr", "tr_prefix", "store")
@@ -624,30 +632,54 @@ class OutOfCorePAT:
         nt[nz] = -(-degrees[nz] // self.trunk_sizes[nz]) + 1
         self.tr_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(nt, out=self.tr_indptr[1:])
-        self.tr_prefix = np.zeros(int(self.tr_indptr[-1]), dtype=np.float64)
-        for v in np.flatnonzero(nz):
-            d = int(degrees[v])
-            ts = int(self.trunk_sizes[v])
-            base = int(self.indptr[v] + v)  # c-layout base
-            bounds = np.minimum(np.arange(0, nt[v]) * ts, d)
-            self.tr_prefix[self.tr_indptr[v] : self.tr_indptr[v + 1]] = pat.c[base + bounds]
+        # Boundary j of vertex v sits at C-layout position
+        # indptr[v] + v + min(j·ts, d): one position array, one gather.
+        k = np.arange(self.tr_indptr[-1]) - np.repeat(self.tr_indptr[:-1], nt)
+        bounds = np.minimum(k * np.repeat(self.trunk_sizes, nt), np.repeat(degrees, nt))
+        self.tr_prefix = pat.c[
+            np.repeat(self.indptr[:-1] + np.arange(n), nt) + bounds
+        ].astype(np.float64, copy=False)
 
     def resident_nbytes(self) -> int:
-        """Bytes held in memory (what Figure 14's 16 GB budget constrains)."""
+        """Bytes held in memory (what Figure 14's 16 GB budget constrains):
+        the boundary prefix sums plus the pool's index columns (the pool
+        slab itself is the ``cache_bytes`` budget, reported apart)."""
         return int(
             self.tr_prefix.nbytes
             + self.tr_indptr.nbytes
             + self.trunk_sizes.nbytes
             + self.indptr.nbytes
+            + self.store.cache.index_nbytes()
         )
+
+    def check_lanes(self, vs: np.ndarray, ss: np.ndarray) -> None:
+        """``0 <= v < V`` and ``1 <= s <= deg(v)`` for every lane, once
+        per call and before any key or offset is computed: numpy wraps
+        a negative index silently, and a wrapped index is a wrong walk,
+        not a crash."""
+        if not vs.size:
+            return
+        if vs.min() < 0 or vs.max() >= self.indptr.size - 1:
+            raise IndexError(
+                f"vertex outside [0, {self.indptr.size - 1}) in a sampling batch")
+        if ss.min() < 1 or (ss > self.indptr[vs + 1] - self.indptr[vs]).any():
+            raise IndexError("candidate size outside [1, degree] in a sampling batch")
+
+    def c_trunks(self, vs, ss, ts):
+        """``[lo, hi)`` of the C-slice trunk holding boundary ``ss`` of
+        each ``vs`` (trunk ``ss // ts``), in C-layout positions."""
+        base = self.indptr[vs] + vs
+        start = ss // ts * ts
+        degrees = self.indptr[vs + 1] - self.indptr[vs]
+        return base + start, base + np.minimum(start + ts, degrees) + 1
 
     def candidate_weight(self, v: int, candidate_size: int, counters=None) -> float:
         """Total weight of the candidate prefix (may need one disk read)."""
         ts = int(self.trunk_sizes[v])
         if candidate_size % ts == 0:
             return float(self.tr_prefix[self.tr_indptr[v] + candidate_size // ts])
-        base = int(self.indptr[v] + v)
-        return float(self.store.read_c(base + candidate_size, base + candidate_size + 1, counters)[0])
+        lo, hi = self.c_trunks(v, candidate_size, ts)
+        return float(self.store.read_c(lo, hi, counters)[candidate_size % ts])
 
     def sample(
         self,
@@ -664,20 +696,21 @@ class OutOfCorePAT:
         s = int(candidate_size)
         if s <= 0:
             raise EmptyCandidateSetError(f"vertex {v}: empty candidate set")
+        if not 0 <= v < self.indptr.size - 1 or s > self.indptr[v + 1] - self.indptr[v]:
+            raise IndexError(f"vertex {v}: candidate size {s} outside [1, degree]")
         ts = int(self.trunk_sizes[v])
-        full = s // ts
+        full, rem = divmod(s, ts)
         tb = self.tr_indptr[v]
-        cbase = int(self.indptr[v] + v)
-        if s % ts == 0:
-            total = float(self.tr_prefix[tb + full])
-        else:
+        full_weight = float(self.tr_prefix[tb + full])
+        total, c_trunk = full_weight, None
+        if rem:
             # The candidate boundary falls inside the partial trunk: its
-            # exact prefix weight lives on disk.
-            total = float(self.store.read_c(cbase + s, cbase + s + 1, counters)[0])
+            # exact prefix weight lives on disk, in the trunk's C slice.
+            c_trunk = self.store.read_c(*self.c_trunks(v, s, ts), counters)
+            total = float(c_trunk[rem])
         if not (total > 0):
             raise EmptyCandidateSetError(f"vertex {v}: zero-weight candidate set")
         r = draw_in_range(rng, 0.0, total)
-        full_weight = float(self.tr_prefix[tb + full])
         if full and r <= full_weight:
             lo_j, hi_j = 0, full
             while hi_j - lo_j > 1:
@@ -695,5 +728,4 @@ class OutOfCorePAT:
             return trunk * ts + int(local)
         if counters is not None:
             counters.record_probe()
-        c_slice = self.store.read_c(cbase + full * ts, cbase + s + 1, counters)
-        return full * ts + (its_search(c_slice, r, 0, s - full * ts, counters))
+        return full * ts + its_search(c_trunk, r, 0, rem, counters)

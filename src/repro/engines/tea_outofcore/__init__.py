@@ -3,8 +3,9 @@
 * :class:`TeaOutOfCoreEngine` — the scalar reference: one synchronous
   trunk read per walker step (``scalar``).
 * :class:`BatchTeaOutOfCoreEngine` — the batched fast path: frontier
-  vectorised sampling with coalesced reads, async prefetch and the
-  scan-resistant segmented cache (``batch``, ``prefetch``).
+  vectorised sampling over whole-trunk payload matrices, coalesced
+  reads, async prefetch and the scan-resistant frame pool (``batch``,
+  ``prefetch``).
 
 ``python -m repro.engines.tea_outofcore.smoke`` runs the parity and
 cache-sanity invariants ``make ooc-smoke`` gates on.

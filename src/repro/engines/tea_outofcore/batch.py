@@ -5,16 +5,18 @@ pays one synchronous trunk read per walker per step. This engine
 advances the whole frontier per iteration instead, which turns the I/O
 pattern itself into an optimisation surface:
 
-* every lane's range requests for the step are collected and served by
-  one :meth:`TrunkStore.read_batch` call — duplicates collapse, and
-  adjacent/overlapping ranges **coalesce** into single large backing
-  reads (strictly fewer read operations for the same logical bytes);
+* a lane reads whole trunks only — the C-slice trunk holding its
+  candidate boundary and the winning alias trunk — and every lane's
+  trunks for the step are served by one :meth:`TrunkStore.read_batch`
+  call per region: duplicates collapse, adjacent/overlapping ranges
+  **coalesce** into single large backing reads, and the payload comes
+  back as one matrix the sampler indexes (no per-block loop);
 * after each frontier advance the engine knows exactly which vertices
   the next iteration samples, so it predicts their trunk demand and
   hands it to the :class:`AsyncPrefetcher`, overlapping next-step I/O
   with this step's sampling compute;
-* the scan-resistant segmented cache keeps hub trunks resident while
-  the coalesced cold reads churn through probation only.
+* the scan-resistant frame pool keeps hub trunks resident while the
+  coalesced cold reads churn through probation only.
 
 Sampling semantics are :meth:`OutOfCorePAT.sample` exactly — same
 trunk-boundary ITS, same in-trunk alias draw, same partial-trunk search
@@ -38,17 +40,16 @@ from typing import Optional
 import numpy as np
 
 from repro.core.outofcore import OutOfCorePAT
-from repro.engines.base import Engine
 from repro.engines.batch import BatchTeaEngine
 from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
 from repro.engines.tea_outofcore.scalar import (
     DEFAULT_OOC_TRUNK_SIZE,
+    OutOfCoreReporting,
     build_ooc_index,
 )
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelScratch
 from repro.rng import GeneratorLanes
-from repro.telemetry import MemoryReport
 from repro.sampling.counters import CostCounters
 from repro.walks.spec import WalkSpec
 
@@ -79,8 +80,8 @@ def ooc_sample_batch(
     ITS over the resident boundary prefix sums, alias draw inside the
     winning trunk, partial-trunk ITS over a disk slice — with every
     disk access routed through :meth:`TrunkStore.read_batch` so the
-    whole frontier's ranges dedupe and coalesce. Every ``ss`` entry
-    must be >= 1. Probe counts for the lockstep boundary search are
+    whole frontier's trunks dedupe and coalesce. Lanes are validated
+    first (``IndexError`` unless ``0 <= v < V`` and ``1 <= s <= deg``). Probe counts for the lockstep boundary search are
     exact; partial-trunk search probes are the usual batched
     approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
 
@@ -97,26 +98,24 @@ def ooc_sample_batch(
     if lanes is None:
         lanes = np.arange(n, dtype=np.int64)
     ss = ss.astype(np.int64)
+    index.check_lanes(vs, ss)
     ts = index.trunk_sizes[vs].astype(np.int64)
     full = ss // ts
     rem = ss - full * ts
     tb = index.tr_indptr[vs]
-    cbase = (index.indptr[vs] + vs).astype(np.int64)
 
-    # Candidate totals: trunk-aligned prefixes are resident; the rest
-    # live on disk as single C entries — one coalesced batch read.
-    totals = np.empty(n, dtype=np.float64)
-    aligned = rem == 0
-    if aligned.any():
-        totals[aligned] = index.tr_prefix[tb[aligned] + full[aligned]]
-    ragged = ~aligned
-    if ragged.any():
-        los = cbase[ragged] + ss[ragged]
-        blocks, inv = store.read_batch("c", los, los + 1, counters)
-        totals[ragged] = np.array([float(b[0]) for b in blocks])[inv]
+    # Candidate totals: trunk-aligned prefixes are resident; a ragged
+    # boundary lives on disk inside its C-slice trunk — one batch read
+    # that also holds everything the partial-trunk search needs.
+    full_weight = index.tr_prefix[tb + full]
+    totals = full_weight.copy()
+    ragged = np.flatnonzero(rem)
+    if ragged.size:
+        c_trunks, _, c_row = store.read_batch(
+            "c", *index.c_trunks(vs[ragged], ss[ragged], ts[ragged]), counters)
+        totals[ragged] = c_trunks[c_row, rem[ragged]]
 
     r = totals - draw.uniform(lanes) * totals  # draws in (0, total]
-    full_weight = index.tr_prefix[tb + full]
     in_full = (full > 0) & (r <= full_weight)
     out = np.empty(n, dtype=np.int64)
 
@@ -137,50 +136,39 @@ def ooc_sample_batch(
             hi_j[go_dn] = mid[go_dn]
             act = (hi_j - lo_j) > 1
         trunk = lo_j
-        edge_lo = (index.indptr[vs[rows]] + trunk * ts[rows]).astype(np.int64)
-        blocks, inv = store.read_batch(
-            "pa", edge_lo, edge_lo + ts[rows], counters
-        )
-        widths = np.array([b[0].size for b in blocks], dtype=np.int64)
-        offs = np.zeros(widths.size + 1, dtype=np.int64)
-        np.cumsum(widths, out=offs[1:])
-        prob_cat = np.concatenate([b[0] for b in blocks])
-        alias_cat = np.concatenate([b[1] for b in blocks])
-        base = offs[inv]
         w = ts[rows]
+        edge_lo = (index.indptr[vs[rows]] + trunk * w).astype(np.int64)
+        tables, _, t_row = store.read_batch("pa", edge_lo, edge_lo + w, counters)
         cell = (draw.uniform(lanes[rows]) * w).astype(np.int64)
         cell = np.minimum(cell, w - 1)
-        take = draw.uniform(lanes[rows]) < prob_cat[base + cell]
-        local = np.where(take, cell, alias_cat[base + cell])
-        out[rows] = trunk * ts[rows] + local
+        take = draw.uniform(lanes[rows]) < tables[t_row, 0, cell]
+        local = np.where(take, cell, tables[t_row, 1, cell].view(np.int64))
+        out[rows] = trunk * w + local
         if counters is not None:
             counters.alias_draws += rows.size
             counters.edges_evaluated += rows.size
 
-    partial = ~in_full
-    if partial.any():
-        rows = np.flatnonzero(partial)
+    if not in_full.all():
+        rows = np.flatnonzero(~in_full)
         # The draw fell past the complete trunks: ITS inside the partial
-        # trunk's C slice [full·ts, s]. (rem > 0 here: aligned lanes
-        # always satisfy r <= full_weight.)
-        los = cbase[rows] + full[rows] * ts[rows]
-        his = cbase[rows] + ss[rows] + 1
-        blocks, inv = store.read_batch("c", los, his, counters)
-        rr = r[rows]
-        a = np.empty(rows.size, dtype=np.int64)
-        for j, block in enumerate(blocks):
-            sel = inv == j
-            # its_search's contract: block[a] < r <= block[a+1].
-            a[sel] = np.searchsorted(block, rr[sel], side="left") - 1
-        out[rows] = full[rows] * ts[rows] + a
+        # trunk's C slice [full·ts, s] (rem > 0 here: aligned lanes
+        # always satisfy r <= full_weight, so every such lane is ragged
+        # and its trunk is already in hand). its_search's contract is
+        # slice[a] < r <= slice[a+1]: a compare-count over the <= ts+1
+        # entries up to the boundary.
+        k = rem[rows]
+        span = int(k.max()) + 1
+        mine = c_trunks[c_row[np.searchsorted(ragged, rows)], :span]
+        below = (mine < r[rows, None]) & (np.arange(span) <= k[:, None])
+        out[rows] = full[rows] * ts[rows] + below.sum(axis=1) - 1
         if counters is not None:
-            m = np.maximum(rem[rows], 2)
+            m = np.maximum(k, 2)
             probes = np.ceil(np.log2(m)).astype(np.int64) + 1
             counters.record_probe(int(probes.sum()))
     return out
 
 
-class BatchTeaOutOfCoreEngine(BatchTeaEngine):
+class BatchTeaOutOfCoreEngine(OutOfCoreReporting, BatchTeaEngine):
     """Batched frontier execution against a disk-resident PAT."""
 
     has_candidate_index = True
@@ -225,12 +213,6 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         self.weights = None
         self._maybe_build_static_keys()
 
-    @property
-    def cache_stats(self):
-        """Re-entry cache hit/miss statistics (paper §4.1's optimisation)."""
-        self.prepare()
-        return self.index.store.cache.stats
-
     # -- vectorised kernel -----------------------------------------------------
 
     def _sample_batch(
@@ -239,7 +221,7 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         scratch: Optional[KernelScratch] = None,
     ) -> np.ndarray:
         """Trunk-store draws (``scratch`` serves the in-memory kernel
-        only; this sampler's staging lives in the block cache)."""
+        only; this sampler's staging lives in the frame pool)."""
         if self._prefetcher is not None:
             # Settle outstanding predictions before sampling: they were
             # issued for exactly this round's read_batch, so waiting the
@@ -260,47 +242,30 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         if self._prefetcher is None:
             return
         index = self.index
-        store = index.store
-        store.begin_prefetch_generation()
-        ts = index.trunk_sizes[vs].astype(np.int64)
+        # Warmed trunks from earlier steps missed their window: the pin,
+        # not the frame, expires (a late consumer still counts as a hit),
+        # which bounds pinned frames to one step's predictions.
+        index.store.cache.unpin_all()
         ss = ss.astype(np.int64)
+        index.check_lanes(vs, ss)
+        ts = index.trunk_sizes[vs].astype(np.int64)
         full = ss // ts
-        rem = ss - full * ts
-        cbase = (index.indptr[vs] + vs).astype(np.int64)
-        tb = index.tr_indptr[vs]
-        requests = []
-        # Certain need: ragged candidate boundaries read C[cbase+s] for
-        # the total before drawing anything.
-        ragged = rem != 0
-        for lo in (cbase[ragged] + ss[ragged]).tolist():
-            requests.append(("c", lo, lo + 1))
-        # Certain need: lanes with no complete trunk always resolve in
-        # the partial slice.
-        p0 = full == 0
-        for lo, hi in zip(cbase[p0].tolist(), (cbase[p0] + ss[p0] + 1).tolist()):
-            requests.append(("c", lo, hi))
+        # Certain need: a ragged candidate boundary reads its C-slice
+        # trunk (total and partial-trunk search) before drawing anything.
+        ragged = np.flatnonzero(ss - full * ts)
+        c_lo, c_hi = index.c_trunks(vs[ragged], ss[ragged], ts[ragged])
         # Probabilistic: the heaviest of the first few complete trunks
-        # is the likeliest ITS winner — warm its alias table.
-        pf = full > 0
-        if pf.any():
-            rows = np.flatnonzero(pf)
-            kmax = np.minimum(full[rows], _PREFETCH_TRUNK_SCAN)
-            best = np.zeros(rows.size, dtype=np.int64)
-            best_w = np.full(rows.size, -np.inf)
-            for k in range(int(kmax.max())):
-                act = k < kmax
-                # Rows past their last complete trunk are masked out by
-                # ``act``, but the gather still runs for them: clamp it
-                # so it never reads past the end of tr_prefix.
-                at = tb[rows] + np.minimum(k, kmax - 1)
-                w = index.tr_prefix[at + 1] - index.tr_prefix[at]
-                upd = act & (w > best_w)
-                best_w[upd] = w[upd]
-                best[upd] = k
-            edge_lo = (index.indptr[vs[rows]] + best * ts[rows]).astype(np.int64)
-            for lo, hi in zip(edge_lo.tolist(), (edge_lo + ts[rows]).tolist()):
-                requests.append(("pa", lo, hi))
-        self._prefetcher.submit(requests)
+        # is the likeliest ITS winner — warm its alias table. Columns
+        # past a lane's last complete trunk repeat it, so the gather
+        # never leaves the lane's own boundaries and argmax (first
+        # maximum) never picks them.
+        rows = np.flatnonzero(full)
+        scan = np.minimum(np.arange(_PREFETCH_TRUNK_SCAN), full[rows, None] - 1)
+        at = index.tr_indptr[vs[rows], None] + scan
+        best = np.argmax(index.tr_prefix[at + 1] - index.tr_prefix[at], axis=1)
+        pa_lo = (index.indptr[vs[rows]] + best * ts[rows]).astype(np.int64)
+        self._prefetcher.submit(
+            [("c", c_lo, c_hi), ("pa", pa_lo, pa_lo + ts[rows])])
 
     @contextmanager
     def _frontier_scope(self, profiler, counters: CostCounters):
@@ -319,26 +284,3 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
             if self._prefetcher is not None:
                 self._prefetcher.close(counters)
                 self._prefetcher = None
-
-    # -- reporting -------------------------------------------------------------
-
-    def publish_telemetry(self, registry) -> None:
-        """Cache + prefetch + coalescing counters, resident footprint."""
-        super().publish_telemetry(registry)
-        self.index.store.publish_telemetry(registry)
-        registry.gauge(
-            "ooc.resident_bytes", "memory-resident trunk-boundary prefix bytes"
-        ).set(self.index.resident_nbytes())
-        registry.gauge("ooc.trunk_size", "configured trunk size").set(
-            self.trunk_size
-        )
-
-    def memory_report(self) -> MemoryReport:
-        # Skip BatchTeaEngine's HPAT breakdown: the index here is the
-        # disk-backed PAT, whose resident side is the boundary prefixes.
-        report = Engine.memory_report(self)
-        if self.index is not None:
-            report.add("resident_trunk_prefix", self.index.resident_nbytes())
-            if self.index.store.cache.enabled:
-                report.add("reentry_cache", self.index.store.cache.nbytes)
-        return report

@@ -7,17 +7,21 @@ can be read while the current iteration's alias draws and β tests are
 still running on the main thread.
 
 One daemon worker thread serves a double-buffered request queue
-(``maxsize=2``: the in-service batch plus one queued behind it — deeper
-queues only grow the window for stale predictions). The worker touches
-nothing but the read-only memory-maps (:meth:`TrunkStore._load` after
-coalescing); every result is handed back to the sampling thread, which
-admits it into the cache at the next :meth:`drain`. The cache and all
-counters therefore stay single-threaded — the same discipline as the
-parallel executor's per-worker telemetry.
+(``maxsize=2``: the job in service plus one queued behind it — deeper
+queues only grow the window for stale predictions). A job is columnar:
+per region, the sorted pool keys (one frame per region file) of one
+step's predicted trunks with their ``lo`` / length columns. The worker touches nothing but the
+read-only memory-maps (:meth:`TrunkStore._fetch`: coalesce, then one
+gather per file into a staging matrix, GIL released); every result is
+handed back to the sampling thread, which admits it into the pool at
+the next :meth:`drain`. The pool and all counters therefore stay
+single-threaded — the same discipline as the parallel executor's
+per-worker telemetry.
 
 Accounting is conservation-checked (tested, exported):
 ``prefetch.issued == prefetch.hits + prefetch.wasted + in_flight`` —
-every submitted key ends in exactly one bucket: consumed by the sampler
+every submitted frame key (an alias trunk is two: prob and alias)
+ends in exactly one bucket: consumed by the sampler
 (hit), warmed but never used (wasted), or still queued when the run
 ended (in flight). Worker busy time is exported as
 ``ooc.io_overlap_seconds``: I/O the walk did not wait for.
@@ -27,16 +31,17 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import Iterable, Optional, Tuple
+from collections import deque
+from typing import Iterable, Optional
 
-from repro.core.outofcore import _REGION_WIDTH, TrunkStore, coalesce_runs
+import numpy as np
+
+from repro.core.outofcore import TrunkStore
 from repro.sampling.counters import CostCounters
 from repro.telemetry.clock import now as _clock_now
 
-#: Request-queue depth: the batch in service plus one behind it.
+#: Request-queue depth: the job in service plus one behind it.
 QUEUE_DEPTH = 2
-
-Key = Tuple[str, int, int]
 
 
 class AsyncPrefetcher:
@@ -53,21 +58,18 @@ class AsyncPrefetcher:
         self.store = store
         self._requests: "queue.Queue" = queue.Queue(maxsize=QUEUE_DEPTH)
         self._results: "queue.Queue" = queue.Queue()
-        self._outstanding: set = set()
+        # Key columns of the jobs submitted but not yet answered, oldest
+        # first (one worker: answers arrive in submission order).
+        self._outstanding: deque = deque()
         self._in_flight = 0
         self._busy_seconds = 0.0
         self._stop = False
-        # Set by the worker on an unhandled error (checksum failure,
-        # exhausted retries, injected fault): the engine observes it via
-        # :attr:`failed` and falls back to synchronous reads — a dead
-        # prefetcher must degrade, never vanish.
-        self._failed = False
+        #: Set by the worker on an unhandled error (checksum failure,
+        #: exhausted retries, injected fault): the engine sees it and
+        #: falls back to synchronous reads — a dead prefetcher must
+        #: degrade, never vanish.
+        self.failed = False
         self._thread: Optional[threading.Thread] = None
-
-    @property
-    def failed(self) -> bool:
-        """True once the worker hit an unhandled error (fallback time)."""
-        return self._failed
 
     def start(self) -> None:
         self._thread = threading.Thread(
@@ -77,32 +79,43 @@ class AsyncPrefetcher:
 
     # -- sampling-thread API ---------------------------------------------------
 
-    def submit(self, requests: Iterable[Key]) -> None:
-        """Enqueue one step's predictions, skipping anything already
-        resident, pending, or requested. A full queue drops the batch —
-        the walk is outrunning the disk and stale predictions would only
-        waste reads — but drops are *counted* (``prefetch.dropped``), so
-        the accounting stays conserved and the backpressure visible."""
-        if self._failed:
+    def submit(self, requests: Iterable[tuple]) -> None:
+        """Enqueue one step's predictions — ``(region, los, his)``
+        columns, at most one entry per region — skipping anything already resident, awaited, or
+        requested, and anything too wide for a pool frame. A full queue
+        drops the job — the walk is outrunning the disk and stale
+        predictions would only waste reads — but drops are *counted*
+        (``prefetch.dropped``), so the accounting stays conserved and
+        the backpressure visible."""
+        if self.failed:
             return
-        seen = set()
-        kept = []
-        for key in requests:
-            if key in seen or key in self._outstanding:
+        store = self.store
+        job = []
+        for region, los, his in requests:
+            los = np.asarray(los, dtype=np.int64)
+            lens = np.asarray(his, dtype=np.int64) - los
+            if not los.size:
                 continue
-            seen.add(key)
-            if key in self.store.cache or key in self.store._prefetch_pending:
-                continue
-            kept.append(key)
-        if not kept:
+            keys = store.frame_keys(region, los, lens)
+            first = np.unique(keys[:, 0], return_index=True)[1]
+            keys, los, lens = keys[first], los[first], lens[first]
+            keep = (lens <= store.frame_entries(int(lens.max()))) & (
+                store.cache.find(keys.ravel()).reshape(keys.shape) < 0
+            ).any(axis=1)
+            if self._outstanding:
+                keep &= ~np.isin(keys[:, 0], np.concatenate(self._outstanding))
+            if keep.any():
+                job.append((region, keys[keep], los[keep], lens[keep]))
+        if not job:
             return
+        keys = np.concatenate([part[1].ravel() for part in job])
         try:
-            self._requests.put_nowait(kept)
+            self._requests.put_nowait(job)
         except queue.Full:
-            self.store.note_prefetch_dropped(len(kept))
+            store.note_prefetch_dropped(keys.size)
             return
-        self._outstanding.update(kept)
-        self.store.note_prefetch_issued(len(kept))
+        self._outstanding.append(keys)
+        store.note_prefetch_issued(keys.size)
 
     def drain(
         self,
@@ -110,10 +123,10 @@ class AsyncPrefetcher:
         wait: bool = False,
         timeout: float = 5.0,
     ) -> None:
-        """Admit every finished block (sampling thread).
+        """Admit every finished job (sampling thread).
 
         Non-blocking by default. With ``wait=True`` the drain blocks
-        (bounded by ``timeout``) until every outstanding key has
+        (bounded by ``timeout``) until every outstanding job has
         settled: the submissions were predicted for the very next
         ``read_batch``, which would otherwise re-read the same trunk
         ranges synchronously while the worker's late results arrive as
@@ -122,15 +135,21 @@ class AsyncPrefetcher:
         thread scheduling — the overlap win (the worker started during
         the previous step's compute) is kept either way.
 
-        The prefetch runs are charged here — to the walk's own counters,
-        because they are real backing reads issued on its behalf.
+        A finished job's regions are admitted pinned, and its backing
+        runs charged to the walk's own counters
+        (:meth:`TrunkStore.admit_prefetched`). A job the worker skipped
+        (the run is over) or failed on settles as in-flight: issued,
+        never produced. After a failure the engine sees ``failed``
+        and reads synchronously from here on — where the same error, if
+        persistent, surfaces on the sampling thread instead of
+        vanishing.
         """
         deadline = (_clock_now() + timeout) if wait else 0.0
         while True:
             try:
                 kind, payload = self._results.get_nowait()
             except queue.Empty:
-                if not wait or not self._outstanding or self._failed:
+                if not wait or not self._outstanding or self.failed:
                     return
                 remaining = deadline - _clock_now()
                 if remaining <= 0:
@@ -141,32 +160,14 @@ class AsyncPrefetcher:
                     )
                 except queue.Empty:
                     continue
-            if kind == "skipped":
-                for key in payload:
-                    self._outstanding.discard(key)
-                    self._in_flight += 1
+            keys = self._outstanding.popleft()
+            if kind == "done":
+                for part in payload:
+                    self.store.admit_prefetched(*part, counters)
                 continue
+            self._in_flight += keys.size
             if kind == "failed":
-                # Worker error: settle the batch's keys as in-flight
-                # (issued, never produced) and record the failure. The
-                # engine sees :attr:`failed` and reads synchronously
-                # from here on — where the same error, if persistent,
-                # surfaces on the sampling thread instead of vanishing.
-                batch, _exc_text = payload
-                for key in batch:
-                    self._outstanding.discard(key)
-                    self._in_flight += 1
                 self.store.note_prefetch_failure()
-                continue
-            for region, run_lo, run_hi, items in payload:
-                nbytes = (run_hi - run_lo) * _REGION_WIDTH[region]
-                if counters is not None:
-                    counters.record_io(nbytes)
-                self.store.coalesced_hist.observe(nbytes)
-                self.store.read_ops += 1
-                for key, value in items:
-                    self._outstanding.discard(key)
-                    self.store.admit_prefetched(key, value)
 
     def close(self, counters: Optional[CostCounters] = None) -> None:
         """Stop the worker, admit its last results, settle the ledger."""
@@ -178,7 +179,7 @@ class AsyncPrefetcher:
         self._thread = None
         self.drain(counters)
         # Anything still unaccounted was submitted but never produced.
-        in_flight = self._in_flight + len(self._outstanding)
+        in_flight = self._in_flight + sum(k.size for k in self._outstanding)
         self._outstanding.clear()
         self._in_flight = 0
         self.store.finalize_prefetch(in_flight, self._busy_seconds)
@@ -187,44 +188,28 @@ class AsyncPrefetcher:
 
     def _worker(self) -> None:
         while True:
-            batch = self._requests.get()
-            if batch is None:
+            job = self._requests.get()
+            if job is None:
                 return
-            if self._stop or self._failed:
-                # The run is over (or the worker already failed): report
-                # the keys back unread so they are settled as in-flight,
-                # not silently dropped.
-                self._results.put(("skipped", batch))
+            if self._stop or self.failed:
+                # The run is over (or the worker already failed): answer
+                # the job unread so it is settled as in-flight, not
+                # silently dropped.
+                self._results.put(("skipped", None))
                 continue
             try:
                 injector = self.store.fault_injector
                 if injector is not None:
                     injector.check("prefetch")
                 t0 = _clock_now()
-                out = []
-                for region in ("c", "pa"):
-                    ranges = sorted(
-                        (lo, hi, (region, lo, hi))
-                        for reg, lo, hi in batch if reg == region
-                    )
-                    for run_lo, run_hi, members in coalesce_runs(ranges):
-                        big = self.store._load(region, run_lo, run_hi)
-                        items = []
-                        for key in members:
-                            _, lo, hi = key
-                            if region == "c":
-                                value = big[lo - run_lo : hi - run_lo].copy()
-                            else:
-                                value = (
-                                    big[0][lo - run_lo : hi - run_lo].copy(),
-                                    big[1][lo - run_lo : hi - run_lo].copy(),
-                                )
-                            items.append((key, value))
-                        out.append((region, run_lo, run_hi, items))
+                out = [
+                    (keys, lens, *self.store._fetch(region, los, lens))
+                    for region, keys, los, lens in job
+                ]
                 self._busy_seconds += _clock_now() - t0
             except Exception as exc:  # noqa: BLE001 — a dying worker
                 # thread is the silent-failure mode this guards against.
-                self._failed = True
-                self._results.put(("failed", (batch, repr(exc))))
+                self.failed = True
+                self._results.put(("failed", repr(exc)))
                 continue
             self._results.put(("done", out))

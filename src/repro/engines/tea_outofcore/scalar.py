@@ -68,7 +68,41 @@ def build_ooc_index(graph, spec, trunk_size, storage_dir, cache_bytes, tracer,
     return index, candidate_sizes, tmpdir
 
 
-class TeaOutOfCoreEngine(Engine):
+class OutOfCoreReporting:
+    """What both out-of-core engines report about their disk-backed
+    index (``self.index``): cache statistics, store telemetry and the
+    resident footprint. Mixed in ahead of the engine base class."""
+
+    @property
+    def cache_stats(self):
+        """Re-entry cache hit/miss statistics (paper §4.1's optimisation)."""
+        self.prepare()
+        return self.index.store.cache.stats
+
+    def publish_telemetry(self, registry) -> None:
+        """Cache + prefetch + coalescing counters, resident footprint."""
+        super().publish_telemetry(registry)
+        self.index.store.publish_telemetry(registry)
+        registry.gauge(
+            "ooc.resident_bytes", "memory-resident trunk-boundary prefix bytes"
+        ).set(self.index.resident_nbytes())
+        registry.gauge("ooc.trunk_size", "configured trunk size").set(
+            self.trunk_size
+        )
+
+    def memory_report(self) -> MemoryReport:
+        # Engine's report, not BatchTeaEngine's HPAT breakdown: the index
+        # here is the disk-backed PAT, whose resident side is the
+        # boundary prefixes (plus the pool, when there is one).
+        report = Engine.memory_report(self)
+        if self.index is not None:
+            report.add("resident_trunk_prefix", self.index.resident_nbytes())
+            if self.index.store.cache.enabled:
+                report.add("reentry_cache", self.index.store.cache.nbytes)
+        return report
+
+
+class TeaOutOfCoreEngine(OutOfCoreReporting, Engine):
     """PAT sampling against a :class:`TrunkStore` on disk."""
 
     has_candidate_index = True
@@ -106,29 +140,5 @@ class TeaOutOfCoreEngine(Engine):
         # Store reads charge their ooc.* phases to the engine profiler.
         self.index.store.profiler = self.profiler
 
-    @property
-    def cache_stats(self):
-        """Re-entry cache hit/miss statistics (paper §4.1's optimisation)."""
-        self.prepare()
-        return self.index.store.cache.stats
-
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):
         return self.index.sample(v, candidate_size, rng, counters)
-
-    def publish_telemetry(self, registry) -> None:
-        """Re-entry cache hit/miss/bytes plus resident-footprint gauges."""
-        self.index.store.publish_telemetry(registry)
-        registry.gauge(
-            "ooc.resident_bytes", "memory-resident trunk-boundary prefix bytes"
-        ).set(self.index.resident_nbytes())
-        registry.gauge("ooc.trunk_size", "configured trunk size").set(
-            self.trunk_size
-        )
-
-    def memory_report(self) -> MemoryReport:
-        report = super().memory_report()
-        if self.index is not None:
-            report.add("resident_trunk_prefix", self.index.resident_nbytes())
-            if self.index.store.cache.enabled:
-                report.add("reentry_cache", self.index.store.cache.nbytes)
-        return report

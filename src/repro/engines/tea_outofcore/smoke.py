@@ -14,24 +14,27 @@ Makefile wires into ``make test`` (the ooc twin of ``scaling-smoke``):
   equal cache budget;
 * prefetch conservation — ``issued == hits + wasted + in_flight``;
 * determinism — two same-seed batched runs produce identical paths.
+
+``make ooc-smoke`` runs a sixth, structural gate beside these —
+``tests/test_ooc_batch.py::TestWidthIndependence``: one frontier
+iteration makes the same number of Python-level calls at 1 k and at
+16 k lanes, which keeps per-range loops out of the read path.
 """
 
 from __future__ import annotations
-
-import argparse
-import sys
-from typing import Optional, Sequence
 
 from repro.engines.base import Workload
 
 #: Minimum lookup hit rate expected from the re-entry cache on the
 #: smoke graph at an ample budget (hubs dominate power-law walk mass).
-CACHE_HIT_FLOOR = 0.3
+#: A lookup is one whole trunk per lane and step, so every miss here is
+#: the first touch of a trunk; the per-range cache this replaced looked
+#: the same bytes up twice and scored 0.5 on this graph, the pool 0.33.
+CACHE_HIT_FLOOR = 0.25
 
 SMOKE_CACHE_BYTES = 1 << 20
 
-
-def ooc_smoke(verbose: bool = True) -> dict:
+def ooc_smoke() -> dict:
     """Run every invariant; raises ``AssertionError`` on violation."""
     from repro.engines.tea_outofcore import (
         BatchTeaOutOfCoreEngine,
@@ -105,26 +108,15 @@ def ooc_smoke(verbose: bool = True) -> dict:
         "scalar_steps": int(scalar_result.counters.steps),
         "batch_steps": int(batch_result.counters.steps),
     }
-    if verbose:
-        print("ooc smoke (growth@0.25)")
-        for key, value in summary.items():
-            print(f"  {key}: {value}")
-        print(
-            f"read ops {store.read_ops} < scalar {scalar_ops}; "
-            f"hit rate {hit_rate:.2f}; prefetch conserved"
-        )
+    print("ooc smoke (growth@0.25)")
+    for key, value in summary.items():
+        print(f"  {key}: {value}")
+    print(
+        f"read ops {store.read_ops} < scalar {scalar_ops}; "
+        f"hit rate {hit_rate:.2f}; prefetch conserved"
+    )
     return summary
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="out-of-core engine invariant smoke check"
-    )
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    ooc_smoke(verbose=not args.quiet)
-    return 0
-
-
 if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())
+    ooc_smoke()

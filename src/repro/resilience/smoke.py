@@ -199,7 +199,7 @@ def corruption_scenario(verbose: bool) -> dict:
         try:
             elem = flip_offset // 8
             try:
-                store._load("pa", elem, elem + 1)
+                store.read_alias_trunk(elem, elem + 1, None)
             except ChecksumError:
                 pass
             else:

@@ -1,106 +1,29 @@
-"""Segmented-LRU caching for out-of-core reads — §4.1's re-entry reuse.
+"""Test oracle: the per-block SLRU cache ``core/frame_pool.py`` replaced.
 
-Paper §4.1: "each to-be-loaded data will use the prior loaded data
-re-entry [1] to minimize the disk I/O" (the reference is CLIP's
-loaded-data reuse, ATC '17). Random walks revisit hot vertices
-constantly — power-law graphs concentrate walk mass on hubs — so caching
-recently loaded trunks converts most loads into hits.
+This is ``src/repro/core/block_cache.py`` as it stood before the
+out-of-core read path went columnar — an ``OrderedDict`` of ndarrays per
+segment, one Python object per block — kept, like ``carry_oracle.py``,
+because the old path is the reference the new one is tested against and
+never a product option. ``tests/test_frame_pool.py`` feeds it and
+:class:`~repro.core.frame_pool.FramePool` the same batches and compares
+resident sets and statistics. Only the statistics dataclass is shared
+with the pool; the policy code below is unchanged.
 
-:class:`BlockCache` is a byte-budgeted **scan-resistant segmented LRU**
-(SLRU) over ``(region, lo, hi)`` keys. New blocks are admitted into a
-*probation* segment; a second touch promotes them into a *protected*
-segment that one-touch traffic can never displace. That matters for the
-batched out-of-core path: a frontier step coalesces many cold trunk
-ranges into large sequential reads — a scan — and a plain LRU would let
-that scan flush the hot hub trunks the walk keeps returning to. Under
-SLRU the scan churns probation only.
-
-Entries can be **pinned** (the async prefetcher pins blocks it has
-warmed until the sampler consumes them, so an aggressive step cannot
-evict its own prefetched data before it is used) and every admitted
-array is frozen read-only — callers share the cached block itself, so a
-mutation would silently corrupt every future hit.
-
-:class:`~repro.core.outofcore.TrunkStore` consults the cache before
-touching the memory-map and only charges I/O counters on misses. The
-Figure 14 companion benchmarks ablate cache capacity and prefetch.
+Policy recap: a byte-budgeted scan-resistant segmented LRU. New blocks
+enter *probation*; a second touch promotes them to *protected*
+(capped at ``protected_ratio`` of the budget, overflow demoted back to
+probation's fresh end). Eviction takes the oldest unpinned probation
+entry, else the oldest unpinned protected one; pinned entries are never
+evicted and may push ``nbytes`` over the budget until unpinned.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-import numpy as np
-
+from repro.core.frame_pool import DEFAULT_PROTECTED_RATIO, CacheStats
 from repro.telemetry import events
-
-#: Fraction of the byte budget the protected segment may occupy. The
-#: remainder is probation head-room for not-yet-promoted admissions
-#: (classic SLRU sizing; 0.8 keeps hot reuse dominant without starving
-#: new blocks of their trial period).
-DEFAULT_PROTECTED_RATIO = 0.8
-
-
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    bytes_in: int = 0
-    bytes_evicted: int = 0
-    #: Logical bytes returned from cache hits — together with
-    #: ``bytes_in`` this makes hit rate *by bytes* computable, not just
-    #: by lookup count (large trunk hits matter more than 8-byte ones).
-    bytes_served: int = 0
-    #: Probation → protected promotions (second-touch admissions).
-    promotions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        """Full-precision view; round at display time, not here."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes_in": self.bytes_in,
-            "bytes_evicted": self.bytes_evicted,
-            "bytes_served": self.bytes_served,
-            "promotions": self.promotions,
-            "hit_rate": self.hit_rate,
-        }
-
-    def pretty(self) -> str:
-        """Display rendering (the only place the hit rate is rounded)."""
-        return (
-            f"hits={self.hits} misses={self.misses} evictions={self.evictions} "
-            f"bytes_in={self.bytes_in} bytes_evicted={self.bytes_evicted} "
-            f"hit_rate={self.hit_rate:.4f}"
-        )
-
-    def publish(self, registry, prefix: str = "cache") -> None:
-        """Report into a :class:`~repro.telemetry.MetricsRegistry`."""
-        registry.counter(f"{prefix}.hits", "cache hits").inc(self.hits)
-        registry.counter(f"{prefix}.misses", "cache misses").inc(self.misses)
-        registry.counter(f"{prefix}.evictions", "cache evictions").inc(self.evictions)
-        registry.counter(f"{prefix}.bytes_in", "bytes admitted").inc(self.bytes_in)
-        registry.counter(f"{prefix}.bytes_evicted", "bytes evicted").inc(
-            self.bytes_evicted
-        )
-        registry.counter(
-            f"{prefix}.bytes_served", "logical bytes returned from hits"
-        ).inc(self.bytes_served)
-        registry.counter(
-            f"{prefix}.promotions", "probation-to-protected promotions"
-        ).inc(self.promotions)
-        registry.gauge(f"{prefix}.hit_rate", "hits / (hits + misses)").set(
-            self.hit_rate
-        )
 
 
 class _Entry:

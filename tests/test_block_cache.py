@@ -1,10 +1,21 @@
-"""Re-entry block cache (§4.1) and its out-of-core integration."""
+"""Re-entry frame pool (§4.1) and its out-of-core integration.
+
+``TestBlockCache`` keeps the behaviours (and test names) of the
+per-block SLRU cache the pool replaced — hit/miss accounting, LRU
+eviction, scan resistance, promotion counting, pins, the disabled
+cache, read-only payload — re-expressed on :class:`FramePool`'s batch
+API. One behaviour is *removed*, not carried over: pins can no longer
+push the cache over its byte budget (the slab is the budget), so
+``test_pinned_bytes_may_exceed_budget_transiently`` became
+``test_all_frames_pinned_refuses_admission``. The exact
+pool-vs-old-cache comparison lives in ``tests/test_frame_pool.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.block_cache import BlockCache
 from repro.core.builder import build_pat
+from repro.core.frame_pool import FramePool
 from repro.core.outofcore import OutOfCorePAT, TrunkStore
 from repro.core.weights import WeightModel
 from repro.engines import TeaOutOfCoreEngine, Workload
@@ -12,166 +23,221 @@ from repro.rng import make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import exponential_walk
 
+WIDTH = 8  # elements per frame: 64-byte frames, like the old 64-byte blocks
+KEYS = {name: i for i, name in enumerate(
+    ["a", "b", "c", "d", "hot", "pinned", "missing"]
+    + [f"{kind}-{i}" for kind in ("scan", "fill", "more") for i in range(16)])}
+
+
+def make_pool(frames: int) -> FramePool:
+    pool = FramePool(frames * WIDTH * 8)
+    pool.set_width(WIDTH)
+    return pool
+
+
+def put(pool, name, value=0.0, pin=False, n=WIDTH):
+    rows = np.full((1, n), value)
+    return bool(pool.admit(np.array([KEYS[name]]), rows, np.array([n * 8]), pin=pin)[0])
+
+
+def get(pool, name):
+    frame = int(pool.touch(np.array([KEYS[name]]))[0])
+    return None if frame < 0 else pool.slab[frame]
+
+
+def resident(pool, name) -> bool:
+    return bool(pool.find(np.array([KEYS[name]]))[0] >= 0)
+
+
+@pytest.fixture
+def trunk_store(medium_graph, tmp_path):
+    weights = WeightModel("exponential", scale=20.0).compute(medium_graph)
+    pat = build_pat(medium_graph, weights, trunk_size=8)
+    return TrunkStore.persist(pat, tmp_path / "t", cache_bytes=1 << 16).open()
+
 
 class TestBlockCache:
     def test_hit_after_put(self):
-        cache = BlockCache(1024)
-        block = np.arange(8, dtype=np.float64)
-        assert cache.get("a") is None
-        cache.put("a", block)
-        assert np.array_equal(cache.get("a"), block)
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        pool = make_pool(16)
+        assert get(pool, "a") is None
+        put(pool, "a", 3.0)
+        assert np.array_equal(get(pool, "a"), np.full(WIDTH, 3.0))
+        assert pool.stats.hits == 1
+        assert pool.stats.misses == 1
+        assert pool.stats.hit_rate == 0.5
 
     def test_lru_eviction(self):
-        cache = BlockCache(3 * 64)
+        pool = make_pool(3)
         for key in "abc":
-            cache.put(key, np.zeros(8))  # 64 bytes each
-        cache.get("a")  # refresh a
-        cache.put("d", np.zeros(8))  # evicts b (least recently used)
-        assert cache.get("a") is not None
-        assert cache.get("b") is None
-        assert cache.stats.evictions == 1
-        assert cache.stats.bytes_in == 4 * 64
-        assert cache.stats.bytes_evicted == 64
+            put(pool, key)  # 64 bytes each
+        get(pool, "a")  # refresh a
+        put(pool, "d")  # evicts b (least recently used)
+        assert get(pool, "a") is not None
+        assert get(pool, "b") is None
+        assert pool.stats.evictions == 1
+        assert pool.stats.bytes_in == 4 * 64
+        assert pool.stats.bytes_evicted == 64
 
     def test_snapshot_full_precision_hit_rate(self):
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(8))
-        cache.get("a")
-        cache.get("a")
+        pool = make_pool(16)
+        put(pool, "a")
+        get(pool, "a")
+        get(pool, "a")
         for _ in range(7):
-            cache.get("missing")
+            get(pool, "missing")
         # 2 hits / 9 lookups: 0.2222... must survive the snapshot
         # unrounded (display rounding lives in pretty()).
-        snap = cache.stats.snapshot()
-        assert snap["hit_rate"] == cache.stats.hit_rate == 2 / 9
+        snap = pool.stats.snapshot()
+        assert snap["hit_rate"] == pool.stats.hit_rate == 2 / 9
         assert snap["bytes_in"] == 64
         assert snap["bytes_evicted"] == 0
-        assert "0.2222" in cache.stats.pretty()
+        assert "0.2222" in pool.stats.pretty()
 
     def test_stats_publish_to_registry(self):
         from repro.telemetry import MetricsRegistry
 
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(8))
-        cache.get("a")
-        cache.get("b")
+        pool = make_pool(16)
+        put(pool, "a")
+        get(pool, "a")
+        get(pool, "b")
         registry = MetricsRegistry()
-        cache.stats.publish(registry)
+        pool.stats.publish(registry)
         assert registry.counter_value("cache.hits") == 1
         assert registry.counter_value("cache.misses") == 1
         assert registry.counter_value("cache.bytes_in") == 64
 
     def test_byte_budget_respected(self):
-        cache = BlockCache(100)
-        cache.put("big", np.zeros(100))  # 800 bytes > budget: not stored
-        assert cache.get("big") is None
-        assert cache.nbytes == 0
+        pool = FramePool(100)
+        pool.set_width(100)  # one frame is 800 bytes > budget: no frames
+        assert pool.frames == 0
+        assert not pool.admit(np.array([1]), np.zeros((1, 100)),
+                              np.array([800]))[0]
+        assert pool.touch(np.array([1]))[0] == -1
+        assert pool.nbytes == 0
 
-    def test_tuple_values(self):
-        cache = BlockCache(1024)
-        cache.put("t", (np.zeros(4), np.ones(4, dtype=np.int64)))
-        a, b = cache.get("t")
-        assert a.size == 4 and b.size == 4
-        assert cache.nbytes == 64
+    def test_tuple_values(self, trunk_store):
+        """A two-array trunk (prob, alias) takes one frame per array,
+        admitted side by side; it is a hit when both are resident."""
+        pool = trunk_store.cache
+        for hits in (0, 2):
+            prob, alias = trunk_store.read_alias_trunk(8, 16, None)
+            assert prob.size == 8 and alias.size == 8
+            np.testing.assert_array_equal(alias, trunk_store._alias[8:16])
+            assert (pool.used, pool.stats.hits) == (2, hits)
+        assert pool.nbytes == 2 * pool.width * 8
 
     def test_disabled_cache(self):
-        cache = BlockCache(0)
-        cache.put("a", np.zeros(4))
-        assert cache.get("a") is None
-        assert not cache.enabled
-        assert len(cache) == 0
+        pool = make_pool(0)
+        assert not put(pool, "a")
+        assert get(pool, "a") is None
+        assert not pool.enabled
+        assert pool.used == 0
 
     def test_overwrite_same_key(self):
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(4))
-        cache.put("a", np.zeros(8))
-        assert cache.nbytes == 64
-        assert len(cache) == 1
+        """The store's payload is immutable, so re-admitting a resident
+        key is skipped rather than duplicated in the index."""
+        pool = make_pool(16)
+        assert put(pool, "a", n=4)
+        assert not put(pool, "a", n=8)
+        assert pool.nbytes == 64
+        assert pool.used == 1
 
     def test_clear(self):
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(4))
-        cache.clear()
-        assert cache.get("a") is None
-        assert cache.nbytes == 0
+        pool = make_pool(16)
+        put(pool, "a")
+        pool.clear()
+        assert get(pool, "a") is None
+        assert pool.nbytes == 0
 
-    def test_admitted_blocks_are_read_only(self):
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(4))
-        block = cache.get("a")
-        with pytest.raises(ValueError):
-            block[0] = 1.0
+    def test_admitted_blocks_are_read_only(self, trunk_store):
+        """Callers never receive writable pool memory: payload is a
+        read-only copy, on the miss that admits it and on every hit."""
+        for _ in range(2):
+            block = trunk_store.read_c(0, 8, None)
+            with pytest.raises(ValueError):
+                block[0] = 1.0
+        assert trunk_store.cache.stats.hits == 1
 
-    def test_tuple_members_are_read_only(self):
-        cache = BlockCache(1024)
-        cache.put("t", (np.zeros(4), np.ones(4, dtype=np.int64)))
-        prob, alias = cache.get("t")
-        with pytest.raises(ValueError):
-            prob[0] = 1.0
-        with pytest.raises(ValueError):
-            alias[0] = 1
+    def test_tuple_members_are_read_only(self, trunk_store):
+        for _ in range(2):
+            prob, alias = trunk_store.read_alias_trunk(0, 8, None)
+            assert alias.dtype == np.int64
+            with pytest.raises(ValueError):
+                prob[0] = 1.0
+            with pytest.raises(ValueError):
+                alias[0] = 1
 
     def test_scan_resistance(self):
         """A twice-touched block survives a one-pass scan that would
         flush a plain LRU of the same capacity."""
-        cache = BlockCache(4 * 64)
-        cache.put("hot", np.zeros(8))
-        cache.get("hot")  # second touch: promoted to protected
+        pool = make_pool(4)
+        put(pool, "hot")
+        get(pool, "hot")  # second touch: promoted to protected
         for i in range(16):  # scan 4x the capacity in one-touch blocks
-            cache.put(f"scan-{i}", np.zeros(8))
-        assert cache.get("hot") is not None
-        assert "scan-0" not in cache  # scan victims churned in probation
+            put(pool, f"scan-{i}")
+        assert get(pool, "hot") is not None
+        assert not resident(pool, "scan-0")  # scan victims churned in probation
 
     def test_promotion_counted(self):
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(8))
-        cache.get("a")
-        cache.get("a")
-        assert cache.stats.promotions == 1  # only the probation->protected move
+        pool = make_pool(16)
+        put(pool, "a")
+        get(pool, "a")
+        get(pool, "a")
+        assert pool.stats.promotions == 1  # only the probation->protected move
 
     def test_pinned_blocks_survive_eviction(self):
-        cache = BlockCache(2 * 64)
-        cache.put("pinned", np.zeros(8), pin=True)
+        pool = make_pool(2)
+        put(pool, "pinned", pin=True)
         for i in range(8):
-            cache.put(f"fill-{i}", np.zeros(8))
-        assert "pinned" in cache
-        cache.unpin("pinned")
+            put(pool, f"fill-{i}")
+        assert resident(pool, "pinned")
+        pool.unpin_all()
         for i in range(8):
-            cache.put(f"more-{i}", np.zeros(8))
-        assert "pinned" not in cache
+            put(pool, f"more-{i}")
+        assert not resident(pool, "pinned")
 
-    def test_pinned_bytes_may_exceed_budget_transiently(self):
-        cache = BlockCache(64)
-        cache.put("a", np.zeros(8), pin=True)
-        cache.put("b", np.zeros(8), pin=True)
-        assert cache.nbytes == 128  # nothing evictable: budget overshoots
-        cache.unpin("a")
-        assert cache.nbytes == 64
+    def test_all_frames_pinned_refuses_admission(self):
+        """Where the per-block cache let pins overshoot the budget, the
+        slab *is* the budget: with nothing evictable the admission is
+        refused (the caller still holds the bytes it loaded) and counted
+        as admitted-then-evicted."""
+        pool = make_pool(1)
+        assert put(pool, "a", pin=True)
+        assert not put(pool, "b", pin=True)
+        assert pool.nbytes == 64 <= pool.capacity_bytes
+        assert resident(pool, "a") and not resident(pool, "b")
+        assert (pool.stats.bytes_in, pool.stats.evictions) == (128, 1)
+        pool.unpin_all()
+        assert put(pool, "b")
+        assert not resident(pool, "a")
 
     def test_publish_includes_served_promotions_hit_rate(self):
         from repro.telemetry import MetricsRegistry
 
-        cache = BlockCache(1024)
-        cache.put("a", np.zeros(8))
-        cache.get("a")
-        cache.get("a")
+        pool = make_pool(16)
+        put(pool, "a")
+        get(pool, "a")
+        get(pool, "a")
         registry = MetricsRegistry()
-        cache.stats.publish(registry)
+        pool.stats.publish(registry)
         assert registry.counter_value("cache.bytes_served") == 128
         assert registry.counter_value("cache.promotions") == 1
         assert registry.gauge_value("cache.hit_rate") == 1.0
 
-    def test_oversized_put_rejected_without_side_effects(self):
-        cache = BlockCache(128)
-        cache.put("small", np.zeros(8))
-        cache.put("huge", np.zeros(1000))  # 8000 bytes > capacity
-        assert cache.get("huge") is None
-        assert cache.get("small") is not None  # nothing was evicted for it
-        assert cache.stats.bytes_in == 64
-        assert cache.stats.evictions == 0
+    def test_oversized_put_rejected_without_side_effects(self, trunk_store):
+        """A range wider than a frame bypasses the pool: served whole
+        from the gather, never admitted, nothing evicted for it."""
+        pool = trunk_store.cache
+        trunk_store.read_c(0, 8, None)
+        bytes_in = pool.stats.bytes_in
+        for _ in range(2):
+            huge = trunk_store.read_c(0, 1000, None)
+            np.testing.assert_array_equal(huge, trunk_store._c[:1000])
+        assert pool.used == 1 and pool.stats.bytes_in == bytes_in
+        assert pool.stats.evictions == 0
+        assert trunk_store.cache.stats.hits == 0
+        trunk_store.read_c(0, 8, None)
+        assert trunk_store.cache.stats.hits == 1  # the small one is still cached
 
 
 class TestOutOfCoreIntegration:

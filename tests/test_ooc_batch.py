@@ -28,17 +28,25 @@ from repro.walks.apps import exponential_walk, temporal_node2vec
 from tests.conftest import chisquare_ok
 
 
+def _runs(ranges):
+    los, his = (np.array(col, dtype=np.int64) for col in zip(*ranges))
+    return [col.tolist() for col in coalesce_runs(los, his)]
+
+
 class TestCoalesceRuns:
     def test_adjacent_and_overlapping_merge(self):
-        runs = list(coalesce_runs([(0, 4, "a"), (4, 8, "b"), (6, 10, "c")]))
-        assert runs == [(0, 10, ["a", "b", "c"])]
+        # One run: first member row 0, spanning [0, 10).
+        assert _runs([(0, 4), (4, 8), (6, 10)]) == [[0], [0], [10]]
+        # A long range swallows the short ones it covers.
+        assert _runs([(0, 9), (2, 3), (9, 12), (20, 21)]) == [
+            [0, 3], [0, 20], [12, 21]]
 
     def test_disjoint_stay_separate(self):
-        runs = list(coalesce_runs([(0, 2, 0), (5, 7, 1)]))
-        assert runs == [(0, 2, [0]), (5, 7, [1])]
+        assert _runs([(0, 2), (5, 7)]) == [[0, 1], [0, 5], [2, 7]]
 
     def test_empty(self):
-        assert list(coalesce_runs([])) == []
+        empty = np.zeros(0, dtype=np.int64)
+        assert [col.size for col in coalesce_runs(empty, empty)] == [0, 0, 0]
 
 
 class TestReadBatch:
@@ -50,30 +58,103 @@ class TestReadBatch:
 
     def test_blocks_match_scalar_reads(self, store):
         los = np.array([0, 8, 8, 16, 3], dtype=np.int64)
-        his = np.array([8, 16, 16, 24, 11], dtype=np.int64)
-        blocks, inverse = store.read_batch("c", los, his, CostCounters())
-        for i in range(los.size):
-            expected = np.array(store._c[los[i]:his[i]])
-            np.testing.assert_array_equal(blocks[inverse[i]], expected)
+        his = np.array([8, 16, 16, 25, 11], dtype=np.int64)
+        for _ in range(2):  # all misses, then all hits
+            payload, lengths, inverse = store.read_batch("c", los, his, CostCounters())
+            for i in range(los.size):
+                row = inverse[i]
+                assert lengths[row] == his[i] - los[i]
+                np.testing.assert_array_equal(
+                    payload[row, : lengths[row]], store._c[los[i]:his[i]])
+        assert store.cache.stats.hits == store.cache.stats.misses == 4
+
+    def test_widest_range_a_hit_narrower_ranges_missing(self, store):
+        """Staging is as wide as the widest *miss*, the payload as wide
+        as the widest range."""
+        store.read_c(0, 9, None)
+        payload, lengths, inverse = store.read_batch(
+            "c", np.array([16, 0, 40]), np.array([20, 9, 42]), None)
+        assert payload.shape == (3, 9)
+        for i, (lo, hi) in enumerate([(16, 20), (0, 9), (40, 42)]):
+            np.testing.assert_array_equal(
+                payload[inverse[i], : hi - lo], store._c[lo:hi])
 
     def test_duplicates_collapse_and_runs_coalesce(self, store):
         counters = CostCounters()
         los = np.array([0, 0, 8, 16], dtype=np.int64)
         his = np.array([8, 8, 16, 24], dtype=np.int64)
         before = store.read_ops
-        blocks, inverse = store.read_batch("c", los, his, counters)
+        payload, _, inverse = store.read_batch("c", los, his, counters)
         # Three adjacent unique ranges coalesce into ONE backing read.
         assert store.read_ops == before + 1
-        assert len(blocks) == 3
+        assert (counters.io_blocks, counters.io_bytes) == (1, 24 * 8)
+        assert len(payload) == 3
         assert inverse.tolist() == [0, 0, 1, 2]
 
     def test_pa_region_returns_tuples(self, store):
-        blocks, inverse = store.read_batch(
-            "pa", np.array([0, 8]), np.array([8, 16]), None
-        )
-        prob, alias = blocks[inverse[0]]
-        np.testing.assert_array_equal(prob, np.array(store._prob[0:8]))
-        np.testing.assert_array_equal(alias, np.array(store._alias[0:8]))
+        """An alias trunk is a (prob, alias-bits) pair of matrix rows."""
+        for _ in range(2):
+            payload, _, inverse = store.read_batch(
+                "pa", np.array([0, 8]), np.array([8, 16]), None
+            )
+            prob, alias = payload[inverse[0]]
+            np.testing.assert_array_equal(prob, store._prob[0:8])
+            np.testing.assert_array_equal(alias.view(np.int64), store._alias[0:8])
+
+    def test_standalone_store_serves_arbitrary_ranges(self, store, tmp_path):
+        """The traced benchmark pass opens a persisted directory with no
+        PAT in sight: the key index needs nothing but the ranges."""
+        store.close()
+        rng = np.random.default_rng(0)
+        with TrunkStore(tmp_path / "s", cache_bytes=64 << 20) as fresh:
+            assert fresh.cache.width == 9  # the manifest's max trunk + 1
+            los = rng.integers(0, fresh._prob.size - 8, size=500)
+            for hits in (0, 500):
+                payload, lengths, inverse = fresh.read_batch("pa", los, los + 8, None)
+                assert (fresh.cache.stats.hits > 0) == bool(hits)
+                np.testing.assert_array_equal(
+                    payload[inverse, 0], fresh._prob[los[:, None] + np.arange(8)])
+            assert fresh.cache.nbytes <= 64 << 20
+
+    def test_store_persisted_by_the_parent_still_opens(self, store, tmp_path):
+        """A manifest without ``max_trunk`` (written before the pool
+        existed) opens; the first batch fixes the frame width."""
+        import json
+
+        store.close()
+        manifest = tmp_path / "s" / "checksums.json"
+        doc = json.loads(manifest.read_text())
+        del doc["max_trunk"]
+        manifest.write_text(json.dumps(doc))
+        with TrunkStore(tmp_path / "s", cache_bytes=1 << 20,
+                        verify_checksums=True) as legacy:
+            assert legacy.cache.width == 0
+            for _ in range(2):
+                prob, alias = legacy.read_alias_trunk(8, 16, None)
+                np.testing.assert_array_equal(alias, legacy._alias[8:16])
+            assert legacy.cache.width == 9 and legacy.cache.stats.hits == 2
+
+    @pytest.mark.parametrize("cache_bytes", [0, 50, 9 * 8, 3 * 9 * 8])
+    def test_tiny_or_absent_pool_serves_every_range(self, store, tmp_path, cache_bytes):
+        """No cache, a budget below one frame, a single frame, fewer
+        frames than the step's distinct misses: every range is served in
+        full and the slab never outgrows its budget."""
+        store.close()
+        los = np.arange(0, 800, 8)
+        with TrunkStore(tmp_path / "s", cache_bytes=cache_bytes) as small:
+            for _ in range(2):
+                payload, lengths, inverse = small.read_batch("c", los, los + 9, None)
+                np.testing.assert_array_equal(
+                    payload[inverse], small._c[los[:, None] + np.arange(9)])
+            assert small.cache.nbytes <= max(cache_bytes, 0)
+            assert small.cache.used == cache_bytes // (9 * 8)
+
+    def test_out_of_range_requests_raise(self, store):
+        size = store._c.size
+        for los, his in (([-1], [7]), ([size - 4], [size + 1]), ([8], [8]),
+                         ([0], [(1 << 20) + 1])):
+            with pytest.raises(IndexError):
+                store.read_batch("c", np.array(los), np.array(his), None)
 
 
 def _hub_first_hop(graph, spec):
@@ -244,7 +325,12 @@ def _pinned_graph():
 class TestPinnedToParent:
     """``run(seed)`` output recorded at the commit *before* the engine
     lost its own frontier loop and ``ooc_sample_batch`` moved to lane
-    draws: the rewiring must not move a single bit."""
+    draws: the rewiring must not move a single bit. The walk digests and
+    sampling counts are those original pins, untouched since; the
+    uncached ``(io_blocks, io_bytes)`` pair was re-recorded when the
+    read *unit* became the whole trunk (one C-slice trunk where there
+    were a single-entry read and a partial-slice read): fewer backing
+    reads (223 -> 137, 886 -> 575), more logical bytes per read."""
 
     PINNED = {
         "exp": (
@@ -252,14 +338,14 @@ class TestPinnedToParent:
             "fb78ef18f6bd2c6003a25d4192e081386a9b8bd916315a05e655498c89728cb1",
             dict(steps=229, edges_evaluated=477, binary_search_probes=322,
                  alias_draws=155, rejection_trials=0),
-            (223, 12024),
+            (137, 15192),
         ),
         "n2v": (
             temporal_node2vec(),
             "94f8eac146e4c688ea832e9b86fc50d9465ac101196f3ad6e17ece7d0e61e51d",
             dict(steps=255, edges_evaluated=2036, binary_search_probes=1021,
                  alias_draws=381, rejection_trials=624),
-            (886, 48368),
+            (575, 61488),
         ),
     }
 
@@ -287,6 +373,226 @@ class TestPinnedToParent:
         if cache_bytes == 0:
             assert (counters["io_blocks"], counters["io_bytes"]) == uncached_io
             assert engine.index.store.read_ops == uncached_io[0]
+
+
+    @pytest.mark.parametrize("app", sorted(PINNED))
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
+    @pytest.mark.parametrize(
+        "cache_bytes", [50, 9 * 8, 12 * 9 * 8],
+        ids=["below-one-frame", "one-frame", "twelve-frames"],
+    )
+    def test_starved_pool_walks_the_same_walks(self, app, prefetch, cache_bytes):
+        """The rest of the grid: pools far below one frontier's demand
+        (this workload's widest step touches ~100 distinct trunks)."""
+        import hashlib
+
+        spec, digest, sampling, _ = self.PINNED[app]
+        engine = BatchTeaOutOfCoreEngine(
+            _pinned_graph(), spec, trunk_size=8, cache_bytes=cache_bytes,
+            prefetch=prefetch,
+        )
+        result = engine.run(Workload(walks_per_vertex=3, max_length=10), seed=17)
+        sha = hashlib.sha256()
+        for path in result.paths:
+            sha.update(np.asarray(path.vertices, dtype=np.int64).tobytes())
+            sha.update(np.asarray(path.times[1:], dtype=np.float64).tobytes())
+        assert sha.hexdigest() == digest
+        counters = result.counters.snapshot()
+        assert {k: counters[k] for k in sampling} == sampling
+        store = engine.index.store
+        assert store.cache.nbytes <= cache_bytes
+        assert store.prefetch_issued == (
+            store.prefetch_hits + store.prefetch_wasted + store.prefetch_in_flight)
+
+    def test_io_counts_repeat_and_respect_the_trunk_bound(self):
+        """I/O counts are deterministic at a fixed seed, and a step
+        loads at most one C-slice trunk plus one alias trunk."""
+        spec = self.PINNED["exp"][0]
+        seen = []
+        for _ in range(2):
+            engine = BatchTeaOutOfCoreEngine(
+                _pinned_graph(), spec, trunk_size=8, cache_bytes=12 * 9 * 8,
+                prefetch=True)
+            counters = engine.run(
+                Workload(walks_per_vertex=3, max_length=10), seed=17,
+                record_paths=False).counters
+            store = engine.index.store
+            seen.append((counters.io_blocks, counters.io_bytes, store.read_ops,
+                         store.cache.stats.snapshot(), store.prefetch_hits,
+                         store.prefetch_wasted))
+            assert store.cache.stats.bytes_in <= counters.steps * ((8 + 1) * 8 + 8 * 16)
+        assert seen[0] == seen[1]
+
+
+class TestBatchMatchesScalar:
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
+    @pytest.mark.parametrize("cache_bytes", [0, 6 * 9 * 8, 4 << 20])
+    def test_first_hop_chi_squared(self, small_graph, prefetch, cache_bytes):
+        """Batch and scalar engines against Equation 3 at the hub, on
+        the cache grid — the pool must not bend the distribution."""
+        spec = exponential_walk(scale=15.0)
+        v, dests, probs = _hub_first_hop(small_graph, spec)
+        batch = BatchTeaOutOfCoreEngine(
+            small_graph, spec, trunk_size=8, cache_bytes=cache_bytes,
+            prefetch=prefetch)
+        frontier = batch.run_lanes(np.full(6000, v), np.arange(6000) + 77, 1)
+        counts = np.bincount(np.searchsorted(dests, frontier.hop_vertex[:, 0]),
+                             minlength=dests.size)
+        assert counts.sum() == 6000 and chisquare_ok(counts, probs)
+        scalar = TeaOutOfCoreEngine(
+            small_graph, spec, trunk_size=8, cache_bytes=cache_bytes)
+        result = scalar.run(
+            Workload(walks_per_vertex=3000, max_length=1, start_vertices=[v]),
+            seed=9)
+        first = [p.hops[1][0] for p in result.paths]
+        counts = np.bincount(np.searchsorted(dests, first), minlength=dests.size)
+        assert counts.sum() == 3000 and chisquare_ok(counts, probs)
+
+
+class TestMemorySafety:
+    """A wrapped index is a wrong walk, not a crash: numpy wraps negative
+    positions silently, so lanes are validated before any key, offset
+    or frame is computed."""
+
+    @pytest.fixture
+    def engine(self, small_graph):
+        engine = BatchTeaOutOfCoreEngine(
+            small_graph, exponential_walk(scale=15.0), trunk_size=8)
+        engine.prepare()
+        return engine
+
+    @pytest.mark.parametrize("v, s", [
+        (5, 0), (5, -3), (5, 10**6), (-1, 1), (50, 1), (10**12, 1),
+    ])
+    def test_bad_lane_raises(self, engine, v, s):
+        from repro.engines.tea_outofcore.batch import ooc_sample_batch
+        from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
+        from repro.rng import make_rng
+
+        deg = int(np.diff(engine.graph.indptr)[5])
+        vs = np.array([5, v, 5], dtype=np.int64)
+        ss = np.array([deg, s, 1], dtype=np.int64)
+        with pytest.raises(IndexError):
+            ooc_sample_batch(engine.index, vs, ss, make_rng(0), CostCounters())
+        engine._prefetcher = AsyncPrefetcher(engine.index.store)  # never started
+        with pytest.raises(IndexError):
+            engine._on_frontier_advance(vs, ss)
+        assert engine.index.store.prefetch_issued == 0
+
+    def test_size_one_past_the_degree_raises(self, engine):
+        from repro.rng import make_rng
+
+        deg = np.diff(engine.graph.indptr)
+        v = int(np.flatnonzero(deg)[0])
+        with pytest.raises(IndexError):
+            engine.index.sample(v, int(deg[v]) + 1, make_rng(0))
+        with pytest.raises(IndexError):
+            engine.index.sample(-1, 1, make_rng(0))
+        with pytest.raises(IndexError):
+            engine.index.sample(engine.graph.num_vertices, 1, make_rng(0))
+
+    def test_poisoned_candidate_sizes_raise(self, small_graph, poison=10**9):
+        spec = exponential_walk(scale=15.0)
+        workload = Workload(walks_per_vertex=1, max_length=6)
+        for make in (BatchTeaOutOfCoreEngine, TeaOutOfCoreEngine):
+            engine = make(small_graph, spec, trunk_size=8)
+            engine.prepare()
+            engine.candidate_sizes = np.full_like(engine.candidate_sizes, poison)
+            with pytest.raises(IndexError):
+                engine.run(workload, seed=0, record_paths=False)
+        with pytest.raises(IndexError):
+            engine = BatchTeaOutOfCoreEngine(small_graph, spec, trunk_size=8)
+            engine.prepare()
+            engine.candidate_sizes = np.full_like(engine.candidate_sizes, poison)
+            engine.run_lanes(np.arange(20), np.arange(20) + 3, 6)
+
+
+#: Call events a 16x wider frontier may add to one iteration: the
+#: lockstep trunk-boundary bisect runs one more round per doubling of
+#: the deepest lane's trunk count (7 events a round) and the byte
+#: histograms fold once per *distinct* size. A loop over ranges, blocks
+#: or lanes would add tens of thousands.
+WIDTH_SLACK_EVENTS = 96
+
+
+def frontier_call_events(graph, spec, lanes: int, seed: int = 0) -> int:
+    """Python-level ``call``/``c_call`` events (``sys.setprofile``) inside
+    one cold ``_sample_batch`` + ``_on_frontier_advance`` over ``lanes``
+    seeded (vertex, candidate size) pairs on a fresh engine."""
+    import sys
+
+    from repro.rng import make_rng
+    from repro.telemetry import NULL_PROFILER
+
+    engine = BatchTeaOutOfCoreEngine(
+        graph, spec, cache_bytes=1 << 20, prefetch=True)
+    engine.prepare()
+    degrees = np.diff(graph.indptr)
+    rng = np.random.default_rng(seed)
+    vs = rng.choice(np.flatnonzero(degrees), size=lanes)
+    ss = rng.integers(1, degrees[vs] + 1)
+    counters = CostCounters()
+    events = 0
+
+    def hook(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    with engine._frontier_scope(NULL_PROFILER, counters) as on_advance:
+        sys.setprofile(hook)
+        try:
+            engine._sample_batch(vs, ss, make_rng(seed), counters)
+            on_advance(vs, ss)
+        finally:
+            sys.setprofile(None)
+    return events
+
+
+class TestWidthIndependence:
+    @pytest.mark.parametrize("dataset", ["medium", "growth"])
+    def test_call_events_do_not_grow_with_the_frontier(self, medium_graph, dataset):
+        """Exact structural gate (``make ooc-smoke`` runs it beside the
+        smoke's five invariants): lookup, miss load, admission,
+        eviction, prefetch hand-off and in-trunk search are array
+        passes, so 16x the lanes cost the same number of Python-level
+        calls up to the lockstep bisect's rounds."""
+        from repro.graph.datasets import load_dataset
+
+        graph = (medium_graph if dataset == "medium"
+                 else load_dataset("growth", scale=0.25, seed=7))
+        spec = exponential_walk(scale=20.0)
+        narrow = frontier_call_events(graph, spec, 1_000)
+        wide = frontier_call_events(graph, spec, 16_000)
+        assert narrow > 100  # the hook saw the iteration
+        assert abs(wide - narrow) <= WIDTH_SLACK_EVENTS, (narrow, wide)
+
+
+class TestSetup:
+    def test_tr_prefix_matches_the_per_vertex_loop(self, medium_graph, tmp_path):
+        """The vectorised boundary gather builds the array the old
+        per-vertex loop built, bit for bit, for uniform and sqrt-rule
+        trunk sizes."""
+        from repro.core.outofcore import OutOfCorePAT
+
+        weights = WeightModel("exponential", scale=20.0).compute(medium_graph)
+        for trunk_size in (8, None):
+            pat = build_pat(medium_graph, weights, trunk_size=trunk_size)
+            store = TrunkStore.persist(pat, tmp_path / str(trunk_size))
+            index = OutOfCorePAT(pat, store)
+            expected = np.zeros_like(index.tr_prefix)
+            for v in range(medium_graph.num_vertices):
+                d = medium_graph.out_degree(v)
+                if not d:
+                    continue
+                ts = int(pat.trunk_sizes[v])
+                count = -(-d // ts) + 1
+                bounds = np.minimum(np.arange(count) * ts, d)
+                lo = index.tr_indptr[v]
+                assert index.tr_indptr[v + 1] - lo == count
+                expected[lo : lo + count] = pat.c[pat.c_base(v) + bounds]
+            assert index.tr_prefix.dtype == np.float64
+            np.testing.assert_array_equal(index.tr_prefix, expected)
+            assert store.open().cache.width == int(pat.trunk_sizes.max()) + 1
 
 
 class TestPrefetchPrediction:

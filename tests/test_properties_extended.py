@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.block_cache import BlockCache
+from repro.core.frame_pool import FramePool
 from repro.core.deletions import TombstoneHPAT
 from repro.core.weights import WeightModel
 from repro.embeddings.link_prediction import auc_score
@@ -115,20 +115,27 @@ def test_walk_sink_roundtrip(vertex_seqs):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.lists(st.tuples(st.text(min_size=1, max_size=3),
-                       st.integers(min_value=1, max_value=32)),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                       st.integers(min_value=1, max_value=32),
+                       st.booleans()),
              min_size=1, max_size=40),
     st.integers(min_value=64, max_value=2048),
 )
 def test_block_cache_never_exceeds_budget(operations, capacity):
-    cache = BlockCache(capacity)
-    for key, size in operations:
-        cache.put(key, np.zeros(size))
-        assert cache.nbytes <= capacity
-    # Everything retrievable is what was last stored under that key.
-    for key, _ in operations:
-        value = cache.get(key)
-        assert value is None or isinstance(value, np.ndarray)
+    """The frame pool's slab is its budget: whatever is admitted —
+    any payload length up to a frame, pinned or not — resident bytes
+    never exceed it, and a resident key returns what was stored."""
+    pool = FramePool(capacity)
+    pool.set_width(32)
+    stored = {}
+    for key, size, pin in operations:
+        row = np.full((1, size), float(key))
+        if pool.admit(np.array([key]), row, np.array([size * 8]), pin=pin)[0]:
+            stored[key] = size
+        assert pool.nbytes <= capacity
+    for key, size in stored.items():
+        frame = int(pool.find(np.array([key]))[0])
+        assert frame < 0 or (pool.slab[frame, :size] == key).all()
 
 
 @given(

@@ -293,8 +293,9 @@ class TestChecksums:
         store = TrunkStore(tmp_path, verify_checksums=True).open()
         try:
             with pytest.raises(ChecksumError) as err:
-                store._load("c", 0, 16)
+                store.read_c(0, 16, None)
             assert err.value.page == 0
+            assert "c.bin" in str(err.value)
         finally:
             store.close()
 
@@ -308,7 +309,7 @@ class TestChecksums:
             fh.write(bytes([byte ^ 0x10]))
         store = TrunkStore(tmp_path).open()
         try:
-            store._load("c", 0, 16)  # corrupt but unchecked: no raise
+            store.read_c(0, 16, None)  # corrupt but unchecked: no raise
         finally:
             store.close()
 
@@ -339,6 +340,47 @@ class TestChecksums:
         with pytest.raises(ChecksumError):
             engine.run(Workload(walks_per_vertex=1, max_length=20), seed=0,
                        record_paths=False)
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
+    def test_flipped_bit_raises_from_batched_run(self, prefetch, tmp_path):
+        """Vectorised reads verify every distinct CRC page under a
+        batch's misses once, before its bytes are served — from the
+        sampling thread and from the prefetch worker (whose failure
+        falls back to the synchronous read that raises)."""
+        from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
+        from repro.graph.generators import temporal_powerlaw
+
+        graph = TemporalGraph.from_stream(
+            temporal_powerlaw(num_vertices=120, num_edges=6000, alpha=0.8,
+                              time_horizon=100.0, seed=3))
+        workload = Workload(walks_per_vertex=2, max_length=20)
+
+        def engine():
+            return BatchTeaOutOfCoreEngine(
+                graph, exp_spec(), storage_dir=str(tmp_path),
+                verify_checksums=True, prefetch=prefetch)
+
+        clean = engine()
+        clean.run(workload, seed=0, record_paths=False)  # verified, intact
+        clean.index.store.close()
+        offset = 3 * CHECKSUM_PAGE_ELEMS * 8 + 200  # page 3 of 5+
+        with open(tmp_path / "prob.bin", "r+b") as fh:
+            fh.seek(offset)
+            byte = fh.read(1)[0]
+        bad = engine()
+        bad.prepare()  # persists afresh; corrupt the new file
+        with open(tmp_path / "prob.bin", "r+b") as fh:
+            fh.seek(offset)
+            fh.write(bytes([byte ^ 0x04]))
+        store = bad.index.store
+        store.read_alias_trunk(0, 8, None)  # page 0 is intact
+        with pytest.raises(ChecksumError) as err:
+            bad.run(workload, seed=0, record_paths=False)
+        assert err.value.page == 3 and "prob.bin" in str(err.value)
+        if prefetch:
+            assert store.prefetch_issued == (
+                store.prefetch_hits + store.prefetch_wasted
+                + store.prefetch_in_flight)
 
     def test_transient_io_retried_and_counted(self, ooc_graph):
         from repro.engines.tea_outofcore import TeaOutOfCoreEngine
@@ -390,10 +432,10 @@ class TestPrefetchResilience:
         store = persist_store(ooc_graph, tmp_path).open()
         try:
             pf = AsyncPrefetcher(store)  # worker never started: queue fills
-            pf.submit([("c", 0, 4)])
-            pf.submit([("c", 8, 12)])
+            pf.submit([("c", [0], [4])])
+            pf.submit([("c", [8], [12])])
             assert store.prefetch_dropped == 0
-            pf.submit([("c", 16, 20), ("c", 24, 28)])  # queue depth is 2
+            pf.submit([("c", [16, 24], [20, 28])])  # queue depth is 2
             assert store.prefetch_dropped == 2
             assert store.prefetch_issued == 2  # drops are never "issued"
         finally:
@@ -414,7 +456,7 @@ class TestPrefetchResilience:
         try:
             pf = AsyncPrefetcher(store)
             pf.start()
-            pf.submit([("c", 0, 4)])
+            pf.submit([("c", [0], [4])])
             deadline = time.monotonic() + 10.0
             while not pf.failed and time.monotonic() < deadline:
                 time.sleep(0.005)
@@ -422,7 +464,7 @@ class TestPrefetchResilience:
             pf.drain()  # settles the poisoned batch's keys
             assert store.prefetch_failures == 1
             # Failed prefetchers refuse further work without issuing.
-            pf.submit([("c", 8, 12)])
+            pf.submit([("c", [8], [12])])
             assert store.prefetch_issued == 1
             pf.close()
             # Conservation survives the failure: the one issued key is
