@@ -15,14 +15,17 @@ test: lint-clocks kernel-smoke stats-smoke scaling-smoke ooc-smoke \
       ingest-smoke
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-# Sampling-kernel smoke: compiled C and fused numpy backends
-# bit-identical to the preserved legacy kernel; prints what `auto`
-# resolved to and fails when a cc is on PATH but the compiled backend
-# did not load (without one: numpy plus a fallback note); and
-# factorized-vs-rebuilt decay-weight equivalence for the radix forest.
+# Sampling-kernel smoke: prints what `auto` resolved to and fails when a
+# cc is on PATH but the compiled backend did not build, load and pass its
+# self-test (without one: numpy plus a fallback note); then the
+# structural constant-calls gate (one fused node2vec run makes the same
+# number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at
+# p=4, q=1/4: no per-round or per-lane work left in Python).
 kernel-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.kernels.smoke
-	@echo "kernel-smoke: backend parity + factorized bias hold"
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
+		"tests/test_kernel_passes.py::TestConstantCalls"
+	@echo "kernel-smoke: compiled backend loaded + constant calls per hop"
 
 # End-to-end telemetry smoke: run a tiny walk with --stats, write the
 # JSON run report, then replay it (the replay validates the schema and

@@ -13,6 +13,10 @@ Not a paper figure: this bench gates the kernel-fusion work itself.
   same bursts — ``c_speedup_n*`` is numpy time over its time — and every
   backend gets a 128-lane ``sample_batch_us`` row: the serving-width
   call, where ``LaneRng`` and call overhead, not the passes, dominate.
+  ``hop_us_*`` / ``n2v_hop_us_*`` is what a whole lane-keyed iteration
+  costs at that width (exponential / node2vec p=4, q=1/4): the three
+  driver phases under ``numpy``, the one fused ``hop`` phase under
+  ``c`` — the row ROADMAP's <= 20 us @ 128 lanes is judged on.
 
 * **Streaming decay-bias maintenance** — appending E edges in B
   batches under ``exponential_decay``: the BINGO-style radix forest
@@ -33,10 +37,14 @@ import pytest
 from benchmarks.conftest import BENCH_SCALE, record_history, write_json_result
 from repro.core import builder
 from repro.core.weights import WeightModel
+from repro.engines.batch import BatchTeaEngine
 from repro.graph.generators import temporal_powerlaw
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelScratch, resolve_backend, sample_batch
 from repro.rng import LaneRng
+from repro.sampling.counters import CostCounters
+from repro.telemetry import PhaseProfiler
+from repro.walks.apps import exponential_walk, temporal_node2vec
 
 # Frontier widths seen in practice: the parallel executor's adaptive
 # chunking (75ms target) hands the kernel batches of hundreds to a few
@@ -46,19 +54,25 @@ LANE_COUNTS = (1000, 2000, 4000)
 NARROW = 128
 _fusion = {}
 _decay = {}
+_hops = {}
 
 
 @pytest.fixture(scope="module")
-def skewed_index():
-    """Fig2-style workload: power-law degrees, skewed recency weights."""
-    graph = TemporalGraph.from_stream(
+def skewed_graph():
+    """Fig2-style workload: power-law degrees."""
+    return TemporalGraph.from_stream(
         temporal_powerlaw(
             num_vertices=int(2000 * BENCH_SCALE) or 200,
             num_edges=int(400000 * BENCH_SCALE) or 4000,
             alpha=1.2, time_horizon=500.0, seed=5,
         )
     )
-    pre = builder.preprocess(graph, WeightModel("exponential", scale=20.0))
+
+
+@pytest.fixture(scope="module")
+def skewed_index(skewed_graph):
+    """... with skewed recency weights."""
+    pre = builder.preprocess(skewed_graph, WeightModel("exponential", scale=20.0))
     return pre.index
 
 
@@ -121,6 +135,40 @@ def test_kernel_fusion_throughput(benchmark, skewed_index):
         f"fig2-style workload, got {aggregate:.2f}x "
         f"({ {n: round(r['speedup'], 2) for n, r in rows.items()} })"
     )
+
+
+def test_hop_per_iteration(benchmark, skewed_graph):
+    """Mean walk-phase time per iteration of a 128-lane, 2-hop lane-keyed
+    run (iteration 0: every lane; iteration 1: the survivors, β live)."""
+    deg = np.diff(skewed_graph.indptr)
+    rng = np.random.default_rng(3)
+    starts = rng.choice(np.flatnonzero(deg >= 8), size=NARROW)
+    seeds = rng.integers(0, 2**63, NARROW).astype(np.uint64)
+    phases = ("hop", "gather", "draw", "scatter")
+
+    def per_iteration_us(engine):
+        best = float("inf")
+        for _ in range(300):
+            profiler = PhaseProfiler(calibrate=False)
+            engine._run_frontier(starts, 2, 0.0, None, CostCounters(), True,
+                                 profiler=profiler, lane_rng=LaneRng(seeds))
+            cells = [cell for path, cell in profiler.phases.items()
+                     if path[-1] in phases]
+            best = min(best, sum(c[1] for c in cells) / max(c[0] for c in cells))
+        return best * 1e6
+
+    def measure():
+        rows = {}
+        for prefix, spec in (("", exponential_walk(scale=20.0)),
+                             ("n2v_", temporal_node2vec(p=4.0, q=0.25, scale=20.0))):
+            for name in dict.fromkeys(("numpy", resolve_backend("auto").name)):
+                engine = BatchTeaEngine(skewed_graph, spec, kernel_backend=name)
+                engine.prepare()
+                rows[f"{prefix}hop_us_{name}"] = per_iteration_us(engine)
+        return rows
+
+    _hops.update(benchmark.pedantic(measure, rounds=1, iterations=1))
+    benchmark.extra_info.update({k: round(v, 1) for k, v in _hops.items()})
 
 
 def test_factorized_decay_streaming(benchmark):
@@ -212,11 +260,12 @@ def report():
         f"{ {n: round(_fusion[n]['c_speedup'], 2) for n in LANE_COUNTS} }; "
         f"{NARROW}-lane sample_batch "
         f"{ {k[:-2]: round(v * 1e6, 1) for k, v in _fusion['narrow'].items() if k.endswith('_s')} } us\n"
+        f"{NARROW}-lane iteration { {k: round(v, 1) for k, v in _hops.items()} } us\n"
         f"decay stream: radix {_decay['radix_s']:.3f}s, carry "
         f"{_decay['carry_s']:.3f}s, rebuild {_decay['rebuild_s']:.3f}s"
     )
     write_json_result("kernel_fusion", payload)
-    metrics = {"fused_speedup": _fusion["aggregate"],
+    metrics = {**_hops, "fused_speedup": _fusion["aggregate"],
                "decay_radix_s": _decay["radix_s"],
                "decay_carry_s": _decay["carry_s"],
                "decay_rebuild_s": _decay["rebuild_s"]}

@@ -9,7 +9,8 @@ inside every selected trunk), **scatter** (advance, record, retire
 exhausted walkers) — compiled C loops where the system ``cc`` built them,
 numpy passes otherwise, plus vectorised node2vec β rejection
 (static-adjacency membership via the same offset-key ``searchsorted``
-trick the candidate search uses), re-drawing only the rejected lanes.
+trick the candidate search uses), re-drawing only the rejected lanes;
+a lane-keyed run under the compiled backend does all of it in one call.
 
 Distribution-equivalent to :class:`~repro.engines.tea.TeaEngine`
 (property-tested); typically ~10× faster per step in CPython, which is
@@ -338,6 +339,33 @@ class BatchTeaEngine(Engine):
         walk = WalkState(g.indptr, g.nbr, g.etime, self.candidate_sizes,
                          cur, prev, s, steps_left, out.hop_vertex, out.hop_time)
         scatter = self.kernel.scatter
+        # A lane-keyed run over the in-memory index is one backend call per
+        # iteration — chosen by what the run *is*, never by size or option.
+        hop = None
+        if (self.kernel.hop is not None and isinstance(draw_src, LaneRng)
+                and type(self)._sample_batch is BatchTeaEngine._sample_batch
+                and (beta is None or self._static_ready)):
+            hop = self.kernel.hop(
+                self.index, walk, draw_src, stop_probability,
+                None if beta is None else (
+                    self._static_keys, g.num_vertices, 1.0 / beta.p,
+                    1.0 / beta.q, beta_max, _MAX_BETA_ROUNDS), scratch)
+
+        def fused_advance(lanes: np.ndarray, iteration: int) -> np.ndarray:
+            """:func:`advance`, the backend drawing and scattering too; lanes
+            that spent the rejection budget take the exact fallback here."""
+            with profiler.phase("hop"):
+                if frontier_hist is not None:
+                    frontier_hist.observe(lanes.size)
+                lanes, spent = hop(lanes, iteration, counters)
+                if spent.size:
+                    vs = cur[spent]
+                    idx = self._beta_fallback_batch(
+                        vs, s[spent], prev[spent], beta, draw_src, spent,
+                        counters)
+                    lanes = np.concatenate(
+                        [lanes, scatter(walk, spent, vs, idx, iteration, scratch)])
+            return lanes
 
         def advance(lanes: np.ndarray, iteration: int) -> np.ndarray:
             """One frontier iteration over ``lanes``; returns survivors.
@@ -418,11 +446,12 @@ class BatchTeaEngine(Engine):
             return idx_out
 
         frontier = np.flatnonzero(active)
+        iterate = advance if hop is None else fused_advance
         with self._frontier_scope(profiler, counters) as lookahead:
             if interleave <= 1:
                 iteration = 0
                 while frontier.size:
-                    frontier = advance(frontier, iteration)
+                    frontier = iterate(frontier, iteration)
                     iteration += 1
             else:
                 # ThunderRW-style ring: split the frontier into k cohorts
@@ -440,7 +469,7 @@ class BatchTeaEngine(Engine):
                 while ring:
                     cohort, iteration = ring.popleft()
                     with profiler.phase("cohort"):
-                        cohort = advance(cohort, iteration)
+                        cohort = iterate(cohort, iteration)
                     if cohort.size:
                         ring.append((cohort, iteration + 1))
 

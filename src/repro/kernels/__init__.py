@@ -6,18 +6,20 @@ package is the registry that picks which implementation runs them:
 
 ``c``
     Per-lane C loops (``hop.c`` via :mod:`repro.kernels.c_backend`),
-    compiled on first use with the system ``cc``. ``auto`` resolves to
-    it whenever it compiled, loaded and passed its self-test; otherwise
-    to ``numpy``, and :func:`backend_fallback_note` says why.
+    compiled on first use with the system ``cc`` — and, for lane-keyed
+    runs, the whole hop in one call. ``auto`` resolves to it whenever it
+    compiled, loaded and passed its self-test; otherwise to ``numpy``,
+    and :func:`backend_fallback_note` says why.
 ``numpy``
     The fused reference backend. Always available.
 ``legacy``
     The pre-fusion kernel, verbatim — parity oracle and bench
     baseline. Not offered by the CLI.
 
-Backend choice never changes walk output — every backend consumes the
-uniforms the shared driver drew — so the only selection is "did it
-compile". The BINGO-style factorized time-decay bias for streaming
+Backend choice never changes walk output — the passes consume the
+uniforms the shared driver drew, and ``c``'s own draws are
+:class:`~repro.rng.LaneRng`'s bit for bit — so the only selection is "did
+it compile". The BINGO-style factorized time-decay bias for streaming
 updates lives in :mod:`repro.kernels.decay`.
 """
 

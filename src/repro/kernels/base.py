@@ -13,10 +13,8 @@ passes over the walker population:
 A *backend* supplies those passes behind a narrow ABI — array-in /
 array-out functions over flat int64/float64 arrays — while the drivers
 (:func:`sample_batch` here, ``BatchTeaEngine._run_frontier`` for the
-scatter) own everything stateful: **every uniform draw** (so
-counter-based :class:`~repro.rng.LaneRng` streams stay bit-identical
-across backends — parity is structural, not tested-in), scratch reuse,
-and :class:`~repro.sampling.counters.CostCounters`. A pass given an
+scatter) own everything stateful: every uniform draw, scratch reuse and
+:class:`~repro.sampling.counters.CostCounters`. A pass given an
 out-of-range vertex, candidate size, lane or edge index raises
 :class:`IndexError`; it never reads out of bounds.
 
@@ -39,6 +37,24 @@ out-of-range vertex, candidate size, lane or edge index raises
     updates ``walk.prev/cur/s/steps_left`` and returns the lanes that
     walk on. ``lanes`` must be the caller's own array — a backend may
     compact it in place and return a prefix view.
+
+A backend may also supply the whole hop of a **lane-keyed** run, draws
+included, as a fourth, optional member. :class:`~repro.rng.LaneRng`
+defines the stream and the passes under the drivers stay the
+specification: a backend without the member (``None``), or whose arrays
+do not fit it, is orchestrated by the drivers; one with it must
+reproduce them bit for bit (walks, stream counters, costs).
+
+``hop(index, walk, rng, stop, node2vec, scratch) -> step | None``
+    Bind one run, verifying its arrays once (``None``: they do not fit):
+    ``rng`` is the run's ``LaneRng``, ``stop`` its stop probability,
+    ``node2vec`` ``None`` or ``(static_keys, span, 1/p, 1/q, beta_max,
+    rounds)``. ``step(lanes, iteration, counters) -> (lanes, spent)``
+    then advances every lane one hop, consuming each lane's stream in
+    the drivers' order — stop draw, then per β round: select, two alias
+    draws when deep, accept — and charges ``counters``. ``spent`` are
+    the lanes that used up ``rounds`` rejections: stream advanced, walk
+    state untouched, for the caller's exact fallback and ``scatter``.
 """
 
 from __future__ import annotations
@@ -109,6 +125,8 @@ class KernelBackend:
     select: Optional[Callable]
     alias: Optional[Callable]
     scatter: Callable
+    #: Optional binder of the whole lane-keyed hop (only ``c`` has one).
+    hop: Optional[Callable] = None
     #: Optional whole-sampler override (the ``legacy`` reference backend
     #: keeps the exact pre-fusion code path this way). When set,
     #: :func:`sample_batch` delegates wholesale instead of orchestrating

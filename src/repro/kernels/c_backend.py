@@ -3,7 +3,8 @@
 :func:`load` compiles ``hop.c`` (next to this file) on first use into a
 content-addressed shared object in a per-user cache directory, loads it
 with :class:`ctypes.CDLL` — so the GIL is released while a pass runs —
-and checks ~130 lanes against the numpy passes bit for bit. Any failure
+and checks the passes, its lane stream and its fused hop against numpy,
+``LaneRng`` and the drivers bit for bit (:func:`_self_test`). Any failure
 raises :class:`Unavailable` with the reason; the registry serves numpy.
 
 Memory safety is split in two. Python proves, once per run, that every
@@ -36,10 +37,18 @@ from repro.kernels.base import KernelBackend, KernelScratch, WalkState
 #: ``-ffp-contract=off``: ``r = total − u·total`` must round twice.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _SOURCE = Path(__file__).with_name("hop.c")
-#: Argument lists of the three entry points (q = int64, p = pointer).
+#: Argument lists of the entry points (q = int64, p = pointer, d = double).
 _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
-               "hop_scatter": "qpppqpqpppqppppqqpp"}
-_I64, _F64 = np.dtype(np.int64), np.dtype(np.float64)
+               "hop_scatter": "qpppqpqpppqppppqqpp", "hop_lanes": "pqpqp",
+               "hop_uniforms": "qppqp"}
+_KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
+_I64, _F64, _U64 = (np.dtype(t) for t in (np.int64, np.float64, np.uint64))
+
+
+class _Lanes(ctypes.Structure):
+    """``struct Lanes`` of ``hop.c``, member by member (all 8 bytes)."""
+    _fields_ = [(f"m{i}", _KINDS[kind]) for i, kind in enumerate(
+        "qpqp" "qpqpqpp" "qpqpppqppppqpp" "qpp" "dq" "qqp" "ddd")]
 
 
 class Unavailable(RuntimeError):
@@ -111,10 +120,9 @@ def load() -> KernelBackend:
     for name, signature in _SIGNATURES.items():
         fn = getattr(lib, name)
         fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64 if kind == "q" else ctypes.c_void_p
-                       for kind in signature]
+        fn.argtypes = [_KINDS[kind] for kind in signature]
     backend = _make_backend(lib)
-    _self_test(backend)
+    _self_test(lib, backend)
     return backend
 
 
@@ -219,16 +227,62 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
         ), f"scatter (lane, edge index or hop column {iteration})")
         return lanes[:alive]
 
-    return KernelBackend(name="c", select=select, alias=alias, scatter=scatter)
+    def hop(index, walk, rng, stop, node2vec, scratch):
+        index_args = _bound(scratch, "index", index, _index_args)
+        walk_args = _bound(scratch, "walk", walk, _walk_args)
+        if index_args is None or walk_args is None:
+            return None
+        keys, span, inv_p, inv_q, beta_max, rounds = node2vec or (
+            np.zeros(0, np.int64), 0, 0.0, 0.0, 1.0, -1)
+        # step's output: six counts, then the lanes that spent the budget
+        out = np.empty(6 + (walk.cur.size if node2vec else 0), np.int64)
+        try:
+            ctx = _Lanes(
+                *index_args[0], *index_args[1], *walk_args[0], *walk_args[1],
+                rng._key.size, _addr(rng._key, _U64),
+                _addr(rng._ctr, _U64, rng._key.size), stop, rounds,
+                span, keys.size, _addr(keys, _I64), inv_p, inv_q, beta_max)
+        except ValueError:
+            return None
+        fixed = ctypes.addressof(ctx), _addr(out, _I64)
+
+        # ``_keep``: the step owns what ``ctx`` points into, not the scratch.
+        def step(lanes, iteration, counters, _keep=(rng, ctx, keys)):
+            if not lanes.flags.writeable:
+                lanes = lanes.copy()
+            alive = _checked(lib.hop_lanes(
+                fixed[0], lanes.size, _addr(lanes, _I64), int(iteration), fixed[1],
+            ), "hop (lane, vertex, size, cell, prev, static key or hop column)")
+            steps, probes, deep, trials, rejected, spent = out[:6].tolist()
+            counters.steps += steps
+            counters.binary_search_probes += probes
+            counters.alias_draws += deep
+            counters.rejection_trials += trials
+            counters.rejected += rejected
+            counters.edges_evaluated += probes + deep + trials
+            return lanes[:alive], out[6:6 + spent]
+
+        return step
+
+    return KernelBackend(name="c", select=select, alias=alias, scatter=scatter,
+                         hop=hop)
 
 
-def _self_test(backend: KernelBackend) -> None:
-    """One synthetic hop through both backends; any differing bit refuses
+def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
+    """A synthetic graph through both backends; any differing bit refuses
     the build. Vertices 0..95 are FMA tripwires: degree 3 with the first
     trunk boundary set to the twice-rounded ``r`` itself, so a contracted
-    ``total − u·total`` lands on the other side of it. (The tables hold
-    arbitrary numbers — parity, not distribution, is what is checked.)"""
+    ``total − u·total`` lands on the other side of it. The fused hop adds
+    its stream against :class:`~repro.rng.LaneRng` (extreme keys, wrapping
+    counters) and a lane-keyed node2vec run with stop draws and forced
+    re-draws: numpy passes under the drivers against the one compiled
+    call. (The tables hold arbitrary numbers — parity, not distribution,
+    is what is checked.)"""
     from repro.core.builder import hpat_layout
+    from repro.engines.batch import BatchTeaEngine
+    from repro.rng import LaneRng
+    from repro.sampling.counters import CostCounters
+    from repro.walks.apps import temporal_node2vec
 
     rng = np.random.default_rng(2023)
     deg = np.array([3] * 96 + [1, 37, 64, 100])
@@ -263,9 +317,42 @@ def _self_test(backend: KernelBackend) -> None:
         return [level, out, deep, np.int64(probes), alive,
                 *list(vars(walk).values())[4:]]
 
+    keys = rng.integers(0, 2**63, V, dtype=np.uint64)
+    keys[:4] = 0, 1, 2**63 - 1, 2**64 - 1
+    ctr0 = np.where(np.arange(V) % 3, 0, 2**64 - 2).astype(np.uint64)
+
+    def stream(compiled):
+        lane_rng, every, got = LaneRng(keys), np.arange(V), np.empty((3, V))
+        lane_rng._ctr[:] = ctr0
+        if compiled:
+            lib.hop_uniforms(V, _addr(lane_rng._key, _U64),
+                             _addr(lane_rng._ctr, _U64), 3, _addr(got, _F64))
+        else:
+            got[0], got[1:] = lane_rng.uniform(every), lane_rng.uniform_block(every, 2)
+        return [got, lane_rng._ctr]
+
+    graph = SimpleNamespace(indptr=indptr, nbr=nbr, etime=etime,
+                            num_vertices=V, _static_indptr=indptr)
+    static = np.flatnonzero(rng.random(V * V) < 0.08)
+    live = rng.integers(0, 2**30, E) % (deg[nbr] + 1)
+
+    def frontier(kernel):
+        engine = BatchTeaEngine.from_prepared(
+            graph, temporal_node2vec(p=1.0, q=0.5), index, live, static, kernel)
+        lane_rng, counters = LaneRng(keys), CostCounters()
+        lane_rng._ctr[:] = ctr0
+        out = engine._run_frontier(np.arange(V), 3, 0.1, None, counters, True,
+                                   lane_rng=lane_rng)
+        if not counters.rejected:
+            raise ValueError("the self-test run forced no re-draw")
+        return [out.lengths, out.hop_vertex, out.hop_time, lane_rng._ctr,
+                np.array([*counters.snapshot().values()])]
+
     try:
-        same = all(map(np.array_equal, one_hop(numpy_backend), one_hop(backend)))
-    except (IndexError, ValueError) as exc:
+        same = all(map(np.array_equal, one_hop(numpy_backend) + stream(False)
+                       + frontier(numpy_backend.BACKEND),
+                       one_hop(backend) + stream(True) + frontier(backend)))
+    except Exception as exc:  # incl. a drifted engine signature: serve numpy
         raise Unavailable(f"self-test raised {exc!r}") from exc
     if not same:
         raise Unavailable("self-test mismatch against the numpy passes "

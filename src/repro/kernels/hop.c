@@ -1,4 +1,4 @@
-/* The three per-lane passes of one frontier hop (the `c` kernel backend).
+/* One frontier hop per lane (the `c` kernel backend).
  *
  * Built on first use by repro/kernels/c_backend.py with the system compiler:
  *
@@ -9,93 +9,206 @@
  * trunk selection drifts by one ulp and walks stop being bit-identical to
  * the numpy passes (the post-load self-test refuses such a build).
  *
- * The passes own no randomness (every uniform arrives pre-drawn) and no
- * memory. Every index derived from an input is checked before it is
- * dereferenced; a bad row returns -1 - row and the Python side raises
- * IndexError. Array dtype, contiguity and the lengths passed here are the
- * caller's contract, verified in Python before any pointer is taken.
+ * The per-lane steps — select, alias, scatter — exist once, as the static
+ * helpers below. hop_select / hop_alias / hop_scatter run one of them over
+ * pre-drawn uniforms (the three-pass ABI: the Python drivers own every
+ * draw). hop_lanes runs all of them for a lane-keyed frontier, drawing each
+ * lane's uniforms itself from the counter stream repro.rng.LaneRng defines,
+ * in the order the drivers would: stop, then per beta round select, two
+ * alias draws for a deep lane, accept.
+ *
+ * Nothing here owns memory. Every index derived from an input is checked
+ * before it is dereferenced; a bad row returns -1 - row and the Python side
+ * raises IndexError. Array dtype, contiguity and the lengths passed here
+ * are the caller's contract, verified in Python before any pointer is taken.
  */
 #include <stdint.h>
 #include <stddef.h>
 
 typedef int64_t i64;
+typedef uint64_t u64;
 
 #define BAD(row) return -1 - (row)
+
+/* Operands of the passes; c_backend.py lays the same fields out in the
+ * same order (every member is 8 bytes wide, so there is no padding). */
+typedef struct {            /* select: candidate prefix sums */
+    i64 V; const i64 *indptr; i64 c_len; const double *c;
+} Totals;
+typedef struct {            /* alias: per-level tables */
+    i64 V; const i64 *lvl_base; i64 ptr_len; const i64 *lvl_ptr;
+    i64 tab_len; const double *prob; const i64 *alias;
+} Tables;
+typedef struct {            /* scatter: graph CSR and the walk state */
+    i64 V; const i64 *indptr; i64 E; const i64 *nbr; const double *etime;
+    const i64 *cand_sizes;
+    i64 num; i64 *cur, *prev, *s, *steps_left;
+    i64 stride; i64 *hop_vertex; double *hop_time;
+} Walk;
+typedef struct {            /* hop_lanes: all of it, plus stream and beta */
+    Totals t; Tables a; Walk w;
+    i64 n_keys; const u64 *key; u64 *ctr;
+    double stop;
+    i64 rounds;             /* beta rejection budget; < 0: no beta */
+    i64 span, n_static; const i64 *static_keys;
+    double inv_p, inv_q, beta_max;
+} Lanes;
 
 /* Highest set bit of x > 0. */
 static inline int top_bit(i64 x) { return 63 - __builtin_clzll((uint64_t)x); }
 
-/* select: gather the candidate total, draw r in (0, total], run ITS over
- * the binary decomposition of ss[i]. Writes the winning trunk's level and
- * edge offset, compacts the rows with level > 0 into deep[], and counts the
- * cost model's probes, ceil(log2(max(popcount s, 2))) + 1 per lane, in
- * integers. Returns the number of deep rows.
+/* LaneRng: a lane's k-th uniform is splitmix64(key + k*gamma) >> 11, exact
+ * in a double, times 2^-53. Advances the lane's counter. */
+static inline double lane_uniform(u64 key, u64 *ctr)
+{
+    u64 z = key + ++*ctr * 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return (double)((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+}
+
+/* select: candidate total, r in (0, total], ITS over the binary
+ * decomposition of s. Returns the winning trunk's level (its edge offset
+ * in *off) or -1, and adds the cost model's probes,
+ * ceil(log2(max(popcount s, 2))) + 1, in integers.
+ */
+static inline int select_lane(const Totals *t, i64 v, i64 s, double u,
+                              i64 *off, i64 *probes)
+{
+    if (v < 0 || v >= t->V) return -1;
+    i64 lo = t->indptr[v], hi = t->indptr[v + 1];
+    if (lo < 0 || hi < lo || s < 1 || s > hi - lo) return -1;
+    if (hi > t->c_len - 1 - v) return -1; /* base + s <= hi + v < c_len */
+    const double *c = t->c + lo + v;
+    double total = c[s];
+    double scaled = u * total;
+    double r = total - scaled;
+    i64 rem = s, at = 0;
+    while (rem) {
+        int k = top_bit(rem);
+        i64 block = (i64)1 << k;
+        if (c[at + block] >= r) {
+            int blocks = __builtin_popcountll((uint64_t)s);
+            *probes += 1 + (blocks <= 2 ? 1 : top_bit(blocks - 1) + 1);
+            *off = at;
+            return k;
+        }
+        at += block;
+        rem -= block;
+    }
+    return -1; /* no boundary covers r: NaN weights */
+}
+
+/* alias: one cell of the level-k table over trunk offset off, from two
+ * uniforms. Returns off + in-trunk pick, or -1.
+ */
+static inline i64 alias_lane(const Tables *a, i64 v, i64 k, i64 off,
+                             double u_cell, double u_take)
+{
+    if (v < 0 || v >= a->V || k < 1 || k > 62 || off < 0) return -1;
+    i64 first = a->lvl_base[v];
+    if (first < 0 || first > a->ptr_len - k || first + k > a->lvl_base[v + 1])
+        return -1;
+    i64 width = (i64)1 << k, table = a->lvl_ptr[first + k - 1];
+    if (table < 0 || off > a->tab_len || table > a->tab_len - width - off)
+        return -1;
+    i64 start = table + off;
+    i64 cell = (i64)(u_cell * (double)width);
+    if (cell > width - 1) cell = width - 1;
+    if (cell < 0) return -1;
+    if (u_take >= a->prob[start + cell]) cell = a->alias[start + cell];
+    return off + cell;
+}
+
+/* Position of v's local edge j in the CSR arrays, or -1. */
+static inline i64 edge_pos(const Walk *w, i64 v, i64 j)
+{
+    if (v < 0 || v >= w->V) return -1;
+    i64 lo = w->indptr[v], hi = w->indptr[v + 1];
+    if (lo < 0 || hi < lo || hi > w->E || j < 0 || j >= hi - lo) return -1;
+    return lo + j;
+}
+
+/* scatter: lane at v follows local edge j. Records the hop (when hop
+ * columns are kept), advances prev/cur/s/steps_left. Returns 1 when the
+ * lane walks on, 0 when it retires, -1 for a bad lane or edge.
+ */
+static inline int scatter_lane(const Walk *w, i64 lane, i64 v, i64 j,
+                               i64 iteration)
+{
+    i64 pos = edge_pos(w, v, j);
+    if (lane < 0 || lane >= w->num || pos < 0) return -1;
+    i64 next = w->nbr[pos], s_next = w->cand_sizes[pos];
+    if (w->hop_vertex != NULL) {
+        w->hop_vertex[lane * w->stride + iteration] = next;
+        w->hop_time[lane * w->stride + iteration] = w->etime[pos];
+    }
+    w->prev[lane] = v;
+    w->cur[lane] = next;
+    w->s[lane] = s_next;
+    i64 left = --w->steps_left[lane];
+    return s_next > 0 && left > 0;
+}
+
+static inline int bad_column(const Walk *w, i64 iteration)
+{
+    return w->hop_vertex != NULL && (iteration < 0 || iteration >= w->stride);
+}
+
+/* Is q a static-adjacency key? Lower bound over the sorted keys; a probed
+ * key outside what its predecessors allow (unsorted, or outside
+ * [0, span^2)) returns -1.
+ */
+static inline int static_member(const Lanes *x, i64 q)
+{
+    i64 lo = 0, hi = x->n_static, below = 0, above = x->span * x->span - 1;
+    while (lo < hi) {
+        i64 mid = lo + ((hi - lo) >> 1), k = x->static_keys[mid];
+        if (k < below || k > above) return -1;
+        if (k < q) { lo = mid + 1; below = k; } else { hi = mid; above = k; }
+    }
+    return lo < x->n_static && x->static_keys[lo] == q;
+}
+
+/* Pass 1 of the three-pass ABI: select over pre-drawn u[]. Compacts the
+ * rows with level > 0 into deep[]; returns their number.
  */
 i64 hop_select(i64 n, const i64 *vs, const i64 *ss, const double *u,
                i64 V, const i64 *indptr, i64 c_len, const double *c,
                i64 *level, i64 *out, i64 *deep, i64 *probes)
 {
+    const Totals t = {V, indptr, c_len, c};
     i64 n_deep = 0, n_probes = 0;
     for (i64 i = 0; i < n; i++) {
-        i64 v = vs[i], s = ss[i];
-        if (v < 0 || v >= V) BAD(i);
-        i64 lo = indptr[v], hi = indptr[v + 1];
-        if (lo < 0 || hi < lo || s < 1 || s > hi - lo) BAD(i);
-        if (hi > c_len - 1 - v) BAD(i); /* base + s <= hi + v < c_len */
-        i64 base = lo + v;
-        double total = c[base + s];
-        double scaled = u[i] * total;
-        double r = total - scaled;
-        i64 rem = s, off = 0, lvl = -1;
-        while (rem) {
-            int k = top_bit(rem);
-            i64 block = (i64)1 << k;
-            if (c[base + off + block] >= r) { lvl = k; break; }
-            off += block;
-            rem -= block;
-        }
-        if (lvl < 0) BAD(i); /* no boundary covers r: NaN weights */
+        int lvl = select_lane(&t, vs[i], ss[i], u[i], &out[i], &n_probes);
+        if (lvl < 0) BAD(i);
         level[i] = lvl;
-        out[i] = off;
         if (lvl) deep[n_deep++] = i;
-        int blocks = __builtin_popcountll((uint64_t)s);
-        n_probes += 1 + (blocks <= 2 ? 1 : top_bit(blocks - 1) + 1);
     }
     *probes = n_probes;
     return n_deep;
 }
 
-/* alias: one alias-table cell per deep row, from the two pre-drawn
- * uniforms; out[row] becomes trunk offset + in-trunk pick. Returns 0.
- */
+/* Pass 2: alias for the deep rows, out[row] += in-trunk pick. Returns 0. */
 i64 hop_alias(i64 n_deep, const i64 *deep, i64 n, const i64 *vs,
               const i64 *level, i64 *out,
               const double *u_cell, const double *u_take,
               i64 V, const i64 *lvl_base, i64 ptr_len, const i64 *lvl_ptr,
               i64 tab_len, const double *prob, const i64 *alias)
 {
+    const Tables a = {V, lvl_base, ptr_len, lvl_ptr, tab_len, prob, alias};
     for (i64 j = 0; j < n_deep; j++) {
         i64 i = deep[j];
         if (i < 0 || i >= n) BAD(j);
-        i64 v = vs[i], k = level[i], off = out[i];
-        if (v < 0 || v >= V || k < 1 || k > 62 || off < 0) BAD(j);
-        i64 first = lvl_base[v];
-        if (first < 0 || first > ptr_len - k || first + k > lvl_base[v + 1]) BAD(j);
-        i64 width = (i64)1 << k, table = lvl_ptr[first + k - 1];
-        if (table < 0 || off > tab_len || table > tab_len - width - off) BAD(j);
-        i64 start = table + off;
-        i64 cell = (i64)(u_cell[j] * (double)width);
-        if (cell > width - 1) cell = width - 1;
-        if (cell < 0) BAD(j);
-        if (u_take[j] >= prob[start + cell]) cell = alias[start + cell];
-        out[i] = off + cell;
+        i64 pick = alias_lane(&a, vs[i], level[i], out[i], u_cell[j], u_take[j]);
+        if (pick < 0) BAD(j);
+        out[i] = pick;
     }
     return 0;
 }
 
-/* scatter: follow each lane's drawn edge. Records the hop (when hop
- * columns are kept), advances prev/cur/s/steps_left and compacts the
- * surviving lanes to the front of lanes[]. Returns the survivor count.
+/* Pass 3: scatter, compacting the surviving lanes to the front of
+ * lanes[]. Returns the survivor count.
  */
 i64 hop_scatter(i64 n, i64 *lanes, const i64 *vs, const i64 *idx,
                 i64 V, const i64 *indptr, i64 E, const i64 *nbr,
@@ -103,24 +216,94 @@ i64 hop_scatter(i64 n, i64 *lanes, const i64 *vs, const i64 *idx,
                 i64 num, i64 *cur, i64 *prev, i64 *s, i64 *steps_left,
                 i64 stride, i64 iteration, i64 *hop_vertex, double *hop_time)
 {
-    if (hop_vertex != NULL && (iteration < 0 || iteration >= stride)) BAD(0);
+    const Walk w = {V, indptr, E, nbr, etime, cand_sizes, num, cur, prev, s,
+                    steps_left, stride, hop_vertex, hop_time};
+    if (bad_column(&w, iteration)) BAD(0);
     i64 alive = 0;
     for (i64 i = 0; i < n; i++) {
-        i64 lane = lanes[i], v = vs[i], j = idx[i];
-        if (lane < 0 || lane >= num || v < 0 || v >= V) BAD(i);
-        i64 lo = indptr[v], hi = indptr[v + 1];
-        if (lo < 0 || hi < lo || hi > E || j < 0 || j >= hi - lo) BAD(i);
-        i64 pos = lo + j;
-        i64 next = nbr[pos], s_next = cand_sizes[pos];
-        if (hop_vertex != NULL) {
-            hop_vertex[lane * stride + iteration] = next;
-            hop_time[lane * stride + iteration] = etime[pos];
-        }
-        prev[lane] = v;
-        cur[lane] = next;
-        s[lane] = s_next;
-        i64 left = --steps_left[lane];
-        if (s_next > 0 && left > 0) lanes[alive++] = lane;
+        int on = scatter_lane(&w, lanes[i], vs[i], idx[i], iteration);
+        if (on < 0) BAD(i);
+        if (on) lanes[alive++] = lanes[i];
     }
     return alive;
+}
+
+/* A whole lane-keyed hop: per lane, optional stop draw, then draw an edge
+ * (select, alias when deep) and — under node2vec — accept it with
+ * probability beta/beta_max or draw again, at most x->rounds times; then
+ * scatter. Survivors are compacted to the front of lanes[]; lanes that
+ * spent the rejection budget are left untouched (counter advanced) for
+ * the exact fallback, listed from out[6]; out[0..5] = steps, probes, alias
+ * draws, rejection trials, rejected, lanes listed. Returns the survivor
+ * count.
+ */
+i64 hop_lanes(const Lanes *x, i64 n, i64 *lanes, i64 iteration, i64 *out)
+{
+    const Walk *w = &x->w;
+    const int beta = x->rounds >= 0;
+    i64 *exhausted = out + 6;
+    i64 alive = 0, steps = 0, probes = 0, deep = 0, trials = 0, rejected = 0,
+        spent = 0;
+    if (bad_column(w, iteration) || n > w->num) BAD(0); /* lanes are distinct */
+    if (x->span > (i64)1 << 31) BAD(0); /* span^2 must fit an i64 */
+    for (i64 i = 0; i < n; i++) {
+        i64 lane = lanes[i];
+        if (lane < 0 || lane >= w->num || lane >= x->n_keys) BAD(i);
+        u64 key = x->key[lane], *ctr = &x->ctr[lane];
+        if (x->stop != 0.0 && !(lane_uniform(key, ctr) >= x->stop)) continue;
+        steps++;
+        i64 v = w->cur[lane], s = w->s[lane], pv = w->prev[lane], j = -1;
+        if (beta && (pv < -1 || pv >= x->span)) BAD(i);
+        for (i64 round = 0; !beta || round < x->rounds; round++) {
+            i64 off;
+            int lvl = select_lane(&x->t, v, s, lane_uniform(key, ctr), &off,
+                                  &probes);
+            if (lvl < 0) BAD(i);
+            if (lvl) {
+                double u_cell = lane_uniform(key, ctr);
+                double u_take = lane_uniform(key, ctr);
+                if ((off = alias_lane(&x->a, v, lvl, off, u_cell, u_take)) < 0)
+                    BAD(i);
+                deep++;
+            }
+            double b = x->beta_max; /* no previous vertex: accept */
+            if (beta && pv >= 0) {
+                i64 pos = edge_pos(w, v, off);
+                if (pos < 0) BAD(i);
+                i64 cand = w->nbr[pos];
+                if (cand < 0 || cand >= x->span) BAD(i);
+                if (cand == pv) {
+                    b = x->inv_p;
+                } else {
+                    int member = static_member(x, cand + pv * x->span);
+                    if (member < 0) BAD(i);
+                    b = member ? 1.0 : x->inv_q;
+                }
+            }
+            trials += beta;
+            if (!beta || lane_uniform(key, ctr) * x->beta_max <= b) {
+                j = off;
+                break;
+            }
+            rejected++;
+        }
+        if (j < 0) { exhausted[spent++] = lane; continue; }
+        int on = scatter_lane(w, lane, v, j, iteration);
+        if (on < 0) BAD(i);
+        if (on) lanes[alive++] = lane;
+    }
+    out[0] = steps; out[1] = probes; out[2] = deep;
+    out[3] = trials; out[4] = rejected; out[5] = spent;
+    return alive;
+}
+
+/* k successive uniforms of each lane's stream, row-major (k, n) — what the
+ * load-time self-test holds against LaneRng.uniform_block. Returns 0.
+ */
+i64 hop_uniforms(i64 n, const u64 *key, u64 *ctr, i64 k, double *out)
+{
+    for (i64 j = 0; j < k; j++)
+        for (i64 i = 0; i < n; i++)
+            out[j * n + i] = lane_uniform(key[i], &ctr[i]);
+    return 0;
 }

@@ -1,22 +1,28 @@
-"""The three-pass kernel ABI: ``c`` ≡ ``numpy`` ≡ ``legacy``, bit for bit.
+"""The kernel ABI: ``c`` ≡ ``numpy`` ≡ ``legacy``, bit for bit.
 
 Parity (Hypothesis, over graphs with degree-1 vertices, power-of-two
 hubs at the last vertex id, chains of all-ones candidate sizes and dead
-ends), memory safety (a bad lane raises ``IndexError`` from either
-backend — never a crash), build/cache hygiene and the visible fallback of
-the compiled backend. Tests that need the compiled passes fail — not
-skip — wherever a ``cc`` exists.
+ends) of the three passes and of the fused lane-keyed hop against the
+driver path, which runs take the fused call and which must not, memory
+safety (a bad lane raises ``IndexError`` from either backend — never a
+crash), the constant-calls gate, build/cache hygiene and the visible
+fallback of the compiled backend. Tests that need the compiled passes
+fail — not skip — wherever a ``cc`` exists.
 """
 
+import dataclasses
 import os
 import stat
+import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.engines.batch as batch_mod
 import repro.kernels as kernels
 from repro.core.hpat import HierarchicalPAT
 from repro.engines import Workload
@@ -38,6 +44,7 @@ from repro.sampling.counters import CostCounters
 from repro.telemetry.exporters import parse_prometheus, to_prometheus
 from repro.telemetry.registry import MetricsRegistry
 from repro.walks.apps import exponential_walk, temporal_node2vec
+from repro.walks.spec import CustomParameter
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -84,26 +91,30 @@ def _engine(graph, spec):
 
 def _frontier(engine, name, starts, seed, *, keep_hops=True, stop=0.0,
               interleave=1, lanes=True, length=12):
+    """One ``_run_frontier`` under backend ``name``: the result, its
+    counters and (lane-keyed runs) every lane's stream counter after it."""
     engine.kernel = resolve_backend(name)
     counters = CostCounters()
     if lanes:
         seeds = np.arange(starts.size, dtype=np.uint64) + np.uint64(seed)
+        lane_rng = LaneRng(seeds)
         out = engine._run_frontier(starts, length, stop, None, counters,
-                                   keep_hops, lane_rng=LaneRng(seeds),
+                                   keep_hops, lane_rng=lane_rng,
                                    interleave=interleave)
-    else:
-        out = engine._run_frontier(starts, length, stop, make_rng(seed),
-                                   counters, keep_hops)
-    return out, counters
+        return out, counters, lane_rng._ctr
+    out = engine._run_frontier(starts, length, stop, make_rng(seed),
+                               counters, keep_hops)
+    return out, counters, None
 
 
 def _same(a, b):
-    (ra, ca), (rb, cb) = a, b
+    (ra, ca, na), (rb, cb, nb) = a, b
     assert np.array_equal(ra.lengths, rb.lengths)
     assert (ra.hop_vertex is None) == (rb.hop_vertex is None)
     if ra.hop_vertex is not None:
         assert np.array_equal(ra.hop_vertex, rb.hop_vertex)
         assert np.array_equal(ra.hop_time, rb.hop_time)
+    assert np.array_equal(na, nb)
     for field in COUNTER_FIELDS:
         assert getattr(ca, field) == getattr(cb, field), field
 
@@ -166,14 +177,48 @@ class TestPassParity:
         _same(runs[0], runs[2])
 
     @PROPERTY
-    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans())
-    def test_node2vec_rounds_bit_identical(self, graph, seed, lanes):
-        engine = _engine(graph, temporal_node2vec(p=2.0, q=0.25, scale=3.0))
+    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
+           st.sampled_from([(2.0, 0.25), (1.0, 1.0), (4.0, 0.25), (0.25, 4.0)]),
+           st.booleans(), st.sampled_from([0.0, 0.15]), st.sampled_from([1, 3]),
+           st.sampled_from([16, 16, 2, 1]), st.booleans())
+    def test_node2vec_rounds_bit_identical(self, graph, seed, lanes, pq,
+                                           keep_hops, stop, interleave,
+                                           budget, no_static):
+        """β rejection: the fused hop (``c`` over ``LaneRng``) against the
+        numpy rounds, also with the rejection budget cut to 1 and 2 — so
+        the Python fallback runs after C rounds, its extra uniform landing
+        where the drivers put it — and with an empty static adjacency."""
+        engine = _engine(graph, temporal_node2vec(p=pq[0], q=pq[1], scale=3.0))
+        if no_static:
+            engine._static_keys = np.zeros(0, dtype=np.int64)
         starts = np.tile(np.arange(graph.num_vertices), 3)
-        runs = [_frontier(engine, name, starts, seed, lanes=lanes)
-                for name in ("legacy", "numpy", "c")]
+        with mock.patch.object(batch_mod, "_MAX_BETA_ROUNDS", budget):
+            runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
+                              stop=stop, interleave=interleave, lanes=lanes)
+                    for name in ("legacy", "numpy", "c")]
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])
+
+    @PROPERTY
+    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
+           st.sampled_from([0.0, 0.15]), st.lists(st.integers(0, 50), max_size=4))
+    def test_any_partition_of_the_lanes(self, graph, seed, node2vec, stop, cuts):
+        """``run_lanes`` over any split of the lanes into separate calls
+        — fused — gives each lane the hops of one numpy-pass call."""
+        spec = (temporal_node2vec(p=4.0, q=0.25, scale=3.0) if node2vec
+                else exponential_walk(scale=3.0))
+        engine = _engine(graph, spec)
+        starts = np.tile(np.arange(graph.num_vertices), 4)
+        seeds = make_rng(seed).integers(0, 2**63, starts.size).astype(np.uint64)
+        whole = engine.run_lanes(starts, seeds, 10, stop_probability=stop)
+        engine.kernel = resolve_backend("c")
+        bounds = sorted({0, starts.size, *(c % starts.size for c in cuts)})
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = engine.run_lanes(starts[lo:hi], seeds[lo:hi], 10,
+                                    stop_probability=stop)
+            assert np.array_equal(part.lengths, whole.lengths[lo:hi])
+            assert np.array_equal(part.hop_vertex, whole.hop_vertex[lo:hi])
+            assert np.array_equal(part.hop_time, whole.hop_time[lo:hi])
 
     def test_thread_backend_matches_serial(self, medium_graph):
         """Chunks on two threads run the GIL-releasing passes at once."""
@@ -199,6 +244,237 @@ class TestPassParity:
                                        backend="serial", kernel_backend="numpy")
         assert again.run(workload, seed=3, record_paths=False
                          ).counters.snapshot() == run.counters.snapshot()
+
+
+def _spied(engine):
+    """Swap in ``c`` with its ``hop`` binder wrapped; the returned list
+    collects one bool per bind: did the arrays fit (a step came back)?"""
+    binds = []
+    compiled = resolve_backend("c")
+
+    def hop(*args):
+        step = compiled.hop(*args)
+        binds.append(step is not None)
+        return step
+
+    engine.kernel = dataclasses.replace(compiled, hop=hop)
+    return binds
+
+
+def _bits(result):
+    return (result.lengths.tobytes(), result.hop_vertex.tobytes(),
+            result.hop_time.tobytes())
+
+
+@needs_cc
+class TestWhichRunsFuse:
+    """The fused call is chosen from what a run is — draw source, index
+    provider, β kind, array dtypes — and every other run keeps the
+    driver path and its bits."""
+
+    STARTS, SEEDS = np.tile(np.arange(200), 2), np.arange(400, dtype=np.uint64) + 5
+
+    @pytest.mark.parametrize("spec", [
+        exponential_walk(scale=8.0), temporal_node2vec(p=4.0, q=0.25, scale=8.0)])
+    def test_lane_keyed_in_memory_runs_do(self, medium_graph, spec):
+        engine = _engine(medium_graph, spec)
+        ref = engine.run_lanes(self.STARTS, self.SEEDS, 12)
+        binds = _spied(engine)
+        assert _bits(engine.run_lanes(self.STARTS, self.SEEDS, 12)) == _bits(ref)
+        assert binds == [True]
+
+    def test_shared_generator_runs_do_not(self, medium_graph):
+        engine = _engine(medium_graph, temporal_node2vec(scale=8.0))
+        workload = Workload(max_length=12, max_walks=150)
+        ref = engine.run(workload, seed=4, record_paths=True)
+        binds = _spied(engine)
+        got = engine.run(workload, seed=4, record_paths=True)
+        assert binds == []
+        assert [p.hops for p in got.paths] == [p.hops for p in ref.paths]
+        assert got.counters.snapshot() == ref.counters.snapshot()
+
+    def test_custom_dynamic_parameter_does_not(self, medium_graph):
+        spec = dataclasses.replace(
+            exponential_walk(scale=8.0), dynamic_parameter=CustomParameter(
+                fn=lambda g, prev, cand: 0.3 if prev == cand else 1.0))
+        engine = _engine(medium_graph, spec)
+        ref = engine.run_lanes(self.STARTS, self.SEEDS, 12)
+        binds = _spied(engine)
+        assert _bits(engine.run_lanes(self.STARTS, self.SEEDS, 12)) == _bits(ref)
+        assert binds == []
+
+    def test_out_of_core_does_not(self, medium_graph):
+        from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
+
+        engine = BatchTeaOutOfCoreEngine(medium_graph, exponential_walk(scale=8.0))
+        engine.prepare()
+        ref = engine.run_lanes(self.STARTS, self.SEEDS, 12)
+        binds = _spied(engine)
+        assert _bits(engine.run_lanes(self.STARTS, self.SEEDS, 12)) == _bits(ref)
+        assert binds == []
+
+    def test_arrays_that_do_not_fit_do_not(self, medium_graph):
+        """int32 ``nbr``/``candidate_sizes`` or a non-uint64 stream bind
+        to ``None``: the drivers orchestrate, same walks."""
+        engine = _engine(medium_graph, temporal_node2vec(scale=8.0))
+        ref = engine.run_lanes(self.STARTS, self.SEEDS, 12)
+        engine.candidate_sizes = engine.candidate_sizes.astype(np.int32)
+        engine.graph.nbr = engine.graph.nbr.astype(np.int32)
+        binds = _spied(engine)
+        try:
+            got = engine.run_lanes(self.STARTS, self.SEEDS, 12)
+        finally:
+            engine.graph.nbr = engine.graph.nbr.astype(np.int64)
+        assert _bits(got) == _bits(ref)
+        assert binds == [False]
+
+    def test_without_a_compiler_nothing_does(self, fresh_registry, monkeypatch,
+                                             medium_graph):
+        spec = temporal_node2vec(scale=8.0)
+        ref = _engine(medium_graph, spec).run_lanes(self.STARTS, self.SEEDS, 12)
+        monkeypatch.setattr(kernels, "_CACHE", {})
+        monkeypatch.setattr(c_backend, "find_cc", lambda: None)
+        engine = BatchTeaEngine(medium_graph, spec)
+        assert engine.kernel.name == "numpy" and engine.kernel.hop is None
+        assert _bits(engine.run_lanes(self.STARTS, self.SEEDS, 12)) == _bits(ref)
+
+
+@needs_cc
+class TestFusedHopSafety:
+    """Every index ``hop_lanes`` derives from array contents is checked:
+    poison raises from the fused call — never a crash, never a read out
+    of bounds."""
+
+    @pytest.fixture
+    def engine(self, medium_graph):
+        return _engine(medium_graph, temporal_node2vec(p=4.0, q=0.25, scale=8.0))
+
+    def _bind(self, engine, *, lanes=6, keys=None, stride=4, static=None):
+        g = engine.graph
+        vs = np.flatnonzero(np.diff(g.indptr))[:lanes]
+        walk = WalkState(
+            g.indptr, g.nbr, g.etime, engine.candidate_sizes, vs.copy(),
+            g.nbr[g.indptr[vs]].copy(), np.diff(g.indptr)[vs],
+            np.full(lanes, 3), np.zeros((lanes, stride), np.int64),
+            np.zeros((lanes, stride)))
+        rng = LaneRng(np.arange(lanes if keys is None else keys, dtype=np.uint64))
+        static = engine._static_keys if static is None else static
+        step = resolve_backend("c").hop(
+            engine.index, walk, rng, 0.0,
+            (static, g.num_vertices, 0.25, 4.0, 4.0, 16), KernelScratch())
+        return walk, step
+
+    def test_clean_state_steps(self, engine):
+        walk, step = self._bind(engine)
+        counters = CostCounters()
+        alive, spent = step(np.arange(6), 0, counters)
+        assert alive.size + spent.size <= 6 and counters.steps == 6
+        assert counters.rejection_trials >= 6
+
+    @pytest.mark.parametrize("field, value", [
+        ("prev", 200), ("prev", 10**12), ("prev", -2), ("s", 0), ("s", -1),
+        ("s", 10**6), ("cur", -1), ("cur", 200),
+    ])
+    def test_poisoned_walk_state(self, engine, field, value):
+        walk, step = self._bind(engine)
+        getattr(walk, field)[3] = value
+        with pytest.raises(IndexError, match="row 3"):
+            step(np.arange(6), 0, CostCounters())
+
+    def test_candidate_size_past_the_degree(self, engine):
+        walk, step = self._bind(engine)
+        walk.s[2] += 1
+        with pytest.raises(IndexError, match="row 2"):
+            step(np.arange(6), 0, CostCounters())
+
+    @pytest.mark.parametrize("lanes", [[0, 6, 1], [0, -1, 1], [0, 10**12, 1]])
+    def test_bad_lane(self, engine, lanes):
+        _, step = self._bind(engine)
+        with pytest.raises(IndexError, match="row 1"):
+            step(np.array(lanes), 0, CostCounters())
+
+    def test_more_lanes_than_walks(self, engine):
+        """Repeated lanes could overrun the spent-lane list."""
+        _, step = self._bind(engine)
+        with pytest.raises(IndexError):
+            step(np.zeros(7, np.int64), 0, CostCounters())
+
+    def test_stream_shorter_than_the_walk(self, engine):
+        _, step = self._bind(engine, keys=4)
+        with pytest.raises(IndexError, match="row 4"):
+            step(np.arange(6), 0, CostCounters())
+
+    def test_hop_column_past_the_stride(self, engine):
+        _, step = self._bind(engine)
+        for column in (4, -1):
+            with pytest.raises(IndexError):
+                step(np.arange(6), column, CostCounters())
+
+    @pytest.mark.parametrize("spoil", [
+        lambda k: k[::-1].copy(), lambda k: k + 200 * 200, lambda k: -k - 1,
+        lambda k: np.where(np.arange(k.size) % 2, k, 2**62),
+    ])
+    def test_static_keys_unsorted_or_out_of_range(self, engine, spoil):
+        """A probe outside what the probes before it allow stops the hop;
+        through ``run_lanes`` too."""
+        _, step = self._bind(engine, static=spoil(engine._static_keys))
+        with pytest.raises(IndexError):
+            for _ in range(3):  # every lane probes unless it returned
+                step(np.arange(6), 0, CostCounters())
+        engine.kernel = resolve_backend("c")
+        engine._static_keys = spoil(engine._static_keys)
+        with pytest.raises(IndexError):
+            engine.run_lanes(np.arange(200), np.arange(200) + 3, 8)
+
+    def test_poisoned_candidate_sizes_through_run_lanes(self, engine):
+        engine.kernel = resolve_backend("c")
+        engine.candidate_sizes = np.full_like(engine.candidate_sizes, 10**9)
+        with pytest.raises(IndexError):
+            engine.run_lanes(np.arange(200), np.arange(200) + 3, 8)
+
+
+#: Call events a wider frontier or a lower β acceptance may add to one
+#: fused run: handing the lanes that spent the rejection budget to the
+#: fallback and scattering them, once per iteration. The driver path
+#: adds ~25 per rejection *round* — hundreds per iteration.
+CALL_SLACK_EVENTS = 40
+
+
+def run_lanes_call_events(graph, lanes: int, p: float, q: float) -> int:
+    """Python-level ``call``/``c_call`` events (``sys.setprofile``) of one
+    three-iteration node2vec ``run_lanes`` over ``lanes`` lanes. The exact
+    fallback — a per-lane scan by design — is stubbed to one call."""
+    engine = BatchTeaEngine(graph, temporal_node2vec(p=p, q=q, scale=8.0))
+    engine.prepare()
+    engine._beta_fallback_batch = lambda vs, *rest: np.zeros(vs.size, np.int64)
+    rng = np.random.default_rng(lanes)
+    starts = rng.choice(np.flatnonzero(np.diff(graph.indptr)), size=lanes)
+    seeds = rng.integers(0, 2**63, lanes).astype(np.uint64)
+    events = 0
+
+    def hook(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(hook)
+    try:
+        engine.run_lanes(starts, seeds, 3)
+    finally:
+        sys.setprofile(None)
+    return events
+
+
+@needs_cc
+class TestConstantCalls:
+    def test_call_events_do_not_grow_with_lanes_or_beta_rounds(self, medium_graph):
+        """Exact structural gate (``make kernel-smoke`` runs it beside the
+        smoke): a fused iteration is the same handful of Python-level
+        calls at 16 and at 2 048 lanes, and whether β accepts at once
+        (p = q = 1) or after many rounds (p = 4, q = ¼)."""
+        counts = {(lanes, p): run_lanes_call_events(medium_graph, lanes, p, q)
+                  for lanes in (16, 2048) for p, q in ((1.0, 1.0), (4.0, 0.25))}
+        assert min(counts.values()) > 20  # the hook saw the run
+        assert max(counts.values()) - min(counts.values()) <= CALL_SLACK_EVENTS, counts
 
 
 @pytest.mark.parametrize("name", BOTH)

@@ -194,8 +194,19 @@ def test_mixed_specs_do_not_bleed(parity_graph):
 def test_http_staged_batch_matches_solo(parity_graph):
     """End-to-end: a staged 4-request HTTP batch returns exactly what
     the same queries return when served alone."""
+    _staged_batch_matches_solo(parity_graph, "exponential")
+
+
+def test_http_staged_node2vec_batch_matches_solo(parity_graph):
+    """The same through node2vec's β rejection — in the daemon one
+    compiled call per iteration, lanes keyed per request."""
+    _staged_batch_matches_solo(parity_graph, "node2vec")
+
+
+def _staged_batch_matches_solo(parity_graph, app):
     queries = [
-        dict(starts=[2 + i], walks_per_vertex=2, seed=50 + i, max_length=8)
+        dict(starts=[2 + i], walks_per_vertex=2, seed=50 + i, max_length=8,
+             app=app)
         for i in range(4)
     ]
     with WalkService(parity_graph, engine="tea-batch", queue_depth=16) as service:
