@@ -60,12 +60,19 @@ ooc-smoke:
 		"tests/test_ooc_batch.py::TestWidthIndependence"
 	@echo "ooc-smoke: out-of-core invariants hold"
 
-# Resilience chaos smoke: inject every failure mode (worker crash, hang,
-# transient I/O, trunk corruption, mid-batch streaming failure) and
-# assert the contracts: retries keep results bit-identical, degradation
-# is recorded, scrub locates corruption, rollbacks leave no residue.
+# Resilience chaos smoke: the tier-1 classes that inject every failure
+# mode (worker crash, hang, transient I/O, trunk corruption, mid-batch
+# streaming failure, WAL torn at every byte offset, failed WAL append,
+# failed checkpoint write) and assert the contracts: retries keep results
+# bit-identical, degradation is recorded, scrub locates corruption,
+# rollbacks leave no residue, recovery walks like the never-crashed engine.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.resilience.smoke
+	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
+		"tests/test_resilience.py::TestWorkerSupervision" \
+		"tests/test_resilience.py::TestChecksums" \
+		"tests/test_resilience.py::TestStreamingRollback" \
+		"tests/test_wal.py::TestCrashRecovery" \
+		"tests/test_streaming.py::TestDurability"
 	@echo "chaos-smoke: all failure modes handled"
 
 # Observability smoke: profiled root phase times within 10% of wall with

@@ -129,7 +129,6 @@ def cmd_walk(args) -> int:
             retries=args.retries, chunk_timeout=args.chunk_timeout,
             fault_injector=injector,
             chunk_target_ms=args.chunk_target_ms,
-            interleave=args.interleave,
             kernel_backend=args.kernel_backend,
         )
     elif args.engine == "tea-ooc":
@@ -744,10 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "engines (auto = the compiled C passes when the "
                         "system cc built them, else numpy; same walks "
                         "either way)")
-    p.add_argument("--interleave", type=int, default=1, metavar="K",
-                   help="walker cohorts per chunk advanced round-robin "
-                        "inside each worker (1 disables; output is "
-                        "bit-identical either way)")
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_OOC_CACHE_BYTES,
                    metavar="B",
                    help="re-entry cache budget for the out-of-core engines "

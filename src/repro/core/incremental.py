@@ -8,16 +8,18 @@ trunks for the new arrivals only, and generates merged higher-hierarchy
 trunks when the new and old structures line up — Figure 7's carry step.
 
 We realise that as a **block forest** per vertex: the edge list is a
-sequence of time-contiguous blocks (newest block first), each block a
-self-contained mini-HPAT (time-descending edges, per-level alias tables,
-prefix sums — exactly the static structure of
-:mod:`repro.core.hpat`, per block). Appending a batch builds one new
-block per touched vertex; first, any *front* blocks no larger than the
-batch are absorbed into it (the carry), so block sizes grow
-geometrically front-to-back and every edge is re-indexed O(log d) times
-amortised — versus O(d log d) per batch for a from-scratch rebuild. That
-asymmetry is what Figure 13d measures: for degree ≫ batch size the
-speedup is enormous; for degree ≲ batch size the two converge.
+sequence of time-contiguous blocks (newest block first), each block its
+time-descending edges, their static weights and one sampling structure,
+the per-edge prefix masses ``c`` — the columns the epoch pack of
+:mod:`repro.streaming.snapshot` reads, nothing else. (The paper's
+in-trunk alias hierarchy lives where it is read: the static
+:mod:`repro.core.hpat` behind every in-memory engine.) Appending a batch
+builds one new block per touched vertex; first, any *front* blocks no
+larger than the batch are absorbed into it (the carry), so block sizes
+grow geometrically front-to-back and every edge is re-indexed O(log d)
+times amortised — versus all d edges per batch for a from-scratch
+rebuild. That asymmetry is what Figure 13d measures: for degree ≫ batch
+size the speedup is enormous; for degree ≲ batch size the two converge.
 
 The forest is built **once per batch, not once per vertex**
 (:meth:`IncrementalHPAT.apply_batch` → :func:`_carry_append`, the only
@@ -31,19 +33,20 @@ construction path), in three batch-wide phases:
    each new block absorbs, so only the *final* extent is ever built
    (``merged_edges`` still charges each step of the progressive merge).
 3. **Size-class build** — final blocks of equal size share one
-   ``(T, size)`` matrix per array (one concatenate, one row-wise cumsum)
-   and level ``k`` of *all* blocks is one lock-step alias build (Section
-   4.2's parallel pass); blocks are read-only row views of the matrices.
+   ``(T, size)`` matrix per array (one concatenate, one row-wise
+   cumsum); blocks are read-only row views of the matrices.
 
-Per batch that is O(touched vertices) Python steps, O(batch + carried
-edges) array work and O(levels) alias-builder calls, not O(vertices ×
-levels). A table depends only on its own row, so the result is
+Per batch that is O(touched vertices) Python steps and O(batch + carried
+edges) array work. A row depends only on its own edges, so the result is
 bit-identical to building each vertex alone (``tests/carry_oracle.py``).
 
 Sampling stays distribution-identical to a from-scratch HPAT
-(property-tested): ITS chooses among the covered blocks, then within the
-boundary block the candidate remainder is a *prefix* of that block's
-time-descending edges, so the static binary decomposition applies.
+(property-tested) and is a two-level inverse transform: one uniform
+chooses among the covered blocks by their masses, a second the edge
+inside the chosen block — the boundary block's candidates are a *prefix*
+of its time-descending edges — by ``c``. :meth:`VertexIncrementalHPAT.sample`
+is the scalar specification of the epoch pack's draw: same two uniforms,
+same arithmetic, same edge (``tests/test_epoch_pack.py``).
 """
 
 from __future__ import annotations
@@ -52,27 +55,25 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.trunks import binary_decompose
 from repro.core.weights import WeightModel
 from repro.exceptions import EmptyCandidateSetError, NotSupportedError
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
-from repro.sampling.alias import alias_draw, build_alias_arrays_batch
 from repro.sampling.counters import CostCounters
-from repro.sampling.prefix_sum import draw_in_range
+from repro.sampling.prefix_sum import draw_in_range, its_search
 
 
 class _Block:
-    """A mini-HPAT over one time-contiguous run of edges (any size).
+    """One time-contiguous run of a vertex's edges (any size), newest first.
 
-    Edges are stored newest-first; ``levels[k-1]`` holds the flat alias
-    tables of all aligned 2^k trunks (coverage ``(size >> k) << k``), and
-    ``c`` the per-edge prefix sums — the same layout as the static HPAT,
-    scoped to this block. Arrays are read-only row views into matrices
+    ``c`` holds the per-edge prefix masses (``c[k]`` = mass of the newest
+    ``k`` edges) — the block's one sampling structure, and with ``dst``
+    and ``times`` exactly the segment :meth:`VertexIncrementalHPAT.segments`
+    hands the epoch pack. Arrays are read-only row views into matrices
     shared with same-size batch-mates (built only by :func:`_carry_append`).
     """
 
-    __slots__ = ("size", "dst", "times", "weights", "c", "levels")
+    __slots__ = ("size", "dst", "times", "weights", "c")
 
     def __init__(self, dst, times, weights, c):
         self.size = dst.size
@@ -80,7 +81,6 @@ class _Block:
         self.times = times
         self.weights = weights
         self.c = c
-        self.levels: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def candidate_count(self, t: float) -> int:
         """Edges of this block with time strictly greater than t."""
@@ -93,34 +93,15 @@ class _Block:
     def sample_prefix(
         self, s: int, rng: np.random.Generator, counters: Optional[CostCounters]
     ) -> int:
-        """Sample among this block's newest s edges ∝ weight (local index)."""
-        total = self.c[s]
-        r = draw_in_range(rng, 0.0, total)
-        blocks = binary_decompose(s)
-        cuts = [off + (1 << k) for k, off in blocks]
-        lo_b, hi_b = -1, len(cuts) - 1
-        while hi_b - lo_b > 1:
-            mid = (lo_b + hi_b) // 2
-            if counters is not None:
-                counters.record_probe()
-            if self.c[cuts[mid]] < r:
-                lo_b = mid
-            else:
-                hi_b = mid
-        if counters is not None:
-            counters.record_probe()
-        k, offset = blocks[hi_b]
-        if k == 0:
-            return offset
-        prob, alias = self.levels[k - 1]
-        local = alias_draw(prob, alias, rng, offset, offset + (1 << k), counters)
-        return offset + int(local)
+        """Sample among this block's newest s edges ∝ weight (local index):
+        inverse transform over ``c``, the rule (``c[a] < r ≤ c[a+1]``) of
+        the epoch pack's in-segment bisect."""
+        r = draw_in_range(rng, 0.0, self.c[s])
+        return its_search(self.c, r, 0, s, counters)
 
     def nbytes(self) -> int:
-        n = self.dst.nbytes + self.times.nbytes + self.weights.nbytes + self.c.nbytes
-        for p, a in self.levels:
-            n += p.nbytes + a.nbytes
-        return int(n)
+        return int(self.dst.nbytes + self.times.nbytes + self.weights.nbytes
+                   + self.c.nbytes)
 
 
 def _static_weights(model: WeightModel, times: np.ndarray, t_ref, first_rank
@@ -195,7 +176,6 @@ def _carry_append(model: WeightModel, verts, starts: np.ndarray,
     # Size-class build. Prefix sums are per row: a global cumsum minus
     # offsets would cancel (``exponential`` weights span e^83).
     built: Dict[int, _Block] = {}
-    levelled = []  # (size, weight matrix, blocks) of classes with size > 1
     for size, groups in classes.items():
         pieces = []
         for g in groups:
@@ -209,36 +189,7 @@ def _carry_append(model: WeightModel, verts, starts: np.ndarray,
         np.cumsum(w, axis=1, out=c[:, 1:])
         for arr in (d, t, w, c):
             arr.setflags(write=False)
-        made = [_Block(*rows) for rows in zip(d, t, w, c)]
-        built.update(zip(groups, made))
-        if size > 1:
-            levelled.append((size, w, made))
-    k = 1
-    while levelled:  # level k of *every* block: one lock-step alias build
-        rows = [w[:, : (size >> k) << k].reshape(-1, 1 << k)
-                for size, w, _ in levelled]
-        rows = np.concatenate(rows) if len(rows) > 1 else rows[0]
-        sums = rows.sum(axis=1)
-        if np.any(sums <= 0):
-            rows = rows.copy()
-            rows[sums <= 0] = 1.0
-        prob, alias = build_alias_arrays_batch(rows)
-        r = 0
-        for size, _, made in levelled:
-            stop = r + len(made) * (size >> k)
-            p = prob[r:stop].reshape(len(made), -1)
-            a = alias[r:stop].reshape(len(made), -1)
-            if len(levelled) > 1:
-                # A class owns its tables: a surviving block must not
-                # pin the tables of every other class of its batch.
-                p, a = p.copy(), a.copy()
-            p.setflags(write=False)
-            a.setflags(write=False)
-            for blk, level in zip(made, zip(p, a)):
-                blk.levels.append(level)
-            r = stop
-        k += 1
-        levelled = [cls for cls in levelled if cls[0] >= 1 << k]
+        built.update(zip(groups, map(_Block, d, t, w, c)))
     # Install: the only place a vertex changes.
     for g, vert in enumerate(verts):
         absorbed, merged = plans[g]

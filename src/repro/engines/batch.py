@@ -19,7 +19,6 @@ what lets benchmarks run the paper's full R·|V| workloads.
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from typing import Optional
 
@@ -280,7 +279,6 @@ class BatchTeaEngine(Engine):
         registry: Optional[MetricsRegistry] = None,
         profiler=NULL_PROFILER,
         lane_rng=None,
-        interleave: int = 1,
     ) -> FrontierResult:
         """Advance every walk in ``starts`` to completion, vectorised.
 
@@ -302,12 +300,7 @@ class BatchTeaEngine(Engine):
         ``registry``, when given, receives the ``batch.frontier_size``
         histogram. ``lane_rng`` substitutes counter-based per-walk streams
         (:class:`~repro.rng.LaneRng`, one lane per start) for the shared
-        generator ``rng`` (which may then be ``None``); ``interleave`` > 1 then splits the frontier into that
-        many walker cohorts advanced round-robin (ThunderRW-style step
-        interleaving) — bit-identical to the single-cohort pass because
-        each lane's draws are keyed on its own counter, not call order.
-        Without ``lane_rng`` a cohort schedule would perturb the shared
-        generator's draw order, so ``interleave`` is forced to 1.
+        generator ``rng`` (which may then be ``None``).
         """
         g = self.graph
         beta = self.spec.dynamic_parameter
@@ -325,8 +318,6 @@ class BatchTeaEngine(Engine):
         out = FrontierResult.empty(starts, max_length, keep_hops)
 
         draw_src = lane_rng if lane_rng is not None else GeneratorLanes(rng)
-        if lane_rng is None:
-            interleave = 1
         # One scratch arena per frontier run: thread-safe (locals only)
         # and sized once at peak frontier width.
         scratch = KernelScratch()
@@ -371,10 +362,8 @@ class BatchTeaEngine(Engine):
             """One frontier iteration over ``lanes``; returns survivors.
 
             Closes over the walk-state arrays (``cur``/``prev``/``s``/
-            ``steps_left``/hop columns); cohorts hold disjoint lane sets,
-            so interleaved calls never touch the same rows. ``lanes`` is
-            this loop's own array — the scatter pass may compact it in
-            place.
+            ``steps_left``/hop columns). ``lanes`` is this loop's own
+            array — the scatter pass may compact it in place.
             """
             with profiler.phase("gather"):
                 if frontier_hist is not None:
@@ -448,30 +437,10 @@ class BatchTeaEngine(Engine):
         frontier = np.flatnonzero(active)
         iterate = advance if hop is None else fused_advance
         with self._frontier_scope(profiler, counters) as lookahead:
-            if interleave <= 1:
-                iteration = 0
-                while frontier.size:
-                    frontier = iterate(frontier, iteration)
-                    iteration += 1
-            else:
-                # ThunderRW-style ring: split the frontier into k cohorts
-                # and advance them round-robin, so cohort i+1's gather
-                # works a different region of the index while cohort i's
-                # draw/scatter results are still warm. Each ring entry
-                # carries its own iteration count — all lanes of a cohort
-                # still share one hop column per pass, preserving the
-                # columnar hop layout.
-                k = max(1, min(int(interleave), int(frontier.size)))
-                ring = deque(
-                    (part, 0) for part in np.array_split(frontier, k)
-                    if part.size
-                )
-                while ring:
-                    cohort, iteration = ring.popleft()
-                    with profiler.phase("cohort"):
-                        cohort = iterate(cohort, iteration)
-                    if cohort.size:
-                        ring.append((cohort, iteration + 1))
+            iteration = 0
+            while frontier.size:
+                frontier = iterate(frontier, iteration)
+                iteration += 1
 
         out.lengths = max_length - steps_left
         return out

@@ -15,9 +15,8 @@ Design invariants:
   (:mod:`repro.parallel.chunks`) and is advanced by a counter-based
   lane stream (:class:`~repro.rng.LaneRng`), so results are
   bit-identical across worker counts, backends, chunk sizes (fixed or
-  adaptive), pool generations, interleave settings, and scheduling
-  orders for a fixed ``seed``. ``--workers 1`` is the reference run,
-  not a special case.
+  adaptive), pool generations, and scheduling orders for a fixed
+  ``seed``. ``--workers 1`` is the reference run, not a special case.
 * **Warm pools** — worker pools and the shared-memory image are
   *engine-lifetime* resources (:mod:`repro.parallel.pool`): the first
   run pays pool spin-up and per-worker attach once, later runs find
@@ -115,10 +114,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         ``auto`` (shared memory, falling back to fork/copy-on-write),
         ``shm``, or ``inherit`` (copy-on-write only). Only the process
         backend ships arrays; threads share the address space.
-    interleave:
-        Walker cohorts per chunk advanced round-robin inside a worker
-        (ThunderRW-style step interleaving); 1 disables. Output is
-        bit-identical either way.
     """
 
     name = "tea-parallel"
@@ -135,7 +130,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         chunk_timeout: Optional[float] = None,
         fault_injector=None,
         chunk_target_ms: Optional[float] = None,
-        interleave: int = 1,
         kernel_backend="auto",
     ):
         super().__init__(graph, spec, kernel_backend=kernel_backend)
@@ -154,9 +148,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         self.chunk_target_ms = (
             float(chunk_target_ms) if chunk_target_ms is not None else None
         )
-        self.interleave = int(interleave)
-        if self.interleave < 1:
-            raise ValueError("interleave must be >= 1")
         self.backend = backend
         self.share_mode = share_mode
         #: Per-chunk retry budget: a chunk may fail (crash, hang, broken
@@ -363,7 +354,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             max_length=rp["max_length"],
             stop_probability=rp["stop_probability"],
             keep_hops=rp["keep_hops"],
-            interleave=self.interleave,
             run_id=rp["run_id"],
             profile=rp["profile"],
             attempt=attempt,

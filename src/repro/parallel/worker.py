@@ -128,7 +128,6 @@ class ChunkTask:
     max_length: int
     stop_probability: float
     keep_hops: bool
-    interleave: int = 1
     run_id: Optional[str] = None
     profile: bool = False
     enqueue_ts: float = 0.0
@@ -228,7 +227,6 @@ def execute_chunk(
                 task.starts, task.max_length, task.stop_probability,
                 None, counters, task.keep_hops, registry,
                 profiler=profiler, lane_rng=lane_rng,
-                interleave=task.interleave,
             )
         span.set("steps", result.total_steps)
         span.set("queue_wait_seconds", round(queue_wait, 6))

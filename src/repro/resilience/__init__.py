@@ -1,4 +1,4 @@
-"""Resilience layer: fault injection, retry policies, chaos harness.
+"""Resilience layer: fault injection and retry policies.
 
 Long-running walk systems must degrade gracefully — GraphWalker restarts
 out-of-core walks, KnightKing tolerates stragglers — and this package
@@ -10,14 +10,11 @@ gives the reproduction the same posture, testably:
   streaming batch apply;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` with
   transient/fatal classification, a retry budget, and exponential
-  backoff with seeded jitter (used by the trunk store);
-* :mod:`repro.resilience.smoke` — the ``make chaos-smoke`` harness
-  proving the five failure modes end to end (crash retry, hang
-  degradation, transient-I/O retry, checksum rejection, streaming
-  rollback).
+  backoff with seeded jitter (used by the trunk store).
 
-See ``docs/robustness.md`` for failure-mode semantics and the fault
-plan format.
+See ``docs/robustness.md`` for failure-mode semantics, the fault plan
+format, and the tests that hold each failure mode to its contract
+(``make chaos-smoke`` runs them).
 """
 
 from repro.resilience.faults import (

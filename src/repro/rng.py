@@ -56,14 +56,13 @@ def spawn(rng: np.random.Generator, n: int) -> list:
 # Counter-based per-lane streams
 # ---------------------------------------------------------------------------
 #
-# A chunk-parallel (or step-interleaved) executor cannot key randomness
-# on a shared Generator: the values a lane sees would then depend on
-# which other lanes happened to draw in the same vectorised call — i.e.
-# on chunk boundaries, cohort membership, and scheduling. LaneRng keys
-# every draw on (lane seed, lane draw ordinal) instead, using the
-# splitmix64 sequence: lane i's k-th uniform is
-# ``finalize(seed_i + k·γ) / 2^64``. Grouping lanes into chunks or
-# cohorts only changes *which draws share a numpy call*, never their
+# A chunk-parallel executor cannot key randomness on a shared
+# Generator: the values a lane sees would then depend on which other
+# lanes happened to draw in the same vectorised call — i.e. on chunk
+# boundaries and scheduling. LaneRng keys every draw on (lane seed, lane
+# draw ordinal) instead, using the splitmix64 sequence: lane i's k-th
+# uniform is ``finalize(seed_i + k·γ) / 2^64``. Grouping lanes into
+# chunks only changes *which draws share a numpy call*, never their
 # values — the bit-determinism contract of repro.parallel.
 
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -87,7 +86,7 @@ class LaneRng:
     :meth:`uniform` call advances only the named lanes' counters, so a
     lane's stream consumption depends exclusively on its own history —
     the property that makes walks invariant under chunking, worker
-    count, backend, scheduling order, and step interleaving.
+    count, backend and scheduling order.
     """
 
     __slots__ = ("_key", "_ctr")

@@ -4,11 +4,14 @@ The paper's streaming setting (Section 3.5): updates arrive as
 time-ordered batches of *new* edges; PAT/HPAT are extended incrementally
 (carry-merge of trunk hierarchies, Figure 7) instead of rebuilt.
 :class:`StreamingTeaEngine` owns an
-:class:`~repro.core.incremental.IncrementalHPAT` and interleaves
-``apply_batch`` calls with temporal walks over everything ingested so
-far. A single ``walk`` runs directly on the block forest and a burst
-(``run_walks``) on the current epoch's packed columns, so no global
-rebuild ever happens between batches.
+:class:`~repro.core.incremental.IncrementalHPAT` — per vertex a carry
+forest of blocks, each block its edges and their prefix masses (the
+paper's in-trunk alias tables stay with the static
+:mod:`repro.core.hpat`) — and interleaves ``apply_batch`` calls with
+temporal walks over everything ingested so far. A burst (``run_walks``)
+runs on the current epoch's packed columns, a single ``walk`` directly
+on the block forest — the scalar specification of the same two-uniform
+draw — so no global rebuild ever happens between batches.
 
 On top of the paper's in-memory maintenance this engine layers the two
 production properties ROADMAP item 3 asks for:

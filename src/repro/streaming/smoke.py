@@ -114,7 +114,7 @@ def durability_smoke(verbose: bool) -> dict:
             # Recorded from the sequential per-vertex builder: however
             # construction is scheduled, the forest it leaves must not move.
             work_bytes = (eng.index.update_work(), eng.nbytes())
-            assert work_bytes == (3501, 110728), (
+            assert work_bytes == (3501, 39336), (
                 f"ingest smoke: forest (update_work, nbytes) moved: {work_bytes}")
             epoch = eng.epoch
             starts = eng.active_vertices()[:12]

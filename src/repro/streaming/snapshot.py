@@ -72,7 +72,8 @@ class _EpochPack:
     order, segments newest first, edges newest first inside a segment
     (so ``times`` descends along a whole vertex). A segment is one
     carry-forest block or one radix bucket, as its ``segments()``
-    accessor hands it out; an edge weighs ``mass · 2^exponent``.
+    accessor hands it out — a block *is* its segment, it holds nothing
+    the pack does not read; an edge weighs ``mass · 2^exponent``.
 
     * per edge: ``dst``, ``times``;
     * per edge and once more per segment: ``mass`` — segment ``s`` owns
@@ -423,7 +424,11 @@ def walk_index(index, start: int, max_length: int, rng,
 
     Behind the single-walk ``walk()`` of the live engine and of a frozen
     view; bursts go through :meth:`EpochView.run_lanes`, which draws
-    from the same distribution (tested against this loop).
+    from the same distribution (tested against this loop). On a carry
+    forest it is that loop's specification: two uniforms a hop with the
+    pack's arithmetic, so on ``LaneRng(seeds).scalar(i)`` it takes lane
+    ``i``'s hops bit for bit (the radix forest's sampler weighs its
+    suffix masses differently and agrees in distribution only).
     """
     walker = Walker(int(start))
     v = walker.start_vertex

@@ -29,7 +29,7 @@ The design points:
 
 The fault-injection sites ``wal_append`` and ``wal_fsync`` fire before
 the respective syscalls, so chaos plans can kill an append or a commit
-deterministically (see ``make chaos-smoke``).
+deterministically (see ``make chaos-smoke``, a selection of tier-1 tests).
 """
 
 from __future__ import annotations

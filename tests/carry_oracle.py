@@ -4,14 +4,13 @@ This is the builder ``repro.core.incremental`` used before the forest
 was built once per batch: one vertex at a time, one ``_Block`` per
 append, every carry a *progressive* concatenate-and-rebuild. It is kept
 here, unoptimised, as the reference the batch-wide builder must equal
-bit for bit (block sizes, every array, every alias level, the cost
-counter) — see ``tests/test_incremental.py::TestBatchWideEqualsSequential``.
+bit for bit (block sizes, every array, the cost counter) — see
+``tests/test_incremental.py::TestBatchWideEqualsSequential``.
 """
 
 import numpy as np
 
 from repro.exceptions import NotSupportedError
-from repro.sampling.alias import build_alias_arrays_batch
 from repro.sampling.prefix_sum import build_prefix_sums
 
 
@@ -22,18 +21,6 @@ class OracleBlock:
         self.times = times
         self.weights = weights
         self.c = build_prefix_sums(weights)
-        self.levels = []
-        k = 1
-        while (1 << k) <= self.size:
-            width = 1 << k
-            rows = weights[: (self.size >> k) << k].reshape(-1, width)
-            sums = rows.sum(axis=1)
-            if np.any(sums <= 0):
-                rows = rows.copy()
-                rows[sums <= 0] = 1.0
-            p, a = build_alias_arrays_batch(rows)
-            self.levels.append((p.ravel(), a.ravel()))
-            k += 1
 
     @classmethod
     def merge(cls, newer, older):
@@ -93,7 +80,7 @@ def forest_state(vert):
         vert.num_edges, vert._t_ref, vert._t_newest, vert.merged_edges,
         [
             (b.size, b.dst.tobytes(), b.times.tobytes(), b.weights.tobytes(),
-             b.c.tobytes(), [(p.tobytes(), a.tobytes()) for p, a in b.levels])
+             b.c.tobytes())
             for b in vert.blocks
         ],
     )

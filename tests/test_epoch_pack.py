@@ -3,7 +3,10 @@
 Everything distributional here is checked against Γt(u) enumerated from
 the raw edge list with Eq. 3's weights — not against another engine —
 and the scalar ``walk_index`` loop is held to the same oracle, so the
-two can only agree by both being right.
+two can only agree by both being right. On the carry-forest kinds the
+two are also the same draw, hop for hop (``TestBitIdentity``); parity
+between two of our own paths cannot catch a shared bias, so that gate is
+beside the χ² checks, not instead of them.
 """
 
 import sys
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.weights import WeightModel
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.generators import temporal_powerlaw
-from repro.rng import make_rng, spawn_seeds
+from repro.rng import LaneRng, make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.streaming import snapshot
 from repro.streaming.batch import StreamingTeaEngine
@@ -278,6 +281,34 @@ class TestBitIdentity:
             assert np.array_equal(
                 np.concatenate([getattr(h, name) for h in halves]),
                 getattr(whole, name)), name
+
+    @PROPERTY
+    @given(streams(), st.sampled_from(KINDS[:4]), st.integers(0, 2**31 - 1),
+           st.sampled_from([1, 2**50 // 16]))
+    def test_scalar_walk_is_its_lane_of_the_burst(self, stream, kind, seed, stride):
+        """``walk_index`` on lane ``i``'s stream takes lane ``i``'s hops —
+        the scalar step is the specification of the pack's draw: two
+        uniforms a hop, none for the look that ends a walk. Held on a
+        view pinned before later ingest and on the live index after it,
+        ids dense or 2^50 apart. (``exponential_decay``'s radix sampler
+        weighs its suffix masses differently: χ² is its only relation.)"""
+        src, dst, times, splits = stream
+        src, dst = src * stride, dst * stride
+        half = len(src) // 2
+        engine = _ingest(_spec(*kind), src[:half], dst[:half], times[:half], splits)
+        pinned = engine.pin()
+        engine.apply_batch(EdgeStream(src[half:], dst[half:], times[half:],
+                                      sort=False))
+        rng = make_rng(seed)
+        starts = rng.integers(-1, int(src.max()) // stride + 3, 64) * stride
+        seeds = spawn_seeds(rng, 64)
+        for view, index in ((pinned, pinned), (engine.pin(), engine.index)):
+            out = view.run_lanes(starts, seeds, 6)
+            lanes = LaneRng(seeds)
+            scalar = [tuple(snapshot.walk_index(index, start, 6, lanes.scalar(i)).hops[1:])
+                      for i, start in enumerate(starts.tolist())]
+            assert scalar == _hop_tuples(out)
+            assert np.array_equal(lanes._ctr, 2 * out.lengths.astype(np.uint64))
 
     @pytest.mark.parametrize("kind", KINDS, ids=[k for k, _ in KINDS])
     def test_recovered_engine_walks_like_the_one_that_never_crashed(self, kind):

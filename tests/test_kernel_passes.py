@@ -90,7 +90,7 @@ def _engine(graph, spec):
 
 
 def _frontier(engine, name, starts, seed, *, keep_hops=True, stop=0.0,
-              interleave=1, lanes=True, length=12):
+              lanes=True, length=12):
     """One ``_run_frontier`` under backend ``name``: the result, its
     counters and (lane-keyed runs) every lane's stream counter after it."""
     engine.kernel = resolve_backend(name)
@@ -99,8 +99,7 @@ def _frontier(engine, name, starts, seed, *, keep_hops=True, stop=0.0,
         seeds = np.arange(starts.size, dtype=np.uint64) + np.uint64(seed)
         lane_rng = LaneRng(seeds)
         out = engine._run_frontier(starts, length, stop, None, counters,
-                                   keep_hops, lane_rng=lane_rng,
-                                   interleave=interleave)
+                                   keep_hops, lane_rng=lane_rng)
         return out, counters, lane_rng._ctr
     out = engine._run_frontier(starts, length, stop, make_rng(seed),
                                counters, keep_hops)
@@ -162,16 +161,15 @@ class TestPassParity:
 
     @PROPERTY
     @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
-           st.sampled_from([0.0, 0.15]), st.sampled_from([1, 3]), st.booleans())
-    def test_frontier_bit_identical(self, graph, seed, keep_hops, stop,
-                                    interleave, lanes):
+           st.sampled_from([0.0, 0.15]), st.booleans())
+    def test_frontier_bit_identical(self, graph, seed, keep_hops, stop, lanes):
         """Whole ``_run_frontier`` results and every ``CostCounters``
-        field, for both draw sources, with and without hop columns, stop
-        probability and cohort interleaving."""
+        field, for both draw sources, with and without hop columns and
+        stop probability."""
         engine = _engine(graph, exponential_walk(scale=3.0))
         starts = np.tile(np.arange(graph.num_vertices), 3)
         runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
-                          stop=stop, interleave=interleave, lanes=lanes)
+                          stop=stop, lanes=lanes)
                 for name in ("legacy", "numpy", "c")]
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])
@@ -179,11 +177,10 @@ class TestPassParity:
     @PROPERTY
     @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
            st.sampled_from([(2.0, 0.25), (1.0, 1.0), (4.0, 0.25), (0.25, 4.0)]),
-           st.booleans(), st.sampled_from([0.0, 0.15]), st.sampled_from([1, 3]),
+           st.booleans(), st.sampled_from([0.0, 0.15]),
            st.sampled_from([16, 16, 2, 1]), st.booleans())
     def test_node2vec_rounds_bit_identical(self, graph, seed, lanes, pq,
-                                           keep_hops, stop, interleave,
-                                           budget, no_static):
+                                           keep_hops, stop, budget, no_static):
         """β rejection: the fused hop (``c`` over ``LaneRng``) against the
         numpy rounds, also with the rejection budget cut to 1 and 2 — so
         the Python fallback runs after C rounds, its extra uniform landing
@@ -194,7 +191,7 @@ class TestPassParity:
         starts = np.tile(np.arange(graph.num_vertices), 3)
         with mock.patch.object(batch_mod, "_MAX_BETA_ROUNDS", budget):
             runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
-                              stop=stop, interleave=interleave, lanes=lanes)
+                              stop=stop, lanes=lanes)
                     for name in ("legacy", "numpy", "c")]
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])

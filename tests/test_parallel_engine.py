@@ -355,7 +355,7 @@ class TestEndToEnd:
             "walk", "--dataset", "tiny", "--app", "exponential",
             "--length", "6", "--workers", "2",
             "--parallel-backend", "thread",
-            "--chunk-target-ms", "20", "--interleave", "3",
+            "--chunk-target-ms", "20",
         ])
         out = capsys.readouterr().out
         assert rc == 0
@@ -425,14 +425,13 @@ class TestAdaptivePlanning:
         assert counts == sorted(counts, reverse=True)
 
 
-# -- determinism matrix (warm pools / adaptive chunks / interleave) ----------
+# -- determinism matrix (warm pools / adaptive chunks) -----------------------
 
 
 class TestDeterminismMatrix:
-    def test_chunking_warm_interleave_invariant(self, small_graph):
-        """One seed, one answer: fixed vs adaptive chunking, a pool
-        rebuilt after ``close()`` (cold), and interleave on/off are all
-        bit-identical."""
+    def test_chunking_warm_invariant(self, small_graph):
+        """One seed, one answer: fixed vs adaptive chunking and a pool
+        rebuilt after ``close()`` (cold) are all bit-identical."""
         spec = exponential_walk(scale=20.0)
         wl = Workload(walks_per_vertex=2, max_length=8)
         reference = ParallelBatchTeaEngine(
@@ -446,8 +445,7 @@ class TestDeterminismMatrix:
             dict(chunk_target_ms=0.5),
             dict(chunk_target_ms=500.0),
             dict(chunk_size=16),
-            dict(chunk_size=16, interleave=4),
-            dict(chunk_target_ms=50.0, interleave=3),
+            dict(chunk_target_ms=50.0),
         ]
         for kw in variants:
             engine = ParallelBatchTeaEngine(

@@ -568,6 +568,7 @@ class TestWorkerSupervision:
         assert [w.hops for w in result.paths] == [w.hops for w in baseline.paths]
         assert "serial" in engine.last_events["degraded"]
         assert engine.last_backend == "serial"
+        assert result.registry.counter_value("resilience.degraded") >= 1
 
     def test_serial_backend_retries_inline(self, par_graph):
         workload = Workload(walks_per_vertex=1, max_length=10)
@@ -585,8 +586,7 @@ class TestWorkerSupervision:
 
     def test_process_worker_real_crash_recovered(self, par_graph):
         """A forked worker dies with os._exit; the pool breaks; the run
-        still completes bit-identical (the chaos smoke covers this too —
-        this is the pytest-visible variant)."""
+        still completes bit-identical."""
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():

@@ -6,6 +6,7 @@ import pytest
 from repro.exceptions import NotSupportedError
 from repro.graph.generators import temporal_powerlaw
 from repro.streaming.batch import StreamingTeaEngine
+from repro.streaming.wal import WriteAheadLog, scrub_wal
 from repro.walks.apps import exponential_walk, temporal_node2vec, unbiased_walk
 
 
@@ -177,8 +178,6 @@ class TestEpochIsolation:
             for v in view.active_vertices():
                 for block in view._vertices[v].blocks:
                     yield from (block.dst, block.times, block.weights, block.c)
-                    for prob, alias in block.levels:
-                        yield from (prob, alias)
 
         held = list(arrays(pinned))
         before = [a.tobytes() for a in held]
@@ -300,11 +299,46 @@ class TestDurability:
             engine.apply_batch(batches[1])
         assert engine.num_edges == 200 and engine.epoch == 1
         assert _hops(engine, starts) == want
-        # The retry succeeds and the engine continues normally.
+        # The retry succeeds and the engine continues normally: it walks
+        # like an engine that never faulted, over a log that scrubs clean.
         engine.apply_batch(batches[1])
         engine.apply_batch(batches[2])
         assert engine.num_edges == 600 and engine.epoch == 3
         engine.close()
+        assert scrub_wal(tmp_path)["clean"]
+        clean = StreamingTeaEngine(spec)
+        clean.ingest(stream, batch_size=200)
+        assert _hops(engine, starts) == _hops(clean, starts)
+
+    def test_checkpoint_write_fault_leaves_old_state_authoritative(self, stream,
+                                                                   tmp_path):
+        """A failed checkpoint writes no manifest and trims no log; the
+        retried one, and recovery through it, are unaffected."""
+        from repro.exceptions import TransientIOError
+        from repro.resilience import FaultInjector
+        from repro.streaming.snapshot import load_manifest
+
+        spec = _decay_spec()
+        injector = FaultInjector.from_plan(
+            {"rules": [
+                {"site": "checkpoint_write", "kind": "io_error", "calls": [0]}
+            ]}
+        )
+        engine = StreamingTeaEngine(spec, wal_dir=tmp_path,
+                                    fault_injector=injector)
+        engine.ingest(stream[:400], batch_size=100)
+        with pytest.raises(TransientIOError):
+            engine.checkpoint()
+        assert load_manifest(tmp_path) is None
+        assert len(list(WriteAheadLog.replay(tmp_path))) == 4  # nothing trimmed
+        assert engine.checkpoint()["epoch"] == 4
+        engine.ingest(stream[400:], batch_size=100)
+        starts = engine.active_vertices()[:10]
+        want = _hops(engine, starts)
+        engine.close()
+        with StreamingTeaEngine(spec, wal_dir=tmp_path) as recovered:
+            assert recovered.recovered_batches == 6
+            assert _hops(recovered, starts) == want
 
 
 class TestStageTimings:

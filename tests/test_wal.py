@@ -92,8 +92,22 @@ class TestCrashRecovery:
     """The satellite property test: truncate at *every* byte offset."""
 
     def test_replay_at_every_truncation_offset(self, tmp_path):
+        from repro.graph.edge_stream import EdgeStream
+        from repro.streaming.batch import StreamingTeaEngine
+        from repro.walks.apps import exponential_walk
+
         batches = [(3, 0.0), (6, 10.0), (2, 20.0), (5, 30.0)]
         _append_batches(tmp_path, batches)
+        # What a never-crashed engine holding each durable prefix walks.
+        spec = exponential_walk(scale=2.0)
+        never_crashed = []
+        for k in range(len(batches) + 1):
+            engine = StreamingTeaEngine(spec)
+            for n, t0 in batches[:k]:
+                engine.apply_batch(EdgeStream(*_batch(n, t0)))
+            never_crashed.append(
+                [w.hops for w in engine.run_walks(range(4), 12, seed=3)])
+        assert len(never_crashed[-1][0]) > 2
         (seq, path), = [
             (seq, p) for seq, p in list_segments(tmp_path)
         ]
@@ -130,6 +144,13 @@ class TestCrashRecovery:
             assert len(recovered) == want, f"cut={cut}"
             for (n, t0), (_lsn, src, _dst, times) in zip(batches, recovered):
                 assert src.size == n and times[0] == t0
+            # The engine, opened on the torn log itself, repairs it,
+            # replays the durable prefix and walks bit-identically.
+            path.write_bytes(data[:cut])
+            with StreamingTeaEngine(spec, wal_dir=tmp_path) as engine:
+                assert engine.recovered_batches == want, f"cut={cut}"
+                assert [w.hops for w in engine.run_walks(range(4), 12, seed=3)
+                        ] == never_crashed[want], f"cut={cut}"
         # Restore for any later assertions.
         path.write_bytes(data)
 
