@@ -10,103 +10,105 @@ PYTHON ?= python
 install:
 	$(PYTHON) setup.py develop
 
-test: lint-clocks kernel-smoke stats-smoke scaling-smoke ooc-smoke \
-      chaos-smoke telemetry-smoke bench-history-smoke serve-smoke \
-      ingest-smoke
+# Tier-1: every gate below is a selection of these tests, so `make test`
+# runs each check exactly once.
+test: lint-clocks
 	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
-# Sampling-kernel smoke: prints what `auto` resolved to and fails when a
-# cc is on PATH but the compiled backend did not build, load and pass its
-# self-test (without one: numpy plus a fallback note); then the
-# structural constant-calls gate (one fused node2vec run makes the same
-# number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at
-# p=4, q=1/4: no per-round or per-lane work left in Python).
+# The *-smoke targets run one subsystem's tier-1 gates by themselves
+# (docs/robustness.md maps each check to its test id;
+# tests/test_docs.py asserts every id below still collects).
+SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
+
+# Sampling kernels: with a cc on PATH `auto` and `c` resolve to the
+# compiled backend with its fused hop (a failure, not a skip; without
+# one, numpy plus a fallback note), and the structural constant-calls
+# gate (one fused node2vec run makes the same number of Python-level
+# calls at 16 and at 2 048 lanes, at p=q=1 and at p=4, q=1/4).
 kernel-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.kernels.smoke
-	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
+	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_kernel_passes.py::TestConstantCalls"
-	@echo "kernel-smoke: compiled backend loaded + constant calls per hop"
 
-# End-to-end telemetry smoke: run a tiny walk with --stats, write the
-# JSON run report, then replay it (the replay validates the schema and
-# exits nonzero on violations).
+# Telemetry end to end: `repro walk --stats` writes the JSON run report
+# and Prometheus text, `repro stats --report` replays and validates it
+# (nonzero exit on schema violations), for every engine.
 stats-smoke:
-	mkdir -p bench_results
-	PYTHONPATH=src $(PYTHON) -m repro walk --dataset tiny --engine tea \
-		--app exponential --length 10 --max-walks 50 --stats \
-		--trace-out bench_results/stats_smoke.json \
-		--prom-out bench_results/stats_smoke.prom
-	PYTHONPATH=src $(PYTHON) -m repro stats --report bench_results/stats_smoke.json >/dev/null
-	@echo "stats-smoke: run report validated"
+	$(SMOKE) "tests/test_telemetry.py::TestCli"
 
-# Parallel walk executor smoke: sweep 1 and 2 workers on a tiny graph,
-# asserting bit-determinism across worker counts, telemetry conservation
-# (sum of per-worker steps == serial steps), warm-pool reuse (second run
-# pays zero pool startup), and bounded dispatch (a warm 2-worker run
-# spends at most 25 ms per chunk outside chunk execution, over inline —
-# an absolute cost, so it holds on a 1-core or an oversubscribed host).
+# Parallel executor: bit-determinism across worker counts and backends,
+# telemetry conservation (per-worker steps fold to the serial total),
+# warm-pool reuse (a second run pays zero pool startup), and bounded
+# dispatch (a warm 2-worker run spends at most 25 ms per chunk outside
+# chunk execution over inline — an absolute cost, so it holds on a
+# 1-core or an oversubscribed host).
 scaling-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.parallel.scaling --smoke
-	@echo "scaling-smoke: parallel invariants hold"
+	$(SMOKE) "tests/test_parallel_engine.py::TestDeterminism" \
+		"tests/test_parallel_engine.py::TestTelemetryFold" \
+		"tests/test_parallel_engine.py::TestDeterminismMatrix"
 
-# Out-of-core smoke: scalar-vs-batched step parity at max_length=1,
-# coalescing (strictly fewer backing reads), cache hit-rate floor,
-# prefetch conservation, fixed-seed determinism, and the structural
+# Out-of-core: scalar-vs-batched step parity at max_length=1, coalescing
+# (strictly fewer backing reads), fixed-seed determinism, the frame
+# pool's hit-rate floor, prefetch conservation, and the structural
 # width-independence gate (one frontier iteration makes the same number
 # of Python-level calls at 1k and at 16k lanes: no per-range loops).
 ooc-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.engines.tea_outofcore.smoke
-	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
+	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
+		"tests/test_ooc_batch.py::TestPrefetchTelemetry" \
 		"tests/test_ooc_batch.py::TestWidthIndependence"
-	@echo "ooc-smoke: out-of-core invariants hold"
 
-# Resilience chaos smoke: the tier-1 classes that inject every failure
-# mode (worker crash, hang, transient I/O, trunk corruption, mid-batch
-# streaming failure, WAL torn at every byte offset, failed WAL append,
-# failed checkpoint write) and assert the contracts: retries keep results
+# Resilience: the tier-1 classes that inject every failure mode (worker
+# crash, hang, transient I/O, trunk corruption, mid-batch streaming
+# failure, WAL torn at every byte offset, failed WAL append, failed
+# checkpoint write) and assert the contracts: retries keep results
 # bit-identical, degradation is recorded, scrub locates corruption,
 # rollbacks leave no residue, recovery walks like the never-crashed engine.
 chaos-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider \
-		"tests/test_resilience.py::TestWorkerSupervision" \
+	$(SMOKE) "tests/test_resilience.py::TestWorkerSupervision" \
 		"tests/test_resilience.py::TestChecksums" \
 		"tests/test_resilience.py::TestStreamingRollback" \
 		"tests/test_wal.py::TestCrashRecovery" \
 		"tests/test_streaming.py::TestDurability"
-	@echo "chaos-smoke: all failure modes handled"
 
-# Observability smoke: profiled root phase times within 10% of wall with
-# <5% self-measured overhead, collapsed stacks parse, and a 4-worker
-# process-backend run whose events all share one run_id (including at
-# least one event shipped back from a worker process).
+# Observability: profiled root phase times within 10% of wall with <5%
+# self-measured overhead, hot-loop phases charged, collapsed stacks
+# parse, and a 4-worker process-backend run whose events all share one
+# run_id (including events shipped back from worker processes).
 telemetry-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.telemetry.smoke
-	@echo "telemetry-smoke: profiler + event-log invariants hold"
+	$(SMOKE) "tests/test_profiler.py::TestEngineProfiles" \
+		"tests/test_profiler.py::TestCliProfile" \
+		"tests/test_events.py::TestEventLog" \
+		"tests/test_events.py::TestRunCorrelation"
 
-# Bench-history smoke: two synthetic runs in a temp store; compare must
-# flag an injected 20% walk_s regression with exit 1 and pass a clean
-# re-run with exit 0.
+# Bench history: `repro bench compare` exits 1 on an injected walk_s
+# regression and 0 on a clean re-run; baseline pinning, trend table and
+# metric-direction heuristics.
 bench-history-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.benchhistory.smoke
-	@echo "bench-history-smoke: regression gate behaves"
+	$(SMOKE) "tests/test_bench_history.py::TestDirections" \
+		"tests/test_bench_history.py::TestCompare" \
+		"tests/test_bench_history.py::TestCli"
 
-# Serving smoke: boot a real daemon on a loopback port and check the
-# four properties serving must never lose — staged-batch responses
-# bit-identical to solo runs, 429s (and telemetry conservation) when
-# the admission queue fills, a median queue wait < 1 ms for a lone
-# sequential client, and a clean bounded-join shutdown.
+# Serving, against real daemons on loopback ports: a parked request is
+# handed out without waiting, staged batches are bit-identical to solo
+# runs, 429s and telemetry conservation when the admission queue fills,
+# stage histograms on /metrics, and a clean bounded-join shutdown.
 serve-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.serve.smoke
-	@echo "serve-smoke: parity + admission + no idle wait + shutdown hold"
+	$(SMOKE) "tests/test_serve_batching.py::TestTake" \
+		"tests/test_serve_batching.py::test_requests_parked_during_a_batch_coalesce_into_the_next" \
+		"tests/test_serve_batching.py::test_stage_histograms_are_served_on_metrics" \
+		"tests/test_serve_parity.py::test_http_staged_batch_matches_solo" \
+		"tests/test_serve_stress.py::test_stress_conservation_and_run_ids"
 
-# Durable-ingest smoke: bulk columnar ingest bit-identical to batched
-# ingest (and clearly faster than per-edge apply), WAL close/reopen and
-# post-checkpoint recovery bit-identical (with the forest's update_work
-# and nbytes equal to their recorded constants), pinned epochs
-# byte-stable under concurrent ingest, and scrub reporting the store clean.
+# Durable ingest: bulk columnar ingest bit-identical to batched ingest,
+# pinned epochs byte-stable under concurrent ingest, WAL close/reopen and
+# post-checkpoint recovery bit-identical (the forest's update_work and
+# nbytes equal to their recorded constants, the store scrubbing clean),
+# and an epoch packed once by its first read burst, never by publish or
+# recovery.
 ingest-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.streaming.smoke
-	@echo "ingest-smoke: durability + epoch isolation hold"
+	$(SMOKE) "tests/test_streaming.py::TestBulkIngest" \
+		"tests/test_streaming.py::TestEpochIsolation" \
+		"tests/test_streaming.py::TestDurability" \
+		"tests/test_epoch_pack.py::TestReadSideBookkeeping"
 
 # Clock discipline: engine code must take time from
 # repro.telemetry.clock, never raw time.time()/perf_counter().

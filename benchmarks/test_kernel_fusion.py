@@ -3,8 +3,9 @@
 Not a paper figure: this bench gates the kernel-fusion work itself.
 
 * **Sampling throughput** — the fused numpy backend versus the
-  preserved pre-fusion (``legacy``) kernel, drawing through
-  :func:`repro.kernels.sample_batch` on a fig2-style skewed workload
+  pre-fusion (``legacy``) kernel kept in ``tests/legacy_kernel.py``,
+  drawing through :func:`repro.kernels.sample_batch` on a fig2-style
+  skewed workload
   (power-law temporal graph, exponential recency weights, lane counts
   matching real frontier widths under the executor's ~75ms chunk
   target). Acceptance: >= 1.5x aggregate speedup. Both kernels burn
@@ -45,6 +46,7 @@ from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import PhaseProfiler
 from repro.walks.apps import exponential_walk, temporal_node2vec
+from tests import legacy_kernel
 
 # Frontier widths seen in practice: the parallel executor's adaptive
 # chunking (75ms target) hands the kernel batches of hundreds to a few
@@ -91,7 +93,7 @@ def test_kernel_fusion_throughput(benchmark, skewed_index):
     deg = np.diff(index.indptr)
     rng = np.random.default_rng(0)
     lively = np.flatnonzero(deg >= min(64, max(2, int(deg.max() // 4))))
-    legacy = resolve_backend("legacy")
+    legacy = legacy_kernel.BACKEND
     fused = resolve_backend("numpy")
     compiled = resolve_backend("auto")
 

@@ -6,9 +6,6 @@
   vectorised sampling over whole-trunk payload matrices, coalesced
   reads, async prefetch and the scan-resistant frame pool (``batch``,
   ``prefetch``).
-
-``python -m repro.engines.tea_outofcore.smoke`` runs the parity and
-cache-sanity invariants ``make ooc-smoke`` gates on.
 """
 
 from repro.engines.tea_outofcore.batch import (

@@ -12,9 +12,6 @@ package is the registry that picks which implementation runs them:
     and :func:`backend_fallback_note` says why.
 ``numpy``
     The fused reference backend. Always available.
-``legacy``
-    The pre-fusion kernel, verbatim — parity oracle and bench
-    baseline. Not offered by the CLI.
 
 Backend choice never changes walk output — the passes consume the
 uniforms the shared driver drew, and ``c``'s own draws are
@@ -34,8 +31,7 @@ from repro.kernels.base import (
     sample_batch,
 )
 
-#: CLI-facing choices (``legacy`` is intentionally absent: it exists
-#: for parity tests and benchmarks, not for users).
+#: Every name :func:`resolve_backend` accepts.
 BACKEND_CHOICES = ("auto", "numpy", "c")
 
 _CACHE = {}
@@ -49,8 +45,6 @@ def _load(name: str) -> Optional[KernelBackend]:
     backend: Optional[KernelBackend]
     if name == "numpy":
         from repro.kernels.numpy_backend import BACKEND as backend
-    elif name == "legacy":
-        from repro.kernels.legacy import BACKEND as backend
     elif name == "c":
         from repro.kernels import c_backend
 
@@ -64,7 +58,7 @@ def _load(name: str) -> Optional[KernelBackend]:
     else:
         raise ValueError(
             f"unknown kernel backend {name!r} "
-            f"(choices: auto, numpy, c, legacy)"
+            f"(choices: {', '.join(BACKEND_CHOICES)})"
         )
     _CACHE[name] = backend
     return backend
@@ -72,10 +66,7 @@ def _load(name: str) -> Optional[KernelBackend]:
 
 def available_backends() -> Tuple[str, ...]:
     """Concrete (non-``auto``) backends usable in this process."""
-    names = ["numpy", "legacy"]
-    if _load("c") is not None:
-        names.insert(0, "c")
-    return tuple(names)
+    return ("c", "numpy") if _load("c") is not None else ("numpy",)
 
 
 def resolve_backend(name: str = "auto") -> KernelBackend:

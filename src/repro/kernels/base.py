@@ -122,16 +122,11 @@ class KernelBackend:
     """One implementation of the three passes (see module doc)."""
 
     name: str
-    select: Optional[Callable]
-    alias: Optional[Callable]
+    select: Callable
+    alias: Callable
     scatter: Callable
     #: Optional binder of the whole lane-keyed hop (only ``c`` has one).
     hop: Optional[Callable] = None
-    #: Optional whole-sampler override (the ``legacy`` reference backend
-    #: keeps the exact pre-fusion code path this way). When set,
-    #: :func:`sample_batch` delegates wholesale instead of orchestrating
-    #: ``select``/``alias``.
-    sample_override: Optional[Callable] = None
 
 
 def sample_batch(
@@ -167,8 +162,6 @@ def sample_batch(
         lanes = np.arange(n, dtype=np.int64)
     if scratch is None:
         scratch = KernelScratch()
-    if backend.sample_override is not None:
-        return backend.sample_override(index, vs, ss, draw, lanes, counters)
 
     level = scratch.array("level", n, np.int64)
     out = scratch.array("out", n, np.int64)

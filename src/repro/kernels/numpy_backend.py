@@ -1,7 +1,7 @@
 """Fused numpy reference backend for the sampling kernel.
 
-Semantics-identical (bit-identical, in fact — asserted by tests and
-``make kernel-smoke``) to the pre-fusion frontier kernel, with the ITS
+Semantics-identical (bit-identical, in fact — asserted against
+``tests/legacy_kernel.py``) to the pre-fusion frontier kernel, with the ITS
 lockstep reorganised around how skewed workloads actually resolve:
 
 * the pre-fusion kernel scanned **global bit positions** high→low,
@@ -17,8 +17,8 @@ lockstep reorganised around how skewed workloads actually resolve:
 
 The probe order per lane — its set bits, highest first, with the same
 ``c[cbase + offset + block] >= r`` acceptance — is exactly the order
-the global bit-scan visited, so ``level``/``offset`` match the legacy
-kernel bit for bit; selection is a pure function of ``r`` and the
+the global bit-scan visited, so ``level``/``offset`` match the
+pre-fusion kernel bit for bit; selection is a pure function of ``r`` and the
 prefix-sum array, and all uniforms are drawn by the shared driver.
 
 ``select``/``alias``/``scatter`` are the three-pass ABI of

@@ -22,10 +22,9 @@ Public surface:
   seeding and (re)chunking;
 * :class:`~repro.parallel.pool.WarmWorkerPool` — the persistent pool;
 * :class:`~repro.parallel.sharing.SharedIndexImage` — the shared-memory
-  image of the prepared arrays;
-* :func:`~repro.parallel.scaling.run_scaling` — the strong-scaling
-  sweep behind ``bench_results/walk_scaling.txt`` and
-  ``make scaling-smoke``.
+  image of the prepared arrays.
+
+The strong-scaling sweep is ``benchmarks/test_walk_scaling.py``.
 """
 
 from repro.parallel.chunks import (

@@ -1,5 +1,6 @@
 """Documentation stays executable and accurate."""
 
+import os
 import re
 import subprocess
 import sys
@@ -47,6 +48,28 @@ class TestReadme:
         assert modules
         for name in sorted(modules):
             importlib.import_module(name)
+
+
+class TestMakefile:
+    def test_every_selected_test_id_collects(self):
+        """Each ``tests/…::Class[::test]`` id a Makefile target selects
+        still names at least one test. ``make test`` runs ``tests/`` once
+        and none of the ``*-smoke`` selections, so without this a renamed
+        class would break its target silently."""
+        makefile = (ROOT / "Makefile").read_text()
+        ids = sorted(set(re.findall(r"tests/[\w/]+\.py::[\w:\[\]-]+", makefile)))
+        assert len(ids) >= 20, ids
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-o", "addopts=",
+             "-q", "-p", "no:cacheprovider", *ids],
+            cwd=ROOT, capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+        collected = proc.stdout.splitlines()
+        for node in ids:
+            assert any(line == node or line.startswith(node + "::")
+                       or line.startswith(node + "[") for line in collected), node
 
 
 class TestDesignDoc:

@@ -536,6 +536,15 @@ class TestReadSideBookkeeping:
         assert counters.binary_search_probes >= counters.steps
         assert counters.edges_evaluated == counters.binary_search_probes
 
-    def test_nothing_is_packed_on_the_publish_or_recovery_path(self, engine):
+    def test_nothing_is_packed_on_the_publish_or_recovery_path(self, engine, tmp_path):
         assert engine._reads.cached is None
         assert engine.registry.histogram("streaming.epoch_pack_seconds").count == 0
+        stream = temporal_powerlaw(num_vertices=40, num_edges=600, seed=2,
+                                   time_horizon=100.0)
+        with StreamingTeaEngine(engine.spec, wal_dir=tmp_path) as durable:
+            durable.ingest(stream, 150)
+        with StreamingTeaEngine(engine.spec, wal_dir=tmp_path) as recovered:
+            assert recovered.epoch == 4
+            assert recovered._reads.cached is None
+            assert recovered.registry.histogram(
+                "streaming.epoch_pack_seconds").count == 0

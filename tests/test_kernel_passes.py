@@ -1,4 +1,4 @@
-"""The kernel ABI: ``c`` ≡ ``numpy`` ≡ ``legacy``, bit for bit.
+"""The kernel ABI: ``c`` ≡ ``numpy`` ≡ the pre-fusion kernel, bit for bit.
 
 Parity (Hypothesis, over graphs with degree-1 vertices, power-of-two
 hubs at the last vertex id, chains of all-ones candidate sizes and dead
@@ -7,7 +7,8 @@ driver path, which runs take the fused call and which must not, memory
 safety (a bad lane raises ``IndexError`` from either backend — never a
 crash), the constant-calls gate, build/cache hygiene and the visible
 fallback of the compiled backend. Tests that need the compiled passes
-fail — not skip — wherever a ``cc`` exists.
+fail — not skip — wherever a ``cc`` exists. The pre-fusion kernel is the
+oracle in ``tests/legacy_kernel.py``, run under the same drivers.
 """
 
 import dataclasses
@@ -45,10 +46,13 @@ from repro.telemetry.exporters import parse_prometheus, to_prometheus
 from repro.telemetry.registry import MetricsRegistry
 from repro.walks.apps import exponential_walk, temporal_node2vec
 from repro.walks.spec import CustomParameter
+from tests import legacy_kernel
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 BOTH = ("numpy", "c")
+#: The oracle first: every product backend is compared to it.
+WITH_ORACLE = (legacy_kernel.BACKEND,) + BOTH
 needs_cc = pytest.mark.skipif(c_backend.find_cc() is None,
                               reason="needs a C compiler")
 COUNTER_FIELDS = ("steps", "edges_evaluated", "binary_search_probes",
@@ -124,7 +128,8 @@ class TestPassParity:
     def test_select_alias_bit_identical(self, graph, seed):
         """``level``/offset/``out``, the deep rows and the integer probe
         count agree on arbitrary (vertex, size) pairs — including size 1,
-        powers of two and the full degree — and ``out`` matches legacy."""
+        powers of two and the full degree — and ``out`` matches the
+        pre-fusion kernel."""
         index = _engine(graph, exponential_walk(scale=3.0)).index
         deg = np.diff(graph.indptr)
         rng = make_rng(seed)
@@ -155,7 +160,7 @@ class TestPassParity:
         outs = [sample_batch(resolve_backend(name), index, vs, ss, None,
                              draw=LaneRng(lanes.astype(np.uint64) + 9),
                              lanes=lanes).copy()
-                for name in ("legacy", "numpy", "c")]
+                for name in WITH_ORACLE]
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(outs[0], outs[2])
 
@@ -170,7 +175,7 @@ class TestPassParity:
         starts = np.tile(np.arange(graph.num_vertices), 3)
         runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
                           stop=stop, lanes=lanes)
-                for name in ("legacy", "numpy", "c")]
+                for name in WITH_ORACLE]
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])
 
@@ -192,7 +197,7 @@ class TestPassParity:
         with mock.patch.object(batch_mod, "_MAX_BETA_ROUNDS", budget):
             runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
                               stop=stop, lanes=lanes)
-                    for name in ("legacy", "numpy", "c")]
+                    for name in WITH_ORACLE]
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])
 
@@ -464,10 +469,10 @@ def run_lanes_call_events(graph, lanes: int, p: float, q: float) -> int:
 @needs_cc
 class TestConstantCalls:
     def test_call_events_do_not_grow_with_lanes_or_beta_rounds(self, medium_graph):
-        """Exact structural gate (``make kernel-smoke`` runs it beside the
-        smoke): a fused iteration is the same handful of Python-level
-        calls at 16 and at 2 048 lanes, and whether β accepts at once
-        (p = q = 1) or after many rounds (p = 4, q = ¼)."""
+        """Exact structural gate (part of ``make kernel-smoke``): a fused
+        iteration is the same handful of Python-level calls at 16 and at
+        2 048 lanes, and whether β accepts at once (p = q = 1) or after
+        many rounds (p = 4, q = ¼)."""
         counts = {(lanes, p): run_lanes_call_events(medium_graph, lanes, p, q)
                   for lanes in (16, 2048) for p, q in ((1.0, 1.0), (4.0, 0.25))}
         assert min(counts.values()) > 20  # the hook saw the run

@@ -31,9 +31,15 @@ from repro.rng import GeneratorLanes, LaneRng, make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import temporal_node2vec
 from repro.walks.spec import WalkSpec
+from tests import legacy_kernel
 from tests.conftest import chisquare_ok
 
-NON_LEGACY = [n for n in available_backends() if n != "legacy"]
+PRODUCT = list(available_backends())
+
+
+def _backend(name):
+    """A product backend by name, or the pre-fusion oracle for ``legacy``."""
+    return legacy_kernel.BACKEND if name == "legacy" else resolve_backend(name)
 
 
 @pytest.fixture(scope="module")
@@ -53,9 +59,9 @@ def _queries(index, n, seed):
 
 
 class TestBackendRegistry:
-    def test_available_backends_always_has_numpy_and_legacy(self):
+    def test_available_backends_always_has_numpy(self):
         names = available_backends()
-        assert "numpy" in names and "legacy" in names
+        assert "numpy" in names and "legacy" not in names
 
     def test_resolve_passthrough_and_auto(self):
         backend = resolve_backend("numpy")
@@ -67,23 +73,30 @@ class TestBackendRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             resolve_backend("cuda")
+        # The pre-fusion kernel is a test oracle, not a product backend.
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            resolve_backend("legacy")
 
     def test_compiled_backend_serves_wherever_a_compiler_exists(self):
-        # Compile-is-the-gate: a host with cc runs the C passes (no skip).
-        resolved = resolve_backend("c")
-        if c_backend.find_cc() is not None:
-            assert resolved.name == "c", backend_fallback_note()
-            assert backend_fallback_note() is None
-        else:
-            assert resolved.name == "numpy"
-            assert "cc" in backend_fallback_note()
+        # Compile-is-the-gate: a host with cc runs the C passes and the
+        # fused lane-keyed hop, asked for by name or by ``auto`` — a
+        # failure, never a skip.
+        for name in ("c", "auto"):
+            resolved = resolve_backend(name)
+            if c_backend.find_cc() is not None:
+                assert resolved.name == "c", backend_fallback_note()
+                assert resolved.hop is not None
+                assert backend_fallback_note() is None
+            else:
+                assert resolved.name == "numpy"
+                assert "cc" in backend_fallback_note()
 
 
 class TestUniformBlockContract:
     """``uniform_block(lanes, k)`` ≡ k successive ``uniform`` calls.
 
-    The driver draws the two alias uniforms as one block; the legacy
-    kernel draws them as two calls. Backend bit-parity rests on these
+    The driver draws the two alias uniforms as one block; the pre-fusion
+    kernel drew them as two calls. Backend bit-parity rests on these
     being the same numbers for both draw sources.
     """
 
@@ -104,12 +117,12 @@ class TestUniformBlockContract:
         assert np.array_equal(block[1], b.uniform(lanes))
 
 
-@pytest.mark.parametrize("name", NON_LEGACY)
+@pytest.mark.parametrize("name", PRODUCT)
 class TestBackendParity:
     """Every fused backend is bit-identical to the pre-fusion kernel."""
 
     def test_lane_rng_parity_across_sizes(self, skewed_index, name):
-        legacy = resolve_backend("legacy")
+        legacy = legacy_kernel.BACKEND
         backend = resolve_backend(name)
         scratch = KernelScratch()  # deliberately reused across sizes
         for n in (1, 17, 300, 5000):
@@ -128,7 +141,7 @@ class TestBackendParity:
             assert np.array_equal(ref, got), f"{name} diverged at n={n}"
 
     def test_generator_parity(self, skewed_index, name):
-        legacy = resolve_backend("legacy")
+        legacy = legacy_kernel.BACKEND
         backend = resolve_backend(name)
         vs, ss = _queries(skewed_index, 2000, seed=1)
         ref = sample_batch(legacy, skewed_index, vs, ss, make_rng(4))
@@ -139,7 +152,7 @@ class TestBackendParity:
         backend = resolve_backend(name)
         vs, ss = _queries(skewed_index, 500, seed=2)
         c_legacy, c_backend = CostCounters(), CostCounters()
-        sample_batch(resolve_backend("legacy"), skewed_index, vs, ss,
+        sample_batch(legacy_kernel.BACKEND, skewed_index, vs, ss,
                      make_rng(0), c_legacy)
         sample_batch(backend, skewed_index, vs, ss, make_rng(0), c_backend)
         assert c_backend.binary_search_probes == c_legacy.binary_search_probes
@@ -149,14 +162,14 @@ class TestBackendParity:
 class TestEngineBackendParity:
     """Whole walk runs are backend-independent (hop for hop)."""
 
-    @pytest.mark.parametrize("name", [n for n in NON_LEGACY] + ["legacy"])
+    @pytest.mark.parametrize("name", PRODUCT + ["legacy"])
     def test_node2vec_walks_identical(self, medium_graph, name):
         spec = temporal_node2vec(p=2.0, q=0.5, scale=8.0)
         workload = Workload(walks_per_vertex=1, max_length=20, max_walks=150)
         ref = BatchTeaEngine(medium_graph, spec, kernel_backend="numpy").run(
             workload, seed=11, record_paths=True)
-        got = BatchTeaEngine(medium_graph, spec, kernel_backend=name).run(
-            workload, seed=11, record_paths=True)
+        got = BatchTeaEngine(medium_graph, spec, kernel_backend=_backend(name)
+                             ).run(workload, seed=11, record_paths=True)
         assert [tuple(p.vertices) for p in ref.paths] == \
             [tuple(p.vertices) for p in got.paths]
 
@@ -164,13 +177,13 @@ class TestEngineBackendParity:
 class TestScalarFusedDecayEquivalence:
     """Satellite: scalar TEA ≡ fused kernel under ``exponential_decay``."""
 
-    @pytest.mark.parametrize("name", [n for n in NON_LEGACY] + ["legacy"])
+    @pytest.mark.parametrize("name", PRODUCT + ["legacy"])
     def test_distribution_matches_scalar(self, medium_graph, name):
         spec = WalkSpec(
             name="decay",
             weight_model=WeightModel("exponential_decay", scale=25.0),
         )
-        engine = BatchTeaEngine(medium_graph, spec, kernel_backend=name)
+        engine = BatchTeaEngine(medium_graph, spec, kernel_backend=_backend(name))
         engine.prepare()
         deg = np.diff(medium_graph.indptr)
         v = int(np.argmax(deg))

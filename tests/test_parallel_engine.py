@@ -35,6 +35,13 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
 
+#: Dispatch seconds per chunk a warm 2-worker run may add over the inline
+#: run. Measured ≈0.4–1.5 ms on two shared vCPUs (one ChunkTask pickle in,
+#: one ChunkResult pickle out, two pipe wake-ups); the bound leaves a noisy
+#: neighbour room without letting a 20x regression pass. An absolute cost
+#: holds on any host, where a wall-clock speedup does not.
+DISPATCH_BOUND_SECONDS = 0.025
+
 
 def _paths_equal(a, b):
     return len(a) == len(b) and all(x.hops == y.hops for x, y in zip(a, b))
@@ -497,6 +504,32 @@ class TestDeterminismMatrix:
         assert reg2.gauge_value("parallel.attach_seconds") == 0.0
         assert reg2.counter_value("parallel.pool_reuse") >= 1
         assert _paths_equal(r1.paths, r2.paths)
+
+    @pytest.mark.parametrize("backend", [
+        "thread", pytest.param("process", marks=needs_fork)])
+    def test_warm_dispatch_cost_per_chunk_is_bounded(self, small_graph, backend):
+        """What a warm 2-worker run spends per chunk outside chunk
+        execution (submit, IPC, result pickling:
+        ``parallel.dispatch_overhead_seconds``) exceeds the inline run's
+        by at most ``DISPATCH_BOUND_SECONDS``."""
+        from repro.telemetry import MetricsRegistry
+
+        spec = exponential_walk(scale=20.0)
+        wl = Workload(walks_per_vertex=2, max_length=40)
+        per_chunk = {}
+        for workers, kind in ((1, "serial"), (2, backend)):
+            engine = ParallelBatchTeaEngine(
+                small_graph, spec, workers=workers, backend=kind, chunk_size=16)
+            engine.run(wl, seed=0, record_paths=False)  # builds the pool
+            registry = MetricsRegistry()
+            engine.run(wl, seed=0, record_paths=False, registry=registry)
+            engine.close()
+            assert engine.last_backend == kind
+            per_chunk[kind] = registry.gauge_value(
+                "parallel.dispatch_overhead_seconds") / registry.counter_value(
+                "parallel.chunks")
+        assert per_chunk[backend] - per_chunk["serial"] <= DISPATCH_BOUND_SECONDS, (
+            per_chunk)
 
     @needs_fork
     def test_cold_pool_matches_warm_pool_process(self, small_graph):

@@ -141,6 +141,7 @@ def test_stage_histograms_are_served_on_metrics(small_graph):
         served = client.stats()["counters"]["served"]
     assert f"tea_serve_queue_wait_seconds_count {served}" in metrics
     assert "tea_serve_execute_seconds_count 3" in metrics
+    assert "tea_serve_received" in metrics
 
 
 # -- (c) columnar encode == per-walk oracle, byte for byte --------------------

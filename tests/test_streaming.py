@@ -249,6 +249,25 @@ class TestDurability:
             assert recovered.recovered_edges == 600
             assert _hops(recovered, starts) == want
 
+    def test_forest_constants_survive_checkpoint_and_recovery(self, tmp_path):
+        """The forest a durable ingest leaves is pinned: ``(update_work,
+        nbytes)`` recorded from the sequential per-vertex builder (a
+        carry-forest block is ``(dst, times, weights, c)``, nothing else),
+        before and after a checkpoint + recovery; the store scrubs clean
+        with its manifest verified."""
+        stream = temporal_powerlaw(num_vertices=60, num_edges=1200, seed=13,
+                                   time_horizon=80.0)
+        spec = exponential_walk(scale=20.0)
+        with StreamingTeaEngine(spec, wal_dir=tmp_path, group_commit=8) as engine:
+            engine.ingest(stream, batch_size=150)
+            assert (engine.index.update_work(), engine.nbytes()) == (3501, 39336)
+            engine.checkpoint()
+        report = scrub_wal(tmp_path)
+        assert report["clean"] and report["manifest"]["ok"]
+        with StreamingTeaEngine(spec, wal_dir=tmp_path) as recovered:
+            assert (recovered.index.update_work(),
+                    recovered.nbytes()) == (3501, 39336)
+
     def test_checkpoint_bounds_replay(self, stream, tmp_path):
         spec = _decay_spec()
         with StreamingTeaEngine(spec, wal_dir=tmp_path) as engine:
