@@ -89,14 +89,18 @@ bench-history-smoke:
 
 # Serving, against real daemons on loopback ports: a parked request is
 # handed out without waiting, staged batches are bit-identical to solo
-# runs, 429s and telemetry conservation when the admission queue fills,
-# stage histograms on /metrics, and a clean bounded-join shutdown.
+# runs, 429s and telemetry conservation when the parked list fills,
+# stage histograms on /metrics, one serving thread, a bounded shutdown,
+# and the protocol fuzzer (never a 5xx, pipelined answers in order, a
+# slow reader never stalls the loop).
 serve-smoke:
 	$(SMOKE) "tests/test_serve_batching.py::TestTake" \
 		"tests/test_serve_batching.py::test_requests_parked_during_a_batch_coalesce_into_the_next" \
 		"tests/test_serve_batching.py::test_stage_histograms_are_served_on_metrics" \
+		"tests/test_serve_batching.py::test_one_serving_thread" \
 		"tests/test_serve_parity.py::test_http_staged_batch_matches_solo" \
-		"tests/test_serve_stress.py::test_stress_conservation_and_run_ids"
+		"tests/test_serve_stress.py::test_stress_conservation_and_run_ids" \
+		"tests/test_serve_protocol.py"
 
 # Durable ingest: bulk columnar ingest bit-identical to batched ingest,
 # pinned epochs byte-stable under concurrent ingest, WAL close/reopen and

@@ -668,7 +668,6 @@ def cmd_serve(args) -> int:
         batching=not args.no_batching,
         host=args.host,
         port=args.port,
-        request_timeout=args.request_timeout,
         streaming=streaming,
     )
     try:
@@ -815,7 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max requests coalesced into one frontier run")
     p.add_argument("--no-batching", action="store_true",
                    help="serve each request as its own frontier run")
-    p.add_argument("--request-timeout", type=float, default=60.0)
     p.add_argument("--streaming-app", default=None, choices=STREAM_APPS,
                    help="attach a live-ingest lane (/stream/* endpoints) "
                         "running this weight-only application")

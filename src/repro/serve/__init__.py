@@ -1,13 +1,14 @@
 """Walk-as-a-service: the `repro serve` daemon.
 
-Long-lived serving over one prepared temporal graph: a bounded request
-queue with admission control, a coalescing batcher that merges
-concurrent compatible queries into single lane-seeded frontier runs
-(bit-identical to solo execution), and a stdlib HTTP front-end. See
+Long-lived serving over one prepared temporal graph on one thread: a
+stdlib ``selectors`` HTTP loop parks each walk query in a bounded queue
+with admission control and, once per ``select`` round, executes what
+is parked as one natural batch, merging compatible queries into single
+lane-seeded frontier runs (bit-identical to solo execution). See
 ``docs/serving.md``.
 """
 
-from repro.serve.batcher import Batcher, PendingRequest, RequestQueue
+from repro.serve.batcher import Batcher, PendingRequest
 from repro.serve.client import ServeClient
 from repro.serve.executor import BatchExecutor
 from repro.serve.protocol import SERVE_SCHEMA, WalkRequest, build_spec
@@ -18,7 +19,6 @@ __all__ = [
     "Batcher",
     "BatchExecutor",
     "PendingRequest",
-    "RequestQueue",
     "ServeClient",
     "SERVE_SCHEMA",
     "StreamService",

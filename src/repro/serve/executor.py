@@ -20,16 +20,17 @@ the server; chunk retries surface as the ``serve.retries`` counter.
 
 from __future__ import annotations
 
-import threading
 from typing import List, Optional
 
 import numpy as np
 
 from repro.engines.batch import FrontierResult
 from repro.engines.session import TeaSession
-from repro.exceptions import ServeError
 from repro.serve.batcher import PendingRequest
-from repro.serve.protocol import SERVE_SCHEMA, rank_frontier, walk_lists
+from repro.serve.protocol import (
+    SERVE_SCHEMA, _number, _require, rank_frontier, valid_ids, valid_int,
+    walk_lists,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -39,15 +40,9 @@ class BatchExecutor:
     def __init__(self, session: TeaSession, registry: Optional[MetricsRegistry] = None):
         self.session = session
         self.registry = registry
-        self._retries = (
-            registry.counter(
-                "serve.retries", "chunk retries absorbed while serving"
-            )
-            if registry is not None
-            else None
-        )
+        self._retries = None if registry is None else registry.counter(
+            "serve.retries", "chunk retries absorbed while serving")
         self._gnn_samplers: dict = {}
-        self._gnn_lock = threading.Lock()
 
     # -- walk / recommend --------------------------------------------------
 
@@ -122,35 +117,28 @@ class BatchExecutor:
         """Serve one temporal-neighbor-block query (never coalesced)."""
         from repro.gnn.sampler import TemporalNeighborSampler
 
-        if not isinstance(payload, dict):
-            raise ServeError("request body must be a JSON object")
-        nodes = payload.get("nodes")
-        if not isinstance(nodes, (list, tuple)) or not nodes:
-            raise ServeError("'nodes' must be a non-empty list of vertex ids")
+        _require(isinstance(payload, dict), "request body must be a JSON object")
+        nodes = valid_ids(payload, "nodes", self.session.graph.num_vertices)
         times = payload.get("times")
-        if not isinstance(times, (list, tuple)) or len(times) != len(nodes):
-            raise ServeError("'times' must align with 'nodes'")
+        _require(isinstance(times, (list, tuple)) and len(times) == len(nodes),
+                 "'times' must align with 'nodes'")
+        times = [_number(t, "times") for t in times]
         fanouts = payload.get("fanouts", [10])
-        if not isinstance(fanouts, (list, tuple)) or not fanouts:
-            raise ServeError("'fanouts' must be a non-empty list")
-        seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ServeError("'seed' must be an integer")
-        recency_scale = payload.get("recency_scale")
-        key = float(recency_scale) if recency_scale is not None else None
-        with self._gnn_lock:
-            sampler = self._gnn_samplers.get(key)
-            if sampler is None:
-                sampler = TemporalNeighborSampler(
-                    self.session.graph, recency_scale=key, seed=0
-                )
-                self._gnn_samplers[key] = sampler
-            blocks = sampler.sample_blocks(
-                [int(v) for v in nodes],
-                [float(t) for t in times],
-                [int(k) for k in fanouts],
-                rng=np.random.default_rng(seed),
+        _require(isinstance(fanouts, (list, tuple)) and len(fanouts) > 0 and all(
+            isinstance(k, int) and not isinstance(k, bool) and k >= 1
+            for k in fanouts), "'fanouts' must be a non-empty list of positive integers")
+        seed = valid_int(payload, "seed", 0, low=0)
+        key = payload.get("recency_scale")
+        if key is not None:
+            key = _number(key, "recency_scale", positive=True)
+        sampler = self._gnn_samplers.get(key)
+        if sampler is None:
+            sampler = TemporalNeighborSampler(
+                self.session.graph, recency_scale=key, seed=0
             )
+            self._gnn_samplers[key] = sampler
+        blocks = sampler.sample_blocks(
+            nodes, times, fanouts, rng=np.random.default_rng(seed))
         return {
             "schema": SERVE_SCHEMA,
             "kind": "gnn_sample",

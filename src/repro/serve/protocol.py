@@ -83,19 +83,30 @@ def _require(cond: bool, message: str) -> None:
         raise ServeError(message)
 
 
-def valid_starts(payload: dict) -> list:
-    """The ``starts`` of a walk query (static or streaming), validated."""
-    starts = payload.get("starts")
-    _require(
-        isinstance(starts, (list, tuple)) and len(starts) > 0,
-        "'starts' must be a non-empty list of vertex ids",
-    )
-    _require(
-        all(isinstance(v, int) and not isinstance(v, bool) and 0 <= v < 1 << 63
-            for v in starts),
-        "'starts' entries must be non-negative 64-bit integers",
-    )
-    return starts
+def _number(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float (``> 0`` when ``positive``), or a 400."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and (value > 0 or not positive),
+             f"'{name}' must be a {'positive ' if positive else ''}number")
+    return float(value)
+
+
+def valid_int(payload: dict, key: str, default: int, low: int = 1) -> int:
+    """The integer field ``key`` (``default`` when absent), at least ``low``."""
+    value = payload.get(key, default)
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+             f"'{key}' must be an integer >= {low}")
+    return value
+
+
+def valid_ids(payload: dict, key: str = "starts", limit: int = 1 << 63) -> list:
+    """The vertex ids under ``key`` (a walk query's ``starts``, static or
+    streaming; a GNN query's ``nodes``), each in ``[0, limit)``."""
+    ids = payload.get(key)
+    _require(isinstance(ids, (list, tuple)) and len(ids) > 0 and all(
+        isinstance(v, int) and not isinstance(v, bool) and 0 <= v < limit
+        for v in ids), f"'{key}' must be a non-empty list of vertex ids in [0, {limit})")
+    return ids
 
 
 def walk_lists(frontier, lo: int, hi: int, lengths: list) -> Tuple[list, list]:
@@ -113,21 +124,15 @@ def walk_lists(frontier, lo: int, hi: int, lengths: list) -> Tuple[list, list]:
 
 
 def rank_frontier(frontier, lo: int, hi: int, top_k: int) -> list:
-    """:func:`rank_visits` over walks ``lo..hi``: their taken hops
-    counted, their own starts excluded."""
+    """``[[vertex, visits], ...]``: the ``top_k`` vertices most visited by
+    the taken hops of walks ``lo..hi``, their own starts excluded. Ties
+    rank by vertex id (``np.unique`` sorts ascending, the sort on −count
+    is stable), so the ranking is deterministic — the chaos test
+    compares it bit-for-bit across retries."""
     hops = frontier.hop_vertex[lo:hi]
     taken = np.arange(hops.shape[1]) < frontier.lengths[lo:hi, None]
-    return rank_visits(hops[taken], frontier.starts[lo:hi], top_k)
-
-
-def rank_visits(visited: np.ndarray, starts, top_k: int) -> list:
-    """``[[vertex, visits], ...]``: the ``top_k`` most visited vertices,
-    starts excluded. Ties rank by vertex id (``np.unique`` sorts
-    ascending, the sort on −count is stable), so the ranking is
-    deterministic — the chaos test compares it bit-for-bit across
-    retries."""
-    vertices, counts = np.unique(visited, return_counts=True)
-    keep = ~np.isin(vertices, starts)
+    vertices, counts = np.unique(hops[taken], return_counts=True)
+    keep = ~np.isin(vertices, frontier.starts[lo:hi])
     vertices, counts = vertices[keep], counts[keep]
     top = np.argsort(-counts, kind="stable")[:top_k]
     return np.stack([vertices[top], counts[top]], axis=1).tolist()
@@ -160,53 +165,42 @@ class WalkRequest:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_json(cls, payload, kind: str = "walk") -> "WalkRequest":
-        """Validate a decoded JSON body; raises :class:`ServeError` (→ 400)."""
+    def from_json(cls, payload, kind: str = "walk",
+                  num_vertices: int = 1 << 63) -> "WalkRequest":
+        """Validate a decoded JSON body against a graph of
+        ``num_vertices``; raises :class:`ServeError` (→ 400)."""
         _require(isinstance(payload, dict), "request body must be a JSON object")
-        starts = valid_starts(payload)
+        starts = valid_ids(payload, limit=num_vertices)
         app = payload.get("app", "exponential")
         _require(app in APPS, f"'app' must be one of {APPS}, got {app!r}")
-        wpv = payload.get("walks_per_vertex", 1)
-        _require(isinstance(wpv, int) and wpv >= 1, "'walks_per_vertex' must be >= 1")
-        max_length = payload.get("max_length", 20)
-        _require(isinstance(max_length, int) and max_length >= 1,
-                 "'max_length' must be >= 1")
-        stop_p = float(payload.get("stop_probability", 0.0))
+        wpv = valid_int(payload, "walks_per_vertex", 1)
+        stop_p = _number(payload.get("stop_probability", 0.0), "stop_probability")
         _require(0.0 <= stop_p < 1.0, "'stop_probability' must be in [0, 1)")
-        seed = payload.get("seed", 0)
-        _require(isinstance(seed, int), "'seed' must be an integer")
         window = payload.get("time_window")
         if window is not None:
             _require(
                 isinstance(window, (list, tuple)) and len(window) == 2,
                 "'time_window' must be a [lo, hi] pair",
             )
-            window = (float(window[0]), float(window[1]))
-        top_k = payload.get("top_k", 5)
-        _require(isinstance(top_k, int) and top_k >= 1, "'top_k' must be >= 1")
+            window = tuple(_number(t, "time_window") for t in window)
         _require(
             len(starts) * wpv <= MAX_WALKS_PER_REQUEST,
             f"request exceeds {MAX_WALKS_PER_REQUEST} walks",
         )
-
-        def _opt_float(key):
-            value = payload.get(key)
-            return None if value is None else float(value)
-
+        knobs = {key: _number(payload[key], key, positive=True)
+                 for key in ("scale", "p", "q") if payload.get(key) is not None}
         return cls(
             kind=kind,
             starts=tuple(int(v) for v in starts),
             app=app,
             walks_per_vertex=wpv,
-            max_length=max_length,
+            max_length=valid_int(payload, "max_length", 20),
             stop_probability=stop_p,
-            seed=seed,
-            scale=_opt_float("scale"),
-            p=_opt_float("p"),
-            q=_opt_float("q"),
+            seed=valid_int(payload, "seed", 0, low=0),
             time_window=window,
             record_paths=bool(payload.get("record_paths", True)),
-            top_k=top_k,
+            top_k=valid_int(payload, "top_k", 5),
+            **knobs,
         )
 
     # -- batching contract -------------------------------------------------

@@ -1,29 +1,26 @@
-"""The `repro serve` daemon: HTTP front-end over the batching core.
+"""The `repro serve` daemon: one ``selectors`` loop over the batching core.
 
-Stdlib-only serving: a :class:`~http.server.ThreadingHTTPServer` parks
-each POSTed query in the bounded :class:`~repro.serve.batcher.
-RequestQueue` and blocks the handler thread on the request's event;
-the single :class:`~repro.serve.batcher.Batcher` thread coalesces and
-executes. GET endpoints expose health, Prometheus metrics, and a JSON
-stats snapshot.
+Stdlib-only serving on a single thread. Each ``select`` round the loop
+accepts, reads what is readable, frames every complete HTTP/1.1 request
+(keep-alive, ``Connection: close``, the 400/413 ``Content-Length``
+contract), decodes and validates it, and either answers it at once
+(GETs, ``/gnn/sample``, ``/stream/*``, every 4xx) or parks it with the
+:class:`~repro.serve.batcher.Batcher`. After the round, everything
+parked is one natural batch, executed on the same thread; each answer
+is encoded and written through its connection's output buffer, which
+is retried only when the socket is writable, so a slow reader never
+stalls the loop. A request costs no thread hand-off.
 
-Endpoints
----------
-``POST /walk``        run temporal random walks (paths + lengths)
-``POST /recommend``   walks aggregated into a visit-count top-k
-``POST /gnn/sample``  temporal neighbor blocks (per-request, inline)
-``GET  /healthz``     liveness + uptime + engine kind + kernel backend
-``GET  /metrics``     Prometheus text exposition
-``GET  /stats``       session/queue/counter snapshot (JSON)
+A connection has at most one request in flight: bytes pipelined behind
+a parked request wait in its input buffer until that request is
+answered, so answers leave in request order.
 
-With a streaming engine attached (``streaming=`` / ``repro serve
---streaming-app``) four more come up, backed by
-:class:`~repro.serve.streaming.StreamService`:
-
-``POST /stream/ingest``     append an edge batch, advancing the epoch
-``POST /stream/walk``       walk a pinned (or the newest) epoch view
-``POST /stream/recommend``  same walks, aggregated into a top-k
-``GET  /stream/epoch``      current epoch / edge count / durability
+Endpoints (docs/serving.md): ``POST /walk``, ``/recommend``,
+``/gnn/sample``; ``GET /healthz``, ``/metrics``, ``/stats``; and, with
+a streaming engine attached (``streaming=`` / ``repro serve
+--streaming-app``), ``POST /stream/ingest``, ``/stream/walk``,
+``/stream/recommend`` and ``GET /stream/epoch`` through
+:class:`~repro.serve.streaming.StreamService`.
 
 Every query gets its own 16-hex request id which doubles as the event
 log ``run_id`` for its ``serve.request``/``serve.response`` span — one
@@ -33,15 +30,17 @@ id per request regardless of how the batcher groups them.
 from __future__ import annotations
 
 import json
+import selectors
+import socket
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Optional
 
 from repro.engines.session import TeaSession
 from repro.exceptions import ServeError, TeaError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import publish_backend
-from repro.serve.batcher import Batcher, PendingRequest, RequestQueue
+from repro.serve.batcher import Batcher, PendingRequest
 from repro.serve.executor import BatchExecutor
 from repro.serve.protocol import MAX_BODY_BYTES, WalkRequest
 from repro.serve.streaming import StreamService
@@ -50,188 +49,87 @@ from repro.telemetry.clock import monotonic, now
 from repro.telemetry.exporters import to_prometheus
 from repro.telemetry.registry import LATENCY_BUCKETS, MetricsRegistry
 
+READ, WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    # Small JSON requests/responses over keep-alive: Nagle + delayed
-    # ACK would add multi-ms stalls per roundtrip on loopback.
-    disable_nagle_algorithm = True
-
-    # The service object rides on the server instance.
-    @property
-    def service(self) -> "WalkService":
-        return self.server.service  # type: ignore[attr-defined]
-
-    def log_message(self, fmt, *args):  # silence stderr chatter
-        pass
-
-    # -- helpers -----------------------------------------------------------
-
-    def _send_json(self, status: int, payload: dict) -> None:
-        self._send_text(status, json.dumps(payload), "application/json")
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self):
-        raw = self.headers.get("Content-Length", "")
-        length = int(raw) if raw.isascii() and raw.isdigit() else -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            # The body stays unread, so drop the connection after the
-            # answer rather than parse leftovers as the next request.
-            self.close_connection = True
-            if length < 0:
-                raise ServeError("missing or malformed Content-Length")
-            raise ServeError(
-                f"request body exceeds {MAX_BODY_BYTES} bytes", status=413
-            )
-        try:
-            return json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, UnicodeDecodeError):
-            raise ServeError("request body is not valid JSON")
-
-    # -- GET ---------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        service = self.service
-        if self.path == "/healthz":
-            self._send_json(200, {
-                "status": "ok",
-                "uptime_seconds": round(service.uptime_seconds(), 3),
-                "engine": service.session.engine_kind,
-                "kernel_backend": service.kernel_backend,
-            })
-        elif self.path == "/metrics":
-            self._send_text(
-                200, to_prometheus(service.registry), "text/plain; version=0.0.4"
-            )
-        elif self.path == "/stats":
-            self._send_json(200, service.stats())
-        elif self.path == "/stream/epoch":
-            if service.stream is None:
-                self._send_json(404, {"error": "no streaming engine attached"})
-            else:
-                self._send_json(200, service.stream.epoch_info())
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    # -- POST --------------------------------------------------------------
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        service = self.service
-        if self.path in ("/walk", "/recommend"):
-            self._serve_walk(self.path[1:])
-        elif self.path == "/gnn/sample":
-            if self._serve_inline("gnn_sample", service.executor.gnn_sample):
-                service.gnn_served.inc()
-        elif self.path in ("/stream/ingest", "/stream/walk", "/stream/recommend"):
-            self._serve_stream(self.path.rsplit("/", 1)[1])
-        else:
-            self._send_json(404, {"error": f"unknown path {self.path}"})
-
-    def _serve_walk(self, kind: str) -> None:
-        service = self.service
-        t0 = now()
-        request_id = events.new_run_id()
-        try:
-            request = WalkRequest.from_json(self._read_json(), kind=kind)
-            pending = PendingRequest(
-                request=request, request_id=request_id, spec=request.spec()
-            )
-        except ServeError as exc:
-            self._finish(request_id, exc.status, {"error": str(exc)}, t0, kind)
-            return
-        events.emit(
-            "serve.request",
-            run_id=request_id,
-            endpoint=kind,
-            app=request.app,
-            num_walks=request.num_walks,
-        )
-        if not service.queue.submit(pending):
-            status, error = 429, "queue full"
-        elif not pending.done.wait(service.request_timeout):
-            status, error = 504, "request timed out"
-        elif pending.error is None:
-            self._finish(request_id, 200, pending.response, t0, kind)
-            return
-        else:
-            error = pending.error
-            status = error.status if isinstance(error, ServeError) else 500
-        self._finish(
-            request_id, status, {"error": str(error), "run_id": request_id},
-            t0, kind,
-        )
-
-    def _serve_stream(self, verb: str) -> None:
-        """Streaming endpoints run inline: ingest must not be coalesced
-        (it mutates), and pinned-view walks are lock-free reads."""
-        stream = self.service.stream
-
-        def handle(payload):
-            if stream is None:
-                raise ServeError("no streaming engine attached", status=404)
-            if verb == "ingest":
-                return stream.ingest(payload)
-            return stream.walk(payload, kind=verb)
-
-        self._serve_inline(f"stream_{verb}", handle)
-
-    def _serve_inline(self, endpoint: str, handle) -> bool:
-        """Answer ``handle(body)`` on the handler thread; True iff 200."""
-        t0 = now()
-        request_id = events.new_run_id()
-        events.emit("serve.request", run_id=request_id, endpoint=endpoint)
-        status = 200
-        try:
-            response = handle(self._read_json())
-            response["run_id"] = request_id
-        except TeaError as exc:
-            status = exc.status if isinstance(exc, ServeError) else 500
-            response = {"error": str(exc)}
-        self._finish(request_id, status, response, t0, endpoint)
-        return status == 200
-
-    def _finish(
-        self, request_id: str, status: int, payload: dict, t0: float, kind: str
-    ) -> None:
-        self.service.latency.observe(now() - t0)
-        events.emit(
-            "serve.response", run_id=request_id, endpoint=kind, status=status
-        )
-        self._send_json(status, payload)
+#: Largest request line + headers the daemon buffers (431 beyond).
+MAX_HEAD_BYTES = 64 << 10
 
 
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    # Batched serving resolves many responses at once; the reconnect
-    # burst that follows must not overflow the listen backlog (the
-    # stdlib default of 5 turns dropped SYNs into 1 s retransmit
-    # stalls).
-    request_queue_size = 128
+def _frame(buf: bytearray):
+    """Split the first complete request off ``buf``: ``(method, path,
+    body, keep_alive)``, or ``None`` while it is incomplete. Malformed
+    framing raises :class:`ServeError`; the connection must then close,
+    because where the next request starts is unknown."""
+    end = buf.find(b"\r\n\r\n")
+    if end < 0:
+        if len(buf) > MAX_HEAD_BYTES:
+            raise ServeError("request head too large", status=431)
+        return None
+    request_line, *lines = buf[:end].decode("latin-1").split("\r\n")
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
+        raise ServeError("malformed request line")
+    method, path, version = parts
+    headers = {}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon or not name or name != name.strip():
+            raise ServeError("malformed header line")
+        headers[name.lower()] = value.strip()
+    raw = headers.get("content-length", "" if method == "POST" else "0")
+    length = int(raw) if raw.isascii() and raw.isdigit() else -1
+    if length < 0:
+        raise ServeError("missing or malformed Content-Length")
+    if length > MAX_BODY_BYTES:
+        raise ServeError(f"request body exceeds {MAX_BODY_BYTES} bytes", status=413)
+    if len(buf) < end + 4 + length:
+        return None
+    body = bytes(buf[end + 4:end + 4 + length])
+    del buf[:end + 4 + length]
+    connection = headers.get("connection", "").lower()
+    keep_alive = connection != "close" and (
+        version == "HTTP/1.1" or connection == "keep-alive")
+    return method, path, body, keep_alive
 
-    def __init__(self, addr, handler, service: "WalkService"):
-        super().__init__(addr, handler)
-        self.service = service
+
+def _json(body: bytes):
+    try:
+        return json.loads(body or b"null")
+    except (ValueError, RecursionError):
+        raise ServeError("request body is not valid JSON")
+
+
+def _response(status: int, payload, close: bool,
+              content_type: str = "application/json") -> bytes:
+    body = payload.encode() if isinstance(payload, str) else json.dumps(payload).encode()
+    head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n")
+    return (head + ("Connection: close\r\n\r\n" if close else "\r\n")).encode() + body
+
+
+class _Conn:
+    """One client connection's buffers and state."""
+
+    __slots__ = ("sock", "inbuf", "outbuf", "parked", "closing", "mask")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.parked = False   # a request of this connection awaits its batch
+        self.closing = False  # read nothing more; close once answered
+        self.mask = 0         # events registered with the selector
 
 
 class WalkService:
     """A complete walk-serving daemon over one prepared temporal graph.
 
-    Composes the hot-state session, bounded queue, coalescing batcher,
-    and HTTP front-end; usable as a context manager (``with
-    WalkService(graph) as svc: ...``) which guarantees the bounded-join
-    shutdown path.
+    Composes the hot-state session, the batcher and the one-thread HTTP
+    loop; usable as a context manager (``with WalkService(graph) as
+    svc: ...``) which guarantees the bounded shutdown path.
 
-    ``batching=False`` degrades the batcher to one-request batches
-    (identical execution path, no coalescing) — the serving benchmark's
-    control arm.
+    ``batching=False`` executes one request per frontier run (same
+    path, ``max_batch=1``) — the serving benchmark's control arm.
     """
 
     def __init__(
@@ -246,91 +144,98 @@ class WalkService:
         batching: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
-        request_timeout: float = 60.0,
         registry: Optional[MetricsRegistry] = None,
         streaming=None,
     ):
         self.registry = registry if registry is not None else MetricsRegistry()
         # Optional live-ingest lane: a StreamingTeaEngine served through
         # the /stream/* endpoints (epoch-pinned reads, serialised writes).
-        self.stream = (
-            StreamService(streaming, registry=self.registry)
-            if streaming is not None else None
-        )
-        self.session = TeaSession(
-            graph,
-            max_engines=max_engines,
-            engine=engine,
-            engine_kwargs=engine_kwargs,
-            max_bytes=max_bytes,
-        )
+        self.stream = None if streaming is None else StreamService(
+            streaming, registry=self.registry)
+        self.session = TeaSession(graph, max_engines=max_engines, engine=engine,
+                                  engine_kwargs=engine_kwargs, max_bytes=max_bytes)
         #: What the batch engines' hops run on (``None`` for the scalar
         #: ``tea`` kind, which has no kernel) — /healthz and /metrics.
         self.kernel_backend = None if engine == "tea" else publish_backend(
             self.registry, self.session.engine_kwargs.get("kernel_backend", "auto"))
         self.batching = bool(batching)
-        if not self.batching:
-            max_batch = 1
-        self.queue = RequestQueue(max_depth=queue_depth, registry=self.registry)
         self.executor = BatchExecutor(self.session, registry=self.registry)
         self.batcher = Batcher(
-            self.queue,
-            self.executor,
-            max_batch=max_batch,
-            registry=self.registry,
-        )
-        self.latency = self.registry.histogram(
-            "serve.latency_seconds", "request latency (admission to response)",
-            **LATENCY_BUCKETS,
-        )
-        self.gnn_served = self.registry.counter(
-            "serve.gnn_served", "GNN sample requests answered 200"
-        )
-        self.request_timeout = float(request_timeout)
+            self.executor, max_depth=queue_depth,
+            max_batch=max_batch if self.batching else 1, registry=self.registry)
+        reg = self.registry
+        self.latency = reg.histogram(
+            "serve.latency_seconds", "POST latency, framing to answer encoded",
+            **LATENCY_BUCKETS)
+        self.parse = reg.histogram(
+            "serve.parse_seconds", "POST framing + JSON decode + validation",
+            **LATENCY_BUCKETS)
+        self.encode = reg.histogram(
+            "serve.encode_seconds", "POST answer JSON encode + framing",
+            **LATENCY_BUCKETS)
+        self.gnn_served = reg.counter(
+            "serve.gnn_served", "GNN sample requests answered 200")
+        self._inline = {"/gnn/sample": self.executor.gnn_sample}
+        if self.stream is not None:
+            self._inline.update({
+                "/stream/ingest": self.stream.ingest,
+                "/stream/walk": lambda p: self.stream.walk(p, kind="walk"),
+                "/stream/recommend": lambda p: self.stream.walk(p, kind="recommend"),
+            })
         self.host = host
         self._requested_port = int(port)
         self.port: Optional[int] = None
-        self._httpd: Optional[_Server] = None
+        self._conns: "dict[socket.socket, _Conn]" = {}
         self._thread: Optional[threading.Thread] = None
-        self._started_at: Optional[float] = None
+        self._paused = self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "WalkService":
-        if self._httpd is not None:
+        if self._thread is not None:
             raise ServeError("service already started", status=500)
-        self._httpd = _Server((self.host, self._requested_port), _Handler, self)
-        self.port = self._httpd.server_address[1]
-        self.batcher.start()
+        # Batched serving answers many requests at once; the reconnect
+        # burst that can follow must not overflow the listen backlog.
+        self._listener = socket.create_server(
+            (self.host, self._requested_port), backlog=128)
+        self._listener.setblocking(False)
+        self.port = self._listener.getsockname()[1]
+        # Other threads (pause/resume/close) wake the loop through this pair.
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, READ, self._accept)
+        self._selector.register(self._wake_r, READ, lambda: self._wake_r.recv(4096))
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http", daemon=True
-        )
-        self._thread.start()
+            target=self._serve, name="serve-loop", daemon=True)
         self._started_at = monotonic()
-        events.emit(
-            "serve.start",
-            host=self.host,
-            port=self.port,
-            engine=self.session.engine_kind,
-            batching=self.batching,
-        )
+        self._thread.start()
+        events.emit("serve.start", host=self.host, port=self.port,
+                    engine=self.session.engine_kind, batching=self.batching)
         return self
 
+    def pause(self) -> None:
+        """Hold parked requests: one parked after this returns is not
+        executed until :meth:`resume` (the loop keeps reading, so the
+        parked list fills and admission answers 429)."""
+        self._paused = True
+
+    def resume(self) -> None:
+        self._paused = False
+        self._wake()
+
     def close(self, timeout: float = 10.0) -> bool:
-        """Bounded shutdown; True iff every thread joined in time."""
+        """Bounded shutdown: stop accepting, answer every admitted
+        request, flush for at most half of ``timeout``; True iff the loop
+        thread finished in time."""
         clean = True
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
         if self._thread is not None:
+            self._flush_deadline = monotonic() + timeout / 2
+            self._stopping = True
+            self._wake()
             self._thread.join(timeout)
-            clean = clean and not self._thread.is_alive()
+            clean = not self._thread.is_alive()
             self._thread = None
-        if self.batcher.is_alive():
-            clean = self.batcher.stop(timeout) and clean
-        else:
-            self.queue.close()
         if self.stream is not None:
             self.stream.close()
         self.session.close()
@@ -343,26 +248,260 @@ class WalkService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- introspection -----------------------------------------------------
+    def _wake(self) -> None:
+        if self._thread is not None:
+            self._wake_w.send(b"\0")
 
-    def uptime_seconds(self) -> float:
-        if self._started_at is None:
-            return 0.0
-        return monotonic() - self._started_at
+    # -- the loop ------------------------------------------------------------
+
+    def _serve(self) -> None:
+        while not self._stopping:
+            runnable = self.batcher.depth() and not self._paused
+            self._dispatch(self._selector.select(0 if runnable else None))
+            if self.batcher.depth() and not self._paused:
+                self._run_batch()
+        # Shutdown: accept nothing, answer what was admitted, flush, close.
+        self._selector.unregister(self._listener)
+        self._listener.close()
+        for conn in list(self._conns.values()):
+            conn.closing = True
+            self._update(conn)
+        while self.batcher.depth():
+            self._run_batch()
+        while self._conns and monotonic() < self._flush_deadline:
+            self._dispatch(self._selector.select(self._flush_deadline - monotonic()))
+        for conn in list(self._conns.values()):
+            self._drop(conn)
+        for closable in (self._selector, self._wake_r, self._wake_w):
+            closable.close()
+
+    def _dispatch(self, ready) -> None:
+        for key, mask in ready:
+            if not isinstance(key.data, _Conn):
+                key.data()
+            elif mask & WRITE:
+                self._on_writable(key.data)
+            else:
+                self._on_readable(key.data)
+
+    def _run_batch(self) -> None:
+        for pending in self.batcher.run():
+            conn, t0 = pending.reply
+            conn.parked = False
+            error = pending.error
+            if error is None:
+                status, payload = 200, pending.response
+            else:
+                status = error.status if isinstance(error, ServeError) else 500
+                payload = {"error": str(error), "run_id": pending.request_id}
+            self._finish(conn, pending.request_id, status, payload, t0,
+                         pending.request.kind)
+            self._process(conn)  # whatever was pipelined behind it
+
+    # -- connections ---------------------------------------------------------
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except (BlockingIOError, ConnectionAbortedError):
+                return
+            sock.setblocking(False)
+            # Small JSON requests/responses over keep-alive: Nagle +
+            # delayed ACK would add multi-ms stalls per roundtrip.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = self._conns[sock] = _Conn(sock)
+            self._update(conn)
+
+    def _update(self, conn: _Conn) -> None:
+        """Register what ``conn`` waits for: writability while output is
+        buffered, else readability until it is closing; a closing
+        connection with nothing owed is closed."""
+        if conn.sock not in self._conns:
+            return
+        if conn.outbuf:
+            mask = WRITE
+        elif not conn.closing:
+            mask = READ
+        elif conn.parked:
+            mask = 0
+        else:
+            return self._drop(conn)
+        if mask != conn.mask:
+            if not conn.mask:
+                self._selector.register(conn.sock, mask, conn)
+            elif mask:
+                self._selector.modify(conn.sock, mask, conn)
+            else:
+                self._selector.unregister(conn.sock)
+            conn.mask = mask
+
+    def _drop(self, conn: _Conn) -> None:
+        if self._conns.pop(conn.sock, None) is not None:
+            if conn.mask:
+                self._selector.unregister(conn.sock)
+            conn.sock.close()
+            conn.inbuf, conn.outbuf = bytearray(), bytearray()
+
+    def _on_readable(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError:
+            return self._drop(conn)
+        if data:
+            conn.inbuf += data
+            self._process(conn)
+        else:  # the peer is done sending; answer what it asked, then close
+            conn.closing = True
+            self._update(conn)
+
+    def _on_writable(self, conn: _Conn) -> None:
+        self._send(conn, b"")
+        if not conn.outbuf:
+            self._process(conn)
+        self._update(conn)
+
+    def _send(self, conn: _Conn, data: bytes) -> None:
+        """Append ``data`` to ``conn``'s output and write what the socket
+        takes now; the rest waits for writability."""
+        if conn.sock not in self._conns:
+            return  # the peer left while its request was parked
+        conn.outbuf += data
+        try:
+            del conn.outbuf[:conn.sock.send(conn.outbuf)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._drop(conn)
+
+    # -- requests ------------------------------------------------------------
+
+    def _process(self, conn: _Conn) -> None:
+        """Answer or park the complete requests buffered on ``conn``, in
+        order, stopping at a parked one or at unflushed output."""
+        while not (conn.parked or conn.closing or conn.outbuf):
+            t0 = now()
+            try:
+                framed = _frame(conn.inbuf)
+            except ServeError as exc:
+                conn.closing = True
+                self._send(conn, _response(exc.status, {"error": str(exc)}, True))
+                break
+            if framed is None:
+                break
+            method, path, body, keep_alive = framed
+            conn.closing = not keep_alive
+            try:
+                self._route(conn, method, path, body, t0)
+            except Exception as exc:  # noqa: BLE001 - a bug answers 500
+                self._finish(conn, events.new_run_id(), 500,
+                             {"error": str(exc)}, t0, path)
+        self._update(conn)
+
+    def _route(self, conn: _Conn, method: str, path: str, body: bytes,
+               t0: float) -> None:
+        status, payload = 200, None
+        if method == "GET":
+            if path == "/healthz":
+                payload = {
+                    "status": "ok",
+                    "uptime_seconds": round(monotonic() - self._started_at, 3),
+                    "engine": self.session.engine_kind,
+                    "kernel_backend": self.kernel_backend,
+                }
+            elif path == "/metrics":
+                return self._send(conn, _response(
+                    200, to_prometheus(self.registry), conn.closing,
+                    "text/plain; version=0.0.4"))
+            elif path == "/stats":
+                payload = self.stats()
+            elif path == "/stream/epoch" and self.stream is not None:
+                payload = self.stream.epoch_info()
+        elif method != "POST":
+            status, payload = 405, {"error": f"unsupported method {method}"}
+        elif path in ("/walk", "/recommend"):
+            return self._serve_walk(conn, path[1:], body, t0)
+        elif path in self._inline:
+            return self._serve_inline(conn, path, body, t0)
+        if payload is None:
+            status, payload = 404, {"error": (
+                "no streaming engine attached"
+                if path.startswith("/stream/") and self.stream is None
+                else f"unknown path {path}")}
+        self._send(conn, _response(status, payload, conn.closing))
+
+    def _serve_walk(self, conn: _Conn, kind: str, body: bytes, t0: float) -> None:
+        request_id = events.new_run_id()
+        try:
+            request = WalkRequest.from_json(
+                _json(body), kind=kind, num_vertices=self.session.graph.num_vertices)
+            pending = PendingRequest(
+                request=request, request_id=request_id, spec=request.spec(),
+                reply=(conn, t0))
+        except ServeError as exc:
+            self.parse.observe(now() - t0)
+            return self._finish(conn, request_id, exc.status, {"error": str(exc)},
+                                t0, kind)
+        self.parse.observe(now() - t0)
+        events.emit("serve.request", run_id=request_id, endpoint=kind,
+                    app=request.app, num_walks=request.num_walks)
+        if self.batcher.submit(pending):
+            conn.parked = True
+        else:
+            self._finish(conn, request_id, 429,
+                         {"error": "queue full", "run_id": request_id}, t0, kind)
+
+    def _serve_inline(self, conn: _Conn, path: str, body: bytes, t0: float) -> None:
+        """Answer ``/gnn/sample`` and ``/stream/*`` on the loop between
+        batches: GNN blocks are never coalesced, ingest mutates, and a
+        pinned-epoch read is one burst over frozen columns."""
+        endpoint = path[1:].replace("/", "_")
+        request_id = events.new_run_id()
+        events.emit("serve.request", run_id=request_id, endpoint=endpoint)
+        status = 200
+        try:
+            try:
+                payload = _json(body)
+            finally:
+                self.parse.observe(now() - t0)
+            response = self._inline[path](payload)
+            response["run_id"] = request_id
+        except TeaError as exc:
+            status = exc.status if isinstance(exc, ServeError) else 500
+            response = {"error": str(exc)}
+        if status == 200 and path == "/gnn/sample":
+            self.gnn_served.inc()
+        self._finish(conn, request_id, status, response, t0, endpoint)
+
+    def _finish(self, conn: _Conn, request_id: str, status: int, payload: dict,
+                t0: float, kind: str) -> None:
+        """Encode and send one POST's answer, timing the encode and the
+        request (framing → answer encoded)."""
+        t = now()
+        data = _response(status, payload, conn.closing)
+        done = now()
+        self.encode.observe(done - t)
+        self.latency.observe(done - t0)
+        events.emit("serve.response", run_id=request_id, endpoint=kind, status=status)
+        self._send(conn, data)
+
+    # -- introspection -----------------------------------------------------
 
     def stats(self) -> dict:
         reg = self.registry
-        streaming = (
-            None if self.stream is None else self.stream.epoch_info()
-        )
         return {
-            "streaming": streaming,
+            "streaming": None if self.stream is None else self.stream.epoch_info(),
             "engine": self.session.engine_kind,
             "batching": self.batching,
             "session": self.session.stats.snapshot(),
             "resident_index_bytes": self.session.resident_index_bytes(),
             "cached_engines": len(self.session),
-            "queue_depth": self.queue.depth(),
+            "queue_depth": self.batcher.depth(),
+            "connections": len(self._conns),
+            "output_buffered_bytes": sum(
+                len(c.outbuf) for c in self._conns.values()),
             "counters": {
                 name: reg.counter_value(f"serve.{name}")
                 for name in (

@@ -1,12 +1,12 @@
 """Live-ingest serving: the daemon's bridge to a streaming engine.
 
 :class:`StreamService` wraps one :class:`~repro.streaming.batch.
-StreamingTeaEngine` for the HTTP front-end. Writes (``/stream/ingest``)
-are serialised under a lock — the incremental HPAT is a single-mutator
-structure — while reads (``/stream/walk``, ``/stream/recommend``) pin
-an immutable :class:`~repro.streaming.snapshot.EpochView` and run
-outside the lock: a view's arrays are frozen at publish time, so any
-number of handler threads may walk them while the next batch applies.
+StreamingTeaEngine` for the HTTP front-end. The daemon calls it only
+from its one loop thread, so writes (``/stream/ingest``; the
+incremental HPAT is a single-mutator structure) are serialised by
+construction, and reads (``/stream/walk``, ``/stream/recommend``) pin
+an immutable :class:`~repro.streaming.snapshot.EpochView`, whose
+arrays are frozen at publish time.
 
 That pin is the serving-side isolation contract: a request carrying
 ``"epoch": N`` gets bit-identical walks no matter how much ingest has
@@ -17,7 +17,6 @@ newest view — never a half-applied batch.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.exceptions import (
@@ -28,8 +27,8 @@ from repro.exceptions import (
 )
 from repro.rng import make_rng, spawn_seeds
 from repro.serve.protocol import (
-    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _require, rank_frontier, valid_starts,
-    walk_lists,
+    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _require, rank_frontier, valid_ids,
+    valid_int, walk_lists,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -40,7 +39,6 @@ class StreamService:
     def __init__(self, engine, registry: Optional[MetricsRegistry] = None):
         self.engine = engine
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
         self._ingested = self.registry.counter(
             "serve.stream_edges", "edges accepted via /stream/ingest"
         )
@@ -51,15 +49,14 @@ class StreamService:
     # -- GET /stream/epoch -------------------------------------------------
 
     def epoch_info(self) -> dict:
-        with self._lock:
-            view = self.engine.pin()
-            return {
-                "schema": SERVE_SCHEMA,
-                "epoch": int(view.epoch),
-                "num_edges": int(view.num_edges),
-                "retained_epochs": len(self.engine._views),
-                "durable": bool(self.engine.durable),
-            }
+        view = self.engine.pin()
+        return {
+            "schema": SERVE_SCHEMA,
+            "epoch": int(view.epoch),
+            "num_edges": int(view.num_edges),
+            "retained_epochs": len(self.engine._views),
+            "durable": bool(self.engine.durable),
+        }
 
     # -- POST /stream/ingest -----------------------------------------------
 
@@ -88,13 +85,12 @@ class StreamService:
             sync is None or isinstance(sync, bool),
             "'sync' must be a boolean when given",
         )
-        with self._lock:
-            try:
-                out = self.engine.add_multiple_edges(src, dst, times, sync=sync)
-            except (GraphFormatError, NotSupportedError) as exc:
-                # Malformed columns or a stream-order violation: the
-                # batch was rejected atomically — the client's fault.
-                raise ServeError(str(exc))
+        try:
+            out = self.engine.add_multiple_edges(src, dst, times, sync=sync)
+        except (GraphFormatError, NotSupportedError) as exc:
+            # Malformed columns or a stream-order violation: the batch
+            # was rejected atomically — the client's fault.
+            raise ServeError(str(exc))
         self._ingested.inc(out["edges"])
         return {
             "schema": SERVE_SCHEMA,
@@ -108,27 +104,21 @@ class StreamService:
 
     def walk(self, payload, kind: str) -> dict:
         _require(isinstance(payload, dict), "request body must be a JSON object")
-        starts = valid_starts(payload)
+        starts = valid_ids(payload)
         _require(
             len(starts) <= MAX_WALKS_PER_REQUEST,
             f"request exceeds {MAX_WALKS_PER_REQUEST} walks",
         )
-        max_length = payload.get("max_length", 20)
-        _require(isinstance(max_length, int) and max_length >= 1,
-                 "'max_length' must be >= 1")
-        seed = payload.get("seed", 0)
-        _require(isinstance(seed, int), "'seed' must be an integer")
+        max_length = valid_int(payload, "max_length", 20)
+        seed = valid_int(payload, "seed", 0, low=0)
         epoch = payload.get("epoch")
         _require(epoch is None or isinstance(epoch, int),
                  "'epoch' must be an integer when given")
-        top_k = payload.get("top_k", 5)
-        _require(isinstance(top_k, int) and top_k >= 1, "'top_k' must be >= 1")
-        with self._lock:
-            try:
-                view = self.engine.pin(epoch)
-            except EpochRetiredError as exc:
-                raise ServeError(str(exc), status=410)
-        # Outside the lock: the view is immutable, ingest may proceed.
+        top_k = valid_int(payload, "top_k", 5)
+        try:
+            view = self.engine.pin(epoch)
+        except EpochRetiredError as exc:
+            raise ServeError(str(exc), status=410)
         frontier = view.run_lanes(
             starts, spawn_seeds(make_rng(seed), len(starts)), max_length)
         self._walked.inc(len(starts))
@@ -152,5 +142,4 @@ class StreamService:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            self.engine.close()
+        self.engine.close()

@@ -11,9 +11,7 @@ built its response from a list of ``WalkPath`` objects
 (``TestStreamEncodeEqualsPerPath``).
 """
 
-import numpy as np
-
-from repro.serve.protocol import SERVE_SCHEMA, rank_visits
+from repro.serve.protocol import SERVE_SCHEMA
 
 
 def encode(pending, frontier, lo, hi, batched_with, engine_kind):
@@ -48,17 +46,20 @@ def encode(pending, frontier, lo, hi, batched_with, engine_kind):
 def recommend(request, frontier, lo, hi):
     if frontier.hop_vertex is None:
         return []
-    exclude = set(request.starts)
+    visited = [int(v) for i in range(lo, hi)
+               for v in frontier.hop_vertex[i, :int(frontier.lengths[i])]]
+    return rank(visited, request.starts, request.top_k)
+
+
+def rank(visited, starts, top_k):
+    """Visit counts in a dict, starts excluded, ties by vertex id."""
+    exclude = set(int(v) for v in starts)
     counts = {}
-    for i in range(lo, hi):
-        n = int(frontier.lengths[i])
-        for vertex in frontier.hop_vertex[i, :n]:
-            vertex = int(vertex)
-            if vertex in exclude:
-                continue
+    for vertex in visited:
+        if vertex not in exclude:
             counts[vertex] = counts.get(vertex, 0) + 1
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [[vertex, count] for vertex, count in ranked[: request.top_k]]
+    return [[vertex, count] for vertex, count in ranked[:top_k]]
 
 
 def stream_encode(view, paths, kind, starts, top_k):
@@ -73,8 +74,6 @@ def stream_encode(view, paths, kind, starts, top_k):
         "times": [[float(t) for t in p.times[1:]] for p in paths],
     }
     if kind == "recommend":
-        visited = [v for path in paths for v in path.vertices[1:]]
-        response["recommendations"] = rank_visits(
-            np.asarray(visited, dtype=np.int64), starts, top_k
-        )
+        visited = [int(v) for path in paths for v in path.vertices[1:]]
+        response["recommendations"] = rank(visited, starts, top_k)
     return response

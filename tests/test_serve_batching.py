@@ -1,13 +1,15 @@
 """Natural batching, columnar response assembly, and the request path's
-edges: what the daemon takes from its queue and when, that a response
-built from array slices is byte-for-byte the per-walk one, that a bad
-``Content-Length`` is answered rather than fatal, and that the stage
-histograms and the daemon's event log count what they should.
+edges: what the serving loop takes from its parked list and when, that
+a response built from array slices is byte-for-byte the per-walk one,
+that a bad ``Content-Length`` is answered rather than fatal, and that
+the stage histograms and the daemon's event log count what they should.
 """
 
+import http.client
 import json
 import socket
 import threading
+import time
 import types
 
 import numpy as np
@@ -21,7 +23,7 @@ from repro.graph.datasets import load_dataset
 from repro.serve import (
     BatchExecutor, PendingRequest, ServeClient, WalkRequest, WalkService,
 )
-from repro.serve.batcher import Batcher, RequestQueue
+from repro.serve.batcher import Batcher
 from repro.serve.protocol import MAX_BODY_BYTES
 from repro.streaming import StreamingTeaEngine
 from repro.telemetry import events as telemetry_events
@@ -38,58 +40,112 @@ def _pending(seed=0, **kwargs):
     )
 
 
-# -- (a) RequestQueue.take ----------------------------------------------------
+# -- (a) what the loop takes from its parked list, and when ----------------
+
+def _post_walk(port, seed, **kwargs):
+    return ServeClient(port=port).walk(starts=[1 + seed], seed=seed,
+                                       max_length=4, **kwargs)
+
+
+def _wait_for_depth(service, depth):
+    deadline = time.monotonic() + 10.0
+    while service.batcher.depth() < depth:
+        assert time.monotonic() < deadline, "requests never parked"
+        time.sleep(0.002)
+
+
+def _in_threads(fn, n):
+    threads = [threading.Thread(target=fn, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    return threads
+
+
+class _Recorder:
+    """An executor that answers ``{}`` and records its group sizes."""
+
+    def __init__(self):
+        self.group_sizes = []
+
+    def execute(self, group):
+        self.group_sizes.append(len(group))
+        for pending in group:
+            pending.response = {}
+
 
 class TestTake:
     def _parked(self, k, **kwargs):
-        queue = RequestQueue(**kwargs)
+        batcher = Batcher(_Recorder(), **kwargs)
         items = [_pending(i) for i in range(k)]
-        assert all(queue.submit(p) for p in items)
-        return queue, items
+        assert all(batcher.submit(p) for p in items)
+        return batcher, items
 
-    def test_everything_parked_is_handed_out_without_waiting(self, monkeypatch):
-        queue, items = self._parked(5)
-
-        def no_wait(timeout=None):
-            raise AssertionError("take() waited although requests were parked")
-
-        monkeypatch.setattr(queue._cond, "wait", no_wait)
-        assert queue.take(64, timeout=5.0) == items
-        assert queue.depth() == 0
+    def test_everything_parked_is_handed_out_without_waiting(self):
+        batcher, items = self._parked(5)
+        assert batcher.run() == items
+        assert batcher.depth() == 0 and batcher.run() == []
+        assert batcher.executor.group_sizes == [5]
 
     def test_max_items_caps_a_batch_in_fifo_order(self):
-        queue, items = self._parked(5)
-        assert queue.take(3) == items[:3]
-        assert queue.take(3) == items[3:]
+        batcher, items = self._parked(5, max_batch=3)
+        assert batcher.run() == items[:3]
+        assert batcher.run() == items[3:]
 
-    def test_empty_queue_blocks_until_the_first_arrival(self):
-        queue = RequestQueue()
-        assert queue.take(4, timeout=0.01) == []
-        late = _pending(7)
-        threading.Timer(0.05, queue.submit, args=(late,)).start()
-        assert queue.take(4, timeout=5.0) == [late]
+    def test_the_bound_rejects_and_counts(self):
+        registry = MetricsRegistry()
+        batcher, _ = self._parked(2, max_depth=2, registry=registry)
+        assert not batcher.submit(_pending(9))
+        assert [registry.counter_value(f"serve.{name}") for name in
+                ("received", "rejected")] == [3, 1]
 
-    def test_paused_queue_hands_out_nothing_until_resumed(self):
-        queue, items = self._parked(3)
-        queue.pause()
-        assert queue.take(64, timeout=0.01) == []
-        assert queue.depth() == 3
-        queue.resume()
-        assert queue.take(64, timeout=5.0) == items
+    def test_empty_queue_blocks_until_the_first_arrival(self, small_graph):
+        """An idle loop sleeps in ``select`` (no polling: its thread burns
+        no CPU), and a lone arrival is served as a batch of one."""
+        with WalkService(small_graph, engine="tea-batch") as service:
+            _post_walk(service.port, 0)  # warm the engine
+            clock = time.pthread_getcpuclockid(service._thread.ident)
+            cpu0 = time.clock_gettime(clock)
+            time.sleep(0.3)
+            assert time.clock_gettime(clock) - cpu0 < 0.03
+            assert _post_walk(service.port, 1)["batched_with"] == 1
 
-    def test_closed_queue_rejects_but_still_drains(self):
-        queue, items = self._parked(2)
-        queue.pause()
-        queue.close()  # also lifts the pause: shutdown must drain
-        assert not queue.submit(_pending(9))
-        assert queue.take(64, timeout=5.0) == items
-        assert queue.take(64, timeout=0.01) == []
+    def test_paused_queue_hands_out_nothing_until_resumed(self, small_graph):
+        with WalkService(small_graph, engine="tea-batch") as service:
+            service.pause()
+            answers = {}
+            threads = _in_threads(
+                lambda i: answers.setdefault(i, _post_walk(service.port, i)), 3)
+            _wait_for_depth(service, 3)
+            time.sleep(0.05)
+            assert service.batcher.depth() == 3 and not answers
+            service.resume()
+            for t in threads:
+                t.join(10.0)
+        assert [answers[i]["batched_with"] for i in range(3)] == [3, 3, 3]
+
+    def test_closed_queue_rejects_but_still_drains(self, small_graph):
+        """Closing a paused service answers every admitted request, then
+        accepts nothing more."""
+        service = WalkService(small_graph, engine="tea-batch").start()
+        service.pause()
+        answers = []
+        threads = _in_threads(
+            lambda i: answers.append(
+                ServeClient(port=service.port).post(
+                    "/walk", {"starts": [1 + i], "seed": i})[0]), 2)
+        _wait_for_depth(service, 2)
+        assert service.close(timeout=10.0)
+        for t in threads:
+            t.join(10.0)
+        assert answers == [200, 200]
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", service.port), timeout=2.0)
 
 
 # -- (b) what arrives while a batch runs is the next batch --------------------
 
 class _GatedExecutor:
-    """Holds the batcher inside ``execute`` until released."""
+    """Holds the loop inside ``execute`` until released."""
 
     def __init__(self):
         self.group_sizes = []
@@ -104,32 +160,36 @@ class _GatedExecutor:
             pending.response = {}
 
 
-def test_requests_parked_during_a_batch_coalesce_into_the_next():
-    registry = MetricsRegistry()
-    queue = RequestQueue(registry=registry)
+def _raw_walk(seed):
+    body = json.dumps({"starts": [1 + seed], "seed": seed}).encode()
+    return (b"POST /walk HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+            + body)
+
+
+def test_requests_parked_during_a_batch_coalesce_into_the_next(small_graph):
     executor = _GatedExecutor()
-    batcher = Batcher(queue, executor, registry=registry)
-    batcher.start()
-    try:
-        first = _pending(0)
-        queue.submit(first)
+    with WalkService(small_graph, engine="tea-batch") as service:
+        service.batcher.executor = executor
+        socks = [socket.create_connection(("127.0.0.1", service.port), timeout=10)
+                 for _ in range(4)]
+        socks[0].sendall(_raw_walk(0))
         assert executor.entered.wait(10.0), "lone request was not taken at once"
-        parked = [_pending(i) for i in (1, 2, 3)]
-        for pending in parked:
-            queue.submit(pending)
-        assert queue.depth() == 3  # parked: the batcher is inside execute
+        for i in (1, 2, 3):  # queued in the kernel while the loop executes
+            socks[i].sendall(_raw_walk(i))
         executor.release.set()
-        for pending in [first] + parked:
-            assert pending.done.wait(10.0)
-    finally:
-        executor.release.set()
-        assert batcher.stop(timeout=10.0)
-    assert executor.group_sizes == [1, 3]
-    assert registry.counter_value("serve.served") == 4
-    waits = registry.histogram("serve.queue_wait_seconds")
-    runs = registry.histogram("serve.execute_seconds")
-    assert (waits.count, runs.count) == (4, 2)
-    assert 0.0 <= waits.min <= waits.max < 10.0
+        for sock in socks:
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200 ")
+            sock.close()
+        registry = service.registry
+        assert executor.group_sizes == [1, 3]
+        assert registry.counter_value("serve.served") == 4
+        waits = registry.histogram("serve.queue_wait_seconds")
+        runs = registry.histogram("serve.execute_seconds")
+        assert (waits.count, runs.count) == (4, 2)
+        assert 0.0 <= waits.min <= waits.max < 10.0
+
+
+STAGES = ("parse", "queue_wait", "execute", "encode")
 
 
 def test_stage_histograms_are_served_on_metrics(small_graph):
@@ -140,8 +200,49 @@ def test_stage_histograms_are_served_on_metrics(small_graph):
         metrics = client.metrics()
         served = client.stats()["counters"]["served"]
     assert f"tea_serve_queue_wait_seconds_count {served}" in metrics
-    assert "tea_serve_execute_seconds_count 3" in metrics
+    for stage in STAGES:
+        assert f"tea_serve_{stage}_seconds_count 3" in metrics
     assert "tea_serve_received" in metrics
+
+
+def test_one_request_moves_each_stage_histogram_once(small_graph):
+    with WalkService(small_graph, engine="tea-batch") as service:
+        client = ServeClient(port=service.port)
+        client.walk(starts=[1], max_length=4)
+        client.healthz()  # a GET is not a timed request
+        hists = [service.registry.histogram(f"serve.{stage}_seconds")
+                 for stage in STAGES + ("latency",)]
+        before = [h.count for h in hists]
+        client.walk(starts=[2], max_length=4)
+        assert [h.count - b for h, b in zip(hists, before)] == [1] * 5
+
+
+def test_stage_sums_account_for_the_latency(small_graph):
+    """One closed-loop client, so every batch is one request: parse +
+    queue wait + execute + encode is a request's whole latency."""
+    with WalkService(small_graph, engine="tea-batch") as service:
+        client = ServeClient(port=service.port)
+        for i in range(200):
+            client.walk(starts=[1 + i % 20], seed=i, max_length=8)
+        reg = service.registry
+        stages = sum(reg.histogram(f"serve.{s}_seconds").total for s in STAGES)
+        latency = reg.histogram("serve.latency_seconds").total
+    assert abs(stages - latency) <= 0.1 * latency, (stages, latency)
+
+
+def test_one_serving_thread(small_graph):
+    before = set(threading.enumerate())
+    with WalkService(small_graph, engine="tea-batch") as service:
+        conns = [http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+                 for _ in range(4)]
+        for conn in conns:  # four keep-alive connections, all left open
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+        assert ServeClient(port=service.port).stats()["connections"] == 5
+        new = set(threading.enumerate()) - before
+        assert [t.name for t in new] == ["serve-loop"]
+        for conn in conns:
+            conn.close()
 
 
 # -- (c) columnar encode == per-walk oracle, byte for byte --------------------
@@ -356,7 +457,7 @@ def test_daemon_buffers_events_only_on_request_and_only_a_tail(
         assert not path.exists()
 
 
-# -- inline endpoints (answered on the handler thread) ------------------------
+# -- inline endpoints (answered on the loop between batches) ------------------------
 
 def test_inline_endpoints_answer_over_http(streaming_service):
     client = ServeClient(port=streaming_service.port)

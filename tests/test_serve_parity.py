@@ -7,7 +7,7 @@ kinds (scalar ``tea``, vectorised ``tea-batch``, chunk-parallel
 ``tea-parallel``) and both chunking modes (fixed and adaptive).
 
 These tests drive the real execution path (``BatchExecutor.execute``
-over ``PendingRequest`` groups — exactly what the batcher thread calls)
+over ``PendingRequest`` groups — exactly what the serving loop calls)
 plus one HTTP-level staging test through a live daemon.
 """
 
@@ -211,7 +211,7 @@ def _staged_batch_matches_solo(parity_graph, app):
     ]
     with WalkService(parity_graph, engine="tea-batch", queue_depth=16) as service:
         client = ServeClient(port=service.port)
-        service.batcher.pause()
+        service.pause()
         results = {}
 
         def _go(idx):
@@ -221,10 +221,10 @@ def _staged_batch_matches_solo(parity_graph, app):
         for t in threads:
             t.start()
         deadline = time.monotonic() + 10.0
-        while service.queue.depth() < 4:
+        while service.batcher.depth() < 4:
             assert time.monotonic() < deadline, "requests never parked"
             time.sleep(0.005)
-        service.batcher.resume()
+        service.resume()
         for t in threads:
             t.join(timeout=30.0)
         assert len(results) == 4

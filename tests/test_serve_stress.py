@@ -1,14 +1,14 @@
 """Concurrency stress: conservation, per-request run ids, bounded join.
 
 Hammers a live daemon from >= 8 client threads (including a phase with
-the batcher paused so the admission bound actually rejects), then
+the service paused so the admission bound actually rejects), then
 asserts the invariants the serving layer guarantees under load:
 
 * telemetry conservation — ``serve.received == served + rejected +
   failed`` exactly, even with racing submits;
 * one event-log run id per request, all unique, with a matching
   ``serve.response`` for every ``serve.request``;
-* shutdown joins every thread within its bound (no deadlock).
+* shutdown joins the loop thread within its bound (no deadlock).
 """
 
 import json
@@ -59,17 +59,17 @@ def test_stress_conservation_and_run_ids(small_graph, event_log):
             for w in range(CLIENT_THREADS)
         ]
 
-        # Phase 1: pause the batcher so the queue fills and rejects.
-        service.batcher.pause()
+        # Phase 1: pause execution so the queue fills and rejects.
+        service.pause()
         for t in threads:
             t.start()
         deadline = time.monotonic() + 10.0
-        while service.queue.depth() < service.queue.max_depth:
+        while service.batcher.depth() < service.batcher.max_depth:
             assert time.monotonic() < deadline, "queue never filled"
             time.sleep(0.002)
         time.sleep(0.1)
         # Phase 2: drain everything.
-        service.batcher.resume()
+        service.resume()
         for t in threads:
             t.join(timeout=60.0)
             assert not t.is_alive(), "client thread wedged"
@@ -113,11 +113,11 @@ def test_stress_conservation_and_run_ids(small_graph, event_log):
 
 
 def test_shutdown_drains_parked_requests(small_graph):
-    """Requests admitted before shutdown still get answers: stop()
+    """Requests admitted before shutdown still get answers: close()
     drains the queue rather than abandoning waiters."""
     with WalkService(small_graph, engine="tea-batch", queue_depth=8) as service:
         client = ServeClient(port=service.port)
-        service.batcher.pause()
+        service.pause()
         results = []
 
         def _go(i):
@@ -129,11 +129,12 @@ def test_shutdown_drains_parked_requests(small_graph):
         for t in threads:
             t.start()
         deadline = time.monotonic() + 10.0
-        while service.queue.depth() < 4:
+        while service.batcher.depth() < 4:
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        # stop() un-pauses, closes admission, and drains before joining.
-        assert service.batcher.stop(timeout=10.0) is True
+        # close() stops accepting and answers what was admitted, even
+        # while paused, before the loop thread exits.
+        assert service.close(timeout=10.0) is True
         for t in threads:
             t.join(timeout=10.0)
             assert not t.is_alive()
