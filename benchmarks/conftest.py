@@ -20,10 +20,12 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
 from repro.benchhistory import append_record, make_record
+from repro.compare import format_table, format_value
 from repro.graph.datasets import EVALUATION_DATASETS, load_dataset
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
@@ -44,6 +46,26 @@ def datasets():
         name: load_dataset(name, seed=0, scale=BENCH_SCALE)
         for name in EVALUATION_DATASETS
     }
+
+
+def format_series(
+    series: Mapping[str, Mapping[str, float]],
+    x_label: str = "x",
+    title: str = "",
+    digits: int = 3,
+) -> str:
+    """A figure-style table: one column per named series, one row per x.
+
+    ``series`` maps series name → {x: y}; x values are unioned and sorted.
+    """
+    xs = sorted({x for ys in series.values() for x in ys}, key=str)
+    table = [[x_label] + list(series)]
+    for x in xs:
+        table.append([str(x)] + [
+            "-" if ys.get(x) is None else format_value(float(ys[x]), digits)
+            for ys in series.values()
+        ])
+    return format_table(table, title)
 
 
 def write_result(name: str, text: str) -> None:

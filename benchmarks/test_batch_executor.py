@@ -10,8 +10,7 @@ iteration.
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
 from repro.engines import BatchTeaEngine, TeaEngine, Workload
 from repro.walks.apps import exponential_walk, temporal_node2vec
 

@@ -13,9 +13,8 @@ design in the simulated cluster:
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
-from repro.distributed import DistributedTeaEngine
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
+from benchmarks.distributed import DistributedTeaEngine
 from repro.engines import Workload
 from repro.walks.apps import exponential_walk
 

@@ -12,8 +12,7 @@ cost model captures the rest of the gap (see EXPERIMENTS.md).
 import pytest
 
 from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_rows
-from repro.bench.runner import ExperimentRow
+from repro.compare import ExperimentRow, format_rows
 from repro.engines import CtdneEngine, KnightKingEngine, TeaEngine, Workload
 from repro.walks.apps import temporal_node2vec
 

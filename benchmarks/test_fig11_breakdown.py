@@ -12,8 +12,7 @@ which is what the assertion checks; wall-clock deltas ride on top.
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, format_series, write_result
 from repro.engines import GraphWalkerEngine, TeaEngine, Workload
 from repro.walks.apps import temporal_node2vec
 

@@ -16,9 +16,8 @@ import math
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_series
-from repro.bench.runner import ExperimentRow, run_engines
+from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, format_series, write_result
+from repro.compare import ExperimentRow, run_engines
 from repro.engines import TeaEngine, Workload
 from repro.walks.apps import temporal_node2vec
 

@@ -19,8 +19,7 @@ import os
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
 from repro.core.builder import preprocess
 from repro.core.weights import WeightModel
 

@@ -23,8 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import format_series, write_result
 from repro.core.incremental import VertexIncrementalHPAT
 from repro.core.weights import WeightModel
 

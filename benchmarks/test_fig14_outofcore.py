@@ -15,8 +15,7 @@ asserted.
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, format_series, write_result
 from repro.engines import GraphWalkerEngine, TeaOutOfCoreEngine, Workload
 from repro.walks.apps import temporal_node2vec
 
@@ -81,7 +80,6 @@ def test_fig14_reentry_cache_ablation(benchmark, datasets, tmp_path):
     benchmark.pedantic(run, rounds=1, iterations=1)
     assert out["cache-4MiB"][0] < out["no-cache"][0]
     assert out["cache-4MiB"][1] > 0.2
-    from repro.bench.report import format_series
 
     write_result(
         "fig14_reentry_cache",

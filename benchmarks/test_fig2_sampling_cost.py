@@ -17,8 +17,7 @@ weight skew sharpens, TEA's does not.
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
 from repro.engines import GraphWalkerEngine, KnightKingEngine, TeaEngine, Workload
 from repro.walks.apps import exponential_walk
 

@@ -10,8 +10,7 @@ three engines, same ordering assertions (TEA largest, index-dominated).
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
 from repro.engines import GraphWalkerEngine, KnightKingEngine, TeaEngine
 from repro.walks.apps import temporal_node2vec
 

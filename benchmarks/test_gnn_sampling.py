@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import format_series, write_result
 from repro.gnn import TemporalNeighborSampler
 from repro.rng import make_rng
 

@@ -11,8 +11,7 @@ reported against the paper's band (see EXPERIMENTS.md).
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, format_series, write_result
 from repro.engines import TeaEngine, Workload
 from repro.walks.apps import temporal_node2vec
 

@@ -16,8 +16,7 @@ with dataset) is asserted as the reproduced shape. See EXPERIMENTS.md.
 import pytest
 
 from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_rows
-from repro.bench.runner import ExperimentRow
+from repro.compare import ExperimentRow, format_rows
 from repro.engines import (
     BatchTeaEngine,
     GraphWalkerEngine,

@@ -10,8 +10,7 @@ U-shape: extreme trunk sizes cost more probes per step than the rule.
 
 import pytest
 
-from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, write_result
-from repro.bench.report import format_series
+from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, format_series, write_result
 from repro.engines import TeaEngine, Workload
 from repro.walks.apps import exponential_walk
 

@@ -3,18 +3,21 @@
 Not a paper figure: the paper's engine is multi-threaded C++ and its
 Table 4 numbers already assume all cores; this bench characterises the
 reproduction's analogue — :class:`repro.parallel.ParallelBatchTeaEngine`
-running the R·|V| node2vec workload (Table 4's shape) over 1/2/4/8
-workers with one fixed chunk plan, so the sweep isolates pure execution
-scaling:
+running the R·|V| node2vec workload (Table 4's shape) at 1 and 2
+workers on the ``process`` and the ``thread`` backend, with the
+kernel backend left at ``auto`` (the compiled C passes, which release
+the GIL, when the system ``cc`` built them):
 
-* wall time and speedup per worker count (the strong-scaling curve);
+* wall time and speedup per (backend, worker count), against the same
+  backend's 1-worker run;
 * queue-wait share (work-queue pressure: time chunks spent enqueued
   relative to total worker-seconds);
-* sampled steps per run — asserted identical across worker counts,
-  the executor's bit-determinism contract.
+* sampled steps per run — asserted identical across backends and worker
+  counts, the executor's bit-determinism contract.
 
-On single-core CI hosts the speedup column documents overhead rather
-than scaling; the determinism assertion is the portable invariant.
+No speedup is asserted: on a 1-core host the 2-worker points are
+skipped with a note, and on a shared one the speedup column documents
+what the host gave. The determinism assertion is the portable invariant.
 """
 
 import os
@@ -35,7 +38,8 @@ from repro.parallel.engine import ParallelBatchTeaEngine
 from repro.telemetry import MetricsRegistry
 from repro.walks.apps import temporal_node2vec
 
-WORKER_COUNTS = (1, 2, 4, 8)
+BACKENDS = ("process", "thread")
+WORKER_COUNTS = (1, 2)
 
 _rows = {}
 _notes = []
@@ -84,9 +88,10 @@ class ScalingRow:
 
 
 def run_scaling(graph, spec, workload, seed, notes) -> List[ScalingRow]:
-    """Run ``workload`` per worker count; speedup is vs the first row.
+    """Run ``workload`` per backend and worker count; speedup is vs the
+    backend's first row.
 
-    Each executed count runs twice against one engine: cold (pool
+    Each executed point runs twice against one engine: cold (pool
     build + attach) then warm (pool reuse); ``walk_seconds`` and
     ``speedup`` come from the warm run, the cold costs ride along in
     their own columns. Per-walk seeding makes every run bit-identical
@@ -97,48 +102,60 @@ def run_scaling(graph, spec, workload, seed, notes) -> List[ScalingRow]:
     """
     rows: List[ScalingRow] = []
     cores = os.cpu_count() or 1
-    for workers in WORKER_COUNTS:
-        if workers > max(1, cores):
-            notes.append(f"skipped workers={workers}: exceeds cpu_count={cores} "
-                         f"(oversubscription measures scheduler thrash)")
-            continue
-        engine = ParallelBatchTeaEngine(graph, spec, workers=workers)
-        try:
-            cold = engine.run(workload, seed=seed, record_paths=False,
-                              registry=MetricsRegistry())
-            pool_startup = float(engine.last_pool["startup_seconds"])
-            registry = MetricsRegistry()
-            result = engine.run(workload, seed=seed, record_paths=False,
-                                registry=registry)
-            warm_startup = float(engine.last_pool["startup_seconds"])
-            pool_reuses = int(engine.last_pool["reuses"])
-        finally:
-            engine.close()
-        wall = result.walk_seconds
-        base_wall = rows[0].walk_seconds if rows else wall
-        chunks = int(registry.counter_value("parallel.chunks"))
-        # Average fraction of the walk phase a chunk spent enqueued
-        # (mean wait / wall): ~0.5 for a fully serialised queue,
-        # approaching 0 when workers drain chunks as they arrive.
-        wait_total = registry.histogram("parallel.queue_wait_seconds").total
-        mean_wait = (wait_total / chunks) if chunks else 0.0
-        rows.append(ScalingRow(
-            workers=workers,
-            backend=engine.last_backend,
-            share_mode=engine.last_share_mode,
-            chunks=chunks,
-            steps=result.counters.steps,
-            walk_seconds=wall,
-            speedup=(base_wall / wall) if wall else 1.0,
-            queue_wait_share=(mean_wait / wall) if wall else 0.0,
-            cold_walk_seconds=cold.walk_seconds,
-            pool_startup_seconds=pool_startup,
-            warm_startup_seconds=warm_startup,
-            pool_reuses=pool_reuses,
-            dispatch_overhead_seconds=float(
-                registry.gauge_value("parallel.dispatch_overhead_seconds") or 0.0),
-        ))
+    for backend in BACKENDS:
+        for workers in WORKER_COUNTS:
+            if workers > max(1, cores):
+                notes.append(f"skipped {backend} workers={workers}: exceeds "
+                             f"cpu_count={cores} (oversubscription measures "
+                             f"scheduler thrash)")
+                continue
+            rows.append(_measure(graph, spec, workload, seed, backend, workers,
+                                 base=rows[-1] if workers > 1 and rows else None))
     return rows
+
+
+def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
+    """One sweep point; ``base`` is the same backend's 1-worker row."""
+    engine = ParallelBatchTeaEngine(graph, spec, workers=workers,
+                                    backend=backend, kernel_backend="auto")
+    try:
+        cold = engine.run(workload, seed=seed, record_paths=False,
+                          registry=MetricsRegistry())
+        pool_startup = float(engine.last_pool["startup_seconds"])
+        registry = MetricsRegistry()
+        result = engine.run(workload, seed=seed, record_paths=False,
+                            registry=registry)
+        warm_startup = float(engine.last_pool["startup_seconds"])
+        pool_reuses = int(engine.last_pool["reuses"])
+    finally:
+        engine.close()
+    # One worker runs inline whatever the backend; two must not have
+    # degraded to another backend, or the row would be mislabelled.
+    assert workers == 1 or engine.last_backend == backend, engine.last_backend
+    wall = result.walk_seconds
+    base_wall = base.walk_seconds if base is not None else wall
+    chunks = int(registry.counter_value("parallel.chunks"))
+    # Average fraction of the walk phase a chunk spent enqueued
+    # (mean wait / wall): ~0.5 for a fully serialised queue,
+    # approaching 0 when workers drain chunks as they arrive.
+    wait_total = registry.histogram("parallel.queue_wait_seconds").total
+    mean_wait = (wait_total / chunks) if chunks else 0.0
+    return ScalingRow(
+        workers=workers,
+        backend=backend,
+        share_mode=engine.last_share_mode,
+        chunks=chunks,
+        steps=result.counters.steps,
+        walk_seconds=wall,
+        speedup=(base_wall / wall) if wall else 1.0,
+        queue_wait_share=(mean_wait / wall) if wall else 0.0,
+        cold_walk_seconds=cold.walk_seconds,
+        pool_startup_seconds=pool_startup,
+        warm_startup_seconds=warm_startup,
+        pool_reuses=pool_reuses,
+        dispatch_overhead_seconds=float(
+            registry.gauge_value("parallel.dispatch_overhead_seconds") or 0.0),
+    )
 
 
 def format_scaling_table(rows: List[ScalingRow], title: str, notes) -> str:
@@ -175,7 +192,7 @@ def test_walk_scaling_sweep(benchmark, scaling_graph):
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     _rows["sweep"] = rows
     benchmark.extra_info.update(
-        {f"W={row.workers}": row.snapshot() for row in rows}
+        {f"{row.backend}-W={row.workers}": row.snapshot() for row in rows}
     )
 
 
@@ -186,16 +203,17 @@ def report():
     if not rows:
         return
     # Oversubscribed counts (> cpu_count) are skipped with a note, so
-    # the executed rows are a prefix of WORKER_COUNTS.
-    executed = [row.workers for row in rows]
-    expected = [w for w in WORKER_COUNTS
-                if w <= max(1, os.cpu_count() or 1)] or [1]
+    # each backend's executed rows are a prefix of WORKER_COUNTS.
+    executed = [(row.backend, row.workers) for row in rows]
+    expected = [(b, w) for b in BACKENDS for w in WORKER_COUNTS
+                if w <= max(1, os.cpu_count() or 1)]
     assert executed == expected, (
         f"sweep executed {executed}, expected {expected} on this host"
     )
     # Determinism: per-walk seeding -> identical sampled steps everywhere.
     steps = {row.steps for row in rows}
-    assert len(steps) == 1, f"steps varied across worker counts: {steps}"
+    assert len(steps) == 1, (
+        f"steps varied across backends and worker counts: {steps}")
     # Warm-pool reuse: every multi-worker point's second (measured) run
     # must have found its pool alive.
     for row in rows:
@@ -214,8 +232,9 @@ def report():
     # sweep rows verbatim, plus the rendered table for human diffing.
     write_json_result("walk_scaling", {
         "title": title,
+        "backends": list(BACKENDS),
         "worker_counts": list(WORKER_COUNTS),
-        "executed_worker_counts": executed,
+        "executed": [f"{b}-w{w}" for b, w in executed],
         "notes": list(_notes),
         "rows": [row.snapshot() for row in rows],
         "table": text,
@@ -226,10 +245,11 @@ def report():
     # contract makes them independent axes of regression.
     metrics = {}
     for row in rows:
-        metrics[f"walk_s_w{row.workers}"] = row.walk_seconds
-        metrics[f"speedup_w{row.workers}"] = row.speedup
-        metrics[f"pool_startup_s_w{row.workers}"] = row.pool_startup_seconds
-        metrics[f"warm_startup_s_w{row.workers}"] = row.warm_startup_seconds
+        point = f"w{row.workers}_{row.backend}"
+        metrics[f"walk_s_{point}"] = row.walk_seconds
+        metrics[f"speedup_{point}"] = row.speedup
+        metrics[f"pool_startup_s_{point}"] = row.pool_startup_seconds
+        metrics[f"warm_startup_s_{point}"] = row.warm_startup_seconds
     from repro.kernels import resolve_backend
 
     record_history(

@@ -18,6 +18,8 @@ Subcommands
 ``scrub``     — verify every checksum of a persisted out-of-core trunk
                 store *or* a streaming WAL directory (auto-detected)
                 and locate corruption.
+``bench``     — record, tabulate and regression-gate the bench history
+                (paper figures run as ``pytest benchmarks/test_<fig>.py``).
 
 Every :class:`~repro.exceptions.TeaError` raised by a subcommand exits
 cleanly (message on stderr, exit code 2) instead of dumping a
@@ -31,8 +33,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.bench.report import format_rows
-from repro.bench.runner import run_engines
 from repro.engines import (
     BatchTeaEngine,
     BatchTeaOutOfCoreEngine,
@@ -49,6 +49,7 @@ from repro.engines.tea_outofcore import (
     DEFAULT_OOC_TRUNK_SIZE,
 )
 from repro.benchhistory import DEFAULT_HISTORY_DIR, DEFAULT_THRESHOLD
+from repro.compare import format_rows, run_engines
 from repro.exceptions import TeaError
 from repro.graph import io as graph_io
 from repro.graph.datasets import DATASETS, load_dataset
@@ -368,24 +369,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_pagerank(args) -> int:
-    graph = _load_graph(args)
-    from repro.analytics import temporal_pagerank
-
-    sources = args.sources if args.sources else None
-    scores = temporal_pagerank(
-        graph, sources=sources, alpha=args.alpha,
-        num_walks=args.num_walks, seed=args.seed,
-    )
-    import numpy as np
-
-    top = np.argsort(scores)[::-1][: args.top]
-    print(f"temporal {'personalized ' if sources else ''}PageRank (top {args.top}):")
-    for v in top:
-        print(f"  vertex {v}: {scores[v]:.5f}")
-    return 0
-
-
 def cmd_corpus(args) -> int:
     graph = _load_graph(args)
     spec = APPLICATIONS[args.app]
@@ -415,46 +398,6 @@ def cmd_validate_corpus(args) -> int:
     for index, reason in problems[:20]:
         print(f"  walk {index}: {reason}")
     return 0 if not problems else 1
-
-
-def cmd_link_predict(args) -> int:
-    from repro.embeddings import temporal_link_prediction
-    from repro.graph.datasets import DATASETS
-
-    if args.input:
-        stream = graph_io.load_auto(args.input)
-    else:
-        stream = DATASETS[args.dataset].generate(seed=args.seed, scale=args.scale)
-    print(f"{'walk spec':14s} {'AUC':>6s}")
-    for name in args.apps:
-        result = temporal_link_prediction(
-            stream, APPLICATIONS[name], dim=args.dim,
-            walks_per_vertex=args.walks_per_vertex, epochs=args.epochs,
-            seed=args.seed,
-        )
-        print(f"{name:14s} {result.auc:6.3f}")
-    return 0
-
-
-BENCH_TARGETS = {
-    "fig2": "test_fig2_sampling_cost.py",
-    "table4": "test_table4_runtime.py",
-    "fig9": "test_fig9_memory.py",
-    "fig10": "test_fig10_other_engines.py",
-    "fig11": "test_fig11_breakdown.py",
-    "fig12": "test_fig12_sampling_methods.py",
-    "fig13": "test_fig13_construction.py",
-    "fig13d": "test_fig13d_incremental.py",
-    "fig14": "test_fig14_outofcore.py",
-    "ooc-cache": "test_ooc_cache.py",
-    "params": "test_param_sensitivity.py",
-    "distributed": "test_distributed_scaling.py",
-    "batch": "test_batch_executor.py",
-    "trunksize": "test_trunk_size_ablation.py",
-    "gnn": "test_gnn_sampling.py",
-    "scaling": "test_walk_scaling.py",
-    "ingest": "test_ingest_throughput.py",
-}
 
 
 def _bench_record(args) -> int:
@@ -522,26 +465,16 @@ def _bench_compare(args) -> int:
     return 0 if result["ok"] else 1
 
 
+BENCH_VERBS = {
+    "record": _bench_record,
+    "history": _bench_history,
+    "compare": _bench_compare,
+}
+
+
 def cmd_bench(args) -> int:
-    """Run one named paper experiment, or a bench-history verb."""
-    import subprocess
-    from pathlib import Path
-
-    if args.experiment == "record":
-        return _bench_record(args)
-    if args.experiment == "history":
-        return _bench_history(args)
-    if args.experiment == "compare":
-        return _bench_compare(args)
-
-    bench_dir = Path(__file__).resolve().parent.parent.parent / "benchmarks"
-    target = bench_dir / BENCH_TARGETS[args.experiment]
-    if not target.exists():
-        print(f"benchmark file not found: {target} (run from a source checkout)")
-        return 2
-    cmd = [sys.executable, "-m", "pytest", str(target), "--benchmark-only", "-s"]
-    print("+ " + " ".join(cmd))
-    return subprocess.call(cmd)
+    """One bench-history verb: record, history or compare."""
+    return BENCH_VERBS[args.verb](args)
 
 
 def _scrub_wal_dir(directory: str) -> int:
@@ -864,11 +797,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compact: write a checkpoint and trim the WAL")
     p.set_defaults(fn=cmd_recover)
 
-    p = sub.add_parser("bench", help="run one paper experiment or query history")
-    p.add_argument("experiment",
-                   choices=sorted(BENCH_TARGETS) + ["record", "history", "compare"],
-                   help="a paper experiment to run, or a history verb: "
-                        "record (append --metrics JSON), history (trend "
+    p = sub.add_parser("bench", help="record or query bench history")
+    p.add_argument("verb", choices=sorted(BENCH_VERBS),
+                   help="record (append --metrics JSON), history (trend "
                         "table), compare (regression gate, exit 1)")
     p.add_argument("--bench", metavar="NAME",
                    help="benchmark name for record/history/compare")
@@ -904,15 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.set_defaults(fn=cmd_validate_corpus)
 
-    p = sub.add_parser("link-predict", help="temporal link-prediction AUC")
-    _add_graph_args(p)
-    p.add_argument("--apps", nargs="+", default=["unbiased", "exponential"],
-                   choices=sorted(APPLICATIONS))
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--walks-per-vertex", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=3)
-    p.set_defaults(fn=cmd_link_predict)
-
     p = sub.add_parser("stats", help="graph statistics + analytic cost model")
     _add_graph_args(p)
     p.add_argument("--predict-costs", action="store_true")
@@ -920,14 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", metavar="PATH",
                    help="replay a saved JSON run report instead of graph stats")
     p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("pagerank", help="temporal (personalized) PageRank")
-    _add_graph_args(p)
-    p.add_argument("--sources", type=int, nargs="*", default=None)
-    p.add_argument("--alpha", type=float, default=0.15)
-    p.add_argument("--num-walks", type=int, default=2000)
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(fn=cmd_pagerank)
 
     p = sub.add_parser(
         "scrub", help="verify checksums of a trunk store or WAL directory"

@@ -42,6 +42,7 @@ import numpy as np
 from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import RngLike, make_rng
 from repro.sampling.counters import CostCounters
+from repro.sampling.fullscan import full_scan_sample
 from repro.telemetry import (
     LATENCY_BUCKETS,
     MemoryReport,
@@ -334,51 +335,19 @@ class Engine(abc.ABC):
             counters.record_probe(max(1, d.bit_length()))
         return self.graph.candidate_count(v, t)
 
-    def _candidate_weights(self, v: int, s: int) -> np.ndarray:
-        """Exact static weights of v's candidate prefix (any engine).
-
-        Used by the β-fallback scan; matches the distribution every
-        sampler draws from (per-vertex constant factors cancel).
-        """
-        g = self.graph
-        lo = int(g.indptr[v])
-        kind = self.spec.weight_model.kind
-        if kind == "uniform":
-            out = np.ones(s)
-        elif kind == "linear_rank":
-            d = g.out_degree(v)
-            out = (d - np.arange(s)).astype(np.float64)
-        else:
-            times = g.etime[lo : lo + s]
-            if kind == "linear_time":
-                seg_min = float(g.etime[g.indptr[v + 1] - 1])
-                out = times - seg_min + 1.0
-            else:
-                out = np.exp(
-                    (times - float(g.etime[lo])) / self.spec.weight_model.scale
-                )
-        if g.eweight is not None:
-            out = out * g.eweight[lo : lo + s]
-        return out
-
     def _beta_exact_draw(
         self, v: int, s: int, prev: Optional[int], beta,
         rng: np.random.Generator, counters: CostCounters,
     ) -> int:
         """One exact draw ∝ weight·β over the candidate prefix (O(s))."""
-        from repro.sampling.prefix_sum import build_prefix_sums, draw_in_range, its_search
-
         g = self.graph
         lo = int(g.indptr[v])
-        w = self._candidate_weights(v, s)
+        w = self.spec.weight_model.prefix(g, v, s)
         betas = np.fromiter(
             (beta(g, prev, int(g.nbr[lo + j])) for j in range(s)),
             dtype=np.float64, count=s,
         )
-        counters.record_scan(s)
-        prefix = build_prefix_sums(w * betas)
-        r = draw_in_range(rng, 0.0, prefix[s])
-        return its_search(prefix, r, 0, s)
+        return full_scan_sample(w * betas, s, rng, counters)
 
     def _step(
         self, v: int, s: int, t: Optional[float], prev: Optional[int],

@@ -157,7 +157,7 @@ class BatchTeaEngine(Engine):
         engine._static_ready = static_keys is not None
         return engine
 
-    # Scalar fallback keeps the Engine contract usable (tests, analytics).
+    # Scalar fallback keeps the Engine contract usable (tests, user code).
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):
         return self.index.sample(v, candidate_size, rng, counters)
 
@@ -232,12 +232,13 @@ class BatchTeaEngine(Engine):
         and a per-row prefix comparison replaces the bisection.
         """
         g = self.graph
+        model = self.spec.weight_model
         p = vs.size
         max_s = int(ss.max())
         wb = np.zeros((p, max_s), dtype=np.float64)
         for i in range(p):
             si = int(ss[i])
-            wb[i, :si] = self._candidate_weights(int(vs[i]), si)
+            wb[i, :si] = model.prefix(g, int(vs[i]), si)
             counters.record_scan(si)
         valid = np.arange(max_s)[None, :] < ss[:, None]
         rows, cols = np.nonzero(valid & (prevs[:, None] >= 0))

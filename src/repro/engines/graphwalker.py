@@ -26,13 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.builder import build_prefix_array
+from repro.core.its_index import ITSIndex
 from repro.engines.base import Engine
 from repro.graph.temporal_graph import TemporalGraph
 from repro.telemetry import MemoryReport
-from repro.sampling.counters import CostCounters
 from repro.sampling.fullscan import full_scan_sample
-from repro.sampling.prefix_sum import build_prefix_sums, draw_in_range, its_search
 from repro.walks.spec import WalkSpec
 
 _STATIC_KINDS = ("uniform", "linear_rank", "linear_time")
@@ -53,7 +51,7 @@ class GraphWalkerEngine(Engine):
         self._storage_dir = storage_dir
         self._tmpdir = None
         self.weights: Optional[np.ndarray] = None
-        self.c: Optional[np.ndarray] = None
+        self.index: Optional[ITSIndex] = None
         self._disk_nbr = None
         self._disk_time = None
         self._disk_w = None
@@ -68,7 +66,7 @@ class GraphWalkerEngine(Engine):
             self.weights = self.spec.weight_model.compute(self.graph)
         if self._static and not self.out_of_core:
             with self.tracer.span("prepare.index_build", structure="its"):
-                self.c = build_prefix_array(self.graph, self.weights)
+                self.index = ITSIndex.build(self.graph, self.weights)
         if self.out_of_core:
             with self.tracer.span("prepare.adjacency_spill"):
                 directory = self._storage_dir
@@ -91,16 +89,9 @@ class GraphWalkerEngine(Engine):
             # Load the whole neighbor list — GraphWalker's I/O unit.
             d = self.graph.out_degree(v)
             counters.record_io(d * 24)  # dst + time + weight per edge
-            w = np.asarray(self._disk_w[lo : lo + s])
-            counters.record_scan(s)
-            prefix = build_prefix_sums(w)
-            r = draw_in_range(rng, 0.0, prefix[s])
-            return its_search(prefix, r, 0, s, None)
+            return full_scan_sample(self._disk_w[lo : lo + s], s, rng, counters)
         if self._static:
-            base = lo + v
-            total = self.c[base + s]
-            r = draw_in_range(rng, 0.0, total)
-            return its_search(self.c, r, base, base + s, counters) - base
+            return self.index.sample(v, s, rng, counters)
         # Dynamic weights: rebuild the distribution by scanning candidates
         # (user edge weights, when present, multiply the temporal part).
         t_ref = walker_time if walker_time is not None else float(
@@ -134,6 +125,6 @@ class GraphWalkerEngine(Engine):
             return report
         if self.weights is not None:
             report.add("weights", self.weights.nbytes)
-        if self.c is not None:
-            report.add("prefix_sums", self.c.nbytes)
+        if self.index is not None:
+            report.add("prefix_sums", self.index.nbytes())
         return report

@@ -27,12 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.builder import build_prefix_array
+from repro.core.its_index import ITSIndex
 from repro.engines.base import Engine
-from repro.exceptions import SamplingBudgetExceeded
+from repro.exceptions import EmptyCandidateSetError, SamplingBudgetExceeded
 from repro.graph.temporal_graph import TemporalGraph
+from repro.sampling.fullscan import full_scan_sample
 from repro.telemetry import MemoryReport
-from repro.sampling.prefix_sum import build_prefix_sums, draw_in_range, its_search
 from repro.walks.spec import WalkSpec
 
 _STATIC_KINDS = ("uniform", "linear_rank", "linear_time")
@@ -58,7 +58,7 @@ class KnightKingEngine(Engine):
         self.strict = bool(strict)
         self.weights: Optional[np.ndarray] = None
         self.prefix_max: Optional[np.ndarray] = None
-        self.c: Optional[np.ndarray] = None
+        self.index: Optional[ITSIndex] = None
         self.name = f"knightking-{nodes}node" if nodes > 1 else "knightking-1node"
 
     @property
@@ -70,7 +70,7 @@ class KnightKingEngine(Engine):
             self.weights = self.spec.weight_model.compute(self.graph)
         if self._static:
             with self.tracer.span("prepare.index_build", structure="its"):
-                self.c = build_prefix_array(self.graph, self.weights)
+                self.index = ITSIndex.build(self.graph, self.weights)
             return
         # Per-vertex prefix maxima give the O(1) envelope for any
         # candidate prefix (weights are time-monotone per segment, but we
@@ -87,13 +87,12 @@ class KnightKingEngine(Engine):
                     )
 
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):
-        s = int(candidate_size)
-        lo = int(self.graph.indptr[v])
         if self._static:
-            base = lo + v
-            total = self.c[base + s]
-            r = draw_in_range(rng, 0.0, total)
-            return its_search(self.c, r, base, base + s, counters) - base
+            return self.index.sample(v, candidate_size, rng, counters)
+        s = int(candidate_size)
+        if s <= 0:
+            raise EmptyCandidateSetError(f"vertex {v}: empty candidate set")
+        lo = int(self.graph.indptr[v])
         w = self.weights
         w_max = self.prefix_max[lo + s - 1]
         for _ in range(self.max_trials):
@@ -107,10 +106,7 @@ class KnightKingEngine(Engine):
                 f"vertex {v}: no acceptance in {self.max_trials} trials"
             )
         # Bounded fallback: exact full-scan draw, accounted as a scan.
-        counters.record_scan(s)
-        prefix = build_prefix_sums(w[lo : lo + s])
-        r = draw_in_range(rng, 0.0, prefix[s])
-        return its_search(prefix, r, 0, s, None)
+        return full_scan_sample(w[lo : lo + s], s, rng, counters)
 
     def expected_trials(self, v: int, candidate_size: int) -> float:
         """Analytic E[trials] = s · w_max / Σw for one candidate prefix."""
@@ -137,6 +133,6 @@ class KnightKingEngine(Engine):
             report.add("weights", self.weights.nbytes)
         if self.prefix_max is not None:
             report.add("envelope", self.prefix_max.nbytes)
-        if self.c is not None:
-            report.add("prefix_sums", self.c.nbytes)
+        if self.index is not None:
+            report.add("prefix_sums", self.index.nbytes())
         return report

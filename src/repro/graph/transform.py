@@ -8,9 +8,6 @@ Standard derived views a walk library needs around the core CSR:
   (community-scoped walks), preserving the vertex id space;
 * :func:`normalize_times` — affine-map timestamps into [0, horizon]
   (keeps exponential weights well-scaled across datasets);
-* :func:`largest_temporal_component` — vertices reachable from the best
-  single source by temporal paths (walk experiments often want a
-  connected arena);
 * :func:`merge` — union of two temporal graphs.
 
 All transforms return new :class:`TemporalGraph` objects; inputs are
@@ -19,7 +16,7 @@ never mutated (the CSR arrays are frozen anyway).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -82,31 +79,6 @@ def normalize_times(
     return TemporalGraph.from_stream(
         EdgeStream(src, dst, scaled), num_vertices=graph.num_vertices
     )
-
-
-def largest_temporal_component(
-    graph: TemporalGraph, candidate_sources: Optional[Sequence[int]] = None
-) -> Tuple[TemporalGraph, int, np.ndarray]:
-    """Induced subgraph on the largest single-source temporal reach.
-
-    Tries each candidate source (default: the 32 highest-out-degree
-    vertices) and keeps the one whose temporal reachability set is
-    largest. Returns ``(subgraph, best_source, reachable_mask)``.
-    """
-    from repro.analytics.reachability import temporal_reachability
-
-    if graph.num_edges == 0:
-        return graph, 0, np.zeros(graph.num_vertices, dtype=bool)
-    if candidate_sources is None:
-        order = np.argsort(graph.degrees())[::-1]
-        candidate_sources = order[: min(32, order.size)]
-    best_source, best_mask = -1, None
-    for source in candidate_sources:
-        mask = temporal_reachability(graph, int(source))
-        if best_mask is None or mask.sum() > best_mask.sum():
-            best_source, best_mask = int(source), mask
-    sub = induced_subgraph(graph, np.flatnonzero(best_mask))
-    return sub, best_source, best_mask
 
 
 def merge(a: TemporalGraph, b: TemporalGraph) -> TemporalGraph:

@@ -1,7 +1,6 @@
 """Chunk-parallel walk execution over a shared prepared index.
 
-The single-node multi-core counterpart to :mod:`repro.distributed`'s
-simulated cluster: one preprocessing pass in the parent, then the
+Multi-core walks on one node: one preprocessing pass in the parent, then the
 vectorised frontier kernel (:mod:`repro.engines.batch`) runs per chunk
 of start vertices in a warm, engine-lifetime worker pool
 (:mod:`repro.parallel.pool`), against index arrays shared zero-copy

@@ -21,8 +21,7 @@ GIL yields between the load and the store, and free-threaded builds
 drop even that accident of protection). Every parallel path in this
 repo therefore gives each worker its *own* counters and folds them with
 :meth:`CostCounters.merge` (or :meth:`CostCounters.merge_all` over a
-whole worker set) at the end — the distributed engine's per-worker
-counters, the parallel walk executor's per-chunk counters
+whole worker set) at the end — the parallel walk executor's per-chunk counters
 (:mod:`repro.parallel`), and the telemetry registry's merge path
 (:meth:`publish` into per-worker
 :class:`~repro.telemetry.MetricsRegistry` instances) all follow this

@@ -9,8 +9,8 @@ snapshots). Design constraints, in order:
   ``Histogram.observe`` is one C-level ``bisect`` over precomputed
   bucket bounds, so the scalar walk loop can afford them;
 * **mergeable** — registries are plain objects with an associative
-  :meth:`MetricsRegistry.merge`, so the parallel builders, the batch
-  executor, and the distributed engine give every worker its *own*
+  :meth:`MetricsRegistry.merge`, so the parallel builders and the
+  parallel walk executor give every worker its *own*
   registry and fold them together at the end (no locks in hot paths —
   see the thread-safety note on
   :class:`~repro.sampling.counters.CostCounters`);

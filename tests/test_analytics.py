@@ -1,15 +1,15 @@
-"""Temporal analytics atop TEA: PageRank, SimRank, meta-path walks."""
+"""Temporal analytics atop TEA (``examples/temporal_pagerank.py``):
+PageRank, SimRank, meta-path walks."""
 
 import numpy as np
 import pytest
 
-from repro.analytics import (
+from examples.temporal_pagerank import (
     MetapathWalker,
     temporal_metapath_walks,
     temporal_pagerank,
     temporal_simrank,
 )
-from repro.analytics.simrank import temporal_simrank_matrix
 from repro.engines.tea import TeaEngine
 from repro.exceptions import GraphFormatError
 from repro.graph.generators import temporal_bipartite, temporal_powerlaw
@@ -85,12 +85,6 @@ class TestTemporalSimrank:
         g = TemporalGraph.from_edges([(0, 2, 1.0), (1, 2, 1.0), (2, 3, 5.0)])
         s = temporal_simrank(g, 0, 1, decay=0.5, num_pairs=200, seed=0)
         assert s == pytest.approx(0.5)  # meet at k=1 with certainty
-
-    def test_matrix_symmetric(self, graph):
-        vs = np.argsort(graph.degrees())[::-1][:3]
-        m = temporal_simrank_matrix(graph, vs, num_pairs=50, seed=0)
-        assert np.allclose(m, m.T)
-        assert np.all(np.diag(m) == 1.0)
 
     def test_decay_validation(self, graph):
         with pytest.raises(ValueError):

@@ -1,25 +1,11 @@
-"""Bench harness: runner rows, speedups, report formatting."""
+"""`repro compare`'s runner rows and the benchmarks' table formatting."""
 
 import math
 
-import pytest
-
-from repro.bench.report import format_rows, format_series
-from repro.bench.runner import ExperimentRow, run_engines, speedups
-from repro.bench.workloads import paper_workload, quick_workload
-from repro.engines import GraphWalkerEngine, TeaEngine
+from benchmarks.conftest import format_series
+from repro.compare import ExperimentRow, format_rows, run_engines
+from repro.engines import GraphWalkerEngine, TeaEngine, Workload
 from repro.walks.apps import unbiased_walk
-
-
-class TestWorkloads:
-    def test_paper_defaults(self):
-        wl = paper_workload()
-        assert wl.walks_per_vertex == 1
-        assert wl.max_length == 80
-
-    def test_quick_is_capped(self):
-        wl = quick_workload()
-        assert wl.max_walks is not None
 
 
 class TestRunEngines:
@@ -31,7 +17,7 @@ class TestRunEngines:
                 "tea": lambda g, s: TeaEngine(g, s),
                 "graphwalker": lambda g, s: GraphWalkerEngine(g, s),
             },
-            quick_workload(max_walks=10, length=5),
+            Workload(max_walks=10, max_length=5),
             dataset="small",
         )
         assert [r.engine for r in rows] == ["tea", "graphwalker"]
@@ -47,30 +33,11 @@ class TestRunEngines:
                     g, s, structure="alias", alias_budget_bytes=1
                 )
             },
-            quick_workload(max_walks=2, length=2),
+            Workload(max_walks=2, max_length=2),
             dataset="m",
         )
         assert rows[0].oom
         assert math.isnan(rows[0].total_seconds)
-
-
-class TestSpeedups:
-    def make_rows(self):
-        return [
-            ExperimentRow("d", "tea", "a", total_seconds=1.0),
-            ExperimentRow("d", "slow", "a", total_seconds=10.0),
-            ExperimentRow("d", "oomed", "a", oom=True),
-        ]
-
-    def test_speedup_convention(self):
-        result = speedups(self.make_rows(), baseline="tea")
-        assert result["slow"] == pytest.approx(10.0)
-        assert result["tea"] == pytest.approx(1.0)
-        assert math.isnan(result["oomed"])
-
-    def test_missing_baseline(self):
-        with pytest.raises(KeyError):
-            speedups(self.make_rows(), baseline="nope")
 
 
 class TestReport:

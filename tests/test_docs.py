@@ -72,6 +72,40 @@ class TestMakefile:
                        or line.startswith(node + "[") for line in collected), node
 
 
+#: Modules that left ``src/repro`` for the benchmarks and examples that
+#: call them, or were deleted.
+MOVED_OUT = ("repro.analytics", "repro.bench", "repro.distributed",
+             "repro.embeddings", "repro.sampling.its",
+             "repro.sampling.rejection", "benchmarks", "examples", "tests")
+
+
+class TestProductBoundary:
+    def test_src_ships_only_the_engine(self):
+        """No ``src/repro`` module imports the repository's benchmarks,
+        examples or tests, and booting the CLI (what ``repro serve``
+        does) loads none of the modules that moved out."""
+        harness = re.compile(
+            r"^\s*(?:from|import)\s+(?:benchmarks|examples|tests)\b", re.M)
+        offenders = [
+            f"{path.relative_to(ROOT)}: {match.group(0).strip()}"
+            for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+            for match in harness.finditer(path.read_text())
+        ]
+        assert offenders == []
+        # Run from the repository root, where ``benchmarks`` and
+        # ``examples`` would be importable if anything reached for them.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('\\n'.join(sys.modules))"],
+            cwd=ROOT, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [name for name in proc.stdout.split()
+                  if any(name == m or name.startswith(m + ".") for m in MOVED_OUT)]
+        assert loaded == []
+
+
 class TestDesignDoc:
     def test_bench_targets_listed_in_design_exist(self):
         design = (ROOT / "DESIGN.md").read_text()

@@ -1,15 +1,16 @@
-"""SGNS embeddings and temporal link prediction."""
+"""SGNS embeddings and temporal link prediction
+(``examples/link_prediction.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.embeddings import (
+from examples.link_prediction import (
+    _pairs_from_walks,
     auc_score,
     temporal_link_prediction,
     time_split,
     train_sgns,
 )
-from repro.embeddings.sgns import _pairs_from_walks
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.generators import temporal_powerlaw
 from repro.walks.apps import exponential_walk, unbiased_walk

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.weights import WeightModel
 from repro.engines import (
+    BatchTeaEngine,
     GraphWalkerEngine,
     KnightKingEngine,
     TeaEngine,
@@ -21,30 +22,76 @@ from repro.walks.spec import WalkSpec
 
 
 class TestCandidateWeightsOracle:
-    """Engine._candidate_weights must be proportional to the static
-    weights on every kind — it backs the exact β fallback."""
+    """``WeightModel.prefix`` — the weights of the exact β fallback — is
+    :meth:`WeightModel.compute` restricted to one candidate prefix, bit
+    for bit, on every kind."""
 
     @pytest.mark.parametrize(
         "kind,scale",
         [("uniform", 1.0), ("linear_rank", 1.0), ("linear_time", 1.0),
-         ("exponential", 15.0)],
+         ("exponential", 15.0), ("exponential_decay", 15.0)],
     )
     def test_proportional_to_static_weights(self, small_graph, kind, scale):
-        spec = WalkSpec("t", WeightModel(kind, scale))
-        engine = TeaEngine(small_graph, spec)
-        engine.prepare()
-        static = WeightModel(kind, scale).compute(small_graph)
+        model = WeightModel(kind, scale)
+        static = model.compute(small_graph)
         for v in np.argsort(small_graph.degrees())[-3:]:
             v = int(v)
             d = small_graph.out_degree(v)
             for s in {1, d // 2, d}:
                 if s < 1:
                     continue
-                oracle = engine._candidate_weights(v, s)
                 lo = small_graph.indptr[v]
-                expected = static[lo : lo + s]
-                ratio = oracle / expected
-                assert np.allclose(ratio, ratio[0], rtol=1e-9), (kind, v, s)
+                assert np.array_equal(model.prefix(small_graph, v, s),
+                                      static[lo : lo + s]), (kind, v, s)
+
+
+class TestBetaFallbackUnderDecay:
+    """Lanes that exhaust the β rejection budget draw ∝ weight·β under
+    ``exponential_decay`` too (the decay sign was once inverted there).
+
+    Vertex 0's one edge reaches vertex 1 at t=0; vertex 1's edges are
+    all later, so every walk's second hop leaves vertex 1 with
+    predecessor 0 over the whole segment. p = 1e-6 makes β_max = 1e6
+    while every candidate's β is 1 (a static neighbour of 0) or 1/q, so
+    no lane accepts within the budget and all take the fallback.
+    """
+
+    CANDIDATES = 8
+
+    def _graph(self):
+        from repro.graph.temporal_graph import TemporalGraph
+
+        hops = [(1, 2 + j, float(1 + j)) for j in range(self.CANDIDATES)]
+        into_zero = [(2 + j, 0, 50.0) for j in range(0, self.CANDIDATES, 3)]
+        return TemporalGraph.from_edges([(0, 1, 0.0)] + hops + into_zero)
+
+    @pytest.mark.parametrize("make", [
+        lambda g, s: TeaEngine(g, s),
+        lambda g, s: BatchTeaEngine(g, s),
+        lambda g, s: BatchTeaEngine(g, s, kernel_backend="numpy"),
+    ], ids=["scalar", "batch", "batch-numpy"])
+    def test_fallback_draws_follow_weight_times_beta(self, make):
+        from repro.walks.spec import Node2VecParameter
+        from tests.conftest import chisquare_ok
+
+        graph = self._graph()
+        beta = Node2VecParameter(p=1e-6, q=4.0)
+        spec = WalkSpec("decay-n2v", WeightModel("exponential_decay", 3.0),
+                        dynamic_parameter=beta)
+        n = 6000
+        out = make(graph, spec).run_lanes(
+            np.zeros(n, dtype=np.int64), np.arange(n, dtype=np.uint64), 2)
+        assert (out.lengths == 2).all()
+        lo = int(graph.indptr[1])
+        cand = graph.nbr[lo : lo + self.CANDIDATES]
+        probs = spec.weight_model.compute(graph)[lo : lo + self.CANDIDATES] * [
+            beta(graph, 0, int(c)) for c in cand]
+        probs /= probs.sum()
+        counts = np.bincount(
+            np.searchsorted(-graph.etime[lo : lo + self.CANDIDATES],
+                            -out.hop_time[:, 1]),
+            minlength=self.CANDIDATES)
+        assert chisquare_ok(counts.astype(float), probs)
 
 
 class TestKnightKingStrict:
@@ -141,7 +188,7 @@ class TestEmptyAndDegenerateGraphs:
 
 
 def _engine_subclasses():
-    import repro.distributed  # noqa: F401 — registers its Engine subclass
+    import benchmarks.distributed  # noqa: F401 — registers its Engine subclass
     import repro.engines  # noqa: F401
     import repro.parallel  # noqa: F401
     from repro.engines.base import Engine

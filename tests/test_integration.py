@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from examples.link_prediction import train_sgns
 from repro import (
     StreamingTeaEngine,
     TeaEngine,
@@ -13,7 +14,6 @@ from repro import (
     temporal_node2vec,
     unbiased_walk,
 )
-from repro.embeddings import train_sgns
 from repro.engines import BatchTeaEngine, MutableTeaEngine
 from repro.graph import io as graph_io
 from repro.graph.generators import temporal_powerlaw

@@ -274,7 +274,7 @@ class TestBetaFallbackVectorised:
             vs, ss, prevs, beta, LaneRng(lanes.astype(np.uint64)), lanes,
             counters,
         )
-        w = engine._candidate_weights(v, s).copy()
+        w = spec.weight_model.compute(g)[g.indptr[v]:g.indptr[v] + s]
         cand = g.nbr[g.indptr[v]:g.indptr[v] + s]
         bvals = np.array([beta(g, prev, int(c)) for c in cand])
         probs = w * bvals

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from examples.link_prediction import auc_score
 from repro.core.frame_pool import FramePool
 from repro.core.deletions import TombstoneHPAT
 from repro.core.weights import WeightModel
-from repro.embeddings.link_prediction import auc_score
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng

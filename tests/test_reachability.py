@@ -1,14 +1,16 @@
-"""Temporal reachability: exact earliest-arrival vs walk estimates."""
+"""Temporal reachability (``examples/network_analysis.py``): exact
+earliest arrival vs walk estimates (``examples/commute_network.py``)."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analytics.reachability import (
+from examples.commute_network import walk_reachability_estimate
+from examples.network_analysis import (
     earliest_arrival_times,
+    temporal_closeness,
     temporal_reachability,
-    walk_reachability_estimate,
 )
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.generators import toy_commute_graph
@@ -123,8 +125,6 @@ def test_earliest_arrival_matches_bruteforce(edges, source):
 
 class TestTemporalCloseness:
     def test_chain_ordering(self):
-        from repro.analytics.reachability import temporal_closeness
-
         graph = TemporalGraph.from_edges(
             [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.0)]
         )
@@ -133,15 +133,10 @@ class TestTemporalCloseness:
         assert closeness[0] > closeness[1] > closeness[2] > closeness[3] == 0.0
 
     def test_sources_subset(self, small_graph):
-        from repro.analytics.reachability import temporal_closeness
-
         scores = temporal_closeness(small_graph, sources=np.array([0, 1]))
         assert scores.shape == (small_graph.num_vertices,)
         assert np.all(scores[2:] == 0.0)
 
     def test_empty_graph(self):
-        from repro.analytics.reachability import temporal_closeness
-        from repro.graph.edge_stream import EdgeStream
-
         graph = TemporalGraph.from_stream(EdgeStream.empty(), num_vertices=4)
         assert np.all(temporal_closeness(graph) == 0.0)

@@ -1,14 +1,24 @@
-"""ITS, rejection, and full-scan samplers: distribution and cost."""
+"""ITS, rejection, and full-scan sampling: distribution and cost.
+
+Each strategy is tested where it is implemented: ITS in
+:class:`~repro.core.its_index.ITSIndex` (TEA's ITS ablation and the
+baselines' static path), rejection in
+:class:`~repro.engines.knightking.KnightKingEngine`, the full scan in
+:func:`~repro.sampling.fullscan.full_scan_sample`.
+"""
 
 import numpy as np
 import pytest
 
+from repro.core.its_index import ITSIndex
+from repro.engines import KnightKingEngine
 from repro.exceptions import EmptyCandidateSetError, SamplingBudgetExceeded
+from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng
 from repro.sampling.counters import CostCounters
 from repro.sampling.fullscan import full_scan_sample
-from repro.sampling.its import ITSSampler
-from repro.sampling.rejection import RejectionSampler
+from repro.sampling.prefix_sum import build_prefix_sums
+from repro.walks.apps import exponential_walk
 from tests.conftest import chisquare_ok
 
 WEIGHTS_DESC = np.array([7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0])  # Figure 5
@@ -22,77 +32,93 @@ def empirical(sample_fn, size, n=30000, seed=0):
     return counts
 
 
+def its_index(weights_desc) -> ITSIndex:
+    """A one-vertex ITS index over ``weights_desc``."""
+    return ITSIndex(np.array([0, len(weights_desc)]),
+                    build_prefix_sums(weights_desc))
+
+
+def rejection_engine(weights_desc, **kwargs) -> KnightKingEngine:
+    """KnightKing on one vertex whose exponential(scale=1) static weights
+    are proportional to ``weights_desc`` (edge times ln w)."""
+    times = np.log(np.asarray(weights_desc, dtype=np.float64))
+    graph = TemporalGraph.from_edges(
+        [(0, j + 1, float(t)) for j, t in enumerate(times)])
+    engine = KnightKingEngine(graph, exponential_walk(scale=1.0), **kwargs)
+    engine.prepare()
+    return engine
+
+
 class TestITSSampler:
     @pytest.mark.parametrize("s", [1, 3, 7])
     def test_distribution(self, s):
-        sampler = ITSSampler(WEIGHTS_DESC)
-        counts = empirical(lambda rng: sampler.sample(s, rng), s)
+        index = its_index(WEIGHTS_DESC)
+        counts = empirical(lambda rng: index.sample(0, s, rng), s)
         assert chisquare_ok(counts, WEIGHTS_DESC[:s] / WEIGHTS_DESC[:s].sum())
 
     def test_candidate_weight(self):
-        sampler = ITSSampler(WEIGHTS_DESC)
-        assert sampler.candidate_weight(3) == 18.0
+        assert its_index(WEIGHTS_DESC).candidate_weight(0, 3) == 18.0
 
     def test_empty_rejected(self):
-        sampler = ITSSampler(WEIGHTS_DESC)
         with pytest.raises(EmptyCandidateSetError):
-            sampler.sample(0, make_rng(0))
+            its_index(WEIGHTS_DESC).sample(0, 0, make_rng(0))
 
     def test_probe_cost_logarithmic(self):
-        sampler = ITSSampler(np.ones(1024))
+        index = its_index(np.ones(1024))
         counters = CostCounters()
         rng = make_rng(1)
         for _ in range(100):
-            sampler.sample(1024, rng, counters)
+            index.sample(0, 1024, rng, counters)
         assert counters.binary_search_probes / 100 <= 11.0  # log2(1024)+1
 
 
 class TestRejectionSampler:
     @pytest.mark.parametrize("s", [1, 4, 7])
     def test_distribution(self, s):
-        sampler = RejectionSampler(WEIGHTS_DESC)
-        counts = empirical(lambda rng: sampler.sample(s, rng), s)
+        engine = rejection_engine(WEIGHTS_DESC)
+        counters = CostCounters()
+        counts = empirical(
+            lambda rng: engine.sample_edge(0, s, None, rng, counters), s)
         assert chisquare_ok(counts, WEIGHTS_DESC[:s] / WEIGHTS_DESC[:s].sum())
 
     def test_expected_trials_formula(self):
         """Section 3.1: skewed exponential weights blow up trial counts."""
-        t = np.arange(1, 8)[::-1].astype(float)
-        w = np.exp(t)  # weights e^7 .. e^1, time-descending
-        sampler = RejectionSampler(w)
+        engine = rejection_engine(np.exp(np.arange(7, 0, -1.0)))  # e^7 .. e^1
         expected = 7 * np.exp(7) / np.exp(np.arange(1, 8)).sum()
-        assert sampler.expected_trials(7) == pytest.approx(expected)
-        assert sampler.expected_trials(7) > 4  # "drastically squeezed accept area"
+        assert engine.expected_trials(0, 7) == pytest.approx(expected)
+        assert engine.expected_trials(0, 7) > 4  # "drastically squeezed accept area"
 
     def test_trial_counting_matches_expectation(self):
-        w = np.exp(np.arange(6, 0, -1).astype(float))
-        sampler = RejectionSampler(w)
+        engine = rejection_engine(np.exp(np.arange(6, 0, -1.0)))
         counters = CostCounters()
         rng = make_rng(5)
         n = 4000
         for _ in range(n):
-            sampler.sample(6, rng, counters)
+            engine.sample_edge(0, 6, None, rng, counters)
         measured = counters.rejection_trials / n
-        assert measured == pytest.approx(sampler.expected_trials(6), rel=0.15)
+        assert measured == pytest.approx(engine.expected_trials(0, 6), rel=0.15)
 
     def test_strict_budget(self):
-        w = np.array([1e9, 1.0])[::-1]  # max weight is huge vs the other
-        sampler = RejectionSampler(w[::-1], max_trials=1, strict=True)
         # With max_trials=1 and extreme skew, acceptance is overwhelmingly
         # unlikely for the small item; eventually a budget error surfaces.
+        engine = rejection_engine([1e9, 1.0], max_trials=1, strict=True)
         rng = make_rng(2)
         with pytest.raises(SamplingBudgetExceeded):
             for _ in range(1000):
-                sampler.sample(2, rng)
+                engine.sample_edge(0, 2, None, rng, CostCounters())
 
     def test_fallback_is_exact(self):
         w = np.array([1e9, 1.0])
-        sampler = RejectionSampler(w, max_trials=1, strict=False)
-        counts = empirical(lambda rng: sampler.sample(2, rng), 2, n=20000)
+        engine = rejection_engine(w, max_trials=1)
+        counts = empirical(
+            lambda rng: engine.sample_edge(0, 2, None, rng, CostCounters()),
+            2, n=20000)
         assert chisquare_ok(counts, w / w.sum())
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyCandidateSetError):
-            RejectionSampler(WEIGHTS_DESC).sample(0, make_rng(0))
+            rejection_engine(WEIGHTS_DESC).sample_edge(
+                0, 0, None, make_rng(0), CostCounters())
 
 
 class TestFullScan:

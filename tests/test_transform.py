@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
+from examples.network_analysis import largest_temporal_component
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
-from repro.graph.transform import (
-    induced_subgraph,
-    largest_temporal_component,
-    merge,
-    normalize_times,
-    reverse,
-)
+from repro.graph.transform import induced_subgraph, merge, normalize_times, reverse
 from repro.graph.validate import check_graph
 
 
