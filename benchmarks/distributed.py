@@ -319,7 +319,7 @@ class DistributedTeaEngine:
             counters.merge(worker.counters)
         out = FrontierResult.empty(starts, max_length, keep_hops)
         for wid, state in enumerate(walkers):
-            out.record(wid, state.hops)
+            out.record(wid, state.hops, max_length)
         return out
 
     def _advance(self, state: _WalkerState, rng,

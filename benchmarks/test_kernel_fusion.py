@@ -19,6 +19,13 @@ Not a paper figure: this bench gates the kernel-fusion work itself.
   driver phases under ``numpy``, the one fused ``hop`` phase under
   ``c`` — the row ROADMAP's <= 20 us @ 128 lanes is judged on.
 
+* **Walk order at corpus width** — ns per step of the fused hop's first
+  iteration over ~1 M lanes (R = 120 walks at every vertex of the
+  scale-3.0 twitter analogue), with each vertex's walks adjacent
+  (``hop_ns_per_step_start_major``, the order ``Engine.run`` uses) and
+  interleaved round-robin (``hop_ns_per_step_round_robin``). Same lanes,
+  same seeds, same steps: the difference is memory locality alone.
+
 * **Streaming decay-bias maintenance** — appending E edges in B
   batches under ``exponential_decay``: the BINGO-style radix forest
   (O(1) buckets touched per batch) versus the carry forest (re-indexes
@@ -35,14 +42,20 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import BENCH_SCALE, record_history, write_json_result
+from benchmarks.conftest import (
+    BENCH_EXP_SCALE,
+    BENCH_SCALE,
+    record_history,
+    write_json_result,
+)
 from repro.core import builder
 from repro.core.weights import WeightModel
 from repro.engines.batch import BatchTeaEngine
+from repro.graph.datasets import DATASETS
 from repro.graph.generators import temporal_powerlaw
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelScratch, resolve_backend, sample_batch
-from repro.rng import LaneRng
+from repro.rng import LaneRng, make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.telemetry import PhaseProfiler
 from repro.walks.apps import exponential_walk, temporal_node2vec
@@ -54,9 +67,12 @@ from tests import legacy_kernel
 LANE_COUNTS = (1000, 2000, 4000)
 #: The serve daemon's frontier width (one row per backend, in µs).
 NARROW = 128
+#: Walks per vertex of the order bench: ``corpus_exp``'s width.
+CORPUS_R = 120
 _fusion = {}
 _decay = {}
 _hops = {}
+_order = {}
 
 
 @pytest.fixture(scope="module")
@@ -152,8 +168,8 @@ def test_hop_per_iteration(benchmark, skewed_graph):
         best = float("inf")
         for _ in range(300):
             profiler = PhaseProfiler(calibrate=False)
-            engine._run_frontier(starts, 2, 0.0, None, CostCounters(), True,
-                                 profiler=profiler, lane_rng=LaneRng(seeds))
+            engine._run_frontier(starts, 2, 0.0, LaneRng(seeds), CostCounters(),
+                                 True, profiler=profiler)
             cells = [cell for path, cell in profiler.phases.items()
                      if path[-1] in phases]
             best = min(best, sum(c[1] for c in cells) / max(c[0] for c in cells))
@@ -171,6 +187,38 @@ def test_hop_per_iteration(benchmark, skewed_graph):
 
     _hops.update(benchmark.pedantic(measure, rounds=1, iterations=1))
     benchmark.extra_info.update({k: round(v, 1) for k, v in _hops.items()})
+
+
+def test_hop_order_at_corpus_width(benchmark):
+    """First fused iteration, start-major against round-robin lanes."""
+    graph = TemporalGraph.from_stream(
+        DATASETS["twitter"].generate(seed=1, scale=3.0))
+    engine = BatchTeaEngine(graph, exponential_walk(scale=BENCH_EXP_SCALE))
+    engine.prepare()
+    vertices = np.arange(graph.num_vertices)
+    seeds = spawn_seeds(make_rng(0), vertices.size * CORPUS_R)
+
+    def ns_per_step(starts):
+        best = float("inf")
+        for _ in range(5):
+            profiler, counters = PhaseProfiler(calibrate=False), CostCounters()
+            engine._run_frontier(starts, 1, 0.0, LaneRng(seeds), counters,
+                                 False, profiler=profiler)
+            best = min(best, profiler.phase_seconds("hop") / counters.steps)
+        return best * 1e9
+
+    def measure():
+        return {
+            "hop_ns_per_step_start_major": ns_per_step(
+                np.repeat(vertices, CORPUS_R)),
+            "hop_ns_per_step_round_robin": ns_per_step(
+                np.tile(vertices, CORPUS_R)),
+        }
+
+    _order.update(benchmark.pedantic(measure, rounds=1, iterations=1))
+    _order["lanes"] = seeds.size
+    benchmark.extra_info.update({k: round(v, 1) for k, v in _order.items()})
+    assert seeds.size >= 500_000
 
 
 def test_factorized_decay_streaming(benchmark):
@@ -263,11 +311,13 @@ def report():
         f"{NARROW}-lane sample_batch "
         f"{ {k[:-2]: round(v * 1e6, 1) for k, v in _fusion['narrow'].items() if k.endswith('_s')} } us\n"
         f"{NARROW}-lane iteration { {k: round(v, 1) for k, v in _hops.items()} } us\n"
+        f"first hop at corpus width { {k: round(v, 1) for k, v in _order.items()} }\n"
         f"decay stream: radix {_decay['radix_s']:.3f}s, carry "
         f"{_decay['carry_s']:.3f}s, rebuild {_decay['rebuild_s']:.3f}s"
     )
     write_json_result("kernel_fusion", payload)
     metrics = {**_hops, "fused_speedup": _fusion["aggregate"],
+               **{k: v for k, v in _order.items() if k.startswith("hop_ns")},
                "decay_radix_s": _decay["radix_s"],
                "decay_carry_s": _decay["carry_s"],
                "decay_rebuild_s": _decay["rebuild_s"]}

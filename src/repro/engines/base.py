@@ -76,6 +76,11 @@ class Workload:
     ``stop_probability`` adds a geometric per-step termination chance on
     top of the length cap — the lazy/restarting walk shape PageRank-style
     applications use.
+
+    Walks are laid out start-major: the ``walks_per_vertex`` walks of
+    the ``k``-th start are walks ``k·R .. k·R + R − 1``, so neighbouring
+    lanes of a frontier read the same adjacency. A ``max_walks``
+    subsample keeps that order.
     """
 
     walks_per_vertex: int = 1
@@ -93,9 +98,10 @@ class Workload:
             starts = np.asarray(self.start_vertices, dtype=np.int64)
         else:
             starts = np.arange(num_vertices, dtype=np.int64)
-        starts = np.tile(starts, self.walks_per_vertex)
+        starts = np.repeat(starts, self.walks_per_vertex)
         if self.max_walks is not None and starts.size > self.max_walks:
-            starts = rng.choice(starts, size=self.max_walks, replace=False)
+            starts = starts[np.sort(
+                rng.choice(starts.size, size=self.max_walks, replace=False))]
         return starts
 
     def describe(self) -> str:
@@ -106,6 +112,9 @@ class Workload:
 #: Walks :meth:`FrontierResult.materialise_paths` flattens at a time.
 _MATERIALISE_BLOCK = 1024
 
+#: Hop columns a batch of walks starts with, however long it may get.
+_HOP_COLUMNS = 32
+
 
 @dataclass
 class FrontierResult:
@@ -113,10 +122,11 @@ class FrontierResult:
     walk phase produces.
 
     Hops are recorded per *column* (step index) into dense ``(num_walks,
-    max_length)`` arrays — every lane active at iteration ``k`` has taken
+    width)`` arrays — every lane active at iteration ``k`` has taken
     exactly ``k`` hops, so the frontier loop scatters once per iteration
     instead of appending per lane. Walk ``i``'s valid hops are
-    ``hop_vertex[i, :lengths[i]]`` / ``hop_time[i, :lengths[i]]``.
+    ``hop_vertex[i, :lengths[i]]`` / ``hop_time[i, :lengths[i]]``; the
+    width is at least the longest walk and at most ``max_length``.
     ``hop_vertex``/``hop_time`` are ``None`` when hop recording was off.
     """
 
@@ -128,19 +138,35 @@ class FrontierResult:
     @classmethod
     def empty(cls, starts: np.ndarray, max_length: int,
               keep_hops: bool) -> "FrontierResult":
-        """Zero-length walks from ``starts`` (hop columns only if kept)."""
+        """Zero-length walks from ``starts``; hop columns (only if kept)
+        start ``min(max_length, 32)`` wide and grow by :meth:`make_room`."""
         num = starts.size
         hop_vertex = hop_time = None
         if keep_hops:
-            hop_vertex = np.zeros((num, max_length), dtype=np.int64)
-            hop_time = np.zeros((num, max_length), dtype=np.float64)
+            width = min(max_length, _HOP_COLUMNS)
+            hop_vertex = np.zeros((num, width), dtype=np.int64)
+            hop_time = np.zeros((num, width), dtype=np.float64)
         return cls(starts, np.zeros(num, dtype=np.int64), hop_vertex, hop_time)
 
-    def record(self, i: int, hops: List[Tuple[int, Optional[float]]]) -> None:
-        """Store walk ``i`` from a walker's hop list (start hop first)."""
+    def make_room(self, hops: int, max_length: int) -> None:
+        """Widen the hop columns to hold ``hops <= max_length`` hops: they
+        double until they do, never past ``max_length``."""
+        width = have = self.hop_vertex.shape[1]
+        while width < hops:
+            width = min(2 * max(width, 1), max_length)
+        if width > have:
+            wider = ((0, 0), (0, width - have))
+            self.hop_vertex = np.pad(self.hop_vertex, wider)
+            self.hop_time = np.pad(self.hop_time, wider)
+
+    def record(self, i: int, hops: List[Tuple[int, Optional[float]]],
+               max_length: int) -> None:
+        """Store walk ``i`` of at most ``max_length`` hops from a walker's
+        hop list (start hop first)."""
         n = len(hops) - 1
         self.lengths[i] = n
         if n and self.hop_vertex is not None:
+            self.make_room(n, max_length)
             self.hop_vertex[i, :n], self.hop_time[i, :n] = zip(*hops[1:])
 
     @property
@@ -182,10 +208,11 @@ class FrontierResult:
 
     def observe_lengths(self, histogram) -> None:
         """Fold walk lengths into ``histogram`` one distinct value at a
-        time."""
-        values, counts = np.unique(self.lengths, return_counts=True)
-        for value, n in zip(values.tolist(), counts.tolist()):
-            histogram.observe_n(value, n)
+        time. Lengths are small non-negative integers, so they are
+        counted by value, not sorted."""
+        for value, n in enumerate(np.bincount(self.lengths).tolist()):
+            if n:
+                histogram.observe_n(value, n)
 
 
 @dataclass
@@ -452,7 +479,7 @@ class Engine(abc.ABC):
                 walker = self._walk_one(
                     u, max_length, rng, counters, stop_probability
                 )
-            out.record(i, walker.hops)
+            out.record(i, walker.hops, max_length)
         return out
 
     def _walk(
@@ -536,7 +563,10 @@ class Engine(abc.ABC):
 
         The one prepare → walk → finalize skeleton (Algorithm 2's Main)
         of every engine; subclasses plug in through :meth:`_prepare`,
-        :meth:`_walk` and :meth:`publish_telemetry`.
+        :meth:`_walk` and :meth:`publish_telemetry`. A frontier engine
+        keys walk ``i`` on the ``i``-th seed of one
+        :func:`~repro.rng.spawn_seeds` draw, so ``run(seed)`` walks what
+        :meth:`run_lanes` and the parallel engine walk on those seeds.
 
         ``sink`` is an optional open :class:`repro.walks.sink.WalkSink`;
         completed walks are written to it (flushed in batches of 1,024,

@@ -49,7 +49,7 @@ from repro.engines.tea_outofcore.scalar import (
 )
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelScratch
-from repro.rng import GeneratorLanes
+from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.walks.spec import WalkSpec
 
@@ -86,17 +86,18 @@ def ooc_sample_batch(
     approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
 
     Row ``i`` takes its (up to three) uniforms from lane ``lanes[i]`` of
-    ``draw``, like the in-memory kernel; the default is the
-    bit-compatible :class:`~repro.rng.GeneratorLanes` over ``rng``.
+    the :class:`~repro.rng.LaneRng` ``draw``, like the in-memory kernel,
+    or straight from ``rng`` when no ``draw`` is given.
     """
     store = index.store
     n = vs.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if draw is None:
-        draw = GeneratorLanes(rng)
-    if lanes is None:
+    if draw is None:  # the next uniforms of rng, in call order
         lanes = np.arange(n, dtype=np.int64)
+        uniform = lambda rows: rng.random(rows.size)  # noqa: E731
+    else:
+        uniform = draw.uniform
     ss = ss.astype(np.int64)
     index.check_lanes(vs, ss)
     ts = index.trunk_sizes[vs].astype(np.int64)
@@ -115,7 +116,7 @@ def ooc_sample_batch(
             "c", *index.c_trunks(vs[ragged], ss[ragged], ts[ragged]), counters)
         totals[ragged] = c_trunks[c_row, rem[ragged]]
 
-    r = totals - draw.uniform(lanes) * totals  # draws in (0, total]
+    r = totals - uniform(lanes) * totals  # draws in (0, total]
     in_full = (full > 0) & (r <= full_weight)
     out = np.empty(n, dtype=np.int64)
 
@@ -139,9 +140,9 @@ def ooc_sample_batch(
         w = ts[rows]
         edge_lo = (index.indptr[vs[rows]] + trunk * w).astype(np.int64)
         tables, _, t_row = store.read_batch("pa", edge_lo, edge_lo + w, counters)
-        cell = (draw.uniform(lanes[rows]) * w).astype(np.int64)
+        cell = (uniform(lanes[rows]) * w).astype(np.int64)
         cell = np.minimum(cell, w - 1)
-        take = draw.uniform(lanes[rows]) < tables[t_row, 0, cell]
+        take = uniform(lanes[rows]) < tables[t_row, 0, cell]
         local = np.where(take, cell, tables[t_row, 1, cell].view(np.int64))
         out[rows] = trunk * w + local
         if counters is not None:
@@ -216,8 +217,8 @@ class BatchTeaOutOfCoreEngine(OutOfCoreReporting, BatchTeaEngine):
     # -- vectorised kernel -----------------------------------------------------
 
     def _sample_batch(
-        self, vs: np.ndarray, ss: np.ndarray, rng: np.random.Generator,
-        counters: CostCounters, draw=None, lanes: Optional[np.ndarray] = None,
+        self, vs: np.ndarray, ss: np.ndarray, draw: LaneRng,
+        lanes: np.ndarray, counters: CostCounters,
         scratch: Optional[KernelScratch] = None,
     ) -> np.ndarray:
         """Trunk-store draws (``scratch`` serves the in-memory kernel
@@ -235,7 +236,7 @@ class BatchTeaOutOfCoreEngine(OutOfCoreReporting, BatchTeaEngine):
                 # on this thread instead of vanishing with the worker.
                 self._prefetcher.close(counters)
                 self._prefetcher = None
-        return ooc_sample_batch(self.index, vs, ss, rng, counters,
+        return ooc_sample_batch(self.index, vs, ss, None, counters,
                                 draw=draw, lanes=lanes)
 
     def _on_frontier_advance(self, vs: np.ndarray, ss: np.ndarray) -> None:

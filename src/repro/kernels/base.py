@@ -64,7 +64,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.rng import GeneratorLanes
 from repro.sampling.counters import CostCounters
 
 
@@ -145,10 +144,14 @@ def sample_batch(
 
     The shared driver around a backend's ``select``/``alias``: draws one
     uniform per lane, then one block of two per deep lane, and accounts
-    costs. Returns per-lane edge indices local to each vertex's
-    adjacency; the result is a scratch view — valid until the next call
-    on the same ``scratch``. Raises :class:`IndexError` for a vertex
-    outside the index or a candidate size outside ``1..deg(v)``.
+    costs. Row ``i`` draws from lane ``lanes[i]`` of the
+    :class:`~repro.rng.LaneRng` ``draw`` when one is given (the frontier
+    loop's case), else straight from ``rng`` (``rng.random(n)``, then
+    ``rng.random((2, deep))``). Returns per-lane edge indices local to
+    each vertex's adjacency; the result is a scratch view — valid until
+    the next call on the same ``scratch``. Raises :class:`IndexError`
+    for a vertex outside the index or a candidate size outside
+    ``1..deg(v)``.
     """
     n = vs.size
     if n == 0:
@@ -156,23 +159,21 @@ def sample_batch(
     # Backends see contiguous int64 only.
     vs = np.ascontiguousarray(vs, dtype=np.int64)
     ss = np.ascontiguousarray(ss, dtype=np.int64)
-    if draw is None:
-        draw = GeneratorLanes(rng)
-    if lanes is None:
-        lanes = np.arange(n, dtype=np.int64)
     if scratch is None:
         scratch = KernelScratch()
 
     level = scratch.array("level", n, np.int64)
     out = scratch.array("out", n, np.int64)
-    deep, probes = backend.select(index, vs, ss, draw.uniform(lanes),
-                                  level, out, scratch, counters is not None)
+    u = rng.random(n) if draw is None else draw.uniform(lanes)
+    deep, probes = backend.select(index, vs, ss, u, level, out, scratch,
+                                  counters is not None)
     if counters is not None:
         counters.binary_search_probes += probes
         counters.edges_evaluated += probes
     # Alias draw inside each selected trunk (level 0 is the identity).
     if deep.size:
-        u = draw.uniform_block(lanes[deep], 2)
+        u = (rng.random((2, deep.size)) if draw is None
+             else draw.uniform_block(lanes[deep], 2))
         backend.alias(index, vs, level, out, deep, u[0], u[1], scratch)
         if counters is not None:
             counters.alias_draws += int(deep.size)

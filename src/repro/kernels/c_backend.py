@@ -341,8 +341,8 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
             graph, temporal_node2vec(p=1.0, q=0.5), index, live, static, kernel)
         lane_rng, counters = LaneRng(keys), CostCounters()
         lane_rng._ctr[:] = ctr0
-        out = engine._run_frontier(np.arange(V), 3, 0.1, None, counters, True,
-                                   lane_rng=lane_rng)
+        out = engine._run_frontier(np.arange(V), 3, 0.1, lane_rng, counters,
+                                   True)
         if not counters.rejected:
             raise ValueError("the self-test run forced no re-draw")
         return [out.lengths, out.hop_vertex, out.hop_time, lane_rng._ctr,

@@ -323,7 +323,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         t0 = time.monotonic()
         self._run_frontier(
             plan.starts[:n], workload.max_length, workload.stop_probability,
-            None, CostCounters(), False, lane_rng=LaneRng(plan.seeds[:n]),
+            LaneRng(plan.seeds[:n]), CostCounters(), False,
         )
         return (time.monotonic() - t0) / n
 
@@ -599,6 +599,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             frontier.lengths[lo:hi] = res.lengths
             if res.hop_vertex is not None:
                 width = res.hop_vertex.shape[1]
+                frontier.make_room(width, rp["max_length"])
                 frontier.hop_vertex[lo:hi, :width] = res.hop_vertex
                 frontier.hop_time[lo:hi, :width] = res.hop_time
         return frontier, results

@@ -210,7 +210,6 @@ def execute_chunk(
     event_mark = len(log) if (log is not None and in_child) else 0
     if ctx.injector is not None:
         ctx.injector.check("chunk", key=(task.chunk_id, task.attempt))
-    lane_rng = LaneRng(task.seeds)
     counters = CostCounters()
     registry = MetricsRegistry()
     tracer = Tracer(enabled=True)
@@ -225,8 +224,8 @@ def execute_chunk(
         with profiler.phase("chunk_exec"):
             result: FrontierResult = engine._run_frontier(
                 task.starts, task.max_length, task.stop_probability,
-                None, counters, task.keep_hops, registry,
-                profiler=profiler, lane_rng=lane_rng,
+                LaneRng(task.seeds), counters, task.keep_hops, registry,
+                profiler=profiler,
             )
         span.set("steps", result.total_steps)
         span.set("queue_wait_seconds", round(queue_wait, 6))

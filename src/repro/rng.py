@@ -9,7 +9,7 @@ single seed. :func:`make_rng` is the one place seeds are interpreted;
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,11 +34,11 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw ``n`` child seeds from ``rng`` (the transportable half of
     :func:`spawn`).
 
-    Parallel executors ship these integers to workers instead of
-    generator objects: worker ``i`` reconstructs
-    ``np.random.default_rng(int(seeds[i]))``, so results are keyed by
-    task index — independent of which worker runs the task or in what
-    order tasks complete.
+    Every frontier run keys walk ``i`` on ``seeds[i]`` (a
+    :class:`LaneRng` lane), and parallel executors ship these integers
+    to workers instead of generator objects, so results are keyed by
+    walk — independent of which worker runs it or in what order tasks
+    complete.
     """
     return rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
 
@@ -81,8 +81,9 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
 class LaneRng:
     """Independent counter-based uniform streams, one per lane.
 
-    ``seeds`` assigns lane ``i`` its stream key (typically the per-walk
-    seeds of a :class:`~repro.parallel.chunks.ChunkPlan` slice). Each
+    ``seeds`` assigns lane ``i`` its stream key (the per-walk seeds one
+    :func:`spawn_seeds` call drew for a run, a
+    :class:`~repro.parallel.chunks.ChunkPlan` slice or a request). Each
     :meth:`uniform` call advances only the named lanes' counters, so a
     lane's stream consumption depends exclusively on its own history —
     the property that makes walks invariant under chunking, worker
@@ -94,10 +95,6 @@ class LaneRng:
     def __init__(self, seeds: np.ndarray):
         self._key = np.ascontiguousarray(seeds).astype(np.uint64)
         self._ctr = np.zeros(self._key.size, dtype=np.uint64)
-
-    @property
-    def num_lanes(self) -> int:
-        return int(self._key.size)
 
     def uniform(self, lanes: np.ndarray) -> np.ndarray:
         """Next uniform in ``[0, 1)`` for each (distinct) lane in ``lanes``."""
@@ -120,55 +117,3 @@ class LaneRng:
             self._key[lanes][None, :] + (base[None, :] + steps) * _SM64_GAMMA
         )
         return (z >> np.uint64(11)).astype(np.float64) * _U53_INV
-
-    def scalar(self, lane: int) -> "LaneStream":
-        """A Generator-shaped view of one lane (``.random()`` only)."""
-        return LaneStream(self, int(lane))
-
-
-class LaneStream:
-    """Scalar adapter over one :class:`LaneRng` lane.
-
-    Implements just enough of the :class:`numpy.random.Generator`
-    surface (``random()`` with no size) for the scalar sampling
-    fallbacks (:func:`repro.sampling.prefix_sum.draw_in_range`).
-    """
-
-    __slots__ = ("_owner", "_lane")
-
-    def __init__(self, owner: LaneRng, lane: int):
-        self._owner = owner
-        self._lane = np.array([lane], dtype=np.int64)
-
-    def random(self) -> float:
-        return float(self._owner.uniform(self._lane)[0])
-
-
-class GeneratorLanes:
-    """A shared :class:`~numpy.random.Generator` behind the lane-draw API.
-
-    Bit-compatible with the pre-lane frontier kernel: ``uniform(lanes)``
-    is exactly ``rng.random(lanes.size)`` — one vectorised draw whose
-    values depend on global call order — and :meth:`scalar` hands back
-    the shared generator itself. Standalone engine runs and the GNN
-    sampler use this adapter; only the parallel executor substitutes
-    :class:`LaneRng` to decouple draws from scheduling.
-    """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def uniform(self, lanes: np.ndarray) -> np.ndarray:
-        return self._rng.random(lanes.size)
-
-    def uniform_block(self, lanes: np.ndarray, k: int) -> np.ndarray:
-        """``k`` successive :meth:`uniform` calls, stacked: one C-order
-        fill consumes the generator's bit stream in exactly that order
-        (the bit-compat contract with the pre-fusion kernel), without
-        the copy ``np.stack`` would make."""
-        return self._rng.random((k, lanes.size))
-
-    def scalar(self, lane: int) -> np.random.Generator:
-        return self._rng

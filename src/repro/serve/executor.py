@@ -20,6 +20,7 @@ the server; chunk retries surface as the ``serve.retries`` counter.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -28,8 +29,8 @@ from repro.engines.batch import FrontierResult
 from repro.engines.session import TeaSession
 from repro.serve.batcher import PendingRequest
 from repro.serve.protocol import (
-    SERVE_SCHEMA, _number, _require, rank_frontier, valid_ids, valid_int,
-    walk_lists,
+    MAX_WALKS_PER_REQUEST, SERVE_SCHEMA, _number, _require, rank_frontier,
+    valid_ids, valid_int, walk_lists,
 )
 from repro.telemetry.registry import MetricsRegistry
 
@@ -127,6 +128,8 @@ class BatchExecutor:
         _require(isinstance(fanouts, (list, tuple)) and len(fanouts) > 0 and all(
             isinstance(k, int) and not isinstance(k, bool) and k >= 1
             for k in fanouts), "'fanouts' must be a non-empty list of positive integers")
+        _require(len(nodes) * math.prod(fanouts) <= MAX_WALKS_PER_REQUEST,
+                 f"request exceeds {MAX_WALKS_PER_REQUEST} sampled neighbours")
         seed = valid_int(payload, "seed", 0, low=0)
         key = payload.get("recency_scale")
         if key is not None:

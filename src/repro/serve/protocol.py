@@ -40,8 +40,10 @@ from repro.walks.spec import WalkSpec
 #: Schema stamp included in every response envelope.
 SERVE_SCHEMA = "tea-repro/serve/v1"
 
-#: Hard per-request walk cap: a single request may not monopolise the
-#: batcher (admission control bounds queue *depth*; this bounds width).
+#: Hard per-request cap on walks (and on a GNN query's sampled
+#: neighbours, ``len(nodes) × Π fanouts``): a single request may not
+#: monopolise the loop (admission control bounds queue *depth*; this
+#: bounds width).
 MAX_WALKS_PER_REQUEST = 100_000
 
 #: Largest request body the daemon reads (413 beyond): room for a

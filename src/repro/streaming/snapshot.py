@@ -214,10 +214,7 @@ class _EpochPack:
             if not lane.size:
                 break
             frontier_size.observe(lane.size)
-            if hop == out.hop_vertex.shape[1]:
-                wider = ((0, 0), (0, min(hop, max_length - hop)))
-                out.hop_vertex = np.pad(out.hop_vertex, wider)
-                out.hop_time = np.pad(out.hop_time, wider)
+            out.make_room(hop + 1, max_length)
             at, n = self.draw(first, edge, take, rng.uniform_block(lane, 2))
             v, t = self.dst[at], self.times[at]
             out.hop_vertex[lane, hop] = v
@@ -246,9 +243,6 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, go_right) -> Tuple[np.ndarray, int]:
         hi = np.where(right, hi, mid)
     return np.minimum(lo, hi), probes
 
-
-#: Hop columns a burst starts with, however long its walks may get.
-_HOP_COLUMNS = 32
 
 #: Exponent of a mass that is absent from a sum: ``ldexp(0.0, _ABSENT - k)``
 #: is 0 for any real exponent ``k``, and any real exponent beats it in a max.
@@ -403,8 +397,7 @@ class EpochView:
         pack = self.packed()
         starts = np.asarray(starts, dtype=np.int64)
         max_length = int(max_length)
-        out = FrontierResult.empty(starts, min(max_length, _HOP_COLUMNS),
-                                   keep_hops=True)
+        out = FrontierResult.empty(starts, max_length, keep_hops=True)
         pack.walk(out, LaneRng(seeds), max_length,
                   self._reads.frontier_size, counters)
         self._reads.walk_seconds.observe(clock.now() - t0)
@@ -426,9 +419,10 @@ def walk_index(index, start: int, max_length: int, rng,
     view; bursts go through :meth:`EpochView.run_lanes`, which draws
     from the same distribution (tested against this loop). On a carry
     forest it is that loop's specification: two uniforms a hop with the
-    pack's arithmetic, so on ``LaneRng(seeds).scalar(i)`` it takes lane
-    ``i``'s hops bit for bit (the radix forest's sampler weighs its
-    suffix masses differently and agrees in distribution only).
+    pack's arithmetic, so drawing lane ``i`` of ``LaneRng(seeds)`` it
+    takes lane ``i``'s hops bit for bit (the radix forest's sampler
+    weighs its suffix masses differently and agrees in distribution
+    only).
     """
     walker = Walker(int(start))
     v = walker.start_vertex

@@ -54,15 +54,26 @@ def chisquare_ok(counts: np.ndarray, probs: np.ndarray, alpha: float = 1e-4) -> 
     significance level is deliberately tiny so the suite stays stable
     across seeds while still catching genuinely wrong distributions.
     """
-    from scipy import stats
+    pc, pe = _pooled(counts, probs)
+    return _accept(float(((pc - pe) ** 2 / pe).sum()), pc.size - 1, alpha)
 
+
+def gtest_ok(counts: np.ndarray, probs: np.ndarray, alpha: float = 1e-4) -> bool:
+    """The likelihood-ratio (G) twin of :func:`chisquare_ok`: the same
+    pooling, statistic ``2 Σ o·ln(o/e)``."""
+    pc, pe = _pooled(counts, probs)
+    seen = pc > 0
+    stat = 2.0 * float((pc[seen] * np.log(pc[seen] / pe[seen])).sum())
+    return _accept(stat, pc.size - 1, alpha)
+
+
+def _pooled(counts, probs):
+    """Observed and expected counts, the tail pooled so that every
+    compared bin expects at least 5."""
     counts = np.asarray(counts, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
-    n = counts.sum()
-    expected = probs * n
+    expected = np.asarray(probs, dtype=np.float64) * counts.sum()
     order = np.argsort(expected)[::-1]
     counts, expected = counts[order], expected[order]
-    # Pool the tail so every compared bin has expected >= 5.
     big = expected >= 5.0
     pooled_counts = list(counts[big])
     pooled_expected = list(expected[big])
@@ -70,10 +81,10 @@ def chisquare_ok(counts: np.ndarray, probs: np.ndarray, alpha: float = 1e-4) -> 
     if tail_e > 0:
         pooled_counts.append(tail_c)
         pooled_expected.append(tail_e)
-    pc = np.asarray(pooled_counts)
-    pe = np.asarray(pooled_expected)
-    dof = pc.size - 1
-    if dof <= 0:
-        return True
-    stat = float(((pc - pe) ** 2 / pe).sum())
-    return stat < stats.chi2.ppf(1 - alpha, dof)
+    return np.asarray(pooled_counts), np.asarray(pooled_expected)
+
+
+def _accept(stat: float, dof: int, alpha: float) -> bool:
+    from scipy import stats
+
+    return dof <= 0 or stat < stats.chi2.ppf(1 - alpha, dof)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.engines import TeaEngine, Workload
+from repro.engines import (
+    BatchTeaOutOfCoreEngine,
+    ParallelBatchTeaEngine,
+    TeaEngine,
+    Workload,
+)
 from repro.engines.batch import BatchTeaEngine
 from repro.graph.validate import is_temporal_path
-from repro.rng import make_rng
+from repro.rng import LaneRng, make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import (
     exponential_walk,
@@ -18,6 +23,12 @@ from tests.conftest import chisquare_ok
 
 ALL_SPECS = [linear_walk(), exponential_walk(scale=20.0),
              temporal_node2vec(scale=20.0), unbiased_walk()]
+
+
+def _lanes(n, seed):
+    """``(draw, lanes)`` for ``n`` rows: one fresh lane stream each."""
+    return (LaneRng(spawn_seeds(make_rng(seed), n)),
+            np.arange(n, dtype=np.int64))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
@@ -50,10 +61,9 @@ class TestDistributionEquivalence:
         weights = spec.weight_model.compute(small_graph)
         lo = small_graph.indptr[v]
         probs = weights[lo : lo + d] / weights[lo : lo + d].sum()
-        rng = make_rng(0)
-        counters = CostCounters()
         draws = engine._sample_batch(
-            np.full(20000, v), np.full(20000, d), rng, counters
+            np.full(20000, v), np.full(20000, d), *_lanes(20000, 0),
+            CostCounters()
         )
         counts = np.bincount(draws, minlength=d).astype(float)
         assert chisquare_ok(counts, probs)
@@ -66,13 +76,13 @@ class TestDistributionEquivalence:
         d = small_graph.out_degree(v)
         weights = spec.weight_model.compute(small_graph)
         lo = small_graph.indptr[v]
-        rng = make_rng(1)
         for s in {1, 2, 3, d - 1, d // 2}:
             if s < 1:
                 continue
             probs = weights[lo : lo + s] / weights[lo : lo + s].sum()
             draws = engine._sample_batch(
-                np.full(15000, v), np.full(15000, s), rng, CostCounters()
+                np.full(15000, v), np.full(15000, s), *_lanes(15000, s),
+                CostCounters()
             )
             assert draws.max() < s
             counts = np.bincount(draws, minlength=s).astype(float)
@@ -84,10 +94,10 @@ class TestDistributionEquivalence:
         engine.prepare()
         degrees = small_graph.degrees()
         vs = np.flatnonzero(degrees >= 2)[:8]
-        rng = make_rng(2)
         batch_v = np.repeat(vs, 2000)
         batch_s = degrees[batch_v]
-        draws = engine._sample_batch(batch_v, batch_s, rng, CostCounters())
+        draws = engine._sample_batch(batch_v, batch_s, *_lanes(batch_v.size, 2),
+                                     CostCounters())
         assert np.all(draws < batch_s)
         assert np.all(draws >= 0)
 
@@ -148,3 +158,41 @@ class TestPerformance:
         scalar_rate = scalar.walk_seconds / max(scalar.total_steps, 1)
         batch_rate = batch.walk_seconds / max(batch.total_steps, 1)
         assert batch_rate < scalar_rate
+
+
+def _chain():
+    """0 → 1 → … → 99, edge ``v → v+1`` at time ``v``: a walk from ``v``
+    takes exactly ``99 − v`` hops."""
+    from repro.graph.temporal_graph import TemporalGraph
+
+    return TemporalGraph.from_edges([(v, v + 1, float(v)) for v in range(99)])
+
+
+class TestHopColumns:
+    """Hop columns cost the hops taken, not ``max_length``: a walk of
+    ``max_length = 10**9`` allocates what its longest walk needs."""
+
+    @pytest.mark.parametrize("make", [
+        lambda g: BatchTeaEngine(g, linear_walk(), kernel_backend="numpy"),
+        lambda g: BatchTeaEngine(g, linear_walk(), kernel_backend="auto"),
+        lambda g: TeaEngine(g, linear_walk()),
+        lambda g: ParallelBatchTeaEngine(g, linear_walk(), workers=2,
+                                         backend="thread", chunk_size=1),
+        lambda g: BatchTeaOutOfCoreEngine(g, linear_walk(), trunk_size=4),
+    ], ids=["numpy", "auto", "scalar", "parallel", "ooc"])
+    def test_columns_grow_with_the_longest_walk(self, make):
+        engine = make(_chain())
+        starts, seeds = np.array([0, 60, 98, 99]), np.arange(4)
+        roomy = engine.run_lanes(starts, seeds, 10**9)
+        assert roomy.lengths.tolist() == [99, 39, 1, 0]
+        assert roomy.hop_vertex.shape[1] == 128  # 32 → 64 → 128
+        assert roomy.hop_vertex[0, :99].tolist() == list(range(1, 100))
+        tight = engine.run_lanes(starts, seeds, 100)
+        assert tight.hop_vertex.shape[1] == 100  # 32 → 64 → max_length
+        assert [p.hops for p in roomy.materialise_paths()] == [
+            p.hops for p in tight.materialise_paths()]
+        paths = engine.run(Workload(max_length=10**9, start_vertices=[0, 60]),
+                           seed=1).paths
+        assert [p.num_edges for p in paths] == [99, 39]
+        if hasattr(engine, "close"):
+            engine.close()

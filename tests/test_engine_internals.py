@@ -313,3 +313,26 @@ class TestMaterialisePaths:
         for path in frontier.materialise_paths():
             assert all(type(v) is int and (t is None or type(t) is float)
                        for v, t in path.hops)
+
+
+class TestObserveLengths:
+    """Counting lengths by value folds the ``walk.length`` histogram the
+    ``np.unique`` fold did, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equal_to_the_unique_fold(self, seed):
+        from repro.engines.base import FrontierResult
+        from repro.telemetry import MetricsRegistry
+
+        rng = np.random.default_rng(seed)
+        max_length = int(rng.integers(1, 100))
+        lengths = rng.integers(0, max_length + 1, int(rng.integers(0, 3000)))
+        for rows in (lengths, np.zeros_like(lengths),
+                     np.full_like(lengths, max_length)):
+            got = MetricsRegistry().histogram("walk.length")
+            FrontierResult(rows, rows).observe_lengths(got)
+            want = MetricsRegistry().histogram("walk.length")
+            values, counts = np.unique(rows, return_counts=True)
+            for value, n in zip(values.tolist(), counts.tolist()):
+                want.observe_n(value, n)
+            assert got.snapshot() == want.snapshot()

@@ -52,6 +52,23 @@ class TestWorkload:
         starts = wl.resolve_starts(100, np.random.default_rng(0))
         assert starts.size == 3
 
+    def test_start_major(self):
+        """Walk ``i`` of the ``k``-th start sits at ``k·R + i``; a given
+        start order is kept, and so is R = 1 without ``max_walks``."""
+        wl = Workload(walks_per_vertex=3, start_vertices=[4, 1, 7])
+        rng = np.random.default_rng(0)
+        assert wl.resolve_starts(10, rng).tolist() == [4, 4, 4, 1, 1, 1, 7, 7, 7]
+        assert Workload().resolve_starts(4, rng).tolist() == [0, 1, 2, 3]
+
+    def test_max_walks_keeps_start_major_order(self):
+        """The subsample draws the indices the old element draw drew,
+        then sorts them."""
+        wl = Workload(walks_per_vertex=5, max_walks=40)
+        starts = wl.resolve_starts(30, np.random.default_rng(3))
+        assert starts.size == 40 and np.all(np.diff(starts) >= 0)
+        picked = np.random.default_rng(3).choice(150, size=40, replace=False)
+        assert starts.tolist() == (np.sort(picked) // 5).tolist()
+
     def test_describe(self):
         assert "R=1" in Workload().describe()
 

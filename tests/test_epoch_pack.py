@@ -147,6 +147,17 @@ def _hop_tuples(frontier):
     ]
 
 
+class _Lane:
+    """Lane ``i`` of a ``LaneRng`` behind ``Generator.random()``, the one
+    call the scalar ``walk_index`` draws with."""
+
+    def __init__(self, lanes, i):
+        self.lanes, self.lane = lanes, np.array([i])
+
+    def random(self):
+        return float(self.lanes.uniform(self.lane)[0])
+
+
 def _same(a, b):
     return (np.array_equal(a.lengths, b.lengths)
             and np.array_equal(a.hop_vertex, b.hop_vertex)
@@ -305,7 +316,7 @@ class TestBitIdentity:
         for view, index in ((pinned, pinned), (engine.pin(), engine.index)):
             out = view.run_lanes(starts, seeds, 6)
             lanes = LaneRng(seeds)
-            scalar = [tuple(snapshot.walk_index(index, start, 6, lanes.scalar(i)).hops[1:])
+            scalar = [tuple(snapshot.walk_index(index, start, 6, _Lane(lanes, i)).hops[1:])
                       for i, start in enumerate(starts.tolist())]
             assert scalar == _hop_tuples(out)
             assert np.array_equal(lanes._ctr, 2 * out.lengths.astype(np.uint64))

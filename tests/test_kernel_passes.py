@@ -40,7 +40,7 @@ from repro.kernels import (
     sample_batch,
 )
 from repro.parallel import ParallelBatchTeaEngine
-from repro.rng import LaneRng, make_rng
+from repro.rng import LaneRng, make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.telemetry.exporters import parse_prometheus, to_prometheus
 from repro.telemetry.registry import MetricsRegistry
@@ -96,18 +96,19 @@ def _engine(graph, spec):
 def _frontier(engine, name, starts, seed, *, keep_hops=True, stop=0.0,
               lanes=True, length=12):
     """One ``_run_frontier`` under backend ``name``: the result, its
-    counters and (lane-keyed runs) every lane's stream counter after it."""
+    counters and every lane's stream counter after it. ``lanes`` keys
+    walk ``i`` on ``seed + i``; otherwise on the seeds ``run(seed)``
+    draws."""
     engine.kernel = resolve_backend(name)
     counters = CostCounters()
     if lanes:
         seeds = np.arange(starts.size, dtype=np.uint64) + np.uint64(seed)
-        lane_rng = LaneRng(seeds)
-        out = engine._run_frontier(starts, length, stop, None, counters,
-                                   keep_hops, lane_rng=lane_rng)
-        return out, counters, lane_rng._ctr
-    out = engine._run_frontier(starts, length, stop, make_rng(seed),
-                               counters, keep_hops)
-    return out, counters, None
+    else:
+        seeds = spawn_seeds(make_rng(seed), starts.size)
+    lane_rng = LaneRng(seeds)
+    out = engine._run_frontier(starts, length, stop, lane_rng, counters,
+                               keep_hops)
+    return out, counters, lane_rng._ctr
 
 
 def _same(a, b):
@@ -169,8 +170,8 @@ class TestPassParity:
            st.sampled_from([0.0, 0.15]), st.booleans())
     def test_frontier_bit_identical(self, graph, seed, keep_hops, stop, lanes):
         """Whole ``_run_frontier`` results and every ``CostCounters``
-        field, for both draw sources, with and without hop columns and
-        stop probability."""
+        field, for both seedings, with and without hop columns and stop
+        probability."""
         engine = _engine(graph, exponential_walk(scale=3.0))
         starts = np.tile(np.arange(graph.num_vertices), 3)
         runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
@@ -222,6 +223,31 @@ class TestPassParity:
             assert np.array_equal(part.hop_vertex, whole.hop_vertex[lo:hi])
             assert np.array_equal(part.hop_time, whole.hop_time[lo:hi])
 
+    @PROPERTY
+    @given(graphs(), st.integers(0, 2**31 - 1), st.booleans(),
+           st.sampled_from([0.0, 0.15]), st.integers(0, 2**31 - 1))
+    def test_permuting_starts_and_seeds_permutes_the_rows(
+            self, graph, seed, node2vec, stop, shuffle):
+        """``run(seed)``'s walks are ``run_lanes`` over the starts and
+        seeds it draws, and any permutation of those pairs — fused or
+        through the numpy drivers — permutes the rows, nothing else."""
+        spec = (temporal_node2vec(p=4.0, q=0.25, scale=3.0) if node2vec
+                else exponential_walk(scale=3.0))
+        engine = _engine(graph, spec)
+        workload = Workload(walks_per_vertex=3, max_length=10,
+                            stop_probability=stop)
+        ref = [p.hops for p in engine.run(workload, seed=seed).paths]
+        rng = make_rng(seed)
+        starts = workload.resolve_starts(graph.num_vertices, rng)
+        seeds = spawn_seeds(rng, starts.size)
+        perm = make_rng(shuffle).permutation(starts.size)
+        for name in BOTH:
+            engine.kernel = resolve_backend(name)
+            got = engine.run_lanes(starts[perm], seeds[perm], 10,
+                                   stop_probability=stop)
+            assert [p.hops for p in got.materialise_paths()] == [
+                ref[i] for i in perm]
+
     def test_thread_backend_matches_serial(self, medium_graph):
         """Chunks on two threads run the GIL-releasing passes at once."""
         spec = exponential_walk(scale=8.0)
@@ -270,9 +296,9 @@ def _bits(result):
 
 @needs_cc
 class TestWhichRunsFuse:
-    """The fused call is chosen from what a run is — draw source, index
-    provider, β kind, array dtypes — and every other run keeps the
-    driver path and its bits."""
+    """The fused call is chosen from what a run is — index provider, β
+    kind, array dtypes — and every other run keeps the driver path and
+    its bits."""
 
     STARTS, SEEDS = np.tile(np.arange(200), 2), np.arange(400, dtype=np.uint64) + 5
 
@@ -285,13 +311,15 @@ class TestWhichRunsFuse:
         assert _bits(engine.run_lanes(self.STARTS, self.SEEDS, 12)) == _bits(ref)
         assert binds == [True]
 
-    def test_shared_generator_runs_do_not(self, medium_graph):
+    def test_engine_run_binds_the_hop(self, medium_graph):
+        """``Engine.run`` seeds every walk, so it fuses too — and walks
+        what the numpy drivers walk."""
         engine = _engine(medium_graph, temporal_node2vec(scale=8.0))
-        workload = Workload(max_length=12, max_walks=150)
+        workload = Workload(walks_per_vertex=2, max_length=12, max_walks=150)
         ref = engine.run(workload, seed=4, record_paths=True)
         binds = _spied(engine)
         got = engine.run(workload, seed=4, record_paths=True)
-        assert binds == []
+        assert binds == [True]
         assert [p.hops for p in got.paths] == [p.hops for p in ref.paths]
         assert got.counters.snapshot() == ref.counters.snapshot()
 

@@ -27,7 +27,7 @@ from repro.kernels import (
 )
 from repro.kernels import c_backend
 from repro.kernels.decay import DecayRadixForest
-from repro.rng import GeneratorLanes, LaneRng, make_rng
+from repro.rng import LaneRng, make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import temporal_node2vec
 from repro.walks.spec import WalkSpec
@@ -97,7 +97,9 @@ class TestUniformBlockContract:
 
     The driver draws the two alias uniforms as one block; the pre-fusion
     kernel drew them as two calls. Backend bit-parity rests on these
-    being the same numbers for both draw sources.
+    being the same numbers for both draw sources: a frontier run's
+    ``LaneRng`` and the standalone drivers' ``Generator``, whose block is
+    ``rng.random((2, n))``.
     """
 
     def test_lane_rng(self):
@@ -109,12 +111,10 @@ class TestUniformBlockContract:
         assert np.array_equal(block[1], b.uniform(lanes))
 
     def test_generator_lanes(self):
-        lanes = np.arange(257, dtype=np.int64)
-        a = GeneratorLanes(np.random.default_rng(9))
-        b = GeneratorLanes(np.random.default_rng(9))
-        block = a.uniform_block(lanes, 2)
-        assert np.array_equal(block[0], b.uniform(lanes))
-        assert np.array_equal(block[1], b.uniform(lanes))
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        block = a.random((2, 257))
+        assert np.array_equal(block[0], b.random(257))
+        assert np.array_equal(block[1], b.random(257))
 
 
 @pytest.mark.parametrize("name", PRODUCT)

@@ -8,6 +8,8 @@ accounting (``issued == hits + wasted + in_flight``) all the way out to
 the Prometheus exporter.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.builder import build_pat
 from repro.core.outofcore import TrunkStore, coalesce_runs
 from repro.core.weights import WeightModel
 from repro.engines import (
+    BatchTeaEngine,
     BatchTeaOutOfCoreEngine,
     TeaOutOfCoreEngine,
     Workload,
@@ -25,7 +28,7 @@ from repro.sampling.counters import CostCounters
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.exporters import to_prometheus
 from repro.walks.apps import exponential_walk, temporal_node2vec
-from tests.conftest import chisquare_ok
+from tests.conftest import chisquare_ok, gtest_ok
 
 
 def _runs(ranges):
@@ -307,11 +310,9 @@ class TestRunLanes:
         assert engine._prefetcher is None  # the run's scope closed it
 
 
-def _pinned_graph():
-    """Built by arithmetic only, so the digests below pin the engine and
-    not a random generator."""
-    from repro.graph.temporal_graph import TemporalGraph
-
+def _pinned_edges():
+    """``(u, v, t)`` triples built by arithmetic only, so the digests
+    below pin the engine and not a random generator."""
     edges = []
     for u in range(40):
         for k in range(3 + (u * 7) % 23):
@@ -319,35 +320,108 @@ def _pinned_graph():
                           float(k * 3 + u % 4) + 0.25 * (k % 3)))
     for k in range(60):
         edges.append((39, (k * 7 + 2) % 39, 1.5 * k + 0.125))
-    return TemporalGraph.from_edges(edges)
+    return edges
+
+
+def _pinned_graph():
+    from repro.graph.temporal_graph import TemporalGraph
+
+    return TemporalGraph.from_edges(_pinned_edges())
+
+
+def _two_hop_law(edges, u, spec):
+    """``{hops: probability}`` of walks of at most two hops from ``u``,
+    enumerated from the edge list: Γt(x) is x's edges strictly after t,
+    weighted ``exp(t_i / scale)`` (Eq. 3) and, on the second hop, by
+    node2vec's β against the static adjacency."""
+    scale = spec.weight_model.scale
+    beta = spec.dynamic_parameter
+    static = {frozenset((a, b)) for a, b, _ in edges}
+
+    def hop(x, after, prev):
+        cands = [(v, t) for a, v, t in edges if a == x and t > after]
+        if not cands:
+            return {}
+        newest = max(t for _, t in cands)
+        w = np.array([np.exp((t - newest) / scale) for _, t in cands])
+        if beta is not None and prev is not None:
+            w *= [1 / beta.p if v == prev else
+                  1.0 if frozenset((prev, v)) in static else 1 / beta.q
+                  for v, _ in cands]
+        law = {}
+        for cand, p in zip(cands, w / w.sum()):
+            law[cand] = law.get(cand, 0.0) + p
+        return law
+
+    joint = {}
+    for first, p1 in hop(u, -np.inf, None).items():
+        second = hop(first[0], first[1], u)
+        if not second:
+            joint[(first,)] = joint.get((first,), 0.0) + p1
+        for nxt, p2 in second.items():
+            joint[(first, nxt)] = joint.get((first, nxt), 0.0) + p1 * p2
+    return joint
 
 
 class TestPinnedToParent:
-    """``run(seed)`` output recorded at the commit *before* the engine
-    lost its own frontier loop and ``ooc_sample_batch`` moved to lane
-    draws: the rewiring must not move a single bit. The walk digests and
-    sampling counts are those original pins, untouched since; the
-    uncached ``(io_blocks, io_bytes)`` pair was re-recorded when the
-    read *unit* became the whole trunk (one C-slice trunk where there
-    were a single-entry read and a partial-slice read): fewer backing
-    reads (223 -> 137, 886 -> 575), more logical bytes per read."""
+    """``run(seed)`` output pinned by SHA-256: no storage setting may
+    move a bit. The pins moved once, deliberately, when ``run()`` became
+    lane-keyed: every walk draws from its own ``LaneRng`` stream seeded
+    by ``spawn_seeds`` (as ``run_lanes`` and the parallel executor always
+    did), and a start's walks became adjacent (``np.repeat``, not
+    ``np.tile``). Digests, sampling counts and the uncached
+    ``(io_blocks, io_bytes)`` pair were re-recorded then, and only after
+    :meth:`test_first_and_second_hop_match_the_exact_law` passed on this
+    graph. Before that, the digests were those of the commit before the
+    engine lost its own frontier loop; the I/O pair was re-recorded once
+    when the read *unit* became the whole trunk."""
 
     PINNED = {
         "exp": (
             exponential_walk(scale=10.0),
-            "fb78ef18f6bd2c6003a25d4192e081386a9b8bd916315a05e655498c89728cb1",
-            dict(steps=229, edges_evaluated=477, binary_search_probes=322,
-                 alias_draws=155, rejection_trials=0),
-            (137, 15192),
+            "607b4a5c799bc8a35a7bfd611289777035ab5b879ccbc2628396b0d1c3d5bc11",
+            dict(steps=210, edges_evaluated=422, binary_search_probes=269,
+                 alias_draws=153, rejection_trials=0),
+            (129, 14080),
         ),
         "n2v": (
             temporal_node2vec(),
-            "94f8eac146e4c688ea832e9b86fc50d9465ac101196f3ad6e17ece7d0e61e51d",
-            dict(steps=255, edges_evaluated=2036, binary_search_probes=1021,
-                 alias_draws=381, rejection_trials=624),
-            (575, 61488),
+            "37ce2971203071c040c640197c87a95609e722cded6c8acf0d674d23b6b0651a",
+            dict(steps=242, edges_evaluated=1595, binary_search_probes=731,
+                 alias_draws=340, rejection_trials=515),
+            (500, 52616),
         ),
     }
+
+    @pytest.mark.parametrize("app", sorted(PINNED))
+    @pytest.mark.parametrize("in_memory", [False, True], ids=["ooc", "in-memory"])
+    def test_first_and_second_hop_match_the_exact_law(self, app, in_memory):
+        """The precondition of any re-pin: ``run(seed)`` on this very
+        graph fits the enumerated Eq. 3 law (β included) on the first
+        hop and on the first two hops jointly — from the hub, and from
+        vertex 17, where node2vec's ``q`` moves the second hop most."""
+        spec = self.PINNED[app][0]
+        starts, draws = [39, 17], 20_000
+        engine = (BatchTeaEngine(_pinned_graph(), spec) if in_memory else
+                  BatchTeaOutOfCoreEngine(_pinned_graph(), spec, trunk_size=8))
+        result = engine.run(Workload(walks_per_vertex=draws, max_length=2,
+                                     start_vertices=starts), seed=17)
+        for k, start in enumerate(starts):
+            law = _two_hop_law(_pinned_edges(), start, spec)
+            first = {}
+            for hops, p in law.items():
+                first[hops[0]] = first.get(hops[0], 0.0) + p
+            seen = Counter(tuple(path.hops[1:]) for path in
+                           result.paths[k * draws:(k + 1) * draws])
+            assert set(seen) <= set(law)
+            seen_first = Counter()
+            for hops, n in seen.items():
+                seen_first[hops[0]] += n
+            for observed, exact in ((seen_first, first), (seen, law)):
+                keys = sorted(exact)
+                assert gtest_ok(np.array([observed[key] for key in keys]),
+                                np.array([exact[key] for key in keys]),
+                                alpha=1e-6)
 
     @pytest.mark.parametrize("app", sorted(PINNED))
     @pytest.mark.parametrize(
@@ -521,7 +595,7 @@ def frontier_call_events(graph, spec, lanes: int, seed: int = 0) -> int:
     seeded (vertex, candidate size) pairs on a fresh engine."""
     import sys
 
-    from repro.rng import make_rng
+    from repro.rng import LaneRng
     from repro.telemetry import NULL_PROFILER
 
     engine = BatchTeaOutOfCoreEngine(
@@ -541,7 +615,8 @@ def frontier_call_events(graph, spec, lanes: int, seed: int = 0) -> int:
     with engine._frontier_scope(NULL_PROFILER, counters) as on_advance:
         sys.setprofile(hook)
         try:
-            engine._sample_batch(vs, ss, make_rng(seed), counters)
+            engine._sample_batch(vs, ss, LaneRng(np.arange(lanes) + seed),
+                                 np.arange(lanes), counters)
             on_advance(vs, ss)
         finally:
             sys.setprofile(None)

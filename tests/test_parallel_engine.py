@@ -27,7 +27,8 @@ from repro.parallel.chunks import (
     rechunk,
 )
 from repro.parallel.sharing import SharedIndexImage, export_or_none
-from repro.rng import make_rng
+from repro.rng import make_rng, spawn_seeds
+from repro.sampling.counters import CostCounters
 from repro.walks.apps import exponential_walk, linear_walk, temporal_node2vec
 from tests.conftest import chisquare_ok
 
@@ -555,3 +556,64 @@ class TestDeterminismMatrix:
         for other in (r_warm_2, r_cold, r_cold_2):
             assert _paths_equal(r_warm_1.paths, other.paths)
             assert r_warm_1.counters.snapshot() == other.counters.snapshot()
+
+
+# -- one determinism class ---------------------------------------------------
+
+
+def _lanes_of(workload, num_vertices, seed):
+    """The starts and per-walk seeds ``run(workload, seed)`` draws."""
+    rng = make_rng(seed)
+    starts = workload.resolve_starts(num_vertices, rng)
+    return starts, spawn_seeds(rng, starts.size)
+
+
+class TestOneDeterminismClass:
+    """``BatchTeaEngine.run(seed)`` ≡ ``ParallelBatchTeaEngine.run(seed)``
+    on every backend and chunking ≡ ``run_lanes`` over the seeds ``run``
+    draws — walks and counters, bit for bit."""
+
+    @pytest.mark.parametrize("stop", [0.0, 0.1])
+    @pytest.mark.parametrize("spec", [exponential_walk(scale=20.0),
+                                      temporal_node2vec(p=4.0, q=0.25, scale=20.0)],
+                             ids=["exponential", "node2vec"])
+    def test_run_parallel_and_run_lanes_agree(self, medium_graph, spec, stop):
+        workload = Workload(walks_per_vertex=4, max_length=12,
+                            stop_probability=stop, max_walks=790)
+        serial = BatchTeaEngine(medium_graph, spec)
+        ref = serial.run(workload, seed=5)
+        assert ref.total_steps > 0
+        starts, seeds = _lanes_of(workload, medium_graph.num_vertices, 5)
+        counters = CostCounters()
+        lanes = serial.run_lanes(starts, seeds, 12, stop_probability=stop,
+                                 counters=counters)
+        assert _paths_equal(lanes.materialise_paths(), ref.paths)
+        assert counters.snapshot() == ref.counters.snapshot()
+        backends = ["serial", "thread"] + (["process"] if HAVE_FORK else [])
+        for backend in backends:
+            engine = ParallelBatchTeaEngine(medium_graph, spec, workers=2,
+                                            backend=backend)
+            try:
+                for chunk_size in (1, 777, 790, None):  # 790: the whole run
+                    engine.chunk_size = chunk_size
+                    got = engine.run(workload, seed=5)
+                    assert _paths_equal(got.paths, ref.paths), (backend, chunk_size)
+                    assert got.counters.snapshot() == ref.counters.snapshot()
+                    if chunk_size == 1:
+                        assert engine.last_backend == backend
+            finally:
+                engine.close()
+
+    def test_out_of_core_run_is_its_run_lanes(self, small_graph):
+        from repro.engines import BatchTeaOutOfCoreEngine
+
+        workload = Workload(walks_per_vertex=3, max_length=10, max_walks=100)
+        engine = BatchTeaOutOfCoreEngine(small_graph, temporal_node2vec(),
+                                         trunk_size=8)
+        ref = engine.run(workload, seed=2)
+        starts, seeds = _lanes_of(workload, small_graph.num_vertices, 2)
+        counters = CostCounters()
+        lanes = engine.run_lanes(starts, seeds, 10, counters=counters)
+        assert _paths_equal(lanes.materialise_paths(), ref.paths)
+        assert {k: v for k, v in counters.snapshot().items() if "io" not in k} \
+            == {k: v for k, v in ref.counters.snapshot().items() if "io" not in k}

@@ -147,22 +147,37 @@ class TestNullProfiler:
         engine.run(Workload(walks_per_vertex=1, max_length=5), seed=0)
 
 
+#: The hot-loop phases under ``walk``: one fused ``hop`` where the
+#: compiled backend serves, the three driver phases otherwise.
+DRIVER_PHASES = ("gather", "draw", "scatter")
+
+
+def _hot_phases(engine):
+    return ("hop",) if engine.kernel.hop is not None else DRIVER_PHASES
+
+
 class TestEngineProfiles:
     def test_batch_engine_charges_hot_loop_phases(self, graph, spec):
-        engine = BatchTeaEngine(graph, spec)
-        engine.profiler = profiler = PhaseProfiler(calibrate=False)
-        engine.run(Workload(walks_per_vertex=2, max_length=20), seed=1)
-        for name in ("prepare", "walk", "finalize"):
-            assert (name,) in profiler.phases, profiler.phases.keys()
-        for name in ("gather", "draw", "scatter"):
-            assert ("walk", name) in profiler.phases
-        # Hot-loop phases nest under walk and stay within its envelope.
-        walk = profiler.phases[("walk",)][1]
-        inner = sum(
-            profiler.phases[("walk", n)][1]
-            for n in ("gather", "draw", "scatter")
-        )
-        assert inner <= walk
+        """``run()`` charges ``walk;hop`` when it takes the fused call;
+        a custom ``Dynamic_parameter`` keeps the driver phases."""
+        import dataclasses
+
+        from repro.walks.spec import CustomParameter
+
+        custom = dataclasses.replace(spec, dynamic_parameter=CustomParameter(
+            fn=lambda g, prev, cand: 0.5 if prev == cand else 1.0))
+        for app in (spec, custom):
+            engine = BatchTeaEngine(graph, app)
+            engine.profiler = profiler = PhaseProfiler(calibrate=False)
+            engine.run(Workload(walks_per_vertex=2, max_length=20), seed=1)
+            for name in ("prepare", "walk", "finalize"):
+                assert (name,) in profiler.phases, profiler.phases.keys()
+            hot = DRIVER_PHASES if app is custom else _hot_phases(engine)
+            for name in {"hop", *DRIVER_PHASES}:
+                assert (("walk", name) in profiler.phases) == (name in hot)
+            # Hot-loop phases nest under walk and stay within its envelope.
+            walk = profiler.phases[("walk",)][1]
+            assert sum(profiler.phases[("walk", n)][1] for n in hot) <= walk
 
     def test_root_phases_cover_the_wall_at_low_overhead(self, graph, spec):
         """Profiled root phases sum to within 10 % of the run's wall time,
@@ -194,7 +209,8 @@ class TestEngineProfiles:
         engine.profiler = profiler = PhaseProfiler(calibrate=False)
         engine.run(Workload(walks_per_vertex=1, max_length=10), seed=2)
         table = profiler.format_table(wall_seconds=profiler.root_seconds())
-        assert "gather" in table and "coverage:" in table and "overhead" in table
+        assert _hot_phases(engine)[0] in table
+        assert "coverage:" in table and "overhead" in table
 
     def test_profiling_does_not_change_walks(self, graph, spec):
         workload = Workload(walks_per_vertex=2, max_length=15)

@@ -52,8 +52,8 @@ def service():
 VALID = [{"starts": [1, 2], "max_length": 3}, {"nodes": [1], "times": [50.0]},
          {"src": [1], "dst": [2], "time": [1.0]}]
 
-# Small ints only: an unbounded max_length or fanout is a resource limit,
-# not a protocol error (64 and 1000 are ids beyond the graph).
+# Small ints only (64 and 1000 are ids beyond the graph); the resource
+# limits are fuzzed by ``_LIMITS`` below.
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.sampled_from([64, 1000])
     | st.floats(-1e3, 1e3) | st.sampled_from([float("nan"), float("inf")])
@@ -62,6 +62,10 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
+
+#: A field far past what a request may allocate: ``max_length`` costs the
+#: hops taken (200), a GNN query's ``len(nodes) × Π fanouts`` is capped (400).
+_LIMITS = [("max_length", 10**9), ("fanouts", [1000, 1000, 1000])]
 
 _bodies = st.one_of(
     st.binary(max_size=40),
@@ -72,6 +76,8 @@ _bodies = st.one_of(
         lambda v: json.dumps(v).encode()),
     st.builds(lambda base, key, value: json.dumps({**base, key: value}).encode(),
               st.sampled_from(VALID), st.sampled_from(FIELDS), _json_values),
+    st.builds(lambda base, limit: json.dumps({**base, limit[0]: limit[1]}).encode(),
+              st.sampled_from(VALID), st.sampled_from(_LIMITS)),
 )
 
 _no_crlf = st.binary(max_size=30).map(
@@ -238,6 +244,36 @@ def test_out_of_range_fields_answer_400(service, path, body):
     """Each of these once failed inside execution and answered 500."""
     status, answer = ServeClient(port=service.port).post(path, body)
     assert status == 400 and "error" in answer, (status, answer)
+    _assert_daemon_healthy(service)
+
+
+def _post(service, path, payload):
+    """``(status, decoded answer)`` of one POST over a raw socket."""
+    body = json.dumps(payload).encode()
+    with _connect(service) as sock:
+        sock.sendall(b"POST %s HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                     % (path.encode(), len(body)) + body)
+        status, _, answer, _ = _read_response(sock)
+    return status, json.loads(answer)
+
+
+def test_a_huge_max_length_costs_the_hops_taken(service):
+    """``max_length = 10**9`` answers 200 with the walks of a run whose
+    ``max_length`` is one past its longest walk."""
+    body = {"starts": [1, 2, 3, 5, 8], "walks_per_vertex": 20, "seed": 7}
+    status, huge = _post(service, "/walk", dict(body, max_length=10**9))
+    assert status == 200, huge
+    longest = max(huge["lengths"])
+    status, tight = _post(service, "/walk", dict(body, max_length=longest + 1))
+    assert status == 200
+    assert (tight["walks"], tight["times"]) == (huge["walks"], huge["times"])
+    _assert_daemon_healthy(service)
+
+
+def test_gnn_fanouts_past_the_request_cap_answer_400(service):
+    status, answer = _post(service, "/gnn/sample", {
+        "nodes": [1], "times": [50.0], "fanouts": [1000, 1000, 1000]})
+    assert status == 400 and "sampled neighbours" in answer["error"]
     _assert_daemon_healthy(service)
 
 
