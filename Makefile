@@ -114,7 +114,7 @@ ingest-smoke:
 		"tests/test_streaming.py::TestDurability" \
 		"tests/test_epoch_pack.py::TestReadSideBookkeeping"
 
-# Clock discipline: engine code must take time from
+# Clock discipline: engine, streaming and core code must take time from
 # repro.telemetry.clock, never raw time.time()/perf_counter().
 lint-clocks:
 	$(PYTHON) tools/lint_clocks.py

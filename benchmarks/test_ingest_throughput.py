@@ -93,14 +93,15 @@ def _run_arms():
     batched_s, batched = _best(lambda e: e.ingest(stream, batch_size=BATCH_SIZE))
     per_edge_s, _ = _best(per_edge_loop)
 
-    # Same index, same walks: bulk and batched ingest must agree
-    # bit-for-bit (the decay forest is batch-boundary-canonical).
-    starts = bulk.active_vertices()[:16]
-    bulk_walks = [w.hops for w in bulk.run_walks(starts, max_length=12, seed=1)]
-    batched_walks = [
-        w.hops for w in batched.run_walks(starts, max_length=12, seed=1)
-    ]
-    assert bulk_walks == batched_walks, "bulk and batched ingest diverged"
+    # Same edges at the same weights. The carry blocks follow the batch
+    # boundaries, so walks agree in distribution, not bit for bit.
+    assert bulk.active_vertices() == batched.active_vertices()
+    for v in bulk.active_vertices():
+        one, many = bulk.index.vertices[v], batched.index.vertices[v]
+        for a, b in zip(one.edges_desc(), many.edges_desc()):
+            assert np.array_equal(a, b), "bulk and batched ingest diverged"
+        for t in (None, 125.0, 250.0, 375.0):
+            assert one.candidate_count(t) == many.candidate_count(t)
 
     read_starts = np.random.default_rng(5).choice(
         batched.active_vertices(), READ_STARTS)

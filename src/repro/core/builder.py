@@ -20,7 +20,6 @@ data behind the paper's Figure 13 preprocessing breakdown.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
@@ -34,7 +33,7 @@ from repro.core.trunks import pat_trunk_size
 from repro.core.weights import WeightModel
 from repro.graph.temporal_graph import TemporalGraph
 from repro.sampling.alias import build_alias_arrays_batch
-from repro.telemetry import NULL_TRACER
+from repro.telemetry import NULL_TRACER, clock
 
 
 @dataclass
@@ -394,17 +393,17 @@ def preprocess(
     tracer = tracer if tracer is not None else NULL_TRACER
     report = ConstructionReport(workers=workers)
 
-    t0 = time.perf_counter()
+    t0 = clock.now()
     with tracer.span("prepare.candidate_search", edges=graph.num_edges):
         candidate_sizes = search_candidate_sets(graph, workers=workers)
-    report.candidate_search_seconds = time.perf_counter() - t0
+    report.candidate_search_seconds = clock.now() - t0
 
-    t0 = time.perf_counter()
+    t0 = clock.now()
     with tracer.span("prepare.weights", kind=weight_model.kind):
         weights = weight_model.compute(graph)
-    report.weight_seconds = time.perf_counter() - t0
+    report.weight_seconds = clock.now() - t0
 
-    t0 = time.perf_counter()
+    t0 = clock.now()
     with tracer.span("prepare.index_build", structure=structure, workers=workers):
         if structure == "hpat":
             index = build_hpat(graph, weights, with_aux_index=False, workers=workers, backend=backend)
@@ -419,12 +418,12 @@ def preprocess(
             )
         else:
             raise ValueError(f"unknown structure {structure!r}")
-    report.index_build_seconds = time.perf_counter() - t0
+    report.index_build_seconds = clock.now() - t0
 
     if structure == "hpat" and with_aux_index:
-        t0 = time.perf_counter()
+        t0 = clock.now()
         with tracer.span("prepare.aux_index", max_degree=int(graph.max_degree())):
             index.aux = AuxiliaryIndex(graph.max_degree())
-        report.aux_index_seconds = time.perf_counter() - t0
+        report.aux_index_seconds = clock.now() - t0
 
     return Preprocessed(index=index, weights=weights, candidate_sizes=candidate_sizes, report=report)

@@ -16,8 +16,7 @@ package is the registry that picks which implementation runs them:
 Backend choice never changes walk output — the passes consume the
 uniforms the shared driver drew, and ``c``'s own draws are
 :class:`~repro.rng.LaneRng`'s bit for bit — so the only selection is "did
-it compile". The BINGO-style factorized time-decay bias for streaming
-updates lives in :mod:`repro.kernels.decay`.
+it compile".
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ id-lookup window).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import List, Optional
 
@@ -60,7 +59,7 @@ from repro.streaming.snapshot import (
     write_checkpoint,
 )
 from repro.streaming.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
-from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, events
+from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, clock, events
 from repro.walks.spec import WalkSpec
 from repro.walks.walker import WalkPath
 
@@ -124,11 +123,9 @@ class StreamingTeaEngine:
         self._current_view = EpochView.capture(0, self.index,
                                                reads=self._reads)
         self._views[0] = self._current_view
-        # Durable-history columns in arrival order (one entry per
-        # accepted batch) — the checkpoint source. O(E) like the index.
-        self._history_src: List[np.ndarray] = []
-        self._history_dst: List[np.ndarray] = []
-        self._history_times: List[np.ndarray] = []
+        # Accepted batches in arrival order — the checkpoint source, with
+        # its batch boundaries. O(E) like the index.
+        self._history: List[EdgeStream] = []
         self.wal: Optional[WriteAheadLog] = None
         self.recovered_batches = 0
         self.recovered_edges = 0
@@ -148,7 +145,7 @@ class StreamingTeaEngine:
         torn tail *first*, so the subsequent replay only ever sees
         durable frames.
         """
-        t0 = time.perf_counter()
+        t0 = clock.now()
         wal = WriteAheadLog(wal_dir, segment_bytes=segment_bytes,
                             group_commit=group_commit,
                             fault_injector=self.fault_injector)
@@ -173,7 +170,7 @@ class StreamingTeaEngine:
             self.recovered_edges += int(src.size)
         self.wal = wal
         self._publish_epoch()
-        elapsed = time.perf_counter() - t0
+        elapsed = clock.now() - t0
         if self.recovered_batches or wal.truncated_tail_bytes:
             events.emit(
                 "streaming.recovered", batches=int(self.recovered_batches),
@@ -193,15 +190,12 @@ class StreamingTeaEngine:
                 "checkpoint requires a durable engine (wal_dir)"
             )
         self.wal.sync()
-        if self._history_src:
-            src = np.concatenate(self._history_src)
-            dst = np.concatenate(self._history_dst)
-            times = np.concatenate(self._history_times)
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
-            times = np.zeros(0, dtype=np.float64)
-        batch_sizes = np.array([a.size for a in self._history_src],
+        src, dst, times = (
+            np.concatenate([np.zeros(0, dtype)]
+                           + [getattr(batch, name) for batch in self._history])
+            for name, dtype in (("src", np.int64), ("dst", np.int64),
+                                ("time", np.float64)))
+        batch_sizes = np.array([len(batch) for batch in self._history],
                                dtype=np.int64)
         manifest = write_checkpoint(
             self.wal.directory, src, dst, times, batch_sizes,
@@ -228,12 +222,13 @@ class StreamingTeaEngine:
 
     # -- ingestion ---------------------------------------------------------
 
-    def _apply_to_index(self, batch: EdgeStream) -> None:
-        """Apply + record history, no WAL write (recovery/replay path)."""
-        self.index.apply_batch(batch)
-        self._history_src.append(batch.src)
-        self._history_dst.append(batch.dst)
-        self._history_times.append(batch.time)
+    def _apply_to_index(self, batch: EdgeStream) -> dict:
+        """Apply + record history, no WAL write (the recovery path;
+        :meth:`apply_batch` logs after it). Returns the index's undo
+        record."""
+        undo = self.index.apply_batch(batch)
+        self._history.append(batch)
+        return undo
 
     def apply_batch(self, batch: EdgeStream, sync: Optional[bool] = None) -> None:
         """Ingest one time-ordered batch of new edges.
@@ -247,13 +242,13 @@ class StreamingTeaEngine:
         """
         if not len(batch):
             return
-        t0 = time.perf_counter()
+        t0 = clock.now()
         try:
-            undo = self.index.apply_batch(batch)
+            undo = self._apply_to_index(batch)
         except BaseException as exc:
             self._count_rollback(batch, exc)
             raise
-        t_applied = time.perf_counter()
+        t_applied = clock.now()
         if self.wal is not None:
             try:
                 self.wal.append_edges(batch.src, batch.dst, batch.time,
@@ -261,16 +256,14 @@ class StreamingTeaEngine:
             except BaseException as exc:
                 # The index accepted the batch but it will not survive a
                 # crash: undo it so acceptance == durability.
+                self._history.pop()
                 self.index.restore_vertices(undo, len(batch))
                 self._count_rollback(batch, exc)
                 raise
-        t_logged = time.perf_counter()
-        self._history_src.append(batch.src)
-        self._history_dst.append(batch.dst)
-        self._history_times.append(batch.time)
+        t_logged = clock.now()
         self.epoch += 1
         self._publish_epoch()
-        t_published = time.perf_counter()
+        t_published = clock.now()
         self.registry.counter("streaming.batches", "update batches applied").inc()
         self.registry.counter("streaming.edges", "edges ingested").inc(len(batch))
         self.registry.histogram(
@@ -321,8 +314,9 @@ class StreamingTeaEngine:
         return self.index.num_edges
 
     def active_vertices(self) -> List[int]:
-        """Vertices that currently have out-edges."""
-        return sorted(self.index.vertices)
+        """Vertices that currently have out-edges: the current epoch's
+        sorted ids, sorted once per epoch."""
+        return self._current_view.active_vertices()
 
     # -- epochs ------------------------------------------------------------
 

@@ -7,9 +7,8 @@ version of the stream (the TVA blueprint in PAPERS.md):
 publishes an immutable :class:`EpochView` — a copy-on-write capture of
 the incremental index. Vertices untouched since the previous epoch
 share their frozen view object with it; touched vertices get a fresh
-O(num_blocks) pin (immutable blocks / append-only radix buckets make
-that a shallow capture — see ``VertexIncrementalHPAT.view`` and
-``DecayRadixForest.view``). A walk that pins epoch N is bit-identical
+O(num_blocks) pin (immutable blocks make that a shallow capture — see
+``VertexIncrementalHPAT.view``). A walk that pins epoch N is bit-identical
 whether ingest is idle or mid-batch for epoch N+1, because nothing the
 view references ever mutates. A burst of walks reads a view through
 its *pack* — the same segments concatenated into a few flat columns on
@@ -71,9 +70,9 @@ class _EpochPack:
     Columns hold every vertex's segments back to back, vertices in id
     order, segments newest first, edges newest first inside a segment
     (so ``times`` descends along a whole vertex). A segment is one
-    carry-forest block or one radix bucket, as its ``segments()``
-    accessor hands it out — a block *is* its segment, it holds nothing
-    the pack does not read; an edge weighs ``mass · 2^exponent``.
+    carry-forest block, as ``segments()`` hands it out — a block *is*
+    its segment, it holds nothing the pack does not read; an edge weighs
+    ``mass · 2^exponent``.
 
     * per edge: ``dst``, ``times``;
     * per edge and once more per segment: ``mass`` — segment ``s`` owns
@@ -83,7 +82,7 @@ class _EpochPack:
       its last edge), ``seg_exp``, and the running total of the vertex's
       segments up to and including this one as ``seg_cum · 2^seg_kmax``,
       ``seg_kmax`` being the largest exponent so far — never a flat
-      per-vertex sum, which under/overflows once a decay stream spans
+      per-vertex sum, which under/overflows once an exponential stream spans
       more than ~709 scale units;
     * per vertex: ``ids`` (sorted) and ``row_seg`` (segment offset); an
       id that is not in ``ids`` names the dead row ``len(row_seg) - 2``,
@@ -388,7 +387,7 @@ class EpochView:
         (boundary segment by oldest time, then strictly-newer edges
         inside it), a two-level inverse-transform draw (segment, with
         the covered masses rescaled to the heaviest covered exponent as
-        :meth:`DecayRadixForest.sample` does, then edge by in-segment
+        :meth:`VertexIncrementalHPAT.sample` does, then edge by in-segment
         prefix mass), and one scatter into the columnar result, whose
         hop columns are as wide as the longest walk needed (at most
         ``max_length``; read them through ``lengths``).
@@ -417,12 +416,10 @@ def walk_index(index, start: int, max_length: int, rng,
 
     Behind the single-walk ``walk()`` of the live engine and of a frozen
     view; bursts go through :meth:`EpochView.run_lanes`, which draws
-    from the same distribution (tested against this loop). On a carry
-    forest it is that loop's specification: two uniforms a hop with the
-    pack's arithmetic, so drawing lane ``i`` of ``LaneRng(seeds)`` it
-    takes lane ``i``'s hops bit for bit (the radix forest's sampler
-    weighs its suffix masses differently and agrees in distribution
-    only).
+    from the same distribution (tested against this loop). It is that
+    loop's specification: two uniforms a hop with the pack's arithmetic,
+    so drawing lane ``i`` of ``LaneRng(seeds)`` it takes lane ``i``'s
+    hops bit for bit.
     """
     walker = Walker(int(start))
     v = walker.start_vertex

@@ -1,6 +1,6 @@
 """Clock helpers: the only sanctioned time source for engine code.
 
-Hot-loop code under ``src/repro/engines/`` must not call
+Code under ``src/repro/engines/``, ``streaming/`` and ``core/`` must not call
 ``time.time()`` / ``time.perf_counter()`` directly (enforced by
 ``tools/lint_clocks.py``); it imports these wrappers instead. Funnelling
 every engine-side timestamp through one module buys three things:

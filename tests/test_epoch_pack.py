@@ -46,17 +46,22 @@ def _spec(kind, scale):
 def streams(draw):
     """``(src, dst, times, splits)``: a skewed source column (a hub and
     a tail of degree-1 vertices), destinations that include ids with no
-    out-edges at all, optionally integer times with heavy ties and
-    optionally repeated edges, cut into random batches."""
+    out-edges at all, optionally integer times with heavy ties,
+    optionally repeated edges, optionally in clusters spread over
+    ~6 000 scale units (far past float64's exponent range), cut into
+    random batches."""
     num_vertices = draw(st.integers(2, 10))
     num_edges = draw(st.integers(1, 120))
     ties = draw(st.booleans())
     repeats = draw(st.booleans())
+    far = draw(st.booleans())
     rng = make_rng(draw(st.integers(0, 2**31 - 1)))
     src = (num_vertices * rng.random(num_edges) ** 3).astype(np.int64)
     dst = rng.integers(0, num_vertices + 3, num_edges)
     times = (rng.integers(0, 12, num_edges).astype(float) if ties
              else rng.uniform(0.0, 300.0, num_edges))
+    if far:  # seven clusters 6 000 apart: 6 000 units at KINDS' scale 6
+        times += 6000.0 * rng.integers(0, 7, num_edges)
     if repeats:
         again = rng.integers(0, num_edges, num_edges // 2)
         src = np.concatenate([src, src[again]])
@@ -210,7 +215,8 @@ class TestDistribution:
 
     def test_decay_far_past_float_range_still_samples_the_newest_edges(self):
         """5 000 scale units of decay: a flat prefix sum of raw weights is
-        0.0 long before the newest edges, the radix split is not."""
+        0.0 long before the newest edges, a block's masses with its
+        exponent are not."""
         rng = make_rng(5)
         n = 600
         times = np.sort(rng.uniform(0.0, 5000.0, n))
@@ -240,8 +246,9 @@ class TestDistribution:
                      EdgeOracle(*kind, src, dst, times).hop(0, -np.inf))
 
     def test_decay_neighbours_thousands_of_exponents_apart_never_overflow(self):
-        """Vertex 0 holds only the newest edges (exponents near -7 000),
-        its neighbour in id order spans the whole stream (up to 0), and
+        """Vertex 1 spans the whole stream (exponents from 0 down to
+        about -7 000), its neighbour in id order holds only the newest
+        edges (exponents near 0), and
         both walk in one burst, so the narrow lanes sit converged while
         the wide ones still bisect: every ``ldexp`` must stay inside the
         lane's own segments, where the exponent difference is <= 0."""
@@ -265,6 +272,56 @@ class TestDistribution:
         for u in (0, 1, 2):
             assert _fits([h[0] for h, s in zip(hops, starts.tolist()) if s == u],
                          oracle.hop(u, -np.inf))
+
+
+class TestFloatRange:
+    """Raw weights past float64's range, through ``run_walks``, ``walk()``
+    and a WAL-recovered engine: Eq. 3, not the newest edge every time."""
+
+    @staticmethod
+    def _three_paths(kind, edges, batches, start, hops, tmp_path):
+        src, dst, times = (np.array(col) for col in zip(*edges))
+        oracle = EdgeOracle(*kind, src, dst, times)
+        exact = oracle.two_hops(start) if hops == 2 else oracle.hop(start, -np.inf)
+        with StreamingTeaEngine(_spec(*kind), wal_dir=tmp_path) as engine:
+            lo = 0
+            for size in batches:
+                engine.apply_batch(EdgeStream(src[lo:lo + size], dst[lo:lo + size],
+                                              times[lo:lo + size], sort=False))
+                lo += size
+            burst = engine.run_walks(np.full(DRAWS, start), hops, seed=1)
+            single = [engine.walk(start, hops, seed=s) for s in range(DRAWS // 4)]
+        with StreamingTeaEngine(_spec(*kind), wal_dir=tmp_path) as recovered:
+            replayed = recovered.run_walks(np.full(DRAWS, start), hops, seed=2)
+        for paths in (burst, single, replayed):
+            got = [tuple(p.hops[1:]) for p in paths]
+            assert _fits(got if hops == 2 else [h[0] for h in got], exact)
+        return exact, engine
+
+    @pytest.mark.parametrize("batches", [[3], [1, 2], [1, 1, 1]])
+    def test_exponential_edges_800_scale_units_apart(self, batches, tmp_path):
+        """Edges at t = 0, 800 and 800.5, scale 1: Eq. 3 gives the newest
+        0.62 and the middle one 0.38, though e^800 is not a float64."""
+        edges = [(0, 1, 0.0), (0, 2, 800.0), (0, 3, 800.5)]
+        exact, engine = self._three_paths(("exponential", 1.0), edges, batches,
+                                          0, 1, tmp_path)
+        assert abs(exact[(3, 800.5)] - 1 / (1 + np.exp(-0.5))) < 1e-12
+        assert any(b.exp for b in engine.index.vertices[0].blocks)
+
+    def test_decay_carry_stops_at_the_span(self, tmp_path):
+        """Decay, scale 1: vertex 0's edges at 0 and 1, then 800 and
+        800.5. The second batch may absorb the first by size, but the
+        merged block would span 800.5 scale units and its newest masses
+        would round to 0, so the carry stops. A walker handed to 0 at
+        t = 799 sees only the newest two: 0.62 and 0.38."""
+        edges = [(0, 1, 0.0), (0, 2, 1.0), (5, 0, 799.0), (0, 3, 800.0),
+                 (0, 4, 800.5)]
+        exact, engine = self._three_paths(("exponential_decay", 1.0), edges,
+                                          [2, 3], 5, 2, tmp_path)
+        assert abs(exact[((0, 799.0), (3, 800.0))] - 1 / (1 + np.exp(-0.5))) < 1e-12
+        blocks = engine.index.vertices[0].blocks
+        assert [b.size for b in blocks] == [2, 2]
+        assert blocks[0].exp != 0 and blocks[1].exp == 0
 
 
 class TestBitIdentity:
@@ -294,15 +351,15 @@ class TestBitIdentity:
                 getattr(whole, name)), name
 
     @PROPERTY
-    @given(streams(), st.sampled_from(KINDS[:4]), st.integers(0, 2**31 - 1),
+    @given(streams(), st.sampled_from(KINDS), st.integers(0, 2**31 - 1),
            st.sampled_from([1, 2**50 // 16]))
     def test_scalar_walk_is_its_lane_of_the_burst(self, stream, kind, seed, stride):
         """``walk_index`` on lane ``i``'s stream takes lane ``i``'s hops —
         the scalar step is the specification of the pack's draw: two
-        uniforms a hop, none for the look that ends a walk. Held on a
-        view pinned before later ingest and on the live index after it,
-        ids dense or 2^50 apart. (``exponential_decay``'s radix sampler
-        weighs its suffix masses differently: χ² is its only relation.)"""
+        uniforms a hop, none for the look that ends a walk, covered
+        masses rescaled to the heaviest covered exponent. Held on a view
+        pinned before later ingest and on the live index after it, ids
+        dense or 2^50 apart, all five kinds."""
         src, dst, times, splits = stream
         src, dst = src * stride, dst * stride
         half = len(src) // 2

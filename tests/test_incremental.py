@@ -212,19 +212,22 @@ class TestBatchWideEqualsSequential:
         st.booleans(),
         st.sampled_from(CARRY_KINDS),
         st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from([500.0, 40_000.0]),
     )
     def test_matches_per_vertex_oracle(self, num_vertices, num_edges, splits,
-                                       ties, kind, seed):
+                                       ties, kind, seed, horizon):
         rng = make_rng(seed)
         # Skewed sources (a hub plus a tail) and, optionally, heavy
         # timestamp ties; the exponential scale makes weights span many
-        # orders of magnitude, where a subtractive prefix sum would cancel.
+        # orders of magnitude, where a subtractive prefix sum would cancel,
+        # and past float64's range over the long horizon (6 667 scale
+        # units), where blocks take exponents and the span caps carries.
         src = (num_vertices * rng.random(num_edges) ** 3).astype(np.int64)
         dst = rng.integers(0, num_vertices, num_edges)
         times = (np.sort(rng.integers(0, 12, num_edges)).astype(float) if ties
-                 else np.sort(rng.uniform(0.0, 500.0, num_edges)))
+                 else np.sort(rng.uniform(0.0, horizon, num_edges)))
         model = WeightModel(*kind)
-        index = IncrementalHPAT(model, factorized=False)
+        index = IncrementalHPAT(model)
         oracle = {}
         pos = 0
         for size in splits + [num_edges]:
@@ -253,6 +256,25 @@ class TestBatchWideEqualsSequential:
             vert.append_batch(np.arange(lo, hi), times[lo:hi])
             want.append_batch(np.arange(lo, hi), times[lo:hi])
             assert forest_state(vert) == forest_state(want)
+
+    @pytest.mark.parametrize("kind", ["exponential", "exponential_decay"])
+    def test_far_past_float_range_exponents_and_the_span_cap(self, kind):
+        """30 000 time units at scale 6 (5 000 scale units): blocks take
+        exponents, carries stop at the span, and one batch wider than
+        the span goes in as several blocks — all as the oracle says."""
+        rng = make_rng(3)
+        times = np.sort(rng.uniform(0, 30_000.0, 90))
+        model = WeightModel(kind, 6.0)
+        vert, want = VertexIncrementalHPAT(model), OracleVertexForest(model)
+        for lo, hi in [(0, 1), (1, 2), (2, 9), (9, 10), (10, 64), (64, 90)]:
+            vert.append_batch(np.arange(lo, hi), times[lo:hi])
+            want.append_batch(np.arange(lo, hi), times[lo:hi])
+            assert forest_state(vert) == forest_state(want)
+        scaled = [b for b in vert.blocks if b.exp]
+        assert len(scaled) > 3
+        assert all(b.times[0] <= b.times[-1] + 690.0 * 6.0 for b in scaled)
+        # Every mass is a normal float64, so no candidate prefix weighs 0.
+        assert all(b.weights.min() >= np.finfo(float).tiny for b in vert.blocks)
 
 
 class TestAtomicity:

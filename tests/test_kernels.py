@@ -1,10 +1,11 @@
-"""Fused sampling-kernel backends, β fallbacks, and factorized decay.
+"""Fused sampling-kernel backends, β fallbacks, and streaming decay.
 
 Covers the kernel-fusion PR end to end: backend registry semantics,
 bit-parity between the fused backends and the preserved pre-fusion
 kernel, the uniform-block draw contract they rely on, the hardened /
 vectorised β code paths, scalar-vs-fused distribution equivalence under
-``exponential_decay``, and the BINGO-style radix forest.
+``exponential_decay``, and ``exponential_decay`` on the streaming carry
+forest.
 """
 
 import numpy as np
@@ -26,7 +27,6 @@ from repro.kernels import (
     sample_batch,
 )
 from repro.kernels import c_backend
-from repro.kernels.decay import DecayRadixForest
 from repro.rng import LaneRng, make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import temporal_node2vec
@@ -323,7 +323,10 @@ class TestBetaFallbackVectorised:
             [tuple(p.vertices) for p in rerun.paths]
 
 
-class TestDecayRadixForest:
+class TestDecayCarryForest:
+    """``exponential_decay`` on the carry forest, in and far past float64
+    range (its newest edges are its lightest)."""
+
     WM = WeightModel("exponential_decay", scale=5.0)
 
     def _stream(self, n=600, seed=3, horizon=90.0):
@@ -332,78 +335,83 @@ class TestDecayRadixForest:
         dst = rng.integers(0, 40, size=n).astype(np.int64)
         return dst, times
 
-    def test_matches_carry_forest(self):
+    def test_matches_static_weights(self):
         dst, times = self._stream()
         carry = VertexIncrementalHPAT(self.WM)
-        radix = DecayRadixForest(self.WM)
         for lo in range(0, 600, 50):
             carry.append_batch(dst[lo:lo + 50], times[lo:lo + 50])
-            radix.append_batch(dst[lo:lo + 50], times[lo:lo + 50])
-        d1, t1, w1 = carry.edges_desc()
-        d2, t2, w2 = radix.edges_desc()
-        assert np.array_equal(d1, d2) and np.array_equal(t1, t2)
-        np.testing.assert_allclose(w1, w2, rtol=1e-12)
-        assert radix.merged_edges == 0
+        d, t, w = carry.edges_desc()
+        assert np.array_equal(d, dst[::-1]) and np.array_equal(t, times[::-1])
+        assert np.array_equal(w, np.exp((times[0] - times[::-1]) / 5.0))
+        assert all(b.exp == 0 for b in carry.blocks)
 
     def test_sampling_distribution(self):
+        """Eq. 3 over the whole stream, then over a prefix 6 000 scale
+        units past the first edge, where every raw weight is 0.0."""
         dst, times = self._stream(n=300)
-        radix = DecayRadixForest(self.WM)
-        radix.append_batch(dst, times)
-        s = radix.candidate_count(times[0] - 1.0)  # newer-than t
-        assert s == 300
-        _, t, w = radix.edges_desc()
-        probs = w / w.sum()
+        far = times + 30_000.0
+        carry = VertexIncrementalHPAT(self.WM)
+        carry.append_batch(dst, times)
+        for lo in range(0, 300, 40):
+            carry.append_batch(dst[lo:lo + 40], far[lo:lo + 40])
+        assert any(b.exp for b in carry.blocks)
         rng = make_rng(5)
         counters = CostCounters()
-        # sample() returns (dst, time); timestamps are unique, so they
-        # identify the drawn edge.
-        drawn_t = np.array([radix.sample(s, rng, counters)[1]
-                            for _ in range(12000)])
-        order = np.argsort(t)
-        idx = order[np.searchsorted(t[order], drawn_t)]
-        assert chisquare_ok(np.bincount(idx, minlength=s).astype(float),
-                            probs)
+        for t_after, cands in ((-1.0, np.concatenate([times, far])),
+                               (far[0] - 1.0, far)):
+            s = carry.candidate_count(t_after)  # newer-than t
+            assert s == cands.size
+            logs = (times[0] - cands) / 5.0
+            probs = np.exp(logs - logs.max())
+            # sample() returns (dst, time); timestamps are unique, so they
+            # identify the drawn edge.
+            drawn_t = np.array([carry.sample(s, rng, counters)[1]
+                                for _ in range(12000)])
+            idx = np.searchsorted(cands, drawn_t)
+            assert np.array_equal(cands[idx], drawn_t)
+            assert chisquare_ok(np.bincount(idx, minlength=s).astype(float),
+                                probs / probs.sum())
 
     def test_snapshot_restore_roundtrip(self):
+        from tests.carry_oracle import forest_state
+
         dst, times = self._stream()
-        radix = DecayRadixForest(self.WM)
-        radix.append_batch(dst[:400], times[:400])
-        snap = radix.snapshot()
-        before = radix.edges_desc()
-        radix.append_batch(dst[400:], times[400:])
-        radix.restore(snap)
-        after = radix.edges_desc()
-        for a, b in zip(before, after):
-            np.testing.assert_array_equal(a, b)
+        times[400:] += 20_000.0  # the second half needs exponents
+        carry = VertexIncrementalHPAT(self.WM)
+        carry.append_batch(dst[:400], times[:400])
+        snap = carry.snapshot()
+        before = forest_state(carry)
+        carry.append_batch(dst[400:], times[400:])
+        carry.restore(snap)
+        assert forest_state(carry) == before
         # The restored forest accepts the stream again, identically.
-        radix.append_batch(dst[400:], times[400:])
-        assert radix.num_edges == 600
+        carry.append_batch(dst[400:], times[400:])
+        again = VertexIncrementalHPAT(self.WM)
+        again.append_batch(dst[:400], times[:400])
+        again.append_batch(dst[400:], times[400:])
+        assert forest_state(carry) == forest_state(again)
+        assert carry.num_edges == 600 and any(b.exp for b in carry.blocks)
 
     def test_out_of_order_batch_rejected(self):
         from repro.exceptions import NotSupportedError
 
-        radix = DecayRadixForest(self.WM)
-        radix.append_batch(np.array([1]), np.array([10.0]))
+        carry = VertexIncrementalHPAT(self.WM)
+        carry.append_batch(np.array([1]), np.array([10.0]))
         with pytest.raises(NotSupportedError):
-            radix.append_batch(np.array([2]), np.array([5.0]))
+            carry.append_batch(np.array([2]), np.array([5.0]))
+        assert carry.num_edges == 1
 
-    def test_growth_kind_rejected(self):
-        from repro.exceptions import NotSupportedError
-
-        with pytest.raises(NotSupportedError):
-            DecayRadixForest(WeightModel("exponential", scale=2.0))
-
-    def test_incremental_hpat_selects_factorized(self):
+    def test_incremental_hpat_builds_one_structure_for_every_kind(self):
+        from repro.core.weights import KINDS
         from repro.graph.edge_stream import EdgeStream
 
-        inc_decay = IncrementalHPAT(self.WM)
-        inc_growth = IncrementalHPAT(WeightModel("exponential", scale=2.0))
-        assert inc_decay.factorized and not inc_growth.factorized
         dst, times = self._stream(n=200)
         src = np.zeros(200, dtype=np.int64)
-        for lo in range(0, 200, 25):
-            sl = slice(lo, lo + 25)
-            inc_decay.apply_batch(EdgeStream(src[sl], dst[sl], times[sl]))
-        # Cost oracle: factorized maintenance never re-indexes, so total
-        # update work stays at exactly one unit per appended edge.
-        assert inc_decay.update_work() == inc_decay.num_edges == 200
+        for kind in KINDS:
+            inc = IncrementalHPAT(WeightModel(kind, 5.0))
+            for lo in range(0, 200, 25):
+                sl = slice(lo, lo + 25)
+                inc.apply_batch(EdgeStream(src[sl], dst[sl], times[sl]))
+            assert type(inc.vertices[0]) is VertexIncrementalHPAT
+            # Carries re-index: eight 25-edge batches merge like a counter.
+            assert inc.update_work() == 200 + inc.vertices[0].merged_edges > 200

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Lint: engine code must take time from ``repro.telemetry.clock``.
+"""Lint: engine, streaming and core code must take time from
+``repro.telemetry.clock``.
 
 Phase attribution is only trustworthy when every engine reads the same
 clock — a stray ``time.perf_counter()`` in a hot loop produces timings
 the profiler cannot see or calibrate away. This script fails (exit 1)
-on any raw clock *call* in ``src/repro/engines/``:
+on any raw clock *call* in ``src/repro/engines/``, ``src/repro/streaming/``
+or ``src/repro/core/``:
 
 * ``time.time(`` / ``time.perf_counter(`` / ``time.monotonic(``
 * bare ``perf_counter(`` / ``monotonic(`` (from-imports)
@@ -32,8 +34,9 @@ BANNED = {
 }
 BANNED_BARE = {"perf_counter", "monotonic"}
 
-#: Directory whose files must use repro.telemetry.clock.
-SCAN_SUBDIR = Path("src") / "repro" / "engines"
+#: Directories whose files must use repro.telemetry.clock.
+SCAN_SUBDIRS = tuple(Path("src") / "repro" / name
+                     for name in ("engines", "streaming", "core"))
 
 
 def scan_file(path: Path):
@@ -74,21 +77,23 @@ def scan_file(path: Path):
 
 def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
-    target = root / SCAN_SUBDIR
-    if not target.is_dir():
-        print(f"lint_clocks: no such directory {target}", file=sys.stderr)
-        return 2
     problems = []
-    for path in sorted(target.rglob("*.py")):
-        for line, spelling in scan_file(path):
-            problems.append(f"{path.relative_to(root)}:{line}: raw clock "
-                            f"call {spelling!r} — use repro.telemetry.clock")
+    for subdir in SCAN_SUBDIRS:
+        target = root / subdir
+        if not target.is_dir():
+            print(f"lint_clocks: no such directory {target}", file=sys.stderr)
+            return 2
+        for path in sorted(target.rglob("*.py")):
+            for line, spelling in scan_file(path):
+                problems.append(f"{path.relative_to(root)}:{line}: raw clock "
+                                f"call {spelling!r} — use repro.telemetry.clock")
+    scanned = ", ".join(map(str, SCAN_SUBDIRS))
     if problems:
         print("\n".join(problems))
-        print(f"lint_clocks: {len(problems)} raw clock call(s) in "
-              f"{SCAN_SUBDIR}; engines must import from repro.telemetry.clock")
+        print(f"lint_clocks: {len(problems)} raw clock call(s) in {scanned}; "
+              f"import from repro.telemetry.clock instead")
         return 1
-    print(f"lint_clocks: clean ({SCAN_SUBDIR})")
+    print(f"lint_clocks: clean ({scanned})")
     return 0
 
 
