@@ -10,14 +10,17 @@ accounting. The asserted shape is the I/O asymmetry — bytes per step
 O(trunkSize) vs O(D) — which is the paper's causal mechanism ("disk I/O
 takes the majority of runtime ... this explains the trend matching");
 wall-clock at laptop scale is page-cache-bound and reported, not
-asserted.
+asserted. TEA here is the one-read-per-step reader the paper describes
+(``tests/ooc_oracle.py``); the batched product engine's sweep is
+``test_ooc_cache.py``.
 """
 
 import pytest
 
 from benchmarks.conftest import BENCH_EXP_SCALE, BENCH_R, format_series, write_result
-from repro.engines import GraphWalkerEngine, TeaOutOfCoreEngine, Workload
+from repro.engines import GraphWalkerEngine, Workload
 from repro.walks.apps import temporal_node2vec
+from tests.ooc_oracle import TeaOutOfCoreEngine
 
 TRUNK_SIZE = 10  # the paper's choice for twitter under 16 GB
 

@@ -32,8 +32,11 @@ Not a paper figure: this bench gates the kernel-fusion work itself.
   baseline an incremental scheme must beat). Acceptance: carry strictly
   cheaper than the rebuild.
 
-Both series land in ``bench_results/history/kernel_fusion.jsonl`` so
-``repro bench compare`` can gate regressions.
+Every timed row is the fastest of :data:`SHOTS` fresh shots, the arms
+of a row taking turns inside each shot, so a slow phase of a shared
+host lands on every arm alike. Both series land in
+``bench_results/history/kernel_fusion.jsonl`` so ``repro bench
+compare`` can gate regressions.
 """
 
 import time
@@ -68,6 +71,8 @@ LANE_COUNTS = (1000, 2000, 4000)
 NARROW = 128
 #: Walks per vertex of the order bench: ``corpus_exp``'s width.
 CORPUS_R = 120
+#: Fresh shots per timed row; the row is the fastest.
+SHOTS = 5
 _fusion = {}
 _decay = {}
 _hops = {}
@@ -93,13 +98,14 @@ def skewed_index(skewed_graph):
     return pre.index
 
 
-def _best_of(fn, repeats=5):
-    """Minimum wall time over ``repeats`` trials (1-core noise guard)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+def _fastest(arms, time_shot):
+    """``{arm: fastest of SHOTS shots}``, the arms taking turns inside
+    each shot; ``time_shot(arm)`` builds its state fresh and returns
+    the seconds it timed."""
+    best = dict.fromkeys(arms, float("inf"))
+    for _ in range(SHOTS):
+        for arm in arms:
+            best[arm] = min(best[arm], time_shot(arm))
     return best
 
 
@@ -118,20 +124,22 @@ def test_kernel_fusion_throughput(benchmark, skewed_index):
             vs = lively[rng.integers(0, lively.size, size=n)].astype(np.int64)
             ss = np.maximum((deg[vs] * rng.random(n)).astype(np.int64), 1)
             lanes = np.arange(n, dtype=np.int64)
-            scratch = KernelScratch()
             reps = max(5, 50000 // n)
 
-            def burst(backend, sc):
+            def burst(backend):
+                # The legacy kernel predates the scratch buffers.
+                scratch = None if backend is legacy else KernelScratch()
+                t0 = time.perf_counter()
                 for _ in range(reps):
                     sample_batch(
                         backend, index, vs, ss, None,
                         draw=LaneRng(lanes.astype(np.uint64) + 7),
-                        lanes=lanes, scratch=sc,
+                        lanes=lanes, scratch=scratch,
                     )
+                return (time.perf_counter() - t0) / reps
 
-            t_leg = _best_of(lambda: burst(legacy, None)) / reps
-            t_fus = _best_of(lambda: burst(fused, scratch)) / reps
-            t_c = _best_of(lambda: burst(compiled, KernelScratch())) / reps
+            best = _fastest((legacy, fused, compiled), burst)
+            t_leg, t_fus, t_c = best[legacy], best[fused], best[compiled]
             rows[n] = {"legacy_s": t_leg, "fused_s": t_fus, "c_s": t_c,
                        "speedup": t_leg / t_fus, "c_speedup": t_fus / t_c}
         return rows
@@ -164,8 +172,9 @@ def test_hop_per_iteration(benchmark, skewed_graph):
     phases = ("hop", "gather", "draw", "scatter")
 
     def per_iteration_us(engine):
+        """One shot: the fastest of 60 runs."""
         best = float("inf")
-        for _ in range(300):
+        for _ in range(60):
             profiler = PhaseProfiler(calibrate=False)
             engine._run_frontier(starts, 2, 0.0, LaneRng(seeds), CostCounters(),
                                  True, profiler=profiler)
@@ -175,14 +184,15 @@ def test_hop_per_iteration(benchmark, skewed_graph):
         return best * 1e6
 
     def measure():
-        rows = {}
+        engines = {}
         for prefix, spec in (("", exponential_walk(scale=20.0)),
                              ("n2v_", temporal_node2vec(p=4.0, q=0.25, scale=20.0))):
             for name in dict.fromkeys(("numpy", resolve_backend("auto").name)):
                 engine = BatchTeaEngine(skewed_graph, spec, kernel_backend=name)
                 engine.prepare()
-                rows[f"{prefix}hop_us_{name}"] = per_iteration_us(engine)
-        return rows
+                engines[f"{prefix}hop_us_{name}"] = engine
+        best = _fastest(tuple(engines.values()), per_iteration_us)
+        return {row: best[engine] for row, engine in engines.items()}
 
     _hops.update(benchmark.pedantic(measure, rounds=1, iterations=1))
     benchmark.extra_info.update({k: round(v, 1) for k, v in _hops.items()})
@@ -197,22 +207,17 @@ def test_hop_order_at_corpus_width(benchmark):
     vertices = np.arange(graph.num_vertices)
     seeds = spawn_seeds(make_rng(0), vertices.size * CORPUS_R)
 
-    def ns_per_step(starts):
-        best = float("inf")
-        for _ in range(5):
-            profiler, counters = PhaseProfiler(calibrate=False), CostCounters()
-            engine._run_frontier(starts, 1, 0.0, LaneRng(seeds), counters,
-                                 False, profiler=profiler)
-            best = min(best, profiler.phase_seconds("hop") / counters.steps)
-        return best * 1e9
+    orders = {"hop_ns_per_step_start_major": np.repeat(vertices, CORPUS_R),
+              "hop_ns_per_step_round_robin": np.tile(vertices, CORPUS_R)}
+
+    def ns_per_step(row):
+        profiler, counters = PhaseProfiler(calibrate=False), CostCounters()
+        engine._run_frontier(orders[row], 1, 0.0, LaneRng(seeds), counters,
+                             False, profiler=profiler)
+        return profiler.phase_seconds("hop") / counters.steps * 1e9
 
     def measure():
-        return {
-            "hop_ns_per_step_start_major": ns_per_step(
-                np.repeat(vertices, CORPUS_R)),
-            "hop_ns_per_step_round_robin": ns_per_step(
-                np.tile(vertices, CORPUS_R)),
-        }
+        return _fastest(tuple(orders), ns_per_step)
 
     _order.update(benchmark.pedantic(measure, rounds=1, iterations=1))
     _order["lanes"] = seeds.size
@@ -236,17 +241,17 @@ def test_decay_streaming_carry_vs_rebuild(benchmark):
     batches = [(dst[lo:hi], times[lo:hi])
                for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
 
-    def stream(make, append, repeats=5):
-        """Fastest of ``repeats`` fresh streams (a single 3 ms shot spreads
-        ±20 % and pays first-call warm-up); returns the last state too."""
-        best = float("inf")
-        for _ in range(repeats):
-            state = make()
-            t0 = time.perf_counter()
-            for d, t in batches:
-                append(state, d, t)
-            best = min(best, time.perf_counter() - t0)
-        return state, best
+    def stream(arm):
+        """One fresh stream (a single 3 ms shot spreads ±20 % and pays
+        first-call warm-up, hence the fastest of SHOTS)."""
+        make, append = arms[arm]
+        state = make()
+        t0 = time.perf_counter()
+        for d, t in batches:
+            append(state, d, t)
+        if arm == "carry":
+            last_carry[0] = state
+        return time.perf_counter() - t0
 
     def rebuild_append(state, d, t):
         # Full trunk rebuild per batch: recompute every weight and its
@@ -256,15 +261,19 @@ def test_decay_streaming_carry_vs_rebuild(benchmark):
         w = np.exp((state["times"][0] - state["times"]) / wm.scale)
         state["cum"] = np.concatenate([[0.0], np.cumsum(w)])
 
+    arms = {
+        "carry": (lambda: VertexIncrementalHPAT(wm),
+                  lambda f, d, t: f.append_batch(d, t)),
+        "rebuild": (lambda: {"dst": np.zeros(0, np.int64),
+                             "times": np.zeros(0, np.float64)},
+                    rebuild_append),
+    }
+    last_carry = [None]
+
     def measure():
-        carry, carry_s = stream(lambda: VertexIncrementalHPAT(wm),
-                                lambda f, d, t: f.append_batch(d, t))
-        _, rebuild_s = stream(
-            lambda: {"dst": np.zeros(0, np.int64),
-                     "times": np.zeros(0, np.float64)},
-            rebuild_append,
-        )
-        return {"carry_s": carry_s, "rebuild_s": rebuild_s,
+        best = _fastest(tuple(arms), stream)
+        carry = last_carry[0]
+        return {"carry_s": best["carry"], "rebuild_s": best["rebuild"],
                 "carry_merged": carry.merged_edges,
                 "carry_blocks": carry.num_blocks()}
 

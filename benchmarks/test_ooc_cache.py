@@ -1,7 +1,8 @@
 """Figure 14 companion — batched out-of-core path: cache × prefetch sweep.
 
-The scalar ``tea-ooc`` engine pays one synchronous trunk read per walker
-step — a batch of one through the columnar read path;
+The scalar ``tea-ooc`` reader (``tests/ooc_oracle.py``) pays one
+synchronous trunk read per walker step — a batch of one through the
+columnar read path;
 ``tea-ooc-batch`` advances the whole frontier per step, serves the
 step's trunks from the frame pool in a constant number of array passes,
 coalesces the misses into large backing reads, and (optionally)
@@ -30,12 +31,9 @@ from benchmarks.conftest import (
     RESULTS_DIR,
     record_history,
 )
-from repro.engines import (
-    BatchTeaOutOfCoreEngine,
-    TeaOutOfCoreEngine,
-    Workload,
-)
+from repro.engines import BatchTeaOutOfCoreEngine, Workload
 from repro.walks.apps import temporal_node2vec
+from tests.ooc_oracle import TeaOutOfCoreEngine
 
 TRUNK_SIZE = 10  # the paper's choice for twitter under 16 GB
 CACHE_SWEEP = (("no-cache", 0), ("cache-256KiB", 256 << 10),

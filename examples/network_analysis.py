@@ -14,14 +14,47 @@ A tour of the analysis surface around the walk engine:
 Run:  python examples/network_analysis.py
 """
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import TemporalGraph, load_dataset
 from repro.core.weights import WeightModel
+from repro.graph.edge_stream import EdgeStream
 from repro.graph.stats import graph_stats, predict_sampling_costs
-from repro.graph.transform import induced_subgraph, reverse
+
+
+def _edges_of(graph: TemporalGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    src = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+    return src, graph.nbr, graph.etime
+
+
+def reverse(graph: TemporalGraph) -> TemporalGraph:
+    """Reverse every edge; timestamps are preserved.
+
+    A temporal path u→…→v in the original corresponds to a *reverse*
+    temporal path with decreasing times in the reversed graph; forward
+    walks on the reversed graph answer "who could have led here".
+    """
+    src, dst, t = _edges_of(graph)
+    return TemporalGraph.from_stream(
+        EdgeStream(dst, src, t), num_vertices=graph.num_vertices
+    )
+
+
+def induced_subgraph(graph: TemporalGraph, vertices: Sequence[int]) -> TemporalGraph:
+    """Keep only edges whose endpoints are both in ``vertices``.
+
+    Vertex ids are preserved (the result has the same ``num_vertices``),
+    so walk results remain directly comparable with the full graph.
+    """
+    keep = np.zeros(graph.num_vertices, dtype=bool)
+    keep[np.asarray(list(vertices), dtype=np.int64)] = True
+    src, dst, t = _edges_of(graph)
+    mask = keep[src] & keep[dst]
+    return TemporalGraph.from_stream(
+        EdgeStream(src[mask], dst[mask], t[mask]), num_vertices=graph.num_vertices
+    )
 
 
 def earliest_arrival_times(

@@ -11,8 +11,8 @@ Run:  python examples/out_of_core.py
 """
 
 from repro import (
+    BatchTeaOutOfCoreEngine,
     GraphWalkerEngine,
-    TeaOutOfCoreEngine,
     Workload,
     load_dataset,
     temporal_node2vec,
@@ -25,7 +25,7 @@ def main() -> None:
     spec = temporal_node2vec(p=0.5, q=2.0)
     workload = Workload(max_length=80, max_walks=150)
 
-    tea = TeaOutOfCoreEngine(graph, spec, trunk_size=10)
+    tea = BatchTeaOutOfCoreEngine(graph, spec, trunk_size=10)
     gw = GraphWalkerEngine(graph, spec, out_of_core=True)
 
     tea_result = tea.run(workload, seed=9)

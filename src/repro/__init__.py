@@ -41,7 +41,6 @@ from repro.engines import (
     GraphWalkerEngine,
     KnightKingEngine,
     TeaEngine,
-    TeaOutOfCoreEngine,
     Workload,
 )
 from repro.walks import (
@@ -75,7 +74,6 @@ __all__ = [
     "GraphWalkerEngine",
     "KnightKingEngine",
     "TeaEngine",
-    "TeaOutOfCoreEngine",
     "BatchTeaOutOfCoreEngine",
     "Workload",
     "WalkSpec",

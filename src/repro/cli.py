@@ -41,7 +41,6 @@ from repro.engines import (
     KnightKingEngine,
     ParallelBatchTeaEngine,
     TeaEngine,
-    TeaOutOfCoreEngine,
     Workload,
 )
 from repro.engines.tea_outofcore import (
@@ -62,9 +61,6 @@ ENGINES = {
     "tea-batch": lambda g, s: BatchTeaEngine(g, s),
     "tea-pat": lambda g, s: TeaEngine(g, s, structure="pat"),
     "tea-its": lambda g, s: TeaEngine(g, s, structure="its"),
-    "tea-ooc": lambda g, s: TeaOutOfCoreEngine(
-        g, s, cache_bytes=DEFAULT_OOC_CACHE_BYTES
-    ),
     "tea-ooc-batch": lambda g, s: BatchTeaOutOfCoreEngine(g, s),
     "graphwalker": lambda g, s: GraphWalkerEngine(g, s),
     "graphwalker-ooc": lambda g, s: GraphWalkerEngine(g, s, out_of_core=True),
@@ -131,14 +127,6 @@ def cmd_walk(args) -> int:
             fault_injector=injector,
             chunk_target_ms=args.chunk_target_ms,
             kernel_backend=args.kernel_backend,
-        )
-    elif args.engine == "tea-ooc":
-        engine = TeaOutOfCoreEngine(
-            graph, spec, trunk_size=args.ooc_trunk_size,
-            cache_bytes=args.cache_bytes,
-            retry_policy=retry_policy,
-            verify_checksums=args.verify_checksums,
-            fault_injector=injector,
         )
     elif args.engine == "tea-ooc-batch":
         engine = BatchTeaOutOfCoreEngine(

@@ -82,22 +82,15 @@ def search_candidate_sets(graph: TemporalGraph, workers: int = 1) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     if workers <= 1:
         return graph.candidate_counts_per_edge()
-    # Same offset-key trick as candidate_counts_per_edge, with the query
-    # side chunked across a thread pool (searchsorted releases the GIL,
-    # so this is the real data parallelism of the paper's Section 4.2).
-    neg = graph._neg_etime
-    span = 4.0 * float(max(1.0, np.ptp(neg)))
-    base = float(neg.min())
-    seg_of_edge = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
-    keys = (neg - base) + seg_of_edge * span
+    # The query side chunked across a thread pool over the graph's cached
+    # keys (searchsorted releases the GIL, so this is the real data
+    # parallelism of the paper's Section 4.2).
+    graph._offset_keys()
     out = np.empty(m, dtype=np.int64)
     bounds = np.linspace(0, m, workers + 1, dtype=np.int64)
 
     def task(lo: int, hi: int) -> None:
-        qval = (-graph.etime[lo:hi] - base) + graph.nbr[lo:hi] * span
-        out[lo:hi] = np.searchsorted(keys, qval, side="left") - graph.indptr[
-            graph.nbr[lo:hi]
-        ]
+        out[lo:hi] = graph.candidate_counts_per_edge(lo, hi)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [

@@ -51,29 +51,26 @@ normal mass: ``exponential_decay``'s newest edges are its lightest, and
 a candidate prefix may hold nothing else. A batch whose own edges span
 more goes in as several appends.
 
-Sampling stays distribution-identical to a from-scratch HPAT
-(property-tested) and is a two-level inverse transform: one uniform
-chooses among the covered blocks by their masses — rescaled to the
-heaviest covered exponent — a second the edge inside the chosen block —
-the boundary block's candidates are a *prefix* of its time-descending
-edges — by ``c``. :meth:`VertexIncrementalHPAT.sample` is the scalar
-specification of the epoch pack's draw: same two uniforms, same
-arithmetic, same edge (``tests/test_epoch_pack.py``).
+The forest is read through the epoch pack
+(:mod:`repro.streaming.snapshot`), whose draw stays distribution-identical
+to a from-scratch HPAT (property-tested) and is a two-level inverse
+transform: one uniform chooses among the covered blocks by their masses —
+rescaled to the heaviest covered exponent — a second the edge inside the
+chosen block — the boundary block's candidates are a *prefix* of its
+time-descending edges — by ``c``. ``tests/stream_oracle.py`` states that
+draw one walker at a time, on these blocks.
 """
 
 from __future__ import annotations
 
-from math import ldexp
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.weights import WeightModel
-from repro.exceptions import EmptyCandidateSetError, NotSupportedError
+from repro.exceptions import NotSupportedError
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
-from repro.sampling.counters import CostCounters
-from repro.sampling.prefix_sum import draw_in_range, its_search
 
 #: Widest span, in scale units, of a block with a nonzero exponent: its
 #: lightest edge then weighs more than 2^-996 of its heaviest, a normal
@@ -103,20 +100,6 @@ class _Block:
         self.weights = weights
         self.c = c
         self.exp = exp
-
-    def candidate_count(self, t: float) -> int:
-        """Edges of this block with time strictly greater than t."""
-        # Reversed *view* (ascending): O(log size), no per-query allocation.
-        return self.size - int(self.times[::-1].searchsorted(t, side="right"))
-
-    def sample_prefix(
-        self, s: int, rng: np.random.Generator, counters: Optional[CostCounters]
-    ) -> int:
-        """Sample among this block's newest s edges ∝ weight (local index):
-        inverse transform over ``c``, the rule (``c[a] < r ≤ c[a+1]``) of
-        the epoch pack's in-segment bisect."""
-        r = draw_in_range(rng, 0.0, self.c[s])
-        return its_search(self.c, r, 0, s, counters)
 
     def nbytes(self) -> int:
         return int(self.dst.nbytes + self.times.nbytes + self.weights.nbytes
@@ -333,74 +316,6 @@ class VertexIncrementalHPAT:
 
     # -- queries ---------------------------------------------------------------
 
-    def candidate_count(self, t: Optional[float]) -> int:
-        if t is None:
-            return self.num_edges
-        count = 0
-        for b in self.blocks:  # newest first
-            c = b.candidate_count(t)
-            count += c
-            if c < b.size:
-                break
-        return count
-
-    def sample(
-        self,
-        candidate_size: int,
-        rng: np.random.Generator,
-        counters: Optional[CostCounters] = None,
-    ) -> Tuple[int, float]:
-        """Sample among the newest ``candidate_size`` edges ∝ static weight.
-
-        Returns ``(destination, time)`` of the sampled edge.
-        """
-        s = int(candidate_size)
-        if s <= 0 or s > self.num_edges:
-            raise EmptyCandidateSetError(
-                f"candidate size {s} invalid for {self.num_edges} edges"
-            )
-        # Running totals of the whole covered blocks (newest first) as
-        # ``total · 2^kmax``, kmax the largest exponent so far — the
-        # additions of the pack's ``seg_cum`` — then every total and the
-        # boundary block's partial mass rescaled to the heaviest covered
-        # exponent: the ITS over trunks, lifted to the block forest.
-        whole: List[Tuple[float, int]] = []
-        total, kmax = 0.0, self.blocks[0].exp
-        remaining = s
-        for b in self.blocks:
-            if remaining < b.size:
-                break
-            k = max(kmax, b.exp)
-            total, kmax = ldexp(total, kmax - k) + ldexp(b.c[-1], b.exp - k), k
-            whole.append((total, kmax))
-            remaining -= b.size
-            if not remaining:
-                break
-        k_star = kmax
-        if remaining:
-            part = self.blocks[len(whole)]
-            k_star = max(kmax, part.exp)
-        cum = [0.0] + [ldexp(t, k - k_star) for t, k in whole]
-        if remaining:
-            cum.append(cum[-1] + ldexp(part.c[remaining], part.exp - k_star))
-        total = cum[-1]
-        if not (total > 0):
-            raise EmptyCandidateSetError("zero-weight candidate set")
-        r = draw_in_range(rng, 0.0, total)
-        lo_b, hi_b = 0, len(cum) - 1
-        while hi_b - lo_b > 1:
-            mid = (lo_b + hi_b) // 2
-            if counters is not None:
-                counters.record_probe()
-            if cum[mid] < r:
-                lo_b = mid
-            else:
-                hi_b = mid
-        block = self.blocks[lo_b]
-        take = remaining if lo_b == len(whole) else block.size
-        local = block.sample_prefix(take, rng, counters)
-        return int(block.dst[local]), float(block.times[local])
-
     def edges_desc(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All edges newest-first: ``(dst, times, weights)`` — test oracle.
         Weights past float64's range come back as ``inf`` or 0."""
@@ -455,7 +370,7 @@ class VertexIncrementalHPAT:
         Blocks are immutable once built and an append only ever edits
         the live *list*, so sharing the block objects under a
         private list pins this vertex's entire structure in
-        O(num_blocks). The view answers the full query API but is
+        O(num_blocks). The view is read through :meth:`segments` and is
         never appended to.
         """
         frozen = VertexIncrementalHPAT.__new__(VertexIncrementalHPAT)
@@ -556,22 +471,6 @@ class IncrementalHPAT:
         return self.num_edges + sum(
             v.merged_edges for v in self.vertices.values()
         )
-
-    def candidate_count(self, v: int, t: Optional[float]) -> int:
-        vert = self.vertices.get(v)
-        return vert.candidate_count(t) if vert is not None else 0
-
-    def sample(
-        self,
-        v: int,
-        candidate_size: int,
-        rng: np.random.Generator,
-        counters: Optional[CostCounters] = None,
-    ) -> Tuple[int, float]:
-        vert = self.vertices.get(v)
-        if vert is None:
-            raise EmptyCandidateSetError(f"vertex {v} has no out-edges")
-        return vert.sample(candidate_size, rng, counters)
 
     def nbytes(self) -> int:
         return sum(v.nbytes() for v in self.vertices.values())

@@ -36,10 +36,8 @@ import numpy as np
 
 from repro.core.frame_pool import FramePool
 from repro.core.pat import PersistentAliasTable
-from repro.exceptions import ChecksumError, EmptyCandidateSetError
-from repro.sampling.alias import alias_draw
+from repro.exceptions import ChecksumError
 from repro.sampling.counters import BLOCK_BYTES, CostCounters
-from repro.sampling.prefix_sum import draw_in_range, its_search
 from repro.telemetry import BYTES_BUCKETS, NULL_PROFILER, Histogram, events
 
 PathLike = Union[str, os.PathLike]
@@ -119,8 +117,7 @@ class TrunkStore:
     ranges are deduplicated, looked up in the :class:`FramePool`
     (``cache``), and the misses — sorted, so adjacent/overlapping ranges
     **coalesce** into single backing runs — are gathered from the maps
-    in one fancy-index pass per file and admitted. The scalar reads
-    (``read_c`` / ``read_alias_trunk``) are batches of one. The async
+    in one fancy-index pass per file and admitted. The async
     prefetcher gathers off-thread through the same :meth:`_fetch` but
     hands every result back to the sampling thread, so the pool and all
     counters are mutated from that thread only.
@@ -505,13 +502,6 @@ class TrunkStore:
             keys.ravel(), staging.reshape(keys.size, staging.shape[2]),
             np.repeat(lens * _ELEM_BYTES, keys.shape[1]), pin=pin)
 
-    def read_c(self, lo: int, hi: int, counters: Optional[CostCounters]) -> np.ndarray:
-        return self.read_batch("c", lo, hi, counters)[0][0]
-
-    def read_alias_trunk(self, lo: int, hi: int, counters: Optional[CostCounters]):
-        payload = self.read_batch("pa", lo, hi, counters)[0]
-        return payload[0, 0], payload[0, 1].view(np.int64)
-
     # -- prefetch ledger -------------------------------------------------------
     # The async prefetcher (engines.tea_outofcore.prefetch) gathers off-
     # thread but hands every result back to the sampling thread, which
@@ -605,10 +595,8 @@ class OutOfCorePAT:
 
     Memory-resident state is exactly what the paper keeps: per-vertex
     trunk sizes and the prefix sums *at trunk boundaries*
-    (|E|/trunkSize + |V| floats). Same-seed draws match the in-memory
-    :class:`PersistentAliasTable` exactly (tested), because the sampling
-    logic consumes randomness identically — only the storage tier of each
-    array differs.
+    (|E|/trunkSize + |V| floats); the sampler that reads it is
+    :func:`repro.engines.tea_outofcore.batch.ooc_sample_batch`.
 
     The unit read from disk is the paper's: a whole trunk. A step reads
     at most the **C-slice trunk** holding its candidate boundary
@@ -672,60 +660,3 @@ class OutOfCorePAT:
         start = ss // ts * ts
         degrees = self.indptr[vs + 1] - self.indptr[vs]
         return base + start, base + np.minimum(start + ts, degrees) + 1
-
-    def candidate_weight(self, v: int, candidate_size: int, counters=None) -> float:
-        """Total weight of the candidate prefix (may need one disk read)."""
-        ts = int(self.trunk_sizes[v])
-        if candidate_size % ts == 0:
-            return float(self.tr_prefix[self.tr_indptr[v] + candidate_size // ts])
-        lo, hi = self.c_trunks(v, candidate_size, ts)
-        return float(self.store.read_c(lo, hi, counters)[candidate_size % ts])
-
-    def sample(
-        self,
-        v: int,
-        candidate_size: int,
-        rng: np.random.Generator,
-        counters: Optional[CostCounters] = None,
-    ) -> int:
-        """Sample an edge index in ``[0, candidate_size)`` of vertex v.
-
-        Mirrors :meth:`PersistentAliasTable.sample` draw for draw, with
-        trunk payloads read (and accounted) from the store.
-        """
-        s = int(candidate_size)
-        if s <= 0:
-            raise EmptyCandidateSetError(f"vertex {v}: empty candidate set")
-        if not 0 <= v < self.indptr.size - 1 or s > self.indptr[v + 1] - self.indptr[v]:
-            raise IndexError(f"vertex {v}: candidate size {s} outside [1, degree]")
-        ts = int(self.trunk_sizes[v])
-        full, rem = divmod(s, ts)
-        tb = self.tr_indptr[v]
-        full_weight = float(self.tr_prefix[tb + full])
-        total, c_trunk = full_weight, None
-        if rem:
-            # The candidate boundary falls inside the partial trunk: its
-            # exact prefix weight lives on disk, in the trunk's C slice.
-            c_trunk = self.store.read_c(*self.c_trunks(v, s, ts), counters)
-            total = float(c_trunk[rem])
-        if not (total > 0):
-            raise EmptyCandidateSetError(f"vertex {v}: zero-weight candidate set")
-        r = draw_in_range(rng, 0.0, total)
-        if full and r <= full_weight:
-            lo_j, hi_j = 0, full
-            while hi_j - lo_j > 1:
-                mid = (lo_j + hi_j) // 2
-                if counters is not None:
-                    counters.record_probe()
-                if self.tr_prefix[tb + mid] < r:
-                    lo_j = mid
-                else:
-                    hi_j = mid
-            trunk = lo_j
-            edge_lo = int(self.indptr[v]) + trunk * ts
-            prob, alias = self.store.read_alias_trunk(edge_lo, edge_lo + ts, counters)
-            local = alias_draw(prob, alias, rng, 0, ts, counters)
-            return trunk * ts + int(local)
-        if counters is not None:
-            counters.record_probe()
-        return full * ts + its_search(c_trunk, r, 0, rem, counters)

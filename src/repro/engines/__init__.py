@@ -12,11 +12,9 @@
 * :class:`~repro.engines.ctdne.CtdneEngine` — the reference
   implementation style: per-step dynamic weight evaluation in
   interpreter-speed code;
-* :class:`~repro.engines.tea_outofcore.TeaOutOfCoreEngine` — PAT with
-  disk-resident trunks (scalar), and
-  :class:`~repro.engines.tea_outofcore.BatchTeaOutOfCoreEngine` — the
-  batched fast path over the same store (coalesced reads, async
-  prefetch, scan-resistant cache);
+* :class:`~repro.engines.tea_outofcore.BatchTeaOutOfCoreEngine` — PAT
+  with disk-resident trunks, walked a frontier at a time (coalesced
+  reads, async prefetch, scan-resistant cache);
 * :class:`~repro.parallel.ParallelBatchTeaEngine` — the frontier kernel
   run chunk-parallel across worker processes/threads over a shared
   prepared index (re-exported here for discoverability).
@@ -32,11 +30,7 @@ from repro.engines.batch import BatchTeaEngine
 from repro.engines.graphwalker import GraphWalkerEngine
 from repro.engines.knightking import KnightKingEngine
 from repro.engines.ctdne import CtdneEngine
-from repro.engines.tea_outofcore import (
-    BatchTeaOutOfCoreEngine,
-    TeaOutOfCoreEngine,
-)
-from repro.engines.mutable import MutableTeaEngine
+from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
 
 # Imported last: repro.parallel builds on repro.engines.batch, which is
 # already bound above, so this re-export cannot recurse.
@@ -51,8 +45,6 @@ __all__ = [
     "GraphWalkerEngine",
     "KnightKingEngine",
     "CtdneEngine",
-    "TeaOutOfCoreEngine",
     "BatchTeaOutOfCoreEngine",
-    "MutableTeaEngine",
     "ParallelBatchTeaEngine",
 ]

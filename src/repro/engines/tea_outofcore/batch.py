@@ -1,9 +1,15 @@
-"""Frontier-vectorised out-of-core TEA (the batched Figure 14 path).
+"""TEA's out-of-core mode: PAT with disk-resident trunks (paper §4.1,
+Figure 14), walked a whole frontier at a time.
 
-The scalar :class:`~repro.engines.tea_outofcore.scalar.TeaOutOfCoreEngine`
-pays one synchronous trunk read per walker per step. This engine
-advances the whole frontier per iteration instead, which turns the I/O
-pattern itself into an optimisation surface:
+When HPAT exceeds memory TEA falls back to PAT, keeps only the
+trunk-boundary prefix sums resident, and loads exactly one trunk's
+payload per sampling step — O(trunkSize) bytes of I/O versus
+GraphWalker's O(D). ``trunk_size`` defaults to the paper's
+memory-limited rule: small and fixed (10 for twitter under 16 GB) so the
+resident prefix array is |E| / trunkSize entries.
+
+The engine advances the whole frontier per iteration, which turns the
+I/O pattern itself into an optimisation surface:
 
 * a lane reads whole trunks only — the C-slice trunk holding its
   candidate boundary and the winning alias trunk — and every lane's
@@ -18,11 +24,11 @@ pattern itself into an optimisation surface:
 * the scan-resistant frame pool keeps hub trunks resident while the
   coalesced cold reads churn through probation only.
 
-Sampling semantics are :meth:`OutOfCorePAT.sample` exactly — same
-trunk-boundary ITS, same in-trunk alias draw, same partial-trunk search
-— evaluated in numpy lockstep, so the per-step distribution matches the
-scalar engine (chi-squared tested) even though the vectorised RNG
-consumption order differs.
+A step is the PAT draw of paper §3.2 — trunk-boundary ITS, in-trunk
+alias draw, partial-trunk search — evaluated in numpy lockstep. The
+one-lane-at-a-time reader it replaced is kept as a test oracle
+(``tests/ooc_oracle.py``), and the two are chi-squared tested against
+each other and against Equation 3.
 
 The frontier loop is :meth:`BatchTeaEngine._run_frontier` itself; this
 engine supplies only its two seams — the index provider
@@ -34,28 +40,27 @@ prefetcher and the store's profiler) — so whatever the loop offers,
 
 from __future__ import annotations
 
+import tempfile
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from repro.core.outofcore import OutOfCorePAT
+from repro.core.builder import build_pat, search_candidate_sets
+from repro.core.outofcore import OutOfCorePAT, TrunkStore
+from repro.engines.base import Engine
 from repro.engines.batch import BatchTeaEngine
 from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
-from repro.engines.tea_outofcore.scalar import (
-    DEFAULT_OOC_TRUNK_SIZE,
-    OutOfCoreReporting,
-    build_ooc_index,
-)
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelScratch
 from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
+from repro.telemetry import MemoryReport
 from repro.walks.spec import WalkSpec
 
-#: Default re-entry cache budget once caching is on by default (the
-#: scalar engine predates the cache and still defaults to 0 for
-#: backward compatibility; the CLI threads this value to both).
+DEFAULT_OOC_TRUNK_SIZE = 10
+
+#: Default re-entry cache budget (paper §4.1's re-entry optimisation).
 DEFAULT_OOC_CACHE_BYTES = 4 << 20
 
 #: Trunks inspected per lane when predicting next-step demand: the
@@ -76,13 +81,13 @@ def ooc_sample_batch(
 ) -> np.ndarray:
     """Vectorised PAT-over-TrunkStore draws for (vertex, size) arrays.
 
-    Mirrors :meth:`OutOfCorePAT.sample` case for case — complete-trunk
-    ITS over the resident boundary prefix sums, alias draw inside the
-    winning trunk, partial-trunk ITS over a disk slice — with every
-    disk access routed through :meth:`TrunkStore.read_batch` so the
-    whole frontier's trunks dedupe and coalesce. Lanes are validated
-    first (``IndexError`` unless ``0 <= v < V`` and ``1 <= s <= deg``). Probe counts for the lockstep boundary search are
-    exact; partial-trunk search probes are the usual batched
+    Per lane: complete-trunk ITS over the resident boundary prefix sums,
+    alias draw inside the winning trunk, or partial-trunk ITS over a
+    disk slice — with every disk access routed through
+    :meth:`TrunkStore.read_batch` so the whole frontier's trunks dedupe
+    and coalesce. Lanes are validated first (``IndexError`` unless
+    ``0 <= v < V`` and ``1 <= s <= deg``). Probe counts for the lockstep
+    boundary search are exact; partial-trunk search probes are the usual batched
     approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
 
     Row ``i`` takes its (up to three) uniforms from lane ``lanes[i]`` of
@@ -122,8 +127,8 @@ def ooc_sample_batch(
 
     if in_full.any():
         rows = np.flatnonzero(in_full)
-        # Trunk-boundary ITS in lockstep: the resident tr_prefix bisect
-        # of the scalar path, all lanes halving together.
+        # Trunk-boundary ITS in lockstep over the resident tr_prefix,
+        # all lanes halving together.
         lo_j = np.zeros(rows.size, dtype=np.int64)
         hi_j = full[rows].copy()
         act = (hi_j - lo_j) > 1
@@ -169,8 +174,14 @@ def ooc_sample_batch(
     return out
 
 
-class BatchTeaOutOfCoreEngine(OutOfCoreReporting, BatchTeaEngine):
-    """Batched frontier execution against a disk-resident PAT."""
+class BatchTeaOutOfCoreEngine(BatchTeaEngine):
+    """Batched frontier execution against a disk-resident PAT.
+
+    ``retry_policy`` / ``verify_checksums`` / ``fault_injector`` wire the
+    resilience layer into the store's read path (see
+    :mod:`repro.resilience`); persist always writes the per-page CRC32
+    manifest, so verification is a pure read-side choice.
+    """
 
     has_candidate_index = True
     name = "tea-ooc-batch"
@@ -201,20 +212,71 @@ class BatchTeaOutOfCoreEngine(OutOfCoreReporting, BatchTeaEngine):
         self._prefetcher: Optional[AsyncPrefetcher] = None
 
     def _prepare(self) -> None:
-        self.index, self.candidate_sizes, self._tmpdir = build_ooc_index(
-            self.graph, self.spec, self.trunk_size,
-            self._storage_dir, self.cache_bytes, self.tracer,
-            retry_policy=self.retry_policy,
-            verify_checksums=self.verify_checksums,
-            fault_injector=self.fault_injector,
-        )
+        tracer = self.tracer
+        with tracer.span("prepare.candidate_search"):
+            self.candidate_sizes = search_candidate_sets(self.graph)
+        with tracer.span("prepare.weights"):
+            weights = self.spec.weight_model.compute(self.graph)
+        with tracer.span("prepare.index_build", structure="pat",
+                         trunk_size=self.trunk_size):
+            pat = build_pat(self.graph, weights, trunk_size=self.trunk_size)
+        directory = self._storage_dir
+        if directory is None:
+            # Owned for the store's lifetime; removed with the engine.
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="tea-ooc-")
+            directory = self._tmpdir.name
+        with tracer.span("prepare.trunk_spill", cache_bytes=self.cache_bytes):
+            store = TrunkStore.persist(
+                pat, directory, cache_bytes=self.cache_bytes,
+                retry_policy=self.retry_policy,
+                verify_checksums=self.verify_checksums,
+                fault_injector=self.fault_injector,
+            ).open()
+            # The full PAT arrays are now disk-resident; the in-memory
+            # copy dies with this frame.
+            self.index = OutOfCorePAT(pat, store)
         # The store charges its read/decode/cache time to the engine's
         # profiler (NULL by default; the walk phase swaps in the chunk's).
-        self.index.store.profiler = self.profiler
+        store.profiler = self.profiler
         self.weights = None
         self._maybe_build_static_keys()
 
+    # -- reporting -------------------------------------------------------------
+
+    @property
+    def cache_stats(self):
+        """Re-entry cache hit/miss statistics (paper §4.1's optimisation)."""
+        self.prepare()
+        return self.index.store.cache.stats
+
+    def publish_telemetry(self, registry) -> None:
+        """Cache + prefetch + coalescing counters, resident footprint."""
+        super().publish_telemetry(registry)
+        self.index.store.publish_telemetry(registry)
+        registry.gauge(
+            "ooc.resident_bytes", "memory-resident trunk-boundary prefix bytes"
+        ).set(self.index.resident_nbytes())
+        registry.gauge("ooc.trunk_size", "configured trunk size").set(
+            self.trunk_size
+        )
+
+    def memory_report(self) -> MemoryReport:
+        # Engine's report, not BatchTeaEngine's HPAT breakdown: the index
+        # here is the disk-backed PAT, whose resident side is the
+        # boundary prefixes (plus the pool, when there is one).
+        report = Engine.memory_report(self)
+        if self.index is not None:
+            report.add("resident_trunk_prefix", self.index.resident_nbytes())
+            if self.index.store.cache.enabled:
+                report.add("reentry_cache", self.index.store.cache.nbytes)
+        return report
+
     # -- vectorised kernel -----------------------------------------------------
+
+    def sample_edge(self, v, candidate_size, walker_time, rng, counters):
+        """The Engine contract as a batch of one lane."""
+        return int(ooc_sample_batch(self.index, np.array([v]),
+                                    np.array([candidate_size]), rng, counters)[0])
 
     def _sample_batch(
         self, vs: np.ndarray, ss: np.ndarray, draw: LaneRng,

@@ -50,6 +50,7 @@ class TemporalGraph:
         "_static_nbr",
         "_stream",
         "_keys_cache",
+        "_distinct_times",
         "eweight",
     )
 
@@ -74,6 +75,7 @@ class TemporalGraph:
         self._static_nbr: Optional[np.ndarray] = None
         self._stream = stream
         self._keys_cache = None
+        self._distinct_times: Optional[np.ndarray] = None
         # Optional per-edge user weights (same CSR order as etime); the
         # effective sampling weight is eweight * WeightModel(f(t)).
         if eweight is not None:
@@ -169,47 +171,54 @@ class TemporalGraph:
         # those with -time < -t.
         return int(np.searchsorted(self._neg_etime[lo:hi], -t, side="left"))
 
-    def _offset_keys(self):
-        """Cached offset-key view for batched candidate searches.
+    def _offset_keys(self) -> Tuple[np.ndarray, int]:
+        """Cached exact keys for batched candidate searches:
+        ``(keys, U)``, U the number of distinct edge times.
 
-        Each vertex's negated times are shifted into a disjoint numeric
-        range, so one global ``searchsorted`` answers per-vertex queries
-        for arbitrarily many (vertex, time) pairs at once.
+        Edge e of vertex v gets the int64 key ``v·(U+1) + (U − rank)``,
+        ``rank`` the index of its time among the distinct times. Keys
+        ascend inside each segment (times descend) and segments own
+        disjoint ranges, so one global ``searchsorted`` answers per-vertex
+        queries for any number of (vertex, time) pairs — exactly, however
+        close two times are.
         """
-        cached = getattr(self, "_keys_cache", None)
-        if cached is not None:
-            return cached
-        neg = self._neg_etime
-        finite_span = float(max(1.0, np.ptp(neg) if neg.size else 1.0))
-        span = 4.0 * finite_span
-        seg_of_edge = np.repeat(np.arange(self.num_vertices), np.diff(self.indptr))
-        base = float(neg.min()) if neg.size else 0.0
-        keys = (neg - base) + seg_of_edge * span
-        self._keys_cache = (keys, base, span, finite_span)
+        if self._keys_cache is None:
+            uniq, rank = np.unique(self.etime, return_inverse=True)
+            keys = np.repeat(np.arange(self.num_vertices, dtype=np.int64)
+                             * (uniq.size + 1), np.diff(self.indptr))
+            keys += uniq.size
+            keys -= rank
+            self._keys_cache = (keys, uniq.size)
         return self._keys_cache
+
+    def _count_newer(self, vertices: np.ndarray, newer: np.ndarray) -> np.ndarray:
+        """|Γt(v)| per lane, given ``newer`` = how many distinct edge
+        times are strictly greater than the lane's t."""
+        keys, count = self._offset_keys()
+        query = vertices * (count + 1) + newer
+        return np.searchsorted(keys, query, side="right") - self.indptr[vertices]
 
     def candidate_counts_batch(self, vertices, times) -> np.ndarray:
         """|Γt(v)| for parallel arrays of (vertex, time) queries.
 
-        Vectorised: one global ``searchsorted`` over the cached offset-key
-        view. Query times outside the graph's range saturate correctly
-        (later than everything → 0 candidates; earlier → full degree).
+        Vectorised: one global ``searchsorted`` over the cached exact
+        keys. Query times outside the graph's range saturate (later than
+        everything → 0 candidates; earlier → full degree).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         if self.num_edges == 0:
             return np.zeros(vertices.shape, dtype=np.int64)
-        keys, base, span, finite_span = self._offset_keys()
-        # Clamp the per-segment offset into a window that stays inside
-        # the segment's exclusive numeric range while preserving the
-        # saturating semantics at both ends.
-        offset = np.clip(-times - base, -finite_span, 2.0 * finite_span)
-        qval = offset + vertices * span
-        pos = np.searchsorted(keys, qval, side="left")
-        return pos - self.indptr[vertices]
+        if self._distinct_times is None:
+            self._distinct_times = np.unique(self.etime)
+        uniq = self._distinct_times
+        return self._count_newer(
+            vertices, uniq.size - np.searchsorted(uniq, times, side="right"))
 
-    def candidate_counts_per_edge(self) -> np.ndarray:
-        """For every edge (u, v, t) (in CSR order), |Γt(v)| at its head.
+    def candidate_counts_per_edge(self, lo: int = 0,
+                                  hi: Optional[int] = None) -> np.ndarray:
+        """For every edge (u, v, t) in CSR order (``[lo, hi)`` of them),
+        |Γt(v)| at its head.
 
         This is the "searching candidate edge sets" preprocessing phase of
         paper Section 4.2: when a walker traverses edge (u, v, t) it will
@@ -218,7 +227,11 @@ class TemporalGraph:
         """
         if self.num_edges == 0:
             return np.zeros(0, dtype=np.int64)
-        return self.candidate_counts_batch(self.nbr, self.etime)
+        keys, count = self._offset_keys()
+        # An edge's own key ends in U − rank, and U − rank − 1 distinct
+        # times are newer than its own.
+        own = keys[lo:hi] % (count + 1) - 1
+        return self._count_newer(self.nbr[lo:hi], own)
 
     # -- static adjacency (node2vec support) ---------------------------------
 

@@ -44,8 +44,8 @@ Determinism: firing decisions never consult wall clock or global RNG
 state. Probabilistic rules hash ``(seed, site, call-or-key, rule)``
 with CRC32, explicit selectors (``calls``, ``chunks``/``attempts``)
 fire on exact matches, and ``max_triggers`` caps a rule per injector
-instance. Sites driven from a single thread (the scalar out-of-core
-read path, chunk entry, streaming apply) therefore replay bit-exactly;
+instance. Sites driven from a single thread (the out-of-core read
+path's sampling thread, chunk entry, streaming apply) therefore replay bit-exactly;
 sites shared with the prefetch worker are deterministic per thread but
 interleave with scheduling.
 """

@@ -8,10 +8,9 @@ time-ordered batches of *new* edges; PAT/HPAT are extended incrementally
 forest of blocks, each block its edges and their prefix masses (the
 paper's in-trunk alias tables stay with the static
 :mod:`repro.core.hpat`) — and interleaves ``apply_batch`` calls with
-temporal walks over everything ingested so far. A burst (``run_walks``)
-runs on the current epoch's packed columns, a single ``walk`` directly
-on the block forest — the scalar specification of the same two-uniform
-draw — so no global rebuild ever happens between batches.
+temporal walks over everything ingested so far. Walks (``run_walks``;
+one walk is ``run_walks([start], ...)[0]``) run on the current epoch's
+packed columns, so no global rebuild ever happens between batches.
 
 On top of the paper's in-memory maintenance this engine layers the two
 production properties ROADMAP item 3 asks for:
@@ -49,13 +48,12 @@ import numpy as np
 from repro.core.incremental import IncrementalHPAT
 from repro.exceptions import EpochRetiredError, NotSupportedError
 from repro.graph.edge_stream import EdgeStream
-from repro.rng import RngLike, make_rng
+from repro.rng import RngLike
 from repro.sampling.counters import CostCounters
 from repro.streaming.snapshot import (
     EpochReads,
     EpochView,
     load_checkpoint,
-    walk_index,
     write_checkpoint,
 )
 from repro.streaming.wal import DEFAULT_SEGMENT_BYTES, WriteAheadLog
@@ -349,17 +347,6 @@ class StreamingTeaEngine:
         return view
 
     # -- walking -----------------------------------------------------------
-
-    def walk(
-        self,
-        start: int,
-        max_length: int,
-        seed: RngLike = None,
-    ) -> WalkPath:
-        """One temporal walk over everything ingested so far."""
-        rng = make_rng(seed)
-        return walk_index(self.index, int(start), int(max_length), rng,
-                          self.counters)
 
     def run_walks(
         self,

@@ -51,7 +51,7 @@ from repro.exceptions import ChecksumError, EmptyCandidateSetError
 from repro.rng import LaneRng, RngLike, make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, clock, events
-from repro.walks.walker import Walker, WalkPath
+from repro.walks.walker import WalkPath
 
 #: Schema stamp for the checkpoint manifest.
 MANIFEST_SCHEMA = "tea-repro/streaming-checkpoint/v1"
@@ -119,8 +119,9 @@ class _EpochPack:
                   out=self.row_seg[1:rows + 1])
         self.ids = np.append(ids, np.iinfo(np.int64).max)
         # Running totals, the k-th segment of every vertex in one step:
-        # the same additions in the same order as the scalar samplers'
-        # ``cum`` lists, each rescaled by an exact power of two.
+        # the same additions in the same order as the scalar reader's
+        # ``cum`` list (tests/stream_oracle.py), each rescaled by an
+        # exact power of two.
         self.seg_cum = np.append(self.mass[ends + np.arange(count)], 0.0)
         self.seg_kmax = self.seg_exp.copy()
         at, stop = self.row_seg[:rows], self.row_seg[1:rows + 1]
@@ -279,9 +280,9 @@ class EpochView:
     """An immutable, walkable capture of the streaming index at one epoch.
 
     Holds frozen per-vertex views (shared with neighbouring epochs for
-    untouched vertices) and answers the same read API as the live
-    engine: candidate counts, weighted prefix sampling, and whole
-    temporal walks. Safe to use from any thread while ingest proceeds.
+    untouched vertices) and walks them: a single walk is
+    ``run_walks([start], ...)[0]``. Safe to use from any thread while
+    ingest proceeds.
 
     Bursts of walks (:meth:`run_lanes`, :meth:`run_walks`) advance every
     walker together over a packed copy of the epoch (:class:`_EpochPack`),
@@ -335,23 +336,6 @@ class EpochView:
     def active_vertices(self) -> List[int]:
         return self._sorted_ids().tolist()
 
-    def candidate_count(self, v: int, t: Optional[float]) -> int:
-        vert = self._vertices.get(v)
-        return vert.candidate_count(t) if vert is not None else 0
-
-    def sample(self, v: int, candidate_size: int, rng,
-               counters: Optional[CostCounters] = None) -> Tuple[int, float]:
-        vert = self._vertices.get(v)
-        if vert is None:
-            raise EmptyCandidateSetError(f"vertex {v} has no out-edges")
-        return vert.sample(candidate_size, rng, counters)
-
-    def walk(self, start: int, max_length: int, seed: RngLike = None,
-             counters: Optional[CostCounters] = None) -> WalkPath:
-        """One temporal walk over exactly this epoch's edges."""
-        rng = make_rng(seed)
-        return walk_index(self, int(start), int(max_length), rng, counters)
-
     def run_walks(self, starts, max_length: int = 80, seed: RngLike = 0,
                   counters: Optional[CostCounters] = None) -> List[WalkPath]:
         """Walks from each start; walk ``i`` runs on the ``i``-th stream
@@ -386,9 +370,8 @@ class EpochView:
         Per iteration and live lane: the candidate count by two bisects
         (boundary segment by oldest time, then strictly-newer edges
         inside it), a two-level inverse-transform draw (segment, with
-        the covered masses rescaled to the heaviest covered exponent as
-        :meth:`VertexIncrementalHPAT.sample` does, then edge by in-segment
-        prefix mass), and one scatter into the columnar result, whose
+        the covered masses rescaled to the heaviest covered exponent,
+        then edge by in-segment prefix mass), and one scatter into the columnar result, whose
         hop columns are as wide as the longest walk needed (at most
         ``max_length``; read them through ``lengths``).
         """
@@ -408,31 +391,6 @@ class EpochView:
     def __repr__(self) -> str:
         return (f"EpochView(epoch={self.epoch}, |E|={self.num_edges}, "
                 f"|V|={len(self._vertices)})")
-
-
-def walk_index(index, start: int, max_length: int, rng,
-               counters: Optional[CostCounters] = None) -> WalkPath:
-    """The scalar temporal-walk loop over any candidate/sample index.
-
-    Behind the single-walk ``walk()`` of the live engine and of a frozen
-    view; bursts go through :meth:`EpochView.run_lanes`, which draws
-    from the same distribution (tested against this loop). It is that
-    loop's specification: two uniforms a hop with the pack's arithmetic,
-    so drawing lane ``i`` of ``LaneRng(seeds)`` it takes lane ``i``'s
-    hops bit for bit.
-    """
-    walker = Walker(int(start))
-    v = walker.start_vertex
-    while walker.num_edges < max_length:
-        s = index.candidate_count(v, walker.current_time)
-        if s <= 0:
-            break
-        if counters is not None:
-            counters.record_step()
-        v2, t2 = index.sample(v, s, rng, counters)
-        walker.advance(v2, t2)
-        v = v2
-    return walker.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ from repro.core.builder import build_pat
 from repro.core.frame_pool import FramePool
 from repro.core.outofcore import OutOfCorePAT, TrunkStore
 from repro.core.weights import WeightModel
-from repro.engines import TeaOutOfCoreEngine, Workload
+from repro.engines import Workload
 from repro.rng import make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import exponential_walk
+from tests.ooc_oracle import TeaOutOfCoreEngine, read_alias_trunk, read_c
+from tests.ooc_oracle import sample as ooc_sample
 
 WIDTH = 8  # elements per frame: 64-byte frames, like the old 64-byte blocks
 KEYS = {name: i for i, name in enumerate(
@@ -120,7 +122,7 @@ class TestBlockCache:
         admitted side by side; it is a hit when both are resident."""
         pool = trunk_store.cache
         for hits in (0, 2):
-            prob, alias = trunk_store.read_alias_trunk(8, 16, None)
+            prob, alias = read_alias_trunk(trunk_store, 8, 16, None)
             assert prob.size == 8 and alias.size == 8
             np.testing.assert_array_equal(alias, trunk_store._alias[8:16])
             assert (pool.used, pool.stats.hits) == (2, hits)
@@ -153,14 +155,14 @@ class TestBlockCache:
         """Callers never receive writable pool memory: payload is a
         read-only copy, on the miss that admits it and on every hit."""
         for _ in range(2):
-            block = trunk_store.read_c(0, 8, None)
+            block = read_c(trunk_store, 0, 8, None)
             with pytest.raises(ValueError):
                 block[0] = 1.0
         assert trunk_store.cache.stats.hits == 1
 
     def test_tuple_members_are_read_only(self, trunk_store):
         for _ in range(2):
-            prob, alias = trunk_store.read_alias_trunk(0, 8, None)
+            prob, alias = read_alias_trunk(trunk_store, 0, 8, None)
             assert alias.dtype == np.int64
             with pytest.raises(ValueError):
                 prob[0] = 1.0
@@ -228,15 +230,15 @@ class TestBlockCache:
         """A range wider than a frame bypasses the pool: served whole
         from the gather, never admitted, nothing evicted for it."""
         pool = trunk_store.cache
-        trunk_store.read_c(0, 8, None)
+        read_c(trunk_store, 0, 8, None)
         bytes_in = pool.stats.bytes_in
         for _ in range(2):
-            huge = trunk_store.read_c(0, 1000, None)
+            huge = read_c(trunk_store, 0, 1000, None)
             np.testing.assert_array_equal(huge, trunk_store._c[:1000])
         assert pool.used == 1 and pool.stats.bytes_in == bytes_in
         assert pool.stats.evictions == 0
         assert trunk_store.cache.stats.hits == 0
-        trunk_store.read_c(0, 8, None)
+        read_c(trunk_store, 0, 8, None)
         assert trunk_store.cache.stats.hits == 1  # the small one is still cached
 
 
@@ -255,10 +257,10 @@ class TestOutOfCoreIntegration:
         counters = CostCounters()
         rng = make_rng(0)
         for _ in range(50):
-            ooc.sample(v, d, rng, counters)
+            ooc_sample(ooc, v, d, rng, counters)
         first_pass = counters.io_bytes
         for _ in range(500):
-            ooc.sample(v, d, rng, counters)
+            ooc_sample(ooc, v, d, rng, counters)
         # Hot trunks are cached: 10x more samples ≪ 10x more I/O.
         assert counters.io_bytes < first_pass * 6
         assert ooc.store.cache.stats.hit_rate > 0.3
@@ -277,7 +279,7 @@ class TestOutOfCoreIntegration:
                 if s < 1:
                     continue
                 r1, r2 = make_rng(int(v) * 13 + s), make_rng(int(v) * 13 + s)
-                assert plain.sample(int(v), s, r1) == cached.sample(int(v), s, r2)
+                assert ooc_sample(plain, int(v), s, r1) == ooc_sample(cached, int(v), s, r2)
 
     def test_engine_cache_stats(self, medium_graph, tmp_path):
         engine = TeaOutOfCoreEngine(

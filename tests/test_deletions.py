@@ -1,12 +1,12 @@
-"""Deletion support: tombstones, lazy rebuilds, distribution correctness."""
+"""Deletion support (``examples/moderation_pipeline.py``): tombstones,
+lazy rebuilds, distribution correctness."""
 
 import numpy as np
 import pytest
 
-from repro.core.deletions import TombstoneHPAT
+from examples.moderation_pipeline import MutableTeaEngine, TombstoneHPAT
 from repro.core.weights import WeightModel
 from repro.engines import Workload
-from repro.engines.mutable import MutableTeaEngine
 from repro.exceptions import EmptyCandidateSetError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validate import is_temporal_path

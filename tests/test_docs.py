@@ -76,7 +76,9 @@ class TestMakefile:
 #: call them, or were deleted.
 MOVED_OUT = ("repro.analytics", "repro.bench", "repro.distributed",
              "repro.embeddings", "repro.sampling.its",
-             "repro.sampling.rejection", "benchmarks", "examples", "tests")
+             "repro.sampling.rejection", "repro.core.deletions",
+             "repro.engines.mutable", "repro.engines.tea_outofcore.scalar",
+             "repro.graph.transform", "benchmarks", "examples", "tests")
 
 
 class TestProductBoundary:

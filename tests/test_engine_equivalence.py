@@ -15,13 +15,13 @@ from repro.engines import (
     GraphWalkerEngine,
     KnightKingEngine,
     TeaEngine,
-    TeaOutOfCoreEngine,
     Workload,
 )
 from repro.rng import make_rng
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import exponential_walk, linear_walk, unbiased_walk
 from tests.conftest import chisquare_ok
+from tests.ooc_oracle import TeaOutOfCoreEngine
 
 ENGINE_FACTORIES = [
     lambda g, s: TeaEngine(g, s),

@@ -8,7 +8,6 @@ from repro.engines import (
     GraphWalkerEngine,
     KnightKingEngine,
     TeaEngine,
-    TeaOutOfCoreEngine,
     Workload,
 )
 from repro.exceptions import SimulatedOOM
@@ -19,6 +18,7 @@ from repro.walks.apps import (
     temporal_node2vec,
     unbiased_walk,
 )
+from tests.ooc_oracle import TeaOutOfCoreEngine
 
 ALL_ENGINES = [
     ("tea-hpat", lambda g, s: TeaEngine(g, s)),

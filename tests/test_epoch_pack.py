@@ -2,7 +2,8 @@
 
 Everything distributional here is checked against Γt(u) enumerated from
 the raw edge list with Eq. 3's weights — not against another engine —
-and the scalar ``walk_index`` loop is held to the same oracle, so the
+and the scalar ``walk_index`` loop of ``tests/stream_oracle.py`` is held
+to the same oracle, so the
 two can only agree by both being right. On the carry-forest kinds the
 two are also the same draw, hop for hop (``TestBitIdentity``); parity
 between two of our own paths cannot catch a shared bias, so that gate is
@@ -28,6 +29,7 @@ from repro.streaming import snapshot
 from repro.streaming.batch import StreamingTeaEngine
 from repro.walks.spec import WalkSpec
 from tests.conftest import chisquare_ok
+from tests import stream_oracle
 
 KINDS = [("uniform", 1.0), ("linear_rank", 1.0), ("linear_time", 1.0),
          ("exponential", 6.0), ("exponential_decay", 6.0)]
@@ -176,7 +178,7 @@ class TestCandidateCounts:
         src, dst, times, splits = stream
         view = _ingest(_spec(*kind), src, dst, times, splits).pin()
         oracle = EdgeOracle(*kind, src, dst, times)
-        pack = view.packed()
+        pack, scalar = view.packed(), stream_oracle.ScalarReader.of(view)
         distinct = np.unique(times)
         probes = np.concatenate([distinct, (distinct[1:] + distinct[:-1]) / 2,
                                  [-np.inf, np.inf]])
@@ -186,7 +188,7 @@ class TestCandidateCounts:
         got = pack.seg_start[edge] - pack.seg_start[first] + take
         for vi, ti, count in zip(v.tolist(), t.tolist(), got.tolist()):
             assert count == oracle.count(vi, ti), (vi, ti)
-            assert count == view.candidate_count(
+            assert count == scalar.candidate_count(
                 vi, None if ti == -np.inf else ti), (vi, ti)
 
 
@@ -208,7 +210,7 @@ class TestDistribution:
         assert _fits(packed, exact)
 
         rng = make_rng(seed)
-        scalar = [tuple(snapshot.walk_index(view, hub, 2, rng).hops[1:])
+        scalar = [tuple(stream_oracle.walk_index(view, hub, 2, rng).hops[1:])
                   for _ in range(DRAWS // 4)]
         assert _fits([hops[0] for hops in scalar], first_hop)
         assert _fits(scalar, exact)
@@ -275,8 +277,9 @@ class TestDistribution:
 
 
 class TestFloatRange:
-    """Raw weights past float64's range, through ``run_walks``, ``walk()``
-    and a WAL-recovered engine: Eq. 3, not the newest edge every time."""
+    """Raw weights past float64's range, through ``run_walks``, the
+    scalar oracle's ``walk()`` and a WAL-recovered engine: Eq. 3, not
+    the newest edge every time."""
 
     @staticmethod
     def _three_paths(kind, edges, batches, start, hops, tmp_path):
@@ -290,7 +293,8 @@ class TestFloatRange:
                                               times[lo:lo + size], sort=False))
                 lo += size
             burst = engine.run_walks(np.full(DRAWS, start), hops, seed=1)
-            single = [engine.walk(start, hops, seed=s) for s in range(DRAWS // 4)]
+            single = [stream_oracle.walk(engine, start, hops, seed=s)
+                      for s in range(DRAWS // 4)]
         with StreamingTeaEngine(_spec(*kind), wal_dir=tmp_path) as recovered:
             replayed = recovered.run_walks(np.full(DRAWS, start), hops, seed=2)
         for paths in (burst, single, replayed):
@@ -373,7 +377,7 @@ class TestBitIdentity:
         for view, index in ((pinned, pinned), (engine.pin(), engine.index)):
             out = view.run_lanes(starts, seeds, 6)
             lanes = LaneRng(seeds)
-            scalar = [tuple(snapshot.walk_index(index, start, 6, _Lane(lanes, i)).hops[1:])
+            scalar = [tuple(stream_oracle.walk_index(index, start, 6, _Lane(lanes, i)).hops[1:])
                       for i, start in enumerate(starts.tolist())]
             assert scalar == _hop_tuples(out)
             assert np.array_equal(lanes._ctr, 2 * out.lengths.astype(np.uint64))
@@ -465,7 +469,7 @@ class TestDeadEnds:
         assert np.array_equal(mixed.hop_vertex[keep], alone.hop_vertex)
         assert alone.lengths.tolist()[2] == 1  # 9 -> 11, and 11 is a dead end
         for start in rowless:
-            assert view.walk(start, 5, seed=0).num_edges == 0
+            assert view.run_walks([start], 5, seed=0)[0].num_edges == 0
         for path in view.run_walks(mixed_starts, 5, seed=2):
             assert path.vertices[-1] in (0, 4, 11) or path.num_edges == 0
 

@@ -13,6 +13,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng
 from tests.carry_oracle import OracleVertexForest, forest_state
 from tests.conftest import chisquare_ok
+from tests.stream_oracle import ScalarReader, vertex_candidate_count, vertex_sample
 
 
 def vertex_with_batches(batches, model=None) -> VertexIncrementalHPAT:
@@ -83,12 +84,12 @@ class TestCandidateCount:
         stream = EdgeStream(np.zeros(64, dtype=int), np.arange(64), times)
         graph = TemporalGraph.from_stream(stream)
         for t in [None, -1.0, 0.0, 50.0, 99.0, 200.0]:
-            assert vert.candidate_count(t) == graph.candidate_count(0, t), t
+            assert vertex_candidate_count(vert, t) == graph.candidate_count(0, t), t
 
     def test_strictness(self):
         vert = vertex_with_batches([([1, 2], [1.0, 2.0])])
-        assert vert.candidate_count(1.0) == 1
-        assert vert.candidate_count(0.99) == 2
+        assert vertex_candidate_count(vert, 1.0) == 1
+        assert vertex_candidate_count(vert, 0.99) == 2
 
 
 class TestSamplingEquivalence:
@@ -113,7 +114,7 @@ class TestSamplingEquivalence:
             probs = w_desc[:s] / w_desc[:s].sum()
             counts = np.zeros(n)
             for _ in range(12000):
-                dst, _ = vert.sample(s, rng)
+                dst, _ = vertex_sample(vert, s, rng)
                 counts[dst - 0] += 1
             # Map destinations back to time-desc positions: dst == index
             # into ascending order, so position = n - 1 - dst.
@@ -125,9 +126,9 @@ class TestSamplingEquivalence:
     def test_invalid_candidate_sizes(self):
         vert = vertex_with_batches([([1], [1.0])])
         with pytest.raises(EmptyCandidateSetError):
-            vert.sample(0, make_rng(0))
+            vertex_sample(vert, 0, make_rng(0))
         with pytest.raises(EmptyCandidateSetError):
-            vert.sample(2, make_rng(0))
+            vertex_sample(vert, 2, make_rng(0))
 
 
 class TestGraphLevel:
@@ -139,8 +140,8 @@ class TestGraphLevel:
             inc.apply_batch(batch)
         assert inc.num_edges == small_graph.num_edges
         for v in range(small_graph.num_vertices):
-            assert inc.candidate_count(v, None) == small_graph.out_degree(v)
-            assert inc.candidate_count(v, 50.0) == small_graph.candidate_count(v, 50.0)
+            assert ScalarReader(inc.vertices).candidate_count(v, None) == small_graph.out_degree(v)
+            assert ScalarReader(inc.vertices).candidate_count(v, 50.0) == small_graph.candidate_count(v, 50.0)
 
     def test_init_from_graph(self, small_graph):
         inc = IncrementalHPAT(WeightModel("uniform"), graph=small_graph)
@@ -149,7 +150,7 @@ class TestGraphLevel:
     def test_sample_unknown_vertex(self):
         inc = IncrementalHPAT(WeightModel("uniform"))
         with pytest.raises(EmptyCandidateSetError):
-            inc.sample(3, 1, make_rng(0))
+            ScalarReader(inc.vertices).sample(3, 1, make_rng(0))
 
     def test_nbytes_grows(self, small_graph):
         inc = IncrementalHPAT(WeightModel("uniform"))
@@ -193,7 +194,7 @@ class TestCandidateSearch:
             vert = vertex_with_batches(batches)
             for t, want in [(0.0, 7), (1.0, 6), (1.5, 6), (2.0, 3), (3.0, 1),
                             (4.0, 1), (5.0, 0), (6.0, 0), (None, 7)]:
-                assert vert.candidate_count(t) == want, (splits, t)
+                assert vertex_candidate_count(vert, t) == want, (splits, t)
 
 
 CARRY_KINDS = [("uniform", 1.0), ("linear_rank", 1.0), ("linear_time", 1.0),

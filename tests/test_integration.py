@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from examples.link_prediction import train_sgns
+from examples.moderation_pipeline import MutableTeaEngine
 from repro import (
     StreamingTeaEngine,
     TeaEngine,
@@ -14,11 +15,12 @@ from repro import (
     temporal_node2vec,
     unbiased_walk,
 )
-from repro.engines import BatchTeaEngine, MutableTeaEngine
+from repro.engines import BatchTeaEngine
 from repro.graph import io as graph_io
 from repro.graph.generators import temporal_powerlaw
 from repro.graph.validate import is_temporal_path
 from repro.walks.sink import WalkSink, read_walks
+from tests.stream_oracle import ScalarReader
 
 
 class TestFullPipeline:
@@ -62,9 +64,10 @@ class TestStreamingThenStatic:
             engine.apply_batch(batch)
             seen += len(batch)
             snapshot = TemporalGraph.from_stream(stream[:seen])
+            reader = ScalarReader.of(engine)
             for v in range(snapshot.num_vertices):
                 for t in (None, 25.0, 75.0):
-                    assert engine.index.candidate_count(v, t) == \
+                    assert reader.candidate_count(v, t) == \
                         snapshot.candidate_count(v, t), (v, t, seen)
 
 

@@ -33,6 +33,7 @@ from repro.walks.apps import temporal_node2vec
 from repro.walks.spec import WalkSpec
 from tests import legacy_kernel
 from tests.conftest import chisquare_ok
+from tests.stream_oracle import vertex_candidate_count, vertex_sample
 
 PRODUCT = list(available_backends())
 
@@ -359,13 +360,13 @@ class TestDecayCarryForest:
         counters = CostCounters()
         for t_after, cands in ((-1.0, np.concatenate([times, far])),
                                (far[0] - 1.0, far)):
-            s = carry.candidate_count(t_after)  # newer-than t
+            s = vertex_candidate_count(carry, t_after)  # newer-than t
             assert s == cands.size
             logs = (times[0] - cands) / 5.0
             probs = np.exp(logs - logs.max())
-            # sample() returns (dst, time); timestamps are unique, so they
-            # identify the drawn edge.
-            drawn_t = np.array([carry.sample(s, rng, counters)[1]
+            # vertex_sample() returns (dst, time); timestamps are unique,
+            # so they identify the drawn edge.
+            drawn_t = np.array([vertex_sample(carry, s, rng, counters)[1]
                                 for _ in range(12000)])
             idx = np.searchsorted(cands, drawn_t)
             assert np.array_equal(cands[idx], drawn_t)

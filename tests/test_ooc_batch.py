@@ -20,7 +20,6 @@ from repro.core.weights import WeightModel
 from repro.engines import (
     BatchTeaEngine,
     BatchTeaOutOfCoreEngine,
-    TeaOutOfCoreEngine,
     Workload,
 )
 from repro.graph.validate import is_temporal_path
@@ -29,6 +28,8 @@ from repro.telemetry import MetricsRegistry
 from repro.telemetry.exporters import to_prometheus
 from repro.walks.apps import exponential_walk, temporal_node2vec
 from tests.conftest import chisquare_ok, gtest_ok
+from tests.ooc_oracle import TeaOutOfCoreEngine, read_alias_trunk, read_c
+from tests.ooc_oracle import sample as ooc_sample
 
 
 def _runs(ranges):
@@ -74,7 +75,7 @@ class TestReadBatch:
     def test_widest_range_a_hit_narrower_ranges_missing(self, store):
         """Staging is as wide as the widest *miss*, the payload as wide
         as the widest range."""
-        store.read_c(0, 9, None)
+        read_c(store, 0, 9, None)
         payload, lengths, inverse = store.read_batch(
             "c", np.array([16, 0, 40]), np.array([20, 9, 42]), None)
         assert payload.shape == (3, 9)
@@ -133,7 +134,7 @@ class TestReadBatch:
                         verify_checksums=True) as legacy:
             assert legacy.cache.width == 0
             for _ in range(2):
-                prob, alias = legacy.read_alias_trunk(8, 16, None)
+                prob, alias = read_alias_trunk(legacy, 8, 16, None)
                 np.testing.assert_array_equal(alias, legacy._alias[8:16])
             assert legacy.cache.width == 9 and legacy.cache.stats.hits == 2
 
@@ -559,11 +560,11 @@ class TestMemorySafety:
         deg = np.diff(engine.graph.indptr)
         v = int(np.flatnonzero(deg)[0])
         with pytest.raises(IndexError):
-            engine.index.sample(v, int(deg[v]) + 1, make_rng(0))
+            ooc_sample(engine.index, v, int(deg[v]) + 1, make_rng(0))
         with pytest.raises(IndexError):
-            engine.index.sample(-1, 1, make_rng(0))
+            ooc_sample(engine.index, -1, 1, make_rng(0))
         with pytest.raises(IndexError):
-            engine.index.sample(engine.graph.num_vertices, 1, make_rng(0))
+            ooc_sample(engine.index, engine.graph.num_vertices, 1, make_rng(0))
 
     def test_poisoned_candidate_sizes_raise(self, small_graph, poison=10**9):
         spec = exponential_walk(scale=15.0)
@@ -796,11 +797,12 @@ class TestCli:
         assert "ooc.read_ops" in out
         assert "cache.bytes_served" in out
 
-    def test_walk_scalar_engine_cache_flag(self, capsys):
-        rc = main([
-            "walk", "--dataset", "tiny", "--app", "exponential",
-            "--engine", "tea-ooc", "--length", "10", "--max-walks", "20",
-            "--cache-bytes", "65536", "--ooc-trunk-size", "4",
-        ])
-        assert rc == 0
-        assert "steps:" in capsys.readouterr().out
+    def test_scalar_engine_is_not_a_cli_engine(self, capsys):
+        """The one-read-per-step reader is a test oracle, not an option:
+        the CLI offers one out-of-core TEA engine among its eleven."""
+        from repro.cli import ENGINES
+
+        assert len(ENGINES) == 11 and "tea-ooc" not in ENGINES
+        with pytest.raises(SystemExit):
+            main(["walk", "--dataset", "tiny", "--engine", "tea-ooc"])
+        assert "invalid choice: 'tea-ooc'" in capsys.readouterr().err

@@ -5,8 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from examples.link_prediction import auc_score
+from examples.moderation_pipeline import TombstoneHPAT
 from repro.core.frame_pool import FramePool
-from repro.core.deletions import TombstoneHPAT
 from repro.core.weights import WeightModel
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph

@@ -24,6 +24,7 @@ from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.resilience import FaultInjector, FaultRule, RetryPolicy, is_transient
 from repro.walks.apps import APPLICATIONS
+from tests.ooc_oracle import TeaOutOfCoreEngine, read_alias_trunk, read_c
 
 
 def exp_spec():
@@ -293,7 +294,7 @@ class TestChecksums:
         store = TrunkStore(tmp_path, verify_checksums=True).open()
         try:
             with pytest.raises(ChecksumError) as err:
-                store.read_c(0, 16, None)
+                read_c(store, 0, 16, None)
             assert err.value.page == 0
             assert "c.bin" in str(err.value)
         finally:
@@ -309,7 +310,7 @@ class TestChecksums:
             fh.write(bytes([byte ^ 0x10]))
         store = TrunkStore(tmp_path).open()
         try:
-            store.read_c(0, 16, None)  # corrupt but unchecked: no raise
+            read_c(store, 0, 16, None)  # corrupt but unchecked: no raise
         finally:
             store.close()
 
@@ -328,8 +329,6 @@ class TestChecksums:
         assert not report["clean"]
 
     def test_injected_corruption_caught_in_engine_run(self, ooc_graph):
-        from repro.engines.tea_outofcore import TeaOutOfCoreEngine
-
         inj = FaultInjector.from_plan(
             {"rules": [{"site": "trunk_read", "kind": "corrupt_block",
                         "calls": [2]}]}
@@ -373,7 +372,7 @@ class TestChecksums:
             fh.seek(offset)
             fh.write(bytes([byte ^ 0x04]))
         store = bad.index.store
-        store.read_alias_trunk(0, 8, None)  # page 0 is intact
+        read_alias_trunk(store, 0, 8, None)  # page 0 is intact
         with pytest.raises(ChecksumError) as err:
             bad.run(workload, seed=0, record_paths=False)
         assert err.value.page == 3 and "prob.bin" in str(err.value)
@@ -383,8 +382,6 @@ class TestChecksums:
                 + store.prefetch_in_flight)
 
     def test_transient_io_retried_and_counted(self, ooc_graph):
-        from repro.engines.tea_outofcore import TeaOutOfCoreEngine
-
         workload = Workload(walks_per_vertex=1, max_length=15)
         baseline = TeaOutOfCoreEngine(ooc_graph, exp_spec()).run(
             workload, seed=1
@@ -407,8 +404,6 @@ class TestChecksums:
         ).value == 3
 
     def test_retry_budget_exhaustion_propagates(self, ooc_graph):
-        from repro.engines.tea_outofcore import TeaOutOfCoreEngine
-
         inj = FaultInjector.from_plan(
             {"rules": [{"site": "trunk_read", "kind": "io_error"}]}
         )
@@ -737,8 +732,9 @@ class TestDeadEndTermination:
         out-candidates must end the walk, never raise."""
         from repro.cli import ENGINES
 
+        factories = {**ENGINES, "tea-ooc": TeaOutOfCoreEngine}
         graph = dead_end_graph()
-        engine = ENGINES[name](graph, exp_spec())
+        engine = factories[name](graph, exp_spec())
         result = engine.run(
             Workload(walks_per_vertex=2, max_length=10), seed=0
         )
@@ -751,7 +747,7 @@ class TestDeadEndTermination:
 
         engine = StreamingTeaEngine(exp_spec())
         engine.apply_batch(EdgeStream([0, 1], [2, 2], [1.0, 2.0]))
-        walk = engine.walk(2, max_length=5, seed=0)  # sink: no out-edges
+        walk = engine.run_walks([2], max_length=5, seed=0)[0]  # sink: no out-edges
         assert walk.num_edges == 0
 
 
@@ -795,7 +791,7 @@ class TestCli:
         from repro.cli import main
 
         code = main([
-            "walk", "--dataset", "tiny", "--engine", "tea-ooc",
+            "walk", "--dataset", "tiny", "--engine", "tea-ooc-batch",
             "--app", "exponential", "--length", "5", "--max-walks", "10",
             "--verify-checksums", "--retries", "3",
             "--fault-plan",

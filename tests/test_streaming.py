@@ -8,6 +8,7 @@ from repro.graph.generators import temporal_powerlaw
 from repro.streaming.batch import StreamingTeaEngine
 from repro.streaming.wal import WriteAheadLog, scrub_wal
 from repro.walks.apps import exponential_walk, temporal_node2vec, unbiased_walk
+from tests.stream_oracle import ScalarReader, vertex_candidate_count
 
 
 @pytest.fixture
@@ -55,17 +56,17 @@ class TestWalking:
         from repro.graph.edge_stream import EdgeStream
 
         engine.apply_batch(EdgeStream.from_edges([(0, 1, 1.0)]))
-        path1 = engine.walk(0, max_length=5, seed=0)
+        path1 = engine.run_walks([0], max_length=5, seed=0)[0]
         assert path1.vertices == [0, 1]
         engine.apply_batch(EdgeStream.from_edges([(1, 2, 2.0)]))
-        path2 = engine.walk(0, max_length=5, seed=0)
+        path2 = engine.run_walks([0], max_length=5, seed=0)[0]
         assert path2.vertices == [0, 1, 2]
 
     def test_walk_from_inactive_vertex(self, stream):
         engine = StreamingTeaEngine(unbiased_walk())
         engine.ingest(stream, 200)
         isolated = max(engine.active_vertices()) + 1
-        path = engine.walk(isolated, max_length=5, seed=0)
+        path = engine.run_walks([isolated], max_length=5, seed=0)[0]
         assert path.num_edges == 0
 
     def test_counters_accumulate(self, stream):
@@ -103,11 +104,11 @@ class TestEquivalenceWithStatic:
         exact = np.array([probs[k] for k in keys])
         exact /= exact.sum()
 
-        rng = make_rng(0)
+        rng, reader = make_rng(0), ScalarReader.of(streaming)
         counts = np.zeros(len(keys))
         key_pos = {k: i for i, k in enumerate(keys)}
         for _ in range(15000):
-            dst, _ = streaming.index.sample(v, d, rng)
+            dst, _ = reader.sample(v, d, rng)
             counts[key_pos[dst]] += 1
         assert chisquare_ok(counts, exact)
 
@@ -147,7 +148,7 @@ class TestBulkIngest:
             for a, b in zip(one.edges_desc(), many.edges_desc()):
                 assert np.array_equal(a, b)
             for t in (None, 25.0, 50.0, 75.0):
-                assert one.candidate_count(t) == many.candidate_count(t)
+                assert vertex_candidate_count(one, t) == vertex_candidate_count(many, t)
         assert sum(v.num_blocks() for v in batched.index.vertices.values()) > len(
             batched.active_vertices())
 

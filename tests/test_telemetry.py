@@ -429,7 +429,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "engine",
-        ["tea", "tea-batch", "tea-pat", "tea-its", "tea-ooc",
+        ["tea", "tea-batch", "tea-pat", "tea-its", "tea-ooc-batch",
          "graphwalker", "knightking"],
     )
     def test_all_engines_emit_populated_registry(self, engine, tmp_path):

@@ -169,3 +169,28 @@ class TestCandidateCountsBatch:
         assert np.array_equal(
             graph.candidate_counts_batch([0, 1], [1.0, 2.0]), [0, 0]
         )
+
+    def test_times_closer_than_the_key_spacing_stay_distinct(self):
+        """Regression: batched counts used float keys ``time + v·span``,
+        and at a million vertices the spacing of those floats swallowed
+        times 10⁻⁴ apart, so the hub's two newer edges counted as zero
+        and every engine stopped its walk there."""
+        from repro.core.builder import search_candidate_sets
+        from repro.engines import BatchTeaEngine, TeaEngine, Workload
+        from repro.walks.apps import unbiased_walk
+
+        hub = 10**6 - 1
+        graph = TemporalGraph.from_edges(
+            [(0, hub, 1000.0), (hub, 3, 1000.0001), (hub, 4, 1000.0002),
+             (5, 6, 1e6)], num_vertices=10**6)
+        assert graph.candidate_count(hub, 1000.0) == 2
+        assert graph.candidate_counts_batch([hub, hub], [1000.0, 1000.0001]).tolist() \
+            == [2, 1]
+        want = [graph.candidate_count(int(v), float(t))
+                for v, t in zip(graph.nbr, graph.etime)]
+        assert graph.candidate_counts_per_edge().tolist() == want
+        assert search_candidate_sets(graph, workers=3).tolist() == want
+        for engine in (TeaEngine(graph, unbiased_walk()),
+                       BatchTeaEngine(graph, unbiased_walk())):
+            walk = engine.run(Workload(start_vertices=[0]), seed=0).paths[0]
+            assert walk.num_edges == 2, engine.name

@@ -1,12 +1,14 @@
-"""Graph transforms."""
+"""Graph transforms (``examples/network_analysis.py``)."""
 
 import numpy as np
-import pytest
 
-from examples.network_analysis import largest_temporal_component
+from examples.network_analysis import (
+    induced_subgraph,
+    largest_temporal_component,
+    reverse,
+)
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
-from repro.graph.transform import induced_subgraph, merge, normalize_times, reverse
 from repro.graph.validate import check_graph
 
 
@@ -51,36 +53,6 @@ class TestInducedSubgraph:
         assert sub.num_edges == small_graph.num_edges
 
 
-class TestNormalizeTimes:
-    def test_range_mapped(self, small_graph):
-        norm = normalize_times(small_graph, horizon=10.0)
-        assert norm.etime.min() == pytest.approx(0.0)
-        assert norm.etime.max() == pytest.approx(10.0)
-
-    def test_order_preserved(self, small_graph):
-        """Relative time order (hence candidate sets) is unchanged."""
-        norm = normalize_times(small_graph, horizon=42.0)
-        assert np.array_equal(norm.nbr, small_graph.nbr)
-        # Rank order of times within every vertex segment is identical.
-        for v in range(small_graph.num_vertices):
-            _, t_old = small_graph.neighbors(v)
-            _, t_new = norm.neighbors(v)
-            assert np.array_equal(np.argsort(t_old), np.argsort(t_new))
-
-    def test_constant_times(self):
-        graph = TemporalGraph.from_edges([(0, 1, 5.0), (1, 2, 5.0)])
-        norm = normalize_times(graph, horizon=10.0)
-        assert np.all(norm.etime == 0.0)
-
-    def test_bad_horizon(self, small_graph):
-        with pytest.raises(ValueError):
-            normalize_times(small_graph, horizon=0.0)
-
-    def test_empty(self):
-        graph = TemporalGraph.from_stream(EdgeStream.empty(), num_vertices=2)
-        assert normalize_times(graph).num_edges == 0
-
-
 class TestLargestComponent:
     def test_disconnected_halves(self):
         # Two temporally connected chains; the bigger one wins.
@@ -97,16 +69,3 @@ class TestLargestComponent:
         sub, _, mask = largest_temporal_component(graph)
         assert sub.num_edges == 0
         assert mask.sum() == 0
-
-
-class TestMerge:
-    def test_union_counts(self, toy_graph):
-        other = TemporalGraph.from_edges([(0, 9, 100.0)], num_vertices=10)
-        merged = merge(toy_graph, other)
-        assert merged.num_edges == toy_graph.num_edges + 1
-        assert merged.candidate_count(0, 50.0) == 1  # the new late edge
-
-    def test_vertex_space_is_max(self):
-        a = TemporalGraph.from_edges([(0, 1, 1.0)])
-        b = TemporalGraph.from_edges([(5, 6, 1.0)])
-        assert merge(a, b).num_vertices == 7
