@@ -87,8 +87,8 @@ def ooc_sample_batch(
     :meth:`TrunkStore.read_batch` so the whole frontier's trunks dedupe
     and coalesce. Lanes are validated first (``IndexError`` unless
     ``0 <= v < V`` and ``1 <= s <= deg``). Probe counts for the lockstep
-    boundary search are exact; partial-trunk search probes are the usual batched
-    approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
+    boundary search are exact; partial-trunk search probes are the usual
+    batched approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
 
     Row ``i`` takes its (up to three) uniforms from lane ``lanes[i]`` of
     the :class:`~repro.rng.LaneRng` ``draw``, like the in-memory kernel,

@@ -196,14 +196,17 @@ class TemporalGraph:
         times are strictly greater than the lane's t."""
         keys, count = self._offset_keys()
         query = vertices * (count + 1) + newer
-        flat = query.ravel()
+        shape = query.shape
         # Probed in ascending order the search walks the keys front to
         # back: ≈4× faster than random probes into a 10⁶-edge graph,
-        # which pays for the sort and then some.
-        order = np.argsort(flat)
-        found = np.empty_like(flat)
-        found[order] = np.searchsorted(keys, flat[order], side="right")
-        return found.reshape(query.shape) - self.indptr[vertices]
+        # which pays for the sort and then some. The sorted queries'
+        # buffer takes the answers back in lane order.
+        order = np.argsort(query, axis=None)
+        query = query.ravel()[order]
+        found = np.searchsorted(keys, query, side="right")
+        query[order] = found
+        del order, found
+        return query.reshape(shape) - self.indptr[vertices]
 
     def candidate_counts_batch(self, vertices, times) -> np.ndarray:
         """|Γt(v)| for parallel arrays of (vertex, time) queries.
@@ -237,7 +240,8 @@ class TemporalGraph:
         keys, count = self._offset_keys()
         # An edge's own key ends in U − rank, and U − rank − 1 distinct
         # times are newer than its own.
-        own = keys[lo:hi] % (count + 1) - 1
+        own = keys[lo:hi] % (count + 1)
+        own -= 1
         return self._count_newer(self.nbr[lo:hi], own)
 
     # -- static adjacency (node2vec support) ---------------------------------

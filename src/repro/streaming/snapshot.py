@@ -371,8 +371,9 @@ class EpochView:
         (boundary segment by oldest time, then strictly-newer edges
         inside it), a two-level inverse-transform draw (segment, with
         the covered masses rescaled to the heaviest covered exponent,
-        then edge by in-segment prefix mass), and one scatter into the columnar result, whose
-        hop columns are as wide as the longest walk needed (at most
+        then edge by in-segment prefix mass), and one scatter into the
+        columnar result, whose hop columns are as wide as the longest
+        walk needed (at most
         ``max_length``; read them through ``lengths``).
         """
         t0 = clock.now()
