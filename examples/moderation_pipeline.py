@@ -58,7 +58,7 @@ import numpy as np
 
 from repro import TemporalGraph, Workload, exponential_walk
 from repro.core import builder
-from repro.core.builder import _hpat_fill_chunk, _prefix_chunk, build_hpat
+from repro.core.builder import _fill_levels, _prefix_fill, build_hpat, hpat_layout
 from repro.core.hpat import HierarchicalPAT
 from repro.engines.base import Engine
 from repro.engines.session import TeaSession
@@ -188,19 +188,16 @@ class TombstoneHPAT:
         if d == 0:
             return
         w = self.weights[lo:hi]
-        # Prefix sums: segment [lo + v, hi + v + 1).
-        cbase = lo + v
-        self.hpat.c[cbase : cbase + d + 1] = _prefix_chunk(
-            np.array([0, d], dtype=np.int64), w
-        )
-        # Level tables: this vertex's contiguous region of the flat arrays.
-        degrees = np.array([d], dtype=np.int64)
+        # Prefix sums: segment [lo + v, hi + v + 1), rebuilt in place.
         indptr = np.array([0, d], dtype=np.int64)
-        prob, alias = _hpat_fill_chunk(degrees, indptr, np.where(w > 0, w, 0.0))
-        if prob.size:
+        _prefix_fill(indptr, w, self.hpat.c[lo + v : hi + v + 1], 0, 1)
+        # Level tables: this vertex's contiguous region of the flat arrays.
+        lvl_base, lvl_ptr, cells = hpat_layout(np.array([d], dtype=np.int64))
+        if cells:
             start = self.hpat.level_table_start(v, 1)
-            self.hpat.prob[start : start + prob.size] = prob
-            self.hpat.alias[start : start + alias.size] = alias
+            _fill_levels(indptr, np.where(w > 0, w, 0.0), lvl_base, lvl_ptr,
+                         self.hpat.prob[start : start + cells],
+                         self.hpat.alias[start : start + cells], 0, 1)
         self._stale_dead[v] = 0
         self.stats.vertex_rebuilds += 1
 

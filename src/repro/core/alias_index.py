@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.exceptions import EmptyCandidateSetError, SimulatedOOM
 from repro.graph.temporal_graph import TemporalGraph
-from repro.sampling.alias import alias_draw, build_alias_arrays_batch
+from repro.sampling.alias import alias_draw, build_alias_tables
 from repro.sampling.counters import CostCounters
 
 DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
@@ -70,25 +70,13 @@ class FullAliasIndex:
         total = int(vbase[-1])
         prob = np.empty(total, dtype=np.float64)
         alias = np.empty(total, dtype=np.int64)
-        # Group the construction by prefix length so the batched lock-step
-        # builder handles all equal-width tables at once.
+        # One builder call per prefix length builds every vertex's table of
+        # that width (zero-weight prefixes, never sampled, get identities).
         max_d = int(d.max()) if n else 0
         for s in range(1, max_d + 1):
             vs = np.flatnonzero(d >= s)
-            if not vs.size:
-                continue
-            rows = np.empty((vs.size, s), dtype=np.float64)
-            for i, v in enumerate(vs):
-                lo = graph.indptr[v]
-                rows[i] = weights[lo : lo + s]
-            bad = rows.sum(axis=1) <= 0
-            if np.any(bad):
-                rows[bad] = 1.0  # zero-weight prefixes are never sampled
-            p, a = build_alias_arrays_batch(rows)
-            dest = vbase[vs] + (s * (s - 1)) // 2
-            for i, start in enumerate(dest):
-                prob[start : start + s] = p[i]
-                alias[start : start + s] = a[i]
+            build_alias_tables(weights, s, graph.indptr[vs],
+                               vbase[vs] + (s * (s - 1)) // 2, prob, alias)
         return cls(graph.indptr, vbase, prob, alias)
 
     def sample(

@@ -10,8 +10,10 @@ parallelisable over disjoint data and therefore lock-free:
    for every trunk. Every table's position in the flat output arrays is
    computed *before* construction (the lengths are fixed), so workers
    write disjoint ranges without synchronisation — exactly the paper's
-   lock-free scheme, realised here as vertex-chunk tasks on a thread pool
-   (numpy kernels release the GIL).
+   lock-free scheme, realised here as vertex-chunk tasks on a thread pool.
+   The per-table loops run compiled (``alias_build`` and ``prefix_sums``
+   in ``repro/kernels/hop.c``, which release the GIL) when the ``c``
+   kernel backend loaded, else in the numpy builders — the same bits.
 3. **Auxiliary index generation** — Σ_{D'=1..D} log D' work, vectorised.
 
 :func:`preprocess` runs the full pipeline and returns phase timings, the
@@ -20,9 +22,9 @@ data behind the paper's Figure 13 preprocessing breakdown.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from repro.core.pat import PersistentAliasTable
 from repro.core.trunks import pat_trunk_size
 from repro.core.weights import WeightModel
 from repro.graph.temporal_graph import TemporalGraph
-from repro.sampling.alias import build_alias_arrays_batch
+from repro.kernels import resolve_backend
+from repro.sampling.alias import build_alias_tables
 from repro.telemetry import NULL_TRACER, clock
 
 
@@ -87,18 +90,11 @@ def search_candidate_sets(graph: TemporalGraph, workers: int = 1) -> np.ndarray:
     # parallelism of the paper's Section 4.2).
     graph._offset_keys()
     out = np.empty(m, dtype=np.int64)
-    bounds = np.linspace(0, m, workers + 1, dtype=np.int64)
 
     def task(lo: int, hi: int) -> None:
         out[lo:hi] = graph.candidate_counts_per_edge(lo, hi)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(task, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(workers)
-        ]
-        for f in futures:
-            f.result()
+    _in_chunks(np.linspace(0, m, workers + 1, dtype=np.int64), task)
     return out
 
 
@@ -109,56 +105,91 @@ def search_candidate_sets(graph: TemporalGraph, workers: int = 1) -> np.ndarray:
 def _validate_weights(graph: TemporalGraph, weights: np.ndarray) -> np.ndarray:
     """Reject weight arrays that would silently corrupt the indices.
 
-    Prefix sums require non-negative, finite weights; a negative value
-    would make the CDF non-monotone and the alias construction wrong in
-    ways no sampler would surface loudly.
+    Prefix sums require non-negative, finite weights whose per-vertex sum
+    stays finite; a negative value would make the CDF non-monotone and
+    the alias construction wrong in ways no sampler would surface loudly.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     if weights.shape != (graph.num_edges,):
         raise ValueError(
             f"weights must have one entry per edge "
             f"({graph.num_edges}), got shape {weights.shape}"
         )
-    if weights.size and not np.all(np.isfinite(weights)):
+    if not weights.size:
+        return weights
+    if not np.all(np.isfinite(weights)):
         raise ValueError("edge weights must be finite")
-    if weights.size and weights.min() < 0:
+    if weights.min() < 0:
         raise ValueError("edge weights must be non-negative")
+    nonempty = np.flatnonzero(np.diff(graph.indptr))
+    with np.errstate(over="ignore"):
+        sums = np.add.reduceat(weights, graph.indptr[nonempty])
+    over = nonempty[~np.isfinite(sums)]
+    if over.size:
+        raise ValueError(f"the edge weights of vertex {over[0]} sum past "
+                         f"the float64 range")
     return weights
 
 
-def _prefix_chunk(indptr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-vertex prefix sums for one rebased chunk (leading 0 per vertex)."""
+def _in_chunks(bounds: np.ndarray, task: Callable[[int, int], None]) -> None:
+    """Run ``task(lo, hi)`` over the ranges between consecutive
+    ``bounds``, on a thread pool when there is more than one (the tasks
+    write disjoint output ranges)."""
+    if len(bounds) <= 2:
+        task(int(bounds[0]), int(bounds[-1]))
+        return
+    with ThreadPoolExecutor(max_workers=len(bounds) - 1) as pool:
+        futures = [pool.submit(task, int(lo), int(hi))
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for f in futures:
+            f.result()
+
+
+def _vertex_chunks(indptr: np.ndarray, workers: int) -> np.ndarray:
+    """Bounds of ``workers`` contiguous vertex ranges of about equal edge
+    counts, or of one range when there are too few vertices."""
     n = indptr.size - 1
-    c = np.zeros(weights.size + n, dtype=np.float64)
-    for v in range(n):
-        lo, hi = indptr[v], indptr[v + 1]
-        if hi > lo:
-            base = lo + v
-            np.cumsum(weights[lo:hi], out=c[base + 1 : base + 1 + (hi - lo)])
-    return c
+    if workers <= 1 or n < 2 * workers:
+        return np.array([0, n])
+    bounds = np.searchsorted(indptr, np.linspace(0, indptr[-1], workers + 1))
+    bounds = np.clip(bounds, 0, n)
+    bounds[0], bounds[-1] = 0, n
+    return bounds
+
+
+def _prefix_fill(indptr: np.ndarray, weights: np.ndarray, c: np.ndarray,
+                 lo: int, hi: int) -> None:
+    """Prefix sums of vertices ``lo..hi-1`` into ``c`` (zeroed), in place:
+    compiled when the ``c`` kernel backend loaded, else one ``np.cumsum``
+    per vertex — the same sequential adds."""
+    compiled = resolve_backend().prefix_sums
+    if compiled is not None:
+        compiled(indptr, weights, c, lo, hi)
+        return
+    for v in range(lo, hi):
+        first, last = indptr[v], indptr[v + 1]
+        if last > first:
+            base = first + v
+            np.cumsum(weights[first:last], out=c[base + 1 : base + 1 + last - first])
 
 
 def build_prefix_array(
     graph: TemporalGraph,
     weights: np.ndarray,
     workers: int = 1,
-    backend: str = "thread",
 ) -> np.ndarray:
     """Flat per-vertex prefix sums: vertex v's segment of d+1 entries
     starts at ``indptr[v] + v`` with a leading 0.
 
     Computed segment-by-segment (not by differencing a global cumsum) so
     tiny exponential weights keep full relative precision. The layout is
-    vertex-contiguous, so parallel chunks concatenate exactly.
+    vertex-contiguous, so parallel chunks write disjoint ranges.
     """
-    n = graph.num_vertices
-    if workers <= 1 or n < 2 * workers:
-        return _prefix_chunk(graph.indptr, weights)
-    chunks = [(indptr, w) for _, indptr, w in _chunk_args(graph, weights, workers)]
-    pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-    with pool_cls(max_workers=workers) as pool:
-        parts = list(pool.map(_prefix_chunk, *zip(*chunks)))
-    return np.concatenate(parts)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    c = np.zeros(graph.num_edges + graph.num_vertices, dtype=np.float64)
+    _in_chunks(_vertex_chunks(graph.indptr, workers),
+               lambda lo, hi: _prefix_fill(graph.indptr, weights, c, lo, hi))
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -192,29 +223,14 @@ def build_pat(
     if m:
         alias[:] = np.arange(m) - np.repeat(graph.indptr[:-1], degrees)
 
-    # Batch complete trunks by trunk width so the lock-step builder handles
-    # each width in one shot. Positions are precomputed → disjoint writes.
-    for ts in np.unique(trunk_sizes):
+    # Complete trunks, one builder call per trunk width; each table sits
+    # over its own edges. Single-edge trunks keep the identity set above.
+    for ts in np.unique(trunk_sizes[(trunk_sizes > 1) & (degrees >= trunk_sizes)]):
         ts = int(ts)
-        if ts == 1:
-            continue  # single-edge trunks: identity alias, already set
         vs = np.flatnonzero((trunk_sizes == ts) & (degrees >= ts))
-        if not vs.size:
-            continue
         counts = degrees[vs] // ts  # complete trunks per vertex
-        covered = counts * ts
-        starts = np.repeat(graph.indptr[vs], covered)
-        within = _segment_aranges(covered)
-        pos = starts + within
-        rows = weights[pos].reshape(-1, ts)
-        row_sums = rows.sum(axis=1)
-        dead = row_sums <= 0
-        if np.any(dead):
-            rows = rows.copy()
-            rows[dead] = 1.0  # never selected by ITS; keep builder happy
-        p, a = build_alias_arrays_batch(rows)
-        prob[pos] = p.ravel()
-        alias[pos] = a.ravel()
+        pos = np.repeat(graph.indptr[vs], counts) + _segment_aranges(counts) * ts
+        build_alias_tables(weights, ts, pos, pos, prob, alias)
     return PersistentAliasTable(graph.indptr, c, prob, alias, trunk_sizes)
 
 
@@ -248,69 +264,29 @@ def hpat_layout(degrees: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
         kv[nz] = np.floor(np.log2(degrees[nz])).astype(np.int64)
     lvl_base = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(kv, out=lvl_base[1:])
-    total_slots = int(lvl_base[-1])
-    widths = np.zeros(total_slots, dtype=np.int64)
     # widths laid out (v asc, k = 1..K_v): width = (d >> k) << k
-    for v in np.flatnonzero(kv):
-        d = int(degrees[v])
-        base = lvl_base[v]
-        for k in range(1, int(kv[v]) + 1):
-            widths[base + k - 1] = (d >> k) << k
-    lvl_ptr = np.zeros(total_slots, dtype=np.int64)
-    if total_slots:
+    k = _segment_aranges(kv) + 1
+    widths = (np.repeat(np.asarray(degrees, dtype=np.int64), kv) >> k) << k
+    lvl_ptr = np.zeros(widths.size, dtype=np.int64)
+    if widths.size:
         np.cumsum(widths[:-1], out=lvl_ptr[1:])
     return lvl_base, lvl_ptr, int(widths.sum())
 
 
-def _hpat_fill_chunk(degrees: np.ndarray, indptr: np.ndarray,
-                     weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Build the flat level tables for one contiguous vertex chunk.
-
-    ``indptr`` is rebased so edge 0 of the chunk is ``weights[0]``. Module
-    level (not a closure) so the process backend can pickle it. Returns
-    the chunk's ``(prob, alias)`` flat arrays in the standard layout —
-    vertex-contiguous, so chunks concatenate into the global arrays.
-    """
-    lvl_base, lvl_ptr, total = hpat_layout(degrees)
-    prob = np.ones(total, dtype=np.float64)
-    alias = np.zeros(total, dtype=np.int64)
-    max_k = int(degrees.max()).bit_length() - 1 if degrees.size and degrees.max() else 0
+def _fill_levels(indptr: np.ndarray, weights: np.ndarray,
+                 lvl_base: np.ndarray, lvl_ptr: np.ndarray,
+                 prob: np.ndarray, alias: np.ndarray, lo: int, hi: int) -> None:
+    """Write every level table of vertices ``lo..hi-1`` in place, at the
+    positions :func:`hpat_layout` assigned: one builder call per level."""
+    degrees = np.diff(indptr[lo : hi + 1])
+    max_k = int(degrees.max()).bit_length() - 1 if degrees.size else 0
     for k in range(1, max_k + 1):
-        width_k = 1 << k
-        vs = np.flatnonzero(degrees >= width_k)
-        if not vs.size:
-            continue
-        covered = (degrees[vs] >> k) << k
-        src = np.repeat(indptr[vs], covered) + _segment_aranges(covered)
-        rows = weights[src].reshape(-1, width_k)
-        row_sums = rows.sum(axis=1)
-        dead = row_sums <= 0
-        if np.any(dead):
-            rows = rows.copy()
-            rows[dead] = 1.0
-        p, a = build_alias_arrays_batch(rows)
-        dest = np.repeat(lvl_ptr[lvl_base[vs] + k - 1], covered) + _segment_aranges(covered)
-        prob[dest] = p.ravel()
-        alias[dest] = a.ravel()
-    return prob, alias
-
-
-def _chunk_args(graph: TemporalGraph, weights: np.ndarray, workers: int):
-    """Split vertices into ``workers`` contiguous chunks with rebased CSR."""
-    bounds = np.linspace(0, graph.num_vertices, workers + 1, dtype=np.int64)
-    out = []
-    degrees = graph.degrees()
-    for i in range(workers):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-        e_lo, e_hi = int(graph.indptr[lo]), int(graph.indptr[hi])
-        out.append(
-            (
-                degrees[lo:hi],
-                graph.indptr[lo : hi + 1] - e_lo,
-                weights[e_lo:e_hi],
-            )
-        )
-    return out
+        vs = np.flatnonzero(degrees >> k)
+        counts = degrees[vs] >> k  # complete width-2^k trunks per vertex
+        offsets = _segment_aranges(counts) << k
+        src = np.repeat(indptr[lo + vs], counts) + offsets
+        dst = np.repeat(lvl_ptr[lvl_base[lo + vs] + k - 1], counts) + offsets
+        build_alias_tables(weights, 1 << k, src, dst, prob, alias)
 
 
 def build_hpat(
@@ -319,32 +295,22 @@ def build_hpat(
     with_aux_index: bool = True,
     workers: int = 1,
     aux: Optional[AuxiliaryIndex] = None,
-    backend: str = "thread",
 ) -> HierarchicalPAT:
     """Build a :class:`HierarchicalPAT` (optionally with auxiliary index).
 
-    ``backend`` selects the parallel executor for ``workers > 1``:
-    ``"thread"`` shares memory (numpy kernels release the GIL, the
-    lock-step alias loop does not); ``"process"`` forks true workers —
-    the configuration matching the paper's 16-thread C++ scaling — at the
-    cost of shipping each chunk's arrays across the fork boundary.
-    Results are bit-identical across backends and worker counts (the
-    layout is precomputed, so every chunk writes disjoint ranges).
+    ``workers > 1`` fills contiguous vertex chunks on a thread pool; the
+    compiled builder releases the GIL, so the chunks run in parallel.
+    Results are bit-identical at any worker count (the layout is
+    precomputed, so every chunk writes disjoint ranges).
     """
     weights = _validate_weights(graph, weights)
     degrees = graph.degrees()
-    c = build_prefix_array(graph, weights, workers=workers, backend=backend)
-    lvl_base, lvl_ptr, _ = hpat_layout(degrees)
-
-    if workers <= 1 or graph.num_vertices < 2 * workers:
-        prob, alias = _hpat_fill_chunk(degrees, graph.indptr, weights)
-    else:
-        chunks = _chunk_args(graph, weights, workers)
-        pool_cls = ProcessPoolExecutor if backend == "process" else ThreadPoolExecutor
-        with pool_cls(max_workers=workers) as pool:
-            parts = list(pool.map(_hpat_fill_chunk, *zip(*chunks)))
-        prob = np.concatenate([p for p, _ in parts]) if parts else np.zeros(0)
-        alias = np.concatenate([a for _, a in parts]) if parts else np.zeros(0, np.int64)
+    c = build_prefix_array(graph, weights, workers=workers)
+    lvl_base, lvl_ptr, total = hpat_layout(degrees)
+    prob = np.empty(total, dtype=np.float64)
+    alias = np.empty(total, dtype=np.int64)
+    _in_chunks(_vertex_chunks(graph.indptr, workers), lambda lo, hi: _fill_levels(
+        graph.indptr, weights, lvl_base, lvl_ptr, prob, alias, lo, hi))
 
     if aux is None and with_aux_index:
         aux = AuxiliaryIndex(int(degrees.max()) if degrees.size else 0)
@@ -372,14 +338,12 @@ def preprocess(
     with_aux_index: bool = True,
     workers: int = 1,
     trunk_size: Optional[int] = None,
-    backend: str = "thread",
     tracer=None,
 ) -> Preprocessed:
     """Run the full preprocessing pipeline with per-phase timing.
 
-    ``structure`` ∈ {"hpat", "pat", "its"}; ``backend`` ∈ {"thread",
-    "process"} selects the executor for ``workers > 1`` (see
-    :func:`build_hpat`). ``tracer`` is an optional
+    ``structure`` ∈ {"hpat", "pat", "its"}; ``workers > 1`` runs each
+    phase on a thread pool (see :func:`build_hpat`). ``tracer`` is an optional
     :class:`repro.telemetry.Tracer`; each phase becomes a child span of
     the caller's open ``prepare`` span.
     """
@@ -399,7 +363,7 @@ def preprocess(
     t0 = clock.now()
     with tracer.span("prepare.index_build", structure=structure, workers=workers):
         if structure == "hpat":
-            index = build_hpat(graph, weights, with_aux_index=False, workers=workers, backend=backend)
+            index = build_hpat(graph, weights, with_aux_index=False, workers=workers)
         elif structure == "pat":
             index = build_pat(graph, weights, trunk_size=trunk_size, workers=workers)
         elif structure == "its":
@@ -407,7 +371,7 @@ def preprocess(
 
             index = ITSIndex(
                 graph.indptr,
-                build_prefix_array(graph, weights, workers=workers, backend=backend),
+                build_prefix_array(graph, weights, workers=workers),
             )
         else:
             raise ValueError(f"unknown structure {structure!r}")

@@ -585,10 +585,13 @@ class Engine(abc.ABC):
         timer = PhaseTimer()
         with self._phase(timer, "prepare"):
             self.prepare()
-        rng = make_rng(seed)
-        counters = CostCounters()
-        starts = workload.resolve_starts(self.graph.num_vertices, rng)
-        with self._phase(timer, "walk", walks=int(starts.size)) as span:
+        # The run's own bookkeeping sits inside the phases, so they cover
+        # its wall time however short the prepare phase is.
+        with self._phase(timer, "walk") as span:
+            rng = make_rng(seed)
+            counters = CostCounters()
+            starts = workload.resolve_starts(self.graph.num_vertices, rng)
+            span.set("walks", int(starts.size))
             outcome = self._walk(
                 starts, workload, rng, counters, registry,
                 record_paths or sink is not None, span,
@@ -603,16 +606,16 @@ class Engine(abc.ABC):
             registry.counter("walk.walks", "walks executed").inc(int(starts.size))
             registry.gauge("memory.bytes", "engine structure bytes").set(memory.total)
             self.publish_telemetry(registry)
-        return EngineResult(
-            engine=self.name,
-            spec=self.spec.describe(),
-            workload=workload.describe(),
-            paths=paths,
-            counters=counters,
-            timer=timer,
-            memory=memory,
-            time_divisor=self.time_divisor,
-            registry=registry,
-            trace=self.tracer,
-            run_id=current_run_id(),
-        )
+            return EngineResult(
+                engine=self.name,
+                spec=self.spec.describe(),
+                workload=workload.describe(),
+                paths=paths,
+                counters=counters,
+                timer=timer,
+                memory=memory,
+                time_divisor=self.time_divisor,
+                registry=registry,
+                trace=self.tracer,
+                run_id=current_run_id(),
+            )

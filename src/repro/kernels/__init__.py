@@ -1,8 +1,9 @@
 """Pluggable sampling-kernel backends (ROADMAP direction 3).
 
 One frontier hop is three structure-of-arrays passes — select, alias,
-scatter — behind the narrow ABI of :mod:`repro.kernels.base`; this
-package is the registry that picks which implementation runs them:
+scatter — behind the narrow ABI of :mod:`repro.kernels.base` (plus the
+index build's alias tables and prefix sums, compiled where ``c`` is);
+this package is the registry that picks which implementation runs them:
 
 ``c``
     Per-lane C loops (``hop.c`` via :mod:`repro.kernels.c_backend`),
@@ -21,6 +22,7 @@ it compile".
 
 from __future__ import annotations
 
+import threading
 from typing import Optional, Tuple
 
 from repro.kernels.base import (
@@ -35,12 +37,21 @@ BACKEND_CHOICES = ("auto", "numpy", "c")
 
 _CACHE = {}
 _FALLBACK_NOTE: Optional[str] = None
+#: The index build resolves from pool threads: one of them loads.
+_LOCK = threading.RLock()
 
 
 def _load(name: str) -> Optional[KernelBackend]:
-    global _FALLBACK_NOTE
     if name in _CACHE:
         return _CACHE[name]
+    with _LOCK:
+        if name not in _CACHE:
+            _CACHE[name] = _load_uncached(name)
+    return _CACHE[name]
+
+
+def _load_uncached(name: str) -> Optional[KernelBackend]:
+    global _FALLBACK_NOTE
     backend: Optional[KernelBackend]
     if name == "numpy":
         from repro.kernels.numpy_backend import BACKEND as backend
@@ -59,7 +70,6 @@ def _load(name: str) -> Optional[KernelBackend]:
             f"unknown kernel backend {name!r} "
             f"(choices: {', '.join(BACKEND_CHOICES)})"
         )
-    _CACHE[name] = backend
     return backend
 
 

@@ -55,6 +55,22 @@ reproduce them bit for bit (walks, stream counters, costs).
     draws when deep, accept — and charges ``counters``. ``spent`` are
     the lanes that used up ``rounds`` rejections: stream advanced, walk
     state untouched, for the caller's exact fallback and ``scatter``.
+
+Two more optional members compile the index build's per-table loops; a
+backend without them (``None``) leaves the build to the numpy builders,
+which stay the specification. Both write in place and release the GIL.
+
+``alias_build(width, src, dst, totals, weights, prob, alias)``
+    ``src.size`` Vose tables of one width: table ``r`` reads
+    ``weights[src[r]:+width]`` and writes ``prob``/``alias[dst[r]:+width]``,
+    bit for bit what ``build_alias_arrays_batch`` builds from the row
+    whose numpy sum is ``totals[r]``; a row with ``totals[r] <= 0`` gets
+    the identity table.
+
+``prefix_sums(indptr, weights, c, lo, hi)``
+    Per-vertex prefix sums of vertices ``lo..hi-1`` into ``c`` (vertex
+    ``v``'s segment starts at ``indptr[v] + v`` with a leading 0),
+    ``np.cumsum``'s sequential adds.
 """
 
 from __future__ import annotations
@@ -126,6 +142,10 @@ class KernelBackend:
     scatter: Callable
     #: Optional binder of the whole lane-keyed hop (only ``c`` has one).
     hop: Optional[Callable] = None
+    #: Optional compiled index build (only ``c``): Vose tables and
+    #: per-vertex prefix sums, written in place (see module doc).
+    alias_build: Optional[Callable] = None
+    prefix_sums: Optional[Callable] = None
 
 
 def sample_batch(

@@ -4,8 +4,10 @@
 content-addressed shared object in a per-user cache directory, loads it
 with :class:`ctypes.CDLL` — so the GIL is released while a pass runs —
 and checks the passes, its lane stream and its fused hop against numpy,
-``LaneRng`` and the drivers bit for bit (:func:`_self_test`). Any failure
-raises :class:`Unavailable` with the reason; the registry serves numpy.
+``LaneRng`` and the drivers bit for bit (:func:`_self_test`), and the index
+build's two loops — alias tables and prefix sums — against the numpy
+builders (:func:`_self_test_build`). Any failure raises
+:class:`Unavailable` with the reason; the registry serves numpy.
 
 Memory safety is split in two. Python proves, once per run, that every
 array is C-contiguous int64/float64 and that lengths agree (:func:`_addr`;
@@ -40,7 +42,8 @@ _SOURCE = Path(__file__).with_name("hop.c")
 #: Argument lists of the entry points (q = int64, p = pointer, d = double).
 _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
                "hop_scatter": "qpppqpqpppqppppqqpp", "hop_lanes": "pqpqp",
-               "hop_uniforms": "qppqp"}
+               "hop_uniforms": "qppqp", "alias_build": "qqpppqpqppp",
+               "prefix_sums": "qqpqpqp"}
 _KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
 _I64, _F64, _U64 = (np.dtype(t) for t in (np.int64, np.float64, np.uint64))
 
@@ -123,6 +126,7 @@ def load() -> KernelBackend:
         fn.argtypes = [_KINDS[kind] for kind in signature]
     backend = _make_backend(lib)
     _self_test(lib, backend)
+    _self_test_build(backend)
     return backend
 
 
@@ -137,6 +141,13 @@ def _addr(a: np.ndarray, dtype, size=None) -> int:
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
     except (TypeError, ValueError):  # read-only or empty buffer
         return a.ctypes.data
+
+
+def _out(a: np.ndarray, dtype, size=None) -> int:
+    """:func:`_addr` of an array the C code writes."""
+    if not a.flags.writeable:
+        raise ValueError("kernel output array is read-only")
+    return _addr(a, dtype, size)
 
 
 def _bound(scratch: KernelScratch, key: str, owner, describe):
@@ -264,8 +275,26 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
 
         return step
 
+    def alias_build(width, src, dst, totals, weights, prob, alias):
+        nt = src.size
+        stack = np.empty(2 * width, np.int64)
+        _checked(lib.alias_build(
+            nt, width, _addr(src, _I64), _addr(dst, _I64, nt),
+            _addr(totals, _F64, nt), weights.size, _addr(weights, _F64),
+            prob.size, _out(prob, _F64), _out(alias, _I64, prob.size),
+            _addr(stack, _I64)), "alias_build (table outside the arrays)")
+
+    def prefix_sums(indptr, weights, c, lo, hi):
+        if not 0 <= lo <= hi < indptr.size:
+            raise IndexError(f"prefix_sums: vertices {lo}..{hi} outside "
+                             f"{indptr.size - 1}")
+        _checked(lib.prefix_sums(
+            lo, hi, _addr(indptr, _I64), weights.size, _addr(weights, _F64),
+            c.size, _out(c, _F64)), "prefix_sums (segment outside the arrays)")
+
     return KernelBackend(name="c", select=select, alias=alias, scatter=scatter,
-                         hop=hop)
+                         hop=hop, alias_build=alias_build,
+                         prefix_sums=prefix_sums)
 
 
 def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
@@ -357,3 +386,45 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
     if not same:
         raise Unavailable("self-test mismatch against the numpy passes "
                           "(miscompiling or FMA-contracting toolchain?)")
+
+
+def _self_test_build(backend: KernelBackend) -> None:
+    """The compiled index build against the numpy builders, bit for bit:
+    tables of widths 1–3 (lock-step) and 40 (``T < w``, the per-row
+    builder) with dead rows, ``-0.0``, zeros and a subnormal row, written
+    at shuffled offsets; and prefix sums over segments that start with
+    ``-0.0`` or are empty. Compares against ``build_alias_arrays_batch``
+    itself — the alias helper resolves the backend this is loading."""
+    from repro.sampling.alias import build_alias_arrays_batch
+
+    rng = np.random.default_rng(32)
+    weights = rng.random(400) * (rng.random(400) < 0.8)
+    weights[:8] = 0.0
+    weights[8:12] = -0.0, 3.0, -0.0, 0.0
+    weights[12:52] *= 2.0 ** -1060  # w / total overflows: rescaled row
+    try:
+        for width, src in ((1, [0, 5, 9]), (2, [0, 8, 10, 50, 51]),
+                           (3, rng.integers(0, 398, 60)), (40, [0, 12, 300])):
+            src = np.asarray(src, np.int64)
+            dst = rng.permutation(src.size).astype(np.int64) * width
+            got = np.empty(src.size * width), np.empty(src.size * width, np.int64)
+            rows = np.lib.stride_tricks.sliding_window_view(weights, width)[src]
+            totals = rows.sum(axis=1)
+            backend.alias_build(width, src, dst, totals, weights, *got)
+            rows[~(totals > 0.0)] = 1.0
+            order = np.argsort(dst)
+            want = [a[order].ravel() for a in build_alias_arrays_batch(rows)]
+            if not (np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+                    and np.array_equal(got[1], want[1])):
+                raise Unavailable(f"alias_build mismatch at width {width}")
+        indptr = np.array([0, 0, 3, 8, 8, 10, 40, 400])
+        got, want = np.zeros(407), np.zeros(407)
+        backend.prefix_sums(indptr, weights, got, 0, 7)
+        for v in range(7):
+            lo, hi = indptr[v], indptr[v + 1]
+            np.cumsum(weights[lo:hi], out=want[lo + v + 1:hi + v + 1])
+        same = np.array_equal(got.view(np.int64), want.view(np.int64))
+    except (ValueError, IndexError, TypeError) as exc:
+        raise Unavailable(f"build self-test raised {exc!r}") from exc
+    if not same:
+        raise Unavailable("prefix_sums mismatch against np.cumsum")

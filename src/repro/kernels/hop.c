@@ -1,4 +1,5 @@
-/* One frontier hop per lane (the `c` kernel backend).
+/* One frontier hop per lane (the `c` kernel backend), and the index build's
+ * two per-table loops: Vose alias tables and per-vertex prefix sums.
  *
  * Built on first use by repro/kernels/c_backend.py with the system compiler:
  *
@@ -22,6 +23,7 @@
  * raises IndexError. Array dtype, contiguity and the lengths passed here
  * are the caller's contract, verified in Python before any pointer is taken.
  */
+#include <math.h>
 #include <stdint.h>
 #include <stddef.h>
 
@@ -305,5 +307,79 @@ i64 hop_uniforms(i64 n, const u64 *key, u64 *ctr, i64 k, double *out)
     for (i64 j = 0; j < k; j++)
         for (i64 i = 0; i < n; i++)
             out[j * n + i] = lane_uniform(key[i], &ctr[i]);
+    return 0;
+}
+
+/* nt Vose alias tables of width w, in place: table r reads
+ * weights[src[r] .. + w) and writes prob/alias[dst[r] .. + w), alias
+ * local to the table. totals[r] is the row's sum as numpy computes it
+ * (pairwise) — a sequential sum here could differ in the last bit.
+ * Bit for bit what repro.sampling.alias.build_alias_arrays_batch builds:
+ * q = row * (w / total), smalls and larges seeded in ascending index
+ * order and popped from the top, a large that drops below 1 pushed onto
+ * the small stack. When w / total is not finite (a subnormal total) the
+ * row and its total are first scaled by 2^1023 (alias.RESCALE): exact. A
+ * row with total <= 0 gets the identity table. stack holds 2w entries.
+ * Returns 0, or -1 - r for a table outside the arrays.
+ */
+i64 alias_build(i64 nt, i64 w, const i64 *src, const i64 *dst,
+                const double *totals, i64 n_weights, const double *weights,
+                i64 n_cells, double *prob, i64 *alias, i64 *stack)
+{
+    i64 *small = stack, *large = stack + w;
+    if (w < 1) BAD(0);
+    for (i64 r = 0; r < nt; r++) {
+        i64 from = src[r], to = dst[r];
+        if (from < 0 || from > n_weights - w || to < 0 || to > n_cells - w)
+            BAD(r);
+        const double *x = weights + from;
+        double *q = prob + to, total = totals[r], scale = 1.0;
+        i64 *a = alias + to, ns = 0, nl = 0;
+        for (i64 i = 0; i < w; i++) a[i] = i;
+        if (!(total > 0.0)) {
+            for (i64 i = 0; i < w; i++) q[i] = 1.0;
+            continue;
+        }
+        double f = (double)w / total;
+        if (!isfinite(f)) {
+            scale = 0x1p1023;
+            f = (double)w / (total * scale);
+        }
+        for (i64 i = 0; i < w; i++) {
+            q[i] = x[i] * scale * f;
+            if (q[i] < 1.0) small[ns++] = i; else large[nl++] = i;
+        }
+        while (ns && nl) {
+            i64 s = small[--ns], l = large[nl - 1];
+            a[s] = l; /* q[s] is final: it is prob[s] */
+            q[l] = q[l] - (1.0 - q[s]);
+            if (q[l] < 1.0) { nl--; small[ns++] = l; }
+        }
+        while (ns) q[small[--ns]] = 1.0;
+        while (nl) q[large[--nl]] = 1.0;
+    }
+    return 0;
+}
+
+/* Per-vertex prefix sums of vertices lo .. hi-1: vertex v's segment of
+ * d + 1 entries starts at indptr[v] + v, a leading +0, then sequential
+ * adds in np.cumsum's order. The first entry is copied, not 0 + w[0], so
+ * a leading -0.0 survives. Returns 0, or -1 - v for a bad segment.
+ */
+i64 prefix_sums(i64 lo, i64 hi, const i64 *indptr, i64 n_weights,
+                const double *weights, i64 c_len, double *c)
+{
+    for (i64 v = lo; v < hi; v++) {
+        i64 first = indptr[v], last = indptr[v + 1];
+        if (first < 0 || last < first || last > n_weights
+            || last > c_len - 1 - v)
+            BAD(v);
+        double *out = c + first + v, acc;
+        out[0] = 0.0;
+        if (last == first) continue;
+        out[1] = acc = weights[first];
+        for (i64 i = first + 1; i < last; i++)
+            out[i - first + 1] = acc = acc + weights[i];
+    }
     return 0;
 }

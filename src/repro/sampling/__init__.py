@@ -15,6 +15,7 @@ from repro.sampling.alias import (
     AliasTable,
     build_alias_arrays,
     build_alias_arrays_batch,
+    build_alias_tables,
     alias_draw,
 )
 from repro.sampling.fullscan import full_scan_sample
@@ -26,6 +27,7 @@ __all__ = [
     "AliasTable",
     "build_alias_arrays",
     "build_alias_arrays_batch",
+    "build_alias_tables",
     "alias_draw",
     "full_scan_sample",
 ]

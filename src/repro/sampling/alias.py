@@ -6,24 +6,34 @@ cell, so a draw is: pick a cell uniformly, then pick between its two
 pieces — O(1). Construction is O(n) (Vose's algorithm).
 
 TEA builds *many small* alias tables — one per PAT/HPAT trunk, totalling
-O(|E| log D) entries. A per-table Python loop would dominate preprocessing
-time, so :func:`build_alias_arrays_batch` constructs every equal-width
-table of one HPAT level simultaneously: the small/large worklists of
-Vose's algorithm are advanced in lock step across all rows with vectorised
-numpy operations. The loop count is O(width) regardless of how many tables
-are built, which makes level construction O(total entries) array work —
-the Python-world analogue of the paper's parallel lock-free construction
-(Section 4.2).
+O(|E| log D) entries. :func:`build_alias_tables` is the index build's one
+entry point: it writes a batch of equal-width tables in place, in
+compiled code (``alias_build`` in ``repro/kernels/hop.c``, which releases
+the GIL) when the ``c`` kernel backend loaded. Otherwise, and as the
+parity oracle, :func:`build_alias_arrays_batch` constructs them
+simultaneously: the small/large worklists of Vose's algorithm are
+advanced in lock step across all rows with vectorised numpy operations,
+so the loop count is O(width) however many tables are built.
+
+Every builder here computes ``q = row · (w / total)``. When ``w / total``
+is not finite (``total < w · 2⁻¹⁰²⁴``: a subnormal or near-subnormal
+total) the row and its total are first multiplied by :data:`RESCALE`,
+2¹⁰²³ — exact, since nothing in such a row can overflow — and then
+normalised; rows in the normal range keep their bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.sampling.counters import CostCounters
+
+#: Exact power of two applied to a row whose ``w / total`` overflows.
+RESCALE = 2.0 ** 1023
 
 
 def build_alias_arrays(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -40,7 +50,11 @@ def build_alias_arrays(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     total = float(w.sum())
     if not (total > 0.0):
         raise ValueError("weights must have positive sum")
-    q = list(w * (n / total))
+    f, scale = n / total, 1.0
+    if not math.isfinite(f):
+        scale = RESCALE
+        f = n / (total * scale)
+    q = list(w * scale * f)
     prob = np.ones(n, dtype=np.float64)
     alias = np.arange(n, dtype=np.int64)
     small = [i for i in range(n) if q[i] < 1.0]
@@ -89,7 +103,14 @@ def build_alias_arrays_batch(weights_2d: np.ndarray) -> Tuple[np.ndarray, np.nda
         for i in range(T):
             prob[i], alias[i] = build_alias_arrays(q[i])
         return prob, alias
-    q = q * (w / totals)[:, None]
+    with np.errstate(over="ignore"):
+        f = w / totals
+    huge = ~np.isfinite(f)
+    if np.any(huge):
+        scale = np.where(huge, RESCALE, 1.0)
+        f[huge] = w / (totals[huge] * RESCALE)
+        q = q * scale[:, None]
+    q = q * f[:, None]
     prob = np.ones((T, w), dtype=np.float64)
     alias = np.tile(np.arange(w, dtype=np.int64), (T, 1))
 
@@ -150,6 +171,39 @@ def build_alias_arrays_batch(weights_2d: np.ndarray) -> Tuple[np.ndarray, np.nda
         still = (small_top[rows] > 0) & (large_top[rows] > 0)
         rows = rows[still]
     return prob, alias
+
+
+def build_alias_tables(weights: np.ndarray, width: int, src: np.ndarray,
+                       dst: np.ndarray, prob: np.ndarray,
+                       alias: np.ndarray) -> None:
+    """Build ``src.size`` Vose tables of one ``width`` in place.
+
+    Table ``r`` reads ``weights[src[r]:src[r] + width]`` and writes
+    ``prob``/``alias[dst[r]:dst[r] + width]`` (``alias`` local to the
+    table); a row with no positive weight gets the identity table, which
+    the index never draws from. Compiled when the ``c`` kernel backend
+    loaded, else :func:`build_alias_arrays_batch` — the same bits either
+    way, since both normalise by the row's numpy (pairwise) sum.
+    """
+    from repro.kernels import resolve_backend  # imports this package
+
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    if not src.size:
+        return
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    window = np.lib.stride_tricks.sliding_window_view(weights, width)
+    totals = window[src].sum(axis=1)
+    compiled = resolve_backend().alias_build
+    if compiled is not None:
+        compiled(width, src, dst, totals, weights, prob, alias)
+        return
+    rows = window[src]
+    rows[~(totals > 0.0)] = 1.0
+    p, a = build_alias_arrays_batch(rows)
+    cells = (dst[:, None] + np.arange(width)).ravel()
+    prob[cells] = p.ravel()
+    alias[cells] = a.ravel()
 
 
 def alias_draw(
