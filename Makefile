@@ -23,12 +23,16 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # Sampling kernels: with a cc on PATH `auto` and `c` resolve to the
 # compiled backend with its fused hop and its index build (a failure, not
 # a skip; without one, numpy plus a fallback note), the build's load-time
-# self-test passes and refuses a builder one bit off, and the structural
-# constant-calls gate (one fused node2vec run makes the same number of
-# Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at p=4, q=1/4).
+# self-test passes and refuses a builder one bit off or passes that did
+# not bind, every product index (preprocess, load_hpat copied and mapped,
+# engine prepare, the parallel shared-memory image) binds the fused hop,
+# and the structural constant-calls gate (one fused node2vec run makes the
+# same number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and
+# at p=4, q=1/4).
 kernel-smoke:
 	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_build_kernels.py::TestBuildSelfTest" \
+		"tests/test_kernels.py::TestFusedHopBinds" \
 		"tests/test_kernel_passes.py::TestConstantCalls"
 
 # Telemetry end to end: `repro walk --stats` writes the JSON run report

@@ -11,8 +11,9 @@ The alias structure is given a memory budget scaled like the paper's
 94 GB machine (÷1000 data scale ⇒ we grant 1 GiB): growth fits, the
 other three raise the simulated OOM that Figure 12 reports. Its need is
 Σ d², so at ``REPRO_BENCH_SCALE`` = s, where degrees shrink by s, the
-budget shrinks by s² and the same three OOM (at s = 0.25: growth needs
-24 MiB of 64, edit 180).
+budget shrinks by s² and the same three OOM (12 B a table cell since
+``alias`` is int32; at s = 1: growth needs 160 MiB of 1 024, edit 1 772;
+at s = 0.25: growth 18 MiB of 64, edit 135).
 """
 
 import math

@@ -22,17 +22,19 @@ import numpy as np
 
 from repro.exceptions import EmptyCandidateSetError, SimulatedOOM
 from repro.graph.temporal_graph import TemporalGraph
-from repro.sampling.alias import alias_draw, build_alias_tables
+from repro.sampling.alias import (ALIAS_DTYPE, alias_draw, build_alias_tables,
+                                  check_alias_degrees)
 from repro.sampling.counters import CostCounters
 
 DEFAULT_BUDGET_BYTES = 512 * 1024 * 1024
 
 
 def required_bytes(graph: TemporalGraph) -> int:
-    """Bytes the full alias index would need: Σ_v d(d+1)/2 entries × 16 B."""
+    """Bytes the full alias index would need: Σ_v d(d+1)/2 entries × 12 B
+    (a float64 ``prob`` and an int32 ``alias`` cell each)."""
     d = graph.degrees().astype(np.float64)
     entries = float((d * (d + 1) / 2).sum())
-    return int(entries * 16) + int(8 * (graph.num_vertices + 1))
+    return int(entries * 12) + int(8 * (graph.num_vertices + 1))
 
 
 class FullAliasIndex:
@@ -58,7 +60,9 @@ class FullAliasIndex:
         weights: np.ndarray,
         budget_bytes: int = DEFAULT_BUDGET_BYTES,
     ) -> "FullAliasIndex":
-        """Build all tables, or raise :class:`SimulatedOOM` if over budget."""
+        """Build all tables, or raise :class:`SimulatedOOM` if over budget
+        (``ValueError`` for a degree int32 alias offsets cannot hold)."""
+        check_alias_degrees(graph.degrees())
         need = required_bytes(graph)
         if need > budget_bytes:
             raise SimulatedOOM(need, budget_bytes, what="full alias index")
@@ -69,7 +73,7 @@ class FullAliasIndex:
         np.cumsum(per_vertex, out=vbase[1:])
         total = int(vbase[-1])
         prob = np.empty(total, dtype=np.float64)
-        alias = np.empty(total, dtype=np.int64)
+        alias = np.empty(total, dtype=ALIAS_DTYPE)
         # One builder call per prefix length builds every vertex's table of
         # that width (zero-weight prefixes, never sampled, get identities).
         max_d = int(d.max()) if n else 0

@@ -35,7 +35,8 @@ from repro.core.trunks import pat_trunk_size
 from repro.core.weights import WeightModel
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import resolve_backend
-from repro.sampling.alias import build_alias_tables
+from repro.sampling.alias import (ALIAS_DTYPE, build_alias_tables,
+                                  check_alias_degrees)
 from repro.telemetry import NULL_TRACER, clock
 
 
@@ -209,8 +210,9 @@ def build_pat(
     out-of-core configuration, e.g. 10 for twitter under 16 GB).
     """
     n, m = graph.num_vertices, graph.num_edges
-    weights = _validate_weights(graph, weights)
     degrees = graph.degrees()
+    check_alias_degrees(degrees)
+    weights = _validate_weights(graph, weights)
     if trunk_size is None:
         trunk_sizes = np.maximum(1, np.floor(np.sqrt(np.maximum(degrees, 1))).astype(np.int64))
     else:
@@ -219,7 +221,7 @@ def build_pat(
         trunk_sizes = np.full(n, int(trunk_size), dtype=np.int64)
     c = build_prefix_array(graph, weights, workers=workers)
     prob = np.ones(m, dtype=np.float64)
-    alias = np.zeros(m, dtype=np.int64)
+    alias = np.zeros(m, dtype=ALIAS_DTYPE)
     if m:
         alias[:] = np.arange(m) - np.repeat(graph.indptr[:-1], degrees)
 
@@ -256,7 +258,9 @@ def hpat_layout(degrees: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
     (k ≥ 1) tables start at ``lvl_ptr[lvl_base[v] + k - 1]`` in the flat
     ``prob``/``alias`` arrays. Level counts per vertex are
     K_v = bit_length(d_v) - 1 (levels 1..K_v; level 0 is implicit).
+    Raises ``ValueError`` for a degree int32 alias offsets cannot hold.
     """
+    check_alias_degrees(degrees)
     n = degrees.size
     kv = np.zeros(n, dtype=np.int64)
     nz = degrees > 0
@@ -308,7 +312,7 @@ def build_hpat(
     c = build_prefix_array(graph, weights, workers=workers)
     lvl_base, lvl_ptr, total = hpat_layout(degrees)
     prob = np.empty(total, dtype=np.float64)
-    alias = np.empty(total, dtype=np.int64)
+    alias = np.empty(total, dtype=ALIAS_DTYPE)
     _in_chunks(_vertex_chunks(graph.indptr, workers), lambda lo, hi: _fill_levels(
         graph.indptr, weights, lvl_base, lvl_ptr, prob, alias, lo, hi))
 

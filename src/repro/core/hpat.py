@@ -44,6 +44,11 @@ class HierarchicalPAT:
     Build with :func:`repro.core.builder.build_hpat` (or :meth:`build`).
     ``aux`` is the optional :class:`AuxiliaryIndex`; without it the
     decomposition is recomputed per step (the paper's Figure 11 ablation).
+
+    ``prob`` is float64 and ``alias`` int32 (12 B a cell): an alias entry
+    is a cell offset inside its own width-2^k table, and the compiled
+    kernel binds only an int32 ``alias``. ``indptr``, ``lvl_ptr`` and
+    ``lvl_base`` are int64, ``c`` float64.
     """
 
     __slots__ = ("indptr", "c", "prob", "alias", "lvl_ptr", "lvl_base", "aux")

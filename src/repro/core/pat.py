@@ -37,6 +37,11 @@ class PersistentAliasTable:
 
     Build with :func:`repro.core.builder.build_pat` (or the
     :meth:`build` convenience wrapper).
+
+    ``prob`` is float64 and ``alias`` int32, edge-aligned: a complete
+    trunk's entry is an offset inside its trunk, any other entry the
+    edge's own offset inside its vertex (never drawn). ``indptr`` and
+    ``trunk_sizes`` are int64, ``c`` float64.
     """
 
     __slots__ = ("indptr", "c", "prob", "alias", "trunk_sizes")

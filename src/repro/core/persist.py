@@ -6,6 +6,10 @@ and reloads. This module serialises the flat arrays of a prepared index
 (plus the per-edge candidate index) into one ``.npz`` container with a
 format version and a graph fingerprint, so a stale index is rejected
 instead of silently mis-sampling.
+
+Format v2 stores ``alias`` as int32, the dtype the index holds it in
+memory (v1 stored int64); a v1 container is refused, and an engine's
+index cache rebuilds over it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.graph.temporal_graph import TemporalGraph
 
 PathLike = Union[str, os.PathLike]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: The flat arrays a prepared HPAT consists of, in container order. One
 #: catalogue serves every consumer of the prepared image: ``save_hpat``
@@ -158,6 +162,14 @@ def mmap_npz_arrays(
     return out
 
 
+def _check_version(path: PathLike, data) -> None:
+    if int(data["version"]) != FORMAT_VERSION:
+        raise GraphFormatError(
+            f"{path}: index format v{int(data['version'])}, "
+            f"expected v{FORMAT_VERSION}"
+        )
+
+
 def load_hpat(
     path: PathLike, graph: TemporalGraph, weight_desc: str = "",
     mmap_mode: Optional[str] = None,
@@ -177,11 +189,7 @@ def load_hpat(
     both modes.
     """
     with np.load(path) as data:
-        if int(data["version"]) != FORMAT_VERSION:
-            raise GraphFormatError(
-                f"{path}: index format v{int(data['version'])}, "
-                f"expected v{FORMAT_VERSION}"
-            )
+        _check_version(path, data)
         if bytes(data["kind"]) != b"hpat":
             raise GraphFormatError(f"{path}: not an HPAT container")
         stored = bytes(data["fingerprint"]).decode()
@@ -232,8 +240,7 @@ def save_pat(path: PathLike, pat: PersistentAliasTable, graph: TemporalGraph) ->
 def load_pat(path: PathLike, graph: TemporalGraph) -> PersistentAliasTable:
     """Reload a saved PAT, verifying it matches ``graph``."""
     with np.load(path) as data:
-        if int(data["version"]) != FORMAT_VERSION:
-            raise GraphFormatError(f"{path}: unsupported index format version")
+        _check_version(path, data)
         if bytes(data["kind"]) != b"pat":
             raise GraphFormatError(f"{path}: not a PAT container")
         if bytes(data["fingerprint"]).decode() != graph_fingerprint(graph):

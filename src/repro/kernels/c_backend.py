@@ -10,12 +10,13 @@ builders (:func:`_self_test_build`). Any failure raises
 :class:`Unavailable` with the reason; the registry serves numpy.
 
 Memory safety is split in two. Python proves, once per run, that every
-array is C-contiguous int64/float64 and that lengths agree (:func:`_addr`;
-verified addresses are memoised in ``KernelScratch.bound``); the C loops
-check every index they derive from array *contents* and return
-``−1 − row``, raised here as :class:`IndexError`. Arrays that do not fit
-(say a non-int64 ``nbr``) run the numpy pass instead — chosen from the
-arrays, never from an option.
+array is C-contiguous int64/float64 (int32 for the alias cells) and that
+lengths agree (:func:`_addr`; verified addresses are memoised in
+``KernelScratch.bound``); the C loops check every index they derive from
+array *contents* and return ``−1 − row``, raised here as
+:class:`IndexError`. Arrays that do not fit (say a non-int64 ``nbr``)
+run the numpy pass instead — chosen from the arrays, never from an
+option.
 """
 
 from __future__ import annotations
@@ -45,7 +46,10 @@ _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
                "hop_uniforms": "qppqp", "alias_build": "qqpppqpqppp",
                "prefix_sums": "qqpqpqp"}
 _KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
-_I64, _F64, _U64 = (np.dtype(t) for t in (np.int64, np.float64, np.uint64))
+_I64, _I32, _F64, _U64 = (np.dtype(t) for t in (np.int64, np.int32,
+                                                  np.float64, np.uint64))
+#: Widest alias table ``alias_build`` writes: its cells are int32 offsets.
+_MAX_ALIAS_WIDTH = 2**31
 
 
 class _Lanes(ctypes.Structure):
@@ -112,18 +116,19 @@ def _build() -> ctypes.CDLL:
         if not (_trusted(cache) and _trusted(target)):
             raise Unavailable(f"refusing {target}: not owned by this user "
                               f"alone, or writable by others")
-        return ctypes.CDLL(str(target))
+        lib = ctypes.CDLL(str(target))
     except (OSError, subprocess.SubprocessError) as exc:
         raise Unavailable(f"build/load error: {exc}") from exc
+    for name, signature in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [_KINDS[kind] for kind in signature]
+    return lib
 
 
 def load() -> KernelBackend:
     """Build (or reuse), load, self-test; raises :class:`Unavailable`."""
     lib = _build()
-    for name, signature in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [_KINDS[kind] for kind in signature]
     backend = _make_backend(lib)
     _self_test(lib, backend)
     _self_test_build(backend)
@@ -171,7 +176,7 @@ def _index_args(index):
     V = indptr.size - 1
     select = (V, _addr(indptr, _I64), c.size, _addr(c, _F64))
     draw = (V, _addr(lvl_base, _I64, V + 1), lvl_ptr.size, _addr(lvl_ptr, _I64),
-            prob.size, _addr(prob, _F64), _addr(alias, _I64, prob.size))
+            prob.size, _addr(prob, _F64), _addr(alias, _I32, prob.size))
     return (select, draw), arrays
 
 
@@ -276,12 +281,15 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
         return step
 
     def alias_build(width, src, dst, totals, weights, prob, alias):
+        if width > _MAX_ALIAS_WIDTH:  # checked before the 2w stack exists
+            raise ValueError(f"alias_build: width {width} > 2**31 "
+                             f"(alias cells are int32 offsets)")
         nt = src.size
         stack = np.empty(2 * width, np.int64)
         _checked(lib.alias_build(
             nt, width, _addr(src, _I64), _addr(dst, _I64, nt),
             _addr(totals, _F64, nt), weights.size, _addr(weights, _F64),
-            prob.size, _out(prob, _F64), _out(alias, _I64, prob.size),
+            prob.size, _out(prob, _F64), _out(alias, _I32, prob.size),
             _addr(stack, _I64)), "alias_build (table outside the arrays)")
 
     def prefix_sums(indptr, weights, c, lo, hi):
@@ -306,7 +314,9 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
     counters) and a lane-keyed node2vec run with stop draws and forced
     re-draws: numpy passes under the drivers against the one compiled
     call. (The tables hold arbitrary numbers — parity, not distribution,
-    is what is checked.)"""
+    is what is checked.) Arrays the compiled code cannot bind would fall
+    back to the numpy passes and agree vacuously, so the compiled passes
+    and every fused hop of the run must have bound the index's arrays."""
     from repro.core.builder import hpat_layout
     from repro.engines.batch import BatchTeaEngine
     from repro.rng import LaneRng
@@ -327,12 +337,12 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
     lvl_base, lvl_ptr, cells = hpat_layout(deg)
     index = SimpleNamespace(
         indptr=indptr, c=c, lvl_base=lvl_base, lvl_ptr=lvl_ptr,
-        prob=rng.random(cells), alias=rng.integers(0, 2, size=cells))
+        prob=rng.random(cells),
+        alias=rng.integers(0, 2, size=cells).astype(np.int32))
     nbr, etime, sizes = rng.integers(0, V, E), rng.random(E), rng.integers(0, 3, E)
     lanes, left = rng.permutation(width)[:n], rng.integers(1, 3, width)
 
-    def one_hop(passes):
-        scratch = KernelScratch()
+    def one_hop(passes, scratch):
         level, out = np.empty(n, np.int64), np.empty(n, np.int64)
         deep, probes = passes.select(index, vs, ss, u.copy(), level, out,
                                      scratch, True)
@@ -377,12 +387,24 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
         return [out.lengths, out.hop_vertex, out.hop_time, lane_rng._ctr,
                 np.array([*counters.snapshot().values()])]
 
+    scratch, hops = KernelScratch(), []  # what the compiled run bound
+
+    def hop(*args):
+        hops.append(backend.hop(*args))
+        return hops[-1]
+
     try:
-        same = all(map(np.array_equal, one_hop(numpy_backend) + stream(False)
+        same = all(map(np.array_equal,
+                       one_hop(numpy_backend, KernelScratch()) + stream(False)
                        + frontier(numpy_backend.BACKEND),
-                       one_hop(backend) + stream(True) + frontier(backend)))
+                       one_hop(backend, scratch) + stream(True)
+                       + frontier(KernelBackend(**{**vars(backend), "hop": hop}))))
     except Exception as exc:  # incl. a drifted engine signature: serve numpy
         raise Unavailable(f"self-test raised {exc!r}") from exc
+    if (not hops or None in hops
+            or any(hit[1] is None for hit in scratch.bound.values())):
+        raise Unavailable("self-test: the compiled passes or the fused hop "
+                          "did not bind the index (alias must be int32)")
     if not same:
         raise Unavailable("self-test mismatch against the numpy passes "
                           "(miscompiling or FMA-contracting toolchain?)")
@@ -407,7 +429,7 @@ def _self_test_build(backend: KernelBackend) -> None:
                            (3, rng.integers(0, 398, 60)), (40, [0, 12, 300])):
             src = np.asarray(src, np.int64)
             dst = rng.permutation(src.size).astype(np.int64) * width
-            got = np.empty(src.size * width), np.empty(src.size * width, np.int64)
+            got = np.empty(src.size * width), np.empty(src.size * width, np.int32)
             rows = np.lib.stride_tricks.sliding_window_view(weights, width)[src]
             totals = rows.sum(axis=1)
             backend.alias_build(width, src, dst, totals, weights, *got)

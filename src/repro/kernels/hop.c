@@ -28,18 +28,20 @@
 #include <stddef.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef uint64_t u64;
 
 #define BAD(row) return -1 - (row)
 
 /* Operands of the passes; c_backend.py lays the same fields out in the
- * same order (every member is 8 bytes wide, so there is no padding). */
+ * same order (every member is 8 bytes wide, so there is no padding —
+ * alias cells are int32, but the member is a pointer to them). */
 typedef struct {            /* select: candidate prefix sums */
     i64 V; const i64 *indptr; i64 c_len; const double *c;
 } Totals;
 typedef struct {            /* alias: per-level tables */
     i64 V; const i64 *lvl_base; i64 ptr_len; const i64 *lvl_ptr;
-    i64 tab_len; const double *prob; const i64 *alias;
+    i64 tab_len; const double *prob; const i32 *alias;
 } Tables;
 typedef struct {            /* scatter: graph CSR and the walk state */
     i64 V; const i64 *indptr; i64 E; const i64 *nbr; const double *etime;
@@ -196,7 +198,7 @@ i64 hop_alias(i64 n_deep, const i64 *deep, i64 n, const i64 *vs,
               const i64 *level, i64 *out,
               const double *u_cell, const double *u_take,
               i64 V, const i64 *lvl_base, i64 ptr_len, const i64 *lvl_ptr,
-              i64 tab_len, const double *prob, const i64 *alias)
+              i64 tab_len, const double *prob, const i32 *alias)
 {
     const Tables a = {V, lvl_base, ptr_len, lvl_ptr, tab_len, prob, alias};
     for (i64 j = 0; j < n_deep; j++) {
@@ -320,22 +322,25 @@ i64 hop_uniforms(i64 n, const u64 *key, u64 *ctr, i64 k, double *out)
  * the small stack. When w / total is not finite (a subnormal total) the
  * row and its total are first scaled by 2^1023 (alias.RESCALE): exact. A
  * row with total <= 0 gets the identity table. stack holds 2w entries.
- * Returns 0, or -1 - r for a table outside the arrays.
+ * Alias cells are int32: a width whose last offset does not fit returns
+ * -1 before anything is read. Returns 0, or -1 - r for a table outside
+ * the arrays.
  */
 i64 alias_build(i64 nt, i64 w, const i64 *src, const i64 *dst,
                 const double *totals, i64 n_weights, const double *weights,
-                i64 n_cells, double *prob, i64 *alias, i64 *stack)
+                i64 n_cells, double *prob, i32 *alias, i64 *stack)
 {
     i64 *small = stack, *large = stack + w;
-    if (w < 1) BAD(0);
+    if (w < 1 || w - 1 > INT32_MAX) BAD(0);
     for (i64 r = 0; r < nt; r++) {
         i64 from = src[r], to = dst[r];
         if (from < 0 || from > n_weights - w || to < 0 || to > n_cells - w)
             BAD(r);
         const double *x = weights + from;
         double *q = prob + to, total = totals[r], scale = 1.0;
-        i64 *a = alias + to, ns = 0, nl = 0;
-        for (i64 i = 0; i < w; i++) a[i] = i;
+        i32 *a = alias + to;
+        i64 ns = 0, nl = 0;
+        for (i64 i = 0; i < w; i++) a[i] = (i32)i;
         if (!(total > 0.0)) {
             for (i64 i = 0; i < w; i++) q[i] = 1.0;
             continue;
@@ -351,7 +356,7 @@ i64 alias_build(i64 nt, i64 w, const i64 *src, const i64 *dst,
         }
         while (ns && nl) {
             i64 s = small[--ns], l = large[nl - 1];
-            a[s] = l; /* q[s] is final: it is prob[s] */
+            a[s] = (i32)l; /* q[s] is final: it is prob[s] */
             q[l] = q[l] - (1.0 - q[s]);
             if (q[l] < 1.0) { nl--; small[ns++] = l; }
         }

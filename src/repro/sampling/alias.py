@@ -15,6 +15,12 @@ simultaneously: the small/large worklists of Vose's algorithm are
 advanced in lock step across all rows with vectorised numpy operations,
 so the loop count is O(width) however many tables are built.
 
+The index's tables (HPAT, PAT, the full alias index) store ``alias`` as
+:data:`ALIAS_DTYPE`, int32: each entry is an offset inside one table, so
+it is below its vertex's degree, and :func:`check_alias_degrees` refuses
+a degree that int32 cannot hold. The single-table builders here return
+int64 and stay the parity oracle, compared by value.
+
 Every builder here computes ``q = row · (w / total)``. When ``w / total``
 is not finite (``total < w · 2⁻¹⁰²⁴``: a subnormal or near-subnormal
 total) the row and its total are first multiplied by :data:`RESCALE`,
@@ -34,6 +40,19 @@ from repro.sampling.counters import CostCounters
 
 #: Exact power of two applied to a row whose ``w / total`` overflows.
 RESCALE = 2.0 ** 1023
+
+#: dtype of the ``alias`` cells of every in-memory index.
+ALIAS_DTYPE = np.int32
+
+
+def check_alias_degrees(degrees: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first vertex whose degree is at
+    least 2³¹: its alias offsets would not fit :data:`ALIAS_DTYPE`."""
+    wide = np.flatnonzero(np.asarray(degrees) > np.iinfo(ALIAS_DTYPE).max)
+    if wide.size:
+        v = int(wide[0])
+        raise ValueError(f"vertex {v} has degree {int(degrees[v])}: alias "
+                         f"offsets are int32, so a degree must be < 2**31")
 
 
 def build_alias_arrays(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -179,8 +198,8 @@ def build_alias_tables(weights: np.ndarray, width: int, src: np.ndarray,
     """Build ``src.size`` Vose tables of one ``width`` in place.
 
     Table ``r`` reads ``weights[src[r]:src[r] + width]`` and writes
-    ``prob``/``alias[dst[r]:dst[r] + width]`` (``alias`` local to the
-    table); a row with no positive weight gets the identity table, which
+    ``prob``/``alias[dst[r]:dst[r] + width]`` (float64 / :data:`ALIAS_DTYPE`,
+    ``alias`` local to the table); a row with no positive weight gets the identity table, which
     the index never draws from. Compiled when the ``c`` kernel backend
     loaded, else :func:`build_alias_arrays_batch` — the same bits either
     way, since both normalise by the row's numpy (pairwise) sum.

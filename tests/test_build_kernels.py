@@ -13,7 +13,11 @@ specification, so this file holds the compiled build to them bit for bit:
 * a fixed-seed SHA-256 battery of every structure the build makes — five
   weight kinds × {HPAT, PAT with √d trunks, PAT with trunk 10, ITS, the
   full alias index} — whose digests were recorded from the lock-step
-  numpy builder before the compiled one existed, run once per backend;
+  numpy builder before the compiled one existed, run once per backend
+  (integer arrays hashed as int64 values, so the int32 ``alias`` column
+  hashes as the int64 one it replaced did);
+* the int32 width guard: a degree of 2³¹ is refused naming the vertex,
+  and the compiled builder refuses a table wider than 2³¹ cells;
 * the float-range regressions of the static build (subnormal weight sums
   drew uniformly; overflowing sums failed inside the hop).
 """
@@ -21,6 +25,8 @@ specification, so this file holds the compiled build to them bit for bit:
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +35,7 @@ from hypothesis import strategies as st
 
 import repro.kernels as kernels
 from repro.core.alias_index import FullAliasIndex
-from repro.core.builder import preprocess
+from repro.core.builder import build_pat, hpat_layout, preprocess
 from repro.core.weights import KINDS, WeightModel
 from repro.engines.base import Workload
 from repro.engines.batch import BatchTeaEngine
@@ -96,9 +102,12 @@ def battery_graph() -> TemporalGraph:
 
 
 def _digest(*arrays) -> str:
+    """Hash of the arrays' values: integers widened to int64 first."""
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
+        a = np.asarray(a)
+        h.update(np.ascontiguousarray(
+            a.astype(np.int64) if a.dtype.kind in "iu" else a).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -106,10 +115,13 @@ def _structure_digest(graph, kind: str, structure: str) -> str:
     model = WeightModel(kind, scale=20.0)
     if structure == "full_alias":
         index = FullAliasIndex.build(graph, model.compute(graph))
+        assert index.alias.dtype == np.int32
         return _digest(index.vbase, index.prob, index.alias)
     name, _, trunk = structure.partition("_")
     pre = preprocess(graph, model, structure=name,
                      trunk_size=10 if trunk == "10" else None)
+    if name != "its":
+        assert pre.index.alias.dtype == np.int32, structure
     arrays = [getattr(pre.index, a) for a in ("c", "prob", "alias", "lvl_ptr",
                                               "lvl_base", "trunk_sizes")
               if hasattr(pre.index, a)]
@@ -159,6 +171,21 @@ class TestBuildSelfTest:
                 c_backend.KernelBackend(**{**vars(good), "alias_build": off_by_one}))
 
     @needs_cc
+    def test_refuses_passes_that_did_not_bind(self, monkeypatch):
+        """Unbindable index arrays send every pass to numpy, which agrees
+        with numpy: the self-test must refuse, not pass vacuously."""
+        lib = c_backend._build()
+        backend = c_backend._make_backend(lib)
+        c_backend._self_test(lib, backend)
+
+        def unbindable(index):
+            raise ValueError("kernel pass needs a C-contiguous int32 array")
+
+        monkeypatch.setattr(c_backend, "_index_args", unbindable)
+        with pytest.raises(c_backend.Unavailable, match="did not bind"):
+            c_backend._self_test(lib, backend)
+
+    @needs_cc
     def test_refuses_prefix_sums_that_lose_negative_zero(self):
         good = resolve_backend("c")
 
@@ -179,15 +206,37 @@ class TestBuildBounds:
 
     def test_table_outside_the_arrays(self):
         build = resolve_backend("c").alias_build
-        weights, prob, alias = np.ones(8), np.zeros(8), np.zeros(8, np.int64)
+        weights, prob, alias = np.ones(8), np.zeros(8), np.zeros(8, np.int32)
         for src, dst in (([7], [0]), ([-1], [0]), ([0], [7]), ([0], [-2])):
             with pytest.raises(IndexError, match="alias_build"):
                 build(2, np.array(src), np.array(dst), np.ones(1), weights,
                       prob, alias)
+        with pytest.raises(ValueError, match="int32"):
+            build(2, np.array([0]), np.array([0]), np.ones(1), weights,
+                  prob, alias.astype(np.int64))
         alias.setflags(write=False)
         with pytest.raises(ValueError, match="read-only"):
             build(2, np.array([0]), np.array([0]), np.ones(1), weights,
                   prob, alias)
+
+    def test_width_past_int32_allocates_nothing(self):
+        """A 2³¹ + 1 wide table is refused before its 2w-entry stack
+        (32 GiB) exists, and the C entry point refuses it by itself."""
+        build, width = resolve_backend("c").alias_build, 2**31 + 1
+        empty = np.zeros(0, np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="int32"):
+                build(width, empty, empty, np.zeros(0), np.zeros(0),
+                      np.zeros(0), np.zeros(0, np.int32))
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        lib = c_backend._build()
+        assert lib.alias_build(0, width, *[None] * 3, 0, None, 0,
+                               *[None] * 3) == -1
+        assert lib.alias_build(0, width - 1, *[None] * 3, 0, None, 0,
+                               *[None] * 3) == 0
 
     def test_segment_outside_the_arrays(self):
         prefix = resolve_backend("c").prefix_sums
@@ -227,7 +276,7 @@ def test_compiled_tables_match_the_single_table_builder(data, width, tables):
                                       min_size=tables, max_size=tables)))
     dst = np.random.default_rng(tables).permutation(tables) * width
     prob = np.full(tables * width, np.nan)
-    alias = np.full(tables * width, -1, dtype=np.int64)
+    alias = np.full(tables * width, -1, dtype=np.int32)
     with np.errstate(over="ignore"):
         build_alias_tables(weights, width, src, dst, prob, alias)
     for r in range(tables):
@@ -253,6 +302,30 @@ class TestDigestBattery:
         for structure in STRUCTURES:
             key = f"{kind}/{structure}"
             assert _structure_digest(graph, kind, structure) == DIGESTS[key], key
+
+
+class TestWidthGuard:
+    """A degree of 2³¹ or more would overflow an int32 alias offset: every
+    builder refuses it, naming the vertex, before allocating anything."""
+
+    DEGREES = np.array([3, 0, 2**31 - 1, 2**31, 5], dtype=np.int64)
+
+    def _graph(self):
+        deg = self.DEGREES
+        return SimpleNamespace(num_vertices=deg.size, num_edges=int(deg.sum()),
+                               degrees=lambda: deg)
+
+    def test_hpat_layout(self):
+        with pytest.raises(ValueError, match="vertex 3 has degree 2147483648"):
+            hpat_layout(self.DEGREES)
+        lvl_base, _, _ = hpat_layout(self.DEGREES[:3])  # 2**31 - 1 fits
+        assert lvl_base.tolist() == [0, 1, 1, 31]
+
+    def test_pat_and_full_alias_index(self):
+        with pytest.raises(ValueError, match="vertex 3 has degree 2147483648"):
+            build_pat(self._graph(), np.zeros(0))
+        with pytest.raises(ValueError, match="vertex 3 has degree 2147483648"):
+            FullAliasIndex.build(self._graph(), np.zeros(0))
 
 
 def _two_edge_graph(eweight) -> TemporalGraph:

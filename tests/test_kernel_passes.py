@@ -589,14 +589,16 @@ class TestCompiledOnlyChecks:
                     np.array([0]), np.array([0.5]), np.array([0.5]),
                     KernelScratch())
 
-    def test_mismatched_arrays_run_the_numpy_passes(self, medium_graph):
+    def test_mismatched_arrays_run_the_numpy_passes(self, medium_graph,
+                                                    monkeypatch):
         """A non-int64 ``nbr`` (or ``candidate_sizes``) is served by the
         numpy scatter — chosen from the arrays, same walks."""
         engine = _engine(medium_graph, exponential_walk(scale=8.0))
         starts = np.arange(200)
         ref = _frontier(engine, "c", starts, 5)
         engine.candidate_sizes = engine.candidate_sizes.astype(np.int32)
-        engine.graph.nbr = engine.graph.nbr.astype(np.int32)
+        # medium_graph is session-scoped: restore its nbr after the test
+        monkeypatch.setattr(engine.graph, "nbr", engine.graph.nbr.astype(np.int32))
         _same(ref, _frontier(engine, "c", starts, 5))
         walk = WalkState(engine.graph.indptr, engine.graph.nbr,
                          engine.graph.etime, engine.candidate_sizes,

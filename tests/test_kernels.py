@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro.engines.batch as batch_mod
-from repro.core import builder
+from repro.core import builder, persist
 from repro.core.incremental import IncrementalHPAT, VertexIncrementalHPAT
 from repro.core.weights import WeightModel
 from repro.engines import TeaEngine, Workload
@@ -27,9 +27,10 @@ from repro.kernels import (
     sample_batch,
 )
 from repro.kernels import c_backend
+from repro.parallel.engine import ParallelBatchTeaEngine
 from repro.rng import LaneRng, make_rng
 from repro.sampling.counters import CostCounters
-from repro.walks.apps import temporal_node2vec
+from repro.walks.apps import exponential_walk, temporal_node2vec
 from repro.walks.spec import WalkSpec
 from tests import legacy_kernel
 from tests.conftest import chisquare_ok
@@ -91,6 +92,74 @@ class TestBackendRegistry:
             else:
                 assert resolved.name == "numpy"
                 assert "cc" in backend_fallback_note()
+
+
+@pytest.mark.skipif(c_backend.find_cc() is None, reason="no C compiler on PATH")
+class TestFusedHopBinds:
+    """Under ``c`` the fused hop binds every index the product builds or
+    loads. An array the kernel ABI cannot take (an int64 ``alias``, say)
+    sends the run to the numpy passes: ≈10× slower, and just as correct,
+    so no parity test would notice."""
+
+    SPEC = exponential_walk(scale=8.0)
+
+    @staticmethod
+    def _assert_binds(engine):
+        """Run ``engine``'s frontier with ``c``; every ``hop`` it asked
+        for must have returned a step, not ``None``."""
+        compiled, hops = resolve_backend("c"), []
+
+        def hop(*args):
+            hops.append(compiled.hop(*args))
+            return hops[-1]
+
+        engine.kernel = KernelBackend(**{**vars(compiled), "hop": hop})
+        V = engine.graph.num_vertices
+        counters = CostCounters()
+        engine._run_frontier(np.arange(V), 4, 0.0,
+                             LaneRng(np.arange(V, dtype=np.uint64)), counters,
+                             True)
+        assert hops and None not in hops
+        assert counters.steps > 0
+
+    @pytest.fixture
+    def prepared(self, medium_graph):
+        return medium_graph, builder.preprocess(medium_graph,
+                                                self.SPEC.weight_model)
+
+    def test_preprocess(self, prepared):
+        graph, pre = prepared
+        self._assert_binds(BatchTeaEngine.from_prepared(
+            graph, self.SPEC, pre.index, pre.candidate_sizes))
+
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    def test_load_hpat(self, prepared, tmp_path, mmap_mode):
+        graph, pre = prepared
+        path = tmp_path / "index.npz"
+        desc = self.SPEC.weight_model.describe()
+        persist.save_hpat(path, pre.index, graph, pre.candidate_sizes,
+                          weight_desc=desc, compressed=mmap_mode is None)
+        index, sizes = persist.load_hpat(path, graph, weight_desc=desc,
+                                         mmap_mode=mmap_mode)
+        assert isinstance(index.alias, np.memmap) == (mmap_mode is not None)
+        self._assert_binds(BatchTeaEngine.from_prepared(graph, self.SPEC,
+                                                        index, sizes))
+
+    def test_engine_prepare(self, medium_graph):
+        engine = BatchTeaEngine(medium_graph, self.SPEC)
+        engine.prepare()
+        self._assert_binds(engine)
+
+    def test_parallel_shared_memory_image(self, medium_graph):
+        engine = ParallelBatchTeaEngine(medium_graph, self.SPEC, workers=2,
+                                        share_mode="shm")
+        try:
+            engine.prepare()
+            worker_ctx = engine._ensure_static_ctx()
+            assert engine._image is not None, "shared memory unavailable"
+            self._assert_binds(worker_ctx.build_engine())
+        finally:
+            engine.close()
 
 
 class TestUniformBlockContract:

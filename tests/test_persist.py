@@ -6,7 +6,9 @@ import pytest
 from repro.core import persist
 from repro.core.builder import build_hpat, build_pat, search_candidate_sets
 from repro.core.weights import WeightModel
+from repro.core.hpat import HierarchicalPAT
 from repro.engines import TeaEngine, Workload
+from repro.engines.batch import BatchTeaEngine
 from repro.exceptions import GraphFormatError
 from repro.graph.generators import temporal_powerlaw
 from repro.graph.temporal_graph import TemporalGraph
@@ -85,6 +87,75 @@ class TestPatRoundtrip:
         assert pat.sample(v, graph.out_degree(v), r1) == loaded.sample(
             v, graph.out_degree(v), r2
         )
+
+
+def _save_v1(path, hpat, graph, sizes, weight_desc, monkeypatch):
+    """A container as format v1 wrote it: version 1, ``alias`` int64."""
+    wide = HierarchicalPAT(hpat.indptr, hpat.c, hpat.prob,
+                           hpat.alias.astype(np.int64), hpat.lvl_ptr,
+                           hpat.lvl_base, hpat.aux)
+    with monkeypatch.context() as m:
+        m.setattr(persist, "FORMAT_VERSION", 1)
+        persist.save_hpat(path, wide, graph, sizes, weight_desc=weight_desc)
+
+
+class TestFormatV2:
+    """v2 stores the int32 ``alias`` the index holds in memory."""
+
+    def test_alias_is_stored_int32(self, setup, tmp_path):
+        graph, model, hpat, sizes = setup
+        path = tmp_path / "index.npz"
+        persist.save_hpat(path, hpat, graph, sizes, weight_desc=model.describe())
+        with np.load(path) as data:
+            assert int(data["version"]) == 2
+            assert data["alias"].dtype == np.int32
+
+    def test_v1_container_refused_naming_both_versions(self, setup, tmp_path,
+                                                       monkeypatch):
+        graph, model, hpat, sizes = setup
+        path = tmp_path / "v1.npz"
+        _save_v1(path, hpat, graph, sizes, model.describe(), monkeypatch)
+        for mmap_mode in (None, "r"):
+            with pytest.raises(GraphFormatError, match="format v1, expected v2"):
+                persist.load_hpat(path, graph, weight_desc=model.describe(),
+                                  mmap_mode=mmap_mode)
+
+    def test_engine_cache_over_v1_rebuilds_and_overwrites(self, small_graph,
+                                                          tmp_path, monkeypatch):
+        spec = exponential_walk(scale=20.0)
+        cache = tmp_path / "warm.npz"
+        built = TeaEngine(small_graph, spec)
+        built.prepare()
+        _save_v1(cache, built.index, small_graph, built.candidate_sizes,
+                 spec.weight_model.describe(), monkeypatch)
+        engine = TeaEngine(small_graph, spec, index_cache_path=str(cache))
+        engine.prepare()
+        assert engine.construction_report is not None  # rebuilt, not loaded
+        assert engine.index.alias.dtype == np.int32
+        with np.load(cache) as data:
+            assert int(data["version"]) == 2
+            assert data["alias"].dtype == np.int32
+        warm = TeaEngine(small_graph, spec, index_cache_path=str(cache))
+        warm.prepare()
+        assert warm.construction_report is None  # the overwrite loads
+
+    def test_mmap_load_walks_like_the_in_memory_index(self, setup, tmp_path):
+        graph, model, hpat, sizes = setup
+        path = tmp_path / "raw.npz"
+        persist.save_hpat(path, hpat, graph, sizes,
+                          weight_desc=model.describe(), compressed=False)
+        loaded, loaded_sizes = persist.load_hpat(
+            path, graph, weight_desc=model.describe(), mmap_mode="r")
+        assert isinstance(loaded.alias, np.memmap)
+        spec = exponential_walk(scale=20.0)
+        walks = [
+            BatchTeaEngine.from_prepared(graph, spec, index, cand).run(
+                Workload(walks_per_vertex=3, max_length=8), seed=11,
+                record_paths=True)
+            for index, cand in ((hpat, sizes), (loaded, loaded_sizes))]
+        assert walks[0].total_steps > 0
+        assert [p.hops for p in walks[0].paths] == [p.hops for p in walks[1].paths]
+        assert walks[0].counters.snapshot() == walks[1].counters.snapshot()
 
 
 class TestEngineWarmStart:
