@@ -26,6 +26,8 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # self-test passes and refuses a builder one bit off or passes that did
 # not bind, every product index (preprocess, load_hpat copied and mapped,
 # engine prepare, the parallel shared-memory image) binds the fused hop,
+# an out-of-core run draws through the compiled members on every call and
+# their self-test refuses members that did not bind or are one bit off,
 # and the structural constant-calls gate (one fused node2vec run makes the
 # same number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and
 # at p=4, q=1/4).
@@ -33,6 +35,8 @@ kernel-smoke:
 	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_build_kernels.py::TestBuildSelfTest" \
 		"tests/test_kernels.py::TestFusedHopBinds" \
+		"tests/test_ooc_kernel.py::TestOocDrawBinds" \
+		"tests/test_ooc_kernel.py::TestOocSelfTest" \
 		"tests/test_kernel_passes.py::TestConstantCalls"
 
 # Telemetry end to end: `repro walk --stats` writes the JSON run report
@@ -54,13 +58,17 @@ scaling-smoke:
 
 # Out-of-core: scalar-vs-batched step parity at max_length=1, coalescing
 # (strictly fewer backing reads), fixed-seed determinism, the frame
-# pool's hit-rate floor, prefetch conservation, and the structural
+# pool's hit-rate floor, prefetch conservation, the structural
 # width-independence gate (one frontier iteration makes the same number
-# of Python-level calls at 1k and at 16k lanes: no per-range loops).
+# of Python-level calls at 1k and at 16k lanes: no per-range loops), and
+# the compiled draw bit-identical to the numpy lockstep (walks, stream
+# counters, costs, reads, cache and prefetch ledger) on the trunk-size x
+# pool x prefetch grid.
 ooc-smoke:
 	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
 		"tests/test_ooc_batch.py::TestPrefetchTelemetry" \
-		"tests/test_ooc_batch.py::TestWidthIndependence"
+		"tests/test_ooc_batch.py::TestWidthIndependence" \
+		"tests/test_ooc_kernel.py::TestCompiledParity"
 
 # Resilience: the tier-1 classes that inject every failure mode (worker
 # crash, hang, transient I/O, trunk corruption, mid-batch streaming

@@ -162,6 +162,13 @@ def mmap_npz_arrays(
     return out
 
 
+def _stored_text(data, name: str) -> str:
+    """A string member saved as ``np.bytes_``. ``.item()``, not
+    ``bytes()``: an empty ``np.bytes_`` is stored one NUL byte wide, and
+    only ``.item()`` strips it back to ``""``."""
+    return data[name].item().decode()
+
+
 def _check_version(path: PathLike, data) -> None:
     if int(data["version"]) != FORMAT_VERSION:
         raise GraphFormatError(
@@ -190,15 +197,14 @@ def load_hpat(
     """
     with np.load(path) as data:
         _check_version(path, data)
-        if bytes(data["kind"]) != b"hpat":
+        if _stored_text(data, "kind") != "hpat":
             raise GraphFormatError(f"{path}: not an HPAT container")
-        stored = bytes(data["fingerprint"]).decode()
-        if stored != graph_fingerprint(graph):
+        if _stored_text(data, "fingerprint") != graph_fingerprint(graph):
             raise GraphFormatError(
                 f"{path}: index was built for a different graph "
                 f"(fingerprint mismatch)"
             )
-        stored_weights = bytes(data["weight_desc"]).decode()
+        stored_weights = _stored_text(data, "weight_desc")
         if stored_weights != weight_desc:
             raise GraphFormatError(
                 f"{path}: index was built with weights "
@@ -241,9 +247,9 @@ def load_pat(path: PathLike, graph: TemporalGraph) -> PersistentAliasTable:
     """Reload a saved PAT, verifying it matches ``graph``."""
     with np.load(path) as data:
         _check_version(path, data)
-        if bytes(data["kind"]) != b"pat":
+        if _stored_text(data, "kind") != "pat":
             raise GraphFormatError(f"{path}: not a PAT container")
-        if bytes(data["fingerprint"]).decode() != graph_fingerprint(graph):
+        if _stored_text(data, "fingerprint") != graph_fingerprint(graph):
             raise GraphFormatError(f"{path}: fingerprint mismatch")
         return PersistentAliasTable(
             indptr=data["indptr"],

@@ -25,7 +25,11 @@ I/O pattern itself into an optimisation surface:
   coalesced cold reads churn through probation only.
 
 A step is the PAT draw of paper §3.2 — trunk-boundary ITS, in-trunk
-alias draw, partial-trunk search — evaluated in numpy lockstep. The
+alias draw, partial-trunk search. Under the ``c`` kernel backend its
+per-lane arithmetic runs in three compiled loops between the store's
+reads (``ooc_plan`` / ``ooc_select`` / ``ooc_alias`` in ``hop.c``); the
+numpy lockstep below is their specification and the no-``cc`` path,
+and both issue the same reads in the same order. The
 one-lane-at-a-time reader it replaced is kept as a test oracle
 (``tests/ooc_oracle.py``), and the two are chi-squared tested against
 each other and against Equation 3.
@@ -52,7 +56,7 @@ from repro.engines.base import Engine
 from repro.engines.batch import BatchTeaEngine
 from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
 from repro.graph.temporal_graph import TemporalGraph
-from repro.kernels import KernelScratch
+from repro.kernels import KernelBackend, KernelScratch
 from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import MemoryReport
@@ -78,6 +82,8 @@ def ooc_sample_batch(
     *,
     draw=None,
     lanes: Optional[np.ndarray] = None,
+    kernel: Optional[KernelBackend] = None,
+    scratch: Optional[KernelScratch] = None,
 ) -> np.ndarray:
     """Vectorised PAT-over-TrunkStore draws for (vertex, size) arrays.
 
@@ -86,18 +92,35 @@ def ooc_sample_batch(
     disk slice — with every disk access routed through
     :meth:`TrunkStore.read_batch` so the whole frontier's trunks dedupe
     and coalesce. Lanes are validated first (``IndexError`` unless
-    ``0 <= v < V`` and ``1 <= s <= deg``). Probe counts for the lockstep
-    boundary search are exact; partial-trunk search probes are the usual
-    batched approximation (cf. :func:`repro.engines.batch.hpat_sample_batch`).
+    ``0 <= v < V`` and ``1 <= s <= deg``, before any read). Probe counts
+    for the lockstep boundary search are exact; partial-trunk search
+    probes are the usual batched approximation (cf.
+    :func:`repro.engines.batch.hpat_sample_batch`).
 
     Row ``i`` takes its (up to three) uniforms from lane ``lanes[i]`` of
     the :class:`~repro.rng.LaneRng` ``draw``, like the in-memory kernel,
     or straight from ``rng`` when no ``draw`` is given.
+
+    The per-lane arithmetic runs in ``kernel``'s compiled out-of-core
+    members when it has them, ``draw`` is a ``LaneRng`` and the index's
+    arrays bind (``scratch`` memoises the binding); otherwise in numpy
+    lockstep, below — the specification the compiled members reproduce
+    bit for bit: draws, stream counters, costs, and the same
+    ``read_batch`` calls in the same order.
     """
-    store = index.store
     n = vs.size
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    if (isinstance(draw, LaneRng) and kernel is not None
+            and kernel.ooc_plan is not None):
+        vs, ss, lanes = (np.ascontiguousarray(a, dtype=np.int64)
+                         for a in (vs, ss, lanes))
+        scratch = KernelScratch() if scratch is None else scratch
+        plan = kernel.ooc_plan(index, vs, ss, 0, scratch)
+        if plan is not None:
+            return _compiled_draw(kernel, index, vs, ss, draw, lanes, counters,
+                                  plan[:3], scratch)
+    store = index.store
     if draw is None:  # the next uniforms of rng, in call order
         lanes = np.arange(n, dtype=np.int64)
         uniform = lambda rows: rng.random(rows.size)  # noqa: E731
@@ -174,6 +197,65 @@ def ooc_sample_batch(
     return out
 
 
+def _compiled_draw(kernel: KernelBackend, index: OutOfCorePAT, vs, ss,
+                   draw: LaneRng, lanes, counters, plan, scratch) -> np.ndarray:
+    """:func:`ooc_sample_batch` through ``kernel``'s compiled members:
+    the numpy path's reads, in its order, around two per-lane loops."""
+    store = index.store
+    ragged, c_lo, c_hi = plan
+    c_trunks, c_row = _NO_TRUNKS, ragged  # ragged is empty here
+    if ragged.size:
+        c_trunks, _, c_row = store.read_batch("c", c_lo, c_hi, counters)
+    out, deep, pa_lo, pa_hi, probes = kernel.ooc_select(
+        index, vs, ss, draw, lanes, c_trunks, c_row, scratch)
+    if deep.size:
+        tables, _, t_row = store.read_batch("pa", pa_lo, pa_hi, counters)
+        kernel.ooc_alias(index, vs, lanes, draw, deep, tables, t_row, out,
+                         scratch)
+    if counters is not None:
+        counters.record_probe(probes)
+        counters.alias_draws += deep.size
+        counters.edges_evaluated += deep.size
+    return out
+
+
+#: The C-slice payload of a step without ragged lanes.
+_NO_TRUNKS = np.zeros((0, 0))
+
+
+def predict_reads(kernel: KernelBackend, index: OutOfCorePAT, vs: np.ndarray,
+                  ss: np.ndarray, scratch: KernelScratch):
+    """The trunks the next step over ``(vs, ss)`` will read, as
+    ``(c_lo, c_hi, pa_lo, pa_hi)`` columns; lanes are validated first.
+
+    Certain need: a ragged candidate boundary reads its C-slice trunk
+    (total and partial-trunk search) before drawing anything.
+    Probabilistic: the heaviest of the first few complete trunks is the
+    likeliest ITS winner — its alias trunk. Compiled where ``kernel``
+    has ``ooc_plan`` and the index binds; the numpy lines are the
+    specification.
+    """
+    vs, ss = (np.ascontiguousarray(a, dtype=np.int64) for a in (vs, ss))
+    if kernel.ooc_plan is not None:
+        plan = kernel.ooc_plan(index, vs, ss, _PREFETCH_TRUNK_SCAN, scratch)
+        if plan is not None:
+            return plan[1:]
+    index.check_lanes(vs, ss)
+    ts = index.trunk_sizes[vs].astype(np.int64)
+    full = ss // ts
+    ragged = np.flatnonzero(ss - full * ts)
+    c_lo, c_hi = index.c_trunks(vs[ragged], ss[ragged], ts[ragged])
+    # Columns past a lane's last complete trunk repeat it, so the gather
+    # never leaves the lane's own boundaries and argmax (first maximum)
+    # never picks them.
+    rows = np.flatnonzero(full)
+    scan = np.minimum(np.arange(_PREFETCH_TRUNK_SCAN), full[rows, None] - 1)
+    at = index.tr_indptr[vs[rows], None] + scan
+    best = np.argmax(index.tr_prefix[at + 1] - index.tr_prefix[at], axis=1)
+    pa_lo = (index.indptr[vs[rows]] + best * ts[rows]).astype(np.int64)
+    return c_lo, c_hi, pa_lo, pa_lo + ts[rows]
+
+
 class BatchTeaOutOfCoreEngine(BatchTeaEngine):
     """Batched frontier execution against a disk-resident PAT.
 
@@ -210,6 +292,9 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         self.verify_checksums = bool(verify_checksums)
         self.fault_injector = fault_injector
         self._prefetcher: Optional[AsyncPrefetcher] = None
+        # The prediction's binding memo (the loop's scratch is not passed
+        # to the lookahead).
+        self._plan_scratch = KernelScratch()
 
     def _prepare(self) -> None:
         tracer = self.tracer
@@ -283,8 +368,8 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         lanes: np.ndarray, counters: CostCounters,
         scratch: Optional[KernelScratch] = None,
     ) -> np.ndarray:
-        """Trunk-store draws (``scratch`` serves the in-memory kernel
-        only; this sampler's staging lives in the frame pool)."""
+        """Trunk-store draws (``scratch`` holds the compiled members'
+        binding; this sampler's staging lives in the frame pool)."""
         if self._prefetcher is not None:
             # Settle outstanding predictions before sampling: they were
             # issued for exactly this round's read_batch, so waiting the
@@ -299,36 +384,19 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
                 self._prefetcher.close(counters)
                 self._prefetcher = None
         return ooc_sample_batch(self.index, vs, ss, None, counters,
-                                draw=draw, lanes=lanes)
+                                draw=draw, lanes=lanes, kernel=self.kernel,
+                                scratch=scratch)
 
     def _on_frontier_advance(self, vs: np.ndarray, ss: np.ndarray) -> None:
         if self._prefetcher is None:
             return
-        index = self.index
         # Warmed trunks from earlier steps missed their window: the pin,
         # not the frame, expires (a late consumer still counts as a hit),
         # which bounds pinned frames to one step's predictions.
-        index.store.cache.unpin_all()
-        ss = ss.astype(np.int64)
-        index.check_lanes(vs, ss)
-        ts = index.trunk_sizes[vs].astype(np.int64)
-        full = ss // ts
-        # Certain need: a ragged candidate boundary reads its C-slice
-        # trunk (total and partial-trunk search) before drawing anything.
-        ragged = np.flatnonzero(ss - full * ts)
-        c_lo, c_hi = index.c_trunks(vs[ragged], ss[ragged], ts[ragged])
-        # Probabilistic: the heaviest of the first few complete trunks
-        # is the likeliest ITS winner — warm its alias table. Columns
-        # past a lane's last complete trunk repeat it, so the gather
-        # never leaves the lane's own boundaries and argmax (first
-        # maximum) never picks them.
-        rows = np.flatnonzero(full)
-        scan = np.minimum(np.arange(_PREFETCH_TRUNK_SCAN), full[rows, None] - 1)
-        at = index.tr_indptr[vs[rows], None] + scan
-        best = np.argmax(index.tr_prefix[at + 1] - index.tr_prefix[at], axis=1)
-        pa_lo = (index.indptr[vs[rows]] + best * ts[rows]).astype(np.int64)
-        self._prefetcher.submit(
-            [("c", c_lo, c_hi), ("pa", pa_lo, pa_lo + ts[rows])])
+        self.index.store.cache.unpin_all()
+        c_lo, c_hi, pa_lo, pa_hi = predict_reads(
+            self.kernel, self.index, vs, ss, self._plan_scratch)
+        self._prefetcher.submit([("c", c_lo, c_hi), ("pa", pa_lo, pa_hi)])
 
     @contextmanager
     def _frontier_scope(self, profiler, counters: CostCounters):

@@ -71,6 +71,36 @@ which stay the specification. Both write in place and release the GIL.
     Per-vertex prefix sums of vertices ``lo..hi-1`` into ``c`` (vertex
     ``v``'s segment starts at ``indptr[v] + v`` with a leading 0),
     ``np.cumsum``'s sequential adds.
+
+Three more optional members compile the per-lane arithmetic of the
+out-of-core PAT draw (``engines/tea_outofcore/batch.py``) around the
+trunk store's reads, which stay in Python. The numpy lockstep there is
+the specification; the members reproduce it bit for bit (draws from the
+``LaneRng`` stream, counters and costs, and so the same reads).
+``index`` is an ``OutOfCorePAT``; an out-of-range vertex, size, lane or
+payload row raises :class:`IndexError`.
+
+``ooc_plan(index, vs, ss, scan, scratch) -> (rows, c_lo, c_hi, pa_lo, pa_hi) | None``
+    Validate every lane (``0 <= v < V``, ``1 <= s <= deg``) and list the
+    ragged ones (``s`` not a multiple of the trunk size) with their
+    C-slice trunk ``[c_lo, c_hi)``. With ``scan > 0``, every lane with a
+    complete trunk also gets the alias trunk ``[pa_lo, pa_hi)`` of the
+    heaviest of its first ``min(full, scan)`` trunks (the prefetcher's
+    prediction). ``None`` when the index's arrays do not bind; the
+    binding is memoised in ``scratch`` for the two members below.
+
+``ooc_select(index, vs, ss, rng, lanes, c_trunks, c_row, scratch) -> (out, deep, pa_lo, pa_hi, probes)``
+    Per lane: the candidate total (resident boundary, or the ragged
+    lane's ``c_trunks[c_row[j]]`` row from ``read_batch("c")``), its next
+    uniform, ``r = total − u·total``, then the lockstep bisect over the
+    boundaries (a *deep* lane: ``out = trunk·ts`` and its alias trunk
+    ``[pa_lo, pa_hi)``) or the partial-trunk compare-count (``out``
+    final). ``probes`` is the cost model's count.
+
+``ooc_alias(index, vs, lanes, rng, deep, tables, t_row, out, scratch)``
+    Two uniforms per deep row pick a cell of its alias trunk
+    ``tables[t_row[j]]`` (``read_batch("pa")``'s payload), added to
+    ``out`` in place.
 """
 
 from __future__ import annotations
@@ -134,7 +164,9 @@ class WalkState:
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One implementation of the three passes (see module doc)."""
+    """One implementation of the three passes, plus the optional compiled
+    members — fused hop, index build, out-of-core draw — that ``None``
+    leaves to the numpy code they must reproduce (see module doc)."""
 
     name: str
     select: Callable
@@ -146,6 +178,10 @@ class KernelBackend:
     #: per-vertex prefix sums, written in place (see module doc).
     alias_build: Optional[Callable] = None
     prefix_sums: Optional[Callable] = None
+    #: Optional compiled out-of-core PAT draw (only ``c``; see module doc).
+    ooc_plan: Optional[Callable] = None
+    ooc_select: Optional[Callable] = None
+    ooc_alias: Optional[Callable] = None
 
 
 def sample_batch(

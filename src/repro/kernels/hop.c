@@ -1,5 +1,6 @@
-/* One frontier hop per lane (the `c` kernel backend), and the index build's
- * two per-table loops: Vose alias tables and per-vertex prefix sums.
+/* One frontier hop per lane (the `c` kernel backend), the index build's two
+ * per-table loops (Vose alias tables and per-vertex prefix sums), and the
+ * per-lane loops of the out-of-core PAT draw.
  *
  * Built on first use by repro/kernels/c_backend.py with the system compiler:
  *
@@ -26,6 +27,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stddef.h>
+#include <string.h>
 
 typedef int64_t i64;
 typedef int32_t i32;
@@ -299,6 +301,172 @@ i64 hop_lanes(const Lanes *x, i64 n, i64 *lanes, i64 iteration, i64 *out)
     out[0] = steps; out[1] = probes; out[2] = deep;
     out[3] = trials; out[4] = rejected; out[5] = spent;
     return alive;
+}
+
+/* ---- The out-of-core PAT draw (engines/tea_outofcore/batch.py) ----------
+ * The index is the resident side of an OutOfCorePAT: CSR offsets, per-vertex
+ * trunk sizes, and the trunk-boundary prefix sums tr_prefix (vertex v's
+ * boundaries 0, C[ts], C[2ts], ..., C[d] at tr_indptr[v] ..). The payload
+ * trunks come from TrunkStore.read_batch between the calls: Python owns
+ * every read, these loops own the per-lane arithmetic and the draws.
+ */
+typedef struct {
+    i64 V; const i64 *indptr; const i64 *trunk_sizes; const i64 *tr_indptr;
+    i64 tr_len; const double *tr_prefix;
+} Trunks;
+
+/* 0 <= v < V and 1 <= s <= deg(v) (OutOfCorePAT.check_lanes), with a
+ * trunk size >= 1 and boundary `full` inside v's tr_prefix segment.
+ * Sets ts, full = s / ts and tb = v's first boundary; 0, or -1.
+ */
+static inline int ooc_lane(const Trunks *x, i64 v, i64 s, i64 *ts, i64 *full,
+                           i64 *tb)
+{
+    if (v < 0 || v >= x->V) return -1;
+    i64 lo = x->indptr[v], hi = x->indptr[v + 1];
+    if (hi < lo || s < 1 || s > hi - lo) return -1;
+    *ts = x->trunk_sizes[v];
+    if (*ts < 1) return -1;
+    *full = s / *ts;
+    *tb = x->tr_indptr[v];
+    i64 end = x->tr_indptr[v + 1];
+    if (*tb < 0 || end > x->tr_len || *tb + *full >= end) return -1;
+    return 0;
+}
+
+/* Lane validation and read planning. Every lane is checked (ooc_lane);
+ * a ragged lane (s not a multiple of ts) is listed in rows[] with its
+ * C-slice trunk [c_lo, c_hi) (OutOfCorePAT.c_trunks). With scan > 0 a lane
+ * with a complete trunk also gets the alias trunk [pa_lo, pa_hi) of the
+ * heaviest of its first min(full, scan) trunks — first maximum, a NaN
+ * winning as under np.argmax: the prefetcher's prediction. counts[0..1] =
+ * ragged lanes, predicted alias trunks. Returns 0.
+ */
+i64 ooc_plan(i64 V, const i64 *indptr, const i64 *trunk_sizes,
+             const i64 *tr_indptr, i64 tr_len, const double *tr_prefix,
+             i64 n, const i64 *vs, const i64 *ss, i64 scan,
+             i64 *rows, i64 *c_lo, i64 *c_hi, i64 *pa_lo, i64 *pa_hi,
+             i64 *counts)
+{
+    const Trunks x = {V, indptr, trunk_sizes, tr_indptr, tr_len, tr_prefix};
+    i64 n_rows = 0, n_pa = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 v = vs[i], s = ss[i], ts, full, tb;
+        if (ooc_lane(&x, v, s, &ts, &full, &tb)) BAD(i);
+        i64 base = indptr[v] + v, deg = indptr[v + 1] - indptr[v];
+        if (s - full * ts) {
+            i64 start = full * ts, end = start + ts < deg ? start + ts : deg;
+            rows[n_rows] = i;
+            c_lo[n_rows] = base + start;
+            c_hi[n_rows++] = base + end + 1;
+        }
+        if (scan > 0 && full > 0) {
+            const double *b = tr_prefix + tb;
+            i64 best = 0, last = full < scan ? full : scan;
+            double top = b[1] - b[0];
+            for (i64 j = 1; j < last && !isnan(top); j++) {
+                double d = b[j + 1] - b[j];
+                if (d > top || isnan(d)) { best = j; top = d; }
+            }
+            pa_lo[n_pa] = indptr[v] + best * ts;
+            pa_hi[n_pa++] = indptr[v] + (best + 1) * ts;
+        }
+    }
+    counts[0] = n_rows; counts[1] = n_pa;
+    return 0;
+}
+
+/* Each lane's draw up to its alias trunk. The candidate total is the
+ * resident boundary tr_prefix[full], or — for the j-th ragged lane — entry
+ * rem of row c_row[j] of the (c_rows, c_width) C-slice payload; the lane's
+ * next uniform gives r = total - u*total. A lane with r <= tr_prefix[full]
+ * bisects the boundaries in lockstep (one probe per halving: the numpy
+ * lockstep's count) and is listed in deep[] with out = trunk * ts and its
+ * alias trunk [pa_lo, pa_hi); any other lane compare-counts its C-slice
+ * row up to rem (out final; ceil(log2(max(rem, 2))) + 1 probes).
+ * counts[0..1] = deep lanes, probes. Returns 0.
+ */
+i64 ooc_select(i64 V, const i64 *indptr, const i64 *trunk_sizes,
+               const i64 *tr_indptr, i64 tr_len, const double *tr_prefix,
+               i64 n, const i64 *vs, const i64 *ss, const i64 *lanes,
+               i64 n_keys, const u64 *key, u64 *ctr,
+               i64 n_ragged, const i64 *c_row, i64 c_rows, i64 c_width,
+               const double *c, i64 *out, i64 *deep, i64 *pa_lo, i64 *pa_hi,
+               i64 *counts)
+{
+    const Trunks x = {V, indptr, trunk_sizes, tr_indptr, tr_len, tr_prefix};
+    i64 n_deep = 0, probes = 0, j = 0;
+    for (i64 i = 0; i < n; i++) {
+        i64 v = vs[i], s = ss[i], lane = lanes[i], ts, full, tb;
+        if (ooc_lane(&x, v, s, &ts, &full, &tb)) BAD(i);
+        if (lane < 0 || lane >= n_keys) BAD(i);
+        i64 rem = s - full * ts;
+        double full_weight = tr_prefix[tb + full], total = full_weight;
+        const double *row = NULL;
+        if (rem) {
+            if (j >= n_ragged) BAD(i);
+            i64 r_at = c_row[j++];
+            if (r_at < 0 || r_at >= c_rows || rem >= c_width) BAD(i);
+            row = c + r_at * c_width;
+            total = row[rem];
+        }
+        double scaled = lane_uniform(key[lane], &ctr[lane]) * total;
+        double r = total - scaled;
+        if (full > 0 && r <= full_weight) {
+            i64 lo = 0, hi = full;
+            while (hi - lo > 1) {
+                i64 mid = (lo + hi) / 2;
+                probes++;
+                if (tr_prefix[tb + mid] < r) lo = mid; else hi = mid;
+            }
+            out[i] = lo * ts;
+            pa_lo[n_deep] = indptr[v] + lo * ts;
+            pa_hi[n_deep] = indptr[v] + (lo + 1) * ts;
+            deep[n_deep++] = i;
+        } else {
+            if (row == NULL) BAD(i); /* r > total: NaN weights */
+            i64 below = 0;
+            for (i64 k = 0; k <= rem; k++) below += row[k] < r;
+            out[i] = full * ts + below - 1;
+            probes += 1 + (rem <= 2 ? 1 : top_bit(rem - 1) + 1);
+        }
+    }
+    counts[0] = n_deep; counts[1] = probes;
+    return 0;
+}
+
+/* The in-trunk alias draw of deep row j: two uniforms from its lane's
+ * stream pick a cell of the width-ts trunk t_row[j] of the (t_rows, 2,
+ * t_width) "pa" payload — plane 0 prob, plane 1 the alias offsets' int64
+ * bits — and out[deep[j]] += the pick. Returns 0.
+ */
+i64 ooc_alias(i64 V, const i64 *trunk_sizes, i64 n_deep, const i64 *deep,
+              i64 n, const i64 *vs, const i64 *lanes,
+              i64 n_keys, const u64 *key, u64 *ctr,
+              const i64 *t_row, i64 t_rows, i64 t_width, const double *tables,
+              i64 *out)
+{
+    for (i64 j = 0; j < n_deep; j++) {
+        i64 i = deep[j];
+        if (i < 0 || i >= n) BAD(j);
+        i64 v = vs[i], lane = lanes[i], at = t_row[j];
+        if (v < 0 || v >= V || lane < 0 || lane >= n_keys) BAD(j);
+        if (at < 0 || at >= t_rows) BAD(j);
+        i64 w = trunk_sizes[v];
+        double u_cell = lane_uniform(key[lane], &ctr[lane]);
+        double u_take = lane_uniform(key[lane], &ctr[lane]);
+        i64 cell = (i64)(u_cell * (double)w);
+        if (cell > w - 1) cell = w - 1;
+        if (cell < 0 || cell >= t_width) BAD(j);
+        const double *prob = tables + at * 2 * t_width;
+        i64 pick = cell;
+        if (!(u_take < prob[cell])) {
+            memcpy(&pick, prob + t_width + cell, sizeof pick);
+            if (pick < 0 || pick >= w) BAD(j);
+        }
+        out[i] += pick;
+    }
+    return 0;
 }
 
 /* k successive uniforms of each lane's stream, row-major (k, n) — what the

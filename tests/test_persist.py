@@ -66,6 +66,24 @@ class TestHpatRoundtrip:
         with pytest.raises(GraphFormatError, match="weights"):
             persist.load_hpat(path, graph, weight_desc="linear_rank")
 
+    @pytest.mark.parametrize("mmap_mode", [None, "r"])
+    @pytest.mark.parametrize("desc", ["", "décroissance exponentielle τ=20"])
+    def test_any_weight_description_round_trips(self, setup, tmp_path,
+                                                mmap_mode, desc):
+        """An empty ``np.bytes_`` is stored one NUL byte wide: "" must
+        come back as "", and a non-ASCII text as itself."""
+        graph, _, hpat, sizes = setup
+        path = tmp_path / "index.npz"
+        persist.save_hpat(path, hpat, graph, sizes, weight_desc=desc,
+                          compressed=mmap_mode is None)
+        loaded, _ = persist.load_hpat(path, graph, weight_desc=desc,
+                                      mmap_mode=mmap_mode)
+        assert np.array_equal(loaded.c, hpat.c)
+        assert isinstance(loaded.c, np.memmap) == (mmap_mode is not None)
+        with pytest.raises(GraphFormatError, match="weights"):
+            persist.load_hpat(path, graph, weight_desc=desc + "x",
+                              mmap_mode=mmap_mode)
+
     def test_pat_container_rejected_as_hpat(self, setup, tmp_path):
         graph, model, _, _ = setup
         pat = build_pat(graph, model.compute(graph))
