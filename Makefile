@@ -25,9 +25,10 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # a skip; without one, numpy plus a fallback note), the build's load-time
 # self-test passes and refuses a builder one bit off or passes that did
 # not bind, every product index (preprocess, load_hpat copied and mapped,
-# engine prepare, the parallel shared-memory image) binds the fused hop,
-# an out-of-core run draws through the compiled members on every call and
-# their self-test refuses members that did not bind or are one bit off,
+# engine prepare, the engine a forked parallel worker inherits) binds the
+# fused hop, an out-of-core run draws through the compiled members on
+# every call and their self-test refuses members that did not bind or are
+# one bit off,
 # and the structural constant-calls gate (one fused node2vec run makes the
 # same number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and
 # at p=4, q=1/4).
@@ -45,14 +46,22 @@ kernel-smoke:
 stats-smoke:
 	$(SMOKE) "tests/test_telemetry.py::TestCli"
 
-# Parallel executor: bit-determinism across worker counts and backends,
-# telemetry conservation (per-worker steps fold to the serial total),
-# warm-pool reuse (a second run pays zero pool startup), and bounded
-# dispatch (a warm 2-worker run spends at most 25 ms per chunk outside
-# chunk execution over inline — an absolute cost, so it holds on a
-# 1-core or an oversubscribed host).
+# Parallel executor: bit-determinism across worker counts and backends
+# (inline, serial, thread and process walks and counters equal, also
+# after an injected worker crash is retried), process workers walk the
+# engine they fork from (no /dev/shm segment, the parent's engine object,
+# a sub-5 ms initializer), a dropped engine releases its pool, the
+# default worker count follows the CPU affinity mask, telemetry
+# conservation (per-worker steps fold to the serial total), warm-pool
+# reuse (a second run pays zero pool startup), and bounded dispatch (a
+# warm 2-worker run spends at most 25 ms per chunk outside chunk
+# execution over inline — an absolute cost, so it holds on a 1-core or an
+# oversubscribed host).
 scaling-smoke:
 	$(SMOKE) "tests/test_parallel_engine.py::TestDeterminism" \
+		"tests/test_parallel_engine.py::TestOneDeterminismClass::test_run_parallel_and_run_lanes_agree" \
+		"tests/test_parallel_engine.py::TestEndToEnd::test_validation" \
+		"tests/test_parallel_engine.py::TestEndToEnd::test_default_workers_follow_cpu_affinity" \
 		"tests/test_parallel_engine.py::TestTelemetryFold" \
 		"tests/test_parallel_engine.py::TestDeterminismMatrix"
 
@@ -128,8 +137,10 @@ ingest-smoke:
 		"tests/test_streaming.py::TestDurability" \
 		"tests/test_epoch_pack.py::TestReadSideBookkeeping"
 
-# Clock discipline: engine, streaming and core code must take time from
-# repro.telemetry.clock, never raw time.time()/perf_counter().
+# Clock discipline: every module under src/repro except the clock itself
+# must take time from repro.telemetry.clock, never raw
+# time.time()/perf_counter()/monotonic() (tier-1 runs it too:
+# tests/test_docs.py::TestClockLint).
 lint-clocks:
 	$(PYTHON) tools/lint_clocks.py
 

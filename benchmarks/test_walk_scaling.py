@@ -57,7 +57,6 @@ class ScalingRow:
 
     workers: int
     backend: str
-    share_mode: str
     chunks: int
     steps: int
     walk_seconds: float
@@ -73,7 +72,6 @@ class ScalingRow:
         return {
             "workers": self.workers,
             "backend": self.backend,
-            "share_mode": self.share_mode,
             "chunks": self.chunks,
             "steps": self.steps,
             "walk_s": round(self.walk_seconds, 4),
@@ -92,7 +90,7 @@ def run_scaling(graph, spec, workload, seed, notes) -> List[ScalingRow]:
     backend's first row.
 
     Each executed point runs twice against one engine: cold (pool
-    build + attach) then warm (pool reuse); ``walk_seconds`` and
+    build) then warm (pool reuse); ``walk_seconds`` and
     ``speedup`` come from the warm run, the cold costs ride along in
     their own columns. Per-walk seeding makes every run bit-identical
     regardless of chunking, so the adaptive planner picks chunk sizes.
@@ -143,7 +141,6 @@ def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
     return ScalingRow(
         workers=workers,
         backend=backend,
-        share_mode=engine.last_share_mode,
         chunks=chunks,
         steps=result.counters.steps,
         walk_seconds=wall,
@@ -159,9 +156,9 @@ def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
 
 
 def format_scaling_table(rows: List[ScalingRow], title: str, notes) -> str:
-    header = ("workers", "backend", "share", "chunks", "steps",
+    header = ("workers", "backend", "chunks", "steps",
               "walk_s", "speedup", "q_wait", "cold_s", "pool_s", "warm_p_s")
-    keys = ("workers", "backend", "share_mode", "chunks", "steps",
+    keys = ("workers", "backend", "chunks", "steps",
             "walk_s", "speedup", "queue_wait_share", "cold_walk_s",
             "pool_startup_s", "warm_startup_s")
     lines = [title, "  ".join(f"{h:>8}" for h in header)]

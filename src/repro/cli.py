@@ -180,7 +180,7 @@ def cmd_walk(args) -> int:
     finally:
         telemetry_events.install(previous_log)
         # One CLI invocation = one engine lifetime: release warm pools
-        # and the shared-memory image before reporting.
+        # before reporting.
         close = getattr(engine, "close", None)
         if close is not None:
             close()

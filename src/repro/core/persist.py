@@ -31,11 +31,9 @@ PathLike = Union[str, os.PathLike]
 
 FORMAT_VERSION = 2
 
-#: The flat arrays a prepared HPAT consists of, in container order. One
-#: catalogue serves every consumer of the prepared image: ``save_hpat``
-#: writes exactly these members, ``load_hpat`` reads (or memory-maps)
-#: them, and the parallel executor's shared-memory export
-#: (:mod:`repro.parallel.sharing`) ships the same set to walk workers.
+#: The flat arrays a prepared HPAT consists of, in container order:
+#: ``save_hpat`` writes exactly these members and ``load_hpat`` reads (or
+#: memory-maps) them.
 HPAT_ARRAY_FIELDS: Tuple[str, ...] = (
     "indptr", "c", "prob", "alias", "lvl_ptr", "lvl_base",
 )
@@ -83,8 +81,7 @@ def save_hpat(
 
     ``compressed=False`` stores the array members raw (``np.savez``), the
     layout that lets :func:`load_hpat` memory-map them read-only
-    (``mmap_mode="r"``) — the configuration parallel walk workers and the
-    out-of-core engine want, trading disk bytes for zero-copy loads.
+    (``mmap_mode="r"``), trading disk bytes for zero-copy loads.
     """
     writer = np.savez_compressed if compressed else np.savez
     writer(

@@ -129,10 +129,11 @@ class BatchTeaEngine(Engine):
     ) -> "BatchTeaEngine":
         """Wrap an already-built index without re-running preprocessing.
 
-        The zero-copy entry point for parallel workers: ``graph`` must
-        already be spec-restricted and ``index``/``candidate_sizes`` are
-        adopted as-is (typically views over shared memory), so
-        construction costs no array copies and no index build.
+        The entry point for an index built elsewhere (``load_hpat``, a
+        separate ``preprocess``): ``graph`` must already be
+        spec-restricted and ``index``/``candidate_sizes`` are adopted
+        as-is (memory-mapped arrays included), so construction costs no
+        array copies and no index build.
         """
         engine = object.__new__(cls)
         engine.graph = graph

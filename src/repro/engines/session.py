@@ -10,9 +10,9 @@ skip preprocessing entirely, and the cache budgets (entry count and
 optional resident-index bytes) bound memory.
 
 The session is the state the :mod:`repro.serve` daemon keeps hot
-between requests: prepared HPATs, warm worker pools and shm segments
-(when the ``tea-parallel`` engine kind is selected) all live for the
-lifetime of a cache entry, not a single query.
+between requests: prepared HPATs and warm worker pools (when the
+``tea-parallel`` engine kind is selected) live for the lifetime of a
+cache entry, not a single query.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class TeaSession:
     engine:
         Engine kind to build per cache entry: ``"tea"`` (scalar),
         ``"tea-batch"`` (vectorised frontier, the default), or
-        ``"tea-parallel"`` (chunk-parallel with warm pools / shm /
+        ``"tea-parallel"`` (chunk-parallel with warm pools and
         supervised retry — the serving configuration).
     engine_kwargs:
         Extra constructor arguments forwarded to the engine class
@@ -206,7 +206,7 @@ class TeaSession:
         return total
 
     def close(self) -> None:
-        """Evict every cached engine, releasing pools/shm they hold."""
+        """Evict every cached engine, releasing the pools they hold."""
         with self._lock:
             while self._engines:
                 self._evict_lru(count=False)

@@ -1,10 +1,10 @@
-"""Chunk-parallel walk execution over a shared prepared index.
+"""Chunk-parallel walk execution over one prepared engine.
 
 Multi-core walks on one node: one preprocessing pass in the parent, then the
 vectorised frontier kernel (:mod:`repro.engines.batch`) runs per chunk
 of start vertices in a warm, engine-lifetime worker pool
-(:mod:`repro.parallel.pool`), against index arrays shared zero-copy
-(POSIX shared memory, falling back to fork copy-on-write). Randomness
+(:mod:`repro.parallel.pool`). Every backend walks the same engine
+object: threads share it, forked process workers inherit it. Randomness
 is planned *per walk* (counter-based lane streams), so results are
 bit-identical across worker counts, backends, chunk sizes (fixed or
 adaptive), warm or cold pools, and scheduling orders; every worker's
@@ -19,9 +19,7 @@ Public surface:
   :func:`~repro.parallel.chunks.adaptive_chunk_size` /
   :class:`~repro.parallel.chunks.ChunkPlan` — deterministic per-walk
   seeding and (re)chunking;
-* :class:`~repro.parallel.pool.WarmWorkerPool` — the persistent pool;
-* :class:`~repro.parallel.sharing.SharedIndexImage` — the shared-memory
-  image of the prepared arrays.
+* :class:`~repro.parallel.pool.WarmWorkerPool` — the persistent pool.
 
 The strong-scaling sweep is ``benchmarks/test_walk_scaling.py``.
 """
@@ -36,13 +34,7 @@ from repro.parallel.chunks import (
 )
 from repro.parallel.engine import ParallelBatchTeaEngine
 from repro.parallel.pool import WarmWorkerPool
-from repro.parallel.sharing import SharedIndexImage
-from repro.parallel.worker import (
-    ChunkResult,
-    ChunkTask,
-    WorkerContext,
-    execute_chunk,
-)
+from repro.parallel.worker import ChunkResult, ChunkTask, execute_chunk
 
 __all__ = [
     "ChunkPlan",
@@ -50,9 +42,7 @@ __all__ = [
     "ChunkTask",
     "DEFAULT_CHUNK_TARGET_MS",
     "ParallelBatchTeaEngine",
-    "SharedIndexImage",
     "WarmWorkerPool",
-    "WorkerContext",
     "adaptive_chunk_size",
     "default_chunk_size",
     "execute_chunk",

@@ -3,11 +3,11 @@
 :class:`ParallelBatchTeaEngine` runs the exact
 :class:`~repro.engines.batch.BatchTeaEngine` frontier kernel, but over
 *chunks* of the workload's start vertices served from a shared work
-queue to a pool of workers. The prepared index is built once in the
-parent and shared zero-copy (see :mod:`repro.parallel.sharing`);
-workers wrap it with
-:meth:`~repro.engines.batch.BatchTeaEngine.from_prepared` and walk
-their chunks independently.
+queue to a pool of workers. The index is prepared once, in the parent;
+every backend then runs :func:`~repro.parallel.worker.execute_chunk` on
+this one engine object — threads and inline chunks share it, forked
+process workers inherit it — so no worker copies, exports or rebuilds
+the index.
 
 Design invariants:
 
@@ -17,12 +17,12 @@ Design invariants:
   bit-identical across worker counts, backends, chunk sizes (fixed or
   adaptive), pool generations, and scheduling orders for a fixed
   ``seed``. ``--workers 1`` is the reference run, not a special case.
-* **Warm pools** — worker pools and the shared-memory image are
-  *engine-lifetime* resources (:mod:`repro.parallel.pool`): the first
-  run pays pool spin-up and per-worker attach once, later runs find
-  the pool warm (``parallel.pool_startup_seconds == 0``). Supervision
-  recycles a broken/hung pool instead of assuming one pool per
-  attempt. :meth:`close` (or garbage collection) releases everything.
+* **Warm pools** — worker pools are *engine-lifetime* resources
+  (:mod:`repro.parallel.pool`): the first run pays pool spin-up once,
+  later runs find the pool warm (``parallel.pool_startup_seconds ==
+  0``). Supervision recycles a broken/hung pool instead of assuming one
+  pool per attempt. :meth:`close` (or garbage collection) releases
+  everything.
 * **Adaptive chunking** — without an explicit ``chunk_size`` the
   planner calibrates from a short probe (or the previous run's
   measured per-walk cost) and sizes chunks to
@@ -34,24 +34,24 @@ Design invariants:
   associative merge paths, then adds the ``parallel.*`` metrics
   (workers, chunks, queue wait, pool startup/attach, per-worker step
   totals).
-* **Backends** — ``process`` (forked workers, true multi-core; index
-  shared via POSIX shared memory with a copy-on-write fallback),
-  ``thread`` (numpy releases the GIL for long stretches of the kernel,
-  and threads need no array shipping at all), or ``serial`` (inline,
-  for debugging). ``auto`` picks ``process`` where ``fork`` exists.
+* **Backends** — ``process`` (forked workers, true multi-core; each
+  inherits the prepared engine copy-on-write, and the walk never writes
+  its pages), ``thread`` (the kernels release the GIL for long stretches
+  of a chunk), or ``serial`` (inline, for debugging). ``auto`` picks
+  ``process`` where ``fork`` exists, and ``process`` falls back to
+  ``thread`` where it does not.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
+import os
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.persist import hpat_array_catalogue
 from repro.engines.base import FrontierResult, Workload
 from repro.engines.batch import BatchTeaEngine
 from repro.exceptions import WorkerCrashError
@@ -66,22 +66,20 @@ from repro.parallel.chunks import (
     rechunk,
 )
 from repro.parallel.pool import WarmWorkerPool
-from repro.parallel.sharing import export_or_none
 from repro.parallel.worker import (
     ChunkResult,
     ChunkTask,
-    WorkerContext,
     _process_chunk,
     execute_chunk,
 )
 from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, events
+from repro.telemetry.clock import monotonic as _monotonic
 from repro.telemetry.events import current_run_id
 from repro.walks.spec import WalkSpec
 
 BACKENDS = ("auto", "process", "thread", "serial")
-SHARE_MODES = ("auto", "shm", "inherit")
 
 #: Default per-chunk retry budget (additional attempts after the first).
 DEFAULT_CHUNK_RETRIES = 2
@@ -91,14 +89,23 @@ def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a cpuset-limited container sees its share, not the
+    host's), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class ParallelBatchTeaEngine(BatchTeaEngine):
     """Work-queue parallel TEA: the frontier kernel per chunk, merged.
 
     Parameters
     ----------
     workers:
-        Pool size; defaults to the machine's CPU count. The effective
-        pool never exceeds the number of chunks.
+        Pool size (>= 1); defaults to the CPUs this process may run on.
+        The effective pool never exceeds the number of chunks.
     chunk_size:
         Start vertices per chunk. ``None`` (default) engages the
         adaptive planner; per-walk seeding makes both settings
@@ -111,9 +118,9 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
     backend:
         ``auto`` | ``process`` | ``thread`` | ``serial``.
     share_mode:
-        ``auto`` (shared memory, falling back to fork/copy-on-write),
-        ``shm``, or ``inherit`` (copy-on-write only). Only the process
-        backend ships arrays; threads share the address space.
+        Only ``inherit`` (process workers walk the engine they fork
+        from); any other value is refused. Kept for callers that still
+        pass it; it sets nothing.
     """
 
     name = "tea-parallel"
@@ -125,7 +132,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         backend: str = "auto",
-        share_mode: str = "auto",
+        share_mode: str = "inherit",
         retries: int = DEFAULT_CHUNK_RETRIES,
         chunk_timeout: Optional[float] = None,
         fault_injector=None,
@@ -135,13 +142,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         super().__init__(graph, spec, kernel_backend=kernel_backend)
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        if share_mode not in SHARE_MODES:
-            raise ValueError(
-                f"share_mode must be one of {SHARE_MODES}, got {share_mode!r}"
-            )
-        self.workers = int(workers) if workers else (multiprocessing.cpu_count() or 1)
+        if share_mode != "inherit":
+            raise ValueError(f"share_mode must be 'inherit', got {share_mode!r}")
+        self.workers = _usable_cpus() if workers is None else int(workers)
         if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.chunk_size = int(chunk_size) if chunk_size else None
         if chunk_target_ms is not None and float(chunk_target_ms) <= 0:
             raise ValueError("chunk_target_ms must be > 0")
@@ -149,7 +154,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             float(chunk_target_ms) if chunk_target_ms is not None else None
         )
         self.backend = backend
-        self.share_mode = share_mode
         #: Per-chunk retry budget: a chunk may fail (crash, hang, broken
         #: pool) this many times beyond its first attempt before the run
         #: aborts with :class:`WorkerCrashError`.
@@ -161,28 +165,24 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         #: process and thread backends' future waits.
         self.chunk_timeout = chunk_timeout
         #: Optional :class:`repro.resilience.faults.FaultInjector`
-        #: threaded into the worker context (``chunk`` site).
+        #: every chunk checks (``chunk`` site), in whichever backend.
         self.fault_injector = fault_injector
-        #: How the last run actually shared arrays / executed (for
-        #: reports and tests): set by :meth:`run`.
+        #: The backend the last run actually executed on (for reports
+        #: and tests): set by :meth:`run`.
         self.last_backend: Optional[str] = None
-        self.last_share_mode: Optional[str] = None
         #: Supervision ledger of the last run: ``chunk_retries`` (chunk
         #: executions repeated after a failure) and ``degraded`` (the
         #: backends fallen back to, in order).
         self.last_events: Dict[str, object] = {"chunk_retries": 0, "degraded": []}
         #: Pool ledger of the last run: warm serves (``reuses``), pool
         #: builds and their cost (``builds`` / ``startup_seconds`` /
-        #: ``attach_seconds``).
+        #: ``attach_seconds``, the workers' initializer time).
         self.last_pool: Dict[str, float] = {
             "reuses": 0, "builds": 0,
             "startup_seconds": 0.0, "attach_seconds": 0.0,
         }
         # Engine-lifetime execution resources (see close()).
         self._pools: Dict[str, WarmWorkerPool] = {}
-        self._image = None
-        self._static_ctx: Optional[WorkerContext] = None
-        self._local_worker_ctx: Optional[WorkerContext] = None
         #: Measured seconds per walk (calibration memory): seeded by the
         #: probe, refined after every run from actual chunk walls.
         self._per_walk_seconds: Optional[float] = None
@@ -198,30 +198,12 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             return "thread"
         return self.backend
 
-    def _shared_arrays(self) -> Dict[str, np.ndarray]:
-        """The read-only image workers need, under the catalogue names."""
-        g = self.graph
-        arrays: Dict[str, np.ndarray] = {
-            "graph.indptr": g.indptr,
-            "graph.nbr": g.nbr,
-            "graph.etime": g.etime,
-        }
-        if g.eweight is not None:
-            arrays["graph.eweight"] = g.eweight
-        arrays.update(hpat_array_catalogue(self.index, self.candidate_sizes))
-        if g._static_indptr is not None:
-            arrays["static.indptr"] = g._static_indptr
-            arrays["static.nbr"] = g._static_nbr
-        if self._static_ready:
-            arrays["static.keys"] = self._static_keys
-        return arrays
-
     def _prepare(self) -> None:
         super()._prepare()
         # Build the static adjacency once in the parent (any dynamic
-        # parameter may consult it): workers then share it instead of
-        # each lazily rebuilding, and the thread backend avoids a
-        # concurrent-build race inside the kernel.
+        # parameter may consult it): forked workers then inherit it
+        # instead of each lazily rebuilding, and the thread backend
+        # avoids a concurrent-build race inside the kernel.
         if (
             self.spec.dynamic_parameter is not None
             and self.graph.num_vertices
@@ -229,49 +211,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         ):
             self.graph._build_static_adjacency()
 
-    def _local_ctx(self) -> WorkerContext:
-        """Context for thread/serial chunks: they run against ``self``
-        directly, so only the injector matters."""
-        if self._local_worker_ctx is None:
-            self._local_worker_ctx = WorkerContext(
-                spec=self.spec, aux_max=-1, injector=self.fault_injector,
-                kernel_backend=self.kernel.name,
-            )
-        return self._local_worker_ctx
-
-    def _ensure_static_ctx(self) -> WorkerContext:
-        """The fork-inherited process-worker context, built once.
-
-        Exports the prepared arrays to shared memory (when allowed) the
-        first time a process pool is needed; the image then lives until
-        :meth:`close` because warm pool workers hold views into it
-        across runs.
-        """
-        if self._static_ctx is not None:
-            return self._static_ctx
-        arrays = self._shared_arrays()
-        if self.share_mode in ("auto", "shm"):
-            self._image = export_or_none(arrays)
-            if self._image is not None:
-                arrays = self._image.arrays()
-        aux = self.index.aux
-        self._static_ctx = WorkerContext(
-            spec=self.spec,
-            aux_max=aux.max_size if aux is not None else -1,
-            arrays=arrays,
-            injector=self.fault_injector,
-            # The resolved *name*, not the object: process workers
-            # re-resolve after fork/spawn (and degrade gracefully if the
-            # parent loaded the compiled backend but the child cannot).
-            kernel_backend=self.kernel.name,
-        )
-        return self._static_ctx
-
     def _pool(self, kind: str) -> WarmWorkerPool:
         pool = self._pools.get(kind)
         if pool is None:
-            ctx = self._ensure_static_ctx() if kind == "process" else None
-            pool = WarmWorkerPool(kind, self.workers, ctx=ctx)
+            pool = WarmWorkerPool(
+                kind, self.workers, engine=self if kind == "process" else None)
             self._pools[kind] = pool
         return pool
 
@@ -286,19 +230,15 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release warm pools and the shared-memory image.
+        """Release the warm pools.
 
         Idempotent; also invoked by ``__del__`` so dropped engines do
-        not leak worker processes or shm segments. After close the
-        engine remains usable — the next run simply pays startup again.
+        not leak worker processes. After close the engine remains
+        usable — the next run simply pays startup again.
         """
         for pool in self._pools.values():
             pool.close()
         self._pools = {}
-        self._static_ctx = None
-        if self._image is not None:
-            self._image.dispose()
-            self._image = None
 
     def __del__(self):  # noqa: D105 — best-effort resource release
         try:
@@ -320,12 +260,12 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         n = min(PROBE_WALKS, plan.num_walks)
         if n <= 0:
             return None
-        t0 = time.monotonic()
+        t0 = _monotonic()
         self._run_frontier(
             plan.starts[:n], workload.max_length, workload.stop_probability,
             LaneRng(plan.seeds[:n]), CostCounters(), False,
         )
-        return (time.monotonic() - t0) / n
+        return (_monotonic() - t0) / n
 
     def _plan(self, starts: np.ndarray, workload: Workload,
               rng: np.random.Generator) -> ChunkPlan:
@@ -412,12 +352,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
     def _attempt_serial(self, chunk_ids, plan, rp, attempts):
         done: Dict[int, ChunkResult] = {}
         failed = []
-        ctx = self._local_ctx()
         for cid in chunk_ids:
             task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = time.monotonic()
+            task.enqueue_ts = _monotonic()
             try:
-                done[cid] = execute_chunk(self, ctx, task)
+                done[cid] = execute_chunk(self, task)
             except Exception as exc:  # noqa: BLE001
                 failed.append((cid, "crash", exc))
         return done, failed
@@ -426,12 +365,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         pool = self._pool("thread")
         executor, reused = pool.ensure()
         self._note_pool(reused, pool)
-        ctx = self._local_ctx()
         futures = []
         for cid in chunk_ids:
             task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = time.monotonic()
-            futures.append((executor.submit(execute_chunk, self, ctx, task), cid))
+            task.enqueue_ts = _monotonic()
+            futures.append((executor.submit(execute_chunk, self, task), cid))
         done, failed, pool_hurt = self._collect(futures)
         if pool_hurt:
             # A hung thread cannot be killed: condemn the pool (its
@@ -448,7 +386,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         unsubmitted = []
         for cid in chunk_ids:
             task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = time.monotonic()
+            task.enqueue_ts = _monotonic()
             try:
                 futures.append((executor.submit(_process_chunk, task), cid))
             except BrokenExecutor as exc:
@@ -478,18 +416,10 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             active = chain[level]
             self.last_backend = active
             if active == "process":
-                # Materialise the shared image (once per engine) before
-                # reporting how arrays reached the workers.
-                self._ensure_static_ctx()
-                self.last_share_mode = "shm" if self._image is not None else "cow"
                 done, failed = self._attempt_process(pending, plan, rp, attempts)
             elif active == "thread":
-                if self._image is None:
-                    self.last_share_mode = "local"
                 done, failed = self._attempt_thread(pending, plan, rp, attempts)
             else:
-                if self._image is None:
-                    self.last_share_mode = "local"
                 done, failed = self._attempt_serial(pending, plan, rp, attempts)
             results.update(done)
             if not failed:
@@ -567,9 +497,9 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             "run_id": current_run_id(),
             "profile": profile,
         }
-        t0 = time.monotonic()
+        t0 = _monotonic()
         results = self._execute_chunks(plan, backend, workers_used, rp)
-        self._dispatch_seconds = time.monotonic() - t0
+        self._dispatch_seconds = _monotonic() - t0
 
         # Refine the calibration memory from what was actually
         # measured: the next adaptive plan skips the probe.
@@ -641,7 +571,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         span.set("workers", workers_used)
         span.set("chunks", plan.num_chunks)
         span.set("backend", self._resolve_backend(workers_used))  # as planned
-        span.set("share_mode", self.last_share_mode)
         if self.last_events["degraded"]:
             span.set("degraded_to", self.last_backend)
         if self.tracer.enabled:
@@ -695,8 +624,8 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         # observations into parallel.queue_wait_seconds via merge();
         # touch it here so the metric exists even for zero-chunk runs.
         # Since the pool is warmed before chunks are enqueued, this
-        # measures only unclaimed-queue time — spin-up and attach land
-        # in the two pool gauges below.
+        # measures only unclaimed-queue time — spin-up and the workers'
+        # initializers land in the two pool gauges below.
         registry.histogram(
             "parallel.queue_wait_seconds",
             "delay between chunk enqueue and execution start",
@@ -708,7 +637,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         ).set(float(self.last_pool["startup_seconds"]))
         registry.gauge(
             "parallel.attach_seconds",
-            "summed per-worker shared-index attach seconds this run",
+            "summed per-worker initializer seconds of pools built this run",
         ).set(float(self.last_pool["attach_seconds"]))
         registry.counter(
             "parallel.pool_reuse",

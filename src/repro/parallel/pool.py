@@ -1,65 +1,59 @@
 """Warm, persistent worker pools for the parallel walk executor.
 
-The PR-2 executor built a fresh ``ProcessPoolExecutor`` per ``run()``
-attempt, so every run paid worker spawn + shared-index attach before
-the first chunk moved — on small workloads that overhead exceeded the
-walk itself (the 0.44–0.54x "speedups" ROADMAP item 1 records).
-:class:`WarmWorkerPool` makes the pool an *engine-lifetime* resource:
+:class:`WarmWorkerPool` makes the pool an *engine-lifetime* resource, so
+a run does not pay worker spawn before its first chunk moves:
 
 * **startup once** — the executor is created on first use and kept; a
   second ``run()`` finds it warm and pays ~zero startup
   (``parallel.pool_startup_seconds == 0`` is the reuse contract the
   scaling bench demonstrates).
-* **attach once** — process workers build their engine over the shared
-  index image in the pool initializer (fork inherits the static
-  :class:`~repro.parallel.worker.WorkerContext`), so the attach cost is
-  per worker per pool generation, not per run or per chunk. Warmup
+* **inherit, never rebuild** — process workers are forked from the
+  engine that owns the pool and walk that engine as they inherited it
+  (:mod:`repro.parallel.worker`); the initializer only stores it. Warmup
   pings force every worker into existence *before* chunks are enqueued,
   which is also what lets ``queue_wait_seconds`` measure only genuine
   queue time.
 * **recycle on harm** — the supervisor marks a pool broken after a hang
   or a dead worker (:meth:`mark_broken`); the next :meth:`ensure` call
-  rebuilds it from the same static context. Degradation
-  (process → thread → serial) and retries never assume a fresh pool.
+  forks a fresh generation. Degradation (process → thread → serial) and
+  retries never assume a fresh pool.
 
 Lifecycle telemetry: ``pool.start`` / ``pool.reuse`` / ``pool.recycle``
-/ ``pool.shutdown`` events, plus the startup/attach timings the engine
-republishes as ``parallel.pool_startup_seconds`` /
+/ ``pool.shutdown`` events, plus the startup/initializer timings the
+engine republishes as ``parallel.pool_startup_seconds`` /
 ``parallel.attach_seconds``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Optional
 
-from repro.parallel.worker import WorkerContext, _process_init, _warmup_ping
+from repro.parallel.worker import _process_init, _warmup_ping
 from repro.telemetry import events
 from repro.telemetry.clock import monotonic as _monotonic
 
 #: Seconds to wait for the warmup pings before giving up on measuring
-#: attach time (the pool still works; the metric just reads 0).
+#: initializer time (the pool still works; the metric just reads 0).
 WARMUP_TIMEOUT = 30.0
 
 
 class WarmWorkerPool:
     """A process or thread executor that outlives ``run()`` calls.
 
-    ``kind`` is ``"process"`` or ``"thread"``; ``ctx`` (process pools
-    only) is the static worker context fork-inherited by every worker
-    at pool creation — it must stay valid for the pool's lifetime,
-    which is why the engine pins the shared-memory image for as long as
-    it owns pools.
+    ``kind`` is ``"process"`` or ``"thread"``; ``engine`` (process pools
+    only) is what every forked worker walks. The pool keeps only a weak
+    reference to it, so dropping the engine's last user reference still
+    runs its ``close()`` and shuts the pool down.
     """
 
-    def __init__(self, kind: str, workers: int,
-                 ctx: Optional[WorkerContext] = None):
+    def __init__(self, kind: str, workers: int, engine=None):
         if kind not in ("process", "thread"):
             raise ValueError(f"kind must be 'process' or 'thread', got {kind!r}")
         self.kind = kind
         self.workers = int(workers)
-        self.ctx = ctx
+        self._engine_ref = weakref.ref(engine) if engine is not None else None
         self.executor = None
         self.broken = False
         #: Pool builds so far (1 after first ensure; +1 per recycle).
@@ -67,8 +61,8 @@ class WarmWorkerPool:
         #: Wall seconds the most recent build spent (executor creation
         #: plus warmup); 0.0 reported for reused-warm serves.
         self.startup_seconds = 0.0
-        #: Summed per-worker engine-build/attach seconds of the most
-        #: recent build (reported by the warmup pings).
+        #: Summed per-worker initializer seconds of the most recent
+        #: build (reported by the warmup pings).
         self.attach_seconds = 0.0
 
     @property
@@ -94,11 +88,11 @@ class WarmWorkerPool:
                 max_workers=self.workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_process_init,
-                initargs=(self.ctx,),
+                initargs=(self._engine_ref,),
             )
             # Warmup: one ping per worker slot forces every process to
-            # spawn (and so to attach the shared image) before any real
-            # chunk is enqueued. Each ping reports its worker's attach
+            # fork (and so to run its initializer) before any real chunk
+            # is enqueued. Each ping reports its worker's initializer
             # cost; sum over distinct pids — a fast worker may answer
             # several pings.
             try:

@@ -1,15 +1,13 @@
 """Worker-side chunk execution for the parallel walk executor.
 
-A worker — thread or forked process — owns nothing but a
-:class:`WorkerContext`: the walk spec and the shared read-only image of
-the prepared index. From it each worker builds one private
-:class:`~repro.engines.batch.BatchTeaEngine` via
-:meth:`~repro.engines.batch.BatchTeaEngine.from_prepared` (no index
-rebuild, no array copies) and then serves :class:`ChunkTask` messages
-for as long as the pool lives — the context is *static* so a warm pool
-(:mod:`repro.parallel.pool`) can span many ``run()`` calls, while
-everything run-scoped (start slices, per-walk seeds, walk parameters,
-``run_id``) ships inside each task.
+Every backend walks one engine object: serial and thread chunks run
+against the :class:`~repro.parallel.engine.ParallelBatchTeaEngine`
+itself, and a forked process worker runs against the same engine as it
+inherited it through ``fork`` — the prepared index included, with no
+copy, no rebuild and no attach. Everything run-scoped (start slices,
+per-walk seeds, walk parameters, ``run_id``) ships inside each
+:class:`ChunkTask`, so a warm pool (:mod:`repro.parallel.pool`) can
+span many ``run()`` calls.
 
 Every chunk execution carries a private :class:`CostCounters`, a private
 :class:`MetricsRegistry`, and a private :class:`Tracer` — the
@@ -27,15 +25,11 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
-from repro.core.aux_index import AuxiliaryIndex
-from repro.core.hpat import HierarchicalPAT
-from repro.core.persist import HPAT_ARRAY_FIELDS
-from repro.engines.batch import BatchTeaEngine, FrontierResult
-from repro.graph.temporal_graph import TemporalGraph
+from repro.engines.batch import FrontierResult
 from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import (
@@ -49,63 +43,9 @@ from repro.telemetry import (
     events,
 )
 from repro.telemetry.clock import monotonic as _monotonic
-from repro.walks.spec import WalkSpec
 
-
-@dataclass
-class WorkerContext:
-    """The *static* half of a worker's world, with zero-copy arrays.
-
-    Holds only what stays fixed for the engine's lifetime — the spec,
-    the shared index image, the fault injector — so a warm process pool
-    can inherit it once at fork and keep serving runs. ``arrays`` maps
-    prefixed names to the shared image:
-    ``graph.indptr/nbr/etime[/eweight]`` (the spec-restricted CSR), the
-    HPAT catalogue fields plus ``candidate_sizes``, and — when the spec
-    has a prepared node2vec parameter — ``static.indptr/nbr/keys``. The
-    backing may be shared-memory segments or the parent's own arrays
-    inherited copy-on-write; workers cannot tell and do not care.
-    """
-
-    spec: WalkSpec
-    aux_max: int
-    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: Resolved kernel-backend *name* (never the backend object — it
-    #: must survive pickling into process workers; each worker
-    #: re-resolves locally, falling back to numpy if the compiled
-    #: backend loaded only in the parent).
-    kernel_backend: str = "auto"
-    #: Optional :class:`repro.resilience.faults.FaultInjector` evaluated
-    #: at the ``chunk`` site with key ``(chunk_id, attempt)`` — chaos
-    #: plans crash/hang specific chunk attempts deterministically, in
-    #: whichever backend (fork inherits it, threads share it).
-    injector: object = None
-
-    def build_engine(self) -> BatchTeaEngine:
-        """Assemble a private engine over the shared arrays.
-
-        The only per-worker allocation of note is
-        ``TemporalGraph._neg_etime`` (|E| floats, recomputed by the
-        constructor); the CSR, index, and candidate arrays are adopted
-        as-is.
-        """
-        a = self.arrays
-        graph = TemporalGraph(
-            a["graph.indptr"], a["graph.nbr"], a["graph.etime"],
-            eweight=a.get("graph.eweight"),
-        )
-        if "static.indptr" in a:
-            graph._static_indptr = a["static.indptr"]
-            graph._static_nbr = a["static.nbr"]
-        aux = AuxiliaryIndex(self.aux_max) if self.aux_max >= 0 else None
-        index = HierarchicalPAT(
-            aux=aux, **{name: a[name] for name in HPAT_ARRAY_FIELDS}
-        )
-        return BatchTeaEngine.from_prepared(
-            graph, self.spec, index, a["candidate_sizes"],
-            static_keys=a.get("static.keys"),
-            kernel_backend=self.kernel_backend,
-        )
+if TYPE_CHECKING:
+    from repro.parallel.engine import ParallelBatchTeaEngine
 
 
 @dataclass
@@ -118,8 +58,8 @@ class ChunkTask:
     runs stamps events with the *current* run, not the one it was warmed
     under. ``enqueue_ts`` is taken at submit, after the pool is warm —
     the resulting ``queue_wait_seconds`` measures only time spent
-    unclaimed in the queue (pool spin-up and shm attach are accounted
-    separately by :mod:`repro.parallel.pool`).
+    unclaimed in the queue (pool spin-up is accounted separately by
+    :mod:`repro.parallel.pool`).
     """
 
     chunk_id: int
@@ -177,17 +117,15 @@ def worker_label() -> str:
     return f"pid-{os.getpid()}/{thread.name}"
 
 
-def execute_chunk(
-    engine: BatchTeaEngine, ctx: WorkerContext, task: ChunkTask
-) -> ChunkResult:
-    """Walk ``task``'s chunk to completion.
+def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResult:
+    """Walk ``task``'s chunk to completion on ``engine``.
 
     Runs the same frontier kernel as the serial engine, with per-walk
     :class:`~repro.rng.LaneRng` streams keyed on the task's seed slice;
     telemetry goes to private per-chunk instances.
 
-    ``task.attempt`` is the supervisor's retry ordinal: it keys fault
-    injection only — the chunk's randomness still comes exclusively
+    ``task.attempt`` is the supervisor's retry ordinal: it keys the
+    engine's ``fault_injector`` (``chunk`` site) only — the chunk's randomness still comes exclusively
     from its walks' planned seeds, so a retried chunk reproduces its
     exact paths (bit-determinism survives crashes, pool rebuilds, and
     backend degradation).
@@ -208,8 +146,8 @@ def execute_chunk(
         events.install(EventLog(run_id=task.run_id))
         log = events.current()
     event_mark = len(log) if (log is not None and in_child) else 0
-    if ctx.injector is not None:
-        ctx.injector.check("chunk", key=(task.chunk_id, task.attempt))
+    if engine.fault_injector is not None:
+        engine.fault_injector.check("chunk", key=(task.chunk_id, task.attempt))
     counters = CostCounters()
     registry = MetricsRegistry()
     tracer = Tracer(enabled=True)
@@ -269,33 +207,28 @@ def execute_chunk(
 
 # -- process-backend entry points ------------------------------------------
 #
-# The process pool uses the fork start method: the initializer and its
-# context argument reach children by inheritance (no pickling), and the
-# shared image's mappings come along for free. Each child builds its
-# engine once — at *pool* creation, not per run — so with a warm pool
-# the attach cost below is paid exactly once per worker per engine
-# lifetime; chunk tasks then cost one small ChunkTask pickle in and one
-# ChunkResult pickle out.
+# The process pool uses the fork start method, and every worker is forked
+# while the engine that owns the pool is alive: the initializer only turns
+# the weak reference it inherited into the worker's engine. A chunk task
+# then costs one small ChunkTask pickle in and one ChunkResult pickle out.
 
-_ENGINE: Optional[BatchTeaEngine] = None
-_CONTEXT: Optional[WorkerContext] = None
+_ENGINE: Optional[ParallelBatchTeaEngine] = None
 _ATTACH_SECONDS: float = 0.0
 
 
-def _process_init(ctx: WorkerContext) -> None:
-    global _ENGINE, _CONTEXT, _ATTACH_SECONDS
+def _process_init(engine_ref) -> None:
+    global _ENGINE, _ATTACH_SECONDS
     t0 = _monotonic()
-    _CONTEXT = ctx
-    _ENGINE = ctx.build_engine()
+    _ENGINE = engine_ref()
     _ATTACH_SECONDS = _monotonic() - t0
 
 
 def _warmup_ping() -> tuple:
-    """Pool warmup probe: forces the worker to exist (and so to have
-    attached the shared image) and reports what the attach cost."""
+    """Pool warmup probe: forces the worker to exist (and so to have run
+    its initializer) and reports what the initializer cost."""
     return os.getpid(), _ATTACH_SECONDS
 
 
 def _process_chunk(task: ChunkTask) -> ChunkResult:
-    assert _ENGINE is not None and _CONTEXT is not None, "worker not initialised"
-    return execute_chunk(_ENGINE, _CONTEXT, task)
+    assert _ENGINE is not None, "worker not initialised"
+    return execute_chunk(_ENGINE, task)

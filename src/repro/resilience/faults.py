@@ -186,8 +186,7 @@ class FaultInjector:
     Thread-safe: the per-site call counters and trigger counts are
     guarded by a lock (the trunk-read site is polled from both the
     sampling thread and the prefetch worker). Pickling drops the lock
-    and rebuilds it, so an injector can ride a
-    :class:`~repro.parallel.worker.WorkerContext` into forked children.
+    and rebuilds it, so an injector survives being pickled.
     """
 
     def __init__(self, rules: Iterable[FaultRule], seed: int = 0):

@@ -45,7 +45,7 @@ from repro.serve.executor import BatchExecutor
 from repro.serve.protocol import MAX_BODY_BYTES, WalkRequest
 from repro.serve.streaming import StreamService
 from repro.telemetry import events
-from repro.telemetry.clock import monotonic, now
+from repro.telemetry.clock import monotonic as _monotonic, now
 from repro.telemetry.exporters import to_prometheus
 from repro.telemetry.registry import LATENCY_BUCKETS, MetricsRegistry
 
@@ -208,7 +208,7 @@ class WalkService:
         self._selector.register(self._wake_r, READ, lambda: self._wake_r.recv(4096))
         self._thread = threading.Thread(
             target=self._serve, name="serve-loop", daemon=True)
-        self._started_at = monotonic()
+        self._started_at = _monotonic()
         self._thread.start()
         events.emit("serve.start", host=self.host, port=self.port,
                     engine=self.session.engine_kind, batching=self.batching)
@@ -230,7 +230,7 @@ class WalkService:
         thread finished in time."""
         clean = True
         if self._thread is not None:
-            self._flush_deadline = monotonic() + timeout / 2
+            self._flush_deadline = _monotonic() + timeout / 2
             self._stopping = True
             self._wake()
             self._thread.join(timeout)
@@ -268,8 +268,8 @@ class WalkService:
             self._update(conn)
         while self.batcher.depth():
             self._run_batch()
-        while self._conns and monotonic() < self._flush_deadline:
-            self._dispatch(self._selector.select(self._flush_deadline - monotonic()))
+        while self._conns and _monotonic() < self._flush_deadline:
+            self._dispatch(self._selector.select(self._flush_deadline - _monotonic()))
         for conn in list(self._conns.values()):
             self._drop(conn)
         for closable in (self._selector, self._wake_r, self._wake_w):
@@ -407,7 +407,7 @@ class WalkService:
             if path == "/healthz":
                 payload = {
                     "status": "ok",
-                    "uptime_seconds": round(monotonic() - self._started_at, 3),
+                    "uptime_seconds": round(_monotonic() - self._started_at, 3),
                     "engine": self.session.engine_kind,
                     "kernel_backend": self.kernel_backend,
                 }

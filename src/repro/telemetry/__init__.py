@@ -13,8 +13,8 @@ taxonomy, profiler phases, and event-log schema):
   collapsed-stack / phase-table output;
 * :class:`EventLog` (:mod:`repro.telemetry.events`) — structured JSONL
   timeline with a per-run ``run_id`` propagated into pool workers;
-* :mod:`repro.telemetry.clock` — the sanctioned engine time source
-  (enforced by ``tools/lint_clocks.py``);
+* :mod:`repro.telemetry.clock` — the one sanctioned time source for
+  all of ``repro`` (enforced by ``tools/lint_clocks.py``);
 * :class:`MemoryReport` / :class:`PhaseTimer` — byte accounting and
   the always-on per-run phase seconds behind ``EngineResult.timer``;
 * exporters — Prometheus text exposition, schema-versioned JSON run

@@ -1,9 +1,9 @@
-"""Clock helpers: the only sanctioned time source for engine code.
+"""Clock helpers: the only sanctioned time source in ``repro``.
 
-Code under ``src/repro/engines/``, ``streaming/`` and ``core/`` must not call
-``time.time()`` / ``time.perf_counter()`` directly (enforced by
-``tools/lint_clocks.py``); it imports these wrappers instead. Funnelling
-every engine-side timestamp through one module buys three things:
+No module under ``src/repro/`` but this one may call ``time.time()`` /
+``time.perf_counter()`` / ``time.monotonic()`` directly (enforced by
+``tools/lint_clocks.py``); they import these wrappers instead. Funnelling
+every timestamp through one module buys three things:
 
 * the profiler's self-timing calibration measures the *same* clock the
   instrumented code uses, so reported overhead is honest;

@@ -15,9 +15,10 @@ per-worker discipline as :class:`~repro.telemetry.MetricsRegistry`.
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
+
+from repro.telemetry.clock import now as _now
 
 
 class Span:
@@ -29,7 +30,7 @@ class Span:
         # The clock parameter is deliberately NOT called ``start`` so
         # that ``start`` stays usable as an ordinary span attribute.
         self.name = name
-        self.start = time.perf_counter() if start_time is None else start_time
+        self.start = _now() if start_time is None else start_time
         self.end: Optional[float] = None
         self.attributes: Dict[str, object] = dict(attributes)
         self.children: List["Span"] = []
@@ -40,7 +41,7 @@ class Span:
 
     def close(self, end: Optional[float] = None) -> "Span":
         if self.end is None:
-            self.end = time.perf_counter() if end is None else end
+            self.end = _now() if end is None else end
         return self
 
     @property

@@ -108,6 +108,35 @@ class TestProductBoundary:
         assert loaded == []
 
 
+class TestClockLint:
+    """``tools/lint_clocks.py`` (``make lint-clocks``) in tier-1: product
+    code reads time only through ``repro.telemetry.clock``."""
+
+    @staticmethod
+    def lint(root):
+        return subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "lint_clocks.py"), str(root)],
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_src_is_clean(self):
+        proc = self.lint(ROOT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_flags_every_layer_but_the_clock(self, tmp_path):
+        pkg = tmp_path / "src" / "repro"
+        for rel in ("parallel/engine.py", "telemetry/spans.py",
+                    "telemetry/clock.py"):
+            (pkg / rel).parent.mkdir(parents=True, exist_ok=True)
+            (pkg / rel).write_text("import time\nt = time.monotonic()\n")
+        proc = self.lint(tmp_path)
+        assert proc.returncode == 1
+        flagged = sorted(line.split(":")[0] for line in proc.stdout.splitlines()
+                         if line.startswith("src/"))
+        assert flagged == ["src/repro/parallel/engine.py",
+                           "src/repro/telemetry/spans.py"]
+
+
 class TestDesignDoc:
     def test_bench_targets_listed_in_design_exist(self):
         design = (ROOT / "DESIGN.md").read_text()

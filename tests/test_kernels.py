@@ -8,6 +8,9 @@ vectorised β code paths, scalar-vs-fused distribution equivalence under
 forest.
 """
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -150,16 +153,27 @@ class TestFusedHopBinds:
         engine.prepare()
         self._assert_binds(engine)
 
-    def test_parallel_shared_memory_image(self, medium_graph):
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="fork start method unavailable")
+    def test_parallel_forked_worker(self, medium_graph):
         engine = ParallelBatchTeaEngine(medium_graph, self.SPEC, workers=2,
-                                        share_mode="shm")
+                                        backend="process")
         try:
             engine.prepare()
-            worker_ctx = engine._ensure_static_ctx()
-            assert engine._image is not None, "shared memory unavailable"
-            self._assert_binds(worker_ctx.build_engine())
+            executor, _ = engine._pool("process").ensure()
+            pid, engine_id = executor.submit(_forked_worker_binds).result()
+            assert pid != os.getpid() and engine_id == id(engine)
         finally:
             engine.close()
+
+
+def _forked_worker_binds():
+    """Run in a process-pool worker: the engine it inherited binds the
+    fused hop. Returns the worker's pid and its engine's ``id``."""
+    from repro.parallel import worker
+
+    TestFusedHopBinds._assert_binds(worker._ENGINE)
+    return os.getpid(), id(worker._ENGINE)
 
 
 class TestUniformBlockContract:
@@ -299,9 +313,9 @@ class TestBetaEmptyKeys:
         np.testing.assert_allclose(out, expected)
 
     def test_walk_with_empty_static_keys(self, medium_graph):
-        # The from_prepared worker path can legitimately hand the engine
-        # an empty key array (e.g. a spec-restricted empty adjacency);
-        # node2vec walks must still run, scoring every candidate 1/q.
+        # from_prepared can legitimately hand the engine an empty key
+        # array (e.g. a spec-restricted empty adjacency); node2vec walks
+        # must still run, scoring every candidate 1/q.
         spec = temporal_node2vec(p=2.0, q=0.5, scale=8.0)
         donor = BatchTeaEngine(medium_graph, spec)
         donor.prepare()

@@ -9,10 +9,13 @@ The contract under test (ISSUE acceptance criteria):
   repeated runs;
 * telemetry conservation — per-worker counters/registries fold to
   exactly the serial totals, and the ``parallel.*`` metrics appear;
-* the shared-memory image round-trips arrays by name.
+* process workers walk the engine they inherit through ``fork``: no
+  ``/dev/shm`` segment, no per-worker rebuild.
 """
 
 import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ from repro.parallel.chunks import (
     plan_chunks,
     rechunk,
 )
-from repro.parallel.sharing import SharedIndexImage, export_or_none
+from repro.resilience.faults import FaultInjector
 from repro.rng import make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
 from repro.walks.apps import exponential_walk, linear_walk, temporal_node2vec
@@ -46,6 +49,19 @@ DISPATCH_BOUND_SECONDS = 0.025
 
 def _paths_equal(a, b):
     return len(a) == len(b) and all(x.hops == y.hops for x, y in zip(a, b))
+
+
+def _shm_segments():
+    """Names of the POSIX shared-memory segments Python created on this
+    host (``multiprocessing.shared_memory`` names them ``psm_*``)."""
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
+def _worker_engine_identity():
+    """Run in a process-pool worker: its pid and its engine's ``id``."""
+    from repro.parallel import worker
+
+    return os.getpid(), id(worker._ENGINE)
 
 
 # -- chunk planning ----------------------------------------------------------
@@ -81,44 +97,6 @@ class TestChunkPlanning:
         assert default_chunk_size(1600, 4) == 100
         # Always at least one chunk per walk bundle, even tiny loads.
         assert default_chunk_size(3, 8) == 1
-
-
-# -- shared-memory image -----------------------------------------------------
-
-
-class TestSharedIndexImage:
-    def test_export_attach_roundtrip(self):
-        arrays = {
-            "a": np.arange(100, dtype=np.int64),
-            "b": np.linspace(0, 1, 37),
-            "empty": np.zeros(0, dtype=np.float64),
-        }
-        image = export_or_none(arrays)
-        if image is None:
-            pytest.skip("shared memory unavailable on this host")
-        try:
-            for name, arr in arrays.items():
-                assert np.array_equal(image.arrays()[name], arr)
-            attached = SharedIndexImage.attach(image.specs())
-            try:
-                for name, arr in arrays.items():
-                    got = attached.arrays()[name]
-                    assert np.array_equal(got, arr)
-                    assert got.dtype == arr.dtype and got.shape == arr.shape
-                    assert not got.flags.writeable
-            finally:
-                attached.dispose()
-        finally:
-            image.dispose()
-
-    def test_dispose_unlinks(self):
-        image = export_or_none({"x": np.arange(8)})
-        if image is None:
-            pytest.skip("shared memory unavailable on this host")
-        specs = image.specs()
-        image.dispose()
-        with pytest.raises(FileNotFoundError):
-            SharedIndexImage.attach(specs)
 
 
 # -- distribution equivalence ------------------------------------------------
@@ -216,22 +194,46 @@ class TestDeterminism:
 
     @needs_fork
     def test_share_mode_invariant(self, small_graph):
+        """``share_mode="inherit"`` (the one accepted value) is the
+        default, and neither creates a shared-memory segment."""
         spec = linear_walk()
         wl = Workload(walks_per_vertex=1, max_length=6)
-        shm = ParallelBatchTeaEngine(
-            small_graph, spec, workers=2, chunk_size=16,
-            backend="process", share_mode="shm",
+        before = _shm_segments()
+        results = []
+        for kw in ({}, {"share_mode": "inherit"}):
+            engine = ParallelBatchTeaEngine(
+                small_graph, spec, workers=2, chunk_size=16,
+                backend="process", **kw,
+            )
+            results.append(engine.run(wl, seed=6))
+            assert engine.last_backend == "process"
+            assert _shm_segments() - before == set()  # pool still alive
+            engine.close()
+        assert _paths_equal(results[0].paths, results[1].paths)
+        assert results[0].counters.snapshot() == results[1].counters.snapshot()
+
+    @needs_fork
+    def test_process_workers_walk_the_inherited_engine(self, small_graph):
+        """A forked worker's engine is the parent's engine object, and its
+        initializer only stores it."""
+        from repro.telemetry import MetricsRegistry
+
+        engine = ParallelBatchTeaEngine(
+            small_graph, exponential_walk(scale=20.0), workers=2,
+            chunk_size=16, backend="process",
         )
-        cow = ParallelBatchTeaEngine(
-            small_graph, spec, workers=2, chunk_size=16,
-            backend="process", share_mode="inherit",
-        )
-        r_shm = shm.run(wl, seed=6)
-        r_cow = cow.run(wl, seed=6)
-        assert cow.last_share_mode == "cow"
-        assert shm.last_share_mode in ("shm", "cow")  # shm may be unavailable
-        assert _paths_equal(r_shm.paths, r_cow.paths)
-        assert r_shm.counters.snapshot() == r_cow.counters.snapshot()
+        try:
+            registry = MetricsRegistry()
+            engine.run(Workload(walks_per_vertex=1, max_length=6), seed=1,
+                       registry=registry)
+            assert engine.last_pool["builds"] == 1
+            assert registry.gauge_value("parallel.attach_seconds") < 0.005
+            executor, reused = engine._pool("process").ensure()
+            assert reused
+            pid, engine_id = executor.submit(_worker_engine_identity).result()
+            assert pid != os.getpid() and engine_id == id(engine)
+        finally:
+            engine.close()
 
 
 # -- telemetry fold ----------------------------------------------------------
@@ -339,10 +341,27 @@ class TestEndToEnd:
     def test_validation(self, small_graph):
         with pytest.raises(ValueError):
             ParallelBatchTeaEngine(small_graph, linear_walk(), backend="mpi")
-        with pytest.raises(ValueError):
-            ParallelBatchTeaEngine(small_graph, linear_walk(), share_mode="magic")
-        with pytest.raises(ValueError):
-            ParallelBatchTeaEngine(small_graph, linear_walk(), workers=-1)
+        for share_mode in ("magic", "auto", "shm"):
+            with pytest.raises(ValueError):
+                ParallelBatchTeaEngine(small_graph, linear_walk(),
+                                       share_mode=share_mode)
+        for workers in (-1, 0):
+            with pytest.raises(ValueError):
+                ParallelBatchTeaEngine(small_graph, linear_walk(),
+                                       workers=workers)
+
+    def test_default_workers_follow_cpu_affinity(self, small_graph,
+                                                 monkeypatch):
+        """``workers=None`` counts the CPUs the process may run on (a
+        cpuset-limited container), not the host's; without an affinity
+        call it falls back to ``os.cpu_count()``."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        engine = ParallelBatchTeaEngine(small_graph, linear_walk())
+        assert engine.workers == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert ParallelBatchTeaEngine(small_graph, linear_walk()).workers == 8
 
     def test_cli_walk_workers_flag(self, capsys):
         from repro.cli import main
@@ -506,6 +525,25 @@ class TestDeterminismMatrix:
         assert reg2.counter_value("parallel.pool_reuse") >= 1
         assert _paths_equal(r1.paths, r2.paths)
 
+    @needs_fork
+    def test_dropped_engine_releases_its_process_pool(self, small_graph):
+        """The pool holds its engine weakly: dropping the last user
+        reference runs ``close()`` without a garbage-collection pass."""
+        import weakref
+
+        engine = ParallelBatchTeaEngine(
+            small_graph, linear_walk(), workers=2, backend="process",
+            chunk_size=16,
+        )
+        engine.run(Workload(walks_per_vertex=1, max_length=4), seed=0,
+                   record_paths=False)
+        pool = engine._pools["process"]
+        assert pool.warm
+        alive = weakref.ref(engine)
+        del engine
+        assert alive() is None
+        assert pool.executor is None
+
     @pytest.mark.parametrize("backend", [
         "thread", pytest.param("process", marks=needs_fork)])
     def test_warm_dispatch_cost_per_chunk_is_bounded(self, small_graph, backend):
@@ -573,11 +611,15 @@ class TestOneDeterminismClass:
     on every backend and chunking ≡ ``run_lanes`` over the seeds ``run``
     draws — walks and counters, bit for bit."""
 
-    @pytest.mark.parametrize("stop", [0.0, 0.1])
+    @pytest.mark.parametrize("stop, crash", [(0.0, False), (0.1, False), (0.1, True)],
+                             ids=["0.0", "0.1", "0.1-crash"])
     @pytest.mark.parametrize("spec", [exponential_walk(scale=20.0),
                                       temporal_node2vec(p=4.0, q=0.25, scale=20.0)],
                              ids=["exponential", "node2vec"])
-    def test_run_parallel_and_run_lanes_agree(self, medium_graph, spec, stop):
+    def test_run_parallel_and_run_lanes_agree(self, medium_graph, spec, stop,
+                                              crash):
+        """``crash``: every run's chunk 0 dies on its first attempt (a
+        process worker by ``os._exit``) and is retried."""
         workload = Workload(walks_per_vertex=4, max_length=12,
                             stop_probability=stop, max_walks=790)
         serial = BatchTeaEngine(medium_graph, spec)
@@ -591,15 +633,20 @@ class TestOneDeterminismClass:
         assert counters.snapshot() == ref.counters.snapshot()
         backends = ["serial", "thread"] + (["process"] if HAVE_FORK else [])
         for backend in backends:
+            injector = FaultInjector.from_plan({"rules": [
+                {"site": "chunk", "kind": "worker_crash", "chunks": [0]}]}
+            ) if crash else None
             engine = ParallelBatchTeaEngine(medium_graph, spec, workers=2,
-                                            backend=backend)
+                                            backend=backend,
+                                            fault_injector=injector)
             try:
                 for chunk_size in (1, 777, 790, None):  # 790: the whole run
                     engine.chunk_size = chunk_size
                     got = engine.run(workload, seed=5)
                     assert _paths_equal(got.paths, ref.paths), (backend, chunk_size)
                     assert got.counters.snapshot() == ref.counters.snapshot()
-                    if chunk_size == 1:
+                    assert engine.last_events["chunk_retries"] >= crash
+                    if chunk_size == 1 and not crash:
                         assert engine.last_backend == backend
             finally:
                 engine.close()

@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Lint: engine, streaming and core code must take time from
-``repro.telemetry.clock``.
+"""Lint: all product code must take time from ``repro.telemetry.clock``.
 
-Phase attribution is only trustworthy when every engine reads the same
+Phase attribution is only trustworthy when every layer reads the same
 clock — a stray ``time.perf_counter()`` in a hot loop produces timings
 the profiler cannot see or calibrate away. This script fails (exit 1)
-on any raw clock *call* in ``src/repro/engines/``, ``src/repro/streaming/``
-or ``src/repro/core/``:
+on any raw clock *call* anywhere under ``src/repro/``:
 
 * ``time.time(`` / ``time.perf_counter(`` / ``time.monotonic(``
-* bare ``perf_counter(`` / ``monotonic(`` (from-imports)
+* bare ``perf_counter(`` / ``monotonic(`` (from-imports; import the
+  sanctioned clock under another name, e.g. ``monotonic as _monotonic``)
 
-``repro/telemetry/clock.py`` itself is the sanctioned source (it lives
-outside the scanned tree). String/comment matches are excluded by
-scanning tokenized source, not raw text, so e.g. a ``"time.bin"``
-filename never trips it.
+``repro/telemetry/clock.py`` itself is the sanctioned source, the one
+file exempt. String/comment matches are excluded by scanning tokenized
+source, not raw text, so e.g. a ``"time.bin"`` filename never trips it.
 
 Usage: python tools/lint_clocks.py [root]
 """
@@ -34,9 +32,10 @@ BANNED = {
 }
 BANNED_BARE = {"perf_counter", "monotonic"}
 
-#: Directories whose files must use repro.telemetry.clock.
-SCAN_SUBDIRS = tuple(Path("src") / "repro" / name
-                     for name in ("engines", "streaming", "core"))
+#: The tree whose files must use repro.telemetry.clock ...
+SCAN_ROOT = Path("src") / "repro"
+#: ... and the one file that may call the raw clocks: the clock itself.
+EXEMPT = SCAN_ROOT / "telemetry" / "clock.py"
 
 
 def scan_file(path: Path):
@@ -77,17 +76,18 @@ def scan_file(path: Path):
 
 def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
+    target = root / SCAN_ROOT
+    if not target.is_dir():
+        print(f"lint_clocks: no such directory {target}", file=sys.stderr)
+        return 2
     problems = []
-    for subdir in SCAN_SUBDIRS:
-        target = root / subdir
-        if not target.is_dir():
-            print(f"lint_clocks: no such directory {target}", file=sys.stderr)
-            return 2
-        for path in sorted(target.rglob("*.py")):
-            for line, spelling in scan_file(path):
-                problems.append(f"{path.relative_to(root)}:{line}: raw clock "
-                                f"call {spelling!r} — use repro.telemetry.clock")
-    scanned = ", ".join(map(str, SCAN_SUBDIRS))
+    for path in sorted(target.rglob("*.py")):
+        if path == root / EXEMPT:
+            continue
+        for line, spelling in scan_file(path):
+            problems.append(f"{path.relative_to(root)}:{line}: raw clock "
+                            f"call {spelling!r} — use repro.telemetry.clock")
+    scanned = f"{SCAN_ROOT} except {EXEMPT}"
     if problems:
         print("\n".join(problems))
         print(f"lint_clocks: {len(problems)} raw clock call(s) in {scanned}; "
