@@ -48,7 +48,8 @@ stats-smoke:
 
 # Parallel executor: bit-determinism across worker counts and backends
 # (inline, serial, thread and process walks and counters equal, also
-# after an injected worker crash is retried), process workers walk the
+# after an injected worker crash is retried, and at every frontier slice
+# width: 1, 7, 64 lanes and one slice), process workers walk the
 # engine they fork from (no /dev/shm segment, the parent's engine object,
 # a sub-5 ms initializer), a dropped engine releases its pool, the
 # default worker count follows the CPU affinity mask, telemetry
@@ -60,6 +61,7 @@ stats-smoke:
 scaling-smoke:
 	$(SMOKE) "tests/test_parallel_engine.py::TestDeterminism" \
 		"tests/test_parallel_engine.py::TestOneDeterminismClass::test_run_parallel_and_run_lanes_agree" \
+		"tests/test_parallel_engine.py::TestOneDeterminismClass::test_every_frontier_width_walks_the_same_bits" \
 		"tests/test_parallel_engine.py::TestEndToEnd::test_validation" \
 		"tests/test_parallel_engine.py::TestEndToEnd::test_default_workers_follow_cpu_affinity" \
 		"tests/test_parallel_engine.py::TestTelemetryFold" \

@@ -159,6 +159,19 @@ class FrontierResult:
             self.hop_vertex = np.pad(self.hop_vertex, wider)
             self.hop_time = np.pad(self.hop_time, wider)
 
+    def place(self, lo: int, part, max_length: int) -> None:
+        """Copy ``part``'s walks — its ``lengths`` and, when both sides
+        keep them, its hop columns — into rows ``lo:lo + len(part)``,
+        widening the columns by :meth:`make_room` first. ``part`` is a
+        slice's :class:`FrontierResult` or a parallel chunk's result."""
+        hi = lo + part.lengths.size
+        self.lengths[lo:hi] = part.lengths
+        if self.hop_vertex is not None and part.hop_vertex is not None:
+            width = part.hop_vertex.shape[1]
+            self.make_room(width, max_length)
+            self.hop_vertex[lo:hi, :width] = part.hop_vertex
+            self.hop_time[lo:hi, :width] = part.hop_time
+
     def record(self, i: int, hops: List[Tuple[int, Optional[float]]],
                max_length: int) -> None:
         """Store walk ``i`` of at most ``max_length`` hops from a walker's

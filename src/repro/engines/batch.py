@@ -11,7 +11,10 @@ numpy passes otherwise, plus vectorised node2vec β rejection
 (static-adjacency membership via the same offset-key ``searchsorted``
 trick the candidate search uses), re-drawing only the rejected lanes.
 Every walk draws from its own counter-based stream, so under the
-compiled backend an iteration over the in-memory index is one call.
+compiled backend an iteration over the in-memory index is one call, and
+a request of any size walks in :data:`FRONTIER_LANES`-lane slices —
+one frontier per slice, bit-identical to one frontier over every lane —
+so a round's transient memory is one slice's, not the request's.
 
 Distribution-equivalent to :class:`~repro.engines.tea.TeaEngine`
 (property-tested); typically ~10× faster per step in CPython, which is
@@ -46,6 +49,17 @@ from repro.telemetry import (
 from repro.walks.spec import WalkSpec
 
 _MAX_BETA_ROUNDS = 16
+
+#: Lanes one frontier advances at a time (:meth:`BatchTeaEngine._walk_seeds`).
+#: A wider request walks in slices of this many lanes, so its lane
+#: columns, ``LaneRng`` keys and counters and kernel scratch (≈81 B a
+#: lane) are live for one slice, not for every walk of the request.
+#: Process peak (VmHWM) after six ``corpus_exp`` rounds (972 k lanes,
+#: 175.4 MiB prepared engine, 2 shared vCPUs) by width: 16 384 → 197.5
+#: MiB, 32 768 → 197.7, 65 536 → 197.6, 131 072 → 197.7, one frontier
+#: → 245.1; 16 384 had the slowest best round. Walks, counters and
+#: stream consumption never depend on it.
+FRONTIER_LANES = 65_536
 
 
 def hpat_sample_batch(
@@ -278,9 +292,10 @@ class BatchTeaEngine(Engine):
 
         The one frontier loop of every storage tier: :meth:`run`,
         :meth:`run_lanes` and the parallel executor's chunks
-        (:mod:`repro.parallel`) all run exactly this, in memory or
-        against a trunk store — engines differ only in the two seams
-        :meth:`_sample_batch` and :meth:`_frontier_scope`.
+        (:mod:`repro.parallel`) all run exactly this, once per
+        :data:`FRONTIER_LANES`-lane slice (:meth:`_walk_seeds`), in
+        memory or against a trunk store — engines differ only in the two
+        seams :meth:`_sample_batch` and :meth:`_frontier_scope`.
         Hops land in columnar ``(num, width)`` arrays — all lanes active
         at iteration ``k`` have taken ``k`` hops, so recording is one
         scatter per iteration instead of a Python append per lane. The
@@ -295,7 +310,8 @@ class BatchTeaEngine(Engine):
         the bookkeeping stays far under the <5% overhead budget.
 
         ``registry``, when given, receives the ``batch.frontier_size``
-        histogram.
+        histogram: one observation per iteration of this call, so a
+        sliced request observes every iteration of every slice.
         """
         g = self.graph
         beta = self.spec.dynamic_parameter
@@ -449,22 +465,56 @@ class BatchTeaEngine(Engine):
 
     # -- lane-seeded execution ---------------------------------------------------
 
+    def _walk_seeds(
+        self,
+        starts: np.ndarray,
+        seeds: np.ndarray,
+        max_length: int,
+        stop_probability: float,
+        counters: CostCounters,
+        keep_hops: bool,
+        registry: Optional[MetricsRegistry] = None,
+        profiler=NULL_PROFILER,
+    ) -> FrontierResult:
+        """Walk ``starts``, walk ``i`` keyed on ``seeds[i]``, in
+        :data:`FRONTIER_LANES`-lane slices — the one in-process executor
+        of :meth:`run`, :meth:`run_lanes` and every parallel chunk.
+
+        Each slice is its own :meth:`_run_frontier` over its own
+        ``LaneRng(seeds[lo:hi])``, so the walks, counters and stream
+        consumption are those of one frontier over every lane; only the
+        lane columns, streams and scratch of one slice are live at once.
+        """
+        num = starts.size
+        if num <= FRONTIER_LANES:
+            # One slice: its result is the run's, so kept hop columns
+            # are never held twice.
+            return self._run_frontier(
+                starts, max_length, stop_probability, LaneRng(seeds),
+                counters, keep_hops, registry, profiler=profiler)
+        out = FrontierResult.empty(starts, max_length, keep_hops)
+        for lo in range(0, num, FRONTIER_LANES):
+            hi = lo + FRONTIER_LANES
+            out.place(lo, self._run_frontier(
+                starts[lo:hi], max_length, stop_probability,
+                LaneRng(seeds[lo:hi]), counters, keep_hops, registry,
+                profiler=profiler), max_length)
+        return out
+
     def _walk_lanes(self, starts, seeds, max_length, stop_probability,
                     keep_hops, counters, registry) -> FrontierResult:
-        # Walk i is advanced by a counter-based stream keyed on seeds[i].
-        return self._run_frontier(
-            starts, max_length, stop_probability, LaneRng(seeds), counters,
-            keep_hops, registry,
-        )
+        return self._walk_seeds(starts, seeds, max_length, stop_probability,
+                                counters, keep_hops, registry)
 
     def _walk(self, starts, workload: Workload, rng, counters, registry,
               keep_hops, span) -> FrontierResult:
         # One seed per walk, drawn as the parallel executor's plan draws
         # them: run(seed) walks what run_lanes and every chunking walk.
-        return self._run_frontier(
-            starts, workload.max_length, workload.stop_probability,
-            LaneRng(spawn_seeds(rng, starts.size)), counters, keep_hops,
-            registry, profiler=self.profiler,
+        span.set("chunks", -(-starts.size // FRONTIER_LANES))
+        return self._walk_seeds(
+            starts, spawn_seeds(rng, starts.size), workload.max_length,
+            workload.stop_probability, counters, keep_hops, registry,
+            profiler=self.profiler,
         )
 
     def publish_telemetry(self, registry: MetricsRegistry) -> None:

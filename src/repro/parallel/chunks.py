@@ -27,10 +27,10 @@ from repro.rng import spawn_seeds
 #: critical path, few enough that per-chunk overhead stays negligible.
 CHUNKS_PER_WORKER = 4
 
-#: Work per chunk the adaptive planner targets, in milliseconds. The
-#: ISSUE's 50–100ms band: chunks this size amortise queue/dispatch
-#: overhead (~1ms each) to <2% while still giving the queue enough
-#: entries to balance load across workers.
+#: Work per chunk the adaptive planner targets, in milliseconds: chunks
+#: of 50–100 ms amortise queue/dispatch overhead (~1 ms each) to <2 %
+#: while still giving the queue enough entries to balance load across
+#: workers.
 DEFAULT_CHUNK_TARGET_MS = 75.0
 
 #: Walks the calibration probe executes when no prior timing exists.

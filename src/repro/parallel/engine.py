@@ -37,9 +37,10 @@ Design invariants:
 * **Backends** — ``process`` (forked workers, true multi-core; each
   inherits the prepared engine copy-on-write, and the walk never writes
   its pages), ``thread`` (the kernels release the GIL for long stretches
-  of a chunk), or ``serial`` (inline, for debugging). ``auto`` picks
-  ``process`` where ``fork`` exists, and ``process`` falls back to
-  ``thread`` where it does not.
+  of a chunk), or ``serial`` (inline: the in-process executor of
+  :class:`~repro.engines.batch.BatchTeaEngine` under supervision, chunk
+  by chunk). ``auto`` picks ``process`` where ``fork`` exists, and
+  ``process`` falls back to ``thread`` where it does not.
 """
 
 from __future__ import annotations
@@ -525,13 +526,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
                 registry.merge(res.registry)
         frontier = FrontierResult.empty(plan.starts, rp["max_length"], keep_hops)
         for res in results:
-            lo, hi = plan.chunk(res.chunk_id)
-            frontier.lengths[lo:hi] = res.lengths
-            if res.hop_vertex is not None:
-                width = res.hop_vertex.shape[1]
-                frontier.make_room(width, rp["max_length"])
-                frontier.hop_vertex[lo:hi, :width] = res.hop_vertex
-                frontier.hop_time[lo:hi, :width] = res.hop_time
+            frontier.place(plan.chunk(res.chunk_id)[0], res, rp["max_length"])
         return frontier, results
 
     def _walk_lanes(self, starts, seeds, max_length, stop_probability,

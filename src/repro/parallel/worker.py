@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, List, Optional
 import numpy as np
 
 from repro.engines.batch import FrontierResult
-from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import (
     LATENCY_BUCKETS,
@@ -120,9 +119,12 @@ def worker_label() -> str:
 def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResult:
     """Walk ``task``'s chunk to completion on ``engine``.
 
-    Runs the same frontier kernel as the serial engine, with per-walk
-    :class:`~repro.rng.LaneRng` streams keyed on the task's seed slice;
-    telemetry goes to private per-chunk instances.
+    Runs the in-process executor of the serial engine
+    (:meth:`~repro.engines.batch.BatchTeaEngine._walk_seeds`, so a chunk
+    wider than :data:`~repro.engines.batch.FRONTIER_LANES` walks in
+    slices too), with per-walk :class:`~repro.rng.LaneRng` streams keyed
+    on the task's seed slice; telemetry goes to private per-chunk
+    instances.
 
     ``task.attempt`` is the supervisor's retry ordinal: it keys the
     engine's ``fault_injector`` (``chunk`` site) only — the chunk's randomness still comes exclusively
@@ -160,9 +162,9 @@ def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResul
         "walk.chunk", chunk=task.chunk_id, walks=task.starts.size, worker=label
     ) as span:
         with profiler.phase("chunk_exec"):
-            result: FrontierResult = engine._run_frontier(
-                task.starts, task.max_length, task.stop_probability,
-                LaneRng(task.seeds), counters, task.keep_hops, registry,
+            result: FrontierResult = engine._walk_seeds(
+                task.starts, task.seeds, task.max_length,
+                task.stop_probability, counters, task.keep_hops, registry,
                 profiler=profiler,
             )
         span.set("steps", result.total_steps)

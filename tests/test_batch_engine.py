@@ -196,3 +196,40 @@ class TestHopColumns:
         assert [p.num_edges for p in paths] == [99, 39]
         if hasattr(engine, "close"):
             engine.close()
+
+
+class TestRoundMemory:
+    """A round holds one :data:`~repro.engines.batch.FRONTIER_LANES`-lane
+    slice of lane state at a time, not a column per walk of the request.
+    Counted by ``tracemalloc``, so the bound holds on any machine."""
+
+    #: Peak bytes a ``record_paths=False`` round may allocate per walk:
+    #: its starts, seeds and lengths (24 B) plus one slice's lane state
+    #: spread over every walk. One frontier over every lane reads ≈81.
+    BYTES_PER_LANE = 40
+
+    def test_round_peak_is_one_slice_of_lane_state(self, monkeypatch):
+        import tracemalloc
+
+        from repro.engines import batch
+        from repro.graph.datasets import DATASETS
+        from repro.graph.temporal_graph import TemporalGraph
+
+        graph = TemporalGraph.from_stream(
+            DATASETS["twitter"].generate(seed=1, scale=0.3))
+        engine = BatchTeaEngine(graph, exponential_walk(scale=6.0))
+        workload = Workload(walks_per_vertex=120, max_length=80)
+        engine.run(workload, seed=0, record_paths=False)  # build, compile
+        monkeypatch.setattr(batch, "FRONTIER_LANES", 4096)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = engine.run(workload, seed=1, record_paths=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        walks = graph.num_vertices * 120
+        walk = next(s for s in result.trace.roots if s.name == "walk")
+        assert walk.attributes["chunks"] == -(-walks // 4096) > 20
+        assert result.total_steps > walks
+        assert peak / walks <= self.BYTES_PER_LANE, peak / walks

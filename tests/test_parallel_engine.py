@@ -664,3 +664,67 @@ class TestOneDeterminismClass:
         assert _paths_equal(lanes.materialise_paths(), ref.paths)
         assert {k: v for k, v in counters.snapshot().items() if "io" not in k} \
             == {k: v for k, v in ref.counters.snapshot().items() if "io" not in k}
+
+    @pytest.mark.parametrize("width", [1, 7, 64, 300],
+                             ids=["w1", "w7", "w64", "one-slice"])
+    @pytest.mark.parametrize("spec", [exponential_walk(scale=20.0),
+                                      temporal_node2vec(p=4.0, q=0.25, scale=20.0)],
+                             ids=["exponential", "node2vec"])
+    def test_every_frontier_width_walks_the_same_bits(self, medium_graph, spec,
+                                                       width, monkeypatch):
+        """``FRONTIER_LANES`` (patched here as a test seam) changes only how
+        many lanes one frontier holds: every run below equals one frontier
+        over all of its 300 walks, walk for walk and counter for counter."""
+        from repro.engines import BatchTeaOutOfCoreEngine
+        from repro.engines import batch
+
+        workloads = [Workload(walks_per_vertex=2, max_length=8,
+                              stop_probability=stop, max_walks=300)
+                     for stop in (0.0, 0.1)]
+        ooc = BatchTeaOutOfCoreEngine(medium_graph, spec, trunk_size=8)
+        refs = [(BatchTeaEngine(medium_graph, spec).run(wl, seed=5),
+                 ooc.run(wl, seed=5)) for wl in workloads]
+        monkeypatch.setattr(batch, "FRONTIER_LANES", width)
+
+        def same(got, ref, record, io=True):
+            """``io=False``: the out-of-core I/O ledger depends on what
+            the engine's cache held from earlier runs, so it is left out."""
+            assert {k: v for k, v in got.counters.snapshot().items()
+                    if io or "io" not in k} \
+                == {k: v for k, v in ref.counters.snapshot().items()
+                    if io or "io" not in k}
+            assert got.registry.histogram("walk.length").snapshot() \
+                == ref.registry.histogram("walk.length").snapshot()
+            return _paths_equal(got.paths, ref.paths if record else [])
+
+        serial = BatchTeaEngine(medium_graph, spec)
+        backends = ["serial", "thread"] + (["process"] if HAVE_FORK else [])
+        parallel = [ParallelBatchTeaEngine(medium_graph, spec, workers=2,
+                                           backend=backend)
+                    for backend in backends]
+        try:
+            for wl, (ref, ooc_ref) in zip(workloads, refs):
+                starts, seeds = _lanes_of(wl, medium_graph.num_vertices, 5)
+                for record in (True, False):
+                    assert same(serial.run(wl, seed=5, record_paths=record),
+                                ref, record)
+                    counters = CostCounters()
+                    lanes = serial.run_lanes(
+                        starts, seeds, wl.max_length, wl.stop_probability,
+                        keep_hops=record, counters=counters)
+                    assert counters.snapshot() == ref.counters.snapshot()
+                    assert lanes.lengths.tolist() == [p.num_edges
+                                                      for p in ref.paths]
+                    assert _paths_equal(lanes.materialise_paths(),
+                                        ref.paths if record else [])
+                    for engine in parallel:
+                        for chunk_size in (1, 777, None):
+                            engine.chunk_size = chunk_size
+                            got = engine.run(wl, seed=5, record_paths=record)
+                            assert same(got, ref, record), (
+                                engine.backend, chunk_size)
+                    assert same(ooc.run(wl, seed=5, record_paths=record),
+                                ooc_ref, record, io=False)
+        finally:
+            for engine in parallel:
+                engine.close()
