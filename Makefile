@@ -57,9 +57,13 @@ stats-smoke:
 # reuse (a second run pays zero pool startup), and bounded dispatch (a
 # warm 2-worker run spends at most 25 ms per chunk outside chunk
 # execution over inline — an absolute cost, so it holds on a 1-core or an
-# oversubscribed host).
+# oversubscribed host), and the chunk plan (without --chunk-size, the
+# fewest chunks of at most one frontier slice, equal to within one lane,
+# numbering a multiple of the workers; cold and warm runs plan the same
+# chunks, and a 128-lane run_lanes on 2 workers is 2 x 64 on every call).
 scaling-smoke:
 	$(SMOKE) "tests/test_parallel_engine.py::TestDeterminism" \
+		"tests/test_parallel_engine.py::TestSlicePlan" \
 		"tests/test_parallel_engine.py::TestOneDeterminismClass::test_run_parallel_and_run_lanes_agree" \
 		"tests/test_parallel_engine.py::TestOneDeterminismClass::test_every_frontier_width_walks_the_same_bits" \
 		"tests/test_parallel_engine.py::TestEndToEnd::test_validation" \

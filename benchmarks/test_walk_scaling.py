@@ -3,10 +3,17 @@
 Not a paper figure: the paper's engine is multi-threaded C++ and its
 Table 4 numbers already assume all cores; this bench characterises the
 reproduction's analogue — :class:`repro.parallel.ParallelBatchTeaEngine`
-running the R·|V| node2vec workload (Table 4's shape) at 1 and 2
-workers on the ``process`` and the ``thread`` backend, with the
-kernel backend left at ``auto`` (the compiled C passes, which release
-the GIL, when the system ``cc`` built them):
+at 1 and 2 workers on the ``process`` and the ``thread`` backend, with
+the kernel backend left at ``auto`` (the compiled C passes, which
+release the GIL, when the system ``cc`` built them), on two workloads:
+
+* ``sweep`` — the R·|V| node2vec workload (Table 4's shape) capped at
+  2 000 walks: a few-millisecond walk phase, so it measures dispatch;
+* ``corpus`` — ``bench_e2e``'s ``corpus_exp`` round (the twitter
+  analogue at scale 3.0, R = 120 exponential walks, ≈972 k lanes),
+  repeated :data:`CORPUS_REPEATS` times per point, min / median / max.
+
+Each reports:
 
 * wall time and speedup per (backend, worker count), against the same
   backend's 1-worker run;
@@ -21,6 +28,7 @@ what the host gave. The determinism assertion is the portable invariant.
 """
 
 import os
+import statistics
 from dataclasses import dataclass
 from typing import List
 
@@ -36,23 +44,31 @@ from repro.engines.base import Workload
 from repro.graph.datasets import load_dataset
 from repro.parallel.engine import ParallelBatchTeaEngine
 from repro.telemetry import MetricsRegistry
-from repro.walks.apps import temporal_node2vec
+from repro.walks.apps import exponential_walk, temporal_node2vec
 
 BACKENDS = ("process", "thread")
 WORKER_COUNTS = (1, 2)
 
+#: ``corpus_exp``'s round (``bench_e2e/corpus_exp.py``, full size).
+CORPUS_SCALE = 3.0
+CORPUS_R = 120
+#: Warm runs per corpus-width point.
+CORPUS_REPEATS = 5
+
 _rows = {}
-_notes = []
+_notes = {"sweep": [], "corpus": []}
 
 
 @dataclass
 class ScalingRow:
     """One sweep point: cold + warm runs at a fixed worker count.
 
-    ``walk_seconds``/``speedup`` describe the *warm* (steady-state) run;
-    ``cold_walk_seconds`` and ``pool_startup_seconds`` show what the
-    first run additionally paid, and ``warm_startup_seconds`` is the
-    reuse contract (0.0 when the warm run found its pool alive).
+    ``walk_seconds``/``speedup`` describe the *warm* (steady-state)
+    runs — their median, between ``walk_seconds_min`` and
+    ``walk_seconds_max``; ``cold_walk_seconds`` and
+    ``pool_startup_seconds`` show what the first run additionally paid,
+    and ``warm_startup_seconds`` is the reuse contract (0.0 when every
+    warm run found its pool alive).
     """
 
     workers: int
@@ -60,6 +76,8 @@ class ScalingRow:
     chunks: int
     steps: int
     walk_seconds: float
+    walk_seconds_min: float
+    walk_seconds_max: float
     speedup: float
     queue_wait_share: float
     cold_walk_seconds: float
@@ -75,6 +93,8 @@ class ScalingRow:
             "chunks": self.chunks,
             "steps": self.steps,
             "walk_s": round(self.walk_seconds, 4),
+            "walk_s_min": round(self.walk_seconds_min, 4),
+            "walk_s_max": round(self.walk_seconds_max, 4),
             "speedup": round(self.speedup, 3),
             "queue_wait_share": round(self.queue_wait_share, 4),
             "cold_walk_s": round(self.cold_walk_seconds, 4),
@@ -85,18 +105,19 @@ class ScalingRow:
         }
 
 
-def run_scaling(graph, spec, workload, seed, notes) -> List[ScalingRow]:
+def run_scaling(graph, spec, workload, seed, notes,
+                repeats: int = 1) -> List[ScalingRow]:
     """Run ``workload`` per backend and worker count; speedup is vs the
     backend's first row.
 
-    Each executed point runs twice against one engine: cold (pool
-    build) then warm (pool reuse); ``walk_seconds`` and
-    ``speedup`` come from the warm run, the cold costs ride along in
-    their own columns. Per-walk seeding makes every run bit-identical
-    regardless of chunking, so the adaptive planner picks chunk sizes.
-    Worker counts above ``os.cpu_count()`` are skipped with a note in
-    ``notes``: oversubscribed points measure scheduler thrash, not
-    scaling.
+    Each executed point runs against one engine: cold (pool build),
+    then ``repeats`` warm runs (pool reuse); ``walk_seconds`` and
+    ``speedup`` come from the warm runs' median, the cold costs ride
+    along in their own columns. Per-walk seeding makes every run
+    bit-identical whatever the chunk plan, so the engine's default plan
+    is used. Worker counts above ``os.cpu_count()`` are skipped with a
+    note in ``notes``: oversubscribed points measure scheduler thrash,
+    not scaling.
     """
     rows: List[ScalingRow] = []
     cores = os.cpu_count() or 1
@@ -108,29 +129,35 @@ def run_scaling(graph, spec, workload, seed, notes) -> List[ScalingRow]:
                              f"scheduler thrash)")
                 continue
             rows.append(_measure(graph, spec, workload, seed, backend, workers,
-                                 base=rows[-1] if workers > 1 and rows else None))
+                                 base=rows[-1] if workers > 1 and rows else None,
+                                 repeats=repeats))
     return rows
 
 
-def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
+def _measure(graph, spec, workload, seed, backend, workers, base,
+             repeats) -> ScalingRow:
     """One sweep point; ``base`` is the same backend's 1-worker row."""
     engine = ParallelBatchTeaEngine(graph, spec, workers=workers,
                                     backend=backend, kernel_backend="auto")
+    walls = []
+    warm_startup = 0.0
     try:
         cold = engine.run(workload, seed=seed, record_paths=False,
                           registry=MetricsRegistry())
         pool_startup = float(engine.last_pool["startup_seconds"])
-        registry = MetricsRegistry()
-        result = engine.run(workload, seed=seed, record_paths=False,
-                            registry=registry)
-        warm_startup = float(engine.last_pool["startup_seconds"])
+        for _ in range(repeats):
+            registry = MetricsRegistry()
+            result = engine.run(workload, seed=seed, record_paths=False,
+                                registry=registry)
+            walls.append(result.walk_seconds)
+            warm_startup += float(engine.last_pool["startup_seconds"])
         pool_reuses = int(engine.last_pool["reuses"])
     finally:
         engine.close()
     # One worker runs inline whatever the backend; two must not have
     # degraded to another backend, or the row would be mislabelled.
     assert workers == 1 or engine.last_backend == backend, engine.last_backend
-    wall = result.walk_seconds
+    wall = statistics.median(walls)
     base_wall = base.walk_seconds if base is not None else wall
     chunks = int(registry.counter_value("parallel.chunks"))
     # Average fraction of the walk phase a chunk spent enqueued
@@ -144,6 +171,8 @@ def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
         chunks=chunks,
         steps=result.counters.steps,
         walk_seconds=wall,
+        walk_seconds_min=min(walls),
+        walk_seconds_max=max(walls),
         speedup=(base_wall / wall) if wall else 1.0,
         queue_wait_share=(mean_wait / wall) if wall else 0.0,
         cold_walk_seconds=cold.walk_seconds,
@@ -156,10 +185,10 @@ def _measure(graph, spec, workload, seed, backend, workers, base) -> ScalingRow:
 
 
 def format_scaling_table(rows: List[ScalingRow], title: str, notes) -> str:
-    header = ("workers", "backend", "chunks", "steps",
-              "walk_s", "speedup", "q_wait", "cold_s", "pool_s", "warm_p_s")
-    keys = ("workers", "backend", "chunks", "steps",
-            "walk_s", "speedup", "queue_wait_share", "cold_walk_s",
+    header = ("workers", "backend", "chunks", "steps", "walk_s", "min_s",
+              "max_s", "speedup", "q_wait", "cold_s", "pool_s", "warm_p_s")
+    keys = ("workers", "backend", "chunks", "steps", "walk_s", "walk_s_min",
+            "walk_s_max", "speedup", "queue_wait_share", "cold_walk_s",
             "pool_startup_s", "warm_startup_s")
     lines = [title, "  ".join(f"{h:>8}" for h in header)]
     for row in rows:
@@ -183,8 +212,9 @@ def test_walk_scaling_sweep(benchmark, scaling_graph):
                         max_walks=2000)
 
     def run():
-        _notes.clear()
-        return run_scaling(scaling_graph, spec, workload, seed=0, notes=_notes)
+        _notes["sweep"].clear()
+        return run_scaling(scaling_graph, spec, workload, seed=0,
+                           notes=_notes["sweep"])
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     _rows["sweep"] = rows
@@ -193,12 +223,32 @@ def test_walk_scaling_sweep(benchmark, scaling_graph):
     )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def report():
-    yield
-    rows = _rows.get("sweep")
+def test_walk_scaling_corpus_width(benchmark):
+    """``corpus_exp``'s round through the executor: ≈972 k lanes, a walk
+    phase of a few hundred milliseconds, so the speedup is the walk's and
+    not dispatch's. Informational: nothing is gated on it."""
+    graph = load_dataset("twitter", seed=1, scale=CORPUS_SCALE)
+    spec = exponential_walk(scale=6.0)
+    workload = Workload(walks_per_vertex=CORPUS_R, max_length=80)
+
+    def run():
+        _notes["corpus"].clear()
+        return run_scaling(graph, spec, workload, seed=0,
+                           notes=_notes["corpus"], repeats=CORPUS_REPEATS)
+
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    _rows["corpus"] = rows
+    benchmark.extra_info.update(
+        {f"{row.backend}-W={row.workers}": row.snapshot() for row in rows}
+    )
+
+
+def _report(key: str, title: str, suffix: str, **meta) -> None:
+    """Check, print, write and record one workload's rows."""
+    rows = _rows.get(key)
     if not rows:
         return
+    notes = _notes[key]
     # Oversubscribed counts (> cpu_count) are skipped with a note, so
     # each backend's executed rows are a prefix of WORKER_COUNTS.
     executed = [(row.backend, row.workers) for row in rows]
@@ -211,47 +261,57 @@ def report():
     steps = {row.steps for row in rows}
     assert len(steps) == 1, (
         f"steps varied across backends and worker counts: {steps}")
-    # Warm-pool reuse: every multi-worker point's second (measured) run
-    # must have found its pool alive.
+    # Warm-pool reuse: every multi-worker point's measured runs must
+    # have found its pool alive.
     for row in rows:
         if row.workers > 1:
             assert row.warm_startup_seconds == 0.0, (
                 f"{row.workers}-worker warm run rebuilt its pool "
                 f"({row.warm_startup_seconds:.4f}s startup)"
             )
-    title = (
-        "Parallel walk executor strong scaling "
-        f"(twitter@{0.5 * BENCH_SCALE:g}, node2vec, R={BENCH_R}, L=80)"
-    )
-    text = format_scaling_table(rows, title=title, notes=_notes)
-    print(f"\n===== walk_scaling =====\n{text}")
+    text = format_scaling_table(rows, title=title, notes=notes)
+    print(f"\n===== walk_scaling ({key}) =====\n{text}")
     # Machine-readable normal form (the .txt artifact is retired): the
     # sweep rows verbatim, plus the rendered table for human diffing.
-    write_json_result("walk_scaling", {
+    write_json_result(f"walk_scaling{suffix}", {
         "title": title,
         "backends": list(BACKENDS),
         "worker_counts": list(WORKER_COUNTS),
         "executed": [f"{b}-w{w}" for b, w in executed],
-        "notes": list(_notes),
+        "notes": list(notes),
         "rows": [row.snapshot() for row in rows],
         "table": text,
     })
     # History: flatten the curve into one record so `repro bench
     # compare` can gate regressions on any point of it. Warm walk time
     # and cold pool startup are recorded separately — the pool-reuse
-    # contract makes them independent axes of regression.
+    # contract makes them independent axes of regression. The corpus
+    # record's names carry a suffix, so a compare against a sweep
+    # record skips them instead of comparing two workloads.
     metrics = {}
     for row in rows:
-        point = f"w{row.workers}_{row.backend}"
+        point = f"w{row.workers}_{row.backend}{suffix}"
         metrics[f"walk_s_{point}"] = row.walk_seconds
         metrics[f"speedup_{point}"] = row.speedup
         metrics[f"pool_startup_s_{point}"] = row.pool_startup_seconds
         metrics[f"warm_startup_s_{point}"] = row.warm_startup_seconds
     from repro.kernels import resolve_backend
 
-    record_history(
-        "walk_scaling", metrics,
-        dataset="twitter", scale=0.5 * BENCH_SCALE, r=BENCH_R, length=80,
-        notes=list(_notes),
-        kernel_backend=resolve_backend("auto").name,
-    )
+    record_history("walk_scaling", metrics, notes=list(notes),
+                   kernel_backend=resolve_backend("auto").name, **meta)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def report():
+    yield
+    _report("sweep",
+            "Parallel walk executor strong scaling "
+            f"(twitter@{0.5 * BENCH_SCALE:g}, node2vec, R={BENCH_R}, L=80)",
+            "", dataset="twitter", scale=0.5 * BENCH_SCALE, r=BENCH_R,
+            length=80)
+    _report("corpus",
+            "Parallel walk executor at corpus width "
+            f"(twitter@{CORPUS_SCALE:g} seed 1, exponential, R={CORPUS_R}, "
+            f"L=80, median of {CORPUS_REPEATS} warm runs)",
+            "_corpus", dataset="twitter", scale=CORPUS_SCALE, r=CORPUS_R,
+            length=80, repeats=CORPUS_REPEATS)

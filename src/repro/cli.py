@@ -125,7 +125,6 @@ def cmd_walk(args) -> int:
             chunk_size=args.chunk_size, backend=args.parallel_backend,
             retries=args.retries, chunk_timeout=args.chunk_timeout,
             fault_injector=injector,
-            chunk_target_ms=args.chunk_target_ms,
             kernel_backend=args.kernel_backend,
         )
     elif args.engine == "tea-ooc-batch":
@@ -559,7 +558,6 @@ def cmd_serve(args) -> int:
             "retries": args.retries,
             "chunk_timeout": args.chunk_timeout,
             "fault_injector": load_fault_injector(args.fault_plan),
-            "chunk_target_ms": args.chunk_target_ms,
             "kernel_backend": args.kernel_backend,
         }
     elif args.serve_engine == "tea-batch":
@@ -648,12 +646,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run chunk-parallel with N workers "
                         "(implies --engine tea-parallel)")
     p.add_argument("--chunk-size", type=int, default=None, metavar="M",
-                   help="start vertices per work-queue chunk (default: "
-                        "adaptive, sized to --chunk-target-ms of work)")
-    p.add_argument("--chunk-target-ms", type=float, default=None,
-                   metavar="MS",
-                   help="work per chunk the adaptive planner targets "
-                        "(default 75; ignored with --chunk-size)")
+                   help="lanes per work-queue chunk (default: one equal "
+                        "share per worker, each at most one frontier slice)")
     p.add_argument("--parallel-backend", default="auto",
                    choices=["auto", "process", "thread", "serial"],
                    help="worker pool type for tea-parallel")
@@ -717,7 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--parallel-backend", default="auto",
                    choices=["auto", "process", "thread", "serial"])
     p.add_argument("--chunk-size", type=int, default=None, metavar="M")
-    p.add_argument("--chunk-target-ms", type=float, default=None)
     p.add_argument("--kernel-backend", default="auto",
                    choices=list(BACKEND_CHOICES))
     p.add_argument("--retries", type=int, default=2, metavar="R",

@@ -46,6 +46,7 @@ from repro.telemetry import (
     NULL_PROFILER,
     NULL_TRACER,
 )
+from repro.telemetry.spans import NULL_SPAN
 from repro.walks.spec import WalkSpec
 
 _MAX_BETA_ROUNDS = 16
@@ -60,6 +61,13 @@ _MAX_BETA_ROUNDS = 16
 #: → 245.1; 16 384 had the slowest best round. Walks, counters and
 #: stream consumption never depend on it.
 FRONTIER_LANES = 65_536
+
+#: Padded cells (lanes × widest candidate set) one row group of the exact
+#: β fallback holds (:meth:`BatchTeaEngine._beta_fallback_batch`). Its
+#: two float64 matrices and their index temporaries then stay within a
+#: few tens of MiB however many lanes fall back at a hub; the lanes are
+#: drawn alike in any grouping.
+BETA_FALLBACK_CELLS = 1 << 18
 
 
 def hpat_sample_batch(
@@ -236,8 +244,23 @@ class BatchTeaEngine(Engine):
         happen to share the fallback batch, or output would vary with
         chunking/scheduling. One uniform per lane (same stream
         consumption as the scalar path) turns into ``r ∈ (0, total]``
-        and a per-row prefix comparison replaces the bisection.
+        and a per-row prefix comparison replaces the bisection. The
+        lanes go in row groups of at most :data:`BETA_FALLBACK_CELLS`
+        padded cells, which bounds the matrices and changes no draw.
         """
+        rows = max(1, BETA_FALLBACK_CELLS // int(ss.max()))
+        return np.concatenate([
+            self._beta_fallback_rows(
+                vs[lo:lo + rows], ss[lo:lo + rows], prevs[lo:lo + rows],
+                beta, lane_rng, lanes[lo:lo + rows], counters)
+            for lo in range(0, vs.size, rows)
+        ])
+
+    def _beta_fallback_rows(
+        self, vs: np.ndarray, ss: np.ndarray, prevs: np.ndarray,
+        beta, lane_rng, lanes: np.ndarray, counters: CostCounters,
+    ) -> np.ndarray:
+        """One row group of :meth:`_beta_fallback_batch`."""
         g = self.graph
         model = self.spec.weight_model
         p = vs.size
@@ -501,20 +524,41 @@ class BatchTeaEngine(Engine):
                 profiler=profiler), max_length)
         return out
 
+    def _walk_chunks(
+        self,
+        starts: np.ndarray,
+        seeds: np.ndarray,
+        max_length: int,
+        stop_probability: float,
+        counters: CostCounters,
+        keep_hops: bool,
+        registry: Optional[MetricsRegistry],
+        span=NULL_SPAN,
+        profiler=NULL_PROFILER,
+    ) -> FrontierResult:
+        """Where a request's walks run once every walk has its seed:
+        here inline, slice after slice (:meth:`_walk_seeds`). The
+        parallel engine (:mod:`repro.parallel`) overrides only this, to
+        run its chunks on a worker pool; ``span`` is the run's open
+        ``walk`` span (a null span under :meth:`run_lanes`)."""
+        span.set("chunks", -(-starts.size // FRONTIER_LANES))
+        return self._walk_seeds(starts, seeds, max_length, stop_probability,
+                                counters, keep_hops, registry,
+                                profiler=profiler)
+
     def _walk_lanes(self, starts, seeds, max_length, stop_probability,
                     keep_hops, counters, registry) -> FrontierResult:
-        return self._walk_seeds(starts, seeds, max_length, stop_probability,
-                                counters, keep_hops, registry)
+        return self._walk_chunks(starts, seeds, max_length, stop_probability,
+                                 counters, keep_hops, registry)
 
     def _walk(self, starts, workload: Workload, rng, counters, registry,
               keep_hops, span) -> FrontierResult:
-        # One seed per walk, drawn as the parallel executor's plan draws
-        # them: run(seed) walks what run_lanes and every chunking walk.
-        span.set("chunks", -(-starts.size // FRONTIER_LANES))
-        return self._walk_seeds(
+        # One seed per walk, drawn before any slice or chunk exists:
+        # run(seed) walks what run_lanes walks on these seeds.
+        return self._walk_chunks(
             starts, spawn_seeds(rng, starts.size), workload.max_length,
             workload.stop_probability, counters, keep_hops, registry,
-            profiler=self.profiler,
+            span=span, profiler=self.profiler,
         )
 
     def publish_telemetry(self, registry: MetricsRegistry) -> None:

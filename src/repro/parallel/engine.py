@@ -11,23 +11,26 @@ the index.
 
 Design invariants:
 
-* **Determinism** — every *walk* owns a seed planned up front
-  (:mod:`repro.parallel.chunks`) and is advanced by a counter-based
-  lane stream (:class:`~repro.rng.LaneRng`), so results are
-  bit-identical across worker counts, backends, chunk sizes (fixed or
-  adaptive), pool generations, and scheduling orders for a fixed
-  ``seed``. ``--workers 1`` is the reference run, not a special case.
+* **Determinism** — every *walk* owns a seed drawn before any chunk
+  is planned and is advanced by a counter-based lane stream
+  (:class:`~repro.rng.LaneRng`), so results are bit-identical across
+  worker counts, backends, chunk plans, pool generations, and
+  scheduling orders for a fixed ``seed``. ``--workers 1`` is the
+  reference run, not a special case.
 * **Warm pools** — worker pools are *engine-lifetime* resources
   (:mod:`repro.parallel.pool`): the first run pays pool spin-up once,
   later runs find the pool warm (``parallel.pool_startup_seconds ==
   0``). Supervision recycles a broken/hung pool instead of assuming one
   pool per attempt. :meth:`close` (or garbage collection) releases
   everything.
-* **Adaptive chunking** — without an explicit ``chunk_size`` the
-  planner calibrates from a short probe (or the previous run's
-  measured per-walk cost) and sizes chunks to
-  ``chunk_target_ms`` (default ~75ms) of work each, so dispatch
-  overhead is amortised while the queue still load-balances.
+* **One plan** — :class:`~repro.engines.batch.BatchTeaEngine` draws
+  the seeds and stitches the result; this engine overrides only where
+  the chunks run (:meth:`_walk_chunks`). Without an explicit
+  ``chunk_size`` the lanes are cut into the fewest equal chunks of at
+  most one :data:`~repro.engines.batch.FRONTIER_LANES` slice that
+  number a multiple of the workers (:func:`~repro.parallel.chunks.chunk_bounds`):
+  a function of the lane and worker counts alone, so cold and warm
+  runs, ``run`` and ``run_lanes`` plan alike.
 * **Per-worker telemetry** — each chunk carries private
   :class:`~repro.sampling.counters.CostCounters`, registry, and tracer;
   the engine folds all of them at the join barrier through their
@@ -37,7 +40,8 @@ Design invariants:
 * **Backends** — ``process`` (forked workers, true multi-core; each
   inherits the prepared engine copy-on-write, and the walk never writes
   its pages), ``thread`` (the kernels release the GIL for long stretches
-  of a chunk), or ``serial`` (inline: the in-process executor of
+  of a chunk), or ``serial`` (an executor that runs each chunk as it is
+  submitted: the in-process executor of
   :class:`~repro.engines.batch.BatchTeaEngine` under supervision, chunk
   by chunk). ``auto`` picks ``process`` where ``fork`` exists, and
   ``process`` falls back to ``thread`` where it does not.
@@ -47,25 +51,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engines.base import FrontierResult, Workload
+from repro.engines.base import FrontierResult
 from repro.engines.batch import BatchTeaEngine
 from repro.exceptions import WorkerCrashError
 from repro.graph.temporal_graph import TemporalGraph
-from repro.parallel.chunks import (
-    DEFAULT_CHUNK_TARGET_MS,
-    PROBE_WALKS,
-    ChunkPlan,
-    adaptive_chunk_size,
-    plan_chunks,
-    plan_for_seeds,
-    rechunk,
-)
+from repro.parallel.chunks import chunk_bounds
 from repro.parallel.pool import WarmWorkerPool
 from repro.parallel.worker import (
     ChunkResult,
@@ -73,11 +70,15 @@ from repro.parallel.worker import (
     _process_chunk,
     execute_chunk,
 )
-from repro.rng import LaneRng
-from repro.sampling.counters import CostCounters
-from repro.telemetry import LATENCY_BUCKETS, MetricsRegistry, events
+from repro.telemetry import (
+    LATENCY_BUCKETS,
+    NULL_PROFILER,
+    MetricsRegistry,
+    events,
+)
 from repro.telemetry.clock import monotonic as _monotonic
 from repro.telemetry.events import current_run_id
+from repro.telemetry.spans import NULL_SPAN
 from repro.walks.spec import WalkSpec
 
 BACKENDS = ("auto", "process", "thread", "serial")
@@ -99,6 +100,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+class _InlineExecutor:
+    """The serial backend's executor: runs each call as it is submitted
+    and hands back a future that is already resolved."""
+
+    def submit(self, fn, *args) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — the supervisor classifies it
+            future.set_exception(exc)
+        return future
+
+
 class ParallelBatchTeaEngine(BatchTeaEngine):
     """Work-queue parallel TEA: the frontier kernel per chunk, merged.
 
@@ -108,14 +122,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         Pool size (>= 1); defaults to the CPUs this process may run on.
         The effective pool never exceeds the number of chunks.
     chunk_size:
-        Start vertices per chunk. ``None`` (default) engages the
-        adaptive planner; per-walk seeding makes both settings
-        bit-identical, so pin it only to make chunk *counts*
-        reproducible (e.g. telemetry assertions).
-    chunk_target_ms:
-        Work per chunk the adaptive planner aims for (default
-        :data:`~repro.parallel.chunks.DEFAULT_CHUNK_TARGET_MS`).
-        Ignored when ``chunk_size`` is given.
+        Lanes per chunk. ``None`` (default) plans one slice-wide share
+        per worker (:func:`~repro.parallel.chunks.chunk_bounds`);
+        per-walk seeding makes both settings bit-identical, so pin it
+        only to force a many-chunk plan on a small request (retry and
+        telemetry tests).
     backend:
         ``auto`` | ``process`` | ``thread`` | ``serial``.
     share_mode:
@@ -137,7 +148,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         retries: int = DEFAULT_CHUNK_RETRIES,
         chunk_timeout: Optional[float] = None,
         fault_injector=None,
-        chunk_target_ms: Optional[float] = None,
         kernel_backend="auto",
     ):
         super().__init__(graph, spec, kernel_backend=kernel_backend)
@@ -149,11 +159,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.chunk_size = int(chunk_size) if chunk_size else None
-        if chunk_target_ms is not None and float(chunk_target_ms) <= 0:
-            raise ValueError("chunk_target_ms must be > 0")
-        self.chunk_target_ms = (
-            float(chunk_target_ms) if chunk_target_ms is not None else None
-        )
         self.backend = backend
         #: Per-chunk retry budget: a chunk may fail (crash, hang, broken
         #: pool) this many times beyond its first attempt before the run
@@ -184,9 +189,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         }
         # Engine-lifetime execution resources (see close()).
         self._pools: Dict[str, WarmWorkerPool] = {}
-        #: Measured seconds per walk (calibration memory): seeded by the
-        #: probe, refined after every run from actual chunk walls.
-        self._per_walk_seconds: Optional[float] = None
 
     # -- context -----------------------------------------------------------
 
@@ -247,72 +249,19 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         except Exception:
             pass
 
-    # -- planning ----------------------------------------------------------
-
-    def _probe(self, plan: ChunkPlan, workload: Workload) -> Optional[float]:
-        """Measure per-walk seconds on a small prefix of the workload.
-
-        Runs the first :data:`~repro.parallel.chunks.PROBE_WALKS` walks
-        inline with their *actual* lane seeds and discards the result:
-        no counters, no paths, no draw from the run's root generator —
-        so calibration is invisible to determinism and telemetry
-        conservation.
-        """
-        n = min(PROBE_WALKS, plan.num_walks)
-        if n <= 0:
-            return None
-        t0 = _monotonic()
-        self._run_frontier(
-            plan.starts[:n], workload.max_length, workload.stop_probability,
-            LaneRng(plan.seeds[:n]), CostCounters(), False,
-        )
-        return (_monotonic() - t0) / n
-
-    def _plan(self, starts: np.ndarray, workload: Workload,
-              rng: np.random.Generator) -> ChunkPlan:
-        """Draw per-walk seeds, then pick the partition.
-
-        Seeds are drawn before (and independently of) the chunk-size
-        decision, which is what makes fixed and adaptive plans walk
-        bit-identical paths.
-        """
-        plan = plan_chunks(starts, self.chunk_size or max(1, starts.size), rng)
-        if self.chunk_size:
-            return plan
-        per_walk = self._per_walk_seconds
-        if per_walk is None:
-            with self.profiler.phase("probe"):
-                per_walk = self._probe(plan, workload)
-        return rechunk(plan, self._chunk_size_for(starts.size, per_walk))
-
-    def _make_task(self, plan: ChunkPlan, chunk_id: int, attempt: int,
-                   rp: Dict[str, object]) -> ChunkTask:
-        lo, hi = plan.chunk(chunk_id)
-        return ChunkTask(
-            chunk_id=chunk_id,
-            starts=plan.starts[lo:hi],
-            seeds=plan.seeds[lo:hi],
-            max_length=rp["max_length"],
-            stop_probability=rp["stop_probability"],
-            keep_hops=rp["keep_hops"],
-            run_id=rp["run_id"],
-            profile=rp["profile"],
-            attempt=attempt,
-        )
-
     # -- execution ---------------------------------------------------------
     #
     # The supervised executor. One attempt = one pass over the
     # currently-pending chunks through the active backend's warm pool
-    # (or inline for serial); the supervisor classifies every failed
-    # chunk as "crash" (the future raised), "hang" (the per-chunk
-    # timeout expired), or "broken" (the pool itself died, e.g. a worker
-    # process exited hard) and requeues it under the retry budget.
-    # "hang"/"broken" condemn the pool — mark_broken() recycles it on
-    # its next use — and degrade the backend one level down the chain
-    # process -> thread -> serial: a pool that killed or lost a worker
-    # is not trusted with the retry. Determinism survives all of this —
-    # a walk's randomness is keyed by its planned seed, never by the
+    # (or the inline executor for serial); the supervisor classifies
+    # every failed chunk as "crash" (the future raised), "hang" (the
+    # per-chunk timeout expired), or "broken" (the pool itself died, e.g.
+    # a worker process exited hard) and requeues it under the retry
+    # budget. "hang"/"broken" condemn the pool — mark_broken() recycles
+    # it on its next use — and degrade the backend one level down the
+    # chain process -> thread -> serial: a pool that killed or lost a
+    # worker is not trusted with the retry. Determinism survives all of
+    # this — a walk's randomness is keyed by its seed, never by the
     # attempt, the pool generation, or the backend that finally ran it.
 
     def _degradation_chain(self, backend: str) -> List[str]:
@@ -350,61 +299,41 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
                 failed.append((cid, "crash", exc))
         return done, failed, broken or hung
 
-    def _attempt_serial(self, chunk_ids, plan, rp, attempts):
-        done: Dict[int, ChunkResult] = {}
-        failed = []
-        for cid in chunk_ids:
-            task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = _monotonic()
-            try:
-                done[cid] = execute_chunk(self, task)
-            except Exception as exc:  # noqa: BLE001
-                failed.append((cid, "crash", exc))
-        return done, failed
-
-    def _attempt_thread(self, chunk_ids, plan, rp, attempts):
-        pool = self._pool("thread")
-        executor, reused = pool.ensure()
-        self._note_pool(reused, pool)
-        futures = []
-        for cid in chunk_ids:
-            task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = _monotonic()
-            futures.append((executor.submit(execute_chunk, self, task), cid))
-        done, failed, pool_hurt = self._collect(futures)
-        if pool_hurt:
-            # A hung thread cannot be killed: condemn the pool (its
-            # daemonic join happens at interpreter exit) so the next
-            # attempt — and the next run — gets a fresh one.
-            pool.mark_broken("hang")
-        return done, failed
-
-    def _attempt_process(self, chunk_ids, plan, rp, attempts):
-        pool = self._pool("process")
-        executor, reused = pool.ensure()
-        self._note_pool(reused, pool)
+    def _attempt(self, backend: str, tasks: List[ChunkTask]):
+        """Submit ``tasks`` to ``backend``'s executor and collect them."""
+        pool = None
+        if backend == "serial":
+            executor, call = _InlineExecutor(), (execute_chunk, self)
+        else:
+            pool = self._pool(backend)
+            executor, reused = pool.ensure()
+            self._note_pool(reused, pool)
+            call = ((_process_chunk,) if backend == "process"
+                    else (execute_chunk, self))
         futures = []
         unsubmitted = []
-        for cid in chunk_ids:
-            task = self._make_task(plan, cid, attempts[cid], rp)
-            task.enqueue_ts = _monotonic()
+        for task in tasks:
+            task = replace(task, enqueue_ts=_monotonic())
             try:
-                futures.append((executor.submit(_process_chunk, task), cid))
+                futures.append((executor.submit(*call, task), task.chunk_id))
             except BrokenExecutor as exc:
                 # A worker died while we were still submitting:
                 # everything not yet in flight fails as "broken".
-                unsubmitted.append((cid, "broken", exc))
+                unsubmitted.append((task.chunk_id, "broken", exc))
         done, failed, pool_hurt = self._collect(futures)
         failed.extend(unsubmitted)
-        if pool_hurt or unsubmitted:
-            pool.mark_broken("worker_death_or_hang")
+        if pool is not None and (pool_hurt or unsubmitted):
+            # A hung thread cannot be killed and a dead worker poisons
+            # its pool: condemn it (a thread pool's daemonic join happens
+            # at interpreter exit) so the next attempt — and the next
+            # run — gets a fresh one.
+            pool.mark_broken("hang" if backend == "thread"
+                             else "worker_death_or_hang")
         return done, failed
 
-    def _execute_chunks(
-        self, plan: ChunkPlan, backend: str, workers_used: int,
-        rp: Dict[str, object],
-    ) -> List[ChunkResult]:
-        pending: List[int] = list(range(plan.num_chunks))
+    def _execute_chunks(self, tasks: List[ChunkTask], backend: str,
+                        workers_used: int) -> List[ChunkResult]:
+        pending: List[int] = [task.chunk_id for task in tasks]
         if backend == "serial" or workers_used <= 1:
             chain = ["serial"]
         else:
@@ -416,12 +345,8 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         while pending:
             active = chain[level]
             self.last_backend = active
-            if active == "process":
-                done, failed = self._attempt_process(pending, plan, rp, attempts)
-            elif active == "thread":
-                done, failed = self._attempt_thread(pending, plan, rp, attempts)
-            else:
-                done, failed = self._attempt_serial(pending, plan, rp, attempts)
+            done, failed = self._attempt(active, [
+                replace(tasks[cid], attempt=attempts[cid]) for cid in pending])
             results.update(done)
             if not failed:
                 break
@@ -455,59 +380,39 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         # the fold below is then deterministic.
         return [results[cid] for cid in sorted(results)]
 
-    # -- the shared core of run() and run_lanes() --------------------------
+    # -- where the chunks run ------------------------------------------------
 
-    def _workers_for(self, plan: ChunkPlan) -> int:
-        """The effective pool never exceeds the number of chunks."""
-        return max(1, min(self.workers, plan.num_chunks))
+    def _walk_chunks(self, starts, seeds, max_length, stop_probability,
+                     counters, keep_hops, registry, span=NULL_SPAN,
+                     profiler=NULL_PROFILER) -> FrontierResult:
+        """Run :func:`~repro.parallel.chunks.chunk_bounds`' chunks on the
+        pool under supervision, then fold and stitch them.
 
-    def _chunk_size_for(self, num_walks: int,
-                        per_walk: Optional[float]) -> int:
-        if self.chunk_size:
-            return self.chunk_size
-        return adaptive_chunk_size(
-            num_walks, self.workers, per_walk,
-            self.chunk_target_ms if self.chunk_target_ms is not None
-            else DEFAULT_CHUNK_TARGET_MS,
-        )
-
-    def _run_plan(
-        self, plan: ChunkPlan, max_length: int, stop_probability: float,
-        keep_hops: bool, counters: CostCounters,
-        registry: Optional[MetricsRegistry], profile: bool = False,
-    ):
-        """Execute ``plan`` under supervision and stitch the chunks.
-
-        Everything :meth:`run` and :meth:`run_lanes` have in common once
-        the per-walk seeds are fixed: resolve the backend, execute (with
-        retry/degradation), refine the calibration memory, adopt worker
-        events, fold per-chunk counters/registries, and stitch the
-        chunk slices into one columnar result. Returns ``(frontier,
-        chunk results)``.
+        :meth:`run` and :meth:`run_lanes` both arrive here with one seed
+        per walk, so the result is bit-identical to the inline engine's
+        across worker counts, backends, chunk plans, retries and
+        degradations — which is what lets the serving batcher coalesce
+        requests onto this engine without changing any response.
         """
         self.last_events = {"chunk_retries": 0, "degraded": []}
         self.last_pool = {"reuses": 0, "builds": 0,
                           "startup_seconds": 0.0, "attach_seconds": 0.0}
-        workers_used = self._workers_for(plan)
+        bounds = chunk_bounds(starts.size, self.workers, self.chunk_size)
+        workers_used = max(1, min(self.workers, bounds.size - 1))
         backend = self._resolve_backend(workers_used)
         self.last_backend = backend
-        rp = {
-            "max_length": int(max_length),
-            "stop_probability": float(stop_probability),
-            "keep_hops": bool(keep_hops),
-            "run_id": current_run_id(),
-            "profile": profile,
-        }
+        run_id = current_run_id()
+        tasks = [
+            ChunkTask(
+                chunk_id=cid, starts=starts[lo:hi], seeds=seeds[lo:hi],
+                max_length=max_length, stop_probability=stop_probability,
+                keep_hops=keep_hops, run_id=run_id, profile=profiler.enabled,
+            )
+            for cid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
         t0 = _monotonic()
-        results = self._execute_chunks(plan, backend, workers_used, rp)
+        results = self._execute_chunks(tasks, backend, workers_used)
         self._dispatch_seconds = _monotonic() - t0
-
-        # Refine the calibration memory from what was actually
-        # measured: the next adaptive plan skips the probe.
-        if plan.num_walks and results:
-            total_wall = sum(res.wall_seconds for res in results)
-            if total_wall > 0:
-                self._per_walk_seconds = total_wall / plan.num_walks
 
         # Adopt events shipped back from forked process workers (thread
         # and serial chunks emitted into the shared parent log already).
@@ -520,55 +425,19 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         # Fold at the barrier, in chunk order. Merge is associative, so
         # this equals any completion order — but a fixed order keeps
         # reports stable.
+        frontier = FrontierResult.empty(starts, max_length, keep_hops)
         for res in results:
             counters.merge(res.counters)
             if registry is not None:
                 registry.merge(res.registry)
-        frontier = FrontierResult.empty(plan.starts, rp["max_length"], keep_hops)
-        for res in results:
-            frontier.place(plan.chunk(res.chunk_id)[0], res, rp["max_length"])
-        return frontier, results
+            frontier.place(int(bounds[res.chunk_id]), res, max_length)
 
-    def _walk_lanes(self, starts, seeds, max_length, stop_probability,
-                    keep_hops, counters, registry) -> FrontierResult:
-        """Chunk-parallel :meth:`BatchTeaEngine._walk_lanes`.
-
-        The caller supplies per-walk seeds; the engine only decides the
-        partition (fixed ``chunk_size`` or the adaptive planner's
-        calibration memory) and the backend. Because every walk's
-        randomness is keyed on its own seed, the result is bit-identical
-        to the serial ``run_lanes`` — across worker counts, backends,
-        chunkings, retries, and degradations — which lets the serving
-        batcher coalesce requests onto this engine without changing any
-        response. Chunk failures go through the same supervised
-        retry/degradation path as :meth:`run`.
-        """
-        plan = plan_for_seeds(
-            starts, seeds,
-            self._chunk_size_for(starts.size, self._per_walk_seconds),
-        )
-        frontier, _ = self._run_plan(
-            plan, max_length, stop_probability, keep_hops, counters, registry,
-        )
-        if registry is not None:
-            self._publish_supervision(registry)
-        return frontier
-
-    def _walk(self, starts, workload: Workload, rng, counters, registry,
-              keep_hops, span) -> FrontierResult:
-        profiler = self.profiler
-        plan = self._plan(starts, workload, rng)
-        frontier, results = self._run_plan(
-            plan, workload.max_length, workload.stop_probability, keep_hops,
-            counters, registry, profile=profiler.enabled,
-        )
-        workers_used = self._workers_for(plan)
         span.set("workers", workers_used)
-        span.set("chunks", plan.num_chunks)
-        span.set("backend", self._resolve_backend(workers_used))  # as planned
+        span.set("chunks", len(tasks))
+        span.set("backend", backend)  # as planned
         if self.last_events["degraded"]:
             span.set("degraded_to", self.last_backend)
-        if self.tracer.enabled:
+        if span is not NULL_SPAN:
             for res in results:
                 span.children.extend(res.spans)
 
@@ -600,7 +469,9 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
                     float(self.last_pool["startup_seconds"]),
                     calls=int(self.last_pool["builds"]),
                 )
-        self._publish_parallel_metrics(registry, results, workers_used, plan)
+        if registry is not None:
+            self._publish_parallel_metrics(registry, results, workers_used,
+                                           bounds)
         return frontier
 
     def _publish_parallel_metrics(
@@ -608,13 +479,13 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         registry: MetricsRegistry,
         results: List[ChunkResult],
         workers_used: int,
-        plan: ChunkPlan,
+        bounds: np.ndarray,
     ) -> None:
         registry.gauge("parallel.workers", "worker pool size").set(workers_used)
-        registry.counter("parallel.chunks", "chunks executed").inc(plan.num_chunks)
+        registry.counter("parallel.chunks", "chunks executed").inc(bounds.size - 1)
         registry.gauge(
-            "parallel.chunk_size", "walks per chunk the planner chose"
-        ).set(int(np.diff(plan.bounds).max()) if plan.num_chunks else 1)
+            "parallel.chunk_size", "lanes in the plan's widest chunk"
+        ).set(int(np.diff(bounds).max()))
         # The per-chunk registries already folded their queue-wait
         # observations into parallel.queue_wait_seconds via merge();
         # touch it here so the metric exists even for zero-chunk runs.

@@ -82,8 +82,8 @@ class LaneRng:
     """Independent counter-based uniform streams, one per lane.
 
     ``seeds`` assigns lane ``i`` its stream key (the per-walk seeds one
-    :func:`spawn_seeds` call drew for a run, a
-    :class:`~repro.parallel.chunks.ChunkPlan` slice or a request). Each
+    :func:`spawn_seeds` call drew for a run, a slice or parallel chunk
+    of them, or a request). Each
     :meth:`uniform` call advances only the named lanes' counters, so a
     lane's stream consumption depends exclusively on its own history —
     the property that makes walks invariant under chunking, worker

@@ -233,3 +233,75 @@ class TestRoundMemory:
         assert walk.attributes["chunks"] == -(-walks // 4096) > 20
         assert result.total_steps > walks
         assert peak / walks <= self.BYTES_PER_LANE, peak / walks
+
+
+class TestBetaFallbackMemory:
+    """Lanes that spend the node2vec rejection budget take the exact β
+    fallback in row groups of at most ``BETA_FALLBACK_CELLS`` padded
+    cells, drawing exactly what one group over every lane draws."""
+
+    HUB_CANDIDATES = 2000
+    LANES = 4096
+    #: ``tracemalloc`` peak of one 4 096-lane run below: ≈14 MiB in row
+    #: groups, ≈392 MiB as one padded group (4 096 × 2 000 cells).
+    PEAK_BOUND = 32 * 2**20
+
+    def _engine(self, kernel_backend="auto"):
+        """A star: hub 0 reaches leaf i at time i, which returns at
+        i + ½. A walk from the hub comes back to it on its second hop
+        with up to ``HUB_CANDIDATES`` candidates, all non-neighbours of
+        its predecessor: β = 1/q = 1 against β_max = 1/p = 10⁹, so every
+        lane spends its rejection rounds and falls back."""
+        from repro.graph.temporal_graph import TemporalGraph
+
+        d = self.HUB_CANDIDATES
+        graph = TemporalGraph.from_edges(
+            [(0, i, float(i)) for i in range(1, d + 1)]
+            + [(i, 0, i + 0.5) for i in range(1, d + 1)])
+        spec = temporal_node2vec(p=1e-9, q=1.0, scale=float(d))
+        return BatchTeaEngine(graph, spec, kernel_backend=kernel_backend)
+
+    def _walk(self, engine, lanes):
+        counters = CostCounters()
+        frontier = engine.run_lanes(
+            np.zeros(lanes, dtype=np.int64),
+            spawn_seeds(make_rng(0), self.LANES)[:lanes], 4,
+            counters=counters)
+        return frontier, counters.snapshot()
+
+    def test_hub_fallback_peak_is_bounded(self):
+        import tracemalloc
+
+        engine = self._engine()
+        self._walk(engine, 8)  # build, compile
+        tracemalloc.start()
+        try:
+            frontier, counters = self._walk(engine, self.LANES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Nearly every walk drew a third hop at the hub, by the fallback.
+        assert (frontier.lengths >= 3).mean() > 0.99
+        assert counters["rejection_trials"] > 16 * self.LANES * 0.9
+        assert counters["edges_evaluated"] > self.LANES * self.HUB_CANDIDATES // 4
+        assert peak <= self.PEAK_BOUND, peak / 2**20
+
+    @pytest.mark.parametrize("kernel_backend", ["auto", "numpy"])
+    def test_row_groups_draw_as_one_group(self, kernel_backend, monkeypatch):
+        """Walk for walk, the grouped 4 096-lane run equals one group over
+        its first 512 lanes (≈1 M cells, so four groups under the default
+        budget), whose counters equal the grouped 512-lane run's."""
+        from repro.engines import batch
+
+        engine = self._engine(kernel_backend)
+        grouped, _ = self._walk(engine, self.LANES)
+        grouped_512, counters = self._walk(engine, 512)
+        monkeypatch.setattr(batch, "BETA_FALLBACK_CELLS", 2**62)
+        one_group, one_group_counters = self._walk(engine, 512)
+        assert counters == one_group_counters
+        for got in (grouped, grouped_512):
+            assert np.array_equal(got.lengths[:512], one_group.lengths)
+            assert np.array_equal(got.hop_vertex[:512, :4],
+                                  one_group.hop_vertex[:, :4])
+            assert np.array_equal(got.hop_time[:512, :4],
+                                  one_group.hop_time[:, :4])

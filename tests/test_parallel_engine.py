@@ -22,13 +22,7 @@ import pytest
 
 from repro.engines import BatchTeaEngine, ParallelBatchTeaEngine, Workload
 from repro.graph.validate import is_temporal_path
-from repro.parallel.chunks import (
-    ChunkPlan,
-    adaptive_chunk_size,
-    default_chunk_size,
-    plan_chunks,
-    rechunk,
-)
+from repro.parallel.chunks import chunk_bounds
 from repro.resilience.faults import FaultInjector
 from repro.rng import make_rng, spawn_seeds
 from repro.sampling.counters import CostCounters
@@ -69,34 +63,24 @@ def _worker_engine_identity():
 
 class TestChunkPlanning:
     def test_bounds_cover_starts(self):
-        starts = np.arange(103, dtype=np.int64)
-        plan = plan_chunks(starts, 10, make_rng(0))
-        assert plan.bounds[0] == 0 and plan.bounds[-1] == 103
-        assert plan.num_chunks == 11
-        widths = np.diff(plan.bounds)
+        bounds = chunk_bounds(103, 4, chunk_size=10)
+        assert bounds[0] == 0 and bounds[-1] == 103
+        assert bounds.size - 1 == 11
+        widths = np.diff(bounds)
         assert widths.max() == 10 and widths.min() >= 1
-        assert plan.seeds.size == plan.num_walks
 
     def test_plan_is_deterministic(self):
-        starts = np.arange(50, dtype=np.int64)
-        p1 = plan_chunks(starts, 7, make_rng(3))
-        p2 = plan_chunks(starts, 7, make_rng(3))
-        assert np.array_equal(p1.bounds, p2.bounds)
-        assert np.array_equal(p1.seeds, p2.seeds)
+        """The plan is a function of (lanes, workers[, chunk_size])."""
+        for args in ((50, 3), (50, 3, 7), (200_000, 2)):
+            assert np.array_equal(chunk_bounds(*args), chunk_bounds(*args))
 
     def test_empty_workload(self):
-        plan = plan_chunks(np.zeros(0, dtype=np.int64), 8, make_rng(0))
-        assert plan.num_chunks == 1 and plan.chunk(0) == (0, 0)
+        for chunk_size in (None, 8):
+            assert chunk_bounds(0, 4, chunk_size).tolist() == [0, 0]
 
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):
-            plan_chunks(np.arange(4), 0, make_rng(0))
-
-    def test_default_chunk_size(self):
-        assert default_chunk_size(0, 4) == 1
-        assert default_chunk_size(1600, 4) == 100
-        # Always at least one chunk per walk bundle, even tiny loads.
-        assert default_chunk_size(3, 8) == 1
+            chunk_bounds(4, 1, chunk_size=0)
 
 
 # -- distribution equivalence ------------------------------------------------
@@ -382,82 +366,105 @@ class TestEndToEnd:
             "walk", "--dataset", "tiny", "--app", "exponential",
             "--length", "6", "--workers", "2",
             "--parallel-backend", "thread",
-            "--chunk-target-ms", "20",
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "engine: tea-parallel" in out
 
 
-# -- adaptive chunk planning -------------------------------------------------
+# -- the slice plan ------------------------------------------------------------
 
 
-class TestAdaptivePlanning:
-    def test_size_monotone_in_target(self):
-        """More target milliseconds never means smaller chunks."""
-        sizes = [
-            adaptive_chunk_size(100_000, 4, 0.001, target_ms=t)
-            for t in (5, 10, 25, 75, 150, 300, 1000)
-        ]
-        assert sizes == sorted(sizes)
-        # And exactly target/per_walk when nothing clamps.
-        assert adaptive_chunk_size(100_000, 4, 0.001, target_ms=75) == 75
+def _chunk_widths(result):
+    """Lanes of every chunk one parallel ``run`` walked, in chunk order."""
+    walk = next(s for s in result.trace.roots if s.name == "walk")
+    chunks = sorted((c for c in walk.children if c.name == "walk.chunk"),
+                    key=lambda c: c.attributes["chunk"])
+    return [c.attributes["walks"] for c in chunks]
 
-    def test_size_monotone_in_cost(self):
-        """Slower walks mean smaller chunks, never larger."""
-        sizes = [
-            adaptive_chunk_size(100_000, 4, per_walk, target_ms=75)
-            for per_walk in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-        ]
-        assert sizes == sorted(sizes, reverse=True)
 
-    def test_size_caps_at_one_chunk_per_worker(self):
-        # A huge target must not serialise the run: every worker can
-        # still get a chunk.
-        assert adaptive_chunk_size(100, 4, 10.0, target_ms=10**7) == 25
-        assert adaptive_chunk_size(100, 3, 10.0, target_ms=10**7) == 34
+class TestSlicePlan:
+    """Without ``chunk_size``, n lanes on w workers walk in the fewest
+    chunks that are each at most ``FRONTIER_LANES`` lanes and that number
+    a multiple of w, equal to within one lane — whatever ran before."""
 
-    def test_fallback_without_calibration(self):
-        assert adaptive_chunk_size(1000, 4, None) == default_chunk_size(1000, 4)
-        assert adaptive_chunk_size(1000, 4, 0.0) == default_chunk_size(1000, 4)
-        assert adaptive_chunk_size(1000, 4, -1.0) == default_chunk_size(1000, 4)
-        assert adaptive_chunk_size(0, 4, 0.001) == 1
+    def test_chunks_are_equal_and_within_frontier_lanes(self, monkeypatch):
+        from repro.engines import batch
 
-    def test_rechunk_keeps_walks_and_seeds(self):
-        plan = plan_chunks(np.arange(103, dtype=np.int64), 10, make_rng(0))
-        replanned = rechunk(plan, 7)
-        assert np.array_equal(replanned.starts, plan.starts)
-        assert np.array_equal(replanned.seeds, plan.seeds)
-        assert replanned.bounds[-1] == 103
-        assert np.diff(replanned.bounds).max() == 7
+        monkeypatch.setattr(batch, "FRONTIER_LANES", 10)
+        for n in (1, 2, 9, 10, 11, 19, 20, 21, 97, 128, 1000):
+            for w in (1, 2, 3, 4):
+                widths = np.diff(chunk_bounds(n, w))
+                assert widths.sum() == n
+                assert widths.min() >= 1 and widths.max() <= 10, (n, w)
+                assert widths.max() - widths.min() <= 1, (n, w)
+                # The fewest such chunks: ceil(n / (w·ceil(n / (w·F)))) wide.
+                assert widths.max() == -(-n // (w * -(-n // (w * 10)))), (n, w)
 
-    def test_probe_calibration_monotone_chunk_counts(self, small_graph):
-        """Engine level: a larger --chunk-target-ms never yields more
-        chunks for the same workload (the probe feeds a monotone
-        planner)."""
+    def test_chunk_count_is_a_multiple_of_workers(self, small_graph,
+                                                  monkeypatch):
+        from repro.engines import batch
+
+        for n, w in ((4, 4), (97, 2), (128, 3), (1000, 4)):
+            assert (chunk_bounds(n, w).size - 1) % w == 0, (n, w)
+        monkeypatch.setattr(batch, "FRONTIER_LANES", 16)
+        wl = Workload(walks_per_vertex=2, max_length=6)
+        for workers in (2, 3):
+            engine = ParallelBatchTeaEngine(small_graph, linear_walk(),
+                                            workers=workers, backend="thread")
+            try:
+                result = engine.run(wl, seed=1, record_paths=False)
+            finally:
+                engine.close()
+            widths = _chunk_widths(result)
+            assert len(widths) % workers == 0
+            assert max(widths) <= 16 and max(widths) - min(widths) <= 1
+            assert sum(widths) == result.registry.counter_value("walk.walks")
+
+    def test_cold_and_warm_runs_plan_alike(self, medium_graph):
+        """A cold run, warm runs and a run after ``close()`` plan the same
+        chunks: nothing is calibrated between runs. 40 000 lanes on 2
+        workers are 2 chunks of 20 000, however fast the first run was."""
+        wl = Workload(walks_per_vertex=200, max_length=8)
+        engine = ParallelBatchTeaEngine(medium_graph,
+                                        exponential_walk(scale=20.0),
+                                        workers=2, backend="thread")
+        try:
+            runs = [engine.run(wl, seed=3, record_paths=False)
+                    for _ in range(3)]
+            engine.close()
+            runs.append(engine.run(wl, seed=3, record_paths=False))
+        finally:
+            engine.close()
+        assert [r.registry.counter_value("parallel.chunks")
+                for r in runs] == [2] * 4
+        assert [_chunk_widths(r) for r in runs] == [[20_000, 20_000]] * 4
+
+    def test_run_lanes_plans_alike_on_every_call(self, small_graph):
+        """A 128-lane ``run_lanes`` on 2 workers is 2 chunks of 64 lanes
+        on its first call and on every later call (serving)."""
         from repro.telemetry import MetricsRegistry
 
-        spec = linear_walk()
-        wl = Workload(walks_per_vertex=4, max_length=8)
-        counts = []
-        for target in (0.05, 50.0, 5000.0):
-            registry = MetricsRegistry()
-            engine = ParallelBatchTeaEngine(
-                small_graph, spec, workers=2, backend="thread",
-                chunk_target_ms=target,
-            )
-            engine.run(wl, seed=3, registry=registry, record_paths=False)
+        starts = np.resize(np.arange(small_graph.num_vertices), 128)
+        seeds = spawn_seeds(make_rng(0), 128)
+        engine = ParallelBatchTeaEngine(small_graph, linear_walk(), workers=2,
+                                        backend="thread")
+        try:
+            for _ in range(4):
+                registry = MetricsRegistry()
+                engine.run_lanes(starts, seeds, 6, registry=registry)
+                assert registry.counter_value("parallel.chunks") == 2
+                assert registry.gauge_value("parallel.chunk_size") == 64
+        finally:
             engine.close()
-            counts.append(int(registry.counter_value("parallel.chunks")))
-        assert counts == sorted(counts, reverse=True)
 
 
-# -- determinism matrix (warm pools / adaptive chunks) -----------------------
+# -- determinism matrix (warm pools / chunk plans) ---------------------------
 
 
 class TestDeterminismMatrix:
     def test_chunking_warm_invariant(self, small_graph):
-        """One seed, one answer: fixed vs adaptive chunking and a pool
+        """One seed, one answer: pinned vs planned chunks and a pool
         rebuilt after ``close()`` (cold) are all bit-identical."""
         spec = exponential_walk(scale=20.0)
         wl = Workload(walks_per_vertex=2, max_length=8)
@@ -469,10 +476,10 @@ class TestDeterminismMatrix:
         variants = [
             dict(chunk_size=5),
             dict(chunk_size=64),
-            dict(chunk_target_ms=0.5),
-            dict(chunk_target_ms=500.0),
+            dict(chunk_size=1),
+            dict(chunk_size=40),
             dict(chunk_size=16),
-            dict(chunk_target_ms=50.0),
+            dict(chunk_size=None),
         ]
         for kw in variants:
             engine = ParallelBatchTeaEngine(

@@ -4,7 +4,7 @@ The serving batcher concatenates concurrent requests into one frontier
 run. The contract: for ANY partition of N requests into batches, each
 request's walks are bit-identical to running it alone — across engine
 kinds (scalar ``tea``, vectorised ``tea-batch``, chunk-parallel
-``tea-parallel``) and both chunking modes (fixed and adaptive).
+``tea-parallel``) and chunk plans (pinned widths, one-lane chunks).
 
 These tests drive the real execution path (``BatchExecutor.execute``
 over ``PendingRequest`` groups — exactly what the serving loop calls)
@@ -70,8 +70,8 @@ ENGINE_CONFIGS = [
     ),
     pytest.param(
         "tea-parallel",
-        {"backend": "thread", "workers": 2, "chunk_target_ms": 10.0},
-        id="parallel-adaptive-chunks",
+        {"backend": "thread", "workers": 2, "chunk_size": 1},
+        id="parallel-one-lane-chunks",
     ),
     pytest.param(
         "tea-parallel",
@@ -136,7 +136,7 @@ def test_vectorised_and_parallel_agree(parity_graph):
     for kind, kwargs in [
         ("tea-batch", {}),
         ("tea-parallel", {"backend": "serial", "chunk_size": 2}),
-        ("tea-parallel", {"backend": "thread", "workers": 2, "chunk_target_ms": 5.0}),
+        ("tea-parallel", {"backend": "thread", "workers": 2, "chunk_size": 1}),
     ]:
         session = TeaSession(parity_graph, engine=kind, engine_kwargs=kwargs)
         executor = BatchExecutor(session)
