@@ -28,7 +28,9 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # engine prepare, the engine a forked parallel worker inherits) binds the
 # fused hop, an out-of-core run draws through the compiled members on
 # every call and their self-test refuses members that did not bind or are
-# one bit off,
+# one bit off, node2vec's static adjacency is one key array on the graph
+# (the in-memory, out-of-core, parallel and scalar engines read the same
+# object, and a prepared parallel engine holds it before its pool forks),
 # and the structural constant-calls gate (one fused node2vec run makes the
 # same number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and
 # at p=4, q=1/4).
@@ -36,6 +38,7 @@ kernel-smoke:
 	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_build_kernels.py::TestBuildSelfTest" \
 		"tests/test_kernels.py::TestFusedHopBinds" \
+		"tests/test_kernels.py::TestOneStaticKeyArray" \
 		"tests/test_ooc_kernel.py::TestOocDrawBinds" \
 		"tests/test_ooc_kernel.py::TestOocSelfTest" \
 		"tests/test_kernel_passes.py::TestConstantCalls"

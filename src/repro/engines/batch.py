@@ -8,8 +8,9 @@ ITS over the trunks of the binary decomposition), **alias** (one draw
 inside every selected trunk), **scatter** (advance, record, retire
 exhausted walkers) — compiled C loops where the system ``cc`` built them,
 numpy passes otherwise, plus vectorised node2vec β rejection
-(static-adjacency membership via the same offset-key ``searchsorted``
-trick the candidate search uses), re-drawing only the rejected lanes.
+(static-adjacency membership by one ``searchsorted`` over the graph's
+sorted :meth:`~repro.graph.temporal_graph.TemporalGraph.static_keys`),
+re-drawing only the rejected lanes.
 Every walk draws from its own counter-based stream, so under the
 compiled backend an iteration over the in-memory index is one call, and
 a request of any size walks in :data:`FRONTIER_LANES`-lane slices —
@@ -47,7 +48,7 @@ from repro.telemetry import (
     NULL_TRACER,
 )
 from repro.telemetry.spans import NULL_SPAN
-from repro.walks.spec import WalkSpec
+from repro.walks.spec import Node2VecParameter, WalkSpec
 
 _MAX_BETA_ROUNDS = 16
 
@@ -105,7 +106,6 @@ class BatchTeaEngine(Engine):
         super().__init__(graph, spec)
         self.index = None
         self.weights: Optional[np.ndarray] = None
-        self._static_ready = False
         self.kernel = resolve_backend(kernel_backend)
 
     def _prepare(self) -> None:
@@ -114,30 +114,14 @@ class BatchTeaEngine(Engine):
         self.index = pre.index
         self.weights = pre.weights
         self.candidate_sizes = pre.candidate_sizes
-        self._maybe_build_static_keys()
 
-    def _maybe_build_static_keys(self) -> None:
-        """Precompute the node2vec offset-key adjacency view (if needed).
-
-        Shared by every frontier-vectorised engine's ``_prepare``: with a
-        :class:`Node2VecParameter` the walk phase becomes pure array
-        work; custom Dynamic_parameters are evaluated scalar per rejected
-        lane instead.
-        """
-        from repro.walks.spec import Node2VecParameter
-
-        if (
-            isinstance(self.spec.dynamic_parameter, Node2VecParameter)
-            and self.graph.num_vertices
-        ):
-            g = self.graph
-            g._build_static_adjacency()
-            span = np.int64(g.num_vertices)
-            self._static_keys = g._static_nbr + np.repeat(
-                np.arange(g._static_indptr.size - 1, dtype=np.int64) * span,
-                np.diff(g._static_indptr),
-            )
-            self._static_ready = True
+    def prepare(self) -> None:
+        super().prepare()
+        if self.spec.dynamic_parameter is not None:
+            # β may read the graph's static adjacency: built here, once,
+            # so forked workers inherit it and no two threads race to
+            # build it.
+            self.graph.static_keys()
 
     @classmethod
     def from_prepared(
@@ -146,7 +130,6 @@ class BatchTeaEngine(Engine):
         spec: WalkSpec,
         index,
         candidate_sizes: np.ndarray,
-        static_keys: Optional[np.ndarray] = None,
         kernel_backend="auto",
     ) -> "BatchTeaEngine":
         """Wrap an already-built index without re-running preprocessing.
@@ -167,8 +150,6 @@ class BatchTeaEngine(Engine):
         engine.kernel = resolve_backend(kernel_backend)
         engine.tracer = NULL_TRACER
         engine.profiler = NULL_PROFILER
-        engine._static_keys = static_keys
-        engine._static_ready = static_keys is not None
         return engine
 
     # Scalar fallback keeps the Engine contract usable (tests, user code).
@@ -192,39 +173,12 @@ class BatchTeaEngine(Engine):
                                     counters, draw=draw, lanes=lanes,
                                     scratch=scratch)
 
-    def _beta_batch(self, prev: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Vectorised node2vec β(prev, cand) (Equation 4).
-
-        Membership in the static undirected adjacency is one
-        ``searchsorted`` over the precomputed offset-key view: entry
-        (u, v) exists iff key ``v + u·|V|`` appears.
-        """
-        beta = self.spec.dynamic_parameter
-        out = np.full(prev.size, 1.0 / beta.p)
-        undecided = cand != prev
-        if undecided.any():
-            keys = self._static_keys
-            if keys.size == 0:
-                # Degenerate static adjacency (e.g. a graph of isolated
-                # vertices plus self-loops): nothing is a neighbor, and
-                # indexing ``keys[...]`` below would be out of bounds.
-                out[undecided] = 1.0 / beta.q
-                return out
-            u = prev[undecided]
-            v = cand[undecided]
-            span = np.int64(self.graph.num_vertices)
-            qval = v + u * span
-            found = np.searchsorted(keys, qval)
-            is_neighbor = (found < keys.size) & (keys[np.minimum(found, keys.size - 1)] == qval)
-            out[undecided] = np.where(is_neighbor, 1.0, 1.0 / beta.q)
-        return out
-
     def _beta_values(self, beta, prev: np.ndarray, cand: np.ndarray) -> np.ndarray:
         """β(prev, cand) per pair: vectorised for node2vec, one scalar
         call each for a custom ``Dynamic_parameter``."""
-        if self._static_ready:
-            return self._beta_batch(prev, cand)
         g = self.graph
+        if isinstance(beta, Node2VecParameter):
+            return beta.values(g, prev, cand)
         return np.fromiter(
             (beta(g, int(p), int(c)) for p, c in zip(prev, cand)),
             dtype=np.float64, count=prev.size,
@@ -339,8 +293,6 @@ class BatchTeaEngine(Engine):
         g = self.graph
         beta = self.spec.dynamic_parameter
         beta_max = beta.beta_max if beta is not None else 1.0
-        if beta is not None and g.num_vertices and g._static_indptr is None:
-            g._build_static_adjacency()
         frontier_hist = (
             registry.histogram(
                 "batch.frontier_size", "active walkers per frontier iteration"
@@ -365,7 +317,7 @@ class BatchTeaEngine(Engine):
         # — chosen by what the run *is*, never by size or option.
         fuse = (self.kernel.hop is not None
                 and type(self)._sample_batch is BatchTeaEngine._sample_batch
-                and (beta is None or self._static_ready))
+                and (beta is None or isinstance(beta, Node2VecParameter)))
 
         def bind():
             """The walk state over ``out``'s current hop columns and the
@@ -378,7 +330,7 @@ class BatchTeaEngine(Engine):
             return state, self.kernel.hop(
                 self.index, state, lane_rng, stop_probability,
                 None if beta is None else (
-                    self._static_keys, g.num_vertices, 1.0 / beta.p,
+                    g.static_keys(), g.num_vertices, 1.0 / beta.p,
                     1.0 / beta.q, beta_max, _MAX_BETA_ROUNDS), scratch)
 
         walk, hop = bind()

@@ -13,9 +13,10 @@ temporal walks (the paper's comparison):
 Candidate sets are binary-searched per step (it has no candidate index).
 
 ``out_of_core=True`` models GraphWalker's disk mode (Figure 14): the
-adjacency (destinations, times) resides in a disk-backed store and every
-step loads the vertex's *entire* neighbor list — O(D) bytes of I/O —
-before sampling, mirroring its load-then-sample design.
+edge weights are read from a disk-backed file, and every step charges
+the I/O of loading the vertex's *entire* neighbor list (destination,
+time and weight per edge: O(D) bytes) before sampling, mirroring its
+load-then-sample design.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ class GraphWalkerEngine(Engine):
         self._tmpdir = None
         self.weights: Optional[np.ndarray] = None
         self.index: Optional[ITSIndex] = None
-        self._disk_nbr = None
-        self._disk_time = None
         self._disk_w = None
         self.name = "graphwalker-ooc" if out_of_core else "graphwalker"
 
@@ -75,11 +74,7 @@ class GraphWalkerEngine(Engine):
                     directory = self._tmpdir.name
                 directory = Path(directory)
                 directory.mkdir(parents=True, exist_ok=True)
-                self.graph.nbr.tofile(directory / "nbr.bin")
-                self.graph.etime.tofile(directory / "time.bin")
                 self.weights.tofile(directory / "w.bin")
-                self._disk_nbr = np.memmap(directory / "nbr.bin", dtype=np.int64, mode="r")
-                self._disk_time = np.memmap(directory / "time.bin", dtype=np.float64, mode="r")
                 self._disk_w = np.memmap(directory / "w.bin", dtype=np.float64, mode="r")
 
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):

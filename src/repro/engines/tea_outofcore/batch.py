@@ -324,7 +324,6 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         # profiler (NULL by default; the walk phase swaps in the chunk's).
         store.profiler = self.profiler
         self.weights = None
-        self._maybe_build_static_keys()
 
     # -- reporting -------------------------------------------------------------
 

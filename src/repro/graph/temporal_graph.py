@@ -17,7 +17,8 @@ length). :class:`TemporalGraph` materialises exactly that layout from an
   under streaming appends).
 
 The static undirected adjacency needed by temporal node2vec's β parameter
-(distance d(w, v) ∈ {0, 1, 2}) is built lazily and cached.
+(distance d(w, v) ∈ {0, 1, 2}) is one sorted key array,
+:meth:`TemporalGraph.static_keys`, built lazily and cached.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class TemporalGraph:
         "nbr",
         "etime",
         "_neg_etime",
-        "_static_indptr",
-        "_static_nbr",
+        "_static_cache",
         "_stream",
         "_keys_cache",
         "_distinct_times",
@@ -71,8 +71,7 @@ class TemporalGraph:
         # Negated times are ascending within each vertex segment, which lets
         # candidate_count() be a single searchsorted call.
         self._neg_etime = -self.etime
-        self._static_indptr: Optional[np.ndarray] = None
-        self._static_nbr: Optional[np.ndarray] = None
+        self._static_cache: Optional[np.ndarray] = None
         self._stream = stream
         self._keys_cache = None
         self._distinct_times: Optional[np.ndarray] = None
@@ -246,28 +245,23 @@ class TemporalGraph:
 
     # -- static adjacency (node2vec support) ---------------------------------
 
-    def _build_static_adjacency(self) -> None:
-        """Sorted undirected neighbor CSR for O(log d) membership tests."""
-        n, m = self.num_vertices, self.num_edges
-        if m == 0:
-            self._static_indptr = np.zeros(n + 1, dtype=np.int64)
-            self._static_nbr = np.zeros(0, dtype=np.int64)
-            return
-        src = np.repeat(np.arange(n), np.diff(self.indptr))
-        a = np.concatenate([src, self.nbr])
-        b = np.concatenate([self.nbr, src])
-        # Deduplicate (a, b) pairs.
-        key = a * np.int64(self.num_vertices) + b
-        key = np.unique(key)
-        a = key // self.num_vertices
-        b = key % self.num_vertices
-        counts = np.bincount(a, minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._static_indptr = indptr
-        self._static_nbr = b  # sorted within each segment by construction
-        self._static_indptr.setflags(write=False)
-        self._static_nbr.setflags(write=False)
+    def static_keys(self) -> np.ndarray:
+        """The static undirected adjacency as sorted, distinct int64 keys
+        ``u·|V| + v``: one per ordered pair adjacent once time and
+        direction are ignored.
+
+        Built on first use, cached and read-only — every engine and
+        Dynamic_parameter on this graph reads this one array.
+        """
+        if self._static_cache is None:
+            span = np.int64(self.num_vertices)
+            src = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
+                            np.diff(self.indptr))
+            keys = np.unique(np.concatenate([src * span + self.nbr,
+                                             self.nbr * span + src]))
+            keys.setflags(write=False)
+            self._static_cache = keys
+        return self._static_cache
 
     def has_static_edge(self, u: int, v: int) -> bool:
         """True if u and v are adjacent ignoring time and direction.
@@ -275,17 +269,15 @@ class TemporalGraph:
         Temporal node2vec's β(u,v) (Equation 4) needs the *static* distance
         between the previous vertex and a candidate; this is its d==1 test.
         """
-        if self._static_indptr is None:
-            self._build_static_adjacency()
-        lo, hi = self._static_indptr[u], self._static_indptr[u + 1]
-        seg = self._static_nbr[lo:hi]
-        k = np.searchsorted(seg, v)
-        return bool(k < seg.size and seg[k] == v)
+        keys = self.static_keys()
+        key = u * self.num_vertices + v
+        k = int(np.searchsorted(keys, key))
+        return k < keys.size and int(keys[k]) == key
 
     def static_degree(self, v: int) -> int:
-        if self._static_indptr is None:
-            self._build_static_adjacency()
-        return int(self._static_indptr[v + 1] - self._static_indptr[v])
+        lo, hi = np.searchsorted(self.static_keys(),
+                                 [v * self.num_vertices, (v + 1) * self.num_vertices])
+        return int(hi - lo)
 
     # -- misc ----------------------------------------------------------------
 

@@ -429,14 +429,14 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
             got[0], got[1:] = lane_rng.uniform(every), lane_rng.uniform_block(every, 2)
         return [got, lane_rng._ctr]
 
-    graph = SimpleNamespace(indptr=indptr, nbr=nbr, etime=etime,
-                            num_vertices=V, _static_indptr=indptr)
     static = np.flatnonzero(rng.random(V * V) < 0.08)
+    graph = SimpleNamespace(indptr=indptr, nbr=nbr, etime=etime,
+                            num_vertices=V, static_keys=lambda: static)
     live = rng.integers(0, 2**30, E) % (deg[nbr] + 1)
 
     def frontier(kernel):
         engine = BatchTeaEngine.from_prepared(
-            graph, temporal_node2vec(p=1.0, q=0.5), index, live, static, kernel)
+            graph, temporal_node2vec(p=1.0, q=0.5), index, live, kernel)
         lane_rng, counters = LaneRng(keys), CostCounters()
         lane_rng._ctr[:] = ctr0
         out = engine._run_frontier(np.arange(V), 3, 0.1, lane_rng, counters,

@@ -201,19 +201,6 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             return "thread"
         return self.backend
 
-    def _prepare(self) -> None:
-        super()._prepare()
-        # Build the static adjacency once in the parent (any dynamic
-        # parameter may consult it): forked workers then inherit it
-        # instead of each lazily rebuilding, and the thread backend
-        # avoids a concurrent-build race inside the kernel.
-        if (
-            self.spec.dynamic_parameter is not None
-            and self.graph.num_vertices
-            and self.graph._static_indptr is None
-        ):
-            self.graph._build_static_adjacency()
-
     def _pool(self, kind: str) -> WarmWorkerPool:
         pool = self._pools.get(kind)
         if pool is None:

@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple
 
+import numpy as np
+
 from repro.core.weights import WeightModel
 from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
@@ -47,7 +49,10 @@ class DynamicParameter(Protocol):
 class Node2VecParameter:
     """node2vec's β (Equation 4): 1/p if returning, 1 if common neighbor,
     1/q otherwise — evaluated against the *static* adjacency, as in
-    node2vec on static graphs.
+    node2vec on static graphs: the graph's one sorted key array
+    (:meth:`~repro.graph.temporal_graph.TemporalGraph.static_keys`).
+    :meth:`__call__` scores one pair, :meth:`values` arrays of them; the
+    fused C hop binds the same keys.
     """
 
     p: float = 0.5
@@ -67,6 +72,25 @@ class Node2VecParameter:
         if graph.has_static_edge(prev_vertex, candidate_vertex):
             return 1.0
         return 1.0 / self.q
+
+    def values(self, graph: TemporalGraph, prev: np.ndarray,
+               cand: np.ndarray) -> np.ndarray:
+        """:meth:`__call__` over arrays of pairs that all have a previous
+        vertex: membership is one ``searchsorted`` over the static keys,
+        (u, v) adjacent iff key ``u·|V| + v`` is present."""
+        out = np.full(prev.size, 1.0 / self.p)
+        undecided = cand != prev
+        if undecided.any():
+            keys = graph.static_keys()
+            if keys.size == 0:  # ``keys[...]`` below would index out of bounds
+                out[undecided] = 1.0 / self.q
+                return out
+            query = cand[undecided] + prev[undecided] * np.int64(graph.num_vertices)
+            found = np.searchsorted(keys, query)
+            is_neighbor = (found < keys.size) & (
+                keys[np.minimum(found, keys.size - 1)] == query)
+            out[undecided] = np.where(is_neighbor, 1.0, 1.0 / self.q)
+        return out
 
 
 @dataclass(frozen=True)

@@ -132,18 +132,19 @@ class TestDistributionEquivalence:
 
 class TestBetaBatch:
     def test_beta_values(self):
+        """Node2vec's array form of β, pair for pair its scalar form."""
         from repro.graph.temporal_graph import TemporalGraph
 
         graph = TemporalGraph.from_edges(
             [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 1.5), (2, 3, 3.0)]
         )
-        spec = temporal_node2vec(p=0.5, q=2.0)
-        engine = BatchTeaEngine(graph, spec)
-        engine.prepare()
-        prev = np.array([0, 0, 0])
-        cand = np.array([0, 2, 3])  # return / neighbor / distance-2
-        b = engine._beta_batch(prev, cand)
-        assert b.tolist() == [2.0, 1.0, 0.5]
+        beta = temporal_node2vec(p=0.5, q=2.0).dynamic_parameter
+        prev = np.array([0, 0, 0, 3])
+        cand = np.array([0, 2, 3, 2])  # return / neighbor / distance-2 / reverse
+        b = beta.values(graph, prev, cand)
+        assert b.tolist() == [2.0, 1.0, 0.5, 1.0]
+        assert b.tolist() == [beta(graph, int(u), int(v))
+                              for u, v in zip(prev, cand)]
 
 
 class TestPerformance:

@@ -192,13 +192,14 @@ class TestPassParity:
         the Python fallback runs after C rounds, its extra uniform landing
         where the drivers put it — and with an empty static adjacency."""
         engine = _engine(graph, temporal_node2vec(p=pq[0], q=pq[1], scale=3.0))
-        if no_static:
-            engine._static_keys = np.zeros(0, dtype=np.int64)
+        if no_static:  # the graph is this example's own
+            graph._static_cache = np.zeros(0, dtype=np.int64)
         starts = np.tile(np.arange(graph.num_vertices), 3)
         with mock.patch.object(batch_mod, "_MAX_BETA_ROUNDS", budget):
             runs = [_frontier(engine, name, starts, seed, keep_hops=keep_hops,
                               stop=stop, lanes=lanes)
                     for name in WITH_ORACLE]
+        assert (graph.static_keys().size == 0) == no_static
         _same(runs[0], runs[1])
         _same(runs[0], runs[2])
 
@@ -377,7 +378,10 @@ class TestFusedHopSafety:
 
     @pytest.fixture
     def engine(self, medium_graph):
-        return _engine(medium_graph, temporal_node2vec(p=4.0, q=0.25, scale=8.0))
+        # A graph of the test's own: one test spoils its static keys.
+        graph = TemporalGraph(medium_graph.indptr, medium_graph.nbr,
+                              medium_graph.etime)
+        return _engine(graph, temporal_node2vec(p=4.0, q=0.25, scale=8.0))
 
     def _bind(self, engine, *, lanes=6, keys=None, stride=4, static=None):
         g = engine.graph
@@ -388,7 +392,7 @@ class TestFusedHopSafety:
             np.full(lanes, 3), np.zeros((lanes, stride), np.int64),
             np.zeros((lanes, stride)))
         rng = LaneRng(np.arange(lanes if keys is None else keys, dtype=np.uint64))
-        static = engine._static_keys if static is None else static
+        static = g.static_keys() if static is None else static
         step = resolve_backend("c").hop(
             engine.index, walk, rng, 0.0,
             (static, g.num_vertices, 0.25, 4.0, 4.0, 16), KernelScratch())
@@ -447,12 +451,13 @@ class TestFusedHopSafety:
     def test_static_keys_unsorted_or_out_of_range(self, engine, spoil):
         """A probe outside what the probes before it allow stops the hop;
         through ``run_lanes`` too."""
-        _, step = self._bind(engine, static=spoil(engine._static_keys))
+        graph = engine.graph
+        _, step = self._bind(engine, static=spoil(graph.static_keys()))
         with pytest.raises(IndexError):
             for _ in range(3):  # every lane probes unless it returned
                 step(np.arange(6), 0, CostCounters())
         engine.kernel = resolve_backend("c")
-        engine._static_keys = spoil(engine._static_keys)
+        graph._static_cache = spoil(graph.static_keys())
         with pytest.raises(IndexError):
             engine.run_lanes(np.arange(200), np.arange(200) + 3, 8)
 

@@ -10,6 +10,7 @@ forest.
 
 import multiprocessing
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ import repro.engines.batch as batch_mod
 from repro.core import builder, persist
 from repro.core.incremental import IncrementalHPAT, VertexIncrementalHPAT
 from repro.core.weights import WeightModel
-from repro.engines import TeaEngine, Workload
+from repro.engines import BatchTeaOutOfCoreEngine, TeaEngine, Workload
 from repro.engines.batch import BatchTeaEngine, hpat_sample_batch
+from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validate import is_temporal_path
 from repro.kernels import (
     KernelBackend,
@@ -297,37 +299,73 @@ class TestScalarFusedDecayEquivalence:
 
 
 class TestBetaEmptyKeys:
-    """Satellite: ``_beta_batch`` survives a degenerate static adjacency."""
+    """Satellite: node2vec's β survives a degenerate static adjacency.
+
+    The empty key array is set on a graph the test owns, and each test
+    checks it is still the one read after the call."""
+
+    @staticmethod
+    def _no_static(graph):
+        own = TemporalGraph(graph.indptr, graph.nbr, graph.etime)
+        own._static_cache = np.zeros(0, dtype=np.int64)
+        return own
 
     def test_empty_keys_direct(self, medium_graph):
-        spec = temporal_node2vec(p=2.0, q=0.25, scale=8.0)
-        engine = BatchTeaEngine(medium_graph, spec)
-        engine.prepare()
-        engine._static_keys = np.zeros(0, dtype=np.int64)
+        graph = self._no_static(medium_graph)
+        beta = temporal_node2vec(p=2.0, q=0.25, scale=8.0).dynamic_parameter
         prev = np.array([0, 1, 2, 3], dtype=np.int64)
         cand = np.array([1, 1, 2, 9], dtype=np.int64)  # mixed ==/!= prev
-        out = engine._beta_batch(prev, cand)  # pre-fix: IndexError
-        q = spec.dynamic_parameter.q
-        p = spec.dynamic_parameter.p
-        expected = np.where(cand == prev, 1.0 / p, 1.0 / q)
+        out = beta.values(graph, prev, cand)  # pre-fix: IndexError
+        expected = np.where(cand == prev, 1.0 / beta.p, 1.0 / beta.q)
         np.testing.assert_allclose(out, expected)
+        assert graph.static_keys().size == 0
 
     def test_walk_with_empty_static_keys(self, medium_graph):
-        # from_prepared can legitimately hand the engine an empty key
-        # array (e.g. a spec-restricted empty adjacency); node2vec walks
-        # must still run, scoring every candidate 1/q.
-        spec = temporal_node2vec(p=2.0, q=0.5, scale=8.0)
-        donor = BatchTeaEngine(medium_graph, spec)
-        donor.prepare()
-        engine = BatchTeaEngine.from_prepared(
-            medium_graph, spec, donor.index, donor.candidate_sizes,
-            static_keys=np.zeros(0, dtype=np.int64),
-        )
+        # Node2vec walks must still run, scoring every candidate 1/q.
+        graph = self._no_static(medium_graph)
+        engine = BatchTeaEngine(graph, temporal_node2vec(p=2.0, q=0.5, scale=8.0))
         result = engine.run(Workload(max_length=10, max_walks=60), seed=2,
                             record_paths=True)
+        assert graph.static_keys().size == 0
         assert result.num_walks == 60
         for path in result.paths:
-            assert is_temporal_path(medium_graph, path.hops)
+            assert is_temporal_path(graph, path.hops)
+
+
+class TestOneStaticKeyArray:
+    """Node2vec's static adjacency is one array on the graph: every engine
+    on it reads that object, and a prepared parallel engine holds it
+    before its pool forks, so process workers inherit it."""
+
+    def test_every_engine_reads_the_graphs_keys(self, small_graph):
+        graph = TemporalGraph(small_graph.indptr, small_graph.nbr,
+                              small_graph.etime)
+        spec = temporal_node2vec(p=2.0, q=0.5, scale=8.0)
+        parallel = ParallelBatchTeaEngine(graph, spec, workers=2,
+                                          backend="process")
+        read = []
+        build = TemporalGraph.static_keys
+
+        def static_keys(g):
+            read.append(build(g))
+            return read[-1]
+
+        try:
+            with mock.patch.object(TemporalGraph, "static_keys", static_keys):
+                parallel.prepare()
+                assert not parallel._pools  # nothing forked yet
+                keys = graph._static_cache
+                assert keys is not None and read == [keys]
+                engines = [BatchTeaEngine(graph, spec),
+                           BatchTeaOutOfCoreEngine(graph, spec),
+                           parallel, TeaEngine(graph, spec)]
+                for engine in engines:
+                    before = len(read)
+                    engine.run(Workload(max_length=6, max_walks=40), seed=3)
+                    assert engine.graph is graph and len(read) > before
+        finally:
+            parallel.close()
+        assert all(k is keys for k in read)
 
 
 class TestBetaFallbackVectorised:

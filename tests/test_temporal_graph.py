@@ -123,6 +123,8 @@ class TestStaticAdjacency:
             u = int(rng.integers(0, small_graph.num_vertices))
             v = int(rng.integers(0, small_graph.num_vertices))
             assert small_graph.has_static_edge(u, v) == ((u, v) in undirected)
+        assert all(small_graph.static_degree(v) == sum(a == v for a, _ in undirected)
+                   for v in range(small_graph.num_vertices))
 
 
 class TestRoundtrip:
