@@ -124,7 +124,12 @@ bench-history-smoke:
 # runs, 429s and telemetry conservation when the parked list fills,
 # stage histograms on /metrics, one serving thread, a bounded shutdown,
 # and the protocol fuzzer (never a 5xx, pipelined answers in order, a
-# slow reader never stalls the loop).
+# slow reader never stalls the loop). In the session the daemon serves
+# from, engines that differ only in β share one index (the graph, index
+# and candidate sizes are the same objects, walks equal an engine built
+# alone on every engine kind, a process sibling gets a pool of its own),
+# a shared index is counted once, and node2vec's static keys equal
+# np.unique of both edge directions.
 serve-smoke:
 	$(SMOKE) "tests/test_serve_batching.py::TestTake" \
 		"tests/test_serve_batching.py::test_requests_parked_during_a_batch_coalesce_into_the_next" \
@@ -132,7 +137,9 @@ serve-smoke:
 		"tests/test_serve_batching.py::test_one_serving_thread" \
 		"tests/test_serve_parity.py::test_http_staged_batch_matches_solo" \
 		"tests/test_serve_stress.py::test_stress_conservation_and_run_ids" \
-		"tests/test_serve_protocol.py"
+		"tests/test_serve_protocol.py" \
+		"tests/test_session.py::TestIndexSharing" \
+		"tests/test_temporal_graph.py::TestStaticAdjacency::test_keys_match_unique_and_a_set_oracle"
 
 # Durable ingest: bulk columnar ingest bit-identical to batched ingest,
 # pinned epochs byte-stable under concurrent ingest, WAL close/reopen and

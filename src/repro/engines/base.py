@@ -32,6 +32,7 @@ Two loop behaviours differ by engine flag:
 from __future__ import annotations
 
 import abc
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
@@ -360,6 +361,22 @@ class Engine(abc.ABC):
         if not self._prepared:
             self._prepare()
             self._prepared = True
+
+    def with_spec(self, spec: WalkSpec) -> "Engine":
+        """A prepared sibling bound to ``spec``, which may differ only in β:
+        :meth:`prepare` reads the window and static weights alone (β is
+        applied at walk time, Algorithm 2 lines 18–22), so the sibling shares
+        the restricted graph, index, candidate sizes and kernel. It starts
+        with null tracer and profiler."""
+        if (spec.time_window, spec.weight_model) != (
+                self.spec.time_window, self.spec.weight_model):
+            raise ValueError("with_spec: time window and weight model must match")
+        self.prepare()
+        sibling = copy.copy(self)
+        sibling.spec = spec
+        sibling.tracer = NULL_TRACER
+        sibling.profiler = NULL_PROFILER
+        return sibling
 
     def _initial_candidates(self, v: int) -> int:
         return self.graph.out_degree(v)

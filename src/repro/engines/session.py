@@ -7,7 +7,11 @@ so rebuilding per query wastes the dominant preprocessing cost.
 :class:`TeaSession` keeps an LRU of prepared engines keyed by
 ``(time window, weight model, dynamic parameter)`` — repeat queries
 skip preprocessing entirely, and the cache budgets (entry count and
-optional resident-index bytes) bound memory.
+optional resident-index bytes) bound memory. The index is keyed by
+``(time window, weight model)`` alone: β is applied at walk time by
+rejection, so engines that differ only in β are siblings
+(:meth:`~repro.engines.base.Engine.with_spec`) sharing one prepared
+index.
 
 The session is the state the :mod:`repro.serve` daemon keeps hot
 between requests: prepared HPATs and warm worker pools (when the
@@ -40,6 +44,7 @@ class SessionStats:
     queries: int = 0
     engine_hits: int = 0
     engine_builds: int = 0
+    index_builds: int = 0
     evictions: int = 0
 
     @property
@@ -51,6 +56,7 @@ class SessionStats:
             "queries": self.queries,
             "engine_hits": self.engine_hits,
             "engine_builds": self.engine_builds,
+            "index_builds": self.index_builds,
             "evictions": self.evictions,
             "hit_rate": round(self.hit_rate, 3),
         }
@@ -79,7 +85,8 @@ class TeaSession:
     ----------
     max_engines:
         LRU capacity: distinct prepared (window, weights, β) engines
-        kept alive simultaneously.
+        kept alive simultaneously. Engines with equal (window, weights)
+        share one index, however many β they serve.
     engine:
         Engine kind to build per cache entry: ``"tea"`` (scalar),
         ``"tea-batch"`` (vectorised frontier, the default), or
@@ -90,10 +97,10 @@ class TeaSession:
         (e.g. ``workers=4, backend="process"`` for ``tea-parallel``).
     max_bytes:
         Optional resident-index budget. After each build the LRU is
-        trimmed until the cached engines' indices fit the budget — but
-        the most recent engine is never evicted, so a budget smaller
-        than a single index degrades to "cache exactly one engine"
-        rather than thrashing to zero.
+        trimmed until the cached engines' distinct indices fit the
+        budget — but the most recent engine is never evicted, so a
+        budget smaller than a single index degrades to "cache exactly
+        one engine" rather than thrashing to zero.
     """
 
     def __init__(
@@ -158,7 +165,10 @@ class TeaSession:
             self._engines.move_to_end(key)
             self.stats.engine_hits += 1
             return engine
-        engine = self._build_engine(spec)
+        # A cached engine that differs only in β lends its index.
+        donor = next((e for k, e in self._engines.items() if k[:2] == key[:2]), None)
+        engine = self._build_engine(spec) if donor is None else donor.with_spec(spec)
+        self.stats.index_builds += donor is None
         engine.prepare()
         self.stats.engine_builds += 1
         self._engines[key] = engine
@@ -198,12 +208,11 @@ class TeaSession:
     # -- accounting / lifecycle --------------------------------------------
 
     def resident_index_bytes(self) -> int:
-        """Total bytes held by all cached engines' indices."""
-        total = 0
-        for engine in self._engines.values():
-            if getattr(engine, "index", None) is not None:
-                total += engine.index.nbytes()
-        return total
+        """Bytes held by the cached engines' indices, each counted once."""
+        indexes = {id(engine.index): engine.index
+                   for engine in self._engines.values()
+                   if getattr(engine, "index", None) is not None}
+        return sum(index.nbytes() for index in indexes.values())
 
     def close(self) -> None:
         """Evict every cached engine, releasing the pools they hold."""

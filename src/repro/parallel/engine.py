@@ -176,17 +176,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         #: The backend the last run actually executed on (for reports
         #: and tests): set by :meth:`run`.
         self.last_backend: Optional[str] = None
-        #: Supervision ledger of the last run: ``chunk_retries`` (chunk
-        #: executions repeated after a failure) and ``degraded`` (the
-        #: backends fallen back to, in order).
-        self.last_events: Dict[str, object] = {"chunk_retries": 0, "degraded": []}
-        #: Pool ledger of the last run: warm serves (``reuses``), pool
-        #: builds and their cost (``builds`` / ``startup_seconds`` /
-        #: ``attach_seconds``, the workers' initializer time).
-        self.last_pool: Dict[str, float] = {
-            "reuses": 0, "builds": 0,
-            "startup_seconds": 0.0, "attach_seconds": 0.0,
-        }
+        self._new_ledgers()
         # Engine-lifetime execution resources (see close()).
         self._pools: Dict[str, WarmWorkerPool] = {}
 
@@ -209,6 +199,14 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             self._pools[kind] = pool
         return pool
 
+    def _new_ledgers(self) -> None:
+        """Empty the last run's supervision ledger (retried chunks, the
+        backends degraded to, in order) and pool ledger (warm reuses, pool
+        builds, their startup and worker-initializer seconds)."""
+        self.last_events: Dict[str, object] = {"chunk_retries": 0, "degraded": []}
+        self.last_pool: Dict[str, float] = {
+            "reuses": 0, "builds": 0, "startup_seconds": 0.0, "attach_seconds": 0.0}
+
     def _note_pool(self, reused: bool, pool: WarmWorkerPool) -> None:
         if reused:
             self.last_pool["reuses"] += 1
@@ -218,6 +216,15 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             self.last_pool["attach_seconds"] += pool.attach_seconds
 
     # -- lifecycle ---------------------------------------------------------
+
+    def with_spec(self, spec: WalkSpec) -> "ParallelBatchTeaEngine":
+        """The base sibling, with pools and ledgers of its own: a forked
+        worker walks the engine that owns its pool, so a pool shared with
+        this engine would walk the sibling's chunks under this spec."""
+        sibling = super().with_spec(spec)
+        sibling._pools = {}
+        sibling._new_ledgers()
+        return sibling
 
     def close(self) -> None:
         """Release the warm pools.
@@ -381,9 +388,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         degradations — which is what lets the serving batcher coalesce
         requests onto this engine without changing any response.
         """
-        self.last_events = {"chunk_retries": 0, "degraded": []}
-        self.last_pool = {"reuses": 0, "builds": 0,
-                          "startup_seconds": 0.0, "attach_seconds": 0.0}
+        self._new_ledgers()
         bounds = chunk_bounds(starts.size, self.workers, self.chunk_size)
         workers_used = max(1, min(self.workers, bounds.size - 1))
         backend = self._resolve_backend(workers_used)

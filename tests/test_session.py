@@ -1,9 +1,12 @@
 """TeaSession: query serving with engine reuse."""
 
+import numpy as np
 import pytest
 
 from repro.engines import Workload
 from repro.engines.session import TeaSession
+from repro.sampling.counters import CostCounters
+from repro.telemetry import NULL_PROFILER, NULL_TRACER
 from repro.walks.apps import exponential_walk, temporal_node2vec, unbiased_walk
 
 
@@ -35,10 +38,14 @@ class TestCaching:
         assert session.stats.engine_builds == 2
 
     def test_beta_parameters_distinguish(self, session):
+        """Two β, two engines — and one index, which β does not touch."""
         wl = Workload(max_length=5, max_walks=5)
         session.query(temporal_node2vec(p=0.5, q=2.0, scale=20.0), wl)
         session.query(temporal_node2vec(p=0.25, q=2.0, scale=20.0), wl)
         assert session.stats.engine_builds == 2
+        assert session.stats.index_builds == 1
+        first, second = session._engines.values()
+        assert first is not second and first.index is second.index
 
     def test_lru_eviction(self, session):
         wl = Workload(max_length=3, max_walks=5)
@@ -248,3 +255,135 @@ class TestLifecycle:
                           Workload(max_length=4, max_walks=5))
             assert len(session) == 1
         assert len(session) == 0
+
+
+#: The engine configurations a session can serve, one id each.
+SHARING_KINDS = {
+    "tea": ("tea", {}),
+    "tea-batch": ("tea-batch", {}),
+    "thread": ("tea-parallel", {"backend": "thread", "workers": 2}),
+    "process": ("tea-parallel", {"backend": "process", "workers": 2}),
+}
+EXP = exponential_walk(scale=20.0)
+N2V_A = temporal_node2vec(p=0.5, q=2.0, scale=20.0)
+N2V_B = temporal_node2vec(p=0.25, q=2.0, scale=20.0)
+
+
+def _walks(engine):
+    """Fixed-seed walks and counters of ``run`` and ``run_lanes``."""
+    result = engine.run(Workload(max_length=6, max_walks=24), seed=3)
+    counters = CostCounters()
+    starts = np.arange(0, 48, 2, dtype=np.int64)
+    lanes = engine.run_lanes(starts, np.arange(starts.size, dtype=np.uint64) * 977,
+                             6, counters=counters)
+    return ([p.hops for p in result.paths], result.counters.snapshot(),
+            lanes.lengths.tolist(), lanes.hop_vertex.tolist(),
+            lanes.hop_time.tolist(), counters.snapshot())
+
+
+@pytest.fixture(params=list(SHARING_KINDS))
+def kind(request):
+    return SHARING_KINDS[request.param]
+
+
+class TestIndexSharing:
+    """Engines that differ only in β share one prepared index: β is
+    applied at walk time, the index depends on window and weights."""
+
+    def _alone(self, graph, kind, spec):
+        with TeaSession(graph, engine=kind[0], engine_kwargs=kind[1]) as session:
+            return _walks(session.engine_for(spec))
+
+    def test_siblings_share_graph_index_and_candidates(self, small_graph, kind):
+        with TeaSession(small_graph, engine=kind[0], engine_kwargs=kind[1]) as session:
+            donor, a, b = (session.engine_for(s) for s in (EXP, N2V_A, N2V_B))
+            for sibling in (a, b):
+                assert sibling.index is donor.index
+                assert sibling.graph is donor.graph
+                assert sibling.candidate_sizes is donor.candidate_sizes
+            assert [e.spec for e in (donor, a, b)] == [EXP, N2V_A, N2V_B]
+            assert session.stats.engine_builds == 3
+            assert session.stats.index_builds == 1
+
+    def test_sibling_walks_equal_an_engine_built_alone(self, small_graph, kind):
+        with TeaSession(small_graph, engine=kind[0], engine_kwargs=kind[1]) as session:
+            # The donor walks first, so a process pool it started is live
+            # when its siblings walk.
+            for spec in (EXP, N2V_A, N2V_B):
+                engine = session.engine_for(spec)
+                assert engine.index is session.engine_for(EXP).index
+                assert _walks(engine) == self._alone(small_graph, kind, spec)
+
+    def test_process_sibling_walks_after_donor_pool_started(self, small_graph):
+        kind = SHARING_KINDS["process"]
+        with TeaSession(small_graph, engine=kind[0], engine_kwargs=kind[1]) as session:
+            donor = session.engine_for(EXP)
+            donor.run(Workload(max_length=6, max_walks=24), seed=1)
+            assert donor.last_backend == "process" and donor._pools["process"].warm
+            sibling = session.engine_for(N2V_A)
+            assert sibling.index is donor.index
+            assert sibling._pools == {} and sibling._pools is not donor._pools
+            assert sibling.last_pool["builds"] == 0
+            assert _walks(sibling) == self._alone(small_graph, kind, N2V_A)
+            assert sibling.last_backend == "process"
+            assert sibling._pools["process"] is not donor._pools["process"]
+
+    def test_window_and_weights_key_the_index(self, small_graph, kind):
+        window = (0.0, 120.0)
+        with TeaSession(small_graph, max_engines=8, engine=kind[0],
+                        engine_kwargs=kind[1]) as session:
+            donor = session.engine_for(exponential_walk(scale=20.0, time_window=window))
+            sibling = session.engine_for(
+                temporal_node2vec(p=0.5, q=2.0, scale=20.0, time_window=window))
+            assert sibling.graph is donor.graph
+            assert donor.graph is not small_graph
+            assert donor.graph.num_edges < small_graph.num_edges
+            assert sibling.index is donor.index
+            other_window = session.engine_for(
+                temporal_node2vec(p=0.5, q=2.0, scale=20.0, time_window=(0.0, 150.0)))
+            other_scale = session.engine_for(temporal_node2vec(p=0.5, q=2.0, scale=25.0))
+            indexes = {id(e.index) for e in (donor, other_window, other_scale)}
+            assert len(indexes) == 3
+            assert session.stats.index_builds == 3
+            assert session.stats.engine_builds == 4
+
+    def test_evicting_the_donor_leaves_the_sibling_walking(self, small_graph, kind):
+        with TeaSession(small_graph, max_engines=2, engine=kind[0],
+                        engine_kwargs=kind[1]) as session:
+            donor = session.engine_for(EXP)
+            _walks(donor)
+            sibling = session.engine_for(N2V_A)
+            assert sibling.index is donor.index
+            _walks(sibling)
+            session.engine_for(exponential_walk(scale=30.0))  # evicts the donor
+            assert donor not in session._engines.values()
+            assert sibling in session._engines.values()
+            del donor
+            assert _walks(sibling) == self._alone(small_graph, kind, N2V_A)
+
+    def test_with_spec_refuses_another_window_or_weights(self, small_graph):
+        from repro.engines.batch import BatchTeaEngine
+
+        engine = BatchTeaEngine(small_graph, EXP)
+        for spec in (exponential_walk(scale=21.0),
+                     exponential_walk(scale=20.0, time_window=(0.0, 120.0))):
+            with pytest.raises(ValueError):
+                engine.with_spec(spec)
+        sibling = engine.with_spec(N2V_A)
+        assert sibling.tracer is NULL_TRACER and sibling.profiler is NULL_PROFILER
+        assert engine.spec is EXP
+
+    def test_shared_index_is_counted_once(self, small_graph):
+        with TeaSession(small_graph, max_engines=8) as probe:
+            probe.engine_for(EXP)
+            one_index = probe.resident_index_bytes()
+        session = TeaSession(small_graph, max_engines=8, max_bytes=one_index)
+        wl = Workload(max_length=4, max_walks=5)
+        session.query(EXP, wl)
+        session.query(N2V_A, wl)
+        assert len(session) == 2
+        assert session.stats.evictions == 0
+        assert session.resident_index_bytes() == one_index
+        snap = session.stats.snapshot()
+        assert (snap["engine_builds"], snap["index_builds"]) == (2, 1)
+        session.close()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphFormatError
 from repro.graph.edge_stream import EdgeStream
@@ -102,6 +104,14 @@ class TestCandidateSets:
         assert toy_graph.candidate_count(6, 0.0) == 0
 
 
+@st.composite
+def _vertex_pairs(draw):
+    """``(n, [(u, v), ...])`` over vertices ``0 .. n - 1``."""
+    n = draw(st.integers(1, 7))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=24))
+
+
 class TestStaticAdjacency:
     def test_undirected_membership(self, toy_graph):
         assert toy_graph.has_static_edge(7, 6)
@@ -125,6 +135,38 @@ class TestStaticAdjacency:
             assert small_graph.has_static_edge(u, v) == ((u, v) in undirected)
         assert all(small_graph.static_degree(v) == sum(a == v for a, _ in undirected)
                    for v in range(small_graph.num_vertices))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph_pairs=_vertex_pairs(), reciprocal=st.booleans(),
+           isolated=st.booleans())
+    @example(graph_pairs=(1, []), reciprocal=False, isolated=True)  # E = 0
+    @example(graph_pairs=(3, [(0, 0), (0, 1), (0, 1), (1, 0), (2, 1)]),
+             reciprocal=True, isolated=True)
+    def test_keys_match_unique_and_a_set_oracle(self, graph_pairs, reciprocal,
+                                                isolated):
+        """Self-loops, repeated and reciprocal edges, E = 0 and an
+        isolated last vertex: the sorted-in-place keys equal ``np.unique``
+        of both directions, and membership and degree agree with a set."""
+        n, pairs = graph_pairs
+        pairs = list(pairs)
+        if reciprocal:
+            pairs += [(v, u) for u, v in pairs]
+        graph = TemporalGraph.from_edges(
+            [(u, v, float(i % 5)) for i, (u, v) in enumerate(pairs)],
+            num_vertices=n + isolated)
+        span = graph.num_vertices
+        src = np.repeat(np.arange(span), np.diff(graph.indptr))
+        keys = graph.static_keys()
+        assert keys.dtype == np.int64
+        assert np.array_equal(keys, np.unique(np.concatenate(
+            [src * span + graph.nbr, graph.nbr * span + src])))
+        assert not keys.flags.writeable
+        assert graph.static_keys() is keys
+        undirected = set(pairs) | {(v, u) for u, v in pairs}
+        for u in range(span):
+            assert graph.static_degree(u) == sum(a == u for a, _ in undirected)
+            for v in range(span):
+                assert graph.has_static_edge(u, v) == ((u, v) in undirected)
 
 
 class TestRoundtrip:
