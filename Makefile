@@ -31,9 +31,13 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # one bit off, node2vec's static adjacency is one key array on the graph
 # (the in-memory, out-of-core, parallel and scalar engines read the same
 # object, and a prepared parallel engine holds it before its pool forks),
-# and the structural constant-calls gate (one fused node2vec run makes the
-# same number of Python-level calls at 16 and at 2 048 lanes, at p=q=1 and
-# at p=4, q=1/4).
+# the walk engines hold only what the walk reads (no batch, out-of-core,
+# parallel, with_spec or GNN-sampler engine holds an auxiliary index or a
+# static-weight array, the graph has no negated time copy, and only
+# TeaEngine(use_aux_index=True) builds the index, still saving probes;
+# memory_report counts every graph cache built), and the structural
+# constant-calls gate (one fused node2vec run makes the same number of
+# Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at p=4, q=1/4).
 kernel-smoke:
 	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_build_kernels.py::TestBuildSelfTest" \
@@ -41,6 +45,7 @@ kernel-smoke:
 		"tests/test_kernels.py::TestOneStaticKeyArray" \
 		"tests/test_ooc_kernel.py::TestOocDrawBinds" \
 		"tests/test_ooc_kernel.py::TestOocSelfTest" \
+		"tests/test_batch_engine.py::TestHeldArrays" \
 		"tests/test_kernel_passes.py::TestConstantCalls"
 
 # Telemetry end to end: `repro walk --stats` writes the JSON run report

@@ -58,6 +58,7 @@ import numpy as np
 
 from repro import TemporalGraph, Workload, exponential_walk
 from repro.core import builder
+from repro.core.aux_index import AuxiliaryIndex
 from repro.core.builder import _fill_levels, _prefix_fill, build_hpat, hpat_layout
 from repro.core.hpat import HierarchicalPAT
 from repro.engines.base import Engine
@@ -108,9 +109,9 @@ class TombstoneHPAT:
         self.graph = graph
         self.weights = np.array(weights, dtype=np.float64)  # mutable copy
         self.rebuild_threshold = float(rebuild_threshold)
-        self.hpat: HierarchicalPAT = build_hpat(
-            graph, self.weights, with_aux_index=with_aux_index
-        )
+        self.hpat: HierarchicalPAT = build_hpat(graph, self.weights)
+        if with_aux_index:
+            self.hpat.aux = AuxiliaryIndex(graph.max_degree())
         # Rebuilds write in place; the builder returns fresh arrays, so
         # they are writable already. Keep explicit for clarity.
         self.hpat.c.setflags(write=True)

@@ -14,7 +14,9 @@ parallelisable over disjoint data and therefore lock-free:
    The per-table loops run compiled (``alias_build`` and ``prefix_sums``
    in ``repro/kernels/hop.c``, which release the GIL) when the ``c``
    kernel backend loaded, else in the numpy builders — the same bits.
-3. **Auxiliary index generation** — Σ_{D'=1..D} log D' work, vectorised.
+3. **Auxiliary index generation** — Σ_{D'=1..D} log D' work, vectorised;
+   built only for the scalar HPAT step, the one reader (the frontier
+   kernel decomposes from the bits of s), and only in :func:`preprocess`.
 
 :func:`preprocess` runs the full pipeline and returns phase timings, the
 data behind the paper's Figure 13 preprocessing breakdown.
@@ -296,11 +298,10 @@ def _fill_levels(indptr: np.ndarray, weights: np.ndarray,
 def build_hpat(
     graph: TemporalGraph,
     weights: np.ndarray,
-    with_aux_index: bool = True,
     workers: int = 1,
-    aux: Optional[AuxiliaryIndex] = None,
 ) -> HierarchicalPAT:
-    """Build a :class:`HierarchicalPAT` (optionally with auxiliary index).
+    """Build a :class:`HierarchicalPAT`, without the auxiliary index (only
+    :func:`preprocess` attaches one, for the scalar HPAT step).
 
     ``workers > 1`` fills contiguous vertex chunks on a thread pool; the
     compiled builder releases the GIL, so the chunks run in parallel.
@@ -308,17 +309,13 @@ def build_hpat(
     precomputed, so every chunk writes disjoint ranges).
     """
     weights = _validate_weights(graph, weights)
-    degrees = graph.degrees()
     c = build_prefix_array(graph, weights, workers=workers)
-    lvl_base, lvl_ptr, total = hpat_layout(degrees)
+    lvl_base, lvl_ptr, total = hpat_layout(graph.degrees())
     prob = np.empty(total, dtype=np.float64)
     alias = np.empty(total, dtype=ALIAS_DTYPE)
     _in_chunks(_vertex_chunks(graph.indptr, workers), lambda lo, hi: _fill_levels(
         graph.indptr, weights, lvl_base, lvl_ptr, prob, alias, lo, hi))
-
-    if aux is None and with_aux_index:
-        aux = AuxiliaryIndex(int(degrees.max()) if degrees.size else 0)
-    return HierarchicalPAT(graph.indptr, c, prob, alias, lvl_ptr, lvl_base, aux)
+    return HierarchicalPAT(graph.indptr, c, prob, alias, lvl_ptr, lvl_base)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +336,7 @@ def preprocess(
     graph: TemporalGraph,
     weight_model: WeightModel,
     structure: str = "hpat",
-    with_aux_index: bool = True,
+    with_aux_index: bool = False,
     workers: int = 1,
     trunk_size: Optional[int] = None,
     tracer=None,
@@ -347,7 +344,9 @@ def preprocess(
     """Run the full preprocessing pipeline with per-phase timing.
 
     ``structure`` ∈ {"hpat", "pat", "its"}; ``workers > 1`` runs each
-    phase on a thread pool (see :func:`build_hpat`). ``tracer`` is an optional
+    phase on a thread pool (see :func:`build_hpat`). ``with_aux_index``
+    adds phase 3 to an HPAT for the scalar HPAT step, its only reader
+    (``TeaEngine(use_aux_index=True)``). ``tracer`` is an optional
     :class:`repro.telemetry.Tracer`; each phase becomes a child span of
     the caller's open ``prepare`` span.
     """
@@ -367,7 +366,7 @@ def preprocess(
     t0 = clock.now()
     with tracer.span("prepare.index_build", structure=structure, workers=workers):
         if structure == "hpat":
-            index = build_hpat(graph, weights, with_aux_index=False, workers=workers)
+            index = build_hpat(graph, weights, workers=workers)
         elif structure == "pat":
             index = build_pat(graph, weights, trunk_size=trunk_size, workers=workers)
         elif structure == "its":

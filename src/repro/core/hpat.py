@@ -42,8 +42,9 @@ class HierarchicalPAT:
     """HPAT index over a :class:`TemporalGraph` with fixed static weights.
 
     Build with :func:`repro.core.builder.build_hpat` (or :meth:`build`).
-    ``aux`` is the optional :class:`AuxiliaryIndex`; without it the
-    decomposition is recomputed per step (the paper's Figure 11 ablation).
+    ``aux`` is the optional :class:`AuxiliaryIndex` (read only by the scalar
+    :meth:`sample`, attached only by :func:`repro.core.builder.preprocess`);
+    without it the decomposition is recomputed per step (Figure 11's ablation).
 
     ``prob`` is float64 and ``alias`` int32 (12 B a cell): an alias entry
     is a cell offset inside its own width-2^k table, and the compiled
@@ -72,16 +73,11 @@ class HierarchicalPAT:
         self.aux = aux
 
     @classmethod
-    def build(
-        cls,
-        graph: TemporalGraph,
-        weights: np.ndarray,
-        with_aux_index: bool = True,
-    ) -> "HierarchicalPAT":
+    def build(cls, graph: TemporalGraph, weights: np.ndarray) -> "HierarchicalPAT":
         """Construct an HPAT (see :func:`repro.core.builder.build_hpat`)."""
         from repro.core.builder import build_hpat
 
-        return build_hpat(graph, weights, with_aux_index=with_aux_index)
+        return build_hpat(graph, weights)
 
     # -- layout helpers ------------------------------------------------------
 
@@ -157,16 +153,7 @@ class HierarchicalPAT:
     # -- accounting --------------------------------------------------------------
 
     def nbytes(self) -> int:
-        n = int(
-            self.c.nbytes
-            + self.prob.nbytes
-            + self.alias.nbytes
-            + self.lvl_ptr.nbytes
-            + self.lvl_base.nbytes
-        )
-        if self.aux is not None:
-            n += self.aux.nbytes()
-        return n
+        return sum(self.memory_breakdown().values())
 
     def memory_breakdown(self) -> dict:
         out = {

@@ -340,9 +340,11 @@ class Engine(abc.ABC):
         """
 
     def memory_report(self) -> MemoryReport:
-        """Bytes of every structure this engine holds (Figure 9/12b)."""
+        """Bytes of every structure this engine holds (Figure 9/12b): the
+        graph's CSR and caches, the candidate sizes, a subclass's index."""
         report = MemoryReport()
-        report.add("graph_csr", self.graph.nbytes())
+        for name, nbytes in self.graph.memory_breakdown().items():
+            report.add(name, nbytes)
         if self.candidate_sizes is not None:
             report.add("candidate_index", self.candidate_sizes.nbytes)
         return report

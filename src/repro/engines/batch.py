@@ -105,14 +105,12 @@ class BatchTeaEngine(Engine):
                  kernel_backend="auto"):
         super().__init__(graph, spec)
         self.index = None
-        self.weights: Optional[np.ndarray] = None
         self.kernel = resolve_backend(kernel_backend)
 
     def _prepare(self) -> None:
         pre = builder.preprocess(self.graph, self.spec.weight_model,
                                  tracer=self.tracer)
         self.index = pre.index
-        self.weights = pre.weights
         self.candidate_sizes = pre.candidate_sizes
 
     def prepare(self) -> None:
@@ -145,7 +143,6 @@ class BatchTeaEngine(Engine):
         engine.spec = spec
         engine._prepared = True
         engine.index = index
-        engine.weights = None
         engine.candidate_sizes = candidate_sizes
         engine.kernel = resolve_backend(kernel_backend)
         engine.tracer = NULL_TRACER

@@ -323,7 +323,6 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         # The store charges its read/decode/cache time to the engine's
         # profiler (NULL by default; the walk phase swaps in the chunk's).
         store.profiler = self.profiler
-        self.weights = None
 
     # -- reporting -------------------------------------------------------------
 

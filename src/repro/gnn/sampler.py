@@ -107,7 +107,7 @@ class TemporalNeighborSampler:
             if recency_scale is None
             else WeightModel("exponential_decay", scale=float(recency_scale))
         )
-        pre = builder.preprocess(self._rev, model, with_aux_index=True)
+        pre = builder.preprocess(self._rev, model)
         self._index = pre.index
         self._rng = make_rng(seed)
         self.counters = CostCounters()

@@ -16,14 +16,16 @@ length). :class:`TemporalGraph` materialises exactly that layout from an
   order, newest stream position first, so prefix semantics stay stable
   under streaming appends).
 
-The static undirected adjacency needed by temporal node2vec's β parameter
+Candidate counts — scalar, batched or per edge — are one exact search over
+int64 (vertex, time rank) keys cached on the first count. The static
+undirected adjacency needed by temporal node2vec's β parameter
 (distance d(w, v) ∈ {0, 1, 2}) is one sorted key array,
 :meth:`TemporalGraph.static_keys`, built lazily and cached.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +48,6 @@ class TemporalGraph:
         "indptr",
         "nbr",
         "etime",
-        "_neg_etime",
         "_static_cache",
         "_stream",
         "_keys_cache",
@@ -68,9 +69,6 @@ class TemporalGraph:
             raise GraphFormatError("nbr and etime must have equal shapes")
         self.num_vertices = int(self.indptr.size - 1)
         self.num_edges = int(self.nbr.size)
-        # Negated times are ascending within each vertex segment, which lets
-        # candidate_count() be a single searchsorted call.
-        self._neg_etime = -self.etime
         self._static_cache: Optional[np.ndarray] = None
         self._stream = stream
         self._keys_cache = None
@@ -82,7 +80,7 @@ class TemporalGraph:
             if eweight.shape != self.etime.shape:
                 raise GraphFormatError("eweight must align with the edge arrays")
         self.eweight = eweight
-        for a in (self.indptr, self.nbr, self.etime, self._neg_etime):
+        for a in (self.indptr, self.nbr, self.etime):
             a.setflags(write=False)
         if self.eweight is not None:
             self.eweight.setflags(write=False)
@@ -161,18 +159,17 @@ class TemporalGraph:
         ``t=None`` means "no temporal constraint" (the first step of a walk
         starting at v) and returns the full out-degree. Because edges are
         time-descending, Γt(v) is exactly the first ``candidate_count(v, t)``
-        entries of :meth:`neighbors`.
+        entries of :meth:`neighbors`. One probe of the batched search.
         """
-        lo, hi = self.indptr[v], self.indptr[v + 1]
         if t is None:
-            return int(hi - lo)
-        # etime[lo:hi] descends, so -etime ascends; edges with time > t are
-        # those with -time < -t.
-        return int(np.searchsorted(self._neg_etime[lo:hi], -t, side="left"))
+            return self.out_degree(v)
+        if self.num_edges == 0:
+            return 0
+        return int(self._count_newer(v, self._newer_than(t)))
 
     def _offset_keys(self) -> Tuple[np.ndarray, int]:
-        """Cached exact keys for batched candidate searches:
-        ``(keys, U)``, U the number of distinct edge times.
+        """Cached exact keys of the candidate search (scalar, batched and
+        per edge): ``(keys, U)``, U the number of distinct edge times.
 
         Edge e of vertex v gets the int64 key ``v·(U+1) + (U − rank)``,
         ``rank`` the index of its time among the distinct times. Keys
@@ -190,11 +187,20 @@ class TemporalGraph:
             self._keys_cache = (keys, uniq.size)
         return self._keys_cache
 
-    def _count_newer(self, vertices: np.ndarray, newer: np.ndarray) -> np.ndarray:
+    def _newer_than(self, times):
+        """How many distinct edge times are strictly greater than each t."""
+        if self._distinct_times is None:
+            self._distinct_times = np.unique(self.etime)
+        uniq = self._distinct_times
+        return uniq.size - uniq.searchsorted(times, side="right")
+
+    def _count_newer(self, vertices, newer):
         """|Γt(v)| per lane, given ``newer`` = how many distinct edge
         times are strictly greater than the lane's t."""
         keys, count = self._offset_keys()
         query = vertices * (count + 1) + newer
+        if not query.ndim:  # one (vertex, time) pair
+            return keys.searchsorted(query, side="right") - self.indptr[vertices]
         shape = query.shape
         # Probed in ascending order the search walks the keys front to
         # back: ≈4× faster than random probes into a 10⁶-edge graph,
@@ -215,14 +221,10 @@ class TemporalGraph:
         everything → 0 candidates; earlier → full degree).
         """
         vertices = np.asarray(vertices, dtype=np.int64)
-        times = np.asarray(times, dtype=np.float64)
         if self.num_edges == 0:
             return np.zeros(vertices.shape, dtype=np.int64)
-        if self._distinct_times is None:
-            self._distinct_times = np.unique(self.etime)
-        uniq = self._distinct_times
         return self._count_newer(
-            vertices, uniq.size - np.searchsorted(uniq, times, side="right"))
+            vertices, self._newer_than(np.asarray(times, dtype=np.float64)))
 
     def candidate_counts_per_edge(self, lo: int = 0,
                                   hi: Optional[int] = None) -> np.ndarray:
@@ -297,11 +299,22 @@ class TemporalGraph:
         return EdgeStream(src, self.nbr, self.etime, weight=self.eweight)
 
     def nbytes(self) -> int:
-        """Bytes held by the CSR arrays (excludes lazy static adjacency)."""
+        """Bytes held by the CSR arrays (excludes the lazy caches)."""
         n = int(self.indptr.nbytes + self.nbr.nbytes + self.etime.nbytes)
         if self.eweight is not None:
             n += int(self.eweight.nbytes)
         return n
+
+    def memory_breakdown(self) -> Dict[str, int]:
+        """``graph_csr`` (as :meth:`nbytes`), then one row per cache built."""
+        out = {"graph_csr": self.nbytes()}
+        keys = self._keys_cache[0] if self._keys_cache else None
+        for name, cache in (("graph_offset_keys", keys),
+                            ("graph_distinct_times", self._distinct_times),
+                            ("graph_static_keys", self._static_cache)):
+            if cache is not None:
+                out[name] = int(cache.nbytes)
+        return out
 
     def __repr__(self) -> str:
         return (

@@ -306,3 +306,64 @@ class TestBetaFallbackMemory:
                                   one_group.hop_vertex[:, :4])
             assert np.array_equal(got.hop_time[:512, :4],
                                   one_group.hop_time[:, :4])
+
+
+class TestHeldArrays:
+    """The walk engines hold only what the walk reads: the frontier kernel
+    derives each binary decomposition from the bits of the candidate size,
+    so no batch engine builds the auxiliary index or keeps the static
+    weights, and the graph keeps one exact candidate search (no negated
+    copy of ``etime``). Only the scalar HPAT step reads the index."""
+
+    @staticmethod
+    def _engines(graph):
+        from repro.gnn import TemporalNeighborSampler
+
+        batch = BatchTeaEngine(graph, exponential_walk(scale=20.0))
+        yield "batch", batch
+        yield "n2v-sibling", batch.with_spec(temporal_node2vec(scale=20.0))
+        yield "ooc", BatchTeaOutOfCoreEngine(graph, linear_walk(), trunk_size=4)
+        for backend in ("thread", "process"):
+            yield backend, ParallelBatchTeaEngine(
+                graph, exponential_walk(scale=20.0), workers=2,
+                backend=backend)
+        yield "gnn", TemporalNeighborSampler(graph, recency_scale=20.0, seed=0)
+
+    def test_no_aux_index_weights_or_negated_times(self, small_graph):
+        workload = Workload(max_length=6, max_walks=64)
+        for name, engine in self._engines(small_graph):
+            if hasattr(engine, "run"):
+                engine.run(workload, seed=0)
+                index = engine.index
+            else:
+                engine.sample_neighbors([0, 1], [150.0, 150.0], k=3)
+                index = engine._index
+            assert getattr(index, "aux", None) is None, name
+            assert not hasattr(engine, "weights"), name
+            if hasattr(engine, "close"):
+                engine.close()
+        assert not hasattr(small_graph, "_neg_etime")
+
+    def test_only_the_scalar_hpat_step_builds_the_aux_index(self, small_graph):
+        spec = temporal_node2vec(p=0.5, q=2.0, scale=20.0)
+        probes = {}
+        for use_aux_index in (True, False):
+            engine = TeaEngine(small_graph, spec, use_aux_index=use_aux_index)
+            result = engine.run(Workload(max_length=20, max_walks=200), seed=3,
+                                record_paths=False)
+            assert (engine.index.aux is not None) == use_aux_index
+            probes[use_aux_index] = result.counters.binary_search_probes
+        # Figure 11's "hpat+index" configuration still saves trunk finding.
+        assert probes[True] < probes[False]
+
+    def test_memory_report_counts_every_graph_cache(self, small_graph):
+        engine = BatchTeaEngine(small_graph, temporal_node2vec(scale=20.0))
+        engine.prepare()
+        g = engine.graph
+        g.candidate_count(0, 100.0)  # builds the distinct times
+        rows = engine.memory_report().components
+        assert rows["graph_csr"] == g.nbytes()
+        assert rows["graph_offset_keys"] == g._offset_keys()[0].nbytes
+        assert rows["graph_distinct_times"] == g._distinct_times.nbytes
+        assert rows["graph_static_keys"] == g.static_keys().nbytes
+        assert rows["candidate_index"] == engine.candidate_sizes.nbytes

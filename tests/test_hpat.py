@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.aux_index import AuxiliaryIndex
 from repro.core.builder import build_hpat, hpat_layout
 from repro.core.weights import WeightModel
 from repro.exceptions import EmptyCandidateSetError
@@ -11,10 +12,17 @@ from repro.sampling.counters import CostCounters
 from tests.conftest import chisquare_ok
 
 
+def build_hpat_with_aux(graph, weights):
+    """An HPAT with the auxiliary index attached, as ``preprocess`` does."""
+    hpat = build_hpat(graph, weights)
+    hpat.aux = AuxiliaryIndex(graph.max_degree())
+    return hpat
+
+
 @pytest.fixture
 def toy_hpat(toy_graph):
     weights = WeightModel("linear_rank").compute(toy_graph)
-    return build_hpat(toy_graph, weights), weights
+    return build_hpat_with_aux(toy_graph, weights), weights
 
 
 class TestLayout:
@@ -74,7 +82,7 @@ class TestSampling:
 
     def test_without_aux_built(self, toy_graph):
         weights = WeightModel("linear_rank").compute(toy_graph)
-        hpat = build_hpat(toy_graph, weights, with_aux_index=False)
+        hpat = build_hpat(toy_graph, weights)
         assert hpat.aux is None
         rng = make_rng(0)
         assert 0 <= hpat.sample(7, 7, rng) < 7
@@ -86,7 +94,7 @@ class TestSampling:
 
     def test_exhaustive_medium_graph(self, medium_graph):
         weights = WeightModel("exponential", scale=20.0).compute(medium_graph)
-        hpat = build_hpat(medium_graph, weights)
+        hpat = build_hpat_with_aux(medium_graph, weights)
         rng = make_rng(5)
         degrees = medium_graph.degrees()
         vs = np.argsort(degrees)[-3:]
@@ -105,7 +113,7 @@ class TestSampling:
     def test_cost_is_loglog(self, medium_graph):
         """Section 4.3: HPAT sampling is O(log log D) — far under log D."""
         weights = WeightModel("uniform").compute(medium_graph)
-        hpat = build_hpat(medium_graph, weights)
+        hpat = build_hpat_with_aux(medium_graph, weights)
         v = int(np.argmax(medium_graph.degrees()))
         d = medium_graph.out_degree(v)
         counters = CostCounters()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import persist
+from repro.core.aux_index import AuxiliaryIndex
 from repro.core.builder import build_hpat, build_pat, search_candidate_sets
 from repro.core.weights import WeightModel
 from repro.core.hpat import HierarchicalPAT
@@ -21,6 +22,7 @@ def setup(small_graph):
     model = WeightModel("exponential", scale=20.0)
     weights = model.compute(small_graph)
     hpat = build_hpat(small_graph, weights)
+    hpat.aux = AuxiliaryIndex(small_graph.max_degree())  # as preprocess does
     sizes = search_candidate_sets(small_graph)
     return small_graph, model, hpat, sizes
 

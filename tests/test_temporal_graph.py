@@ -190,7 +190,47 @@ class TestRoundtrip:
         assert "TemporalGraph" in repr(toy_graph)
 
 
+@st.composite
+def _count_graphs(draw):
+    """Graphs for the candidate-search property: possibly no edges, times
+    tied within and across vertices, ``-0.0`` beside ``0.0``, and a last
+    vertex with no edges at all."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    time = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.5, -3.0]),
+                     st.floats(-5.0, 5.0, allow_nan=False))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), time),
+                          max_size=24))
+    return TemporalGraph.from_edges(edges, num_vertices=n + 1)
+
+
 class TestCandidateCountsBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(_count_graphs())
+    def test_one_exact_search(self, graph):
+        """Scalar, batched and per-edge counts are the same search, and
+        every answer is the brute-force count of newer edges."""
+        distinct = np.unique(graph.etime)
+        queries = [None, -np.inf, np.inf, *distinct,
+                   *((distinct[1:] + distinct[:-1]) / 2)]
+        vs, ts = [], []
+        for v in range(graph.num_vertices):
+            lo, hi = graph.indptr[v], graph.indptr[v + 1]
+            for t in queries:
+                count = graph.candidate_count(v, t)
+                if t is None:
+                    assert count == hi - lo
+                    continue
+                assert count == int((graph.etime[lo:hi] > t).sum()), (v, t)
+                vs.append(v)
+                ts.append(t)
+                assert graph.candidate_counts_batch([v], [t])[0] == count
+        want = [graph.candidate_count(v, t) for v, t in zip(vs, ts)]
+        assert graph.candidate_counts_batch(vs, ts).tolist() == want
+        assert graph.candidate_counts_per_edge().tolist() == [
+            graph.candidate_count(int(v), float(t))
+            for v, t in zip(graph.nbr, graph.etime)]
+
     def test_matches_scalar(self, small_graph):
         rng = np.random.default_rng(5)
         vs = rng.integers(0, small_graph.num_vertices, size=300)
