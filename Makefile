@@ -35,7 +35,8 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # parallel, with_spec or GNN-sampler engine holds an auxiliary index or a
 # static-weight array, the graph has no negated time copy, and only
 # TeaEngine(use_aux_index=True) builds the index, still saving probes;
-# memory_report counts every graph cache built), and the structural
+# GraphWalker, KnightKing and CTDNE build the graph's candidate-search
+# caches in prepare; memory_report counts every graph cache built), and the structural
 # constant-calls gate (one fused node2vec run makes the same number of
 # Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at p=4, q=1/4).
 kernel-smoke:

@@ -32,7 +32,6 @@ import numpy as np
 from repro.core.aux_index import AuxiliaryIndex
 from repro.core.trunks import binary_decompose
 from repro.exceptions import EmptyCandidateSetError
-from repro.graph.temporal_graph import TemporalGraph
 from repro.sampling.alias import alias_draw
 from repro.sampling.counters import CostCounters
 from repro.sampling.prefix_sum import draw_in_range
@@ -41,7 +40,7 @@ from repro.sampling.prefix_sum import draw_in_range
 class HierarchicalPAT:
     """HPAT index over a :class:`TemporalGraph` with fixed static weights.
 
-    Build with :func:`repro.core.builder.build_hpat` (or :meth:`build`).
+    Build with :func:`repro.core.builder.build_hpat`.
     ``aux`` is the optional :class:`AuxiliaryIndex` (read only by the scalar
     :meth:`sample`, attached only by :func:`repro.core.builder.preprocess`);
     without it the decomposition is recomputed per step (Figure 11's ablation).
@@ -71,13 +70,6 @@ class HierarchicalPAT:
         self.lvl_ptr = lvl_ptr
         self.lvl_base = lvl_base
         self.aux = aux
-
-    @classmethod
-    def build(cls, graph: TemporalGraph, weights: np.ndarray) -> "HierarchicalPAT":
-        """Construct an HPAT (see :func:`repro.core.builder.build_hpat`)."""
-        from repro.core.builder import build_hpat
-
-        return build_hpat(graph, weights)
 
     # -- layout helpers ------------------------------------------------------
 

@@ -362,6 +362,11 @@ class Engine(abc.ABC):
     def prepare(self) -> None:
         if not self._prepared:
             self._prepare()
+            if not self.has_candidate_index:
+                # Each step's candidate_count probes these caches: built
+                # here, their one-time cost is preprocessing.
+                with self.tracer.span("prepare.candidate_search", edges=self.graph.num_edges):
+                    self.graph._offset_keys(keep_times=True)
             self._prepared = True
 
     def with_spec(self, spec: WalkSpec) -> "Engine":

@@ -3,11 +3,11 @@
 CTDNE is a graph-learning reference implementation, not a walk system: at
 every step it materialises the candidate list, evaluates the dynamic
 weight ``exp(t_i − t)`` edge by edge at interpreter speed, accumulates
-the CDF, and inverse-samples it. No preprocessing, no static-weight
-rewrite, no index — the paper reports TEA up to 8,816× faster. We keep
-the per-edge Python arithmetic deliberately (that *is* the baseline being
-modeled); only the candidate-set binary search comes from the shared
-loop.
+the CDF, and inverse-samples it. No static-weight rewrite, no index —
+the paper reports TEA up to 8,816× faster. We keep the per-edge Python
+arithmetic deliberately (that *is* the baseline being modeled); only the
+candidate-set binary search comes from the shared loop, whose search
+caches ``Engine.prepare`` builds.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ class CtdneEngine(Engine):
     name = "ctdne"
 
     def _prepare(self) -> None:
-        # CTDNE does no preprocessing; the walk reads the graph directly.
+        # CTDNE builds nothing of its own; the walk reads the graph directly
+        # (Engine.prepare builds the graph's candidate-search caches).
         pass
 
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):

@@ -159,15 +159,18 @@ class TemporalGraph:
         ``t=None`` means "no temporal constraint" (the first step of a walk
         starting at v) and returns the full out-degree. Because edges are
         time-descending, Γt(v) is exactly the first ``candidate_count(v, t)``
-        entries of :meth:`neighbors`. One probe of the batched search.
+        entries of :meth:`neighbors`. One probe of the exact key search the
+        batched counts use; raises ``IndexError`` for a vertex out of range.
         """
+        if not 0 <= v < self.num_vertices:
+            raise IndexError(f"vertex {v} out of range [0, {self.num_vertices})")
         if t is None:
             return self.out_degree(v)
-        if self.num_edges == 0:
-            return 0
-        return int(self._count_newer(v, self._newer_than(t)))
+        keys, count = self._offset_keys(keep_times=True)
+        query = v * (count + 1) + self._newer_than(t)
+        return int(keys.searchsorted(query, side="right") - self.indptr[v])
 
-    def _offset_keys(self) -> Tuple[np.ndarray, int]:
+    def _offset_keys(self, keep_times: bool = False) -> Tuple[np.ndarray, int]:
         """Cached exact keys of the candidate search (scalar, batched and
         per edge): ``(keys, U)``, U the number of distinct edge times.
 
@@ -176,7 +179,8 @@ class TemporalGraph:
         ascend inside each segment (times descend) and segments own
         disjoint ranges, so one global ``searchsorted`` answers per-vertex
         queries for any number of (vertex, time) pairs — exactly, however
-        close two times are.
+        close two times are. ``keep_times`` also caches the distinct times,
+        which a scalar count reads too (per-edge counts read keys alone).
         """
         if self._keys_cache is None:
             uniq, rank = np.unique(self.etime, return_inverse=True)
@@ -185,6 +189,8 @@ class TemporalGraph:
             keys += uniq.size
             keys -= rank
             self._keys_cache = (keys, uniq.size)
+            if keep_times and self._distinct_times is None:
+                self._distinct_times = uniq
         return self._keys_cache
 
     def _newer_than(self, times):
@@ -194,13 +200,11 @@ class TemporalGraph:
         uniq = self._distinct_times
         return uniq.size - uniq.searchsorted(times, side="right")
 
-    def _count_newer(self, vertices, newer):
+    def _count_newer(self, vertices: np.ndarray, newer: np.ndarray) -> np.ndarray:
         """|Γt(v)| per lane, given ``newer`` = how many distinct edge
         times are strictly greater than the lane's t."""
         keys, count = self._offset_keys()
         query = vertices * (count + 1) + newer
-        if not query.ndim:  # one (vertex, time) pair
-            return keys.searchsorted(query, side="right") - self.indptr[vertices]
         shape = query.shape
         # Probed in ascending order the search walks the keys front to
         # back: ≈4× faster than random probes into a 10⁶-edge graph,
@@ -220,11 +224,8 @@ class TemporalGraph:
         keys. Query times outside the graph's range saturate (later than
         everything → 0 candidates; earlier → full degree).
         """
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if self.num_edges == 0:
-            return np.zeros(vertices.shape, dtype=np.int64)
-        return self._count_newer(
-            vertices, self._newer_than(np.asarray(times, dtype=np.float64)))
+        return self._count_newer(np.asarray(vertices, dtype=np.int64),
+                                 self._newer_than(np.asarray(times, dtype=np.float64)))
 
     def candidate_counts_per_edge(self, lo: int = 0,
                                   hi: Optional[int] = None) -> np.ndarray:
@@ -236,8 +237,6 @@ class TemporalGraph:
         next sample from Γt(v), so the engine precomputes the candidate-set
         size for every edge.
         """
-        if self.num_edges == 0:
-            return np.zeros(0, dtype=np.int64)
         keys, count = self._offset_keys()
         # An edge's own key ends in U − rank, and U − rank − 1 distinct
         # times are newer than its own.

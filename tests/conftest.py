@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.aux_index import AuxiliaryIndex
+from repro.core.builder import build_hpat
 from repro.graph.generators import temporal_powerlaw, toy_commute_graph
 from repro.graph.temporal_graph import TemporalGraph
 
@@ -42,6 +44,14 @@ def exact_prefix_distribution(weights_desc: np.ndarray, s: int) -> np.ndarray:
     """Ground-truth transition probabilities over a candidate prefix."""
     w = np.asarray(weights_desc[:s], dtype=np.float64)
     return w / w.sum()
+
+
+def build_hpat_with_aux(graph: TemporalGraph, weights: np.ndarray):
+    """An HPAT with the auxiliary index attached, as ``preprocess`` does
+    for the scalar HPAT step (:meth:`HierarchicalPAT.sample` reads it)."""
+    hpat = build_hpat(graph, weights)
+    hpat.aux = AuxiliaryIndex(graph.max_degree())
+    return hpat
 
 
 def chisquare_ok(counts: np.ndarray, probs: np.ndarray, alpha: float = 1e-4) -> bool:

@@ -356,6 +356,26 @@ class TestHeldArrays:
         # Figure 11's "hpat+index" configuration still saves trunk finding.
         assert probes[True] < probes[False]
 
+    def test_scalar_engines_build_the_search_in_prepare(self, small_graph):
+        """GraphWalker, KnightKing and CTDNE count candidates per step: the
+        graph's search caches are built (one ``np.unique``) in ``prepare``
+        and are what the walk then probes."""
+        from repro.engines import CtdneEngine, GraphWalkerEngine, KnightKingEngine
+        from repro.graph.temporal_graph import TemporalGraph
+
+        for cls in (GraphWalkerEngine, KnightKingEngine, CtdneEngine):
+            g = TemporalGraph(small_graph.indptr, small_graph.nbr, small_graph.etime)
+            engine = cls(g, exponential_walk(scale=20.0))
+            engine.prepare()
+            keys, times = g._keys_cache, g._distinct_times
+            assert keys is not None and times is not None, cls.__name__
+            assert times.size == keys[1]
+            rows = engine.memory_report().components
+            assert rows["graph_offset_keys"] == keys[0].nbytes
+            assert rows["graph_distinct_times"] == times.nbytes
+            engine.run(Workload(max_length=6, max_walks=32), seed=0)
+            assert g._keys_cache is keys and g._distinct_times is times
+
     def test_memory_report_counts_every_graph_cache(self, small_graph):
         engine = BatchTeaEngine(small_graph, temporal_node2vec(scale=20.0))
         engine.prepare()

@@ -98,9 +98,11 @@ class TestPreprocess:
             preprocess(small_graph, WeightModel("uniform"), structure="nope")
 
     def test_report_phases_recorded(self, small_graph):
-        pre = preprocess(small_graph, WeightModel("uniform"))
+        pre = preprocess(small_graph, WeightModel("uniform"), with_aux_index=True)
         report = pre.report
         assert report.total_seconds > 0
+        assert pre.index.aux is not None
+        assert report.aux_index_seconds > 0
         snap = report.snapshot()
         assert {"candidate_search_s", "index_build_s", "aux_index_s"} <= set(snap)
 

@@ -3,20 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.aux_index import AuxiliaryIndex
 from repro.core.builder import build_hpat, hpat_layout
 from repro.core.weights import WeightModel
 from repro.exceptions import EmptyCandidateSetError
 from repro.rng import make_rng
 from repro.sampling.counters import CostCounters
-from tests.conftest import chisquare_ok
-
-
-def build_hpat_with_aux(graph, weights):
-    """An HPAT with the auxiliary index attached, as ``preprocess`` does."""
-    hpat = build_hpat(graph, weights)
-    hpat.aux = AuxiliaryIndex(graph.max_degree())
-    return hpat
+from tests.conftest import build_hpat_with_aux, chisquare_ok
 
 
 @pytest.fixture
@@ -136,7 +128,7 @@ class TestAgainstPAT:
         from repro.core.builder import build_pat
 
         weights = WeightModel("linear_rank").compute(medium_graph)
-        hpat = build_hpat(medium_graph, weights)
+        hpat = build_hpat_with_aux(medium_graph, weights)
         pat = build_pat(medium_graph, weights)
         v = int(np.argmax(medium_graph.degrees()))
         s = medium_graph.out_degree(v) // 2 + 1

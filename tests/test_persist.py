@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import persist
-from repro.core.aux_index import AuxiliaryIndex
-from repro.core.builder import build_hpat, build_pat, search_candidate_sets
+from repro.core.builder import build_pat, search_candidate_sets
 from repro.core.weights import WeightModel
 from repro.core.hpat import HierarchicalPAT
 from repro.engines import TeaEngine, Workload
@@ -15,14 +14,14 @@ from repro.graph.generators import temporal_powerlaw
 from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng
 from repro.walks.apps import exponential_walk, linear_walk
+from tests.conftest import build_hpat_with_aux
 
 
 @pytest.fixture
 def setup(small_graph):
     model = WeightModel("exponential", scale=20.0)
     weights = model.compute(small_graph)
-    hpat = build_hpat(small_graph, weights)
-    hpat.aux = AuxiliaryIndex(small_graph.max_degree())  # as preprocess does
+    hpat = build_hpat_with_aux(small_graph, weights)
     sizes = search_candidate_sets(small_graph)
     return small_graph, model, hpat, sizes
 

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.aux_index import AuxiliaryIndex
-from repro.core.builder import build_hpat, build_pat, build_prefix_array
+from repro.core.builder import build_pat, build_prefix_array
 from repro.core.incremental import VertexIncrementalHPAT
 from repro.core.trunks import binary_decompose, pat_trunk_size
 from repro.core.weights import WeightModel
@@ -19,6 +19,7 @@ from repro.graph.edge_stream import EdgeStream
 from repro.graph.temporal_graph import TemporalGraph
 from repro.rng import make_rng
 from repro.sampling.alias import build_alias_arrays, build_alias_arrays_batch
+from tests.conftest import build_hpat_with_aux
 
 _AUX = AuxiliaryIndex(max_size=1 << 16)
 
@@ -124,14 +125,16 @@ def test_samplers_stay_inside_candidate_sets(graph, seed):
     if graph.num_edges == 0:
         return
     weights = WeightModel("exponential", scale=10.0).compute(graph)
-    hpat = build_hpat(graph, weights)
+    hpat = build_hpat_with_aux(graph, weights)
     pat = build_pat(graph, weights)
     rng = make_rng(seed)
     for v in range(graph.num_vertices):
         d = graph.out_degree(v)
         for s in range(1, d + 1):
-            for index in (hpat, pat):
-                idx = index.sample(v, s, rng)
+            # HPAT through the aux index and through the recomputed
+            # decomposition, then PAT.
+            for idx in (hpat.sample(v, s, rng), hpat.sample(v, s, rng, use_index=False),
+                        pat.sample(v, s, rng)):
                 assert 0 <= idx < s
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.builder import build_hpat, build_pat
+from repro.core.builder import build_pat
 from repro.core.weights import WeightModel
 from repro.engines import BatchTeaEngine, TeaEngine, Workload
 from repro.graph.edge_stream import EdgeStream
@@ -11,7 +11,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.graph.validate import is_temporal_path
 from repro.rng import make_rng
 from repro.walks.apps import exponential_walk, unbiased_walk
-from tests.conftest import chisquare_ok
+from tests.conftest import build_hpat_with_aux, chisquare_ok
 
 
 class TestAllEqualTimestamps:
@@ -39,7 +39,7 @@ class TestAllEqualTimestamps:
 
     def test_structures_build(self, graph):
         weights = WeightModel("exponential", scale=1.0).compute(graph)
-        hpat = build_hpat(graph, weights)
+        hpat = build_hpat_with_aux(graph, weights)
         v = int(np.argmax(graph.degrees()))
         d = graph.out_degree(v)
         rng = make_rng(0)
@@ -59,14 +59,14 @@ class TestSingleGiantHub:
                 [(0, i % 7 + 1, float(i)) for i in range(d)], num_vertices=8
             )
             weights = WeightModel("linear_rank").compute(graph)
-            hpat = build_hpat(graph, weights)
+            hpat = build_hpat_with_aux(graph, weights)
             pat = build_pat(graph, weights)
             rng = make_rng(d)
             for s in {1, d // 2, d - 1, d}:
                 if s < 1:
                     continue
-                for index in (hpat, pat):
-                    idx = index.sample(0, s, rng)
+                for idx in (hpat.sample(0, s, rng), hpat.sample(0, s, rng, use_index=False),
+                            pat.sample(0, s, rng)):
                     assert 0 <= idx < s, (d, s)
 
     def test_hub_walks_stay_valid(self):

@@ -103,6 +103,12 @@ class TestCandidateSets:
         assert toy_graph.out_degree(6) == 0
         assert toy_graph.candidate_count(6, 0.0) == 0
 
+    @pytest.mark.parametrize("t", [None, 0.0])
+    def test_vertex_out_of_range_raises(self, toy_graph, t):
+        for v in (toy_graph.num_vertices, -1):
+            with pytest.raises(IndexError):
+                toy_graph.candidate_count(v, t)
+
 
 @st.composite
 def _vertex_pairs(draw):
@@ -230,6 +236,10 @@ class TestCandidateCountsBatch:
         assert graph.candidate_counts_per_edge().tolist() == [
             graph.candidate_count(int(v), float(t))
             for v, t in zip(graph.nbr, graph.etime)]
+        # The same answers when the keys are built before the distinct times.
+        fresh = TemporalGraph(graph.indptr, graph.nbr, graph.etime)
+        fresh.candidate_counts_per_edge()
+        assert [fresh.candidate_count(v, t) for v, t in zip(vs, ts)] == want
 
     def test_matches_scalar(self, small_graph):
         rng = np.random.default_rng(5)
