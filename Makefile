@@ -109,11 +109,15 @@ chaos-smoke:
 
 # Observability: profiled root phase times within 10% of wall with <5%
 # self-measured overhead, hot-loop phases charged, collapsed stacks
-# parse, and a 4-worker process-backend run whose events all share one
-# run_id (including events shipped back from worker processes).
+# parse, spans and profile rows from one frame stack agree, and a
+# 4-worker process-backend run whose events all share one run_id
+# (including events shipped back from worker processes).
 telemetry-smoke:
 	$(SMOKE) "tests/test_profiler.py::TestEngineProfiles" \
 		"tests/test_profiler.py::TestCliProfile" \
+		"tests/test_telemetry.py::TestEngineWiring::test_trace_and_profile_agree" \
+		"tests/test_telemetry.py::TestEngineWiring::test_attached_recorder_reused_across_runs" \
+		"tests/test_telemetry.py::TestEngineWiring::test_default_run_neither_calibrates_nor_samples_rusage" \
 		"tests/test_events.py::TestEventLog" \
 		"tests/test_events.py::TestRunCorrelation"
 

@@ -150,7 +150,6 @@ def cmd_walk(args) -> int:
         EventLog,
         MetricsRegistry,
         PhaseProfiler,
-        Tracer,
         format_stats_table,
         to_prometheus,
         write_run_report,
@@ -159,7 +158,6 @@ def cmd_walk(args) -> int:
     from repro.telemetry.clock import now as _now
 
     registry = MetricsRegistry()
-    tracer = Tracer(enabled=True, walk_sample_every=args.trace_sample)
     # One event log per run, installed process-wide so every
     # instrumented layer (and forked pool workers) stamps the same
     # run_id. Installed even without --events-out: the run report's
@@ -167,14 +165,13 @@ def cmd_walk(args) -> int:
     event_log = EventLog()
     previous_log = telemetry_events.install(event_log)
     profiling = bool(args.profile or args.profile_out)
-    profiler = PhaseProfiler() if profiling else None
-    if profiler is not None:
-        engine.profiler = profiler
+    if profiling or args.trace_sample:
+        # One recorder for the profile and the sampled walk spans.
+        engine.profiler = PhaseProfiler(calibrate=profiling)
+        engine.profiler.walk_sample_every = args.trace_sample
     try:
         wall_start = _now()
-        result = engine.run(
-            workload, seed=args.seed, registry=registry, tracer=tracer
-        )
+        result = engine.run(workload, seed=args.seed, registry=registry)
         wall_seconds = _now() - wall_start
     finally:
         telemetry_events.install(previous_log)
@@ -192,8 +189,8 @@ def cmd_walk(args) -> int:
     else:
         for key, value in result.summary().items():
             print(f"{key}: {value}")
-    if profiler is not None:
-        print(profiler.format_table(wall_seconds=wall_seconds))
+    if profiling:
+        print(engine.profiler.format_table(wall_seconds=wall_seconds))
     try:
         if args.trace_out:
             write_run_report(args.trace_out, report)
@@ -204,7 +201,7 @@ def cmd_walk(args) -> int:
             print(f"prometheus exposition -> {args.prom_out}")
         if args.profile_out:
             with open(args.profile_out, "w") as fh:
-                fh.write(profiler.collapsed_stacks())
+                fh.write(engine.profiler.collapsed_stacks())
             print(f"collapsed stacks -> {args.profile_out}")
         if args.events_out:
             count = event_log.write(args.events_out)

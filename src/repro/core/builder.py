@@ -39,7 +39,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import resolve_backend
 from repro.sampling.alias import (ALIAS_DTYPE, build_alias_tables,
                                   check_alias_degrees)
-from repro.telemetry import NULL_TRACER, clock
+from repro.telemetry import NULL_PROFILER, clock
 
 
 @dataclass
@@ -339,32 +339,31 @@ def preprocess(
     with_aux_index: bool = False,
     workers: int = 1,
     trunk_size: Optional[int] = None,
-    tracer=None,
+    recorder=NULL_PROFILER,
 ) -> Preprocessed:
     """Run the full preprocessing pipeline with per-phase timing.
 
     ``structure`` ∈ {"hpat", "pat", "its"}; ``workers > 1`` runs each
     phase on a thread pool (see :func:`build_hpat`). ``with_aux_index``
     adds phase 3 to an HPAT for the scalar HPAT step, its only reader
-    (``TeaEngine(use_aux_index=True)``). ``tracer`` is an optional
-    :class:`repro.telemetry.Tracer`; each phase becomes a child span of
-    the caller's open ``prepare`` span.
+    (``TeaEngine(use_aux_index=True)``). Each phase becomes a child span
+    of ``recorder``'s open ``prepare`` span (a
+    :class:`repro.telemetry.PhaseProfiler`; none by default).
     """
-    tracer = tracer if tracer is not None else NULL_TRACER
     report = ConstructionReport(workers=workers)
 
     t0 = clock.now()
-    with tracer.span("prepare.candidate_search", edges=graph.num_edges):
+    with recorder.span("prepare.candidate_search", edges=graph.num_edges):
         candidate_sizes = search_candidate_sets(graph, workers=workers)
     report.candidate_search_seconds = clock.now() - t0
 
     t0 = clock.now()
-    with tracer.span("prepare.weights", kind=weight_model.kind):
+    with recorder.span("prepare.weights", kind=weight_model.kind):
         weights = weight_model.compute(graph)
     report.weight_seconds = clock.now() - t0
 
     t0 = clock.now()
-    with tracer.span("prepare.index_build", structure=structure, workers=workers):
+    with recorder.span("prepare.index_build", structure=structure, workers=workers):
         if structure == "hpat":
             index = build_hpat(graph, weights, workers=workers)
         elif structure == "pat":
@@ -382,7 +381,7 @@ def preprocess(
 
     if structure == "hpat" and with_aux_index:
         t0 = clock.now()
-        with tracer.span("prepare.aux_index", max_degree=int(graph.max_degree())):
+        with recorder.span("prepare.aux_index", max_degree=int(graph.max_degree())):
             index.aux = AuxiliaryIndex(graph.max_degree())
         report.aux_index_seconds = clock.now() - t0
 

@@ -154,7 +154,8 @@ class TrunkStore:
         # Paper §4.1's re-entry optimisation: reuse prior loaded data.
         self.cache = FramePool(cache_bytes)
         # Phase attribution (ooc.cache / ooc.read / ooc.decode): NULL by
-        # default; the owning engine routes its run profiler here. Only
+        # default; the owning engine's frontier loop routes the profiler
+        # it was handed here (_frontier_scope), the one way in. Only
         # the sampling thread's accounted reads charge phases — the
         # prefetch worker calls _fetch directly and stays profiler-free
         # (the profiler stack is single-threaded by design).

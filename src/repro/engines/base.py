@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import abc
 import copy
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +48,8 @@ from repro.telemetry import (
     MemoryReport,
     MetricsRegistry,
     NULL_PROFILER,
-    NULL_TRACER,
-    PhaseTimer,
-    Tracer,
+    PhaseProfiler,
+    Span,
     build_run_report,
 )
 from repro.telemetry.clock import now as _now
@@ -229,21 +227,32 @@ class FrontierResult:
                 histogram.observe_n(value, n)
 
 
+class RunTimer(NamedTuple):
+    """Root-frame seconds by name: the ``EngineResult.timer`` view."""
+
+    seconds: Dict[str, float]
+
+
 @dataclass
 class EngineResult:
-    """Everything one engine run produced."""
+    """Everything one engine run produced. ``spans`` are this run's root
+    spans ``prepare``, ``walk`` and ``finalize`` (with their children),
+    whichever recorder recorded them."""
 
     engine: str
     spec: str
     workload: str
     paths: List[WalkPath]
     counters: CostCounters
-    timer: PhaseTimer
+    spans: List[Span]
     memory: MemoryReport
     time_divisor: float = 1.0
     registry: Optional[MetricsRegistry] = None
-    trace: Optional[Tracer] = None
     run_id: Optional[str] = None
+
+    @property
+    def timer(self) -> RunTimer:
+        return RunTimer({span.name: span.duration for span in self.spans})
 
     @property
     def num_walks(self) -> int:
@@ -295,7 +304,7 @@ class EngineResult:
         if meta:
             base.update(meta)
         registry = self.registry if self.registry is not None else MetricsRegistry()
-        return build_run_report(registry, self.trace, meta=base)
+        return build_run_report(registry, self.spans, meta=base)
 
 
 class Engine(abc.ABC):
@@ -305,6 +314,16 @@ class Engine(abc.ABC):
     has_candidate_index = False
     time_divisor: float = 1.0
 
+    #: The attached phase profiler, the switch for the hot-loop phases:
+    #: NULL by default (no per-phase cost); the CLI's --profile attaches
+    #: a real PhaseProfiler before run(). Hot loops receive it explicitly
+    #: (never via self mid-run — the thread backend shares one engine
+    #: across workers).
+    profiler = NULL_PROFILER
+    #: The recorder of the run in progress (NULL outside :meth:`run`), so
+    #: _prepare implementations can emit child spans via self.recorder.
+    recorder = NULL_PROFILER
+
     def __init__(self, graph: TemporalGraph, spec: WalkSpec):
         # Edges_interval: the application may restrict the walk to a
         # temporal subgraph before any preprocessing (Algorithm 2, Main).
@@ -312,14 +331,6 @@ class Engine(abc.ABC):
         self.spec = spec
         self._prepared = False
         self.candidate_sizes: Optional[np.ndarray] = None
-        # Active tracer: run() installs the caller's before preparing, so
-        # _prepare implementations can emit child spans via self.tracer.
-        self.tracer: Tracer = NULL_TRACER
-        # Phase profiler: NULL by default (no per-phase cost). The CLI's
-        # --profile attaches a real PhaseProfiler before run(); hot
-        # loops receive it explicitly (never via self mid-run — the
-        # thread backend shares one engine across workers).
-        self.profiler = NULL_PROFILER
 
     # -- subclass interface -------------------------------------------------
 
@@ -365,7 +376,7 @@ class Engine(abc.ABC):
             if not self.has_candidate_index:
                 # Each step's candidate_count probes these caches: built
                 # here, their one-time cost is preprocessing.
-                with self.tracer.span("prepare.candidate_search", edges=self.graph.num_edges):
+                with self.recorder.span("prepare.candidate_search", edges=self.graph.num_edges):
                     self.graph._offset_keys(keep_times=True)
             self._prepared = True
 
@@ -374,14 +385,13 @@ class Engine(abc.ABC):
         :meth:`prepare` reads the window and static weights alone (β is
         applied at walk time, Algorithm 2 lines 18–22), so the sibling shares
         the restricted graph, index, candidate sizes and kernel. It starts
-        with null tracer and profiler."""
+        with no profiler attached."""
         if (spec.time_window, spec.weight_model) != (
                 self.spec.time_window, self.spec.weight_model):
             raise ValueError("with_spec: time window and weight model must match")
         self.prepare()
         sibling = copy.copy(self)
         sibling.spec = spec
-        sibling.tracer = NULL_TRACER
         sibling.profiler = NULL_PROFILER
         return sibling
 
@@ -481,15 +491,12 @@ class Engine(abc.ABC):
         """One :meth:`_walk_one` per start; walk ``i`` draws from the
         ``i``-th generator of ``rngs``.
 
-        With a ``registry`` the active tracer's 1-in-N sampled walks
-        open a ``walk.one`` span and feed the per-step histograms.
+        With a ``registry`` the run recorder's sampled walks open a
+        ``walk.one`` span and feed the per-step histograms.
         """
-        tracer = self.tracer
-        every = 0
+        recorder = self.recorder
         observer = None
-        if registry is not None and tracer.enabled and starts.size:
-            every = max(0, tracer.walk_sample_every)  # <= 0: never sample
-        if every:
+        if registry is not None and recorder.sample_walk(0):
             step_hist = registry.histogram(
                 "walk.step_seconds", "per-step latency (traced walks)",
                 **LATENCY_BUCKETS,
@@ -505,8 +512,8 @@ class Engine(abc.ABC):
 
         out = FrontierResult.empty(starts, max_length, keep_hops)
         for i, (u, rng) in enumerate(zip(starts.tolist(), rngs)):
-            if every and i % every == 0:
-                with tracer.span("walk.one", walk=i, start_vertex=u) as span:
+            if observer is not None and recorder.sample_walk(i):
+                with recorder.span("walk.one", walk=i, start_vertex=u) as span:
                     walker = self._walk_one(
                         u, max_length, rng, counters, stop_probability, observer
                     )
@@ -578,15 +585,6 @@ class Engine(abc.ABC):
             max_length, stop_probability, counters, keep_hops,
         )
 
-    @contextmanager
-    def _phase(self, timer: PhaseTimer, name: str, **attributes):
-        """Open run phase ``name`` on the run's timer, the active tracer
-        and the profiler together — the one place the three meet."""
-        with timer.phase(name), self.tracer.span(
-            name, engine=self.name, **attributes
-        ) as span, self.profiler.phase(name):
-            yield span
-
     def run(
         self,
         workload: Workload,
@@ -594,7 +592,6 @@ class Engine(abc.ABC):
         record_paths: bool = True,
         sink=None,
         registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> EngineResult:
         """Run the workload; returns paths plus cost/time/memory accounts.
 
@@ -612,47 +609,52 @@ class Engine(abc.ABC):
 
         ``registry`` collects this run's metrics (one is created when
         not supplied — every run returns a populated registry on the
-        result). ``tracer`` controls span tracing: the default records
-        only the two phase root spans; pass one with
-        ``walk_sample_every=N`` to additionally trace 1-in-N walks of a
-        scalar engine with per-step latency histograms.
+        result). The run's root spans ``prepare``, ``walk`` and
+        ``finalize`` are frames of one recorder: the attached
+        :attr:`profiler` (set its ``walk_sample_every=N`` to also trace
+        1-in-N walks of a scalar engine with per-step latency
+        histograms), else a fresh :meth:`PhaseProfiler.bare` that keeps
+        only the roots and spans.
         """
         registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=True)
-        timer = PhaseTimer()
-        with self._phase(timer, "prepare"):
-            self.prepare()
-        # The run's own bookkeeping sits inside the phases, so they cover
-        # its wall time however short the prepare phase is.
-        with self._phase(timer, "walk") as span:
-            rng = make_rng(seed)
-            counters = CostCounters()
-            starts = workload.resolve_starts(self.graph.num_vertices, rng)
-            span.set("walks", int(starts.size))
-            outcome = self._walk(
-                starts, workload, rng, counters, registry,
-                record_paths or sink is not None, span,
-            )
-        with self.profiler.phase("finalize"):
-            outcome.observe_lengths(
-                registry.histogram("walk.length", "edges per completed walk")
-            )
-            paths = outcome.materialise_paths(record_paths=record_paths, sink=sink)
-            memory = self.memory_report()
-            counters.publish(registry)
-            registry.counter("walk.walks", "walks executed").inc(int(starts.size))
-            registry.gauge("memory.bytes", "engine structure bytes").set(memory.total)
-            self.publish_telemetry(registry)
-            return EngineResult(
-                engine=self.name,
-                spec=self.spec.describe(),
-                workload=workload.describe(),
-                paths=paths,
-                counters=counters,
-                timer=timer,
-                memory=memory,
-                time_divisor=self.time_divisor,
-                registry=registry,
-                trace=self.tracer,
-                run_id=current_run_id(),
-            )
+        recorder = self.recorder = (
+            self.profiler if self.profiler.enabled else PhaseProfiler.bare())
+        try:
+            with recorder.span("prepare", engine=self.name) as prepare:
+                self.prepare()
+            # The run's own bookkeeping sits inside the phases, so they
+            # cover its wall time however short the prepare phase is.
+            with recorder.span("walk", engine=self.name) as walk:
+                rng = make_rng(seed)
+                counters = CostCounters()
+                starts = workload.resolve_starts(self.graph.num_vertices, rng)
+                walk.set("walks", int(starts.size))
+                outcome = self._walk(
+                    starts, workload, rng, counters, registry,
+                    record_paths or sink is not None, walk,
+                )
+            with recorder.span("finalize", engine=self.name) as finalize:
+                outcome.observe_lengths(
+                    registry.histogram("walk.length", "edges per completed walk")
+                )
+                paths = outcome.materialise_paths(record_paths=record_paths,
+                                                  sink=sink)
+                memory = self.memory_report()
+                counters.publish(registry)
+                registry.counter("walk.walks", "walks executed").inc(int(starts.size))
+                registry.gauge("memory.bytes", "engine structure bytes").set(memory.total)
+                self.publish_telemetry(registry)
+        finally:
+            self.recorder = NULL_PROFILER
+        return EngineResult(
+            engine=self.name,
+            spec=self.spec.describe(),
+            workload=workload.describe(),
+            paths=paths,
+            counters=counters,
+            spans=[prepare, walk, finalize],
+            memory=memory,
+            time_divisor=self.time_divisor,
+            registry=registry,
+            run_id=current_run_id(),
+        )

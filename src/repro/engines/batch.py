@@ -45,9 +45,8 @@ from repro.telemetry import (
     MemoryReport,
     MetricsRegistry,
     NULL_PROFILER,
-    NULL_TRACER,
+    NULL_SPAN,
 )
-from repro.telemetry.spans import NULL_SPAN
 from repro.walks.spec import Node2VecParameter, WalkSpec
 
 _MAX_BETA_ROUNDS = 16
@@ -109,7 +108,7 @@ class BatchTeaEngine(Engine):
 
     def _prepare(self) -> None:
         pre = builder.preprocess(self.graph, self.spec.weight_model,
-                                 tracer=self.tracer)
+                                 recorder=self.recorder)
         self.index = pre.index
         self.candidate_sizes = pre.candidate_sizes
 
@@ -145,8 +144,6 @@ class BatchTeaEngine(Engine):
         engine.index = index
         engine.candidate_sizes = candidate_sizes
         engine.kernel = resolve_backend(kernel_backend)
-        engine.tracer = NULL_TRACER
-        engine.profiler = NULL_PROFILER
         return engine
 
     # Scalar fallback keeps the Engine contract usable (tests, user code).

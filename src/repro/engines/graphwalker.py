@@ -61,13 +61,13 @@ class GraphWalkerEngine(Engine):
         return self.spec.weight_model.kind in _STATIC_KINDS
 
     def _prepare(self) -> None:
-        with self.tracer.span("prepare.weights", kind=self.spec.weight_model.kind):
+        with self.recorder.span("prepare.weights", kind=self.spec.weight_model.kind):
             self.weights = self.spec.weight_model.compute(self.graph)
         if self._static and not self.out_of_core:
-            with self.tracer.span("prepare.index_build", structure="its"):
+            with self.recorder.span("prepare.index_build", structure="its"):
                 self.index = ITSIndex.build(self.graph, self.weights)
         if self.out_of_core:
-            with self.tracer.span("prepare.adjacency_spill"):
+            with self.recorder.span("prepare.adjacency_spill"):
                 directory = self._storage_dir
                 if directory is None:
                     self._tmpdir = tempfile.TemporaryDirectory(prefix="graphwalker-")

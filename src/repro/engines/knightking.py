@@ -66,16 +66,16 @@ class KnightKingEngine(Engine):
         return self.spec.weight_model.kind in _STATIC_KINDS
 
     def _prepare(self) -> None:
-        with self.tracer.span("prepare.weights", kind=self.spec.weight_model.kind):
+        with self.recorder.span("prepare.weights", kind=self.spec.weight_model.kind):
             self.weights = self.spec.weight_model.compute(self.graph)
         if self._static:
-            with self.tracer.span("prepare.index_build", structure="its"):
+            with self.recorder.span("prepare.index_build", structure="its"):
                 self.index = ITSIndex.build(self.graph, self.weights)
             return
         # Per-vertex prefix maxima give the O(1) envelope for any
         # candidate prefix (weights are time-monotone per segment, but we
         # compute the true prefix max so arbitrary weights stay correct).
-        with self.tracer.span("prepare.envelope_build"):
+        with self.recorder.span("prepare.envelope_build"):
             m = self.graph.num_edges
             self.prefix_max = np.empty(m, dtype=np.float64)
             indptr = self.graph.indptr

@@ -76,11 +76,11 @@ class TeaEngine(Engine):
 
     def _prepare(self) -> None:
         if self.structure == "alias":
-            with self.tracer.span("prepare.candidate_search"):
+            with self.recorder.span("prepare.candidate_search"):
                 self.candidate_sizes = builder.search_candidate_sets(self.graph, self.workers)
-            with self.tracer.span("prepare.weights"):
+            with self.recorder.span("prepare.weights"):
                 self.weights = self.spec.weight_model.compute(self.graph)
-            with self.tracer.span("prepare.index_build", structure="alias"):
+            with self.recorder.span("prepare.index_build", structure="alias"):
                 self.index = FullAliasIndex.build(
                     self.graph, self.weights, budget_bytes=self.alias_budget_bytes
                 )
@@ -109,7 +109,7 @@ class TeaEngine(Engine):
             with_aux_index=self.use_aux_index,
             workers=self.workers,
             trunk_size=self.trunk_size,
-            tracer=self.tracer,
+            recorder=self.recorder,
         )
         self.index = pre.index
         self.weights = pre.weights

@@ -297,20 +297,20 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         self._plan_scratch = KernelScratch()
 
     def _prepare(self) -> None:
-        tracer = self.tracer
-        with tracer.span("prepare.candidate_search"):
+        recorder = self.recorder
+        with recorder.span("prepare.candidate_search"):
             self.candidate_sizes = search_candidate_sets(self.graph)
-        with tracer.span("prepare.weights"):
+        with recorder.span("prepare.weights"):
             weights = self.spec.weight_model.compute(self.graph)
-        with tracer.span("prepare.index_build", structure="pat",
-                         trunk_size=self.trunk_size):
+        with recorder.span("prepare.index_build", structure="pat",
+                           trunk_size=self.trunk_size):
             pat = build_pat(self.graph, weights, trunk_size=self.trunk_size)
         directory = self._storage_dir
         if directory is None:
             # Owned for the store's lifetime; removed with the engine.
             self._tmpdir = tempfile.TemporaryDirectory(prefix="tea-ooc-")
             directory = self._tmpdir.name
-        with tracer.span("prepare.trunk_spill", cache_bytes=self.cache_bytes):
+        with recorder.span("prepare.trunk_spill", cache_bytes=self.cache_bytes):
             store = TrunkStore.persist(
                 pat, directory, cache_bytes=self.cache_bytes,
                 retry_policy=self.retry_policy,
@@ -320,9 +320,6 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
             # The full PAT arrays are now disk-resident; the in-memory
             # copy dies with this frame.
             self.index = OutOfCorePAT(pat, store)
-        # The store charges its read/decode/cache time to the engine's
-        # profiler (NULL by default; the walk phase swaps in the chunk's).
-        store.profiler = self.profiler
 
     # -- reporting -------------------------------------------------------------
 

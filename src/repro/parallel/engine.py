@@ -32,9 +32,9 @@ Design invariants:
   a function of the lane and worker counts alone, so cold and warm
   runs, ``run`` and ``run_lanes`` plan alike.
 * **Per-worker telemetry** — each chunk carries private
-  :class:`~repro.sampling.counters.CostCounters`, registry, and tracer;
-  the engine folds all of them at the join barrier through their
-  associative merge paths, then adds the ``parallel.*`` metrics
+  :class:`~repro.sampling.counters.CostCounters`, registry, and phase
+  recorder; the engine folds all of them at the join barrier through
+  their associative merge paths, then adds the ``parallel.*`` metrics
   (workers, chunks, queue wait, pool startup/attach, per-worker step
   totals).
 * **Backends** — ``process`` (forked workers, true multi-core; each
@@ -73,12 +73,12 @@ from repro.parallel.worker import (
 from repro.telemetry import (
     LATENCY_BUCKETS,
     NULL_PROFILER,
+    NULL_SPAN,
     MetricsRegistry,
     events,
 )
 from repro.telemetry.clock import monotonic as _monotonic
 from repro.telemetry.events import current_run_id
-from repro.telemetry.spans import NULL_SPAN
 from repro.walks.spec import WalkSpec
 
 BACKENDS = ("auto", "process", "thread", "serial")
@@ -293,14 +293,17 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
                 failed.append((cid, "crash", exc))
         return done, failed, broken or hung
 
-    def _attempt(self, backend: str, tasks: List[ChunkTask]):
-        """Submit ``tasks`` to ``backend``'s executor and collect them."""
+    def _attempt(self, backend: str, tasks: List[ChunkTask], profiler):
+        """Submit ``tasks`` to ``backend``'s executor and collect them;
+        ``profiler`` charges the pool's build (or warm check) to
+        ``pool_startup``."""
         pool = None
         if backend == "serial":
             executor, call = _InlineExecutor(), (execute_chunk, self)
         else:
             pool = self._pool(backend)
-            executor, reused = pool.ensure()
+            with profiler.phase("pool_startup"):
+                executor, reused = pool.ensure()
             self._note_pool(reused, pool)
             call = ((_process_chunk,) if backend == "process"
                     else (execute_chunk, self))
@@ -326,7 +329,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         return done, failed
 
     def _execute_chunks(self, tasks: List[ChunkTask], backend: str,
-                        workers_used: int) -> List[ChunkResult]:
+                        workers_used: int, profiler) -> List[ChunkResult]:
         pending: List[int] = [task.chunk_id for task in tasks]
         if backend == "serial" or workers_used <= 1:
             chain = ["serial"]
@@ -340,7 +343,8 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             active = chain[level]
             self.last_backend = active
             done, failed = self._attempt(active, [
-                replace(tasks[cid], attempt=attempts[cid]) for cid in pending])
+                replace(tasks[cid], attempt=attempts[cid]) for cid in pending],
+                profiler)
             results.update(done)
             if not failed:
                 break
@@ -403,7 +407,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             for cid, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
         ]
         t0 = _monotonic()
-        results = self._execute_chunks(tasks, backend, workers_used)
+        results = self._execute_chunks(tasks, backend, workers_used, profiler)
         self._dispatch_seconds = _monotonic() - t0
 
         # Adopt events shipped back from forked process workers (thread
@@ -416,12 +420,15 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
 
         # Fold at the barrier, in chunk order. Merge is associative, so
         # this equals any completion order — but a fixed order keeps
-        # reports stable.
+        # reports stable. Each chunk's recorder snapshot lands under the
+        # run's open walk frame (NULL under run_lanes): its walk.chunk
+        # span and rows, its wall time out of walk's self time.
         frontier = FrontierResult.empty(starts, max_length, keep_hops)
         for res in results:
             counters.merge(res.counters)
             if registry is not None:
                 registry.merge(res.registry)
+            self.recorder.absorb(res.snapshot)
             frontier.place(int(bounds[res.chunk_id]), res, max_length)
 
         span.set("workers", workers_used)
@@ -429,38 +436,11 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         span.set("backend", backend)  # as planned
         if self.last_events["degraded"]:
             span.set("degraded_to", self.last_backend)
-        if span is not NULL_SPAN:
-            for res in results:
-                span.children.extend(res.spans)
-
-        # Absorb per-chunk profiles under the walk phase. Chunks ran
-        # concurrently, so their summed inclusive time can exceed the
-        # walk frame's wall time — subtract each chunk's root inclusive
-        # from walk's *self* so the supervision overhead stays honest
-        # (rendering clamps a negative remainder at zero).
-        if profiler.enabled:
-            total_queue_wait = 0.0
-            for res in results:
-                total_queue_wait += res.queue_wait_seconds
-                snap = res.profile
-                if not snap:
-                    continue
-                profiler.absorb(snap, prefix=("walk",))
-                chunk_root = sum(
-                    cell["inclusive_s"]
-                    for joined, cell in snap.get("phases", {}).items()
-                    if ";" not in joined
-                )
-                profiler.add_seconds(("walk",), 0.0, calls=0,
-                                     self_seconds=-chunk_root)
-            profiler.add_seconds(("walk", "queue_wait"), total_queue_wait,
-                                 calls=len(results))
-            if self.last_pool["builds"]:
-                profiler.add_seconds(
-                    ("walk", "pool_startup"),
-                    float(self.last_pool["startup_seconds"]),
-                    calls=int(self.last_pool["builds"]),
-                )
+        # Queue waits overlap other chunks' execution: a leaf that leaves
+        # walk's self time alone.
+        profiler.add_seconds(
+            ("queue_wait",), sum(res.queue_wait_seconds for res in results),
+            calls=len(results))
         if registry is not None:
             self._publish_parallel_metrics(registry, results, workers_used,
                                            bounds)

@@ -10,13 +10,13 @@ per-walk seeds, walk parameters, ``run_id``) ships inside each
 span many ``run()`` calls.
 
 Every chunk execution carries a private :class:`CostCounters`, a private
-:class:`MetricsRegistry`, and a private :class:`Tracer` — the
-per-worker telemetry discipline (see :mod:`repro.sampling.counters`);
-the engine folds all three at the join barrier. A chunk's randomness
-comes exclusively from its walks' planned seeds (counter-based
-:class:`~repro.rng.LaneRng` streams), so the produced walks are
-independent of which worker ran it, in which pool generation, at what
-chunk size.
+:class:`MetricsRegistry`, and a private phase recorder with one
+``walk.chunk`` frame — the per-worker telemetry discipline (see
+:mod:`repro.sampling.counters`); the engine folds all three at the join
+barrier. A chunk's randomness comes exclusively from its walks' planned
+seeds (counter-based :class:`~repro.rng.LaneRng` streams), so the
+produced walks are independent of which worker ran it, in which pool
+generation, at what chunk size.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_PROFILER,
     PhaseProfiler,
-    Span,
-    Tracer,
     events,
 )
 from repro.telemetry.clock import monotonic as _monotonic
@@ -79,9 +77,10 @@ class ChunkResult:
 
     ``lengths``/``hop_vertex``/``hop_time`` are the chunk's slice of the
     columnar frontier output (hop columns trimmed to the chunk's longest
-    walk so process workers ship minimal bytes). ``spans`` are the
-    worker tracer's finished roots — the engine adopts them under its
-    ``walk`` span at the barrier.
+    walk so process workers ship minimal bytes). ``snapshot`` is the
+    chunk recorder's :meth:`~repro.telemetry.PhaseProfiler.snapshot`:
+    its ``walk.chunk`` span and rows, which the engine absorbs under its
+    ``walk`` frame at the barrier.
     """
 
     chunk_id: int
@@ -91,7 +90,7 @@ class ChunkResult:
     hop_time: Optional[np.ndarray]
     counters: CostCounters
     registry: MetricsRegistry
-    spans: List[Span]
+    snapshot: dict
     queue_wait_seconds: float
     wall_seconds: float
     worker_label: str
@@ -100,8 +99,6 @@ class ChunkResult:
     #: Thread/serial chunks leave this empty — they append into the
     #: shared parent log directly.
     events: List[dict] = field(default_factory=list)
-    #: Per-chunk profiler snapshot (``ChunkTask.profile`` only).
-    profile: Optional[dict] = None
 
     @property
     def total_steps(self) -> int:
@@ -152,21 +149,18 @@ def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResul
         engine.fault_injector.check("chunk", key=(task.chunk_id, task.attempt))
     counters = CostCounters()
     registry = MetricsRegistry()
-    tracer = Tracer(enabled=True)
-    # Per-chunk profiler, same discipline as registry/tracer: private to
-    # the chunk, folded by the engine at the barrier. calibrate=False —
-    # the per-event cost is measured once per process and cached.
-    profiler = PhaseProfiler(calibrate=False) if task.profile else NULL_PROFILER
+    # The chunk's recorder, private to it like the registry; its hot-loop
+    # phases only when the run is profiled (``task.profile``).
+    recorder = PhaseProfiler.bare()
     label = worker_label()
-    with tracer.span(
+    with recorder.span(
         "walk.chunk", chunk=task.chunk_id, walks=task.starts.size, worker=label
     ) as span:
-        with profiler.phase("chunk_exec"):
-            result: FrontierResult = engine._walk_seeds(
-                task.starts, task.seeds, task.max_length,
-                task.stop_probability, counters, task.keep_hops, registry,
-                profiler=profiler,
-            )
+        result: FrontierResult = engine._walk_seeds(
+            task.starts, task.seeds, task.max_length,
+            task.stop_probability, counters, task.keep_hops, registry,
+            profiler=recorder if task.profile else NULL_PROFILER,
+        )
         span.set("steps", result.total_steps)
         span.set("queue_wait_seconds", round(queue_wait, 6))
     registry.histogram(
@@ -197,13 +191,12 @@ def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResul
         hop_time=hop_time,
         counters=counters,
         registry=registry,
-        spans=tracer.roots,
+        snapshot=recorder.snapshot(),
         queue_wait_seconds=queue_wait,
         wall_seconds=_monotonic() - t0,
         worker_label=label,
         events=(list(log.events[event_mark:])
                 if (log is not None and in_child) else []),
-        profile=profiler.snapshot() if task.profile else None,
     )
 
 

@@ -6,17 +6,16 @@ taxonomy, profiler phases, and event-log schema):
 
 * :class:`MetricsRegistry` — named counters, gauges, log-scale
   histograms; cheap enough for per-step use, mergeable across workers;
-* :class:`Tracer` / :class:`Span` — nested phase tracing with a 1-in-N
-  per-walk sampling rate (the structured successor to ``PhaseTimer``);
-* :class:`PhaseProfiler` (:mod:`repro.telemetry.profile`) — per-phase
-  cost attribution for hot loops, with self-timed overhead and
-  collapsed-stack / phase-table output;
+* :class:`PhaseProfiler` (:mod:`repro.telemetry.profile`) — the one
+  phase recorder: every run phase, :class:`Span` and profile row comes
+  from its one frame stack (1-in-N walk sampling, self-timed overhead,
+  collapsed-stack / phase-table output); :data:`NULL_PROFILER` is the
+  one off switch;
 * :class:`EventLog` (:mod:`repro.telemetry.events`) — structured JSONL
   timeline with a per-run ``run_id`` propagated into pool workers;
 * :mod:`repro.telemetry.clock` — the one sanctioned time source for
   all of ``repro`` (enforced by ``tools/lint_clocks.py``);
-* :class:`MemoryReport` / :class:`PhaseTimer` — byte accounting and
-  the always-on per-run phase seconds behind ``EngineResult.timer``;
+* :class:`MemoryReport` — byte accounting;
 * exporters — Prometheus text exposition, schema-versioned JSON run
   reports, and the ``--stats`` human table.
 """
@@ -29,16 +28,9 @@ from repro.telemetry.registry import (
     LATENCY_BUCKETS,
     MetricsRegistry,
 )
-from repro.telemetry.spans import NULL_TRACER, Span, Tracer
 from repro.telemetry.events import EventLog, new_run_id
-from repro.telemetry.memory import (
-    MemoryReport,
-    RusageSample,
-    format_bytes,
-    sample_rusage,
-)
-from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler
-from repro.telemetry.timing import PhaseTimer
+from repro.telemetry.memory import MemoryReport, format_bytes
+from repro.telemetry.profile import NULL_PROFILER, NULL_SPAN, PhaseProfiler, Span
 from repro.telemetry.exporters import (
     REPORT_SCHEMA,
     build_run_report,
@@ -60,20 +52,16 @@ __all__ = [
     "MemoryReport",
     "MetricsRegistry",
     "NULL_PROFILER",
-    "NULL_TRACER",
+    "NULL_SPAN",
     "PhaseProfiler",
-    "PhaseTimer",
     "REPORT_SCHEMA",
-    "RusageSample",
     "Span",
-    "Tracer",
     "build_run_report",
     "format_bytes",
     "format_stats_table",
     "load_run_report",
     "new_run_id",
     "parse_prometheus",
-    "sample_rusage",
     "to_prometheus",
     "validate_run_report",
     "write_run_report",

@@ -11,8 +11,8 @@ every timestamp through one module buys three things:
 * a future switch to a cheaper clock (``clock_gettime_ns`` coarse
   variants) is a one-line change instead of a grep-and-pray sweep.
 
-``now()`` is the high-resolution monotonic phase clock (what profilers
-and span tracers difference); ``monotonic()`` is the coarser scheduling
+``now()`` is the high-resolution monotonic phase clock (what the phase
+recorder differences); ``monotonic()`` is the coarser scheduling
 clock (queue waits, deadlines); ``wall()`` is epoch wall time (event
 timestamps that must be comparable across processes).
 """

@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import Tracer
+from repro.telemetry.profile import Span
 
 #: Version stamp every JSON run report carries; bump on layout changes.
 REPORT_SCHEMA = "tea-repro/run-report/v1"
@@ -163,13 +163,15 @@ def parse_prometheus(text: str) -> Dict[str, dict]:
 
 def build_run_report(
     registry: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
+    spans: Sequence[Span] = (),
     meta: Optional[dict] = None,
 ) -> dict:
-    """Assemble the schema-versioned JSON run report document."""
+    """Assemble the schema-versioned JSON run report document; span
+    times are relative to the earliest root in ``spans``."""
     doc = {"schema": REPORT_SCHEMA, "meta": dict(meta or {})}
     doc.update(registry.snapshot())
-    doc["spans"] = tracer.to_dicts() if tracer is not None else []
+    origin = min((span.start for span in spans), default=0.0)
+    doc["spans"] = [span.to_dict(origin) for span in spans]
     return doc
 
 

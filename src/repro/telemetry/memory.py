@@ -1,22 +1,17 @@
-"""Memory accounting: structure bytes (Figures 9/12b) plus OS rusage.
+"""Memory accounting: structure bytes (Figures 9/12b).
 
-Two complementary views live here:
-
-* :class:`MemoryReport` — exact ``nbytes`` of every array a structure
-  owns. The paper compares engines by the bytes their sampling
-  structures occupy; accounting exactly avoids the interpreter noise
-  that dominates process RSS in Python.
-* :func:`sample_rusage` / :class:`RusageSample` — the OS-level
-  counters (max RSS, page faults, CPU time) the phase profiler samples
-  around a run, so I/O-bound phases show up as major-fault deltas the
-  way ThunderRW-style stall profiling expects.
+:class:`MemoryReport` holds the exact ``nbytes`` of every array a
+structure owns. The paper compares engines by the bytes their sampling
+structures occupy; accounting exactly avoids the interpreter noise that
+dominates process RSS in Python. (The OS-level view — max RSS, page
+faults, CPU time — is the phase profiler's rusage bracket,
+:func:`repro.telemetry.profile.sample_rusage`.)
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 def format_bytes(n: int) -> str:
@@ -54,66 +49,3 @@ class MemoryReport:
         for name, nbytes in sorted(self.components.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {name}: {format_bytes(nbytes)}")
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# OS resource usage (getrusage) sampling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RusageSample:
-    """One ``getrusage(RUSAGE_SELF)`` reading, normalised to bytes.
-
-    ``max_rss_bytes`` is a high-water mark (monotone per process), the
-    fault counters are cumulative — so *deltas* between two samples
-    bound what a region of code did, while the RSS delta only shows
-    growth past the previous peak.
-    """
-
-    utime_seconds: float
-    stime_seconds: float
-    max_rss_bytes: int
-    major_faults: int
-    minor_faults: int
-
-    def delta(self, earlier: "RusageSample") -> dict:
-        """Counter deltas since ``earlier`` (RSS reports the later peak)."""
-        return {
-            "utime_seconds": self.utime_seconds - earlier.utime_seconds,
-            "stime_seconds": self.stime_seconds - earlier.stime_seconds,
-            "max_rss_bytes": self.max_rss_bytes,
-            "major_faults": self.major_faults - earlier.major_faults,
-            "minor_faults": self.minor_faults - earlier.minor_faults,
-        }
-
-    def snapshot(self) -> dict:
-        return {
-            "utime_seconds": self.utime_seconds,
-            "stime_seconds": self.stime_seconds,
-            "max_rss_bytes": self.max_rss_bytes,
-            "major_faults": self.major_faults,
-            "minor_faults": self.minor_faults,
-        }
-
-
-def sample_rusage() -> Optional[RusageSample]:
-    """Current-process rusage, or ``None`` where unavailable (Windows).
-
-    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; both
-    normalise to bytes here so downstream consumers never branch.
-    """
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-POSIX platforms
-        return None
-    ru = resource.getrusage(resource.RUSAGE_SELF)
-    rss = int(ru.ru_maxrss)
-    if sys.platform != "darwin":
-        rss *= 1024
-    return RusageSample(
-        utime_seconds=float(ru.ru_utime),
-        stime_seconds=float(ru.ru_stime),
-        max_rss_bytes=rss,
-        major_faults=int(ru.ru_majflt),
-        minor_faults=int(ru.ru_minflt),
-    )

@@ -1,39 +1,44 @@
-"""Low-overhead phase profiler with self-timed overhead accounting.
+"""The one phase recorder: run phases, spans and the per-phase profile.
 
-The registry counts *what* happened and spans record *sampled* walks;
-this module answers the remaining question — **where did the wall time
-go** — with per-phase cost attribution cheap enough to leave on for a
-whole run:
+Every timed region of a run is a frame on one :class:`PhaseProfiler`
+stack:
 
-* :class:`PhaseProfiler` maintains a stack of named phases; each
-  ``with profiler.phase("gather")`` charges its inclusive and self
-  (exclusive) seconds to the full stack path, flamegraph-style.
-* The profiler times itself: a calibration loop at construction
-  measures the per-phase bookkeeping cost on this host, and
-  ``overhead_seconds`` reports ``events × per-event cost`` as part of
-  every snapshot — the measurement error is itself measured.
-* :func:`~repro.telemetry.memory.sample_rusage` readings bracket the
-  profile, so page-fault and RSS deltas sit next to the phase table
-  (I/O-bound phases show up as major faults, the ThunderRW discipline).
-* Output renders two ways: a phase table (inclusive / self / calls /
-  share of root time) and collapsed-stack text (``a;b;c <µs>`` per
-  line) that any flamegraph tool ingests directly.
+* ``with recorder.phase("gather"):`` charges ``[calls, inclusive, self]``
+  to the frame's full stack path, flamegraph-style — the phase table and
+  the collapsed stacks;
+* ``with recorder.span("prepare.weights", kind=...) as span:`` does the
+  same and also keeps a :class:`Span` (wall bounds, attributes,
+  children) under the innermost open span. Spans are kept for the run
+  roots (``prepare``, ``walk``, ``finalize``), ``prepare.*``,
+  ``walk.chunk`` and the sampled ``walk.one`` walks (one in
+  ``walk_sample_every``, :meth:`PhaseProfiler.sample_walk`); they are
+  the span tree of the JSON run report.
 
-Like the tracer, a profiler is **single-threaded by design** — one
-stack. Parallel workers each profile their own chunk and the engine
-absorbs the snapshots under a prefix at the join barrier
-(:meth:`PhaseProfiler.absorb`), the same per-worker discipline as the
-metrics registry. :data:`NULL_PROFILER` is the shared off switch: its
-``phase()`` returns a no-op context manager, costing one attribute
-check and one method call per instrumented site.
+The profiler times itself: a calibration loop at construction measures
+the per-frame bookkeeping cost on this host, and ``overhead_seconds``
+reports ``events × per-event cost`` — the measurement error is itself
+measured. :func:`sample_rusage` readings bracket the profile, so
+page-fault and RSS deltas sit next to the phase table (I/O-bound phases
+show up as major faults, the ThunderRW discipline).
+:meth:`PhaseProfiler.bare` is the recorder without either: what a run
+records its roots and spans into when no profiler is attached, and what
+each parallel chunk ships back.
+
+A recorder is **single-threaded by design** — one stack. Parallel
+workers each record their chunk into their own and the parent folds the
+snapshots in under its open ``walk`` frame (:meth:`PhaseProfiler.absorb`),
+the same per-worker discipline as the metrics registry.
+:data:`NULL_PROFILER` (also :data:`NULL_SPAN`) is the one off switch:
+profiler, frame and span at once, costing one method call per
+instrumented site.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry.clock import now as _now
-from repro.telemetry.memory import sample_rusage
 
 #: Enter/exit cycles the construction-time calibration loop runs to
 #: estimate per-event bookkeeping cost. 256 pairs cost ~100 µs once.
@@ -44,148 +49,200 @@ CALIBRATION_EVENTS = 256
 PathKey = Tuple[str, ...]
 
 
-class _NullPhase:
-    """Reusable no-op context manager handed out by the null profiler."""
+class Span:
+    """One kept frame: name, wall-clock bounds, attributes, children."""
 
-    __slots__ = ()
+    __slots__ = ("name", "start", "end", "attributes", "children")
 
-    def __enter__(self):
+    def __init__(self, name: str, attributes: Dict[str, object]):
+        self.name = name
+        self.start = 0.0
+        self.end: Optional[float] = None
+        self.attributes = attributes
+        self.children: List["Span"] = []
+
+    def set(self, key: str, value) -> "Span":
+        self.attributes[key] = value
         return self
 
-    def __exit__(self, *exc):
-        return False
+    @property
+    def duration(self) -> float:
+        return 0.0 if self.end is None else self.end - self.start
+
+    def to_dict(self, origin: float = 0.0) -> dict:
+        """JSON-ready form; times are seconds relative to ``origin``."""
+        out = {
+            "name": self.name,
+            "start": self.start - origin,
+            "duration": self.duration,
+        }
+        if self.attributes:
+            out["attributes"] = dict(self.attributes)
+        if self.children:
+            out["children"] = [c.to_dict(origin) for c in self.children]
+        return out
 
 
-_NULL_PHASE = _NullPhase()
-
-
-class NullProfiler:
-    """Disabled profiler: every call is a cheap no-op.
-
-    Shared as :data:`NULL_PROFILER` — it holds no state, so one
-    instance can serve every engine simultaneously.
-    """
+class _Null:
+    """The off switch: a stateless profiler, frame and span in one, so
+    one shared instance serves every engine. Opening a phase or span,
+    entering it and setting an attribute hand back the null object;
+    every other call does nothing and answers False."""
 
     __slots__ = ()
     enabled = False
+    walk_sample_every = 0
 
-    def phase(self, name: str):
-        return _NULL_PHASE
+    def phase(self, *args, **kwargs) -> "_Null":
+        return self
 
-    def add_seconds(self, path, seconds: float, calls: int = 1,
-                    self_seconds: Optional[float] = None) -> None:
-        pass
+    def __exit__(self, *args, **kwargs) -> bool:
+        return False
 
-    def absorb(self, snapshot, prefix=()) -> None:
-        pass
+    span = set = __enter__ = phase
+    sample_walk = add_seconds = absorb = __exit__
 
 
-NULL_PROFILER = NullProfiler()
+NULL_PROFILER = NULL_SPAN = _Null()
 
 
 class _Frame:
-    """One open phase: context manager that charges its path on exit."""
+    """One open frame: charges its path on exit; a span frame also
+    closes its :class:`Span` (which ``with`` hands out in its place)."""
 
-    __slots__ = ("profiler", "path", "start", "child_seconds")
+    __slots__ = ("recorder", "path", "span", "start", "child_seconds")
 
-    def __init__(self, profiler: "PhaseProfiler", path: PathKey):
-        self.profiler = profiler
+    def __init__(self, recorder: "PhaseProfiler", path: PathKey):
+        self.recorder = recorder
         self.path = path
+        self.span: Optional[Span] = None
         self.start = 0.0
         self.child_seconds = 0.0
 
     def __enter__(self):
-        self.profiler._stack.append(self)
+        self.recorder._stack.append(self)
         self.start = _now()
-        return self
+        if self.span is None:
+            return self
+        self.span.start = self.start
+        return self.span
 
     def __exit__(self, *exc):
         end = _now()
-        prof = self.profiler
-        prof._stack.pop()
+        rec = self.recorder
+        rec._stack.pop()
         inclusive = end - self.start
-        prof._charge(self.path, inclusive, inclusive - self.child_seconds)
-        if prof._stack:
-            prof._stack[-1].child_seconds += inclusive
+        rec._add(self.path, 1, inclusive, inclusive - self.child_seconds)
+        rec.events += 1
+        if rec._stack:
+            rec._stack[-1].child_seconds += inclusive
+        if self.span is not None:
+            self.span.end = end
         return False
 
 
 class PhaseProfiler:
-    """Stack-based hierarchical phase profiler.
+    """Stack-based recorder of phases and spans.
 
-    ``phases`` maps a path tuple to ``[calls, inclusive_s, self_s]``.
-    Self time can go *negative* for synthetic parents whose absorbed
-    children overlap in real time (parallel chunk execution folded
-    under one ``walk`` phase); rendering clamps it at zero.
+    ``phases`` maps a path tuple to ``[calls, inclusive_s, self_s]``;
+    ``roots`` holds the finished root spans. Self time can go *negative*
+    for a frame whose absorbed children overlap in real time (parallel
+    chunks folded under one ``walk`` frame); rendering clamps it at zero.
     """
 
     enabled = True
+    #: A :meth:`bare` recorder keeps these: no rusage bracket, no
+    #: overhead estimate.
+    rusage_start = None
+    per_event_seconds = 0.0
 
     def __init__(self, calibrate: bool = True):
-        self.phases: Dict[PathKey, List[float]] = {}
-        self.events = 0
-        self._stack: List[_Frame] = []
+        self._reset()
         self.rusage_start = sample_rusage()
-        #: Seconds of profiler bookkeeping per phase() enter/exit pair,
-        #: measured on this host at construction (0.0 when skipped).
+        #: Seconds of bookkeeping per frame enter/exit pair, measured on
+        #: this host (the process-wide cached value when not calibrating).
         self.per_event_seconds = (
-            _calibrate_per_event() if calibrate else _cached_per_event()
+            _calibrate_per_event() if calibrate else _PER_EVENT_CACHE or 0.0
         )
+
+    @classmethod
+    def bare(cls) -> "PhaseProfiler":
+        """A recorder that neither calibrates nor samples rusage."""
+        recorder = cls.__new__(cls)
+        recorder._reset()
+        return recorder
+
+    def _reset(self) -> None:
+        self.phases: Dict[PathKey, List[float]] = {}
+        self.roots: List[Span] = []
+        self.events = 0
+        #: Trace one walk in every N (``walk_index % N == 0``); 0 traces none.
+        self.walk_sample_every = 0
+        self._stack: List[_Frame] = []
 
     # -- recording ---------------------------------------------------------
 
     def phase(self, name: str) -> _Frame:
-        """Open a phase; use as ``with profiler.phase("gather"):``."""
-        if self._stack:
-            path = self._stack[-1].path + (name,)
-        else:
-            path = (name,)
-        return _Frame(self, path)
+        """Open a phase; use as ``with recorder.phase("gather"):``."""
+        prefix = self._stack[-1].path if self._stack else ()
+        return _Frame(self, prefix + (name,))
 
-    def _charge(self, path: PathKey, inclusive: float, self_seconds: float) -> None:
-        self.events += 1
+    def span(self, name: str, **attributes) -> _Frame:
+        """Open a phase that also keeps a :class:`Span` with
+        ``attributes``; ``with`` yields the span."""
+        frame = self.phase(name)
+        frame.span = Span(name, attributes)
+        parent = self._open_span()
+        (parent.children if parent is not None else self.roots).append(frame.span)
+        return frame
+
+    def sample_walk(self, walk_index: int) -> bool:
+        """Should this walk get its own ``walk.one`` span (and per-step
+        timing)? Walk 0 is sampled whenever any walk is."""
+        every = self.walk_sample_every
+        return every > 0 and walk_index % every == 0
+
+    def _open_span(self) -> Optional[Span]:
+        for frame in reversed(self._stack):
+            if frame.span is not None:
+                return frame.span
+        return None
+
+    def _add(self, path: PathKey, calls: int, inclusive: float,
+             self_seconds: float) -> None:
         cell = self.phases.get(path)
         if cell is None:
-            self.phases[path] = [1, inclusive, self_seconds]
+            self.phases[path] = [calls, inclusive, self_seconds]
         else:
-            cell[0] += 1
+            cell[0] += calls
             cell[1] += inclusive
             cell[2] += self_seconds
 
-    def add_seconds(self, path, seconds: float, calls: int = 1,
-                    self_seconds: Optional[float] = None) -> None:
-        """Charge externally-measured time to ``path`` (synthetic phase).
+    def add_seconds(self, path, seconds: float, calls: int = 1) -> None:
+        """Charge externally-measured seconds to ``path`` under the open
+        frame, as a leaf that overlaps it: the open frame's self time is
+        unchanged (the parallel engine's per-chunk queue waits, which
+        overlap other chunks' execution)."""
+        prefix = self._stack[-1].path if self._stack else ()
+        self._add(prefix + tuple(path), calls, seconds, seconds)
 
-        The parallel engine uses this for per-chunk queue waits and
-        worker wall time it measured at the barrier rather than inline.
-        ``self_seconds`` defaults to ``seconds`` (a leaf); pass 0.0 when
-        absorbed children already account for the interior.
-        """
-        key = tuple(path) if not isinstance(path, tuple) else path
-        own = seconds if self_seconds is None else self_seconds
-        cell = self.phases.get(key)
-        if cell is None:
-            self.phases[key] = [calls, seconds, own]
-        else:
-            cell[0] += calls
-            cell[1] += seconds
-            cell[2] += own
-
-    def absorb(self, snapshot: Optional[dict], prefix=()) -> None:
-        """Fold a worker profiler's :meth:`snapshot` in under ``prefix``.
-
-        Associative like the registry merge: per-chunk profiles from
-        any completion order fold to the same totals.
-        """
-        if not snapshot:
-            return
-        prefix = tuple(prefix)
-        for joined, cell in snapshot.get("phases", {}).items():
-            key = prefix + tuple(joined.split(";"))
-            self.add_seconds(
-                key, cell["inclusive_s"], calls=cell["calls"],
-                self_seconds=cell["self_s"],
-            )
+    def absorb(self, snapshot: dict) -> None:
+        """Fold a worker recorder's :meth:`snapshot` in under the open
+        frame: its rows nest under that frame's path, its root rows count
+        as time inside the frame (so they come out of its self time) and
+        its root spans join the innermost open span. Associative like the
+        registry merge: chunks in any completion order fold alike."""
+        open_frame = self._stack[-1] if self._stack else None
+        prefix = open_frame.path if open_frame is not None else ()
+        for joined, cell in snapshot["phases"].items():
+            path = tuple(joined.split(";"))
+            self._add(prefix + path, cell["calls"], cell["inclusive_s"],
+                      cell["self_s"])
+            if open_frame is not None and len(path) == 1:
+                open_frame.child_seconds += cell["inclusive_s"]
+        parent = self._open_span()
+        (parent.children if parent is not None else self.roots).extend(
+            snapshot.get("spans", ()))
         self.events += int(snapshot.get("events", 0))
 
     # -- views -------------------------------------------------------------
@@ -208,9 +265,9 @@ class PhaseProfiler:
         )
 
     def snapshot(self) -> dict:
-        """JSON/pickle-ready form (ships from workers, feeds reports)."""
-        rusage_end = sample_rusage()
-        doc = {
+        """Picklable form (ships from workers): the JSON-ready phase
+        table, the root :class:`Span` objects and the event count."""
+        return {
             "phases": {
                 ";".join(path): {
                     "calls": int(cell[0]),
@@ -219,12 +276,9 @@ class PhaseProfiler:
                 }
                 for path, cell in sorted(self.phases.items())
             },
+            "spans": list(self.roots),
             "events": self.events,
-            "overhead_seconds": self.overhead_seconds,
         }
-        if self.rusage_start is not None and rusage_end is not None:
-            doc["rusage"] = rusage_end.delta(self.rusage_start)
-        return doc
 
     # -- rendering ---------------------------------------------------------
 
@@ -233,7 +287,7 @@ class PhaseProfiler:
 
         One line per path: ``root;child;leaf <count>`` where the count
         is integer microseconds of *self* time (clamped at zero — see
-        the class note on synthetic parents).
+        the class note on absorbed children).
         """
         lines = []
         for path, cell in sorted(self.phases.items()):
@@ -264,15 +318,28 @@ class PhaseProfiler:
                 f"coverage: {total / wall_seconds * 100.0:.1f}% of "
                 f"{wall_seconds:.4f}s wall"
             )
-        rusage_end = sample_rusage()
-        if self.rusage_start is not None and rusage_end is not None:
-            d = rusage_end.delta(self.rusage_start)
+        if self.rusage_start is not None:
+            a, b = self.rusage_start, sample_rusage()
+            # ru_maxrss is a per-process peak, in KiB (bytes on macOS).
+            max_rss_kib = b.ru_maxrss // (1024 if sys.platform == "darwin" else 1)
             lines.append(
-                f"rusage: maxrss={d['max_rss_bytes'] // 1024} KiB "
-                f"majflt={d['major_faults']} minflt={d['minor_faults']} "
-                f"utime={d['utime_seconds']:.3f}s stime={d['stime_seconds']:.3f}s"
+                f"rusage: maxrss={max_rss_kib} KiB "
+                f"majflt={b.ru_majflt - a.ru_majflt} "
+                f"minflt={b.ru_minflt - a.ru_minflt} "
+                f"utime={b.ru_utime - a.ru_utime:.3f}s "
+                f"stime={b.ru_stime - a.ru_stime:.3f}s"
             )
         return "\n".join(lines)
+
+
+def sample_rusage():
+    """``getrusage(RUSAGE_SELF)`` (max RSS, page faults, CPU time), or
+    ``None`` where unavailable (Windows)."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - non-POSIX platforms
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF)
 
 
 # ---------------------------------------------------------------------------
@@ -285,27 +352,17 @@ _PER_EVENT_CACHE: Optional[float] = None
 def _calibrate_per_event() -> float:
     """Measure this host's per-phase bookkeeping cost (cached).
 
-    Runs a throwaway profiler through ``CALIBRATION_EVENTS`` enter/exit
-    pairs and divides. Cached per process so per-chunk worker profilers
-    (``calibrate=False`` + :func:`_cached_per_event`) and repeated CLI
-    runs never pay it twice.
+    Runs a throwaway recorder through ``CALIBRATION_EVENTS`` enter/exit
+    pairs and divides. Cached per process so ``calibrate=False``
+    profilers (which read the cache) and repeated CLI runs never pay it
+    twice.
     """
     global _PER_EVENT_CACHE
     if _PER_EVENT_CACHE is None:
-        probe = PhaseProfiler.__new__(PhaseProfiler)
-        probe.phases = {}
-        probe.events = 0
-        probe._stack = []
-        probe.rusage_start = None
-        probe.per_event_seconds = 0.0
+        probe = PhaseProfiler.bare()
         t0 = _now()
         for _ in range(CALIBRATION_EVENTS):
             with probe.phase("calibrate"):
                 pass
         _PER_EVENT_CACHE = (_now() - t0) / CALIBRATION_EVENTS
     return _PER_EVENT_CACHE
-
-
-def _cached_per_event() -> float:
-    """The already-calibrated per-event cost, or 0.0 if never measured."""
-    return _PER_EVENT_CACHE or 0.0

@@ -1,9 +1,9 @@
 """Mergeable metrics: counters, gauges, and log-scale histograms.
 
-The registry is the single sink every engine, sampler, cache, and
-streaming batch reports into (replacing the ad-hoc trio of
-``PhaseTimer`` / ``MemoryReport`` / hand-printed ``CostCounters``
-snapshots). Design constraints, in order:
+The registry is the single sink for *what happened*: every engine,
+sampler, cache, and streaming batch counts into it (where the time went
+is the phase recorder's, :class:`~repro.telemetry.PhaseProfiler`).
+Design constraints, in order:
 
 * **per-step cheap** — ``Counter.inc`` is one attribute add and
   ``Histogram.observe`` is one C-level ``bisect`` over precomputed

@@ -124,7 +124,7 @@ class TeaOutOfCoreEngine(Engine):
         self.index: Optional[OutOfCorePAT] = None
 
     def _prepare(self) -> None:
-        self._build.tracer = self.tracer
+        self._build.recorder = self.recorder
         self._build.prepare()
         self.index = self._build.index
         self.candidate_sizes = self._build.candidate_sizes

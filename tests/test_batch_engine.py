@@ -230,7 +230,7 @@ class TestRoundMemory:
         finally:
             tracemalloc.stop()
         walks = graph.num_vertices * 120
-        walk = next(s for s in result.trace.roots if s.name == "walk")
+        walk = next(s for s in result.spans if s.name == "walk")
         assert walk.attributes["chunks"] == -(-walks // 4096) > 20
         assert result.total_steps > walks
         assert peak / walks <= self.BYTES_PER_LANE, peak / walks

@@ -125,7 +125,7 @@ class TestClockLint:
 
     def test_flags_every_layer_but_the_clock(self, tmp_path):
         pkg = tmp_path / "src" / "repro"
-        for rel in ("parallel/engine.py", "telemetry/spans.py",
+        for rel in ("parallel/engine.py", "telemetry/profile.py",
                     "telemetry/clock.py"):
             (pkg / rel).parent.mkdir(parents=True, exist_ok=True)
             (pkg / rel).write_text("import time\nt = time.monotonic()\n")
@@ -134,7 +134,7 @@ class TestClockLint:
         flagged = sorted(line.split(":")[0] for line in proc.stdout.splitlines()
                          if line.startswith("src/"))
         assert flagged == ["src/repro/parallel/engine.py",
-                           "src/repro/telemetry/spans.py"]
+                           "src/repro/telemetry/profile.py"]
 
 
 class TestDesignDoc:

@@ -189,9 +189,13 @@ class TestEmptyAndDegenerateGraphs:
 
 
 def _engine_subclasses():
-    import benchmarks.distributed  # noqa: F401 — registers its Engine subclass
+    # Import every module that defines an Engine subclass, so the count
+    # does not depend on which test modules ran first.
+    import benchmarks.distributed  # noqa: F401
+    import examples.moderation_pipeline  # noqa: F401
     import repro.engines  # noqa: F401
     import repro.parallel  # noqa: F401
+    import tests.ooc_oracle  # noqa: F401
     from repro.engines.base import Engine
 
     seen, stack = [], [Engine]
@@ -250,18 +254,19 @@ class TestOneDriver:
                                                   spec_fn):
         """A traced run (every walk observed per step) and an untraced
         one walk the same paths at the same cost."""
-        from repro.telemetry import Tracer
+        from repro.telemetry import PhaseProfiler
 
         wl = Workload(max_length=12, max_walks=40, stop_probability=0.05)
         plain = make(small_graph, spec_fn()).run(wl, seed=3)
-        traced = make(small_graph, spec_fn()).run(
-            wl, seed=3, tracer=Tracer(enabled=True, walk_sample_every=1)
-        )
+        engine = make(small_graph, spec_fn())
+        engine.profiler = PhaseProfiler(calibrate=False)
+        engine.profiler.walk_sample_every = 1
+        traced = engine.run(wl, seed=3)
         assert [p.hops for p in traced.paths] == [p.hops for p in plain.paths]
         assert traced.counters.snapshot() == plain.counters.snapshot()
         steps = traced.registry.histogram("walk.step_seconds").count
         assert steps == plain.counters.steps > 0
-        assert len(traced.trace.find("walk.one")) == 40
+        assert sum(s.name == "walk.one" for s in traced.spans[1].children) == 40
 
 
 def _materialise_per_walk(frontier, record_paths=True, sink=None):

@@ -261,7 +261,7 @@ class TestTelemetryFold:
             small_graph, spec, workers=2, chunk_size=16, backend="thread"
         )
         result = engine.run(Workload(walks_per_vertex=1, max_length=6), seed=1)
-        walk_roots = [s for s in result.trace.roots if s.name == "walk"]
+        walk_roots = [s for s in result.spans if s.name == "walk"]
         assert len(walk_roots) == 1
         chunk_spans = [c for c in walk_roots[0].children if c.name == "walk.chunk"]
         assert len(chunk_spans) == result.registry.counter_value("parallel.chunks")
@@ -377,7 +377,7 @@ class TestEndToEnd:
 
 def _chunk_widths(result):
     """Lanes of every chunk one parallel ``run`` walked, in chunk order."""
-    walk = next(s for s in result.trace.roots if s.name == "walk")
+    walk = next(s for s in result.spans if s.name == "walk")
     chunks = sorted((c for c in walk.children if c.name == "walk.chunk"),
                     key=lambda c: c.attributes["chunk"])
     return [c.attributes["walks"] for c in chunks]

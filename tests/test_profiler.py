@@ -2,15 +2,15 @@
 
 import gc
 import json
+import os
 
 import pytest
 
 from repro.engines.base import Workload
 from repro.engines.batch import BatchTeaEngine
 from repro.graph.datasets import load_dataset
-from repro.telemetry import NULL_PROFILER, PhaseProfiler
+from repro.telemetry import NULL_PROFILER, NULL_SPAN, PhaseProfiler
 from repro.telemetry.clock import now
-from repro.telemetry.profile import NullProfiler
 
 
 @pytest.fixture(scope="module")
@@ -85,31 +85,40 @@ class TestPhaseAccounting:
 
 
 class TestAbsorb:
-    def _chunk_snapshot(self, scale=1.0):
-        p = PhaseProfiler(calibrate=False)
-        p.add_seconds(("chunk_exec",), 1.0 * scale, self_seconds=0.2 * scale)
-        p.add_seconds(("chunk_exec", "gather"), 0.8 * scale)
-        return p.snapshot()
+    @staticmethod
+    def _chunk_snapshot(scale=1.0):
+        """A worker chunk's snapshot: one walk.chunk frame of ``scale``
+        seconds, 0.8 of them in gather."""
+        return {"phases": {
+            "walk.chunk": {"calls": 1, "inclusive_s": 1.0 * scale,
+                           "self_s": 0.2 * scale},
+            "walk.chunk;gather": {"calls": 1, "inclusive_s": 0.8 * scale,
+                                  "self_s": 0.8 * scale},
+        }, "events": 2}
 
     def test_absorb_prefixes_and_sums(self):
         parent = PhaseProfiler(calibrate=False)
-        parent.absorb(self._chunk_snapshot(1.0), prefix=("walk",))
-        parent.absorb(self._chunk_snapshot(2.0), prefix=("walk",))
-        cell = parent.phases[("walk", "chunk_exec")]
+        with parent.phase("walk"):
+            parent.absorb(self._chunk_snapshot(1.0))
+            parent.absorb(self._chunk_snapshot(2.0))
+        cell = parent.phases[("walk", "walk.chunk")]
         assert cell[0] == 2
         assert cell[1] == pytest.approx(3.0)
-        assert parent.phases[("walk", "chunk_exec", "gather")][1] == (
+        assert parent.phases[("walk", "walk.chunk", "gather")][1] == (
             pytest.approx(2.4)
         )
+        # The chunks' time came out of walk's self time.
+        walk = parent.phases[("walk",)]
+        assert walk[2] == pytest.approx(walk[1] - 3.0)
 
     def test_absorb_is_associative(self):
         snaps = [self._chunk_snapshot(s) for s in (1.0, 2.0, 3.0)]
         a = PhaseProfiler(calibrate=False)
         for s in snaps:
-            a.absorb(s, prefix=("walk",))
+            a.absorb(s)
         b = PhaseProfiler(calibrate=False)
         for s in reversed(snaps):
-            b.absorb(s, prefix=("walk",))
+            b.absorb(s)
         assert set(a.phases) == set(b.phases)
         for path, cell in a.phases.items():
             # Associative up to float summation order.
@@ -117,19 +126,27 @@ class TestAbsorb:
         assert a.events == b.events
 
     def test_negative_self_clamped_in_collapsed_output(self):
-        # Synthetic parents (parallel fold) can carry negative self time;
-        # the flamegraph rendering must clamp, not emit negative counts.
+        # Absorbed chunks that overlapped in real time exceed their
+        # parent's wall time; the flamegraph rendering must clamp its
+        # negative self time, not emit negative counts.
         p = PhaseProfiler(calibrate=False)
-        p.add_seconds(("walk",), 1.0, self_seconds=-0.5)
+        with p.phase("walk"):
+            p.absorb(self._chunk_snapshot(1.0))
+        assert p.phases[("walk",)][2] < 0
         line = p.collapsed_stacks().splitlines()[0]
         assert line == "walk 0"
 
     def test_snapshot_round_trips_through_json(self):
-        snap = self._chunk_snapshot()
-        again = json.loads(json.dumps(snap))
         p = PhaseProfiler(calibrate=False)
-        p.absorb(again, prefix=())
-        assert p.phases[("chunk_exec",)][1] == pytest.approx(1.0)
+        with p.phase("walk.chunk"):
+            with p.phase("gather"):
+                pass
+        snap = p.snapshot()
+        assert snap["spans"] == []
+        again = json.loads(json.dumps(snap))
+        q = PhaseProfiler(calibrate=False)
+        q.absorb(again)
+        assert q.phases == p.phases
 
 
 class TestNullProfiler:
@@ -139,7 +156,7 @@ class TestNullProfiler:
             pass
         NULL_PROFILER.add_seconds(("x",), 1.0)
         NULL_PROFILER.absorb({"phases": {"x": {}}})
-        assert isinstance(NULL_PROFILER, NullProfiler)
+        assert NULL_PROFILER is NULL_SPAN
 
     def test_engines_default_to_null(self, graph, spec):
         engine = BatchTeaEngine(graph, spec)
@@ -221,6 +238,25 @@ class TestEngineProfiles:
         r2 = profiled.run(workload, seed=7)
         assert r1.total_steps == r2.total_steps
         assert [p.vertices for p in r1.paths] == [p.vertices for p in r2.paths]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_parallel_pool_startup_comes_out_of_walk_self(self, graph, spec):
+        """Pool startup is wall time inside ``walk``: walk's self time
+        excludes it (queue waits overlap the chunks and exclude nothing)."""
+        from repro.parallel import ParallelBatchTeaEngine
+
+        engine = ParallelBatchTeaEngine(graph, spec, workers=2, chunk_size=16,
+                                        backend="process")
+        engine.profiler = profiler = PhaseProfiler(calibrate=False)
+        try:
+            engine.run(Workload(walks_per_vertex=1, max_length=5), seed=0)
+        finally:
+            engine.close()
+        assert engine.last_pool["builds"] == 1
+        _, walk_incl, walk_self = profiler.phases[("walk",)]
+        startup = profiler.phases[("walk", "pool_startup")][1]
+        assert startup > 0
+        assert walk_self <= walk_incl - startup + 1e-9
 
 
 class TestCliProfile:

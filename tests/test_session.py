@@ -6,7 +6,7 @@ import pytest
 from repro.engines import Workload
 from repro.engines.session import TeaSession
 from repro.sampling.counters import CostCounters
-from repro.telemetry import NULL_PROFILER, NULL_TRACER
+from repro.telemetry import NULL_PROFILER
 from repro.walks.apps import exponential_walk, temporal_node2vec, unbiased_walk
 
 
@@ -370,7 +370,7 @@ class TestIndexSharing:
             with pytest.raises(ValueError):
                 engine.with_spec(spec)
         sibling = engine.with_spec(N2V_A)
-        assert sibling.tracer is NULL_TRACER and sibling.profiler is NULL_PROFILER
+        assert sibling.recorder is NULL_PROFILER and sibling.profiler is NULL_PROFILER
         assert engine.spec is EXP
 
     def test_shared_index_is_counted_once(self, small_graph):

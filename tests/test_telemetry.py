@@ -2,18 +2,23 @@
 
 import json
 import math
+import os
 
+import numpy as np
 import pytest
 
 from repro.engines import GraphWalkerEngine, TeaEngine, Workload
 from repro.graph.datasets import load_dataset
+from repro.rng import make_rng, spawn_seeds
 from repro.telemetry import (
     BYTES_BUCKETS,
     LATENCY_BUCKETS,
     REPORT_SCHEMA,
     Histogram,
+    NULL_PROFILER,
+    NULL_SPAN,
     MetricsRegistry,
-    Tracer,
+    PhaseProfiler,
     build_run_report,
     format_stats_table,
     load_run_report,
@@ -139,7 +144,7 @@ class TestHistogram:
 
 class TestSpans:
     def test_nesting_and_ordering(self):
-        tracer = Tracer(enabled=True)
+        tracer = PhaseProfiler.bare()
         with tracer.span("prepare"):
             with tracer.span("prepare.weights"):
                 pass
@@ -158,50 +163,61 @@ class TestSpans:
             assert child.end <= parent.end
 
     def test_start_attribute_does_not_shadow_clock(self):
-        tracer = Tracer(enabled=True)
+        tracer = PhaseProfiler.bare()
         with tracer.span("s", start=12345) as span:
             pass
         assert span.attributes["start"] == 12345
         assert span.duration < 1.0  # wall clock, not perf_counter - 12345
 
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("x") as span:
-            span.set("k", 1)
-        assert tracer.roots == []
-        assert not tracer.sample_walk(0)
+        # The one null object is the profiler, its frames and its spans.
+        assert NULL_PROFILER is NULL_SPAN
+        with NULL_PROFILER.span("x") as span:
+            assert span.set("k", 1) is NULL_SPAN
+            with NULL_PROFILER.phase("y"):
+                pass
+        assert not NULL_PROFILER.sample_walk(0)
+        assert not hasattr(NULL_PROFILER, "__dict__")  # holds no state
 
     def test_walk_sampling_one_in_n(self):
-        tracer = Tracer(enabled=True, walk_sample_every=4)
+        tracer = PhaseProfiler.bare()
+        tracer.walk_sample_every = 4
         sampled = [i for i in range(12) if tracer.sample_walk(i)]
         assert sampled == [0, 4, 8]
-        assert not Tracer(enabled=True, walk_sample_every=0).sample_walk(0)
+        assert not PhaseProfiler.bare().sample_walk(0)
 
     def test_phase_seconds_accumulates_reentry(self):
-        tracer = Tracer(enabled=True)
+        tracer = PhaseProfiler.bare()
         with tracer.span("a"):
             pass
         with tracer.span("a"):
             pass
-        assert set(tracer.phase_seconds()) == {"a"}
+        assert [r.name for r in tracer.roots] == ["a", "a"]
+        assert tracer.phases[("a",)][0] == 2
+        assert tracer.phase_seconds("a") == pytest.approx(
+            sum(r.duration for r in tracer.roots))
 
     def test_to_dicts_relative_start(self):
-        tracer = Tracer(enabled=True)
+        tracer = PhaseProfiler.bare()
         with tracer.span("root"):
             with tracer.span("child"):
                 pass
-        doc = tracer.to_dicts()
+        doc = build_run_report(MetricsRegistry(), tracer.roots)["spans"]
         assert doc[0]["start"] == 0.0
         assert doc[0]["children"][0]["start"] >= 0.0
 
     def test_merge_adopts_roots(self):
-        a, b = Tracer(), Tracer()
+        a, b = PhaseProfiler.bare(), PhaseProfiler.bare()
         with a.span("one"):
             pass
         with b.span("two"):
             pass
-        a.merge(b)
+        a.absorb(b.snapshot())
         assert [r.name for r in a.roots] == ["one", "two"]
+        with a.span("walk"):
+            a.absorb(b.snapshot())
+        assert [c.name for c in a.roots[-1].children] == ["two"]
+        assert ("walk", "two") in a.phases
 
 
 class TestPrometheus:
@@ -286,10 +302,10 @@ class TestPrometheus:
 
 class TestRunReport:
     def _doc(self):
-        tracer = Tracer(enabled=True)
+        tracer = PhaseProfiler.bare()
         with tracer.span("prepare"):
             pass
-        return build_run_report(_populated(), tracer, meta={"engine": "tea"})
+        return build_run_report(_populated(), tracer.roots, meta={"engine": "tea"})
 
     def test_schema_and_validation(self):
         doc = self._doc()
@@ -354,11 +370,10 @@ class TestEngineWiring:
     def test_trace_sampling_emits_walk_spans(self, graph):
         spec = APPLICATIONS["exponential"]
         engine = TeaEngine(graph, spec)
-        tracer = Tracer(enabled=True, walk_sample_every=8)
-        result = engine.run(
-            Workload(max_length=10, max_walks=16), seed=1, tracer=tracer
-        )
-        walk_spans = tracer.find("walk.one")
+        engine.profiler = tracer = PhaseProfiler(calibrate=False)
+        tracer.walk_sample_every = 8
+        result = engine.run(Workload(max_length=10, max_walks=16), seed=1)
+        walk_spans = [s for s in result.spans[1].children if s.name == "walk.one"]
         assert len(walk_spans) == 2  # walks 0 and 8
         for span in walk_spans:
             assert "length" in span.attributes
@@ -398,6 +413,95 @@ class TestEngineWiring:
         s, f = shared.snapshot(), folded.snapshot()
         assert s["counters"] == f["counters"]
         assert s["histograms"]["walk.length"] == f["histograms"]["walk.length"]
+
+    @staticmethod
+    def _agreeing_engine(name, graph, spec):
+        from repro.engines import BatchTeaEngine
+        from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
+        from repro.parallel import ParallelBatchTeaEngine
+
+        if name == "tea":
+            return TeaEngine(graph, spec)
+        if name == "tea-batch":
+            return BatchTeaEngine(graph, spec)
+        if name == "tea-ooc-batch":
+            return BatchTeaOutOfCoreEngine(graph, spec, trunk_size=4)
+        backend = name.rpartition("-")[2]
+        if backend == "process" and not hasattr(os, "fork"):
+            pytest.skip("the process backend needs fork")
+        return ParallelBatchTeaEngine(graph, spec, workers=2, chunk_size=16,
+                                      backend=backend)
+
+    @pytest.mark.parametrize("name", [
+        "tea", "tea-batch", "tea-ooc-batch",
+        "tea-parallel-thread", "tea-parallel-process",
+    ])
+    def test_trace_and_profile_agree(self, graph, name):
+        """One frame stack: the span tree and the phase table of a
+        profiled run have the same roots, every span path is a table
+        row, and a parallel run keeps one walk.chunk span per chunk."""
+        engine = self._agreeing_engine(name, graph, APPLICATIONS["exponential"])
+        engine.profiler = profiler = PhaseProfiler(calibrate=False)
+        try:
+            result = engine.run(Workload(walks_per_vertex=1, max_length=8), seed=2)
+        finally:
+            getattr(engine, "close", lambda: None)()
+        roots = {"prepare", "walk", "finalize"}
+        assert [r.name for r in result.spans] == ["prepare", "walk", "finalize"]
+        assert result.spans == profiler.roots
+        assert {p[0] for p in profiler.phases if len(p) == 1} == roots
+
+        def paths(span, prefix=()):
+            path = prefix + (span.name,)
+            yield path
+            for child in span.children:
+                yield from paths(child, path)
+
+        for root in result.spans:
+            for path in paths(root):
+                assert path in profiler.phases, path
+        chunks = [s for s in result.spans[1].children if s.name == "walk.chunk"]
+        assert len(chunks) == result.registry.counter_value("parallel.chunks")
+        if name.startswith("tea-parallel"):
+            assert len(chunks) > 1
+
+    def test_attached_recorder_reused_across_runs(self, graph):
+        """Each result reads its own run's root frames, however many runs
+        one attached recorder accumulates (``best_of`` reuses one)."""
+        from repro.engines import BatchTeaEngine
+
+        engine = BatchTeaEngine(graph, APPLICATIONS["exponential"])
+        engine.profiler = profiler = PhaseProfiler(calibrate=False)
+        workload = Workload(walks_per_vertex=2, max_length=10)
+        first = engine.run(workload, seed=1)
+        second = engine.run(workload, seed=1)
+        for phase, seconds in (("prepare", lambda r: r.prepare_seconds),
+                               ("walk", lambda r: r.walk_seconds)):
+            calls, total, _ = profiler.phases[(phase,)]
+            assert calls == 2
+            # A cumulative view would read the total on the second run.
+            assert seconds(second) < total
+            assert seconds(first) + seconds(second) == pytest.approx(total, rel=0.1)
+        # The second run found the index built: its prepare is its own.
+        assert second.prepare_seconds < first.prepare_seconds
+
+    def test_default_run_neither_calibrates_nor_samples_rusage(
+            self, graph, monkeypatch):
+        """A run with no profiler attached (and a run_lanes call) records
+        its roots without the profiler's calibration loop or rusage."""
+        from repro.engines import BatchTeaEngine
+        from repro.telemetry import profile
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("default run paid for profiling")
+
+        monkeypatch.setattr(profile, "sample_rusage", refuse)
+        monkeypatch.setattr(profile, "_calibrate_per_event", refuse)
+        engine = BatchTeaEngine(graph, APPLICATIONS["exponential"])
+        result = engine.run(Workload(walks_per_vertex=1, max_length=8), seed=0)
+        assert result.walk_seconds > 0 and result.total_steps > 0
+        lanes = engine.run_lanes(np.arange(8), spawn_seeds(make_rng(0), 8), 8)
+        assert lanes.total_steps > 0
 
 
 class TestCli:
