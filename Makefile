@@ -21,24 +21,26 @@ test: lint-clocks
 SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 
 # Sampling kernels: with a cc on PATH `auto` and `c` resolve to the
-# compiled backend with its fused hop and its index build (a failure, not
-# a skip; without one, numpy plus a fallback note), the build's load-time
-# self-test passes and refuses a builder one bit off or passes that did
-# not bind, every product index (preprocess, load_hpat copied and mapped,
-# engine prepare, the engine a forked parallel worker inherits) binds the
-# fused hop, an out-of-core run draws through the compiled members on
-# every call and their self-test refuses members that did not bind or are
-# one bit off, node2vec's static adjacency is one key array on the graph
-# (the in-memory, out-of-core, parallel and scalar engines read the same
-# object, and a prepared parallel engine holds it before its pool forks),
-# the walk engines hold only what the walk reads (no batch, out-of-core,
-# parallel, with_spec or GNN-sampler engine holds an auxiliary index or a
-# static-weight array, the graph has no negated time copy, and only
-# TeaEngine(use_aux_index=True) builds the index, still saving probes;
-# GraphWalker, KnightKing and CTDNE build the graph's candidate-search
-# caches in prepare; memory_report counts every graph cache built), and the structural
+# compiled backend with its fused hop and its index build (a failure,
+# not a skip; without one, numpy plus a fallback note), the build's
+# load-time self-test passes and refuses a builder one bit off or passes
+# that did not bind, every product index (preprocess, its arrays read
+# back copied and mapped, engine prepare, the engine a forked parallel
+# worker inherits) binds the fused hop, an out-of-core run draws through
+# the compiled members on every call and their self-test refuses members
+# that did not bind or are one bit off, node2vec's static adjacency is
+# one key array on the graph (the in-memory, out-of-core, parallel and
+# scalar engines read the same object, and a prepared parallel engine
+# holds it before its pool forks), the walk engines hold only what the
+# walk reads (no batch, out-of-core, parallel, with_spec or GNN-sampler
+# engine holds an auxiliary index or a static-weight array, the graph
+# has no negated time copy, and only TeaEngine(use_aux_index=True)
+# builds the index, still saving probes; GraphWalker, KnightKing and
+# CTDNE build the graph's candidate-search caches in prepare;
+# memory_report counts every graph cache built), and the structural
 # constant-calls gate (one fused node2vec run makes the same number of
-# Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at p=4, q=1/4).
+# Python-level calls at 16 and at 2 048 lanes, at p=q=1 and at p=4,
+# q=1/4).
 kernel-smoke:
 	$(SMOKE) "tests/test_kernels.py::TestBackendRegistry" \
 		"tests/test_build_kernels.py::TestBuildSelfTest" \
@@ -190,8 +192,15 @@ bench-e2e:
 	python3 -m bench_e2e run --seed 1 --quick
 	@echo "bench-e2e: checks only — not for numbers"
 
-# Source size, the number simplification PRs are judged on.
+# Source size, the number simplification PRs are judged on: lines per
+# src/repro package (subpackages included), the top-level modules, and
+# the total as the last line.
 loc:
+	@for init in src/repro/*/__init__.py; do \
+		pkg=$${init%/__init__.py}; \
+		printf '%7d %s\n' $$(find $$pkg -name '*.py' -exec cat {} + | wc -l) $$pkg; \
+	done
+	@printf '%7d %s\n' $$(cat src/repro/*.py | wc -l) 'src/repro/*.py'
 	@find src -name '*.py' | xargs wc -l | tail -1
 
 examples:

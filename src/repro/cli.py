@@ -43,6 +43,7 @@ from repro.engines import (
     TeaEngine,
     Workload,
 )
+from repro.engines.session import ENGINE_KINDS
 from repro.engines.tea_outofcore import (
     DEFAULT_OOC_CACHE_BYTES,
     DEFAULT_OOC_TRUNK_SIZE,
@@ -54,6 +55,7 @@ from repro.graph import io as graph_io
 from repro.graph.datasets import DATASETS, load_dataset
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import BACKEND_CHOICES
+from repro.parallel.engine import BACKENDS
 from repro.walks.apps import APPLICATIONS
 
 ENGINES = {
@@ -84,6 +86,62 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The executor flags ``walk`` and ``serve`` share; :func:`_engine_kwargs`
+    maps them to constructor arguments."""
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="run chunk-parallel with N pool workers "
+                             "(walk: implies --engine tea-parallel)")
+    parser.add_argument("--chunk-size", type=int, default=None, metavar="M",
+                        help="lanes per work-queue chunk (default: one equal "
+                             "share per worker, each at most one frontier slice)")
+    parser.add_argument("--parallel-backend", default="auto",
+                        choices=list(BACKENDS),
+                        help="worker pool type for tea-parallel")
+    parser.add_argument("--kernel-backend", default="auto",
+                        choices=list(BACKEND_CHOICES),
+                        help="sampling-kernel implementation for the batch "
+                             "engines (auto = the compiled C passes when the "
+                             "system cc built them, else numpy; same walks "
+                             "either way)")
+    parser.add_argument("--retries", type=int, default=2, metavar="R",
+                        help="retry budget: transient I/O retries per read and "
+                             "re-executions per failed parallel chunk")
+    parser.add_argument("--chunk-timeout", type=float, default=None, metavar="S",
+                        help="seconds before a parallel chunk is declared hung "
+                             "and requeued (default: no watchdog)")
+    parser.add_argument("--fault-plan", metavar="PLAN",
+                        help="chaos testing: JSON fault plan (inline or a file "
+                             "path) injected into the engine's risky layers")
+
+
+def _engine_kwargs(args, kind: str) -> dict:
+    """Constructor arguments of engine ``kind`` from :func:`_add_engine_args`.
+    The fault plan is parsed whatever the kind, so a bad one always fails."""
+    from repro.resilience import RetryPolicy, load_fault_injector
+
+    injector = load_fault_injector(args.fault_plan)
+    if kind == "tea-parallel":
+        return {
+            "workers": args.workers,
+            "chunk_size": args.chunk_size,
+            "backend": args.parallel_backend,
+            "retries": args.retries,
+            "chunk_timeout": args.chunk_timeout,
+            "fault_injector": injector,
+            "kernel_backend": args.kernel_backend,
+        }
+    if kind == "tea-ooc-batch":
+        # Backoff jitter is seeded from the run seed, so it reproduces too.
+        return {
+            "retry_policy": RetryPolicy(max_retries=args.retries, seed=args.seed),
+            "fault_injector": injector,
+        }
+    if kind == "tea-batch":
+        return {"kernel_backend": args.kernel_backend}
+    return {}
+
+
 def cmd_info(args) -> int:
     if args.dataset or args.input:
         graph = _load_graph(args)
@@ -107,40 +165,26 @@ def cmd_generate(args) -> int:
 
 
 def cmd_walk(args) -> int:
-    from repro.resilience import RetryPolicy, load_fault_injector
-
     graph = _load_graph(args)
     spec = APPLICATIONS[args.app]
-    # Resilience wiring: the injector is shared by every instrumented
-    # site of the chosen engine; the retry policy seeds its jitter from
-    # the run seed so backoff sequences reproduce too.
-    injector = load_fault_injector(args.fault_plan)
-    retry_policy = RetryPolicy(max_retries=args.retries, seed=args.seed)
-    # --workers selects the chunk-parallel executor; it composes with
-    # --chunk-size / --parallel-backend and overrides --engine (the
-    # parallel engine runs the tea-batch kernel, so semantics match).
-    if args.engine == "tea-parallel" or args.workers:
-        engine = ParallelBatchTeaEngine(
-            graph, spec, workers=args.workers,
-            chunk_size=args.chunk_size, backend=args.parallel_backend,
-            retries=args.retries, chunk_timeout=args.chunk_timeout,
-            fault_injector=injector,
-            kernel_backend=args.kernel_backend,
-        )
-    elif args.engine == "tea-ooc-batch":
+    # --workers selects the chunk-parallel executor and overrides --engine
+    # (the parallel engine runs the tea-batch kernel, so semantics match).
+    kind = "tea-parallel" if args.workers else args.engine
+    kwargs = _engine_kwargs(args, kind)
+    if kind == "tea-parallel":
+        engine = ParallelBatchTeaEngine(graph, spec, **kwargs)
+    elif kind == "tea-ooc-batch":
         engine = BatchTeaOutOfCoreEngine(
             graph, spec, trunk_size=args.ooc_trunk_size,
             cache_bytes=args.cache_bytes,
             prefetch=args.prefetch == "on",
-            retry_policy=retry_policy,
             verify_checksums=args.verify_checksums,
-            fault_injector=injector,
+            **kwargs,
         )
-    elif args.engine == "tea-batch":
-        engine = BatchTeaEngine(graph, spec,
-                                kernel_backend=args.kernel_backend)
+    elif kind == "tea-batch":
+        engine = BatchTeaEngine(graph, spec, **kwargs)
     else:
-        engine = ENGINES[args.engine](graph, spec)
+        engine = ENGINES[kind](graph, spec)
     workload = Workload(
         walks_per_vertex=args.walks_per_vertex,
         max_length=args.length,
@@ -540,25 +584,12 @@ SERVE_EVENT_TAIL = 65_536
 
 
 def cmd_serve(args) -> int:
-    from repro.resilience import load_fault_injector
     from repro.serve import WalkService
     from repro.telemetry import EventLog
     from repro.telemetry import events as telemetry_events
 
     graph = _load_graph(args)
-    engine_kwargs = {}
-    if args.serve_engine == "tea-parallel":
-        engine_kwargs = {
-            "workers": args.workers,
-            "chunk_size": args.chunk_size,
-            "backend": args.parallel_backend,
-            "retries": args.retries,
-            "chunk_timeout": args.chunk_timeout,
-            "fault_injector": load_fault_injector(args.fault_plan),
-            "kernel_backend": args.kernel_backend,
-        }
-    elif args.serve_engine == "tea-batch":
-        engine_kwargs = {"kernel_backend": args.kernel_backend}
+    engine_kwargs = _engine_kwargs(args, args.serve_engine)
     streaming = None
     if args.streaming_app or args.wal_dir:
         from repro.streaming import StreamingTeaEngine
@@ -639,21 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=80)
     p.add_argument("--walks-per-vertex", type=int, default=1)
     p.add_argument("--max-walks", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="run chunk-parallel with N workers "
-                        "(implies --engine tea-parallel)")
-    p.add_argument("--chunk-size", type=int, default=None, metavar="M",
-                   help="lanes per work-queue chunk (default: one equal "
-                        "share per worker, each at most one frontier slice)")
-    p.add_argument("--parallel-backend", default="auto",
-                   choices=["auto", "process", "thread", "serial"],
-                   help="worker pool type for tea-parallel")
-    p.add_argument("--kernel-backend", default="auto",
-                   choices=list(BACKEND_CHOICES),
-                   help="sampling-kernel implementation for the batch "
-                        "engines (auto = the compiled C passes when the "
-                        "system cc built them, else numpy; same walks "
-                        "either way)")
+    _add_engine_args(p)
     p.add_argument("--cache-bytes", type=int, default=DEFAULT_OOC_CACHE_BYTES,
                    metavar="B",
                    help="re-entry cache budget for the out-of-core engines "
@@ -663,18 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trunk size for the out-of-core PAT spill")
     p.add_argument("--prefetch", default="on", choices=["on", "off"],
                    help="async trunk prefetch for tea-ooc-batch")
-    p.add_argument("--retries", type=int, default=2, metavar="R",
-                   help="retry budget: transient I/O retries per read and "
-                        "re-executions per failed parallel chunk")
-    p.add_argument("--chunk-timeout", type=float, default=None, metavar="S",
-                   help="seconds before a parallel chunk is declared hung "
-                        "and requeued (default: no watchdog)")
     p.add_argument("--verify-checksums", action="store_true",
                    help="verify per-page CRC32 checksums on every "
                         "out-of-core trunk read")
-    p.add_argument("--fault-plan", metavar="PLAN",
-                   help="chaos testing: JSON fault plan (inline or a file "
-                        "path) injected into the engine's risky layers")
     p.add_argument("--show-paths", type=int, default=0)
     p.add_argument("--stats", action="store_true",
                    help="print the full telemetry table instead of the summary")
@@ -701,20 +709,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8214,
                    help="listen port (0 picks a free one)")
     p.add_argument("--engine", dest="serve_engine", default="tea-batch",
-                   choices=["tea", "tea-batch", "tea-parallel"],
+                   choices=list(ENGINE_KINDS),
                    help="engine kind built per cached (window, weights) entry")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="tea-parallel: pool worker count")
-    p.add_argument("--parallel-backend", default="auto",
-                   choices=["auto", "process", "thread", "serial"])
-    p.add_argument("--chunk-size", type=int, default=None, metavar="M")
-    p.add_argument("--kernel-backend", default="auto",
-                   choices=list(BACKEND_CHOICES))
-    p.add_argument("--retries", type=int, default=2, metavar="R",
-                   help="tea-parallel: chunk retry budget")
-    p.add_argument("--chunk-timeout", type=float, default=None, metavar="S")
-    p.add_argument("--fault-plan", metavar="PLAN",
-                   help="chaos testing: JSON fault plan injected under the server")
+    _add_engine_args(p)
     p.add_argument("--max-engines", type=int, default=8,
                    help="prepared-engine LRU capacity")
     p.add_argument("--max-bytes", type=int, default=None,

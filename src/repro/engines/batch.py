@@ -131,8 +131,8 @@ class BatchTeaEngine(Engine):
     ) -> "BatchTeaEngine":
         """Wrap an already-built index without re-running preprocessing.
 
-        The entry point for an index built elsewhere (``load_hpat``, a
-        separate ``preprocess``): ``graph`` must already be
+        The entry point for an index built elsewhere (a separate
+        ``preprocess``): ``graph`` must already be
         spec-restricted and ``index``/``candidate_sizes`` are adopted
         as-is (memory-mapped arrays included), so construction costs no
         array copies and no index build.

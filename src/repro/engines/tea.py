@@ -49,23 +49,16 @@ class TeaEngine(Engine):
         spec: WalkSpec,
         structure: str = "hpat",
         use_aux_index: bool = True,
-        workers: int = 1,
         trunk_size: Optional[int] = None,
         alias_budget_bytes: int = DEFAULT_BUDGET_BYTES,
-        index_cache_path: Optional[str] = None,
     ):
         super().__init__(graph, spec)
         if structure not in STRUCTURES:
             raise ValueError(f"structure must be one of {STRUCTURES}, got {structure!r}")
         self.structure = structure
         self.use_aux_index = bool(use_aux_index)
-        self.workers = int(workers)
         self.trunk_size = trunk_size
         self.alias_budget_bytes = int(alias_budget_bytes)
-        # Optional warm start: a .npz written by repro.core.persist. If
-        # the file exists and matches the graph it replaces the build;
-        # otherwise the freshly built index is saved there (hpat only).
-        self.index_cache_path = index_cache_path
         self.index = None
         self.weights: Optional[np.ndarray] = None
         self.construction_report = None
@@ -77,7 +70,7 @@ class TeaEngine(Engine):
     def _prepare(self) -> None:
         if self.structure == "alias":
             with self.recorder.span("prepare.candidate_search"):
-                self.candidate_sizes = builder.search_candidate_sets(self.graph, self.workers)
+                self.candidate_sizes = builder.search_candidate_sets(self.graph)
             with self.recorder.span("prepare.weights"):
                 self.weights = self.spec.weight_model.compute(self.graph)
             with self.recorder.span("prepare.index_build", structure="alias"):
@@ -85,29 +78,11 @@ class TeaEngine(Engine):
                     self.graph, self.weights, budget_bytes=self.alias_budget_bytes
                 )
             return
-        if self.structure == "hpat" and self.index_cache_path is not None:
-            import os
-
-            from repro.core import persist
-            from repro.exceptions import GraphFormatError
-
-            if os.path.exists(self.index_cache_path):
-                try:
-                    self.index, self.candidate_sizes = persist.load_hpat(
-                        self.index_cache_path,
-                        self.graph,
-                        weight_desc=self.spec.weight_model.describe(),
-                    )
-                    self.weights = self.spec.weight_model.compute(self.graph)
-                    return
-                except GraphFormatError:
-                    pass  # stale cache: rebuild and overwrite below
         pre = builder.preprocess(
             self.graph,
             self.spec.weight_model,
             structure=self.structure,
             with_aux_index=self.use_aux_index,
-            workers=self.workers,
             trunk_size=self.trunk_size,
             recorder=self.recorder,
         )
@@ -115,16 +90,6 @@ class TeaEngine(Engine):
         self.weights = pre.weights
         self.candidate_sizes = pre.candidate_sizes
         self.construction_report = pre.report
-        if self.structure == "hpat" and self.index_cache_path is not None:
-            from repro.core import persist
-
-            persist.save_hpat(
-                self.index_cache_path,
-                self.index,
-                self.graph,
-                self.candidate_sizes,
-                weight_desc=self.spec.weight_model.describe(),
-            )
 
     def sample_edge(self, v, candidate_size, walker_time, rng, counters):
         if self.structure == "hpat":
@@ -134,9 +99,6 @@ class TeaEngine(Engine):
         return self.index.sample(v, candidate_size, rng, counters)
 
     def publish_telemetry(self, registry) -> None:
-        registry.gauge("engine.workers", "configured preprocessing workers").set(
-            self.workers
-        )
         if self.construction_report is not None:
             rep = self.construction_report
             registry.gauge("build.workers", "preprocessing workers").set(rep.workers)

@@ -236,6 +236,10 @@ class WalkService:
             self._thread.join(timeout)
             clean = not self._thread.is_alive()
             self._thread = None
+            # Closed here, not by the loop: a wake sent after the loop
+            # exited must still find the pair open.
+            self._wake_r.close()
+            self._wake_w.close()
         if self.stream is not None:
             self.stream.close()
         self.session.close()
@@ -272,8 +276,7 @@ class WalkService:
             self._dispatch(self._selector.select(self._flush_deadline - _monotonic()))
         for conn in list(self._conns.values()):
             self._drop(conn)
-        for closable in (self._selector, self._wake_r, self._wake_w):
-            closable.close()
+        self._selector.close()
 
     def _dispatch(self, ready) -> None:
         for key, mask in ready:

@@ -147,10 +147,14 @@ def _read_binary(path: Path) -> Iterator[WalkPath]:
         if f.read(len(_MAGIC)) != _MAGIC:
             raise GraphFormatError(f"{path}: not a .twalks file")
         while True:
-            header = np.fromfile(f, dtype=np.int32, count=1)
-            if header.size == 0:
+            header = f.read(4)
+            if not header:
                 return
-            n = int(header[0])
+            if len(header) < 4:
+                raise GraphFormatError(f"{path}: torn walk record header")
+            n = int(np.frombuffer(header, dtype=np.int32)[0])
+            if n < 0:
+                raise GraphFormatError(f"{path}: negative walk length {n}")
             vs = np.fromfile(f, dtype=np.int64, count=n)
             ts = np.fromfile(f, dtype=np.float64, count=n)
             if vs.size != n or ts.size != n:

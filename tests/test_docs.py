@@ -77,6 +77,7 @@ class TestMakefile:
 MOVED_OUT = ("repro.analytics", "repro.bench", "repro.distributed",
              "repro.embeddings", "repro.sampling.its",
              "repro.sampling.rejection", "repro.core.deletions",
+             "repro.core.persist",
              "repro.engines.mutable", "repro.engines.tea_outofcore.scalar",
              "repro.graph.transform", "benchmarks", "examples", "tests")
 

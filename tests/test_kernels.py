@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 import repro.engines.batch as batch_mod
-from repro.core import builder, persist
+from repro.core import builder
+from repro.core.hpat import HierarchicalPAT
 from repro.core.incremental import IncrementalHPAT, VertexIncrementalHPAT
 from repro.core.weights import WeightModel
 from repro.engines import BatchTeaOutOfCoreEngine, TeaEngine, Workload
@@ -139,16 +140,19 @@ class TestFusedHopBinds:
 
     @pytest.mark.parametrize("mmap_mode", [None, "r"])
     def test_load_hpat(self, prepared, tmp_path, mmap_mode):
+        """An HPAT read back from ``.npy`` files, copied or mapped
+        read-only (``c_backend._addr``'s read-only branch), binds."""
         graph, pre = prepared
-        path = tmp_path / "index.npz"
-        desc = self.SPEC.weight_model.describe()
-        persist.save_hpat(path, pre.index, graph, pre.candidate_sizes,
-                          weight_desc=desc, compressed=mmap_mode is None)
-        index, sizes = persist.load_hpat(path, graph, weight_desc=desc,
-                                         mmap_mode=mmap_mode)
-        assert isinstance(index.alias, np.memmap) == (mmap_mode is not None)
-        self._assert_binds(BatchTeaEngine.from_prepared(graph, self.SPEC,
-                                                        index, sizes))
+        arrays = {"candidate_sizes": pre.candidate_sizes}
+        arrays.update((name, getattr(pre.index, name)) for name in
+                      ("indptr", "c", "prob", "alias", "lvl_ptr", "lvl_base"))
+        for name, array in arrays.items():
+            np.save(tmp_path / f"{name}.npy", array)
+            arrays[name] = np.load(tmp_path / f"{name}.npy", mmap_mode=mmap_mode)
+        sizes = arrays.pop("candidate_sizes")
+        assert isinstance(arrays["alias"], np.memmap) == (mmap_mode is not None)
+        self._assert_binds(BatchTeaEngine.from_prepared(
+            graph, self.SPEC, HierarchicalPAT(**arrays), sizes))
 
     def test_engine_prepare(self, medium_graph):
         engine = BatchTeaEngine(medium_graph, self.SPEC)

@@ -27,6 +27,7 @@ from repro.serve.batcher import Batcher
 from repro.serve.protocol import MAX_BODY_BYTES
 from repro.streaming import StreamingTeaEngine
 from repro.telemetry import events as telemetry_events
+from repro.telemetry.clock import monotonic
 from repro.telemetry.events import EventLog
 from repro.telemetry.registry import MetricsRegistry
 from repro.walks.apps import unbiased_walk
@@ -243,6 +244,21 @@ def test_one_serving_thread(small_graph):
         assert [t.name for t in new] == ["serve-loop"]
         for conn in conns:
             conn.close()
+
+
+def test_a_wake_after_the_loop_exited_finds_the_pair_open(small_graph):
+    """``close()`` sets ``_stopping`` and then wakes the loop, which may
+    already have seen the flag and exited: that wake must not land on a
+    closed socket."""
+    service = WalkService(small_graph, engine="tea-batch").start()
+    loop = service._thread
+    service._flush_deadline = monotonic() + 5.0
+    service._stopping = True
+    service._wake()
+    loop.join(10.0)
+    assert not loop.is_alive()
+    service._wake()  # close()'s own wake, had the loop won the race
+    assert service.close()
 
 
 # -- (c) columnar encode == per-walk oracle, byte for byte --------------------

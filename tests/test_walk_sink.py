@@ -85,6 +85,22 @@ class TestFormats:
             list(read_walks(path))
 
 
+    @pytest.mark.parametrize("tail, reason", [
+        (b"\x01", "torn"), (b"\x01\x00", "torn"), (b"\x01\x00\x00", "torn"),
+        (np.int32(-1).tobytes(), "negative walk length -1"),
+    ])
+    def test_torn_or_negative_record_header(self, tmp_path, tail, reason):
+        """A corpus cut inside a record header is refused rather than
+        read as a clean end of file; a negative length is named."""
+        path = tmp_path / "t.twalks"
+        with WalkSink(path) as sink:
+            sink.append(make_walk(0, 1, 2))
+            sink.append(make_walk(3))
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(GraphFormatError, match=reason):
+            list(read_walks(path))
+
+
 class TestEngineIntegration:
     @pytest.mark.parametrize("engine_cls", [TeaEngine, BatchTeaEngine])
     def test_sink_receives_all_walks(self, small_graph, tmp_path, engine_cls):

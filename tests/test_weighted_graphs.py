@@ -149,14 +149,3 @@ class TestStreamingGuard:
         batch = EdgeStream([0], [1], [1.0], weight=[2.0])
         with pytest.raises(NotSupportedError, match="edge weights"):
             inc.apply_batch(batch)
-
-
-class TestPersistFingerprint:
-    def test_weights_change_fingerprint(self):
-        from repro.core.persist import graph_fingerprint
-
-        a = weighted_star([1.0, 2.0])
-        b = weighted_star([1.0, 3.0])
-        unweighted = TemporalGraph.from_edges([(0, 1, 0.0), (0, 2, 1.0)])
-        assert graph_fingerprint(a) != graph_fingerprint(b)
-        assert graph_fingerprint(a) != graph_fingerprint(unweighted)
