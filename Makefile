@@ -4,8 +4,8 @@ PYTHON ?= python
 
 .PHONY: install test stats-smoke scaling-smoke ooc-smoke chaos-smoke \
         telemetry-smoke bench-history-smoke kernel-smoke serve-smoke \
-        ingest-smoke lint-clocks bench bench-quick bench-e2e loc examples \
-        lint clean
+        ingest-smoke corpus-smoke lint-clocks bench bench-quick bench-e2e \
+        loc examples lint clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -164,6 +164,15 @@ ingest-smoke:
 		"tests/test_streaming.py::TestEpochIsolation" \
 		"tests/test_streaming.py::TestDurability" \
 		"tests/test_epoch_pack.py::TestReadSideBookkeeping"
+
+# Walk corpora: every engine's corpus read back equals its recorded
+# paths in both formats, blocks of 1,024 walks, damaged .twalks and text
+# files refused with GraphFormatError (a v1 file by its version), the
+# corpus CLI, and the Hypothesis round trip against WalkPath.
+corpus-smoke:
+	$(SMOKE) "tests/test_walk_sink.py" \
+		"tests/test_cli.py::TestCorpus" \
+		"tests/test_properties_extended.py::test_walk_sink_roundtrip"
 
 # Clock discipline: every module under src/repro except the clock itself
 # must take time from repro.telemetry.clock, never raw

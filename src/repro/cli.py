@@ -403,17 +403,12 @@ def cmd_corpus(args) -> int:
     engine = ENGINES[args.engine](graph, spec)
     from repro.walks.sink import WalkSink
 
-    workload = Workload(
-        walks_per_vertex=args.walks_per_vertex,
-        max_length=args.length,
-        max_walks=args.max_walks,
-    )
-    with WalkSink(args.output, flush_threshold=args.flush_threshold) as sink:
+    workload = Workload(walks_per_vertex=args.walks_per_vertex,
+                        max_length=args.length, max_walks=args.max_walks)
+    with WalkSink(args.output) as sink:
         result = engine.run(workload, seed=args.seed, record_paths=False, sink=sink)
-    print(
-        f"wrote {sink.walks_written} walks ({result.total_steps} hops) "
-        f"to {args.output} in {sink.flushes} flushes"
-    )
+    print(f"wrote {sink.walks_written} walks ({result.total_steps} hops) "
+          f"to {args.output} in {sink.flushes} blocks")
     return 0
 
 
@@ -802,7 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, default=80)
     p.add_argument("--walks-per-vertex", type=int, default=1)
     p.add_argument("--max-walks", type=int, default=None)
-    p.add_argument("--flush-threshold", type=int, default=1024)
     p.set_defaults(fn=cmd_corpus)
 
     p = sub.add_parser("validate-corpus", help="check a corpus against a graph")

@@ -35,7 +35,7 @@ import abc
 import copy
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.telemetry import (
 from repro.telemetry.clock import now as _now
 from repro.telemetry.events import current_run_id
 from repro.walks.spec import WalkSpec
-from repro.walks.walker import Walker, WalkPath
+from repro.walks.walker import BLOCK_WALKS, Walker, WalkPath, walk_paths
 
 # After this many Dynamic_parameter rejections within one step, switch
 # from rejection to one exact β-adjusted scan (an adaptive strategy: the
@@ -107,9 +107,6 @@ class Workload:
         cap = f", max_walks={self.max_walks}" if self.max_walks else ""
         return f"R={self.walks_per_vertex}, L={self.max_length}{cap}"
 
-
-#: Walks :meth:`FrontierResult.materialise_paths` flattens at a time.
-_MATERIALISE_BLOCK = 1024
 
 #: Hop columns a batch of walks starts with, however long it may get.
 _HOP_COLUMNS = 32
@@ -185,37 +182,26 @@ class FrontierResult:
     def total_steps(self) -> int:
         return int(self.lengths.sum())
 
-    def materialise_paths(self, record_paths: bool = True, sink=None) -> List[WalkPath]:
-        """Build :class:`WalkPath` objects from the columnar arrays.
-
-        Runs once per batch after the walk phase (never inside it);
-        ``sink`` receives every walk, the returned list only fills when
-        ``record_paths`` is true.
-        """
-        paths: List[WalkPath] = []
-        if self.hop_vertex is None or (not record_paths and sink is None):
-            return paths
-        # Taken hops only, flattened a block of walks at a time: two
-        # ``tolist`` calls per block instead of two array slices per
-        # walk, and never a padded or whole-batch copy.
+    def blocks(self) -> Iterator[Tuple[np.ndarray, ...]]:
+        """``(starts, lengths, vertices, times)`` per block of
+        ``BLOCK_WALKS`` walks: the taken hops flattened walk by walk (CSR
+        order), never a padded or whole-batch copy. Needs the hops."""
         steps = np.arange(self.hop_vertex.shape[1])
-        for lo in range(0, self.starts.size, _MATERIALISE_BLOCK):
-            block = slice(lo, lo + _MATERIALISE_BLOCK)
+        for lo in range(0, self.starts.size, BLOCK_WALKS):
+            block = slice(lo, lo + BLOCK_WALKS)
             lengths = self.lengths[block]
             taken = steps < lengths[:, None]
-            hops = list(zip(self.hop_vertex[block][taken].tolist(),
-                            self.hop_time[block][taken].tolist()))
-            ends = np.cumsum(lengths).tolist()
-            walks = list(map(WalkPath, [
-                [(start, None)] + hops[first:end]
-                for start, first, end in zip(
-                    self.starts[block].tolist(), [0] + ends, ends)
-            ]))
-            if record_paths:
-                paths += walks
-            if sink is not None:
-                for walk in walks:
-                    sink.append(walk)
+            yield (self.starts[block], lengths,
+                   self.hop_vertex[block][taken], self.hop_time[block][taken])
+
+    def materialise_paths(self) -> List[WalkPath]:
+        """Build :class:`WalkPath` objects from the columnar arrays (none
+        when hop recording was off). Runs once per batch after the walk
+        phase, never inside it."""
+        paths: List[WalkPath] = []
+        if self.hop_vertex is not None:
+            for block in self.blocks():
+                paths += walk_paths(*block)
         return paths
 
     def observe_lengths(self, histogram) -> None:
@@ -603,9 +589,9 @@ class Engine(abc.ABC):
         :meth:`run_lanes` and the parallel engine walk on those seeds.
 
         ``sink`` is an optional open :class:`repro.walks.sink.WalkSink`;
-        completed walks are written to it (flushed in batches of 1,024,
-        the paper's §4.1 policy) — pass ``record_paths=False`` alongside
-        to keep only the columnar hops, never ``WalkPath`` objects.
+        the walk phase's columns are written to it in finalize (blocks
+        of 1,024 walks, the paper's §4.1 policy) — pass
+        ``record_paths=False`` alongside to build no ``WalkPath`` objects.
 
         ``registry`` collects this run's metrics (one is created when
         not supplied — every run returns a populated registry on the
@@ -637,8 +623,9 @@ class Engine(abc.ABC):
                 outcome.observe_lengths(
                     registry.histogram("walk.length", "edges per completed walk")
                 )
-                paths = outcome.materialise_paths(record_paths=record_paths,
-                                                  sink=sink)
+                paths = outcome.materialise_paths() if record_paths else []
+                if sink is not None:
+                    sink.write(outcome)
                 memory = self.memory_report()
                 counters.publish(registry)
                 registry.counter("walk.walks", "walks executed").inc(int(starts.size))

@@ -1,124 +1,121 @@
-"""Walk output sinks: buffered persistence of completed walks.
+"""Walk corpora on disk, written in blocks.
 
 Paper §4.1: "TEA stores the completed random walks the same as
 GraphWalker, that is, we flush the completed ones to disk when the
-number of them reaches 1,024." :class:`WalkSink` implements that policy
-(threshold configurable) over two formats:
+number of them reaches 1,024." :class:`WalkSink` writes blocks of at
+most 1,024 walks, the columns of ``FrontierResult.blocks()`` that
+``Engine.run(sink=)`` hands over. The suffix picks the encoding:
 
-* **text** — one walk per line, ``v0 v1@t1 v2@t2 ...`` (human-greppable,
-  what embedding pipelines consume);
-* **binary** — a compact framed format (`.twalks`): per walk a length
-  prefix, then vertex ids and times.
+* text (any suffix but ``.twalks``) — one walk per line,
+  ``v0 v1@t1 v2@t2 ...``, what embedding pipelines consume;
+* ``.twalks`` version 2 — the magic ``TWLK\\x02``, then per block, in
+  native byte order::
 
-Engines accept a sink via :meth:`repro.engines.base.Engine.run`'s
-``sink`` argument; paths flow to disk instead of accumulating in memory,
-which is what makes R·|V| corpus generation feasible on big workloads.
+      int32    n                       walks in the block, <= 1024
+      int64    starts[n]               first vertex of each walk
+      int32    lengths[n]              hops after the start, >= 0
+      int64    vertices[sum(lengths)]  hop vertices, walk after walk
+      float64  times[sum(lengths)]     their arrival times
+
+  A version 1 file (one record per walk) is refused by its version.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import GraphFormatError
-from repro.walks.walker import WalkPath
+from repro.graph.validate import is_temporal_path
+from repro.walks.walker import BLOCK_WALKS, WalkPath, walk_paths
 
 PathLike = Union[str, os.PathLike]
 
-DEFAULT_FLUSH_THRESHOLD = 1024  # the paper's (and GraphWalker's) constant
-_MAGIC = b"TWLK\x01"
+_MAGIC = b"TWLK\x02"
 
 
 class WalkSink:
-    """Buffered walk writer with GraphWalker's flush-at-1024 policy."""
+    """Block writer of a walk corpus; ``path``'s suffix picks the format."""
 
-    def __init__(
-        self,
-        path: PathLike,
-        flush_threshold: int = DEFAULT_FLUSH_THRESHOLD,
-        binary: Optional[bool] = None,
-    ):
-        if flush_threshold <= 0:
-            raise ValueError("flush_threshold must be positive")
+    def __init__(self, path: PathLike):
         self.path = Path(path)
-        self.flush_threshold = int(flush_threshold)
-        self.binary = (
-            self.path.suffix == ".twalks" if binary is None else bool(binary)
-        )
+        self.binary = self.path.suffix == ".twalks"
         self._buffer: List[WalkPath] = []
         self._file = None
         self.walks_written = 0
-        self.flushes = 0
+        self.flushes = 0  # blocks written
 
-    # -- context management --------------------------------------------------
+    # -- context management: a sink is open inside its ``with`` block -------
 
     def __enter__(self) -> "WalkSink":
-        return self.open()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def open(self) -> "WalkSink":
-        mode = "wb" if self.binary else "w"
-        self._file = open(self.path, mode)
+        self._file = open(self.path, "wb" if self.binary else "w")
         if self.binary:
             self._file.write(_MAGIC)
         return self
 
-    def close(self) -> None:
-        if self._file is not None:
-            self.flush()
-            self._file.close()
-            self._file = None
+    def __exit__(self, *exc) -> None:
+        self.flush()
+        self._file.close()
+        self._file = None
 
     # -- writing ---------------------------------------------------------------
 
+    def write(self, frontier) -> None:
+        """Write a :class:`~repro.engines.base.FrontierResult`'s walks
+        (its hop columns must be kept), after any appended ones."""
+        self.flush()
+        for block in frontier.blocks():
+            self._write_block(*block)
+
     def append(self, path: WalkPath) -> None:
-        """Buffer one completed walk; flush at the threshold."""
+        """Buffer one completed walk; a full block is written."""
         if self._file is None:
             raise RuntimeError("sink is not open")
         self._buffer.append(path)
-        if len(self._buffer) >= self.flush_threshold:
+        if len(self._buffer) >= BLOCK_WALKS:
             self.flush()
 
     def flush(self) -> None:
+        """Write the appended walks as one block."""
         if not self._buffer:
             return
-        if self.binary:
-            self._flush_binary()
-        else:
-            self._flush_text()
-        self.walks_written += len(self._buffer)
-        self.flushes += 1
-        self._buffer.clear()
+        walks, self._buffer = self._buffer, []
+        hops = [hop for walk in walks for hop in walk.hops[1:]]
+        self._write_block(np.array([walk.hops[0][0] for walk in walks]),
+                          np.array([len(walk.hops) - 1 for walk in walks]),
+                          np.array([v for v, _ in hops], dtype=np.int64),
+                          np.array([t for _, t in hops], dtype=np.float64))
 
-    def _flush_text(self) -> None:
-        lines = []
-        for walk in self._buffer:
-            parts = [str(walk.hops[0][0])]
+    def _write_block(self, starts: np.ndarray, lengths: np.ndarray,
+                     vertices: np.ndarray, times: np.ndarray) -> None:
+        if self.binary:
+            for column, dtype in ((np.int32(starts.size), np.int32),
+                                  (starts, np.int64), (lengths, np.int32),
+                                  (vertices, np.int64), (times, np.float64)):
+                self._file.write(np.ascontiguousarray(column, dtype=dtype).tobytes())
+        else:
             # repr() round-trips float64 exactly; %g would truncate and
             # break strict-equality validation against the graph.
-            parts.extend(f"{v}@{t!r}" for v, t in walk.hops[1:])
-            lines.append(" ".join(parts))
-        self._file.write("\n".join(lines) + "\n")
-
-    def _flush_binary(self) -> None:
-        for walk in self._buffer:
-            n = len(walk.hops)
-            np.asarray([n], dtype=np.int32).tofile(self._file)
-            np.asarray([v for v, _ in walk.hops], dtype=np.int64).tofile(self._file)
-            times = [t if t is not None else np.nan for _, t in walk.hops]
-            np.asarray(times, dtype=np.float64).tofile(self._file)
+            tokens = [f" {v}@{t!r}" for v, t in zip(vertices.tolist(),
+                                                     times.tolist())]
+            ends = np.cumsum(lengths).tolist()
+            self._file.write("".join([
+                f"{start}{''.join(tokens[first:end])}\n"
+                for start, first, end in zip(starts.tolist(), [0] + ends, ends)
+            ]))
+        self.walks_written += int(starts.size)
+        self.flushes += 1
 
 
 def read_walks(path: PathLike) -> Iterator[WalkPath]:
     """Stream walks back from a file written by :class:`WalkSink`."""
     path = Path(path)
     if path.suffix == ".twalks":
-        yield from _read_binary(path)
+        for block in _read_blocks(path):
+            yield from walk_paths(*block)
     else:
         yield from _read_text(path)
 
@@ -126,44 +123,52 @@ def read_walks(path: PathLike) -> Iterator[WalkPath]:
 def _read_text(path: Path) -> Iterator[WalkPath]:
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            tokens = line.split()
+            if not tokens:
                 continue
-            hops = []
-            for i, token in enumerate(line.split()):
-                if i == 0:
-                    hops.append((int(token), None))
-                    continue
-                try:
+            token = tokens[0]
+            try:
+                hops = [(int(token), None)]
+                for token in tokens[1:]:
                     v, t = token.split("@")
                     hops.append((int(v), float(t)))
-                except ValueError as exc:
-                    raise GraphFormatError(f"{path}:{lineno}: bad hop {token!r}") from exc
+            except ValueError as exc:
+                raise GraphFormatError(f"{path}:{lineno}: bad token {token!r}") from exc
             yield WalkPath(hops=hops)
 
 
-def _read_binary(path: Path) -> Iterator[WalkPath]:
+def _read_blocks(path: Path) -> Iterator[Tuple[np.ndarray, ...]]:
+    """``(starts, lengths, vertices, times)`` of each block of a v2
+    ``.twalks`` file, one block in memory at a time."""
     with open(path, "rb") as f:
-        if f.read(len(_MAGIC)) != _MAGIC:
+        size = os.fstat(f.fileno()).st_size
+
+        def take(dtype, count: int) -> np.ndarray:
+            # Checked before reading: a corrupt count sizes no allocation.
+            nbytes = count * np.dtype(dtype).itemsize
+            if size - f.tell() < nbytes:
+                raise GraphFormatError(
+                    f"{path}: torn walk block: the file ends inside it")
+            return np.frombuffer(f.read(nbytes), dtype=dtype)
+
+        magic = f.read(len(_MAGIC))
+        if len(magic) < len(_MAGIC) or magic[:4] != _MAGIC[:4]:
             raise GraphFormatError(f"{path}: not a .twalks file")
-        while True:
-            header = f.read(4)
-            if not header:
-                return
-            if len(header) < 4:
-                raise GraphFormatError(f"{path}: torn walk record header")
-            n = int(np.frombuffer(header, dtype=np.int32)[0])
-            if n < 0:
-                raise GraphFormatError(f"{path}: negative walk length {n}")
-            vs = np.fromfile(f, dtype=np.int64, count=n)
-            ts = np.fromfile(f, dtype=np.float64, count=n)
-            if vs.size != n or ts.size != n:
-                raise GraphFormatError(f"{path}: truncated walk record")
-            hops = [
-                (int(v), None if np.isnan(t) else float(t))
-                for v, t in zip(vs, ts)
-            ]
-            yield WalkPath(hops=hops)
+        if magic != _MAGIC:
+            raise GraphFormatError(
+                f"{path}: .twalks version {magic[4]} is not readable "
+                f"(this reader reads version {_MAGIC[4]})")
+        while f.tell() < size:
+            count = int(take(np.int32, 1)[0])
+            if count < 0:
+                raise GraphFormatError(f"{path}: negative walk count {count}")
+            starts = take(np.int64, count)
+            lengths = take(np.int32, count)
+            if (lengths < 0).any():
+                raise GraphFormatError(
+                    f"{path}: negative walk length {int(lengths.min())}")
+            hops = int(lengths.sum(dtype=np.int64))
+            yield starts, lengths, take(np.int64, hops), take(np.float64, hops)
 
 
 def validate_corpus(graph, path: PathLike) -> Tuple[int, list]:
@@ -175,19 +180,11 @@ def validate_corpus(graph, path: PathLike) -> Tuple[int, list]:
     temporal-path contract every engine guarantees (useful when corpora
     are produced elsewhere or graphs have drifted since generation).
     """
-    from repro.graph.validate import is_temporal_path
-
-    problems = []
-    count = 0
-    for i, walk in enumerate(read_walks(path)):
-        count += 1
-        if not walk.hops:
-            problems.append((i, "empty walk"))
-            continue
-        first_vertex = walk.hops[0][0]
-        if not (0 <= first_vertex < graph.num_vertices):
-            problems.append((i, f"start vertex {first_vertex} out of range"))
-            continue
-        if not is_temporal_path(graph, walk.hops):
-            problems.append((i, "not a temporal path of the graph"))
+    problems, count = [], 0
+    for count, walk in enumerate(read_walks(path), 1):
+        start = walk.hops[0][0]
+        if not 0 <= start < graph.num_vertices:
+            problems.append((count - 1, f"start vertex {start} out of range"))
+        elif not is_temporal_path(graph, walk.hops):
+            problems.append((count - 1, "not a temporal path of the graph"))
     return count, problems

@@ -10,7 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 Hop = Tuple[int, Optional[float]]
+
+#: Walks per block of a corpus on disk or of materialised paths: paper
+#: §4.1 flushes walks "when the number of them reaches 1,024".
+BLOCK_WALKS = 1024
 
 
 @dataclass
@@ -33,6 +39,19 @@ class WalkPath:
     @property
     def num_edges(self) -> int:
         return max(0, len(self.hops) - 1)
+
+
+def walk_paths(starts: np.ndarray, lengths: np.ndarray, vertices: np.ndarray,
+               times: np.ndarray) -> List[WalkPath]:
+    """One :class:`WalkPath` per walk of a block of columns: walk ``i``
+    starts at ``starts[i]`` and takes the next ``lengths[i]`` hops of the
+    flat ``vertices`` / ``times`` (CSR order). No array slice per walk."""
+    hops = list(zip(vertices.tolist(), times.tolist()))
+    ends = np.cumsum(lengths).tolist()
+    return list(map(WalkPath, [
+        [(start, None)] + hops[first:end]
+        for start, first, end in zip(starts.tolist(), [0] + ends, ends)
+    ]))
 
 
 @dataclass

@@ -102,6 +102,15 @@ class TestCorpus:
         assert rc == 1
         assert "1 problems" in capsys.readouterr().out
 
+    def test_validate_reports_a_bad_start_token(self, tmp_path, capsys):
+        """A malformed corpus is an error message and exit 2, not a
+        traceback."""
+        corpus = tmp_path / "bad.txt"
+        corpus.write_text("x 1@2.0\n")
+        rc = main(["validate-corpus", "--dataset", "tiny", str(corpus)])
+        assert rc == 2
+        assert "bad.txt:1: bad token 'x'" in capsys.readouterr().err
+
 
 class TestBenchWrapper:
     def test_unknown_experiment_rejected(self):

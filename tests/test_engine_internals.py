@@ -269,13 +269,13 @@ class TestOneDriver:
         assert sum(s.name == "walk.one" for s in traced.spans[1].children) == 40
 
 
-def _materialise_per_walk(frontier, record_paths=True, sink=None):
+def _materialise_per_walk(frontier):
     """``FrontierResult.materialise_paths`` as it was: two array slices
     and two ``tolist`` calls per walk. Kept as the reference."""
     from repro.walks.walker import WalkPath
 
     paths = []
-    if frontier.hop_vertex is None or (not record_paths and sink is None):
+    if frontier.hop_vertex is None:
         return paths
     for i, (start, length) in enumerate(zip(frontier.starts.tolist(),
                                             frontier.lengths.tolist())):
@@ -283,11 +283,7 @@ def _materialise_per_walk(frontier, record_paths=True, sink=None):
         if length:
             hops.extend(zip(frontier.hop_vertex[i, :length].tolist(),
                             frontier.hop_time[i, :length].tolist()))
-        walk = WalkPath(hops=hops)
-        if record_paths:
-            paths.append(walk)
-        if sink is not None:
-            sink.append(walk)
+        paths.append(WalkPath(hops=hops))
     return paths
 
 
@@ -299,7 +295,7 @@ class TestMaterialisePaths:
     def test_equal_to_the_per_walk_loop(self, monkeypatch, block, seed):
         from repro.engines import base
 
-        monkeypatch.setattr(base, "_MATERIALISE_BLOCK", block)
+        monkeypatch.setattr(base, "BLOCK_WALKS", block)
         rng = np.random.default_rng(seed)
         num, max_length = int(rng.integers(0, 12)), int(rng.integers(0, 6))
         lengths = rng.integers(0, max_length + 1, num)
@@ -312,10 +308,6 @@ class TestMaterialisePaths:
             rng.normal(0.0, 1e3, (num, max_length)))
         want = [p.hops for p in _materialise_per_walk(frontier)]
         assert [p.hops for p in frontier.materialise_paths()] == want
-        sunk, sunk_want = [], []
-        assert frontier.materialise_paths(record_paths=False, sink=sunk) == []
-        _materialise_per_walk(frontier, record_paths=False, sink=sunk_want)
-        assert [p.hops for p in sunk] == want == [p.hops for p in sunk_want]
         for path in frontier.materialise_paths():
             assert all(type(v) is int and (t is None or type(t) is float)
                        for v, t in path.hops)

@@ -34,7 +34,7 @@ class TestFullPipeline:
 
         corpus_file = tmp_path / "corpus.twalks"
         engine = BatchTeaEngine(graph, exponential_walk(scale=40.0))
-        with WalkSink(corpus_file, flush_threshold=16) as sink:
+        with WalkSink(corpus_file) as sink:
             result = engine.run(
                 Workload(walks_per_vertex=3, max_length=8), seed=0,
                 record_paths=False, sink=sink,

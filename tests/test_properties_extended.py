@@ -86,31 +86,44 @@ def test_tombstones_never_sampled(degree, dead_positions, seed):
 @settings(max_examples=30, deadline=None)
 @given(
     st.lists(
-        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=8),
+        st.lists(st.tuples(st.integers(min_value=0, max_value=20),
+                           st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=8),
         min_size=1,
         max_size=10,
-    )
+    ),
+    st.integers(min_value=1, max_value=4),
 )
-def test_walk_sink_roundtrip(vertex_seqs):
+def test_walk_sink_roundtrip(walk_hops, block):
+    """Appended walks and a frontier's columns, written in blocks of
+    ``block`` walks to either format, read back as the ``WalkPath``s
+    they were built from."""
     import tempfile
     from pathlib import Path
+    from unittest import mock
 
-    walks = []
-    for seq in vertex_seqs:
-        hops = [(seq[0], None)]
-        hops.extend((v, float(i + 1)) for i, v in enumerate(seq[1:]))
-        walks.append(WalkPath(hops=hops))
-    from repro.walks.sink import WalkSink, read_walks
+    from repro.engines import base
+    from repro.walks import sink as sink_module
 
-    tmp = tempfile.TemporaryDirectory()
-    directory = Path(tmp.name)
-    for name in ("w.txt", "w.twalks"):
-        path = directory / name
-        with WalkSink(path, flush_threshold=3) as sink:
-            for walk in walks:
-                sink.append(walk)
-        loaded = list(read_walks(path))
-        assert [w.hops for w in loaded] == [w.hops for w in walks]
+    walks = [WalkPath(hops=[(hops[0][0], None)] + hops[1:]) for hops in walk_hops]
+    max_length = max(len(w.hops) for w in walks) - 1
+    frontier = base.FrontierResult.empty(
+        np.array([w.hops[0][0] for w in walks]), max_length, keep_hops=True)
+    for i, walk in enumerate(walks):
+        frontier.record(i, walk.hops, max_length)
+    assert [p.hops for p in frontier.materialise_paths()] == [w.hops for w in walks]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(sink_module, "BLOCK_WALKS", block), \
+            mock.patch.object(base, "BLOCK_WALKS", block):
+        for name in ("w.txt", "w.twalks"):
+            path = Path(tmp) / name
+            with sink_module.WalkSink(path) as sink:
+                for walk in walks:
+                    sink.append(walk)
+                sink.write(frontier)
+            loaded = list(sink_module.read_walks(path))
+            assert [w.hops for w in loaded] == [w.hops for w in walks + walks]
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,6 +11,7 @@ import socket
 import threading
 import time
 import types
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -44,8 +45,8 @@ def _pending(seed=0, **kwargs):
 # -- (a) what the loop takes from its parked list, and when ----------------
 
 def _post_walk(port, seed, **kwargs):
-    return ServeClient(port=port).walk(starts=[1 + seed], seed=seed,
-                                       max_length=4, **kwargs)
+    with closing(ServeClient(port=port)) as client:
+        return client.walk(starts=[1 + seed], seed=seed, max_length=4, **kwargs)
 
 
 def _wait_for_depth(service, depth):
@@ -130,10 +131,13 @@ class TestTake:
         service = WalkService(small_graph, engine="tea-batch").start()
         service.pause()
         answers = []
-        threads = _in_threads(
-            lambda i: answers.append(
-                ServeClient(port=service.port).post(
-                    "/walk", {"starts": [1 + i], "seed": i})[0]), 2)
+
+        def post(i):
+            with closing(ServeClient(port=service.port)) as client:
+                answers.append(
+                    client.post("/walk", {"starts": [1 + i], "seed": i})[0])
+
+        threads = _in_threads(post, 2)
         _wait_for_depth(service, 2)
         assert service.close(timeout=10.0)
         for t in threads:
@@ -194,8 +198,8 @@ STAGES = ("parse", "queue_wait", "execute", "encode")
 
 
 def test_stage_histograms_are_served_on_metrics(small_graph):
-    with WalkService(small_graph, engine="tea-batch") as service:
-        client = ServeClient(port=service.port)
+    with WalkService(small_graph, engine="tea-batch") as service, \
+            closing(ServeClient(port=service.port)) as client:
         for i in range(3):
             client.walk(starts=[1 + i], seed=i, max_length=4)
         metrics = client.metrics()
@@ -207,8 +211,8 @@ def test_stage_histograms_are_served_on_metrics(small_graph):
 
 
 def test_one_request_moves_each_stage_histogram_once(small_graph):
-    with WalkService(small_graph, engine="tea-batch") as service:
-        client = ServeClient(port=service.port)
+    with WalkService(small_graph, engine="tea-batch") as service, \
+            closing(ServeClient(port=service.port)) as client:
         client.walk(starts=[1], max_length=4)
         client.healthz()  # a GET is not a timed request
         hists = [service.registry.histogram(f"serve.{stage}_seconds")
@@ -221,8 +225,8 @@ def test_one_request_moves_each_stage_histogram_once(small_graph):
 def test_stage_sums_account_for_the_latency(small_graph):
     """One closed-loop client, so every batch is one request: parse +
     queue wait + execute + encode is a request's whole latency."""
-    with WalkService(small_graph, engine="tea-batch") as service:
-        client = ServeClient(port=service.port)
+    with WalkService(small_graph, engine="tea-batch") as service, \
+            closing(ServeClient(port=service.port)) as client:
         for i in range(200):
             client.walk(starts=[1 + i % 20], seed=i, max_length=8)
         reg = service.registry
@@ -239,7 +243,8 @@ def test_one_serving_thread(small_graph):
         for conn in conns:  # four keep-alive connections, all left open
             conn.request("GET", "/healthz")
             assert conn.getresponse().read()
-        assert ServeClient(port=service.port).stats()["connections"] == 5
+        with closing(ServeClient(port=service.port)) as client:
+            assert client.stats()["connections"] == 5
         new = set(threading.enumerate()) - before
         assert [t.name for t in new] == ["serve-loop"]
         for conn in conns:
@@ -416,9 +421,9 @@ def test_bad_content_length_is_answered_and_the_connection_closed(
     assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply[:80]
     assert b'"error"' in reply
     # The daemon is unharmed and its books still balance.
-    client = ServeClient(port=streaming_service.port)
-    assert client.walk(starts=[1], max_length=3)["num_walks"] == 1
-    counters = client.stats()["counters"]
+    with closing(ServeClient(port=streaming_service.port)) as client:
+        assert client.walk(starts=[1], max_length=3)["num_walks"] == 1
+        counters = client.stats()["counters"]
     assert counters["received"] == (
         counters["served"] + counters["rejected"] + counters["failed"])
 
@@ -464,6 +469,7 @@ def test_daemon_buffers_events_only_on_request_and_only_a_tail(
     if events_out:
         argv += ["--events-out", str(path)]
     assert cli.main(argv) == 0
+    client[0].close()
     out = capsys.readouterr().out
     if events_out:
         assert sizes[1:] == [8, 8]  # >= 18 emitted per round, 8 kept
@@ -476,26 +482,26 @@ def test_daemon_buffers_events_only_on_request_and_only_a_tail(
 # -- inline endpoints (answered on the loop between batches) ------------------------
 
 def test_inline_endpoints_answer_over_http(streaming_service):
-    client = ServeClient(port=streaming_service.port)
-    status, out = client.post("/stream/ingest", {
-        "src": [0, 1, 2], "dst": [1, 2, 0], "time": [1.0, 2.0, 3.0]})
-    assert (status, out["edges"], out["kind"]) == (200, 3, "stream_ingest")
-    status, walk = client.post("/stream/walk", {"starts": [0], "max_length": 3})
-    assert status == 200 and walk["walks"][0][0] == 0 and len(walk["run_id"]) == 16
-    status, rec = client.post("/stream/recommend", {"starts": [0], "top_k": 2})
-    assert status == 200 and len(rec["recommendations"]) <= 2
-    status, bad = client.post("/stream/walk", {"starts": []})
-    assert status == 400 and "starts" in bad["error"]
-    served = client.stats()["counters"]["gnn_served"]
-    assert client.gnn_sample([1, 2], [50.0, 60.0])["kind"] == "gnn_sample"
-    assert client.post("/gnn/sample", {"nodes": []})[0] == 400
-    assert client.stats()["counters"]["gnn_served"] == served + 1
+    with closing(ServeClient(port=streaming_service.port)) as client:
+        status, out = client.post("/stream/ingest", {
+            "src": [0, 1, 2], "dst": [1, 2, 0], "time": [1.0, 2.0, 3.0]})
+        assert (status, out["edges"], out["kind"]) == (200, 3, "stream_ingest")
+        status, walk = client.post("/stream/walk", {"starts": [0], "max_length": 3})
+        assert status == 200 and walk["walks"][0][0] == 0 and len(walk["run_id"]) == 16
+        status, rec = client.post("/stream/recommend", {"starts": [0], "top_k": 2})
+        assert status == 200 and len(rec["recommendations"]) <= 2
+        status, bad = client.post("/stream/walk", {"starts": []})
+        assert status == 400 and "starts" in bad["error"]
+        served = client.stats()["counters"]["gnn_served"]
+        assert client.gnn_sample([1, 2], [50.0, 60.0])["kind"] == "gnn_sample"
+        assert client.post("/gnn/sample", {"nodes": []})[0] == 400
+        assert client.stats()["counters"]["gnn_served"] == served + 1
 
 
 def test_stream_endpoints_without_an_engine_are_404_and_leave_the_connection_usable(
         small_graph):
-    with WalkService(small_graph, engine="tea-batch") as service:
-        client = ServeClient(port=service.port)
+    with WalkService(small_graph, engine="tea-batch") as service, \
+            closing(ServeClient(port=service.port)) as client:
         status, out = client.post("/stream/walk", {"starts": [1]})
         assert (status, out["error"]) == (404, "no streaming engine attached")
         # Same keep-alive socket: the refused body was read, not left behind.
