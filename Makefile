@@ -83,16 +83,16 @@ scaling-smoke:
 		"tests/test_parallel_engine.py::TestDeterminismMatrix"
 
 # Out-of-core: scalar-vs-batched step parity at max_length=1, coalescing
-# (strictly fewer backing reads), fixed-seed determinism, the frame
-# pool's hit-rate floor, prefetch conservation, the structural
+# (strictly fewer backing reads), fixed-seed determinism, synchronous
+# reads (run and run_lanes start no thread), the structural
 # width-independence gate (one frontier iteration makes the same number
 # of Python-level calls at 1k and at 16k lanes: no per-range loops), and
 # the compiled draw bit-identical to the numpy lockstep (walks, stream
-# counters, costs, reads, cache and prefetch ledger) on the trunk-size x
-# pool x prefetch grid.
+# counters, costs, reads and cache statistics) on the trunk-size x pool
+# grid.
 ooc-smoke:
 	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
-		"tests/test_ooc_batch.py::TestPrefetchTelemetry" \
+		"tests/test_ooc_batch.py::TestSynchronousReads" \
 		"tests/test_ooc_batch.py::TestWidthIndependence" \
 		"tests/test_ooc_kernel.py::TestCompiledParity"
 

@@ -1,14 +1,13 @@
-"""Figure 14 companion — batched out-of-core path: cache × prefetch sweep.
+"""Figure 14 companion — batched out-of-core path: cache-size sweep.
 
 The scalar ``tea-ooc`` reader (``tests/ooc_oracle.py``) pays one
 synchronous trunk read per walker step — a batch of one through the
 columnar read path;
 ``tea-ooc-batch`` advances the whole frontier per step, serves the
-step's trunks from the frame pool in a constant number of array passes,
-coalesces the misses into large backing reads, and (optionally)
-overlaps next-step I/O with sampling via the async prefetcher. This
-sweep runs both engines over cache budgets with prefetch off/on and
-records the full grid to ``bench_results/ooc_cache.json``.
+step's trunks from the frame pool in a constant number of array passes
+and coalesces the misses into large backing reads. This sweep runs both
+engines over cache budgets and records the grid to
+``bench_results/ooc_cache.json``.
 
 Asserted shape (the tentpole's acceptance bar):
 
@@ -16,8 +15,7 @@ Asserted shape (the tentpole's acceptance bar):
   cache budget (frontier vectorisation + coalescing);
 * batched issues strictly fewer backing read operations than scalar at
   the same budget (coalescing is a strict win on operations even when
-  logical bytes match);
-* prefetch conservation holds on every prefetch-enabled run.
+  logical bytes match).
 """
 
 import json
@@ -41,13 +39,12 @@ CACHE_SWEEP = (("no-cache", 0), ("cache-256KiB", 256 << 10),
 SPEEDUP_FLOOR = 3.0
 
 
-def _row(engine_name, cache_label, cache_bytes, prefetch, result, store):
+def _row(engine_name, cache_label, cache_bytes, result, store):
     stats = store.cache.stats
     return {
         "engine": engine_name,
         "cache": cache_label,
         "cache_bytes": cache_bytes,
-        "prefetch": prefetch,
         "walk_seconds": result.timer.seconds["walk"],
         "total_seconds": result.total_seconds,
         "steps": result.total_steps,
@@ -56,11 +53,6 @@ def _row(engine_name, cache_label, cache_bytes, prefetch, result, store):
         "read_ops": store.read_ops,
         "cache_hit_rate": stats.hit_rate,
         "cache_bytes_served": stats.bytes_served,
-        "prefetch_issued": store.prefetch_issued,
-        "prefetch_hits": store.prefetch_hits,
-        "prefetch_wasted": store.prefetch_wasted,
-        "prefetch_in_flight": store.prefetch_in_flight,
-        "io_overlap_seconds": store.prefetch_overlap_seconds,
     }
 
 
@@ -81,37 +73,25 @@ def test_ooc_cache_sweep(benchmark, datasets, tmp_path):
                 cache_bytes=cache_bytes,
             )
             result = scalar.run(workload, seed=9, record_paths=False)
-            rows.append(_row("tea-ooc", cache_label, cache_bytes, False,
-                             result, scalar.index.store))
-            for prefetch in (False, True):
-                if prefetch and not cache_bytes:
-                    continue  # prefetch needs a cache to warm
-                batch = BatchTeaOutOfCoreEngine(
-                    graph, spec, trunk_size=TRUNK_SIZE,
-                    storage_dir=str(
-                        tmp_path / f"b-{cache_label}-{int(prefetch)}"
-                    ),
-                    cache_bytes=cache_bytes, prefetch=prefetch,
-                )
-                result = batch.run(workload, seed=9, record_paths=False)
-                store = batch.index.store
-                rows.append(_row("tea-ooc-batch", cache_label, cache_bytes,
-                                 prefetch, result, store))
-                if prefetch:
-                    settled = (store.prefetch_hits + store.prefetch_wasted
-                               + store.prefetch_in_flight)
-                    assert store.prefetch_issued == settled, (
-                        "prefetch conservation violated"
-                    )
+            rows.append(_row("tea-ooc", cache_label, cache_bytes, result,
+                             scalar.index.store))
+            batch = BatchTeaOutOfCoreEngine(
+                graph, spec, trunk_size=TRUNK_SIZE,
+                storage_dir=str(tmp_path / f"b-{cache_label}"),
+                cache_bytes=cache_bytes,
+            )
+            result = batch.run(workload, seed=9, record_paths=False)
+            rows.append(_row("tea-ooc-batch", cache_label, cache_bytes,
+                             result, batch.index.store))
         return rows
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    by_key = {(r["engine"], r["cache"], r["prefetch"]): r for r in rows}
+    by_key = {(r["engine"], r["cache"]): r for r in rows}
     speedups = {}
     for cache_label, cache_bytes in CACHE_SWEEP:
-        scalar = by_key[("tea-ooc", cache_label, False)]
-        batch = by_key[("tea-ooc-batch", cache_label, False)]
+        scalar = by_key[("tea-ooc", cache_label)]
+        batch = by_key[("tea-ooc-batch", cache_label)]
         speedups[cache_label] = scalar["walk_seconds"] / batch["walk_seconds"]
         # Coalescing: strictly fewer backing reads at every equal budget.
         assert batch["read_ops"] < scalar["read_ops"], (
@@ -137,7 +117,6 @@ def test_ooc_cache_sweep(benchmark, datasets, tmp_path):
     for row in rows:
         print(
             f"{row['engine']:>14} {row['cache']:>13} "
-            f"prefetch={'on' if row['prefetch'] else 'off':>3} "
             f"walk={row['walk_seconds']:.3f}s read_ops={row['read_ops']} "
             f"io={row['io_bytes'] / 1024**2:.1f}MiB "
             f"hit_rate={row['cache_hit_rate']:.3f}"
@@ -145,7 +124,7 @@ def test_ooc_cache_sweep(benchmark, datasets, tmp_path):
     print("walk speedup batch/scalar: "
           + "  ".join(f"{k}={v:.2f}x" for k, v in speedups.items()))
     # History: the headline numbers `repro bench compare` gates on.
-    headline = by_key[("tea-ooc-batch", "cache-4MiB", False)]
+    headline = by_key[("tea-ooc-batch", "cache-4MiB")]
     record_history(
         "ooc_cache",
         {

@@ -177,7 +177,6 @@ def cmd_walk(args) -> int:
         engine = BatchTeaOutOfCoreEngine(
             graph, spec, trunk_size=args.ooc_trunk_size,
             cache_bytes=args.cache_bytes,
-            prefetch=args.prefetch == "on",
             verify_checksums=args.verify_checksums,
             **kwargs,
         )
@@ -673,8 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ooc-trunk-size", type=int,
                    default=DEFAULT_OOC_TRUNK_SIZE, metavar="T",
                    help="trunk size for the out-of-core PAT spill")
-    p.add_argument("--prefetch", default="on", choices=["on", "off"],
-                   help="async trunk prefetch for tea-ooc-batch")
     p.add_argument("--verify-checksums", action="store_true",
                    help="verify per-page CRC32 checksums on every "
                         "out-of-core trunk read")

@@ -11,18 +11,12 @@ whole frontier step is looked up, admitted and evicted in a constant
 number of array passes. The policy is the scan-resistant **segmented
 LRU** the per-block cache it replaced used (kept as
 ``tests/block_cache_oracle.py``): an admitted frame starts on
-*probation*; a second touch makes it *protected*, and unpinned
-admissions only ever displace probation frames, so one step's cold
-scan cannot flush the hub trunks the walk keeps returning to. Recency
-is a per-frame stamp; a batch is stamped in request order, which makes
-the pool agree with the sequential oracle fed the same batches
-(lookups first, then admissions).
-
-Frames can be admitted **pinned** (the async prefetcher pins what it
-warmed until the sampler consumes it or the next step begins). The slab
-is the byte budget: where the per-block cache let pins overflow it, the
-pool refuses the admission instead — the caller still holds the bytes
-it just loaded.
+*probation*; a second touch makes it *protected*, and admissions only
+ever displace probation frames, so one step's cold scan cannot flush
+the hub trunks the walk keeps returning to. Recency is a per-frame
+stamp; a batch is stamped in request order, which makes the pool agree
+with the sequential oracle fed the same batches (lookups first, then
+admissions). The slab is the byte budget.
 """
 
 from __future__ import annotations
@@ -111,10 +105,6 @@ class FramePool:
     def __init__(self, capacity_bytes: int):
         self.capacity_bytes = int(capacity_bytes)
         self.stats = CacheStats()
-        #: Pinned-awaiting-consumer frames that were hit / that left
-        #: (evicted or settled) unused — the prefetch ledger's two exits.
-        self.consumed = 0
-        self.lost = 0
         self.set_width(0)
 
     def set_width(self, width: int) -> None:
@@ -135,16 +125,12 @@ class FramePool:
         self.length = np.zeros(n, dtype=np.int64)  # logical payload bytes
         self.stamp = np.zeros(n, dtype=np.int64)
         self.protected = np.zeros(n, dtype=bool)
-        self.pinned = np.zeros(n, dtype=bool)
-        self.pending = np.zeros(n, dtype=bool)
         self.clear()
 
     def clear(self) -> None:
         self.used = 0
         self._clock = 0
         self.protected[:] = False
-        self.pinned[:] = False
-        self.pending[:] = False
         self._sorted_keys = np.zeros(0, dtype=np.int64)
         self._sorted_frames = np.zeros(0, dtype=np.int64)
 
@@ -161,7 +147,7 @@ class FramePool:
         """Resident metadata: the per-frame columns and the key index."""
         return int(
             self.key.nbytes + self.length.nbytes + self.stamp.nbytes
-            + self.protected.nbytes + self.pinned.nbytes + self.pending.nbytes
+            + self.protected.nbytes
             + self._sorted_keys.nbytes + self._sorted_frames.nbytes
         )
 
@@ -179,8 +165,7 @@ class FramePool:
 
         Hits are restamped in request order; a hit on a probation frame
         promotes it (protected overflow demotes its oldest frames back
-        to probation's fresh end); a hit on a frame awaiting its
-        consumer settles it as consumed and unpins it.
+        to probation's fresh end).
         """
         frames = self.find(keys)
         hit = frames[frames >= 0]
@@ -191,10 +176,6 @@ class FramePool:
             return frames
         stats.bytes_served += int(self.length[hit].sum())
         self.stamp[hit] = self._ticks(hit.size)
-        awaited = hit[self.pending[hit]]
-        self.consumed += awaited.size
-        self.pending[awaited] = False
-        self.pinned[awaited] = False
         fresh = hit[~self.protected[hit]]
         if fresh.size:
             self.protected[fresh] = True
@@ -212,20 +193,18 @@ class FramePool:
 
     # -- mutation ------------------------------------------------------------
 
-    def admit(self, keys: np.ndarray, rows: np.ndarray, nbytes: np.ndarray,
-              pin: bool = False) -> np.ndarray:
+    def admit(self, keys: np.ndarray, rows: np.ndarray,
+              nbytes: np.ndarray) -> np.ndarray:
         """Admit ``rows[i]`` (``n <= width`` elements) under
         ``keys[i]``; returns the mask of rows admitted by this call.
 
         Keys already resident are skipped (the store's payload is
         immutable, so the frame already holds these bytes). Victims are
-        the oldest unpinned probation frames; only a pinned admission
-        may go on to displace unpinned protected frames. Rows that find
-        no frame — more distinct misses than evictable frames — are the
-        earliest ones, exactly the rows a sequence of single admissions
-        would have displaced again, and are accounted the same way
-        (admitted, then evicted). ``pin`` admits the rows pinned and
-        awaiting their consumer.
+        the oldest probation frames. Rows that find no frame — more
+        distinct misses than evictable frames — are the earliest ones,
+        exactly the rows a sequence of single admissions would have
+        displaced again, and are accounted the same way (admitted, then
+        evicted).
         """
         admitted = np.zeros(keys.size, dtype=bool)
         if not self.frames or not keys.size:
@@ -235,13 +214,8 @@ class FramePool:
         victims = np.zeros(0, dtype=np.int64)
         need = new.size - free
         if need > 0:
-            loose = ~self.pinned[: self.used]
             victims = self._oldest(
-                np.flatnonzero(loose & ~self.protected[: self.used]), need)
-            if pin and victims.size < need:
-                victims = np.concatenate([victims, self._oldest(
-                    np.flatnonzero(loose & self.protected[: self.used]),
-                    need - victims.size)])
+                np.flatnonzero(~self.protected[: self.used]), need)
         take = new[new.size - free - victims.size:]
         turned_away = new[: new.size - take.size]
         stats = self.stats
@@ -252,7 +226,6 @@ class FramePool:
                              + nbytes[turned_away].sum())
             stats.evictions += gone
             stats.bytes_evicted += gone_bytes
-            self.lost += int(self.pending[victims].sum())
             events.emit("cache.evicted", count=int(gone), nbytes=gone_bytes)
         if not take.size:
             return admitted
@@ -272,23 +245,9 @@ class FramePool:
         self.length[slots] = nbytes[take]
         self.stamp[slots] = self._ticks(take.size)
         self.protected[slots] = False
-        self.pinned[slots] = pin
-        self.pending[slots] = pin
         self.used += free
         admitted[take] = True
         return admitted
-
-    def unpin_all(self) -> None:
-        """Release every pin; awaiting frames stay awaiting (a late
-        consumer still counts), they just become evictable."""
-        self.pinned[: self.used] = False
-
-    def settle_awaiting(self) -> None:
-        """Close the ledger: every frame still awaiting its consumer
-        is lost, and unpinned."""
-        self.lost += int(self.pending[: self.used].sum())
-        self.pending[: self.used] = False
-        self.unpin_all()
 
     # -- internals -----------------------------------------------------------
 

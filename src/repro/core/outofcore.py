@@ -117,10 +117,8 @@ class TrunkStore:
     ranges are deduplicated, looked up in the :class:`FramePool`
     (``cache``), and the misses — sorted, so adjacent/overlapping ranges
     **coalesce** into single backing runs — are gathered from the maps
-    in one fancy-index pass per file and admitted. The async
-    prefetcher gathers off-thread through the same :meth:`_fetch` but
-    hands every result back to the sampling thread, so the pool and all
-    counters are mutated from that thread only.
+    in one fancy-index pass per file and admitted. Nothing is read
+    ahead of the step that needs it (paper §4.1 has no read-ahead).
 
     Pool frames are ``max trunk + 1`` elements wide — one C-slice trunk
     (``trunk + 1`` prefix sums), or one *file* of an alias trunk: its
@@ -131,6 +129,13 @@ class TrunkStore:
     Wider ranges, and every range when ``cache_bytes`` is below one
     frame, bypass the pool and are served from the gather itself.
     """
+
+    #: Always 0: the store reads nothing ahead. These four names remain
+    #: only because the end-to-end benchmark's instrument
+    #: (``bench_e2e/ooc_exp.py``, which changes only with the benchmark
+    #: itself) still reads them.
+    prefetch_hits = prefetch_issued = prefetch_wasted = 0
+    prefetch_overlap_seconds = 0
 
     def __init__(self, directory: PathLike, cache_bytes: int = 0,
                  retry_policy=None, verify_checksums: bool = False,
@@ -155,48 +160,21 @@ class TrunkStore:
         self.cache = FramePool(cache_bytes)
         # Phase attribution (ooc.cache / ooc.read / ooc.decode): NULL by
         # default; the owning engine's frontier loop routes the profiler
-        # it was handed here (_frontier_scope), the one way in. Only
-        # the sampling thread's accounted reads charge phases — the
-        # prefetch worker calls _fetch directly and stays profiler-free
-        # (the profiler stack is single-threaded by design).
+        # it was handed here (_frontier_scope), the one way in.
         self.profiler = NULL_PROFILER
         # Standalone histogram of bytes per trunk load (cache misses
         # only); merged into a run's registry by publish_telemetry.
         self.read_bytes_hist = Histogram(
             "ooc.trunk_read_bytes", "bytes per trunk payload load", **BYTES_BUCKETS
         )
-        # Bytes per *backing* run after coalescing (sync misses and the
-        # prefetcher alike).
+        # Bytes per *backing* run after coalescing.
         self.coalesced_hist = Histogram(
             "ooc.coalesced_read_bytes", "bytes per coalesced backing read",
             **BYTES_BUCKETS,
         )
-        #: Backing-store read operations (coalesced runs, sync + prefetch).
-        #: The coalescing win is this number shrinking, not io_bytes.
+        #: Backing-store read operations (coalesced runs). The coalescing
+        #: win is this number shrinking, not io_bytes.
         self.read_ops = 0
-        # -- prefetch ledger (sampling-thread only) ---------------------
-        # A warmed trunk waits in the pool flagged ``pending`` and leaves
-        # exactly once: consumed by the sampler (hit) or evicted / never
-        # used (wasted); both exits are flag sums inside the pool.
-        self.prefetch_enabled = False
-        self.prefetch_issued = 0
-        self._prefetch_redundant = 0
-        self.prefetch_in_flight = 0
-        self.prefetch_overlap_seconds = 0.0
-        # Dropped submissions (queue full) and worker failures never
-        # enter the issued ledger; they get their own visible counters.
-        self.prefetch_dropped = 0
-        self.prefetch_failures = 0
-
-    @property
-    def prefetch_hits(self) -> int:
-        return self.cache.consumed
-
-    @property
-    def prefetch_wasted(self) -> int:
-        """Warmed but evicted/never used, plus arrivals the pool did not
-        need (already resident) or could not hold."""
-        return self.cache.lost + self._prefetch_redundant
 
     @classmethod
     def persist(cls, pat: PersistentAliasTable, directory: PathLike,
@@ -272,9 +250,7 @@ class TrunkStore:
     def _fetch(self, region: str, los: np.ndarray, lens: np.ndarray):
         """Gather lo-ascending ranges from the maps, one run at a time
         as far as the backing store is concerned: ``(staging,
-        run_bytes)``. No accounting and no pool access, so the prefetch
-        worker may call it off-thread (``io_retries`` is the one
-        counter touched, under its own lock).
+        run_bytes)``. No accounting and no pool access.
 
         Resilience wiring: the ``trunk_read`` fault site fires once per
         backing run; transient failures (including injected
@@ -495,53 +471,13 @@ class TrunkStore:
         payload.setflags(write=False)
         return (payload[:, 0] if files == 1 else payload), lens, inverse
 
-    def _admit(self, keys, lens, staging, pin: bool = False) -> np.ndarray:
+    def _admit(self, keys, lens, staging) -> None:
         """Admit ``(ranges, files, n)`` staging rows, one frame per file,
         a range's frames side by side (so a pool too full for the batch
-        turns whole ranges away, not their halves); the admitted mask."""
-        return self.cache.admit(
+        turns whole ranges away, not their halves)."""
+        self.cache.admit(
             keys.ravel(), staging.reshape(keys.size, staging.shape[2]),
-            np.repeat(lens * _ELEM_BYTES, keys.shape[1]), pin=pin)
-
-    # -- prefetch ledger -------------------------------------------------------
-    # The async prefetcher (engines.tea_outofcore.prefetch) gathers off-
-    # thread but hands every result back to the sampling thread, which
-    # calls these hooks — so the pool and all counters stay
-    # single-threaded. Conservation invariant (tested, exported):
-    #     issued == hits + wasted + in_flight_at_exit.
-
-    def note_prefetch_issued(self, n: int) -> None:
-        self.prefetch_enabled = True
-        self.prefetch_issued += int(n)
-
-    def note_prefetch_dropped(self, n: int) -> None:
-        """A full request queue rejected ``n`` keys (never issued)."""
-        self.prefetch_enabled = True
-        self.prefetch_dropped += int(n)
-        events.emit("prefetch.dropped", count=int(n))
-
-    def note_prefetch_failure(self) -> None:
-        """The prefetch worker raised; read-ahead is disabled for the run."""
-        self.prefetch_enabled = True
-        self.prefetch_failures += 1
-        events.emit("prefetch.failure")
-
-    def admit_prefetched(self, keys, lens, staging, run_bytes,
-                         counters: Optional[CostCounters]) -> None:
-        """Admit one region's warmed trunks pinned (sampling thread, at
-        queue drain). The runs are charged here — to the walk's own
-        counters, because they are real backing reads issued on its
-        behalf. Frames the sampler beat to the pool, or the pool cannot
-        hold, are redundant reads: wasted."""
-        self._account_runs(run_bytes, counters)
-        admitted = self._admit(keys, lens, staging, pin=True)
-        self._prefetch_redundant += int(keys.size - admitted.sum())
-
-    def finalize_prefetch(self, in_flight: int, overlap_seconds: float) -> None:
-        """Close out a run: unconsumed warm trunks become wasted."""
-        self.prefetch_in_flight += int(in_flight)
-        self.prefetch_overlap_seconds += float(overlap_seconds)
-        self.cache.settle_awaiting()
+            np.repeat(lens * _ELEM_BYTES, keys.shape[1]))
 
     def publish_telemetry(self, registry) -> None:
         """Cache hit/miss/bytes counters plus the trunk-load histogram."""
@@ -550,7 +486,7 @@ class TrunkStore:
             self.cache.nbytes
         )
         registry.counter(
-            "ooc.read_ops", "backing reads (cache misses + prefetch runs)"
+            "ooc.read_ops", "backing reads (coalesced cache-miss runs)"
         ).inc(self.read_ops)
         for hist in (self.read_bytes_hist, self.coalesced_hist):
             registry.histogram(hist.name, hist.help, **BYTES_BUCKETS).merge_from(hist)
@@ -561,24 +497,6 @@ class TrunkStore:
             ).inc(self.io_retries)
         if self.fault_injector is not None:
             self.fault_injector.publish(registry)
-        if self.prefetch_enabled:
-            for name, help_text, value in (
-                ("issued", "prefetch requests submitted", self.prefetch_issued),
-                ("hits", "prefetched trunks consumed by the sampler", self.prefetch_hits),
-                ("wasted", "prefetched trunks never consumed", self.prefetch_wasted),
-                ("dropped", "prefetch submissions rejected by a full request queue",
-                 self.prefetch_dropped),
-                ("failures", "prefetch worker errors (read-ahead disabled, sync fallback)",
-                 self.prefetch_failures),
-            ):
-                registry.counter(f"prefetch.{name}", help_text).inc(value)
-            registry.gauge(
-                "prefetch.in_flight", "requests still in flight at exit"
-            ).set(self.prefetch_in_flight)
-            registry.gauge(
-                "ooc.io_overlap_seconds",
-                "prefetch worker busy time overlapped with sampling",
-            ).set(self.prefetch_overlap_seconds)
 
 
 def scrub_store(directory: PathLike) -> dict:

@@ -14,7 +14,7 @@
   interpreter-speed code;
 * :class:`~repro.engines.tea_outofcore.BatchTeaOutOfCoreEngine` — PAT
   with disk-resident trunks, walked a frontier at a time (coalesced
-  reads, async prefetch, scan-resistant cache);
+  reads, scan-resistant cache);
 * :class:`~repro.parallel.ParallelBatchTeaEngine` — the frontier kernel
   run chunk-parallel across worker processes/threads over a shared
   prepared index (re-exported here for discoverability).

@@ -223,12 +223,14 @@ class RunTimer(NamedTuple):
 class EngineResult:
     """Everything one engine run produced. ``spans`` are this run's root
     spans ``prepare``, ``walk`` and ``finalize`` (with their children),
-    whichever recorder recorded them."""
+    whichever recorder recorded them. ``num_walks`` counts the run's
+    starts, so it holds when ``paths`` was not recorded."""
 
     engine: str
     spec: str
     workload: str
     paths: List[WalkPath]
+    num_walks: int
     counters: CostCounters
     spans: List[Span]
     memory: MemoryReport
@@ -239,10 +241,6 @@ class EngineResult:
     @property
     def timer(self) -> RunTimer:
         return RunTimer({span.name: span.duration for span in self.spans})
-
-    @property
-    def num_walks(self) -> int:
-        return len(self.paths)
 
     @property
     def total_steps(self) -> int:
@@ -638,6 +636,7 @@ class Engine(abc.ABC):
             spec=self.spec.describe(),
             workload=workload.describe(),
             paths=paths,
+            num_walks=int(starts.size),
             counters=counters,
             spans=[prepare, walk, finalize],
             memory=memory,

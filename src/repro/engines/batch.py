@@ -233,17 +233,13 @@ class BatchTeaEngine(Engine):
         return np.clip(choice, 0, ss - 1)
 
     @contextmanager
-    def _frontier_scope(self, profiler, counters: CostCounters):
+    def _frontier_scope(self, profiler):
         """Per-run resources of one frontier loop (seam 2 of 2; the
-        index provider :meth:`_sample_batch` is the other).
-
-        Entered once around the loop; yields an optional lookahead
-        callback fired after each iteration with the surviving lanes'
-        ``(vertex, candidate size)`` pairs — exactly what the *next*
-        iteration will sample. The in-memory index needs neither; the
-        out-of-core engine runs its prefetcher and store profiler here.
+        index provider :meth:`_sample_batch` is the other), entered once
+        around the loop. The in-memory index needs none; the out-of-core
+        engine routes its trunk store's phases to ``profiler`` here.
         """
-        yield None
+        yield
 
     # -- frontier kernel ---------------------------------------------------------
 
@@ -371,8 +367,6 @@ class BatchTeaEngine(Engine):
                     idx_out = beta_rounds(lanes, vs, ss)
             with profiler.phase("scatter"):
                 lanes = scatter(walk, lanes, vs, idx_out, iteration, scratch)
-                if lookahead is not None and lanes.size:
-                    lookahead(cur[lanes], s[lanes])
             return lanes
 
         def beta_rounds(lanes, vs, ss) -> np.ndarray:
@@ -418,7 +412,7 @@ class BatchTeaEngine(Engine):
             return idx_out
 
         frontier = np.flatnonzero(active)
-        with self._frontier_scope(profiler, counters) as lookahead:
+        with self._frontier_scope(profiler):
             iteration = 0
             while frontier.size:
                 if keep_hops and iteration == out.hop_vertex.shape[1]:

@@ -2,8 +2,7 @@
 
 :class:`BatchTeaOutOfCoreEngine` advances the whole frontier over a
 disk-resident PAT: vectorised sampling over whole-trunk payload
-matrices, coalesced reads, async prefetch and the scan-resistant frame
-pool (``batch``, ``prefetch``).
+matrices, coalesced reads and the scan-resistant frame pool (``batch``).
 """
 
 from repro.engines.tea_outofcore.batch import (
@@ -12,10 +11,8 @@ from repro.engines.tea_outofcore.batch import (
     BatchTeaOutOfCoreEngine,
     ooc_sample_batch,
 )
-from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
 
 __all__ = [
-    "AsyncPrefetcher",
     "BatchTeaOutOfCoreEngine",
     "DEFAULT_OOC_CACHE_BYTES",
     "DEFAULT_OOC_TRUNK_SIZE",

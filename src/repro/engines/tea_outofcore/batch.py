@@ -17,10 +17,6 @@ I/O pattern itself into an optimisation surface:
   call per region: duplicates collapse, adjacent/overlapping ranges
   **coalesce** into single large backing reads, and the payload comes
   back as one matrix the sampler indexes (no per-block loop);
-* after each frontier advance the engine knows exactly which vertices
-  the next iteration samples, so it predicts their trunk demand and
-  hands it to the :class:`AsyncPrefetcher`, overlapping next-step I/O
-  with this step's sampling compute;
 * the scan-resistant frame pool keeps hub trunks resident while the
   coalesced cold reads churn through probation only.
 
@@ -38,8 +34,10 @@ The frontier loop is :meth:`BatchTeaEngine._run_frontier` itself; this
 engine supplies only its two seams — the index provider
 (``_sample_batch`` → :func:`ooc_sample_batch`, drawing per lane like the
 in-memory kernel) and the per-run scope (``_frontier_scope``: the
-prefetcher and the store's profiler) — so whatever the loop offers,
-``run_lanes`` included, works on disk too.
+store's profiler) — so whatever the loop offers, ``run_lanes``
+included, works on disk too. Like paper §4.1 it reads no trunk ahead of
+its step: every read is the sampling thread's own, served through the
+re-entry cache.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from repro.core.builder import build_pat, search_candidate_sets
 from repro.core.outofcore import OutOfCorePAT, TrunkStore
 from repro.engines.base import Engine
 from repro.engines.batch import BatchTeaEngine
-from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelBackend, KernelScratch
 from repro.rng import LaneRng
@@ -66,11 +63,6 @@ DEFAULT_OOC_TRUNK_SIZE = 10
 
 #: Default re-entry cache budget (paper §4.1's re-entry optimisation).
 DEFAULT_OOC_CACHE_BYTES = 4 << 20
-
-#: Trunks inspected per lane when predicting next-step demand: the
-#: heaviest of the first ``min(full, N)`` trunks is the likeliest ITS
-#: winner. Scanning all of them would redo the sampler's work.
-_PREFETCH_TRUNK_SCAN = 8
 
 
 def ooc_sample_batch(
@@ -116,10 +108,10 @@ def ooc_sample_batch(
         vs, ss, lanes = (np.ascontiguousarray(a, dtype=np.int64)
                          for a in (vs, ss, lanes))
         scratch = KernelScratch() if scratch is None else scratch
-        plan = kernel.ooc_plan(index, vs, ss, 0, scratch)
+        plan = kernel.ooc_plan(index, vs, ss, scratch)
         if plan is not None:
             return _compiled_draw(kernel, index, vs, ss, draw, lanes, counters,
-                                  plan[:3], scratch)
+                                  plan, scratch)
     store = index.store
     if draw is None:  # the next uniforms of rng, in call order
         lanes = np.arange(n, dtype=np.int64)
@@ -223,39 +215,6 @@ def _compiled_draw(kernel: KernelBackend, index: OutOfCorePAT, vs, ss,
 _NO_TRUNKS = np.zeros((0, 0))
 
 
-def predict_reads(kernel: KernelBackend, index: OutOfCorePAT, vs: np.ndarray,
-                  ss: np.ndarray, scratch: KernelScratch):
-    """The trunks the next step over ``(vs, ss)`` will read, as
-    ``(c_lo, c_hi, pa_lo, pa_hi)`` columns; lanes are validated first.
-
-    Certain need: a ragged candidate boundary reads its C-slice trunk
-    (total and partial-trunk search) before drawing anything.
-    Probabilistic: the heaviest of the first few complete trunks is the
-    likeliest ITS winner — its alias trunk. Compiled where ``kernel``
-    has ``ooc_plan`` and the index binds; the numpy lines are the
-    specification.
-    """
-    vs, ss = (np.ascontiguousarray(a, dtype=np.int64) for a in (vs, ss))
-    if kernel.ooc_plan is not None:
-        plan = kernel.ooc_plan(index, vs, ss, _PREFETCH_TRUNK_SCAN, scratch)
-        if plan is not None:
-            return plan[1:]
-    index.check_lanes(vs, ss)
-    ts = index.trunk_sizes[vs].astype(np.int64)
-    full = ss // ts
-    ragged = np.flatnonzero(ss - full * ts)
-    c_lo, c_hi = index.c_trunks(vs[ragged], ss[ragged], ts[ragged])
-    # Columns past a lane's last complete trunk repeat it, so the gather
-    # never leaves the lane's own boundaries and argmax (first maximum)
-    # never picks them.
-    rows = np.flatnonzero(full)
-    scan = np.minimum(np.arange(_PREFETCH_TRUNK_SCAN), full[rows, None] - 1)
-    at = index.tr_indptr[vs[rows], None] + scan
-    best = np.argmax(index.tr_prefix[at + 1] - index.tr_prefix[at], axis=1)
-    pa_lo = (index.indptr[vs[rows]] + best * ts[rows]).astype(np.int64)
-    return c_lo, c_hi, pa_lo, pa_lo + ts[rows]
-
-
 class BatchTeaOutOfCoreEngine(BatchTeaEngine):
     """Batched frontier execution against a disk-resident PAT.
 
@@ -263,6 +222,10 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
     resilience layer into the store's read path (see
     :mod:`repro.resilience`); persist always writes the per-page CRC32
     manifest, so verification is a pure read-side choice.
+
+    ``prefetch`` sets nothing. It is still accepted because the
+    end-to-end benchmark's instrument (``bench_e2e/ooc_exp.py``, which
+    changes only with the benchmark itself) passes ``prefetch=True``.
     """
 
     has_candidate_index = True
@@ -275,7 +238,7 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         trunk_size: int = DEFAULT_OOC_TRUNK_SIZE,
         storage_dir: Optional[str] = None,
         cache_bytes: int = DEFAULT_OOC_CACHE_BYTES,
-        prefetch: bool = True,
+        prefetch=None,
         retry_policy=None,
         verify_checksums: bool = False,
         fault_injector=None,
@@ -285,16 +248,9 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         self._storage_dir = storage_dir
         self._tmpdir = None
         self.cache_bytes = int(cache_bytes)
-        # Prefetch warms the cache; without one it has nowhere to put
-        # the blocks, so it quietly turns itself off.
-        self.prefetch = bool(prefetch) and self.cache_bytes > 0
         self.retry_policy = retry_policy
         self.verify_checksums = bool(verify_checksums)
         self.fault_injector = fault_injector
-        self._prefetcher: Optional[AsyncPrefetcher] = None
-        # The prediction's binding memo (the loop's scratch is not passed
-        # to the lookahead).
-        self._plan_scratch = KernelScratch()
 
     def _prepare(self) -> None:
         recorder = self.recorder
@@ -330,7 +286,7 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
         return self.index.store.cache.stats
 
     def publish_telemetry(self, registry) -> None:
-        """Cache + prefetch + coalescing counters, resident footprint."""
+        """Cache + coalescing counters, resident footprint."""
         super().publish_telemetry(registry)
         self.index.store.publish_telemetry(registry)
         registry.gauge(
@@ -365,48 +321,16 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
     ) -> np.ndarray:
         """Trunk-store draws (``scratch`` holds the compiled members'
         binding; this sampler's staging lives in the frame pool)."""
-        if self._prefetcher is not None:
-            # Settle outstanding predictions before sampling: they were
-            # issued for exactly this round's read_batch, so waiting the
-            # residual I/O turns them into cache hits instead of racing
-            # the synchronous reads for the same ranges.
-            self._prefetcher.drain(counters, wait=True)
-            if self._prefetcher.failed:
-                # The worker died (checksum failure, exhausted retries,
-                # injected fault): settle its ledger and fall back to
-                # synchronous reads — a persistent error then surfaces
-                # on this thread instead of vanishing with the worker.
-                self._prefetcher.close(counters)
-                self._prefetcher = None
         return ooc_sample_batch(self.index, vs, ss, None, counters,
                                 draw=draw, lanes=lanes, kernel=self.kernel,
                                 scratch=scratch)
 
-    def _on_frontier_advance(self, vs: np.ndarray, ss: np.ndarray) -> None:
-        if self._prefetcher is None:
-            return
-        # Warmed trunks from earlier steps missed their window: the pin,
-        # not the frame, expires (a late consumer still counts as a hit),
-        # which bounds pinned frames to one step's predictions.
-        self.index.store.cache.unpin_all()
-        c_lo, c_hi, pa_lo, pa_hi = predict_reads(
-            self.kernel, self.index, vs, ss, self._plan_scratch)
-        self._prefetcher.submit([("c", c_lo, c_hi), ("pa", pa_lo, pa_hi)])
-
     @contextmanager
-    def _frontier_scope(self, profiler, counters: CostCounters):
-        # Route the store's ooc.* phases to this loop's profiler. The
-        # prefetch worker thread never touches it: _load runs there with
-        # the store's NULL default, only synchronous reads are charged.
+    def _frontier_scope(self, profiler):
+        # Route the store's ooc.* phases to this loop's profiler.
         store = self.index.store
         prev_profiler, store.profiler = store.profiler, profiler
-        if self.prefetch:
-            self._prefetcher = AsyncPrefetcher(store)
-            self._prefetcher.start()
         try:
-            yield self._on_frontier_advance if self.prefetch else None
+            yield
         finally:
             store.profiler = prev_profiler
-            if self._prefetcher is not None:
-                self._prefetcher.close(counters)
-                self._prefetcher = None

@@ -80,14 +80,12 @@ the specification; the members reproduce it bit for bit (draws from the
 ``index`` is an ``OutOfCorePAT``; an out-of-range vertex, size, lane or
 payload row raises :class:`IndexError`.
 
-``ooc_plan(index, vs, ss, scan, scratch) -> (rows, c_lo, c_hi, pa_lo, pa_hi) | None``
+``ooc_plan(index, vs, ss, scratch) -> (rows, c_lo, c_hi) | None``
     Validate every lane (``0 <= v < V``, ``1 <= s <= deg``) and list the
     ragged ones (``s`` not a multiple of the trunk size) with their
-    C-slice trunk ``[c_lo, c_hi)``. With ``scan > 0``, every lane with a
-    complete trunk also gets the alias trunk ``[pa_lo, pa_hi)`` of the
-    heaviest of its first ``min(full, scan)`` trunks (the prefetcher's
-    prediction). ``None`` when the index's arrays do not bind; the
-    binding is memoised in ``scratch`` for the two members below.
+    C-slice trunk ``[c_lo, c_hi)``. ``None`` when the index's arrays do
+    not bind; the binding is memoised in ``scratch`` for the two members
+    below.
 
 ``ooc_select(index, vs, ss, rng, lanes, c_trunks, c_row, scratch) -> (out, deep, pa_lo, pa_hi, probes)``
     Per lane: the candidate total (resident boundary, or the ragged

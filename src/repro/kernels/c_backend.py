@@ -45,7 +45,7 @@ _SOURCE = Path(__file__).with_name("hop.c")
 _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
                "hop_scatter": "qpppqpqpppqppppqqpp", "hop_lanes": "pqpqp",
                "hop_uniforms": "qppqp", "alias_build": "qqpppqpqppp",
-               "prefix_sums": "qqpqpqp", "ooc_plan": "qpppqpqppqpppppp",
+               "prefix_sums": "qqpqpqp", "ooc_plan": "qpppqpqpppppp",
                "ooc_select": "qpppqpqpppqppqpqqpppppp",
                "ooc_alias": "qpqpqppqpppqqpp"}
 _KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
@@ -313,18 +313,17 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
             lo, hi, _addr(indptr, _I64), weights.size, _addr(weights, _F64),
             c.size, _out(c, _F64)), "prefix_sums (segment outside the arrays)")
 
-    def ooc_plan(index, vs, ss, scan, scratch):
+    def ooc_plan(index, vs, ss, scratch):
         args = _bound(scratch, "ooc", index, _ooc_args)
         if args is None:
             return None
         n = vs.size
-        cols, counts = np.empty((5, n), np.int64), np.zeros(2, np.int64)
+        cols, counts = np.empty((3, n), np.int64), np.zeros(1, np.int64)
         _checked(lib.ooc_plan(
-            *args, n, _addr(vs, _I64), _addr(ss, _I64, n), scan,
+            *args, n, _addr(vs, _I64), _addr(ss, _I64, n),
             *(_addr(col, _I64) for col in cols), _addr(counts, _I64),
         ), "ooc plan (vertex, or candidate size outside 1..deg)")
-        rows, predicted = counts.tolist()
-        return (*cols[:3, :rows], *cols[3:, :predicted])
+        return tuple(cols[:, :int(counts[0])])
 
     def ooc_bound(index, scratch):
         args = _bound(scratch, "ooc", index, _ooc_args)
@@ -471,17 +470,16 @@ def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
 
 def _self_test_ooc(backend: KernelBackend) -> None:
     """The compiled out-of-core draw against the numpy lockstep on a
-    synthetic PAT over an in-memory store: draws, stream counters, costs
-    and the prefetch prediction, bit for bit. Vertices 0..95 are FMA
-    tripwires: six edges in trunks of three, sampled whole, with the
-    middle boundary set to the twice-rounded ``r`` of the lane's first
-    uniform, so a contracted ``total − u·total`` bisects the other way.
+    synthetic PAT over an in-memory store: draws, stream counters and
+    costs, bit for bit. Vertices 0..95 are FMA tripwires: six edges in
+    trunks of three, sampled whole, with the middle boundary set to the
+    twice-rounded ``r`` of the lane's first uniform, so a contracted
+    ``total − u·total`` bisects the other way.
     The rest mix trunk sizes 1–10 over degrees 1–100, ragged and aligned.
     A plan that did not bind would send both sides to numpy, so every
     ``ooc_plan`` call must have bound."""
     from repro.core.outofcore import OutOfCorePAT, TrunkStore
-    from repro.engines.tea_outofcore.batch import (
-        ooc_sample_batch, predict_reads)
+    from repro.engines.tea_outofcore.batch import ooc_sample_batch
     from repro.rng import LaneRng
     from repro.sampling.counters import CostCounters
 
@@ -519,8 +517,7 @@ def _self_test_ooc(backend: KernelBackend) -> None:
         lane_rng, counters = stream(), CostCounters()
         out = ooc_sample_batch(index, vs, ss, None, counters, draw=lane_rng,
                                lanes=lanes, kernel=kernel, scratch=scratch)
-        return [out, lane_rng._ctr, np.array([*counters.snapshot().values()]),
-                *predict_reads(kernel, index, vs, ss, scratch)]
+        return [out, lane_rng._ctr, np.array([*counters.snapshot().values()])]
 
     plans = []
 

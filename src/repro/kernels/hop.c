@@ -336,20 +336,16 @@ static inline int ooc_lane(const Trunks *x, i64 v, i64 s, i64 *ts, i64 *full,
 
 /* Lane validation and read planning. Every lane is checked (ooc_lane);
  * a ragged lane (s not a multiple of ts) is listed in rows[] with its
- * C-slice trunk [c_lo, c_hi) (OutOfCorePAT.c_trunks). With scan > 0 a lane
- * with a complete trunk also gets the alias trunk [pa_lo, pa_hi) of the
- * heaviest of its first min(full, scan) trunks — first maximum, a NaN
- * winning as under np.argmax: the prefetcher's prediction. counts[0..1] =
- * ragged lanes, predicted alias trunks. Returns 0.
+ * C-slice trunk [c_lo, c_hi) (OutOfCorePAT.c_trunks). counts[0] = ragged
+ * lanes. Returns 0.
  */
 i64 ooc_plan(i64 V, const i64 *indptr, const i64 *trunk_sizes,
              const i64 *tr_indptr, i64 tr_len, const double *tr_prefix,
-             i64 n, const i64 *vs, const i64 *ss, i64 scan,
-             i64 *rows, i64 *c_lo, i64 *c_hi, i64 *pa_lo, i64 *pa_hi,
-             i64 *counts)
+             i64 n, const i64 *vs, const i64 *ss,
+             i64 *rows, i64 *c_lo, i64 *c_hi, i64 *counts)
 {
     const Trunks x = {V, indptr, trunk_sizes, tr_indptr, tr_len, tr_prefix};
-    i64 n_rows = 0, n_pa = 0;
+    i64 n_rows = 0;
     for (i64 i = 0; i < n; i++) {
         i64 v = vs[i], s = ss[i], ts, full, tb;
         if (ooc_lane(&x, v, s, &ts, &full, &tb)) BAD(i);
@@ -360,19 +356,8 @@ i64 ooc_plan(i64 V, const i64 *indptr, const i64 *trunk_sizes,
             c_lo[n_rows] = base + start;
             c_hi[n_rows++] = base + end + 1;
         }
-        if (scan > 0 && full > 0) {
-            const double *b = tr_prefix + tb;
-            i64 best = 0, last = full < scan ? full : scan;
-            double top = b[1] - b[0];
-            for (i64 j = 1; j < last && !isnan(top); j++) {
-                double d = b[j + 1] - b[j];
-                if (d > top || isnan(d)) { best = j; top = d; }
-            }
-            pa_lo[n_pa] = indptr[v] + best * ts;
-            pa_hi[n_pa++] = indptr[v] + (best + 1) * ts;
-        }
     }
-    counts[0] = n_rows; counts[1] = n_pa;
+    counts[0] = n_rows;
     return 0;
 }
 

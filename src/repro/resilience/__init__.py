@@ -6,8 +6,8 @@ gives the reproduction the same posture, testably:
 
 * :mod:`repro.resilience.faults` — a seeded, deterministic
   :class:`FaultInjector` driven by declarative JSON fault plans, hooked
-  into trunk-store reads, prefetch admission, chunk-worker entry, and
-  streaming batch apply;
+  into trunk-store reads, chunk-worker entry, streaming batch apply and
+  the write-ahead log;
 * :mod:`repro.resilience.retry` — :class:`RetryPolicy` with
   transient/fatal classification, a retry budget, and exponential
   backoff with seeded jitter (used by the trunk store).

@@ -7,10 +7,7 @@ be reproducible in CI, or the handling code rots untested. A
 wired into the risky layers at named **sites**:
 
 ``trunk_read``
-    Every backing-store load in :class:`~repro.core.outofcore.TrunkStore`
-    (both the sampling thread and the prefetch worker route through it).
-``prefetch``
-    The prefetch worker's batch service loop, before any read is issued.
+    Every backing-store load in :class:`~repro.core.outofcore.TrunkStore`.
 ``chunk``
     The chunk-worker entry point of the parallel executor; keyed by
     ``(chunk_id, attempt)`` so a plan can crash exactly one chunk's
@@ -45,9 +42,7 @@ state. Probabilistic rules hash ``(seed, site, call-or-key, rule)``
 with CRC32, explicit selectors (``calls``, ``chunks``/``attempts``)
 fire on exact matches, and ``max_triggers`` caps a rule per injector
 instance. Sites driven from a single thread (the out-of-core read
-path's sampling thread, chunk entry, streaming apply) therefore replay bit-exactly;
-sites shared with the prefetch worker are deterministic per thread but
-interleave with scheduling.
+path, chunk entry, streaming apply) therefore replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -65,7 +60,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.exceptions import FaultPlanError, TransientIOError, WorkerCrashError
 from repro.telemetry import events
 
-SITES = ("trunk_read", "prefetch", "chunk", "streaming_apply",
+SITES = ("trunk_read", "chunk", "streaming_apply",
          "wal_append", "wal_fsync", "checkpoint_write")
 KINDS = ("io_error", "slow_read", "corrupt_block", "worker_crash", "worker_hang")
 
@@ -184,9 +179,9 @@ class FaultInjector:
     """Seeded injector evaluating a fault plan at instrumented sites.
 
     Thread-safe: the per-site call counters and trigger counts are
-    guarded by a lock (the trunk-read site is polled from both the
-    sampling thread and the prefetch worker). Pickling drops the lock
-    and rebuilds it, so an injector survives being pickled.
+    guarded by a lock (thread-backend chunk workers poll the ``chunk``
+    site concurrently). Pickling drops the lock and rebuilds it, so an
+    injector survives being pickled.
     """
 
     def __init__(self, rules: Iterable[FaultRule], seed: int = 0):

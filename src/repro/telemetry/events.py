@@ -1,6 +1,6 @@
 """Structured JSONL event log with a per-run ``run_id``.
 
-The resilience and prefetch layers count what happened (retries,
+The resilience and cache layers count what happened (retries,
 degradations, evictions) but counters cannot answer *when* or *in what
 order* — which is the question during an incident. This module turns
 those counters into a correlatable timeline: one :class:`EventLog` per

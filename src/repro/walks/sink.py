@@ -22,6 +22,7 @@ most 1,024 walks, the columns of ``FrontierResult.blocks()`` that
 
 from __future__ import annotations
 
+import itertools
 import os
 from pathlib import Path
 from typing import Iterator, List, Tuple, Union
@@ -29,7 +30,6 @@ from typing import Iterator, List, Tuple, Union
 import numpy as np
 
 from repro.exceptions import GraphFormatError
-from repro.graph.validate import is_temporal_path
 from repro.walks.walker import BLOCK_WALKS, WalkPath, walk_paths
 
 PathLike = Union[str, os.PathLike]
@@ -83,11 +83,7 @@ class WalkSink:
         if not self._buffer:
             return
         walks, self._buffer = self._buffer, []
-        hops = [hop for walk in walks for hop in walk.hops[1:]]
-        self._write_block(np.array([walk.hops[0][0] for walk in walks]),
-                          np.array([len(walk.hops) - 1 for walk in walks]),
-                          np.array([v for v, _ in hops], dtype=np.int64),
-                          np.array([t for _, t in hops], dtype=np.float64))
+        self._write_block(*_columns(walks))
 
     def _write_block(self, starts: np.ndarray, lengths: np.ndarray,
                      vertices: np.ndarray, times: np.ndarray) -> None:
@@ -108,6 +104,15 @@ class WalkSink:
             ]))
         self.walks_written += int(starts.size)
         self.flushes += 1
+
+
+def _columns(walks: List[WalkPath]) -> Tuple[np.ndarray, ...]:
+    """``(starts, lengths, vertices, times)`` block columns of ``walks``."""
+    hops = [hop for walk in walks for hop in walk.hops[1:]]
+    return (np.array([walk.hops[0][0] for walk in walks], dtype=np.int64),
+            np.array([len(walk.hops) - 1 for walk in walks], dtype=np.int64),
+            np.array([v for v, _ in hops], dtype=np.int64),
+            np.array([t for _, t in hops], dtype=np.float64))
 
 
 def read_walks(path: PathLike) -> Iterator[WalkPath]:
@@ -171,6 +176,54 @@ def _read_blocks(path: Path) -> Iterator[Tuple[np.ndarray, ...]]:
             yield starts, lengths, take(np.int64, hops), take(np.float64, hops)
 
 
+def _blocks(path: Path) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Block columns of a corpus in either format, one block at a time."""
+    if path.suffix == ".twalks":
+        yield from _read_blocks(path)
+        return
+    walks = _read_text(path)
+    while True:
+        block = list(itertools.islice(walks, BLOCK_WALKS))
+        if not block:
+            return
+        yield _columns(block)
+
+
+def _bad_walks(graph, starts, lengths, vertices, times):
+    """``(bad_start, bad_path)`` masks of one block: a start outside
+    ``[0, V)``, else a hop that is not an edge ``(u, v, t)`` of ``graph``
+    or whose time does not exceed the walk's previous hop time —
+    :func:`repro.graph.validate.is_temporal_path`'s contract, checked in
+    array passes over the whole block."""
+    n, V = starts.size, graph.num_vertices
+    lengths = lengths.astype(np.int64)
+    bad_start = (starts < 0) | (starts >= V)
+    walk = np.repeat(np.arange(n), lengths)
+    first = np.zeros(vertices.size, dtype=bool)
+    first[(np.cumsum(lengths) - lengths)[lengths > 0]] = True
+    src = np.empty_like(vertices)
+    src[1:] = vertices[:-1]
+    src[first] = starts[walk[first]]
+    rising = np.ones(vertices.size, dtype=bool)
+    rising[1:] = times[1:] > times[:-1]
+    hop = np.flatnonzero((src >= 0) & (src < V) & (rising | first))
+    # Rows are time-descending, so the edges of u at exactly t follow
+    # the |Γt(u)| newer ones; each pass tests one more edge of every tie.
+    u = src[hop]
+    pos = graph.indptr[u] + graph.candidate_counts_batch(u, times[hop])
+    end = graph.indptr[u + 1]
+    edge = np.zeros(vertices.size, dtype=bool)
+    while hop.size:
+        inside = pos < end
+        hop, pos, end = hop[inside], pos[inside], end[inside]
+        tie = graph.etime[pos] == times[hop]
+        hit = tie & (graph.nbr[pos] == vertices[hop])
+        edge[hop[hit]] = True
+        miss = tie & ~hit
+        hop, pos, end = hop[miss], pos[miss] + 1, end[miss]
+    return bad_start, np.bincount(walk[~edge], minlength=n) > 0
+
+
 def validate_corpus(graph, path: PathLike) -> Tuple[int, list]:
     """Check every walk in a corpus file against a graph.
 
@@ -179,12 +232,15 @@ def validate_corpus(graph, path: PathLike) -> Tuple[int, list]:
     real edge of ``graph`` and the arrival times strictly increase — the
     temporal-path contract every engine guarantees (useful when corpora
     are produced elsewhere or graphs have drifted since generation).
+    The check runs one block of walks at a time in array passes;
+    :func:`repro.graph.validate.is_temporal_path` is its per-walk
+    reference.
     """
     problems, count = [], 0
-    for count, walk in enumerate(read_walks(path), 1):
-        start = walk.hops[0][0]
-        if not 0 <= start < graph.num_vertices:
-            problems.append((count - 1, f"start vertex {start} out of range"))
-        elif not is_temporal_path(graph, walk.hops):
-            problems.append((count - 1, "not a temporal path of the graph"))
+    for starts, lengths, vertices, times in _blocks(Path(path)):
+        bad_start, bad_path = _bad_walks(graph, starts, lengths, vertices, times)
+        for i in np.flatnonzero(bad_start | bad_path).tolist():
+            problems.append((count + i, f"start vertex {starts[i]} out of range"
+                             if bad_start[i] else "not a temporal path of the graph"))
+        count += starts.size
     return count, problems

@@ -119,7 +119,7 @@ class TeaOutOfCoreEngine(Engine):
         self.trunk_size = int(trunk_size)
         self._build = BatchTeaOutOfCoreEngine(
             graph, spec, trunk_size=trunk_size, storage_dir=storage_dir,
-            cache_bytes=cache_bytes, prefetch=False, retry_policy=retry_policy,
+            cache_bytes=cache_bytes, retry_policy=retry_policy,
             verify_checksums=verify_checksums, fault_injector=fault_injector)
         self.index: Optional[OutOfCorePAT] = None
 

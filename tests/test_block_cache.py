@@ -2,13 +2,11 @@
 
 ``TestBlockCache`` keeps the behaviours (and test names) of the
 per-block SLRU cache the pool replaced — hit/miss accounting, LRU
-eviction, scan resistance, promotion counting, pins, the disabled
-cache, read-only payload — re-expressed on :class:`FramePool`'s batch
-API. One behaviour is *removed*, not carried over: pins can no longer
-push the cache over its byte budget (the slab is the budget), so
-``test_pinned_bytes_may_exceed_budget_transiently`` became
-``test_all_frames_pinned_refuses_admission``. The exact
-pool-vs-old-cache comparison lives in ``tests/test_frame_pool.py``.
+eviction, scan resistance, promotion counting, the disabled cache,
+read-only payload — re-expressed on :class:`FramePool`'s batch API.
+The pool has no pins (nothing reads ahead), so the old cache's pin
+behaviours are not carried over. The exact pool-vs-old-cache comparison
+lives in ``tests/test_frame_pool.py``.
 """
 
 import numpy as np
@@ -27,7 +25,7 @@ from tests.ooc_oracle import sample as ooc_sample
 
 WIDTH = 8  # elements per frame: 64-byte frames, like the old 64-byte blocks
 KEYS = {name: i for i, name in enumerate(
-    ["a", "b", "c", "d", "hot", "pinned", "missing"]
+    ["a", "b", "c", "d", "hot", "missing"]
     + [f"{kind}-{i}" for kind in ("scan", "fill", "more") for i in range(16)])}
 
 
@@ -37,9 +35,9 @@ def make_pool(frames: int) -> FramePool:
     return pool
 
 
-def put(pool, name, value=0.0, pin=False, n=WIDTH):
+def put(pool, name, value=0.0, n=WIDTH):
     rows = np.full((1, n), value)
-    return bool(pool.admit(np.array([KEYS[name]]), rows, np.array([n * 8]), pin=pin)[0])
+    return bool(pool.admit(np.array([KEYS[name]]), rows, np.array([n * 8]))[0])
 
 
 def get(pool, name):
@@ -186,32 +184,6 @@ class TestBlockCache:
         get(pool, "a")
         get(pool, "a")
         assert pool.stats.promotions == 1  # only the probation->protected move
-
-    def test_pinned_blocks_survive_eviction(self):
-        pool = make_pool(2)
-        put(pool, "pinned", pin=True)
-        for i in range(8):
-            put(pool, f"fill-{i}")
-        assert resident(pool, "pinned")
-        pool.unpin_all()
-        for i in range(8):
-            put(pool, f"more-{i}")
-        assert not resident(pool, "pinned")
-
-    def test_all_frames_pinned_refuses_admission(self):
-        """Where the per-block cache let pins overshoot the budget, the
-        slab *is* the budget: with nothing evictable the admission is
-        refused (the caller still holds the bytes it loaded) and counted
-        as admitted-then-evicted."""
-        pool = make_pool(1)
-        assert put(pool, "a", pin=True)
-        assert not put(pool, "b", pin=True)
-        assert pool.nbytes == 64 <= pool.capacity_bytes
-        assert resident(pool, "a") and not resident(pool, "b")
-        assert (pool.stats.bytes_in, pool.stats.evictions) == (128, 1)
-        pool.unpin_all()
-        assert put(pool, "b")
-        assert not resident(pool, "a")
 
     def test_publish_includes_served_promotions_hit_rate(self):
         from repro.telemetry import MetricsRegistry

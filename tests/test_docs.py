@@ -79,6 +79,7 @@ MOVED_OUT = ("repro.analytics", "repro.bench", "repro.distributed",
              "repro.sampling.rejection", "repro.core.deletions",
              "repro.core.persist",
              "repro.engines.mutable", "repro.engines.tea_outofcore.scalar",
+             "repro.engines.tea_outofcore.prefetch",
              "repro.graph.transform", "benchmarks", "examples", "tests")
 
 

@@ -3,11 +3,11 @@
 Covers the tentpole's correctness contract: the batched engine must keep
 the scalar ``tea-ooc`` sampling distribution (chi-squared at a hub
 vertex), stay deterministic and cache-oblivious in its draws, produce
-valid temporal paths, coalesce backing reads, and conserve prefetch
-accounting (``issued == hits + wasted + in_flight``) all the way out to
-the Prometheus exporter.
+valid temporal paths, coalesce backing reads, and read nothing ahead of
+the step that needs it (no thread, no read-ahead metrics).
 """
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -25,11 +25,16 @@ from repro.engines import (
 from repro.graph.validate import is_temporal_path
 from repro.sampling.counters import CostCounters
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.exporters import to_prometheus
 from repro.walks.apps import exponential_walk, temporal_node2vec
 from tests.conftest import chisquare_ok, gtest_ok
 from tests.ooc_oracle import TeaOutOfCoreEngine, read_alias_trunk, read_c
 from tests.ooc_oracle import sample as ooc_sample
+
+
+def _sync_id(cache_bytes):
+    """Id of a cache-budget parametrisation: ``sync`` names the one read
+    path, the sampling thread's own reads."""
+    return f"{cache_bytes}-sync"
 
 
 def _runs(ranges):
@@ -228,22 +233,17 @@ class TestParityAndDeterminism:
         ]
         assert [w.hops for w in runs[0].paths] == [w.hops for w in runs[1].paths]
 
-    def test_draws_oblivious_to_cache_and_prefetch(self, small_graph):
-        """Neither the cache nor the prefetcher consumes sampling RNG,
-        so every configuration must yield identical paths."""
+    def test_draws_oblivious_to_the_cache(self, small_graph):
+        """The cache consumes no sampling RNG, so every budget must
+        yield identical paths."""
         wl = Workload(walks_per_vertex=2, max_length=20)
-        configs = [
-            {"cache_bytes": 0, "prefetch": False},
-            {"cache_bytes": 1 << 20, "prefetch": False},
-            {"cache_bytes": 1 << 20, "prefetch": True},
-        ]
         paths = []
-        for cfg in configs:
+        for cache_bytes in (0, 1 << 20):
             result = BatchTeaOutOfCoreEngine(
-                small_graph, exponential_walk(scale=15.0), **cfg
+                small_graph, exponential_walk(scale=15.0), cache_bytes=cache_bytes
             ).run(wl, seed=4)
             paths.append([w.hops for w in result.paths])
-        assert paths[0] == paths[1] == paths[2]
+        assert paths[0] == paths[1]
 
     def test_coalescing_beats_scalar_read_ops(self, medium_graph, tmp_path):
         wl = Workload(walks_per_vertex=2, max_length=30)
@@ -273,16 +273,15 @@ class TestRunLanes:
     seed)`` — raised ``TypeError(lane_rng)`` before the engine shared
     the one frontier loop."""
 
-    @pytest.mark.parametrize("prefetch", [True, False], ids=["prefetch", "sync"])
-    @pytest.mark.parametrize("cache_bytes", [0, 64 << 10, 4 << 20])
-    def test_any_partition_bit_parity(self, small_graph, prefetch, cache_bytes):
+    @pytest.mark.parametrize("cache_bytes", [0, 64 << 10, 4 << 20], ids=_sync_id)
+    def test_any_partition_bit_parity(self, small_graph, cache_bytes):
         n = 24
         rng = np.random.default_rng(8)
         starts = rng.integers(0, small_graph.num_vertices, size=n)
         seeds = rng.integers(0, 2**62, size=n)
         engine = BatchTeaOutOfCoreEngine(
             small_graph, temporal_node2vec(), trunk_size=8,
-            cache_bytes=cache_bytes, prefetch=prefetch,
+            cache_bytes=cache_bytes,
         )
 
         def walk(order):
@@ -308,7 +307,38 @@ class TestRunLanes:
         )
         assert counters.steps == frontier.total_steps > 0
         assert registry.histogram("batch.frontier_size").count > 0
-        assert engine._prefetcher is None  # the run's scope closed it
+
+
+class TestSynchronousReads:
+    """Paper §4.1 reads one trunk per step with no read-ahead: every
+    read is the sampling thread's own."""
+
+    def test_run_and_run_lanes_start_no_thread(self, small_graph, monkeypatch):
+        engine = BatchTeaOutOfCoreEngine(
+            small_graph, exponential_walk(scale=15.0), cache_bytes=1 << 20)
+
+        def refuse(thread):
+            raise AssertionError(f"the out-of-core engine started {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = engine.run(Workload(walks_per_vertex=2, max_length=10), seed=3)
+        frontier = engine.run_lanes(np.arange(10), np.arange(10) + 5, 6)
+        assert result.total_steps > 0 and frontier.total_steps > 0
+
+    def test_no_read_ahead_metrics(self, small_graph):
+        engine = BatchTeaOutOfCoreEngine(
+            small_graph, exponential_walk(scale=15.0), cache_bytes=1 << 20)
+        result = engine.run(Workload(walks_per_vertex=2, max_length=10), seed=3,
+                            record_paths=False)
+        store = engine.index.store
+        assert store.read_ops > 0
+        assert (store.prefetch_issued, store.prefetch_hits, store.prefetch_wasted,
+                store.prefetch_overlap_seconds) == (0, 0, 0, 0)
+        registry = result.registry
+        assert "ooc.read_ops" in registry
+        assert not [m.name for m in (*registry.counters(), *registry.gauges())
+                    if m.name.startswith("prefetch.")
+                    or m.name == "ooc.io_overlap_seconds"]
 
 
 def _pinned_edges():
@@ -425,17 +455,13 @@ class TestPinnedToParent:
                                 alpha=1e-6)
 
     @pytest.mark.parametrize("app", sorted(PINNED))
-    @pytest.mark.parametrize(
-        "prefetch,cache_bytes", [(False, 0), (False, 4 << 20), (True, 4 << 20)],
-        ids=["uncached", "sync", "prefetch"],
-    )
-    def test_run_matches_parent_commit(self, app, prefetch, cache_bytes):
+    @pytest.mark.parametrize("cache_bytes", [0, 4 << 20], ids=["uncached", "sync"])
+    def test_run_matches_parent_commit(self, app, cache_bytes):
         import hashlib
 
         spec, digest, sampling, uncached_io = self.PINNED[app]
         engine = BatchTeaOutOfCoreEngine(
             _pinned_graph(), spec, trunk_size=8, cache_bytes=cache_bytes,
-            prefetch=prefetch,
         )
         result = engine.run(Workload(walks_per_vertex=3, max_length=10), seed=17)
         sha = hashlib.sha256()
@@ -451,12 +477,11 @@ class TestPinnedToParent:
 
 
     @pytest.mark.parametrize("app", sorted(PINNED))
-    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
     @pytest.mark.parametrize(
         "cache_bytes", [50, 9 * 8, 12 * 9 * 8],
-        ids=["below-one-frame", "one-frame", "twelve-frames"],
+        ids=["below-one-frame-sync", "one-frame-sync", "twelve-frames-sync"],
     )
-    def test_starved_pool_walks_the_same_walks(self, app, prefetch, cache_bytes):
+    def test_starved_pool_walks_the_same_walks(self, app, cache_bytes):
         """The rest of the grid: pools far below one frontier's demand
         (this workload's widest step touches ~100 distinct trunks)."""
         import hashlib
@@ -464,7 +489,6 @@ class TestPinnedToParent:
         spec, digest, sampling, _ = self.PINNED[app]
         engine = BatchTeaOutOfCoreEngine(
             _pinned_graph(), spec, trunk_size=8, cache_bytes=cache_bytes,
-            prefetch=prefetch,
         )
         result = engine.run(Workload(walks_per_vertex=3, max_length=10), seed=17)
         sha = hashlib.sha256()
@@ -474,10 +498,7 @@ class TestPinnedToParent:
         assert sha.hexdigest() == digest
         counters = result.counters.snapshot()
         assert {k: counters[k] for k in sampling} == sampling
-        store = engine.index.store
-        assert store.cache.nbytes <= cache_bytes
-        assert store.prefetch_issued == (
-            store.prefetch_hits + store.prefetch_wasted + store.prefetch_in_flight)
+        assert engine.index.store.cache.nbytes <= cache_bytes
 
     def test_io_counts_repeat_and_respect_the_trunk_bound(self):
         """I/O counts are deterministic at a fixed seed, and a step
@@ -486,30 +507,26 @@ class TestPinnedToParent:
         seen = []
         for _ in range(2):
             engine = BatchTeaOutOfCoreEngine(
-                _pinned_graph(), spec, trunk_size=8, cache_bytes=12 * 9 * 8,
-                prefetch=True)
+                _pinned_graph(), spec, trunk_size=8, cache_bytes=12 * 9 * 8)
             counters = engine.run(
                 Workload(walks_per_vertex=3, max_length=10), seed=17,
                 record_paths=False).counters
             store = engine.index.store
             seen.append((counters.io_blocks, counters.io_bytes, store.read_ops,
-                         store.cache.stats.snapshot(), store.prefetch_hits,
-                         store.prefetch_wasted))
+                         store.cache.stats.snapshot()))
             assert store.cache.stats.bytes_in <= counters.steps * ((8 + 1) * 8 + 8 * 16)
         assert seen[0] == seen[1]
 
 
 class TestBatchMatchesScalar:
-    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
-    @pytest.mark.parametrize("cache_bytes", [0, 6 * 9 * 8, 4 << 20])
-    def test_first_hop_chi_squared(self, small_graph, prefetch, cache_bytes):
+    @pytest.mark.parametrize("cache_bytes", [0, 6 * 9 * 8, 4 << 20], ids=_sync_id)
+    def test_first_hop_chi_squared(self, small_graph, cache_bytes):
         """Batch and scalar engines against Equation 3 at the hub, on
         the cache grid — the pool must not bend the distribution."""
         spec = exponential_walk(scale=15.0)
         v, dests, probs = _hub_first_hop(small_graph, spec)
         batch = BatchTeaOutOfCoreEngine(
-            small_graph, spec, trunk_size=8, cache_bytes=cache_bytes,
-            prefetch=prefetch)
+            small_graph, spec, trunk_size=8, cache_bytes=cache_bytes)
         frontier = batch.run_lanes(np.full(6000, v), np.arange(6000) + 77, 1)
         counts = np.bincount(np.searchsorted(dests, frontier.hop_vertex[:, 0]),
                              minlength=dests.size)
@@ -541,7 +558,6 @@ class TestMemorySafety:
     ])
     def test_bad_lane_raises(self, engine, v, s):
         from repro.engines.tea_outofcore.batch import ooc_sample_batch
-        from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
         from repro.rng import make_rng
 
         deg = int(np.diff(engine.graph.indptr)[5])
@@ -549,10 +565,6 @@ class TestMemorySafety:
         ss = np.array([deg, s, 1], dtype=np.int64)
         with pytest.raises(IndexError):
             ooc_sample_batch(engine.index, vs, ss, make_rng(0), CostCounters())
-        engine._prefetcher = AsyncPrefetcher(engine.index.store)  # never started
-        with pytest.raises(IndexError):
-            engine._on_frontier_advance(vs, ss)
-        assert engine.index.store.prefetch_issued == 0
 
     def test_size_one_past_the_degree_raises(self, engine):
         from repro.rng import make_rng
@@ -592,15 +604,14 @@ WIDTH_SLACK_EVENTS = 96
 
 def frontier_call_events(graph, spec, lanes: int, seed: int = 0) -> int:
     """Python-level ``call``/``c_call`` events (``sys.setprofile``) inside
-    one cold ``_sample_batch`` + ``_on_frontier_advance`` over ``lanes``
-    seeded (vertex, candidate size) pairs on a fresh engine."""
+    one cold ``_sample_batch`` over ``lanes`` seeded (vertex, candidate
+    size) pairs on a fresh engine."""
     import sys
 
     from repro.rng import LaneRng
     from repro.telemetry import NULL_PROFILER
 
-    engine = BatchTeaOutOfCoreEngine(
-        graph, spec, cache_bytes=1 << 20, prefetch=True)
+    engine = BatchTeaOutOfCoreEngine(graph, spec, cache_bytes=1 << 20)
     engine.prepare()
     degrees = np.diff(graph.indptr)
     rng = np.random.default_rng(seed)
@@ -613,12 +624,11 @@ def frontier_call_events(graph, spec, lanes: int, seed: int = 0) -> int:
         nonlocal events
         events += event in ("call", "c_call")
 
-    with engine._frontier_scope(NULL_PROFILER, counters) as on_advance:
+    with engine._frontier_scope(NULL_PROFILER):
         sys.setprofile(hook)
         try:
             engine._sample_batch(vs, ss, LaneRng(np.arange(lanes) + seed),
                                  np.arange(lanes), counters)
-            on_advance(vs, ss)
         finally:
             sys.setprofile(None)
     return events
@@ -628,8 +638,8 @@ class TestWidthIndependence:
     @pytest.mark.parametrize("dataset", ["medium", "growth"])
     def test_call_events_do_not_grow_with_the_frontier(self, medium_graph, dataset):
         """Exact structural gate (part of ``make ooc-smoke``): lookup,
-        miss load, admission, eviction, prefetch hand-off and in-trunk
-        search are array passes, so 16x the lanes cost the same number of
+        miss load, admission, eviction and in-trunk search are array
+        passes, so 16x the lanes cost the same number of
         Python-level calls up to the lockstep bisect's rounds."""
         from repro.graph.datasets import load_dataset
 
@@ -670,35 +680,6 @@ class TestSetup:
             assert store.open().cache.width == int(pat.trunk_sizes.max()) + 1
 
 
-class TestPrefetchPrediction:
-    def test_short_vertex_beside_a_hub_does_not_over_read(self):
-        """The trunk-weight scan runs ``max(kmax)`` rounds for every
-        row; a vertex with fewer complete trunks than its frontier-mates
-        — here the highest id, whose trunks end ``tr_prefix`` — used to
-        be gathered past the end (IndexError: index 25 ... size 25)."""
-        from repro.graph.temporal_graph import TemporalGraph
-
-        edges = []
-        for v in (1, 2, 3, 4):
-            edges += [(v, 0, float(v)), (v, 5, v + 0.5)]
-        edges += [(0, 1 + k % 4, 10.0 + k) for k in range(200)]
-        edges += [(5, 1 + k % 4, 10.0 + k) for k in range(20)]
-        engine = BatchTeaOutOfCoreEngine(
-            TemporalGraph.from_edges(edges), exponential_walk(),
-            trunk_size=16, prefetch=True,
-        )
-        result = engine.run(
-            Workload(walks_per_vertex=4, max_length=5,
-                     start_vertices=[1, 2, 3, 4]),
-            seed=0,
-        )
-        assert result.total_steps > 16
-        store = engine.index.store
-        assert store.prefetch_issued == (
-            store.prefetch_hits + store.prefetch_wasted + store.prefetch_in_flight
-        )
-
-
 class TestTemporalValidity:
     def test_node2vec_paths_are_temporal(self, small_graph):
         engine = BatchTeaOutOfCoreEngine(
@@ -711,89 +692,16 @@ class TestTemporalValidity:
             assert is_temporal_path(small_graph, path.hops)
 
 
-#: Minimum lookup hit rate of the frame pool at an ample budget with
-#: prefetch on, on a hub-heavy power-law graph (hubs dominate walk mass).
-#: A lookup is one whole trunk per lane and step, so every miss is the
-#: first touch of a trunk; measured 0.30 (medium) and 0.27 (growth).
-CACHE_HIT_FLOOR = 0.25
-
-
-class TestPrefetchTelemetry:
-    @pytest.mark.parametrize("dataset", ["medium", "growth"])
-    def test_cache_hit_rate_floor(self, medium_graph, tmp_path, dataset):
-        from repro.graph.datasets import load_dataset
-
-        graph = (medium_graph if dataset == "medium"
-                 else load_dataset("growth", scale=0.25, seed=7))
-        engine = BatchTeaOutOfCoreEngine(
-            graph, exponential_walk(scale=2.0), storage_dir=str(tmp_path),
-            cache_bytes=1 << 20, prefetch=True,
-        )
-        engine.run(Workload(walks_per_vertex=2, max_length=40), seed=0,
-                   record_paths=False)
-        assert engine.index.store.cache.stats.hit_rate >= CACHE_HIT_FLOOR
-
-    @pytest.fixture
-    def ran_engine(self, medium_graph, tmp_path):
-        engine = BatchTeaOutOfCoreEngine(
-            medium_graph, exponential_walk(scale=20.0), trunk_size=8,
-            storage_dir=str(tmp_path), cache_bytes=1 << 20, prefetch=True,
-        )
-        engine.run(Workload(walks_per_vertex=2, max_length=40), seed=1,
-                   record_paths=False)
-        return engine
-
-    def test_conservation(self, ran_engine):
-        store = ran_engine.index.store
-        assert store.prefetch_issued > 0
-        assert store.prefetch_issued == (
-            store.prefetch_hits + store.prefetch_wasted
-            + store.prefetch_in_flight
-        )
-
-    def test_registry_and_prometheus_visibility(self, ran_engine):
-        store = ran_engine.index.store
-        registry = MetricsRegistry()
-        ran_engine.publish_telemetry(registry)
-        issued = registry.counter_value("prefetch.issued")
-        assert issued == store.prefetch_issued
-        assert issued == (
-            registry.counter_value("prefetch.hits")
-            + registry.counter_value("prefetch.wasted")
-            + registry.gauge_value("prefetch.in_flight")
-        )
-        assert registry.counter_value("ooc.read_ops") == store.read_ops
-        assert registry.gauge_value("ooc.io_overlap_seconds") is not None
-        text = to_prometheus(registry)
-        for name in ("tea_prefetch_issued", "tea_prefetch_hits",
-                     "tea_prefetch_wasted", "tea_ooc_read_ops",
-                     "tea_cache_bytes_served"):
-            assert name in text, name
-
-    def test_prefetch_off_hides_prefetch_metrics(self, medium_graph, tmp_path):
-        engine = BatchTeaOutOfCoreEngine(
-            medium_graph, exponential_walk(scale=20.0), trunk_size=8,
-            storage_dir=str(tmp_path), cache_bytes=1 << 20, prefetch=False,
-        )
-        engine.run(Workload(walks_per_vertex=1, max_length=10), seed=1,
-                   record_paths=False)
-        registry = MetricsRegistry()
-        engine.publish_telemetry(registry)
-        assert registry.counter_value("prefetch.issued") == 0
-        assert registry.counter_value("ooc.read_ops") > 0
-
-
 class TestCli:
     def test_walk_batch_engine_with_flags(self, capsys):
         rc = main([
             "walk", "--dataset", "tiny", "--app", "exponential",
             "--engine", "tea-ooc-batch", "--length", "10",
             "--max-walks", "20", "--stats", "--cache-bytes", "65536",
-            "--ooc-trunk-size", "4", "--prefetch", "on",
+            "--ooc-trunk-size", "4",
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "prefetch.issued" in out
         assert "ooc.read_ops" in out
         assert "cache.bytes_served" in out
 

@@ -6,7 +6,7 @@ The numpy code in ``engines/tea_outofcore/batch.py`` is the
 specification: under ``c`` a walk must be the same walk bit for bit —
 paths, hop times, ``LaneRng`` counters, ``CostCounters`` — and, because
 the reads are the same calls in the same order, the store must see the
-same backing reads, cache traffic and prefetch ledger. Bad lanes raise
+same backing reads and cache traffic. Bad lanes raise
 ``IndexError`` under both backends before any byte is read, and a run
 under ``c`` must really use the compiled members: an index whose arrays
 do not bind would walk the numpy lockstep and agree vacuously.
@@ -17,7 +17,6 @@ import pytest
 
 from repro.core.outofcore import TrunkStore
 from repro.engines import BatchTeaOutOfCoreEngine, Workload
-from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelBackend, KernelScratch, c_backend, resolve_backend
 from repro.rng import LaneRng
@@ -68,12 +67,12 @@ def make_engine(graph, spec, trunk_size, kernel, **kwargs):
     return engine
 
 
-def observe(graph, app, trunk_size, kernel, cache_bytes, prefetch):
+def observe(graph, app, trunk_size, kernel, cache_bytes):
     """Everything a run exposes: a raw frontier (stream counters
     included), ``run`` and ``run_lanes``, then the store's ledger."""
     spec, stop = APPS[app]
     engine = make_engine(graph, spec, trunk_size, kernel,
-                         cache_bytes=cache_bytes, prefetch=prefetch)
+                         cache_bytes=cache_bytes)
     engine.prepare()
     V = graph.num_vertices
     starts = np.repeat(np.arange(V), 3)
@@ -90,8 +89,7 @@ def observe(graph, app, trunk_size, kernel, cache_bytes, prefetch):
     lanes = engine.run_lanes(starts[::-1].copy(), seeds, 12, stop, True, counters)
     seen += [lanes.lengths, lanes.hop_vertex, lanes.hop_time, counters.snapshot()]
     store = engine.index.store
-    seen += [store.read_ops, store.cache.stats.snapshot(), store.prefetch_issued,
-             store.prefetch_hits, store.prefetch_wasted]
+    seen += [store.read_ops, store.cache.stats.snapshot()]
     return seen
 
 
@@ -107,23 +105,20 @@ def assert_same(a, b):
 @needs_cc
 class TestCompiledParity:
     """``c`` ≡ ``numpy`` on ``BatchTeaOutOfCoreEngine``, bit for bit, on
-    the trunk-size × pool × prefetch grid (part of ``make ooc-smoke``)."""
+    the trunk-size × pool grid (part of ``make ooc-smoke``)."""
 
     @pytest.mark.parametrize("app", sorted(APPS))
     @pytest.mark.parametrize("trunk_size", [1, 4, 10, None],
                              ids=["ts1", "ts4", "ts10", "sqrt"])
-    @pytest.mark.parametrize("cache_bytes,prefetch", [
-        (0, False), (2 << 10, False), (2 << 10, True), (1 << 20, False),
-        (1 << 20, True),
-    ], ids=["uncached", "starved", "starved-prefetch", "fits", "fits-prefetch"])
+    @pytest.mark.parametrize("cache_bytes", [0, 2 << 10, 1 << 20],
+                             ids=["uncached", "starved", "fits"])
     def test_walks_costs_and_reads_match_numpy(self, graph, app, trunk_size,
-                                               cache_bytes, prefetch):
+                                               cache_bytes):
         calls = []
         compiled = observe(graph, app, trunk_size,
-                           counting(resolve_backend("c"), calls),
-                           cache_bytes, prefetch)
+                           counting(resolve_backend("c"), calls), cache_bytes)
         assert_same(observe(graph, app, trunk_size, resolve_backend("numpy"),
-                            cache_bytes, prefetch), compiled)
+                            cache_bytes), compiled)
         assert {name for name, _, _ in calls} == set(OOC_MEMBERS)
         plans = [(args[1].size, result) for name, args, result in calls
                  if name == "ooc_plan"]
@@ -158,12 +153,12 @@ class TestOocDrawBinds:
     walks ≈1.4× slower on ``ooc_exp``, so no parity test would notice it
     serving instead."""
 
-    @pytest.mark.parametrize("app", ["exp", "n2v"])
-    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
-    def test_every_call_is_compiled(self, medium_graph, app, prefetch):
+    # ``sync`` names the one read path, the sampling thread's own reads.
+    @pytest.mark.parametrize("app", ["exp", "n2v"], ids=lambda app: f"sync-{app}")
+    def test_every_call_is_compiled(self, medium_graph, app):
         calls = []
         engine = BatchTeaOutOfCoreEngine(medium_graph, APPS[app][0],
-                                         cache_bytes=1 << 20, prefetch=prefetch)
+                                         cache_bytes=1 << 20)
         assert engine.kernel is resolve_backend("c")
         engine.kernel = counting(engine.kernel, calls)
         result = engine.run(Workload(walks_per_vertex=2, max_length=8), seed=3,
@@ -172,9 +167,8 @@ class TestOocDrawBinds:
         plans = [result for name, _, result in calls if name == "ooc_plan"]
         assert plans and None not in plans
         assert {name for name, _, _ in calls} == set(OOC_MEMBERS)
-        # one plan per draw, one more per prediction with prefetch on
-        selects = sum(name == "ooc_select" for name, _, _ in calls)
-        assert len(plans) > selects if prefetch else len(plans) == selects
+        # one plan per draw
+        assert len(plans) == sum(name == "ooc_select" for name, _, _ in calls)
 
 
 class TestBounds:
@@ -210,10 +204,6 @@ class TestBounds:
                                  KernelScratch())
         assert store.read_ops == before and store.cache.stats.misses == 0
         assert not lane_rng._ctr.any()
-        engine._prefetcher = AsyncPrefetcher(store)  # never started
-        with pytest.raises(IndexError):
-            engine._on_frontier_advance(vs, ss)
-        assert store.prefetch_issued == 0
 
     @needs_cc
     def test_bad_payload_rows_raise(self, engine):
@@ -229,7 +219,7 @@ class TestBounds:
         ss = np.where(np.arange(n) % 2, degrees[hub], degrees[hub] - 1)
         ss = ss.astype(np.int64)
         lanes = np.arange(n, dtype=np.int64)
-        rows, c_lo, c_hi, _, _ = c.ooc_plan(index, vs, ss, 0, scratch)
+        rows, c_lo, c_hi = c.ooc_plan(index, vs, ss, scratch)
         assert rows.size == n // 2
         c_trunks, _, c_row = store.read_batch("c", c_lo, c_hi, None)
 

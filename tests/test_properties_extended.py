@@ -129,21 +129,20 @@ def test_walk_sink_roundtrip(walk_hops, block):
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(min_value=0, max_value=40),
-                       st.integers(min_value=1, max_value=32),
-                       st.booleans()),
+                       st.integers(min_value=1, max_value=32)),
              min_size=1, max_size=40),
     st.integers(min_value=64, max_value=2048),
 )
 def test_block_cache_never_exceeds_budget(operations, capacity):
     """The frame pool's slab is its budget: whatever is admitted —
-    any payload length up to a frame, pinned or not — resident bytes
-    never exceed it, and a resident key returns what was stored."""
+    any payload length up to a frame — resident bytes never exceed it,
+    and a resident key returns what was stored."""
     pool = FramePool(capacity)
     pool.set_width(32)
     stored = {}
-    for key, size, pin in operations:
+    for key, size in operations:
         row = np.full((1, size), float(key))
-        if pool.admit(np.array([key]), row, np.array([size * 8]), pin=pin)[0]:
+        if pool.admit(np.array([key]), row, np.array([size * 8]))[0]:
             stored[key] = size
         assert pool.nbytes <= capacity
     for key, size in stored.items():

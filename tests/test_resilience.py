@@ -1,5 +1,5 @@
 """Resilience layer: fault injection, retry, checksums, supervision,
-prefetch fallback, and streaming rollback."""
+and streaming rollback."""
 
 import json
 import pickle
@@ -107,11 +107,18 @@ class TestFaultInjector:
 
     def test_sites_are_independent(self):
         inj = FaultInjector.from_plan(
-            {"rules": [{"site": "prefetch", "kind": "io_error", "calls": [0]}]}
+            {"rules": [{"site": "chunk", "kind": "io_error", "calls": [0]}]}
         )
-        inj.check("trunk_read")  # consumes trunk_read call 0, not prefetch's
+        inj.check("trunk_read")  # consumes trunk_read call 0, not chunk's
         with pytest.raises(TransientIOError):
-            inj.check("prefetch")
+            inj.check("chunk")
+
+    def test_prefetch_site_is_refused(self):
+        """Nothing reads ahead, so a plan naming the ``prefetch`` site
+        names a site that does not exist."""
+        with pytest.raises(FaultPlanError, match="unknown fault site 'prefetch'"):
+            FaultInjector.from_plan(
+                {"rules": [{"site": "prefetch", "kind": "io_error"}]})
 
     def test_plan_from_file(self, tmp_path):
         plan = tmp_path / "plan.json"
@@ -340,12 +347,9 @@ class TestChecksums:
             engine.run(Workload(walks_per_vertex=1, max_length=20), seed=0,
                        record_paths=False)
 
-    @pytest.mark.parametrize("prefetch", [False, True], ids=["sync", "prefetch"])
-    def test_flipped_bit_raises_from_batched_run(self, prefetch, tmp_path):
+    def test_flipped_bit_raises_from_batched_run(self, tmp_path):
         """Vectorised reads verify every distinct CRC page under a
-        batch's misses once, before its bytes are served — from the
-        sampling thread and from the prefetch worker (whose failure
-        falls back to the synchronous read that raises)."""
+        batch's misses once, before its bytes are served."""
         from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
         from repro.graph.generators import temporal_powerlaw
 
@@ -357,7 +361,7 @@ class TestChecksums:
         def engine():
             return BatchTeaOutOfCoreEngine(
                 graph, exp_spec(), storage_dir=str(tmp_path),
-                verify_checksums=True, prefetch=prefetch)
+                verify_checksums=True)
 
         clean = engine()
         clean.run(workload, seed=0, record_paths=False)  # verified, intact
@@ -376,10 +380,6 @@ class TestChecksums:
         with pytest.raises(ChecksumError) as err:
             bad.run(workload, seed=0, record_paths=False)
         assert err.value.page == 3 and "prob.bin" in str(err.value)
-        if prefetch:
-            assert store.prefetch_issued == (
-                store.prefetch_hits + store.prefetch_wasted
-                + store.prefetch_in_flight)
 
     def test_transient_io_retried_and_counted(self, ooc_graph):
         workload = Workload(walks_per_vertex=1, max_length=15)
@@ -415,88 +415,6 @@ class TestChecksums:
         with pytest.raises(TransientIOError):
             engine.run(Workload(walks_per_vertex=1, max_length=10), seed=0,
                        record_paths=False)
-
-
-# -- prefetcher ---------------------------------------------------------------
-
-
-class TestPrefetchResilience:
-    def test_full_queue_drops_are_counted(self, ooc_graph, tmp_path):
-        from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
-
-        store = persist_store(ooc_graph, tmp_path).open()
-        try:
-            pf = AsyncPrefetcher(store)  # worker never started: queue fills
-            pf.submit([("c", [0], [4])])
-            pf.submit([("c", [8], [12])])
-            assert store.prefetch_dropped == 0
-            pf.submit([("c", [16, 24], [20, 28])])  # queue depth is 2
-            assert store.prefetch_dropped == 2
-            assert store.prefetch_issued == 2  # drops are never "issued"
-        finally:
-            store.close()
-
-    def test_worker_failure_marks_prefetcher_failed(self, ooc_graph,
-                                                    tmp_path):
-        import time
-
-        from repro.engines.tea_outofcore.prefetch import AsyncPrefetcher
-
-        inj = FaultInjector.from_plan(
-            {"rules": [{"site": "prefetch", "kind": "io_error", "calls": [0]}]}
-        )
-        store = persist_store(ooc_graph, tmp_path)
-        store.fault_injector = inj
-        store.open()
-        try:
-            pf = AsyncPrefetcher(store)
-            pf.start()
-            pf.submit([("c", [0], [4])])
-            deadline = time.monotonic() + 10.0
-            while not pf.failed and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert pf.failed, "injected worker fault never surfaced"
-            pf.drain()  # settles the poisoned batch's keys
-            assert store.prefetch_failures == 1
-            # Failed prefetchers refuse further work without issuing.
-            pf.submit([("c", [8], [12])])
-            assert store.prefetch_issued == 1
-            pf.close()
-            # Conservation survives the failure: the one issued key is
-            # settled (as in-flight), never lost.
-            assert store.prefetch_issued == (
-                store.prefetch_hits + store.prefetch_wasted
-                + store.prefetch_in_flight
-            )
-        finally:
-            store.close()
-
-    def test_worker_failure_falls_back_to_sync(self, ooc_graph):
-        """Engine-level: a poisoned prefetch worker never changes the
-        walks (prefetch consumes no sampling RNG) and the ledger stays
-        conserved whether or not the fault fired before the run ended."""
-        from repro.engines.tea_outofcore import BatchTeaOutOfCoreEngine
-
-        workload = Workload(walks_per_vertex=1, max_length=20)
-        baseline = BatchTeaOutOfCoreEngine(
-            ooc_graph, exp_spec(), prefetch=False
-        ).run(workload, seed=2)
-
-        inj = FaultInjector.from_plan(
-            {"rules": [{"site": "prefetch", "kind": "io_error", "calls": [0]}]}
-        )
-        engine = BatchTeaOutOfCoreEngine(
-            ooc_graph, exp_spec(), prefetch=True, fault_injector=inj,
-        )
-        result = engine.run(workload, seed=2)
-        assert [w.hops for w in result.paths] == [w.hops for w in baseline.paths]
-        store = engine.index.store
-        assert store.prefetch_issued == (
-            store.prefetch_hits + store.prefetch_wasted
-            + store.prefetch_in_flight
-        )
-        if store.prefetch_failures:  # worker won the race: must be retired
-            assert engine._prefetcher is None
 
 
 # -- worker supervision -------------------------------------------------------

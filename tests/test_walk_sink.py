@@ -7,8 +7,9 @@ from repro.cli import ENGINES
 from repro.engines import BatchTeaEngine, TeaEngine, Workload
 from repro.engines.base import FrontierResult
 from repro.exceptions import GraphFormatError
+from repro.graph.validate import is_temporal_path
 from repro.walks.apps import unbiased_walk
-from repro.walks.sink import WalkSink, read_walks
+from repro.walks.sink import WalkSink, read_walks, validate_corpus
 from repro.walks.walker import BLOCK_WALKS, WalkPath
 
 
@@ -194,8 +195,110 @@ class TestEngineIntegration:
         assert sink.flushes == 2
         assert [w.hops for w in read_walks(path)] == [p.hops for p in want]
 
+    @pytest.mark.parametrize("record_paths", [True, False])
+    def test_num_walks_counts_the_starts(self, small_graph, tmp_path, record_paths):
+        """A corpus run records no paths, yet it walked every start."""
+        engine = BatchTeaEngine(small_graph, unbiased_walk())
+        with WalkSink(tmp_path / "c.twalks") as sink:
+            result = engine.run(Workload(max_length=5, max_walks=30), seed=0,
+                                record_paths=record_paths, sink=sink)
+        assert result.num_walks == result.summary()["walks"] == 30
+        assert sink.walks_written == 30
+
+
+def reference_problems(graph, path):
+    """``validate_corpus``'s per-walk reference: one
+    :func:`is_temporal_path` call per walk."""
+    problems, count = [], 0
+    for count, walk in enumerate(read_walks(path), 1):
+        start = walk.hops[0][0]
+        if not 0 <= start < graph.num_vertices:
+            problems.append((count - 1, f"start vertex {start} out of range"))
+        elif not is_temporal_path(graph, walk.hops):
+            problems.append((count - 1, "not a temporal path of the graph"))
+    return count, problems
+
 
 class TestValidateCorpus:
+    @pytest.mark.parametrize("suffix", [".twalks", ".txt"])
+    @pytest.mark.parametrize("name", sorted(ENGINES))
+    def test_agrees_with_the_reference_on_every_engine(self, small_graph,
+                                                        tmp_path, name, suffix):
+        engine = ENGINES[name](small_graph, unbiased_walk())
+        path = tmp_path / f"corpus{suffix}"
+        with WalkSink(path) as sink:
+            engine.run(Workload(walks_per_vertex=25, max_length=6), seed=4,
+                       record_paths=False, sink=sink)
+        got = validate_corpus(small_graph, path)
+        assert got == reference_problems(small_graph, path) == (1250, [])
+
+    @pytest.mark.parametrize("suffix", [".twalks", ".txt"])
+    def test_agrees_with_the_reference_on_corrupted_corpora(self, small_graph,
+                                                             tmp_path, suffix):
+        """Each corruption in its own walk, beside intact ones, across a
+        block boundary."""
+        g, V = small_graph, small_graph.num_vertices
+        walks = BatchTeaEngine(g, unbiased_walk()).run(
+            Workload(walks_per_vertex=30, max_length=6), seed=2).paths
+        long = [i for i, w in enumerate(walks)
+                if w.num_edges >= 3 and w.hops[1][1] < w.hops[2][1]]
+        # An edge (u + 1, x, t) makes hop (V + x, t) from u alias a real
+        # (pair, time) key when the pair is computed as u * V + v.
+        u = int(np.flatnonzero(np.diff(g.indptr)[1:])[0])
+        x, t = int(g.nbr[g.indptr[u + 1]]), float(g.etime[g.indptr[u + 1]])
+
+        def hops(i):
+            return [list(hop) for hop in walks[i].hops]
+
+        broken = {}
+        h = hops(long[0]); h[1][1], h[2][1] = h[2][1], h[1][1]  # time falls
+        broken[long[0]] = h
+        h = hops(long[1]); h[2][1] = h[1][1]  # tied times
+        broken[long[1]] = h
+        h = hops(long[2]); h[2][0] = (h[2][0] + 1) % V  # likely not an edge
+        broken[long[2]] = h
+        h = hops(long[3]); h[3][1] = float("nan")
+        broken[long[3]] = h
+        broken[1030] = [[V, None]] + hops(1030)[1:]  # start out of range
+        broken[1031] = [[-1, None]]
+        broken[1032] = hops(1032)[:1] + [[-3, 1.0]]  # hop vertex out of range
+        broken[1033] = [[u, None], [V + x, t]]
+        path = tmp_path / f"corrupt{suffix}"
+        with WalkSink(path) as sink:
+            for i, walk in enumerate(walks):
+                sink.append(WalkPath(hops=[tuple(hop) for hop in broken[i]])
+                            if i in broken else walk)
+        count, problems = validate_corpus(g, path)
+        assert (count, problems) == reference_problems(g, path)
+        assert count == len(walks) > 1034
+        flagged = {i for i, _ in problems}
+        assert flagged - set(broken) == set()
+        assert set(broken) - flagged <= {long[2]}  # a lucky edge stays valid
+        assert [reason for i, reason in problems if i in (1030, 1031)] == [
+            f"start vertex {V} out of range", "start vertex -1 out of range"]
+
+    def test_edges_that_share_a_source_and_a_time(self, tmp_path):
+        """Each hop is matched against every edge of its source at its
+        time, not only the first of them; and real edges whose times
+        fall or tie still make no temporal path."""
+        from repro.graph.temporal_graph import TemporalGraph
+
+        graph = TemporalGraph.from_edges(
+            [(0, v, 1.0) for v in (1, 2, 3)]
+            + [(3, 0, 2.0), (3, 1, 2.0), (3, 2, 1.0), (1, 2, 0.5)])
+        walks = [[(0, None), (v, 1.0)] for v in (1, 2, 3, 0)]
+        walks += [[(0, None), (3, 1.0), (w, 2.0)] for w in (0, 1, 2)]
+        walks += [[(1, None), (2, 0.5)], [(1, None), (2, 1.0)]]
+        walks += [[(0, None), (1, 1.0), (2, 0.5)],  # falls
+                  [(0, None), (3, 1.0), (2, 1.0)]]  # ties
+        path = tmp_path / "ties.txt"
+        with WalkSink(path) as sink:
+            for hops in walks:
+                sink.append(WalkPath(hops=hops))
+        count, problems = validate_corpus(graph, path)
+        assert (count, problems) == reference_problems(graph, path)
+        assert [i for i, _ in problems] == [3, 6, 8, 9, 10]
+
     def test_valid_corpus_passes(self, small_graph, tmp_path):
         from repro.walks.sink import validate_corpus
 
