@@ -89,12 +89,14 @@ scaling-smoke:
 # of Python-level calls at 1k and at 16k lanes: no per-range loops), and
 # the compiled draw bit-identical to the numpy lockstep (walks, stream
 # counters, costs, reads and cache statistics) on the trunk-size x pool
-# grid.
+# grid, and the compiled pool passes identical to FramePool's numpy ones
+# (and both to the per-block oracle) under generated read schedules.
 ooc-smoke:
 	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
 		"tests/test_ooc_batch.py::TestSynchronousReads" \
 		"tests/test_ooc_batch.py::TestWidthIndependence" \
-		"tests/test_ooc_kernel.py::TestCompiledParity"
+		"tests/test_ooc_kernel.py::TestCompiledParity" \
+		"tests/test_frame_pool.py::TestCompiledPoolPasses"
 
 # Resilience: the tier-1 classes that inject every failure mode (worker
 # crash, hang, transient I/O, trunk corruption, mid-batch streaming

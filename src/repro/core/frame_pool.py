@@ -17,6 +17,15 @@ the hub trunks the walk keeps returning to. Recency is a per-frame
 stamp; a batch is stamped in request order, which makes the pool agree
 with the sequential oracle fed the same batches (lookups first, then
 admissions). The slab is the byte budget.
+
+:meth:`FramePool.touch` and :meth:`FramePool.admit` are the policy's
+specification and the no-``cc`` path. Under the ``c`` kernel backend
+:meth:`TrunkStore.read_batch <repro.core.outofcore.TrunkStore.read_batch>`
+runs ``hop.c``'s ``pool_read`` / ``pool_admit`` instead, in place on the
+same columns, with the same decisions, stamps and statistics (the
+frames' order included: victims and demotions are taken oldest first).
+Neither path is re-entrant: a pool has one caller at a time, which holds
+because a store has one sampling thread (nothing reads ahead).
 """
 
 from __future__ import annotations
@@ -125,14 +134,15 @@ class FramePool:
         self.length = np.zeros(n, dtype=np.int64)  # logical payload bytes
         self.stamp = np.zeros(n, dtype=np.int64)
         self.protected = np.zeros(n, dtype=bool)
+        # The key index: entries [0, used) are the resident keys, sorted.
+        self._sorted_keys = np.zeros(n, dtype=np.int64)
+        self._sorted_frames = np.zeros(n, dtype=np.int64)
         self.clear()
 
     def clear(self) -> None:
         self.used = 0
         self._clock = 0
         self.protected[:] = False
-        self._sorted_keys = np.zeros(0, dtype=np.int64)
-        self._sorted_frames = np.zeros(0, dtype=np.int64)
 
     @property
     def enabled(self) -> bool:
@@ -147,8 +157,7 @@ class FramePool:
         """Resident metadata: the per-frame columns and the key index."""
         return int(
             self.key.nbytes + self.length.nbytes + self.stamp.nbytes
-            + self.protected.nbytes
-            + self._sorted_keys.nbytes + self._sorted_frames.nbytes
+            + self.protected.nbytes + 2 * self.used * _ELEM_BYTES
         )
 
     # -- lookups -------------------------------------------------------------
@@ -157,8 +166,9 @@ class FramePool:
         """Frame of each key, ``-1`` where absent (a non-counting peek)."""
         if not self.used:
             return np.full(keys.shape, -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._sorted_keys, keys), self.used - 1)
-        return np.where(self._sorted_keys[pos] == keys, self._sorted_frames[pos], -1)
+        index = self._sorted_keys[: self.used]
+        pos = np.minimum(np.searchsorted(index, keys), self.used - 1)
+        return np.where(index[pos] == keys, self._sorted_frames[pos], -1)
 
     def touch(self, keys: np.ndarray) -> np.ndarray:
         """Counting lookup: frames of ``keys`` (``-1`` = miss).
@@ -186,7 +196,6 @@ class FramePool:
             over = guarded.size - self.protected_frames
             if over > 0:
                 demoted = self._oldest(guarded, over)
-                demoted = demoted[np.argsort(self.stamp[demoted])]
                 self.protected[demoted] = False
                 self.stamp[demoted] = self._ticks(over)
         return frames
@@ -200,7 +209,8 @@ class FramePool:
 
         Keys already resident are skipped (the store's payload is
         immutable, so the frame already holds these bytes). Victims are
-        the oldest probation frames. Rows that find no frame — more
+        the oldest probation frames, reused oldest first after the free
+        frames. Rows that find no frame — more
         distinct misses than evictable frames — are the earliest ones,
         exactly the rows a sequence of single admissions would have
         displaced again, and are accounted the same way (admitted, then
@@ -229,18 +239,21 @@ class FramePool:
             events.emit("cache.evicted", count=int(gone), nbytes=gone_bytes)
         if not take.size:
             return admitted
+        used = self.used
         slots = np.concatenate(
-            [np.arange(self.used, self.used + free, dtype=np.int64), victims])
+            [np.arange(used, used + free, dtype=np.int64), victims])
         # The index follows in O(frames + batch), no re-sort: drop the
         # victims' keys, merge the newcomers in.
-        stay = np.ones(self.used, dtype=bool)
-        stay[np.searchsorted(self._sorted_keys, self.key[victims])] = False
+        stay = np.ones(used, dtype=bool)
+        stay[np.searchsorted(self._sorted_keys[:used], self.key[victims])] = False
         order = np.argsort(keys[take])
-        merged = self._sorted_keys[stay]
+        merged = self._sorted_keys[:used][stay]
         at = np.searchsorted(merged, keys[take][order])
-        self._sorted_keys = np.insert(merged, at, keys[take][order])
-        self._sorted_frames = np.insert(self._sorted_frames[stay], at, slots[order])
-        self.slab[slots, : rows.shape[1]] = rows[take]
+        self._sorted_keys[: used + free] = np.insert(merged, at, keys[take][order])
+        self._sorted_frames[: used + free] = np.insert(
+            self._sorted_frames[:used][stay], at, slots[order])
+        cols = min(rows.shape[1], self.width)  # past a row's length: padding
+        self.slab[slots, :cols] = rows[take, :cols]
         self.key[slots] = keys[take]
         self.length[slots] = nbytes[take]
         self.stamp[slots] = self._ticks(take.size)
@@ -257,7 +270,7 @@ class FramePool:
         return np.arange(self._clock - n + 1, self._clock + 1, dtype=np.int64)
 
     def _oldest(self, frames: np.ndarray, k: int) -> np.ndarray:
-        """The ``k`` least recently stamped of ``frames`` (unordered)."""
-        if k >= frames.size:
-            return frames
-        return frames[np.argpartition(self.stamp[frames], k - 1)[:k]]
+        """The ``k`` least recently stamped of ``frames``, oldest first."""
+        if k < frames.size:
+            frames = frames[np.argpartition(self.stamp[frames], k - 1)[:k]]
+        return frames[np.argsort(self.stamp[frames])]

@@ -37,6 +37,7 @@ import numpy as np
 from repro.core.frame_pool import FramePool
 from repro.core.pat import PersistentAliasTable
 from repro.exceptions import ChecksumError
+from repro.kernels import KernelScratch, resolve_backend
 from repro.sampling.counters import BLOCK_BYTES, CostCounters
 from repro.telemetry import BYTES_BUCKETS, NULL_PROFILER, Histogram, events
 
@@ -175,6 +176,11 @@ class TrunkStore:
         #: Backing-store read operations (coalesced runs). The coalescing
         #: win is this number shrinking, not io_bytes.
         self.read_ops = 0
+        #: Kernel backend whose pool passes serve :meth:`read_batch`;
+        #: ``None`` resolves ``auto``. The out-of-core engine hands its
+        #: own in for each run. ``_scratch`` holds their binding.
+        self.kernel = None
+        self._scratch = KernelScratch()
 
     @classmethod
     def persist(cls, pat: PersistentAliasTable, directory: PathLike,
@@ -311,8 +317,15 @@ class TrunkStore:
         which is exactly how real bit rot between persist and read
         presents."""
         page = self._page_elems
-        pages, where = np.unique((idx // page).ravel(), return_inverse=True)
-        where = where.reshape(idx.shape)
+        # Distinct pages by an in-place sort (np.unique's inverse is its
+        # slow path on int64), each element's page row by its rank.
+        numbers = idx // page
+        pages = numbers.ravel().copy()
+        pages.sort()
+        step = np.ones(pages.size, dtype=bool)
+        np.not_equal(pages[1:], pages[:-1], out=step[1:])
+        pages = pages[step]
+        where = np.searchsorted(pages, numbers)
         valid = np.minimum(page, mm.size - pages * page)
         buf = mm[np.minimum(pages[:, None] * page + np.arange(page), mm.size - 1)]
         rows = where[first, 0]
@@ -403,6 +416,10 @@ class TrunkStore:
                 f"range outside region {region!r} of {size} elements "
                 f"(or longer than {1 << _KEY_LEN_BITS})"
             )
+        return self._pack_keys(region, los, lens)
+
+    @staticmethod
+    def _pack_keys(region: str, los, lens) -> np.ndarray:
         return ((los << _KEY_LEN_BITS | lens) << 2)[:, None] | _FILE_TAGS[region]
 
     def frame_entries(self, widest: int) -> int:
@@ -433,51 +450,82 @@ class TrunkStore:
         matrix with one row per distinct range, shaped ``(rows, widest)``
         for ``"c"`` and ``(rows, 2, widest)`` (prob, alias bits) for
         ``"pa"``; columns past a row's length are padding.
+
+        The pool's lookups and admissions run in :attr:`kernel`'s
+        compiled pool passes when it has them, else in the pool's numpy
+        methods (their specification); the gather is numpy either way.
         """
         los = np.asarray(los, dtype=np.int64).ravel()
         lens = np.asarray(his, dtype=np.int64).ravel() - los
-        pool = self.cache
         files = len(_REGION_FILES[region])
         if not los.size:
             empty = np.zeros((0, files, 0))
             return (empty[:, 0] if files == 1 else empty), lens, lens
+        kernel = self.kernel if self.kernel is not None else resolve_backend()
         profiler = self.profiler
         with profiler.phase("ooc.cache"):
-            keys = self.frame_keys(region, los, lens)
-            inverse = np.zeros(1, dtype=np.int64)
-            if los.size > 1:  # a batch of one is its own dedupe
-                _, first, inverse = np.unique(
-                    keys[:, 0], return_index=True, return_inverse=True)
-                keys, los, lens = keys[first], los[first], lens[first]
-            widest = int(lens.max())
-            fits = lens <= self.frame_entries(widest)
-            frames = pool.touch(np.where(fits[:, None], keys, -1).ravel())
-            frames = frames.reshape(keys.shape)
-            hit = (frames >= 0).all(axis=1)  # every file's frame resident
-            payload = np.empty((los.size, files, widest), dtype=np.float64)
-            span = min(widest, pool.width)
-            payload[hit, :, :span] = pool.slab[frames[hit], :span]
-        if not hit.all():
-            miss = np.flatnonzero(~hit)
+            if kernel.pool_read is None:
+                payload, lens, inverse, miss, miss_lo, miss_len = self._lookup(
+                    region, los, lens)
+            else:
+                widest = int(lens.max())
+                if not 0 < widest <= self.cache.width:
+                    # Bounds first: before the width is fixed or a payload
+                    # wider than a frame is allocated.
+                    self.frame_keys(region, los, lens)
+                self.frame_entries(widest)
+                payload, lens, inverse, miss, miss_lo, miss_len = kernel.pool_read(
+                    self.cache, self._scratch, self._region_maps(region)[0].size,
+                    _FILE_TAGS[region][0], files, los, lens, widest)
+        if miss.size:
             with profiler.phase("ooc.read"):
-                staging, run_bytes = self._fetch(region, los[miss], lens[miss])
+                staging, run_bytes = self._fetch(region, miss_lo, miss_len)
             with profiler.phase("ooc.decode"):
                 self._account_runs(run_bytes, counters)
                 _observe_values(self.read_bytes_hist,
-                                lens[miss] * _REGION_WIDTH[region])
+                                miss_len * _REGION_WIDTH[region])
                 payload[miss, :, : staging.shape[2]] = staging
-                keep = miss[fits[miss]]
-                self._admit(keys[keep], lens[keep], staging[fits[miss]])
+                if kernel.pool_admit is None:
+                    self._admit(region, miss_lo, miss_len, staging)
+                else:
+                    kernel.pool_admit(self.cache, self._scratch,
+                                      _FILE_TAGS[region][0], miss_lo, miss_len,
+                                      staging)
         payload.setflags(write=False)
         return (payload[:, 0] if files == 1 else payload), lens, inverse
 
-    def _admit(self, keys, lens, staging) -> None:
-        """Admit ``(ranges, files, n)`` staging rows, one frame per file,
-        a range's frames side by side (so a pool too full for the batch
-        turns whole ranges away, not their halves)."""
+    def _lookup(self, region: str, los, lens):
+        """The numpy pool pass of :meth:`read_batch`: dedupe, touch, hit
+        copy. Returns ``(payload, lengths, inverse, miss, miss_lo,
+        miss_len)``, what the compiled ``pool_read`` returns."""
+        pool = self.cache
+        keys = self.frame_keys(region, los, lens)
+        inverse = np.zeros(1, dtype=np.int64)
+        if los.size > 1:  # a batch of one is its own dedupe
+            _, first, inverse = np.unique(
+                keys[:, 0], return_index=True, return_inverse=True)
+            keys, los, lens = keys[first], los[first], lens[first]
+        widest = int(lens.max())
+        fits = lens <= self.frame_entries(widest)
+        frames = pool.touch(np.where(fits[:, None], keys, -1).ravel())
+        frames = frames.reshape(keys.shape)
+        hit = (frames >= 0).all(axis=1)  # every file's frame resident
+        payload = np.empty((los.size, keys.shape[1], widest), dtype=np.float64)
+        span = min(widest, pool.width)
+        payload[hit, :, :span] = pool.slab[frames[hit], :span]
+        miss = np.flatnonzero(~hit)
+        return payload, lens, inverse, miss, los[miss], lens[miss]
+
+    def _admit(self, region: str, los, lens, staging) -> None:
+        """Admit the ``(ranges, files, n)`` staging rows of the ranges
+        that fit a frame, one frame per file, a range's frames side by
+        side (so a pool too full for the batch turns whole ranges away,
+        not their halves)."""
+        fits = lens <= self.cache.width
+        keys = self._pack_keys(region, los[fits], lens[fits])
         self.cache.admit(
-            keys.ravel(), staging.reshape(keys.size, staging.shape[2]),
-            np.repeat(lens * _ELEM_BYTES, keys.shape[1]))
+            keys.ravel(), staging[fits].reshape(keys.size, staging.shape[2]),
+            np.repeat(lens[fits] * _ELEM_BYTES, keys.shape[1]))
 
     def publish_telemetry(self, registry) -> None:
         """Cache hit/miss/bytes counters plus the trunk-load histogram."""

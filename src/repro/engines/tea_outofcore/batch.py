@@ -327,10 +327,12 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
 
     @contextmanager
     def _frontier_scope(self, profiler):
-        # Route the store's ooc.* phases to this loop's profiler.
+        # Route the store's ooc.* phases to this loop's profiler and its
+        # pool passes to this engine's kernel.
         store = self.index.store
-        prev_profiler, store.profiler = store.profiler, profiler
+        prev = store.profiler, store.kernel
+        store.profiler, store.kernel = profiler, self.kernel
         try:
             yield
         finally:
-            store.profiler = prev_profiler
+            store.profiler, store.kernel = prev

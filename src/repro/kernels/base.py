@@ -99,6 +99,29 @@ payload row raises :class:`IndexError`.
     Two uniforms per deep row pick a cell of its alias trunk
     ``tables[t_row[j]]`` (``read_batch("pa")``'s payload), added to
     ``out`` in place.
+
+Two more optional members compile the bookkeeping of
+:meth:`TrunkStore.read_batch <repro.core.outofcore.TrunkStore.read_batch>`
+around its backing gather, which stays in numpy. They work in place on a
+:class:`~repro.core.frame_pool.FramePool`'s columns (bound once per slab
+in ``scratch``, the store's own) and update its ``used``, clock and
+statistics; ``FramePool.touch`` / ``FramePool.admit`` are the
+specification, and a backend without them (``None``) runs those. Not
+re-entrant: one pool, one caller at a time.
+
+``pool_read(pool, scratch, size, tag, files, los, lens, widest) -> (payload, lengths, inverse, miss, miss_lo, miss_len)``
+    Check every range ``[lo, lo + len)`` against a region of ``size``
+    elements (``IndexError``, before the pool is touched), dedupe them
+    (distinct ranges ascending; range ``i`` is row ``inverse[i]``), touch
+    every row's frame keys (file tags ``tag, tag + 1, ..``) in row-major
+    order, and copy the rows whose every file is resident into the
+    ``(rows, files, widest)`` payload. ``miss`` are the other rows,
+    ``miss_lo`` / ``miss_len`` their ranges, ascending.
+
+``pool_admit(pool, scratch, tag, los, lens, staging)``
+    Admit ``pool_read``'s miss ranges (ascending) with their ``(misses,
+    files, width)`` staging rows, exactly as ``FramePool.admit`` admits
+    the frame keys of the ranges no wider than a frame.
 """
 
 from __future__ import annotations
@@ -180,6 +203,9 @@ class KernelBackend:
     ooc_plan: Optional[Callable] = None
     ooc_select: Optional[Callable] = None
     ooc_alias: Optional[Callable] = None
+    #: Optional compiled frame-pool passes (only ``c``; see module doc).
+    pool_read: Optional[Callable] = None
+    pool_admit: Optional[Callable] = None
 
 
 def sample_batch(

@@ -5,9 +5,10 @@ content-addressed shared object in a per-user cache directory, loads it
 with :class:`ctypes.CDLL` — so the GIL is released while a pass runs —
 and checks the passes, its lane stream and its fused hop against numpy,
 ``LaneRng`` and the drivers bit for bit (:func:`_self_test`), the
-out-of-core draw against its numpy lockstep (:func:`_self_test_ooc`), and
-the index build's two loops — alias tables and prefix sums — against the
-numpy builders (:func:`_self_test_build`). Any failure raises
+out-of-core draw against its numpy lockstep (:func:`_self_test_ooc`), the
+frame-pool passes against ``FramePool``'s numpy methods
+(:func:`_self_test_pool`), and the index build's two loops — alias tables
+and prefix sums — against the numpy builders (:func:`_self_test_build`). Any failure raises
 :class:`Unavailable` with the reason; the registry serves numpy.
 
 Memory safety is split in two. Python proves, once per run, that every
@@ -37,6 +38,7 @@ import numpy as np
 
 from repro.kernels import numpy_backend
 from repro.kernels.base import KernelBackend, KernelScratch, WalkState
+from repro.telemetry import events
 
 #: ``-ffp-contract=off``: ``r = total − u·total`` must round twice.
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -47,10 +49,11 @@ _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
                "hop_uniforms": "qppqp", "alias_build": "qqpppqpqppp",
                "prefix_sums": "qqpqpqp", "ooc_plan": "qpppqpqpppppp",
                "ooc_select": "qpppqpqpppqppqpqqpppppp",
-               "ooc_alias": "qpqpqppqpppqqpp"}
+               "ooc_alias": "qpqpqppqpppqqpp", "pool_read": "pqppqqqqpppp",
+               "pool_admit": "pqppqqqppp"}
 _KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
-_I64, _I32, _F64, _U64 = (np.dtype(t) for t in (np.int64, np.int32,
-                                                  np.float64, np.uint64))
+_I64, _I32, _F64, _U64, _BOOL = (np.dtype(t) for t in (
+    np.int64, np.int32, np.float64, np.uint64, np.bool_))
 #: Widest alias table ``alias_build`` writes: its cells are int32 offsets.
 _MAX_ALIAS_WIDTH = 2**31
 
@@ -59,6 +62,11 @@ class _Lanes(ctypes.Structure):
     """``struct Lanes`` of ``hop.c``, member by member (all 8 bytes)."""
     _fields_ = [(f"m{i}", _KINDS[kind]) for i, kind in enumerate(
         "qpqp" "qpqpqpp" "qpqpppqppppqpp" "qpp" "dq" "qqp" "ddd")]
+
+
+class _Pool(ctypes.Structure):
+    """``struct Pool`` of ``hop.c``: a :class:`FramePool`'s columns."""
+    _fields_ = [(f"m{i}", _KINDS[kind]) for i, kind in enumerate("qqqppppppp")]
 
 
 class Unavailable(RuntimeError):
@@ -135,6 +143,7 @@ def load() -> KernelBackend:
     backend = _make_backend(lib)
     _self_test(lib, backend)
     _self_test_ooc(backend)
+    _self_test_pool(backend)
     _self_test_build(backend)
     return backend
 
@@ -205,6 +214,19 @@ def _ooc_args(index):
     return (V, _addr(indptr, _I64), _addr(trunk_sizes, _I64, V),
             _addr(tr_indptr, _I64, V + 1), tr_prefix.size,
             _addr(tr_prefix, _F64)), arrays
+
+
+def _pool_args(pool):
+    n = pool.frames
+    arrays = (pool.slab, pool.key, pool.length, pool.stamp, pool.protected,
+              pool._sorted_keys, pool._sorted_frames)
+    slab, key, length, stamp, protected, index_keys, index_frames = arrays
+    ctx = _Pool(n, pool.width, pool.protected_frames,
+                _out(slab, _F64, n * pool.width), _out(key, _I64, n),
+                _out(length, _I64, n), _out(stamp, _I64, n),
+                _out(protected, _BOOL, n), _out(index_keys, _I64, n),
+                _out(index_frames, _I64, n))
+    return ctypes.addressof(ctx), (ctx, arrays)
 
 
 def _checked(code: int, what: str) -> int:
@@ -357,10 +379,60 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
             _addr(tables, _F64, rows * 2 * width), _out(out, _I64, n),
         ), "ooc alias (lane, payload row or alias cell)")
 
+    def pool_call(fn, pool, scratch, n, *args):
+        """``fn`` on ``pool``'s columns (bound once per slab): the
+        ``used``/clock round trip and the statistics it returns."""
+        ctx = _bound(scratch, "pool", pool.slab, lambda _: _pool_args(pool))
+        if ctx is None:
+            raise ValueError("the frame pool's columns do not bind")
+        io = np.zeros(9, np.int64)
+        io[:2] = pool.used, pool._clock
+        _checked(fn(ctx, n, *args, _addr(io, _I64)),
+                 f"{fn.__name__} (range outside the region or longer than "
+                 f"2**20, or an index entry outside the pool)")
+        pool.used, pool._clock = int(io[0]), int(io[1])
+        return io[2:].tolist()
+
+    def pool_read(pool, scratch, size, tag, files, los, lens, widest):
+        n = los.size
+        cols = np.empty((5, n), np.int64)  # inverse, lengths, miss rows/lo/len
+        payload = np.empty((n, files, widest))
+        rows, m, hits, misses, served, promoted, promoted_bytes = pool_call(
+            lib.pool_read, pool, scratch, n, _addr(los, _I64), _addr(lens, _I64, n),
+            size, files, tag, widest, _addr(payload, _F64),
+            _addr(cols, _I64),
+            _addr(scratch.array("pool", 4 * max(n, pool.frames), np.int64), _I64))
+        stats = pool.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.bytes_served += served
+        if promoted:
+            stats.promotions += promoted
+            events.emit("cache.promoted", count=promoted, nbytes=promoted_bytes)
+        inverse, lengths, miss, miss_lo, miss_len = cols
+        return (payload[:rows], lengths[:rows], inverse, miss[:m], miss_lo[:m],
+                miss_len[:m])
+
+    def pool_admit(pool, scratch, tag, los, lens, staging):
+        m, files, width = staging.shape
+        bytes_in, gone, gone_bytes = pool_call(
+            lib.pool_admit, pool, scratch, m, _addr(los, _I64, m),
+            _addr(lens, _I64, m), files, tag, width,
+            _addr(staging, _F64, staging.size),
+            _addr(scratch.array("pool", m * files + 4 * pool.frames, np.int64),
+                  _I64))[:3]
+        stats = pool.stats
+        stats.bytes_in += bytes_in
+        if gone:
+            stats.evictions += gone
+            stats.bytes_evicted += gone_bytes
+            events.emit("cache.evicted", count=gone, nbytes=gone_bytes)
+
     return KernelBackend(name="c", select=select, alias=alias, scatter=scatter,
                          hop=hop, alias_build=alias_build,
                          prefix_sums=prefix_sums, ooc_plan=ooc_plan,
-                         ooc_select=ooc_select, ooc_alias=ooc_alias)
+                         ooc_select=ooc_select, ooc_alias=ooc_alias,
+                         pool_read=pool_read, pool_admit=pool_admit)
 
 
 def _self_test(lib: ctypes.CDLL, backend: KernelBackend) -> None:
@@ -490,6 +562,7 @@ def _self_test_ooc(backend: KernelBackend) -> None:
     indptr = np.concatenate([[0], np.cumsum(deg)])
     owner = np.repeat(np.arange(V), deg)
     store = TrunkStore(tempfile.gettempdir())  # never opened: arrays below
+    store.kernel = numpy_backend.BACKEND  # the pool passes are tested apart
     store._c = np.cumsum(rng.random(E + V))
     store._prob = rng.random(E)
     store._alias = rng.integers(0, 2**30, E) % ts[owner]
@@ -539,6 +612,66 @@ def _self_test_ooc(backend: KernelBackend) -> None:
         raise Unavailable("out-of-core self-test mismatch against the numpy "
                           "lockstep (miscompiling or FMA-contracting "
                           "toolchain?)")
+
+
+def _pool_state(pool) -> list:
+    """What two pools fed the same batches must agree on: the resident
+    frames' columns and payload cells, the key index, the clock and the
+    statistics."""
+    used = pool.used
+    cells = np.arange(pool.width) < (pool.length[:used] // 8)[:, None]
+    return [np.array([used, pool._clock]), pool.key[:used], pool.length[:used],
+            pool.stamp[:used], pool.protected[:used], pool.slab[:used][cells],
+            pool._sorted_keys[:used], pool._sorted_frames[:used],
+            np.array([*pool.stats.snapshot().values()])]
+
+
+def _self_test_pool(backend: KernelBackend) -> None:
+    """The compiled pool passes against ``FramePool.touch`` /
+    ``FramePool.admit`` under two in-memory stores fed one scripted batch
+    sequence: duplicate ranges and a batch of one, promotions that
+    overflow the protected segment by two, a batch with more distinct
+    misses than evictable frames (two victims, two keys turned away), an
+    alias region whose two files are one range, and ranges wider than a
+    frame. Every returned payload and the pools' columns — so the order
+    victims and demotions are taken in — index and statistics must agree
+    (≈3–6 ms)."""
+    from repro.core.outofcore import TrunkStore
+
+    rng = np.random.default_rng(45)
+
+    def store(kernel):
+        out = TrunkStore(tempfile.gettempdir(), cache_bytes=6 * 4 * 8)
+        out.kernel = kernel
+        out._c, out._prob = rng.random(40), rng.random(40)
+        out._alias = np.arange(40) % 4
+        out.cache.set_width(4)  # six frames, four of them protected
+        return out
+
+    # Six misses; six promotions, two demoted; two victims, two turned
+    # away; half an alias range admitted, then completed; a lone hit.
+    script = [("c", [0, 4, 8, 12, 16, 20, 0], 4), ("c", [0, 4, 8, 12, 16, 20], 4),
+              ("c", [24, 28, 32, 36], 4), ("pa", [0, 2, 0], 3),
+              ("pa", [0, 2], 3), ("c", [8], 4), ("c", [1, 0], 5)]
+    sides = [store(numpy_backend.BACKEND), store(backend)]
+    sides[1]._c, sides[1]._prob, sides[1]._alias = (
+        sides[0]._c, sides[0]._prob, sides[0]._alias)
+    got = [[], []]
+    try:
+        for region, los, width in script:
+            los = np.array(los)
+            for side, out in zip(sides, got):
+                payload, lens, inverse = side.read_batch(region, los, los + width,
+                                                         None)
+                out += [payload[inverse][..., :width], lens, inverse]
+        for side, out in zip(sides, got):
+            out += _pool_state(side.cache)
+        same = all(map(np.array_equal, *got))
+    except (ValueError, IndexError) as exc:
+        raise Unavailable(f"pool self-test raised {exc!r}") from exc
+    if not same:
+        raise Unavailable("pool self-test mismatch against FramePool's numpy "
+                          "passes")
 
 
 def _self_test_build(backend: KernelBackend) -> None:

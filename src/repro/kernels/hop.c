@@ -1,6 +1,7 @@
 /* One frontier hop per lane (the `c` kernel backend), the index build's two
- * per-table loops (Vose alias tables and per-vertex prefix sums), and the
- * per-lane loops of the out-of-core PAT draw.
+ * per-table loops (Vose alias tables and per-vertex prefix sums), the
+ * per-lane loops of the out-of-core PAT draw, and the out-of-core frame
+ * pool's read and admit passes.
  *
  * Built on first use by repro/kernels/c_backend.py with the system compiler:
  *
@@ -451,6 +452,318 @@ i64 ooc_alias(i64 V, const i64 *trunk_sizes, i64 n_deep, const i64 *deep,
         }
         out[i] += pick;
     }
+    return 0;
+}
+
+/* ---- The frame pool's read and admit passes (core/frame_pool.py) --------
+ * FramePool's columns, written in place: the (frames, width) slab, per-frame
+ * key, logical length in bytes, recency stamp and protected flag (numpy
+ * bool, one byte), and the key index — the resident keys ascending, with
+ * their frames — of which the first `used` entries are live. `used` and the
+ * stamp clock travel in io[0..1] and come back updated. FramePool.touch and
+ * FramePool.admit are the specification; TrunkStore.read_batch drives both.
+ * A key is (lo << 20 | len) << 2 | file tag (TrunkStore.frame_keys).
+ */
+typedef struct {
+    i64 frames, width, protected_frames;
+    double *slab; i64 *key, *length, *stamp; unsigned char *guard;
+    i64 *index_keys, *index_frames;
+} Pool;
+
+#define KEY_LEN_BITS 20
+
+static inline i64 frame_key(i64 lo, i64 len, i64 tag)
+{
+    return (lo << KEY_LEN_BITS | len) << 2 | tag;
+}
+
+/* Frame of key, -1 when absent, -2 for an index entry outside [0, used).
+ * Keys are looked up in ascending order: *from is where the last one
+ * landed, and the search gallops forward from it. */
+static inline i64 pool_find(const Pool *p, i64 used, i64 key, i64 *from)
+{
+    const i64 *keys = p->index_keys;
+    i64 lo = *from, hi = lo, step = 1;
+    while (hi < used && keys[hi] < key) {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    if (hi > used) hi = used;
+    while (lo < hi) {
+        i64 mid = lo + ((hi - lo) >> 1);
+        if (keys[mid] < key) lo = mid + 1; else hi = mid;
+    }
+    *from = lo;
+    if (lo == used || keys[lo] != key) return -1;
+    i64 frame = p->index_frames[lo];
+    return frame >= 0 && frame < used ? frame : -2;
+}
+
+static inline void heap_down(const i64 *stamp, i64 *h, i64 n, i64 at)
+{
+    for (;;) {
+        i64 big = at, l = 2 * at + 1, r = l + 1;
+        if (l < n && stamp[h[l]] > stamp[h[big]]) big = l;
+        if (r < n && stamp[h[r]] > stamp[h[big]]) big = r;
+        if (big == at) return;
+        i64 t = h[at]; h[at] = h[big]; h[big] = t;
+        at = big;
+    }
+}
+
+/* Stable LSD radix sort of n (key, row) pairs, keys in [0, max_key]: as
+ * few passes of at most 11 bits as cover max_key, split evenly; a pass
+ * whose digit is the same for every key is skipped. a and b hold 2n
+ * entries each (keys, then rows); returns the one that holds the result.
+ */
+static i64 *radix_pairs(i64 n, i64 *a, i64 *b, i64 max_key)
+{
+    i64 count[2048];
+    if (n < 2 || max_key < 1) return a;
+    int bits = 64 - __builtin_clzll((u64)max_key), passes = (bits + 10) / 11;
+    int digit = (bits + passes - 1) / passes;
+    i64 mask = ((i64)1 << digit) - 1;
+    for (int shift = 0; shift < bits; shift += digit) {
+        memset(count, 0, (mask + 1) * sizeof *count);
+        for (i64 i = 0; i < n; i++) count[(a[i] >> shift) & mask]++;
+        if (count[(a[0] >> shift) & mask] == n) continue;
+        for (i64 d = 0, at = 0; d <= mask; d++) {
+            i64 c = count[d];
+            count[d] = at;
+            at += c;
+        }
+        for (i64 i = 0; i < n; i++) {
+            i64 to = count[(a[i] >> shift) & mask]++;
+            b[to] = a[i];
+            b[n + to] = a[n + i];
+        }
+        i64 *t = a; a = b; b = t;
+    }
+    return a;
+}
+
+/* The k least recently stamped frames of [0, used) whose protected flag
+ * is `guarded`, ascending by stamp (stamps of resident frames are
+ * distinct): *got of them — k, or every such frame when there are fewer —
+ * at the returned pointer into scratch (4 * used entries). A few of many
+ * are kept in a max-heap while scanning, then heap-sorted; more are
+ * radix-sorted.
+ */
+static const i64 *pool_oldest(const Pool *p, i64 used, int guarded, i64 k,
+                              i64 *scratch, i64 *got)
+{
+    const i64 *stamp = p->stamp;
+    i64 m = 0, j = 0, newest = 0;
+    for (i64 f = 0; f < used; f++) m += p->guard[f] == guarded;
+    *got = k = k < m ? k : m;
+    if (k <= 0) return scratch;
+    if (k * 16 < m) {
+        i64 *h = scratch;
+        for (i64 f = 0; f < used; f++) {
+            if (p->guard[f] != guarded) continue;
+            if (j < k) {
+                i64 at = j++;
+                h[at] = f;
+                while (at && stamp[h[(at - 1) / 2]] < stamp[h[at]]) {
+                    i64 up = (at - 1) / 2, t = h[up];
+                    h[up] = h[at]; h[at] = t; at = up;
+                }
+            } else if (stamp[f] < stamp[h[0]]) {
+                h[0] = f;
+                heap_down(stamp, h, k, 0);
+            }
+        }
+        for (i64 end = k - 1; end > 0; end--) {
+            i64 t = h[0]; h[0] = h[end]; h[end] = t;
+            heap_down(stamp, h, end, 0);
+        }
+        return h;
+    }
+    i64 *a = scratch;
+    for (i64 f = 0; f < used; f++) {
+        if (p->guard[f] != guarded) continue;
+        a[j] = stamp[f];
+        a[m + j++] = f;
+        if (stamp[f] > newest) newest = stamp[f];
+    }
+    return radix_pairs(m, a, a + 2 * m, newest) + m;
+}
+
+static inline int pool_bad(const Pool *p, const i64 *io)
+{
+    return p->frames < 0 || p->width < 0 || io[0] < 0 || io[0] > p->frames
+        || io[1] < 0;
+}
+
+/* One step's n ranges [los[i], los[i] + lens[i]) of a region of `size`
+ * elements stored in `files` files (frame tags tag, tag + 1, ...): checks
+ * every range (0 <= lo, 1 <= len < 2^20, lo + len <= size, len <= widest)
+ * before anything is touched, dedupes them by sorting (distinct ranges
+ * ascending, np.unique's order; inverse[i] = range i's row), then
+ * FramePool.touch over the rows' frame keys in row-major (row, file) order
+ * — a range wider than the frame width is looked up as a miss — and copies
+ * each row whose every file is resident into payload (n, files, widest).
+ * cols is (5, n): inverse, the distinct lengths, then the miss rows, their
+ * lo and their len. scratch holds 4 * max(n, frames). io[2..8] = distinct
+ * rows, misses, hits, missed lookups, bytes served, promotions, promoted
+ * bytes. Returns 0.
+ */
+i64 pool_read(const Pool *p, i64 n, const i64 *los, const i64 *lens, i64 size,
+              i64 files, i64 tag, i64 widest, double *payload, i64 *cols,
+              i64 *scratch, i64 *io)
+{
+    i64 used = io[0], clock = io[1], max_key = 0;
+    if (pool_bad(p, io) || files < 1 || files > 2 || tag < 0 || tag > 1
+        || size < 0 || size > (i64)1 << 40 || widest < 1
+        || widest >= (i64)1 << KEY_LEN_BITS)
+        BAD(0);
+    /* sort on lo << bits | len: len <= widest < 2^bits, fewer digits */
+    const int bits = 64 - __builtin_clzll((u64)widest);
+    const i64 low = ((i64)1 << bits) - 1;
+    i64 *a = scratch, *b = scratch + 2 * n;
+    for (i64 i = 0; i < n; i++) {
+        i64 lo = los[i], len = lens[i];
+        if (lo < 0 || len < 1 || len > widest || lo > size - len) BAD(i);
+        a[i] = lo << bits | len;
+        a[n + i] = i;
+        if (a[i] > max_key) max_key = a[i];
+    }
+    const i64 *sorted = radix_pairs(n, a, b, max_key);
+    i64 *dist = sorted == a ? b : a, d = 0;
+    i64 *inverse = cols, *dist_len = cols + n, *miss = cols + 2 * n,
+        *miss_lo = cols + 3 * n, *miss_len = cols + 4 * n;
+    for (i64 j = 0; j < n; j++) {
+        if (!j || sorted[j] != sorted[j - 1]) dist[d++] = sorted[j];
+        inverse[sorted[n + j]] = d - 1;
+    }
+    i64 span = widest < p->width ? widest : p->width;
+    i64 m = 0, hits = 0, served = 0, promoted = 0, promoted_bytes = 0, from = 0;
+    for (i64 r = 0; r < d; r++) {
+        i64 lo = dist[r] >> bits, len = dist[r] & low, at[2];
+        i64 key = frame_key(lo, len, tag);
+        int whole = 1;
+        dist_len[r] = len;
+        for (i64 f = 0; f < files; f++) {
+            i64 frame = len <= p->width ? pool_find(p, used, key + f, &from) : -1;
+            if (frame < -1) BAD(r);
+            at[f] = frame;
+            if (frame < 0) { whole = 0; continue; }
+            hits++;
+            served += p->length[frame];
+            p->stamp[frame] = ++clock;
+            if (!p->guard[frame]) {
+                p->guard[frame] = 1;
+                promoted++;
+                promoted_bytes += p->length[frame];
+            }
+        }
+        if (whole) {
+            for (i64 f = 0; f < files; f++)
+                memcpy(payload + (r * files + f) * widest,
+                       p->slab + at[f] * p->width, span * sizeof(double));
+        } else {
+            miss[m] = r;
+            miss_lo[m] = lo;
+            miss_len[m++] = len;
+        }
+    }
+    if (promoted) { /* protected overflow: demote its oldest, oldest first */
+        i64 guarded = 0, k;
+        for (i64 f = 0; f < used; f++) guarded += p->guard[f];
+        const i64 *old = pool_oldest(p, used, 1, guarded - p->protected_frames,
+                                     scratch, &k);
+        for (i64 j = 0; j < k; j++) {
+            p->guard[old[j]] = 0;
+            p->stamp[old[j]] = ++clock;
+        }
+    }
+    io[1] = clock; io[2] = d; io[3] = m; io[4] = hits;
+    io[5] = d * files - hits; io[6] = served; io[7] = promoted;
+    io[8] = promoted_bytes;
+    return 0;
+}
+
+/* FramePool.admit for the m miss rows pool_read returned (ascending,
+ * distinct) and their (m, files, sw) staging rows: every file's frame of a
+ * row no wider than the frame width, except keys already resident. Victims
+ * are the oldest probation frames, taken oldest first after the free
+ * frames; when they run out the earliest keys are turned away (accounted
+ * as admitted, then evicted). The key index is updated by one merge from
+ * its end. scratch holds m * files + 4 * frames. io[2..4] = bytes in,
+ * evictions, bytes evicted. Returns 0.
+ */
+i64 pool_admit(const Pool *p, i64 m, const i64 *los, const i64 *lens,
+               i64 files, i64 tag, i64 sw, const double *staging,
+               i64 *scratch, i64 *io)
+{
+    i64 used = io[0], clock = io[1], prev = -1, n_new = 0, from = 0;
+    if (pool_bad(p, io) || files < 1 || files > 2 || tag < 0 || tag > 1)
+        BAD(0);
+    io[2] = io[3] = io[4] = 0;
+    if (!p->frames) return 0;
+    i64 *fresh = scratch, *keys = p->index_keys, *frames = p->index_frames;
+    for (i64 j = 0; j < m; j++) {
+        i64 lo = los[j], len = lens[j];
+        if (lo < 0 || lo >= (i64)1 << 40 || len < 1 || len > sw
+            || len >= (i64)1 << KEY_LEN_BITS)
+            BAD(j);
+        i64 key = frame_key(lo, len, tag);
+        if (key <= prev) BAD(j); /* ascending and distinct */
+        prev = key;
+        if (len > p->width) continue;
+        for (i64 f = 0; f < files; f++) {
+            i64 frame = pool_find(p, used, key + f, &from);
+            if (frame < -1) BAD(j);
+            if (frame < 0) fresh[n_new++] = j * files + f;
+        }
+    }
+    i64 free = p->frames - used < n_new ? p->frames - used : n_new, v;
+    const i64 *victims = pool_oldest(p, used, 0, n_new - free,
+                                     scratch + m * files, &v);
+    i64 take = free + v, turned = n_new - take, bytes_in = 0, gone_bytes = 0;
+    for (i64 t = 0; t < n_new; t++) {
+        i64 nbytes = lens[fresh[t] / files] * 8;
+        bytes_in += nbytes;
+        if (t < turned) gone_bytes += nbytes;
+    }
+    for (i64 t = 0; t < v; t++) gone_bytes += p->length[victims[t]];
+    io[2] = bytes_in; io[3] = v + turned; io[4] = gone_bytes;
+    if (!take) return 0;
+    i64 kept = used;
+    if (v) { /* drop the victims' index entries: flag them, compact */
+        for (i64 t = 0; t < v; t++) p->guard[victims[t]] = 2;
+        kept = 0;
+        for (i64 i = 0; i < used; i++) {
+            if (frames[i] < 0 || frames[i] >= used) BAD(0);
+            if (p->guard[frames[i]] == 2) continue;
+            keys[kept] = keys[i];
+            frames[kept++] = frames[i];
+        }
+        if (kept != used - v) BAD(0);
+    }
+    i64 i = kept - 1, out = kept + take - 1; /* merge the newcomers in */
+    for (i64 t = take - 1; t >= 0; t--) {
+        i64 e = fresh[turned + t], j = e / files;
+        i64 key = frame_key(los[j], lens[j], tag + e % files);
+        while (i >= 0 && keys[i] > key) {
+            keys[out] = keys[i];
+            frames[out--] = frames[i--];
+        }
+        keys[out] = key;
+        frames[out--] = t < free ? used + t : victims[t - free];
+    }
+    i64 cols = sw < p->width ? sw : p->width;
+    for (i64 t = 0; t < take; t++) {
+        i64 e = fresh[turned + t], j = e / files;
+        i64 slot = t < free ? used + t : victims[t - free];
+        memcpy(p->slab + slot * p->width, staging + e * sw, cols * sizeof(double));
+        p->key[slot] = frame_key(los[j], lens[j], tag + e % files);
+        p->length[slot] = lens[j] * 8;
+        p->stamp[slot] = ++clock;
+        p->guard[slot] = 0;
+    }
+    io[0] = used + free; io[1] = clock;
     return 0;
 }
 

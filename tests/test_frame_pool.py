@@ -14,10 +14,14 @@ lookup batch holds more than one key.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frame_pool import FramePool
+from repro.core.outofcore import TrunkStore
+from repro.kernels import c_backend, numpy_backend, resolve_backend
+from repro.kernels.c_backend import _pool_state
 from tests.block_cache_oracle import BlockCache
 
 WIDTH = 4
@@ -118,3 +122,132 @@ class TestAgainstBlockCacheOracle:
             pool.admit(keys, np.zeros((frames, WIDTH)), np.full(frames, FRAME_BYTES))
             pool.find(keys)
             assert pool.index_nbytes() <= 48 * frames
+
+
+# -- the compiled pool passes ---------------------------------------------
+
+REGION_SIZE = 24
+STORE_WIDTH = 4  # frame width of the stores below: a len-5 range never fits
+
+#: Pool budgets: none, below one frame, then one to six frames.
+budgets = st.one_of(st.sampled_from([0, STORE_WIDTH * 8 - 1]),
+                    st.integers(1, 6).map(lambda f: f * STORE_WIDTH * 8))
+#: One read: a region and its ranges, duplicates allowed, lengths 1-5.
+reads = st.tuples(
+    st.sampled_from(["c", "pa"]),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(1, STORE_WIDTH + 1)),
+             min_size=1, max_size=10))
+
+
+class Trio:
+    """One schedule of ``TrunkStore.read_batch`` calls through the
+    compiled pool passes and through ``FramePool``'s numpy methods, two
+    in-memory stores over the same arrays, with the per-block oracle fed
+    the same lookups and admissions the way ``Twin`` feeds it. ``"c"`` is
+    one file a range, ``"pa"`` two (a range is a hit only when both of
+    its frames are resident)."""
+
+    def __init__(self, budget: int):
+        rng = np.random.default_rng(budget)
+        compiled = resolve_backend("c")
+        assert compiled.pool_read is not None, "c did not load: nothing to test"
+        self.stores = []
+        for kernel in (numpy_backend.BACKEND, compiled):
+            store = TrunkStore("unused", cache_bytes=budget)
+            store.kernel = kernel
+            store._c, store._prob = rng.random(REGION_SIZE), rng.random(REGION_SIZE)
+            store._alias = np.arange(REGION_SIZE) % STORE_WIDTH
+            store.cache.set_width(STORE_WIDTH)
+            self.stores.append(store)
+        self.stores[1]._c, self.stores[1]._prob, self.stores[1]._alias = (
+            self.stores[0]._c, self.stores[0]._prob, self.stores[0]._alias)
+        self.oracle = BlockCache(budget)
+
+    def read(self, region, ranges):
+        los, lens = (np.array(col, dtype=np.int64) for col in zip(*ranges))
+        numpy_side, compiled = (store.read_batch(region, los, los + lens, None)
+                                for store in self.stores)
+        files = self.stores[0]._region_maps(region)
+        for payload, lengths, inverse in (numpy_side, compiled):
+            assert np.array_equal(lengths[inverse], lens)
+            for i, (lo, n) in enumerate(zip(los.tolist(), lens.tolist())):
+                rows = payload[inverse[i]].reshape(len(files), -1)
+                for row, data in zip(rows, files):
+                    assert np.array_equal(row[:n], data[lo:lo + n].view(np.float64))
+        assert np.array_equal(numpy_side[2], compiled[2])
+        assert np.array_equal(numpy_side[1], compiled[1])
+        self._oracle_read(region, los, lens)
+
+    def _oracle_read(self, region, los, lens):
+        """Lookups in the pool's order — distinct ranges ascending, their
+        files side by side, a range wider than a frame as a miss — then
+        the misses' absent frames admitted in the same order."""
+        store = self.stores[0]
+        keys = np.unique(store._pack_keys(region, los, lens), axis=0)
+        lens = (keys[:, 0] >> 2) & ((1 << 20) - 1)
+        fits = lens <= STORE_WIDTH
+        missed = []
+        for row, fit in zip(keys.tolist(), fits.tolist()):
+            found = [self.oracle.get(key if fit else -1) is not None for key in row]
+            if fit and not all(found):
+                missed += [key for key in row if key not in self.oracle]
+        for key in missed:
+            self.oracle.put(key, np.zeros(STORE_WIDTH))
+
+    def check(self):
+        numpy_pool, compiled = (store.cache for store in self.stores)
+        for want, got in zip(_pool_state(numpy_pool), _pool_state(compiled)):
+            assert np.array_equal(want, got)
+        assert self.stores[0].read_ops == self.stores[1].read_ops
+        order = np.argsort(numpy_pool.stamp[: numpy_pool.used])
+        keys = numpy_pool.key[order]
+        guarded = numpy_pool.protected[order]
+        assert keys[~guarded].tolist() == list(self.oracle._probation)
+        assert keys[guarded].tolist() == list(self.oracle._protected)
+        ours, theirs = numpy_pool.stats, self.oracle.stats
+        assert (ours.hits, ours.misses, ours.evictions) == (
+            theirs.hits, theirs.misses, theirs.evictions)
+        assert ours.promotions <= theirs.promotions
+
+
+@pytest.mark.skipif(c_backend.find_cc() is None, reason="needs a C compiler")
+class TestCompiledPoolPasses:
+    """``pool_read`` / ``pool_admit`` ≡ ``FramePool.touch`` /
+    ``FramePool.admit`` under ``TrunkStore.read_batch``: payloads,
+    inverses, every column and statistic after every read; and both
+    against the per-block oracle (part of ``make ooc-smoke``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(budgets, st.lists(reads, min_size=1, max_size=30))
+    def test_schedules_match_numpy_and_oracle(self, budget, schedule):
+        trio = Trio(budget)
+        for region, ranges in schedule:
+            trio.read(region, ranges)
+            trio.check()
+
+    def test_protected_overflow_and_turned_away_rows(self):
+        """The two corners a short random schedule may miss: hits that
+        overflow the protected segment, and one batch with more distinct
+        misses than evictable frames."""
+        trio = Trio(3 * STORE_WIDTH * 8)  # three frames, two protected
+        for ranges in ([(0, 4), (4, 4)], [(0, 4), (4, 4)], [(8, 4)], [(8, 4)]):
+            trio.read("c", ranges)
+            trio.check()
+        pool = trio.stores[1].cache
+        assert pool.stats.promotions == 3 and pool.protected.sum() == 2
+        evictions = pool.stats.evictions
+        trio.read("c", [(12, 4), (16, 4), (20, 4), (5, 4)])
+        trio.check()
+        assert pool.stats.evictions - evictions == 4  # one victim, three turned away
+        assert pool.used == 3
+
+    def test_bad_ranges_raise_before_the_pool_changes(self):
+        trio = Trio(3 * STORE_WIDTH * 8)
+        trio.read("pa", [(0, 4)])
+        store = trio.stores[1]
+        before = [a.copy() for a in _pool_state(store.cache)]
+        for lo, n in ((-1, 2), (REGION_SIZE - 2, 3), (3, 0), (0, 1 << 20)):
+            with pytest.raises(IndexError):
+                store.read_batch("pa", np.array([0, lo]), np.array([4, lo + n]), None)
+        for want, got in zip(before, _pool_state(store.cache)):
+            assert np.array_equal(want, got)

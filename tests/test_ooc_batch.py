@@ -143,6 +143,36 @@ class TestReadBatch:
                 np.testing.assert_array_equal(alias, legacy._alias[8:16])
             assert legacy.cache.width == 9 and legacy.cache.stats.hits == 2
 
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
+    def test_a_wider_miss_beside_one_that_fits(self, store, tmp_path, kernel):
+        """A store without ``max_trunk`` sizes its frames from the first
+        batch; a later batch that misses a range that fits and one that
+        does not stages both at the wider width and admits only the
+        first (the numpy admission used to raise a broadcast error)."""
+        import json
+
+        from repro.kernels import resolve_backend
+
+        if kernel == "c" and resolve_backend("c").name != "c":
+            pytest.skip("needs a C compiler")
+        store.close()
+        manifest = tmp_path / "s" / "checksums.json"
+        doc = json.loads(manifest.read_text())
+        del doc["max_trunk"]
+        manifest.write_text(json.dumps(doc))
+        with TrunkStore(tmp_path / "s", cache_bytes=1 << 20) as legacy:
+            legacy.kernel = resolve_backend(kernel)
+            read_c(legacy, 0, 4, None)
+            assert legacy.cache.width == 5
+            los, his = np.array([10, 20]), np.array([13, 30])
+            for _ in range(2):  # the narrow range hits the second time
+                payload, lengths, inverse = legacy.read_batch("c", los, his, None)
+                for i, (lo, hi) in enumerate(zip(los, his)):
+                    np.testing.assert_array_equal(
+                        payload[inverse[i], : hi - lo], legacy._c[lo:hi])
+            stats = legacy.cache.stats
+            assert (stats.hits, stats.misses, legacy.cache.used) == (1, 4, 2)
+
     @pytest.mark.parametrize("cache_bytes", [0, 50, 9 * 8, 3 * 9 * 8])
     def test_tiny_or_absent_pool_serves_every_range(self, store, tmp_path, cache_bytes):
         """No cache, a budget below one frame, a single frame, fewer

@@ -12,9 +12,12 @@ under ``c`` must really use the compiled members: an index whose arrays
 do not bind would walk the numpy lockstep and agree vacuously.
 """
 
+import collections
+
 import numpy as np
 import pytest
 
+from repro.core.frame_pool import FramePool
 from repro.core.outofcore import TrunkStore
 from repro.engines import BatchTeaOutOfCoreEngine, Workload
 from repro.graph.temporal_graph import TemporalGraph
@@ -170,6 +173,50 @@ class TestOocDrawBinds:
         # one plan per draw
         assert len(plans) == sum(name == "ooc_select" for name, _, _ in calls)
 
+    @pytest.mark.parametrize("kernel", ["c", "numpy"])
+    @pytest.mark.parametrize("entry", ["run", "run_lanes"])
+    def test_every_read_runs_the_engines_pool_passes(self, medium_graph,
+                                                     monkeypatch, kernel, entry):
+        """Under ``c`` every ``read_batch`` of a run looks up through
+        ``pool_read`` and every admission goes through ``pool_admit``:
+        ``FramePool``'s numpy passes never run. Under ``numpy`` the numpy
+        passes serve every read, so the store took the engine's kernel,
+        not ``auto``."""
+        calls = collections.Counter()
+
+        def spy(name, member):
+            def logged(*args, **kwargs):
+                calls[name] += 1
+                return member(*args, **kwargs)
+            return logged
+
+        for owner, name in ((FramePool, "touch"), (FramePool, "admit"),
+                            (TrunkStore, "read_batch"), (TrunkStore, "_fetch")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        backend = resolve_backend(kernel)
+        assert backend.name == kernel
+        if kernel == "c":
+            backend = KernelBackend(**{**vars(backend), **{
+                name: spy(name, getattr(backend, name))
+                for name in ("pool_read", "pool_admit")}})
+        engine = BatchTeaOutOfCoreEngine(medium_graph, APPS["exp"][0],
+                                         cache_bytes=1 << 20)
+        engine.kernel = backend
+        if entry == "run":
+            engine.run(Workload(walks_per_vertex=2, max_length=8), seed=3,
+                       record_paths=False)
+        else:
+            starts = np.arange(medium_graph.num_vertices)
+            engine.run_lanes(starts, starts + 11, 8)
+        reads, admissions = calls["read_batch"], calls["_fetch"]
+        assert reads > admissions > 0  # warm reads: some steps miss nothing
+        compiled = (calls["pool_read"], calls["pool_admit"])
+        numpy_passes = (calls["touch"], calls["admit"])
+        if kernel == "c":
+            assert compiled == (reads, admissions) and numpy_passes == (0, 0)
+        else:
+            assert numpy_passes == (reads, admissions) and compiled == (0, 0)
+
 
 class TestBounds:
     """A bad lane raises ``IndexError`` under either backend before the
@@ -259,6 +306,28 @@ class TestOocSelfTest:
         monkeypatch.setattr(c_backend, "_ooc_args", unbindable)
         with pytest.raises(c_backend.Unavailable, match="did not bind"):
             c_backend._self_test_ooc(resolve_backend("c"))
+
+    def test_pool_passes_pass(self):
+        c_backend._self_test_pool(resolve_backend("c"))
+
+    def test_refuses_a_pool_pass_one_stamp_off(self):
+        good = resolve_backend("c")
+
+        def stale(pool, *args):
+            good.pool_admit(pool, *args)
+            pool.stamp[pool.used - 1] -= 1
+
+        with pytest.raises(c_backend.Unavailable, match="mismatch"):
+            c_backend._self_test_pool(
+                KernelBackend(**{**vars(good), "pool_admit": stale}))
+
+    def test_refuses_pool_columns_that_do_not_bind(self, monkeypatch):
+        def unbindable(pool):
+            raise ValueError("kernel pass needs a C-contiguous int64 array")
+
+        monkeypatch.setattr(c_backend, "_pool_args", unbindable)
+        with pytest.raises(c_backend.Unavailable, match="do not bind"):
+            c_backend._self_test_pool(resolve_backend("c"))
 
     def test_refuses_a_draw_one_edge_off(self):
         good = resolve_backend("c")
