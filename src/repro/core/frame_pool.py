@@ -204,30 +204,37 @@ class FramePool:
 
     def admit(self, keys: np.ndarray, rows: np.ndarray,
               nbytes: np.ndarray) -> np.ndarray:
-        """Admit ``rows[i]`` (``n <= width`` elements) under
-        ``keys[i]``; returns the mask of rows admitted by this call.
+        """Admit ``rows[i]`` (``n <= width`` elements) under the ``i``-th
+        key of ``keys``, row-major; returns the mask of rows admitted by
+        this call. A 2-D ``keys`` is one range per row — a range's files,
+        admitted or turned away together.
 
         Keys already resident are skipped (the store's payload is
         immutable, so the frame already holds these bytes). Victims are
         the oldest probation frames, reused oldest first after the free
-        frames. Rows that find no frame — more
-        distinct misses than evictable frames — are the earliest ones,
-        exactly the rows a sequence of single admissions would have
+        frames. Ranges that find no frames — more distinct misses than
+        free and evictable frames — are the earliest ones, whole,
+        exactly the ranges a sequence of single admissions would have
         displaced again, and are accounted the same way (admitted, then
         evicted).
         """
+        files = keys.shape[1] if keys.ndim == 2 else 1
+        keys = keys.ravel()
         admitted = np.zeros(keys.size, dtype=bool)
         if not self.frames or not keys.size:
             return admitted
         new = np.flatnonzero(self.find(keys) < 0)
-        free = min(self.frames - self.used, new.size)
-        victims = np.zeros(0, dtype=np.int64)
-        need = new.size - free
-        if need > 0:
-            victims = self._oldest(
-                np.flatnonzero(~self.protected[: self.used]), need)
-        take = new[new.size - free - victims.size:]
-        turned_away = new[: new.size - take.size]
+        room = self.frames - self.used
+        probation = np.flatnonzero(~self.protected[: self.used])
+        turned = 0
+        if new.size > room + probation.size:  # up to a range's end
+            ranges = new // files
+            turned = np.searchsorted(
+                ranges, ranges[new.size - room - probation.size - 1], "right")
+        take, turned_away = new[turned:], new[:turned]
+        free = min(room, take.size)
+        victims = (self._oldest(probation, take.size - free)
+                   if take.size > free else np.zeros(0, dtype=np.int64))
         stats = self.stats
         stats.bytes_in += int(nbytes[new].sum())
         gone = victims.size + turned_away.size

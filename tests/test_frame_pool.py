@@ -181,7 +181,11 @@ class Trio:
     def _oracle_read(self, region, los, lens):
         """Lookups in the pool's order — distinct ranges ascending, their
         files side by side, a range wider than a frame as a miss — then
-        the misses' absent frames admitted in the same order."""
+        the misses' absent frames admitted in the same order. The oracle
+        caches keys, not ranges: when a batch brings more absent frames
+        than free and probation frames, the earliest missed ranges are
+        turned away whole here (accounted as admitted, then evicted), as
+        the pool turns them away."""
         store = self.stores[0]
         keys = np.unique(store._pack_keys(region, los, lens), axis=0)
         lens = (keys[:, 0] >> 2) & ((1 << 20) - 1)
@@ -190,9 +194,19 @@ class Trio:
         for row, fit in zip(keys.tolist(), fits.tolist()):
             found = [self.oracle.get(key if fit else -1) is not None for key in row]
             if fit and not all(found):
-                missed += [key for key in row if key not in self.oracle]
-        for key in missed:
-            self.oracle.put(key, np.zeros(STORE_WIDTH))
+                missed.append([key for key in row if key not in self.oracle])
+        oracle, frame_bytes = self.oracle, STORE_WIDTH * 8
+        frames = oracle.capacity_bytes // frame_bytes
+        if not frames:
+            return
+        room = frames - len(oracle._protected)  # free + probation frames
+        while sum(map(len, missed)) > room:
+            turned = len(missed.pop(0))
+            oracle.stats.bytes_in += turned * frame_bytes
+            oracle.stats.evictions += turned
+            oracle.stats.bytes_evicted += turned * frame_bytes
+        for key in sum(missed, []):
+            oracle.put(key, np.zeros(STORE_WIDTH))
 
     def check(self):
         numpy_pool, compiled = (store.cache for store in self.stores)
@@ -251,3 +265,27 @@ class TestCompiledPoolPasses:
                 store.read_batch("pa", np.array([0, lo]), np.array([4, lo + n]), None)
         for want, got in zip(before, _pool_state(store.cache)):
             assert np.array_equal(want, got)
+
+
+class TestWholeRangeAdmission:
+    """A pool too full for a batch turns whole ranges away, never one
+    file of a two-file ``"pa"`` range: the lone alias frame of a
+    half-admitted range would count a hit and a promotion on its next
+    read while the range is still a miss."""
+
+    @pytest.mark.parametrize("kernel", ["numpy", "c"])
+    def test_three_free_frames_and_two_alias_ranges(self, kernel):
+        if kernel == "c" and c_backend.find_cc() is None:
+            pytest.skip("needs a C compiler")
+        store = TrunkStore("unused", cache_bytes=3 * STORE_WIDTH * 8)
+        store.kernel = resolve_backend(kernel)
+        store._c = store._prob = np.arange(REGION_SIZE, dtype=np.float64)
+        store._alias = np.arange(REGION_SIZE) % STORE_WIDTH
+        store.cache.set_width(STORE_WIDTH)  # three frames, all free
+        pool = store.cache
+        store.read_batch("pa", np.array([0, 4]), np.array([4, 8]), None)
+        assert pool.used == 2  # range (4, 8) whole; range (0, 4) turned away
+        assert sorted((pool.key[:2] >> 22).tolist()) == [4, 4]
+        assert (pool.stats.hits, pool.stats.misses, pool.stats.evictions) == (0, 4, 2)
+        store.read_batch("pa", np.array([0]), np.array([4]), None)
+        assert (pool.stats.hits, pool.stats.misses, pool.stats.promotions) == (0, 6, 0)
