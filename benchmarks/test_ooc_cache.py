@@ -123,12 +123,14 @@ def test_ooc_cache_sweep(benchmark, datasets, tmp_path):
         )
     print("walk speedup batch/scalar: "
           + "  ".join(f"{k}={v:.2f}x" for k, v in speedups.items()))
-    # History: the headline numbers `repro bench compare` gates on.
+    # History: the headline numbers `repro bench compare` gates on — the
+    # product's own walk time, not its ratio to the scalar oracle (a
+    # faster shared read path speeds the oracle more and would read as a
+    # regression). The ratio travels in the record's ungated ``meta``.
     headline = by_key[("tea-ooc-batch", "cache-4MiB")]
     record_history(
         "ooc_cache",
         {
-            "speedup_cache_4MiB": speedups["cache-4MiB"],
             "batch_walk_s": headline["walk_seconds"],
             # A count of backing reads, lower is better — not
             # ``..._ops``, which the history gate reads as a throughput.
@@ -140,4 +142,5 @@ def test_ooc_cache_sweep(benchmark, datasets, tmp_path):
             "trunk_hit_ratio": headline["cache_hit_rate"],
         },
         dataset="growth", scale=BENCH_SCALE, trunk_size=TRUNK_SIZE,
+        speedup_cache_4MiB=speedups["cache-4MiB"],
     )
