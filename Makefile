@@ -89,14 +89,21 @@ scaling-smoke:
 # of Python-level calls at 1k and at 16k lanes: no per-range loops), and
 # the compiled draw bit-identical to the numpy lockstep (walks, stream
 # counters, costs, reads and cache statistics) on the trunk-size x pool
-# grid, and the compiled pool passes identical to FramePool's numpy ones
-# (and both to the per-block oracle) under generated read schedules.
+# grid, the fused step (ooc_step) identical to the call sequence it fuses
+# and bound once per iteration exactly where it should be, its load-time
+# self-test, and the compiled pool passes identical to FramePool's numpy
+# ones (and both to the per-block oracle) under generated read schedules,
+# turning whole ranges away.
 ooc-smoke:
 	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
 		"tests/test_ooc_batch.py::TestSynchronousReads" \
 		"tests/test_ooc_batch.py::TestWidthIndependence" \
 		"tests/test_ooc_kernel.py::TestCompiledParity" \
-		"tests/test_frame_pool.py::TestCompiledPoolPasses"
+		"tests/test_ooc_kernel.py::TestOocDrawBinds::test_one_compiled_call_per_iteration" \
+		"tests/test_ooc_kernel.py::TestOocSelfTest::test_step_passes" \
+		"tests/test_ooc_kernel.py::TestOocSelfTest::test_refuses_a_step_one_edge_off" \
+		"tests/test_frame_pool.py::TestCompiledPoolPasses" \
+		"tests/test_frame_pool.py::TestWholeRangeAdmission"
 
 # Resilience: the tier-1 classes that inject every failure mode (worker
 # crash, hang, transient I/O, trunk corruption, mid-batch streaming

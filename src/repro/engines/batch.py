@@ -234,12 +234,26 @@ class BatchTeaEngine(Engine):
 
     @contextmanager
     def _frontier_scope(self, profiler):
-        """Per-run resources of one frontier loop (seam 2 of 2; the
-        index provider :meth:`_sample_batch` is the other), entered once
-        around the loop. The in-memory index needs none; the out-of-core
-        engine routes its trunk store's phases to ``profiler`` here.
+        """Per-run resources of one frontier loop (seam 2 of 3), entered
+        once around the loop. The in-memory index needs none; the
+        out-of-core engine routes its trunk store's phases to
+        ``profiler`` here.
         """
         yield
+
+    def _fused_step(self, walk: WalkState, lane_rng: LaneRng,
+                    stop_probability: float, node2vec, scratch: KernelScratch):
+        """The backend's whole iteration, bound to one run (seam 3 of 3):
+        ``step(lanes, iteration, counters) -> (lanes, spent)``, or
+        ``None`` when the drivers orchestrate :meth:`_sample_batch` (seam
+        1 of 3). ``node2vec`` is ``None`` or the β operands of
+        ``KernelBackend.hop``. Over the in-memory index that is the
+        backend's fused hop.
+        """
+        if self.kernel.hop is None:
+            return None
+        return self.kernel.hop(self.index, walk, lane_rng, stop_probability,
+                               node2vec, scratch)
 
     # -- frontier kernel ---------------------------------------------------------
 
@@ -261,8 +275,9 @@ class BatchTeaEngine(Engine):
         :meth:`run_lanes` and the parallel executor's chunks
         (:mod:`repro.parallel`) all run exactly this, once per
         :data:`FRONTIER_LANES`-lane slice (:meth:`_walk_seeds`), in
-        memory or against a trunk store — engines differ only in the two
-        seams :meth:`_sample_batch` and :meth:`_frontier_scope`.
+        memory or against a trunk store — engines differ only in the three
+        seams :meth:`_sample_batch`, :meth:`_frontier_scope` and
+        :meth:`_fused_step`.
         Hops land in columnar ``(num, width)`` arrays — all lanes active
         at iteration ``k`` have taken ``k`` hops, so recording is one
         scatter per iteration instead of a Python append per lane. The
@@ -303,22 +318,21 @@ class BatchTeaEngine(Engine):
         steps_left = np.full(num, max_length, dtype=np.int64)
         active = (s > 0) & (steps_left > 0)
         scatter = self.kernel.scatter
-        # A run over the in-memory index is one backend call per iteration
-        # — chosen by what the run *is*, never by size or option.
-        fuse = (self.kernel.hop is not None
-                and type(self)._sample_batch is BatchTeaEngine._sample_batch
-                and (beta is None or isinstance(beta, Node2VecParameter)))
+        # A lane-keyed run is one backend call per iteration wherever the
+        # engine's fused step binds — chosen by what the run *is*, never
+        # by size or option.
+        fuse = beta is None or isinstance(beta, Node2VecParameter)
 
         def bind():
             """The walk state over ``out``'s current hop columns and the
-            fused hop bound to it (``None``: the drivers orchestrate)."""
+            fused step bound to it (``None``: the drivers orchestrate)."""
             state = WalkState(g.indptr, g.nbr, g.etime, self.candidate_sizes,
                               cur, prev, s, steps_left, out.hop_vertex,
                               out.hop_time)
             if not fuse:
                 return state, None
-            return state, self.kernel.hop(
-                self.index, state, lane_rng, stop_probability,
+            return state, self._fused_step(
+                state, lane_rng, stop_probability,
                 None if beta is None else (
                     g.static_keys(), g.num_vertices, 1.0 / beta.p,
                     1.0 / beta.q, beta_max, _MAX_BETA_ROUNDS), scratch)

@@ -121,7 +121,27 @@ re-entrant: one pool, one caller at a time.
 ``pool_admit(pool, scratch, tag, los, lens, staging)``
     Admit ``pool_read``'s miss ranges (ascending) with their ``(misses,
     files, width)`` staging rows, exactly as ``FramePool.admit`` admits
-    the frame keys of the ranges no wider than a frame.
+    the frame keys of the ranges no wider than a frame (whole ranges
+    turned away when the pool is too full).
+
+A last optional member is the whole out-of-core iteration, the way
+``hop`` is the whole in-memory one: the call sequence above —
+``ooc_plan`` / ``ooc_select`` / ``ooc_alias`` around two
+``read_batch`` calls and their pool passes, then ``scatter`` — is its
+specification, bit for bit (walks, stream counters, costs, the pool's
+columns and statistics, ``read_ops``, the ``ooc.*`` byte histograms and
+the ``cache.*`` events). Not re-entrant, like the pool passes.
+
+``ooc_step(index, walk, rng, stop, scratch) -> step | None``
+    Bind one lane-keyed run without β over ``index`` (an
+    ``OutOfCorePAT``; its store's pool must be sized and its maps open),
+    sizing its scratch once from the run's lanes (``None``: the arrays
+    do not bind). ``step(lanes, iteration, counters) -> (lanes, spent)``
+    then advances every lane one hop — stop draw, plan, the ``"c"``
+    lookup, select, the misses' runs and admission from the mapped
+    ``c.bin``, the same for ``"pa"`` from ``prob.bin`` / ``alias.bin``,
+    alias, scatter — and charges ``counters``, the pool's statistics and
+    the store (``TrunkStore.account``); ``spent`` is empty.
 """
 
 from __future__ import annotations
@@ -206,6 +226,8 @@ class KernelBackend:
     #: Optional compiled frame-pool passes (only ``c``; see module doc).
     pool_read: Optional[Callable] = None
     pool_admit: Optional[Callable] = None
+    #: Optional binder of a whole out-of-core iteration (only ``c``).
+    ooc_step: Optional[Callable] = None
 
 
 def sample_batch(

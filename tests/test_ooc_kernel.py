@@ -1,14 +1,15 @@
-"""The compiled out-of-core draw (``ooc_plan`` / ``ooc_select`` /
-``ooc_alias`` of the ``c`` backend) against the numpy lockstep it
-replaces on the hot path.
+"""The compiled out-of-core draw of the ``c`` backend — the fused
+iteration ``ooc_step`` and the call sequence it fuses (``ooc_plan`` /
+``ooc_select`` / ``ooc_alias`` around ``TrunkStore.read_batch``) —
+against the numpy lockstep it replaces on the hot path.
 
 The numpy code in ``engines/tea_outofcore/batch.py`` is the
 specification: under ``c`` a walk must be the same walk bit for bit —
 paths, hop times, ``LaneRng`` counters, ``CostCounters`` — and, because
-the reads are the same calls in the same order, the store must see the
-same backing reads and cache traffic. Bad lanes raise
+the pool sees the same lookups and admissions in the same order, the
+store must see the same backing reads and cache traffic. Bad lanes raise
 ``IndexError`` under both backends before any byte is read, and a run
-under ``c`` must really use the compiled members: an index whose arrays
+under ``c`` must really use the compiled code: an index whose arrays
 do not bind would walk the numpy lockstep and agree vacuously.
 """
 
@@ -22,9 +23,11 @@ from repro.core.outofcore import TrunkStore
 from repro.engines import BatchTeaOutOfCoreEngine, Workload
 from repro.graph.temporal_graph import TemporalGraph
 from repro.kernels import KernelBackend, KernelScratch, c_backend, resolve_backend
+from repro.resilience import FaultInjector
 from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
-from repro.walks.apps import exponential_walk, temporal_node2vec
+from repro.telemetry import MetricsRegistry, events
+from repro.walks.apps import exponential_walk, linear_walk, temporal_node2vec
 
 needs_cc = pytest.mark.skipif(c_backend.find_cc() is None,
                               reason="needs a C compiler")
@@ -50,7 +53,7 @@ def graph() -> TemporalGraph:
 
 def counting(backend: KernelBackend, calls: list) -> KernelBackend:
     """``backend`` with its out-of-core members logging ``(name, args,
-    result)``."""
+    result)``; a bound ``ooc_step`` logs each call as ``"step"``."""
     def wrap(name):
         member = getattr(backend, name)
 
@@ -58,8 +61,20 @@ def counting(backend: KernelBackend, calls: list) -> KernelBackend:
             calls.append((name, args, member(*args)))
             return calls[-1][2]
         return logged
-    return KernelBackend(**{**vars(backend),
-                            **{name: wrap(name) for name in OOC_MEMBERS}})
+
+    def bind(*args):
+        step = backend.ooc_step(*args)
+        calls.append(("ooc_step", args, step))
+        if step is None:
+            return None
+
+        def logged(*args):
+            calls.append(("step", (), None))
+            return step(*args)
+        return logged
+    return KernelBackend(**{
+        **vars(backend), **{name: wrap(name) for name in OOC_MEMBERS},
+        "ooc_step": bind if backend.ooc_step is not None else None})
 
 
 def make_engine(graph, spec, trunk_size, kernel, **kwargs):
@@ -122,12 +137,74 @@ class TestCompiledParity:
                            counting(resolve_backend("c"), calls), cache_bytes)
         assert_same(observe(graph, app, trunk_size, resolve_backend("numpy"),
                             cache_bytes), compiled)
-        assert {name for name, _, _ in calls} == set(OOC_MEMBERS)
+        names = {name for name, _, _ in calls}
+        if app != "n2v":  # one compiled call per iteration
+            assert names == {"ooc_step", "step"}
+            assert None not in [step for name, _, step in calls
+                                if name == "ooc_step"]
+            return
+        assert names == set(OOC_MEMBERS)  # β: the call sequence
         plans = [(args[1].size, result) for name, args, result in calls
                  if name == "ooc_plan"]
         assert None not in [result for _, result in plans]  # no numpy fallback
         if trunk_size == 4:  # some steps mix aligned and ragged lanes
             assert any(0 < result[0].size < n for n, result in plans)
+
+    @pytest.mark.parametrize("app", ["linear", "exp", "n2v", "exp-stop"])
+    @pytest.mark.parametrize("cache_bytes", [0, 64 << 10, 4 << 20],
+                             ids=["uncached", "64KiB", "4MiB"])
+    @pytest.mark.parametrize("trunk_size", [4, 10, None],
+                             ids=["ts4", "ts10", "sqrt"])
+    def test_fused_step_matches_the_call_sequence(self, medium_graph, app,
+                                                  cache_bytes, trunk_size):
+        """``ooc_step`` ≡ the call sequence it fuses, under ``c`` both:
+        paths, ``run_lanes`` walks, costs, ``read_ops``, every
+        ``CacheStats`` field, both ``ooc.*`` byte histograms and the
+        ``cache.*`` event totals. At 64 KiB the linear walk starves the
+        pool (victims); node2vec takes the sequence on both sides."""
+        spec, stop = ((linear_walk(), 0.0) if app == "linear" else APPS[app])
+        compiled = resolve_backend("c")
+
+        def ledger(kernel):
+            log, calls = events.EventLog(), []
+            previous = events.install(log)
+            try:
+                engine = make_engine(medium_graph, spec, trunk_size,
+                                     counting(kernel, calls),
+                                     cache_bytes=cache_bytes)
+                result = engine.run(Workload(walks_per_vertex=2, max_length=12,
+                                             stop_probability=stop), seed=5)
+                starts = np.arange(medium_graph.num_vertices)
+                counters = CostCounters()
+                lanes = engine.run_lanes(starts, starts * 3 + 1, 10, stop,
+                                         True, counters)
+            finally:
+                events.install(previous)
+            store = engine.index.store
+            totals = collections.Counter()
+            for event in log.events:
+                if event["kind"].startswith("cache."):
+                    totals[event["kind"]] += 1
+                    totals[event["kind"] + ".count"] += event["count"]
+                    totals[event["kind"] + ".nbytes"] += event["nbytes"]
+            seen = [[(p.vertices, p.times) for p in result.paths],
+                    result.counters.snapshot(), lanes.hop_vertex, lanes.hop_time,
+                    lanes.lengths, counters.snapshot(), store.read_ops,
+                    store.cache.stats.snapshot(), totals]
+            seen += [(h.count, h.total, h.zero_count, h.min, h.max, h.counts)
+                     for h in (store.read_bytes_hist, store.coalesced_hist)]
+            return seen, {name for name, _, _ in calls}
+
+        fused, names = ledger(compiled)
+        sequence, members = ledger(KernelBackend(**{**vars(compiled),
+                                                    "ooc_step": None}))
+        assert_same(sequence, fused)
+        assert set(OOC_MEMBERS) <= members and "step" not in members
+        assert names == (set(OOC_MEMBERS) if app == "n2v"
+                         else {"ooc_step", "step"})
+        stats = fused[7]
+        if cache_bytes == 64 << 10 and app == "linear":
+            assert stats["evictions"] and stats["hits"]
 
     def test_an_index_that_does_not_bind_walks_the_numpy_lockstep(self, graph):
         """A strided ``tr_prefix`` does not fit the ABI: every plan says
@@ -142,7 +219,8 @@ class TestCompiledParity:
         calls = []
         strided = run(counting(resolve_backend("c"), calls), True)
         plain = run(resolve_backend("numpy"), False)
-        assert {(name, result) for name, _, result in calls} == {("ooc_plan", None)}
+        assert {(name, result) for name, _, result in calls} == {
+            ("ooc_step", None), ("ooc_plan", None)}
         for got, want in ((strided.hop_vertex, plain.hop_vertex),
                           (strided.hop_time, plain.hop_time),
                           (strided.lengths, plain.lengths)):
@@ -151,10 +229,11 @@ class TestCompiledParity:
 
 @needs_cc
 class TestOocDrawBinds:
-    """Under ``c`` an out-of-core run binds the compiled members on every
+    """Under ``c`` an out-of-core run binds the compiled code on every
     call (part of ``make kernel-smoke``): the numpy lockstep is the same
-    walks ≈1.4× slower on ``ooc_exp``, so no parity test would notice it
-    serving instead."""
+    walks ≈1.4× slower on ``ooc_exp``, and the call sequence ≈1.3× slower
+    than the fused step, so no parity test would notice either serving
+    instead."""
 
     # ``sync`` names the one read path, the sampling thread's own reads.
     @pytest.mark.parametrize("app", ["exp", "n2v"], ids=lambda app: f"sync-{app}")
@@ -167,11 +246,80 @@ class TestOocDrawBinds:
         result = engine.run(Workload(walks_per_vertex=2, max_length=8), seed=3,
                             record_paths=False)
         assert result.total_steps > 0
+        if app == "exp":  # the fused step, bound once per frontier slice
+            binds = [step for name, _, step in calls if name == "ooc_step"]
+            assert len(binds) == 1 and None not in binds
+            iterations = result.registry.histogram("batch.frontier_size").count
+            assert sum(name == "step" for name, _, _ in calls) == iterations > 0
+            return
         plans = [result for name, _, result in calls if name == "ooc_plan"]
         assert plans and None not in plans
         assert {name for name, _, _ in calls} == set(OOC_MEMBERS)
         # one plan per draw
         assert len(plans) == sum(name == "ooc_select" for name, _, _ in calls)
+
+    @pytest.mark.parametrize("entry", ["run", "run_lanes"])
+    @pytest.mark.parametrize("case", ["plain", "verify_checksums",
+                                      "fault_injector", "n2v", "numpy"])
+    def test_one_compiled_call_per_iteration(self, medium_graph, monkeypatch,
+                                             case, entry):
+        """Under ``c`` over a plain store a run is one ``ooc_step`` call
+        per frontier iteration, and ``read_batch``, the pool passes and
+        the draw members never run. Checksum verification, fault
+        injection (both live in the numpy read path), β and the numpy
+        backend keep the call sequence: no step binds, every iteration
+        reads through ``read_batch``."""
+        calls = collections.Counter()
+
+        def spy(name, member):
+            def logged(*args, **kwargs):
+                calls[name] += 1
+                return member(*args, **kwargs)
+            return logged
+
+        for owner, name in ((FramePool, "touch"), (FramePool, "admit"),
+                            (TrunkStore, "read_batch")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        kernel = resolve_backend("numpy" if case == "numpy" else "c")
+        if case != "numpy":
+            kernel = KernelBackend(**{**vars(kernel), **{
+                name: spy(name, getattr(kernel, name))
+                for name in ("pool_read", "pool_admit", "ooc_select")}})
+            bound = kernel.ooc_step
+
+            def bind(*args):
+                calls["ooc_step"] += 1
+                step = bound(*args)
+                return None if step is None else spy("step", step)
+            kernel = KernelBackend(**{**vars(kernel), "ooc_step": bind})
+        engine = BatchTeaOutOfCoreEngine(
+            medium_graph, APPS["n2v" if case == "n2v" else "exp"][0],
+            cache_bytes=1 << 20, verify_checksums=case == "verify_checksums",
+            fault_injector=(FaultInjector.from_plan({"rules": []})
+                            if case == "fault_injector" else None))
+        engine.kernel = kernel
+        registry = MetricsRegistry()
+        if entry == "run":
+            engine.run(Workload(walks_per_vertex=2, max_length=8), seed=3,
+                       record_paths=False, registry=registry)
+        else:
+            starts = np.arange(medium_graph.num_vertices)
+            engine.run_lanes(starts, starts + 11, 8, registry=registry)
+        iterations = registry.histogram("batch.frontier_size").count
+        assert iterations > 0
+        sequence = ("read_batch", "pool_read", "pool_admit", "ooc_select",
+                    "touch", "admit")
+        if case == "plain":
+            assert calls["ooc_step"] == 1 and calls["step"] == iterations
+            assert not any(calls[name] for name in sequence)
+            return
+        assert calls["ooc_step"] == calls["step"] == 0
+        assert calls["read_batch"] >= iterations
+        if case == "numpy":
+            assert calls["touch"] == calls["read_batch"]
+        else:
+            assert calls["pool_read"] == calls["read_batch"]
+            assert calls["ooc_select"] >= iterations
 
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     @pytest.mark.parametrize("entry", ["run", "run_lanes"])
@@ -181,7 +329,9 @@ class TestOocDrawBinds:
         ``pool_read`` and every admission goes through ``pool_admit``:
         ``FramePool``'s numpy passes never run. Under ``numpy`` the numpy
         passes serve every read, so the store took the engine's kernel,
-        not ``auto``."""
+        not ``auto``. The run is node2vec, whose β keeps it on the call
+        sequence (a run without β is one fused step per iteration under
+        ``c``, and reads nothing through ``read_batch``)."""
         calls = collections.Counter()
 
         def spy(name, member):
@@ -199,7 +349,7 @@ class TestOocDrawBinds:
             backend = KernelBackend(**{**vars(backend), **{
                 name: spy(name, getattr(backend, name))
                 for name in ("pool_read", "pool_admit")}})
-        engine = BatchTeaOutOfCoreEngine(medium_graph, APPS["exp"][0],
+        engine = BatchTeaOutOfCoreEngine(medium_graph, APPS["n2v"][0],
                                          cache_bytes=1 << 20)
         engine.kernel = backend
         if entry == "run":
@@ -328,6 +478,55 @@ class TestOocSelfTest:
         monkeypatch.setattr(c_backend, "_pool_args", unbindable)
         with pytest.raises(c_backend.Unavailable, match="do not bind"):
             c_backend._self_test_pool(resolve_backend("c"))
+
+    def test_step_passes(self):
+        c_backend._self_test_ooc_step(resolve_backend("c"))
+
+    def test_refuses_a_step_one_edge_off(self):
+        good = resolve_backend("c")
+
+        def off_by_one(index, walk, *args):
+            step = good.ooc_step(index, walk, *args)
+
+            def shifted(lanes, iteration, counters):
+                lanes, spent = step(lanes, iteration, counters)
+                if lanes.size:
+                    walk.hop_vertex[lanes[-1], iteration] ^= 1
+                return lanes, spent
+            return shifted
+
+        with pytest.raises(c_backend.Unavailable, match="mismatch"):
+            c_backend._self_test_ooc_step(
+                KernelBackend(**{**vars(good), "ooc_step": off_by_one}))
+
+    def test_refuses_a_step_that_did_not_bind(self):
+        good = resolve_backend("c")
+        with pytest.raises(c_backend.Unavailable, match="did not bind"):
+            c_backend._self_test_ooc_step(KernelBackend(**{
+                **vars(good), "ooc_step": lambda *args: None}))
+
+    def test_the_step_script_covers_the_pool_corners(self, monkeypatch):
+        """The scripted frontier misses, hits duplicates, promotes past
+        the protected segment and turns a two-file range away whole —
+        seen through ``FramePool``'s numpy passes, which serve the same
+        script alike."""
+        turned, admit = [], FramePool.admit
+
+        def spy(pool, keys, rows, nbytes):
+            fresh = int((pool.find(keys.ravel()) < 0).sum())
+            admitted = admit(pool, keys, rows, nbytes)
+            if keys.ndim == 2 and admitted.sum() < fresh:
+                turned.append(keys.shape[1])
+            return admitted
+
+        monkeypatch.setattr(FramePool, "admit", spy)
+        numpy_side = c_backend.ooc_step_script(resolve_backend("numpy"))
+        pool = numpy_side[-1].cache
+        assert 2 in turned
+        assert pool.stats.promotions > pool.protected_frames
+        assert pool.stats.hits and pool.stats.misses and pool.stats.evictions
+        compiled = c_backend.ooc_step_script(resolve_backend("c"))
+        assert all(map(np.array_equal, numpy_side[:-1], compiled[:-1]))
 
     def test_refuses_a_draw_one_edge_off(self):
         good = resolve_backend("c")
