@@ -226,20 +226,24 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
         sibling._new_ledgers()
         return sibling
 
-    def close(self) -> None:
-        """Release the warm pools.
+    def close(self, wait: bool = True) -> None:
+        """Release the warm pools, joining their workers when ``wait``.
 
-        Idempotent; also invoked by ``__del__`` so dropped engines do
-        not leak worker processes. After close the engine remains
-        usable — the next run simply pays startup again.
+        Idempotent; also invoked by ``__del__`` (without waiting) so
+        dropped engines do not leak worker processes. After close the
+        engine remains usable — the next run simply pays startup again.
         """
         for pool in self._pools.values():
-            pool.close()
+            pool.close(wait)
         self._pools = {}
 
     def __del__(self):  # noqa: D105 — best-effort resource release
+        # Never join here: a finalizer can run inside another thread's
+        # start-up while it holds threading's shutdown-locks lock, and a
+        # join takes that lock again — the thread deadlocks on itself and
+        # the thread starting it waits forever.
         try:
-            self.close()
+            self.close(wait=False)
         except Exception:
             pass
 

@@ -136,11 +136,13 @@ class WarmWorkerPool:
         events.emit("pool.recycle", pool=self.kind, reason=reason,
                     generation=self.generation)
 
-    def close(self) -> None:
-        """Dispose the executor (end of the owning engine's life)."""
+    def close(self, wait: bool = True) -> None:
+        """Dispose the executor (end of the owning engine's life); join
+        its workers when ``wait`` and the pool is not broken."""
         if self.executor is None:
             return
-        self.executor.shutdown(wait=not self.broken, cancel_futures=True)
+        self.executor.shutdown(wait=wait and not self.broken,
+                               cancel_futures=True)
         self.executor = None
         events.emit("pool.shutdown", pool=self.kind,
                     generation=self.generation)
