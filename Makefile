@@ -71,7 +71,10 @@ stats-smoke:
 # oversubscribed host), and the chunk plan (without --chunk-size, the
 # fewest chunks of at most one frontier slice, equal to within one lane,
 # numbering a multiple of the workers; cold and warm runs plan the same
-# chunks, and a 128-lane run_lanes on 2 workers is 2 x 64 on every call).
+# chunks, and a 128-lane run_lanes on 2 workers is 2 x 64 on every call),
+# and BatchTeaEngine's own slice threads (walks, counters and frontier
+# lane totals equal at 1, 2 and 7 threads; out-of-core slices stay
+# sequential; a threaded round, then thread and forked pools, no hang).
 scaling-smoke:
 	$(SMOKE) "tests/test_parallel_engine.py::TestDeterminism" \
 		"tests/test_parallel_engine.py::TestSlicePlan" \
@@ -80,7 +83,9 @@ scaling-smoke:
 		"tests/test_parallel_engine.py::TestEndToEnd::test_validation" \
 		"tests/test_parallel_engine.py::TestEndToEnd::test_default_workers_follow_cpu_affinity" \
 		"tests/test_parallel_engine.py::TestTelemetryFold" \
-		"tests/test_parallel_engine.py::TestDeterminismMatrix"
+		"tests/test_parallel_engine.py::TestDeterminismMatrix" \
+		"tests/test_parallel_engine.py::TestThreadedSlicesThenPools" \
+		"tests/test_batch_engine.py::TestSliceThreads"
 
 # Out-of-core: scalar-vs-batched step parity at max_length=1, coalescing
 # (strictly fewer backing reads), fixed-seed determinism, synchronous

@@ -11,12 +11,20 @@ release the GIL, when the system ``cc`` built them), on two workloads:
   2 000 walks: a few-millisecond walk phase, so it measures dispatch;
 * ``corpus`` — ``bench_e2e``'s ``corpus_exp`` round (the twitter
   analogue at scale 3.0, R = 120 exponential walks, ≈972 k lanes),
-  repeated :data:`CORPUS_REPEATS` times per point, min / median / max.
+  repeated :data:`CORPUS_REPEATS` times per point, min / median / max,
+  plus an ``inline`` row: :class:`~repro.engines.batch.BatchTeaEngine`
+  itself, which walks a request of more than one slice on one thread per
+  usable CPU (its ``workers`` column is that thread count).
 
 Each reports:
 
 * wall time and speedup per (backend, worker count), against the same
-  backend's 1-worker run;
+  backend's 1-worker run (the ``inline`` row: against ``process``'s,
+  which walks inline on one thread);
+* ``hop_share``: seconds inside the compiled ``hop`` phase — the calls
+  that release the GIL — per walk second and per worker, from one
+  profiled run. At one worker it is the share of the walk that threads
+  can overlap;
 * queue-wait share (work-queue pressure: time chunks spent enqueued
   relative to total worker-seconds);
 * sampled steps per run — asserted identical across backends and worker
@@ -41,9 +49,10 @@ from benchmarks.conftest import (
     write_json_result,
 )
 from repro.engines.base import Workload
+from repro.engines.batch import BatchTeaEngine, usable_cpus
 from repro.graph.datasets import load_dataset
 from repro.parallel.engine import ParallelBatchTeaEngine
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, NULL_PROFILER, PhaseProfiler
 from repro.walks.apps import exponential_walk, temporal_node2vec
 
 BACKENDS = ("process", "thread")
@@ -85,6 +94,7 @@ class ScalingRow:
     warm_startup_seconds: float
     pool_reuses: int
     dispatch_overhead_seconds: float
+    hop_share: float
 
     def snapshot(self) -> dict:
         return {
@@ -102,6 +112,7 @@ class ScalingRow:
             "warm_startup_s": round(self.warm_startup_seconds, 4),
             "pool_reuses": self.pool_reuses,
             "dispatch_overhead_s": round(self.dispatch_overhead_seconds, 4),
+            "hop_share": round(self.hop_share, 4),
         }
 
 
@@ -152,6 +163,7 @@ def _measure(graph, spec, workload, seed, backend, workers, base,
             walls.append(result.walk_seconds)
             warm_startup += float(engine.last_pool["startup_seconds"])
         pool_reuses = int(engine.last_pool["reuses"])
+        hop_share = _hop_share(engine, workload, seed, workers)
     finally:
         engine.close()
     # One worker runs inline whatever the backend; two must not have
@@ -181,15 +193,53 @@ def _measure(graph, spec, workload, seed, backend, workers, base,
         pool_reuses=pool_reuses,
         dispatch_overhead_seconds=float(
             registry.gauge_value("parallel.dispatch_overhead_seconds") or 0.0),
+        hop_share=hop_share,
+    )
+
+
+def _hop_share(engine, workload, seed, workers) -> float:
+    """Seconds in the ``hop`` phase (every thread's, every worker's) per
+    walk second and per worker, from one profiled run of ``engine``."""
+    profiler = engine.profiler = PhaseProfiler()
+    try:
+        engine.run(workload, seed=seed, record_paths=False)
+    finally:
+        engine.profiler = NULL_PROFILER
+    walk = profiler.phase_seconds("walk")
+    return profiler.phase_seconds("hop") / (walk * workers) if walk else 0.0
+
+
+def _measure_inline(graph, spec, workload, seed, base, repeats) -> ScalingRow:
+    """The ``inline`` row: ``BatchTeaEngine`` with no pool of its own to
+    keep warm, its slices on :func:`usable_cpus` threads per call."""
+    engine = BatchTeaEngine(graph, spec, kernel_backend="auto")
+    cold = engine.run(workload, seed=seed, record_paths=False)
+    walls = []
+    for _ in range(repeats):
+        result = engine.run(workload, seed=seed, record_paths=False)
+        walls.append(result.walk_seconds)
+    walk = next(s for s in result.spans if s.name == "walk")
+    threads = walk.attributes["threads"]
+    wall = statistics.median(walls)
+    return ScalingRow(
+        workers=threads, backend="inline", chunks=walk.attributes["chunks"],
+        steps=result.counters.steps, walk_seconds=wall,
+        walk_seconds_min=min(walls), walk_seconds_max=max(walls),
+        speedup=(base.walk_seconds / wall) if wall else 1.0,
+        queue_wait_share=0.0, cold_walk_seconds=cold.walk_seconds,
+        pool_startup_seconds=0.0, warm_startup_seconds=0.0, pool_reuses=0,
+        dispatch_overhead_seconds=0.0,
+        hop_share=_hop_share(engine, workload, seed, threads),
     )
 
 
 def format_scaling_table(rows: List[ScalingRow], title: str, notes) -> str:
     header = ("workers", "backend", "chunks", "steps", "walk_s", "min_s",
-              "max_s", "speedup", "q_wait", "cold_s", "pool_s", "warm_p_s")
+              "max_s", "speedup", "q_wait", "cold_s", "pool_s", "warm_p_s",
+              "hop_shr")
     keys = ("workers", "backend", "chunks", "steps", "walk_s", "walk_s_min",
             "walk_s_max", "speedup", "queue_wait_share", "cold_walk_s",
-            "pool_startup_s", "warm_startup_s")
+            "pool_startup_s", "warm_startup_s", "hop_share")
     lines = [title, "  ".join(f"{h:>8}" for h in header)]
     for row in rows:
         snap = row.snapshot()
@@ -224,17 +274,20 @@ def test_walk_scaling_sweep(benchmark, scaling_graph):
 
 
 def test_walk_scaling_corpus_width(benchmark):
-    """``corpus_exp``'s round through the executor: ≈972 k lanes, a walk
-    phase of a few hundred milliseconds, so the speedup is the walk's and
-    not dispatch's. Informational: nothing is gated on it."""
+    """``corpus_exp``'s round through the executor and through
+    ``BatchTeaEngine``'s own threads: ≈972 k lanes, a walk phase of a few
+    hundred milliseconds, so the speedup is the walk's and not
+    dispatch's. Informational: nothing is gated on it."""
     graph = load_dataset("twitter", seed=1, scale=CORPUS_SCALE)
     spec = exponential_walk(scale=6.0)
     workload = Workload(walks_per_vertex=CORPUS_R, max_length=80)
 
     def run():
         _notes["corpus"].clear()
-        return run_scaling(graph, spec, workload, seed=0,
+        rows = run_scaling(graph, spec, workload, seed=0,
                            notes=_notes["corpus"], repeats=CORPUS_REPEATS)
+        return rows + [_measure_inline(graph, spec, workload, 0, rows[0],
+                                       CORPUS_REPEATS)]
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     _rows["corpus"] = rows
@@ -254,6 +307,8 @@ def _report(key: str, title: str, suffix: str, **meta) -> None:
     executed = [(row.backend, row.workers) for row in rows]
     expected = [(b, w) for b in BACKENDS for w in WORKER_COUNTS
                 if w <= max(1, os.cpu_count() or 1)]
+    if key == "corpus":
+        expected.append(("inline", usable_cpus()))
     assert executed == expected, (
         f"sweep executed {executed}, expected {expected} on this host"
     )
@@ -295,6 +350,7 @@ def _report(key: str, title: str, suffix: str, **meta) -> None:
         metrics[f"speedup_{point}"] = row.speedup
         metrics[f"pool_startup_s_{point}"] = row.pool_startup_seconds
         metrics[f"warm_startup_s_{point}"] = row.warm_startup_seconds
+        metrics[f"hop_share_{point}"] = row.hop_share
     from repro.kernels import resolve_backend
 
     record_history("walk_scaling", metrics, notes=list(notes),

@@ -13,9 +13,10 @@ sorted :meth:`~repro.graph.temporal_graph.TemporalGraph.static_keys`),
 re-drawing only the rejected lanes.
 Every walk draws from its own counter-based stream, so under the
 compiled backend an iteration over the in-memory index is one call, and
-a request of any size walks in :data:`FRONTIER_LANES`-lane slices —
-one frontier per slice, bit-identical to one frontier over every lane —
-so a round's transient memory is one slice's, not the request's.
+a request of any size walks in slices — one frontier per slice,
+bit-identical to one frontier over every lane, on as many threads as the
+process has CPUs — so a round's transient memory is
+:data:`FRONTIER_LANES` lanes' worth, not the request's.
 
 Distribution-equivalent to :class:`~repro.engines.tea.TeaEngine`
 (property-tested); typically ~10× faster per step in CPython, which is
@@ -24,6 +25,8 @@ what lets benchmarks run the paper's full R·|V| workloads.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from typing import Optional
 
@@ -46,20 +49,24 @@ from repro.telemetry import (
     MetricsRegistry,
     NULL_PROFILER,
     NULL_SPAN,
+    PhaseProfiler,
 )
 from repro.walks.spec import Node2VecParameter, WalkSpec
 
 _MAX_BETA_ROUNDS = 16
 
-#: Lanes one frontier advances at a time (:meth:`BatchTeaEngine._walk_seeds`).
-#: A wider request walks in slices of this many lanes, so its lane
-#: columns, ``LaneRng`` keys and counters and kernel scratch (≈81 B a
-#: lane) are live for one slice, not for every walk of the request.
-#: Process peak (VmHWM) after six ``corpus_exp`` rounds (972 k lanes,
-#: 175.4 MiB prepared engine, 2 shared vCPUs) by width: 16 384 → 197.5
-#: MiB, 32 768 → 197.7, 65 536 → 197.6, 131 072 → 197.7, one frontier
-#: → 245.1; 16 384 had the slowest best round. Walks, counters and
-#: stream consumption never depend on it.
+#: Lanes live at once, across every thread of a request
+#: (:meth:`BatchTeaEngine._walk_chunks`). A wider request walks in slices
+#: of ``FRONTIER_LANES // threads`` lanes with at most ``threads`` of them
+#: in flight, so its lane columns, ``LaneRng`` keys and counters and kernel
+#: scratch (≈81 B a lane) are live for this many lanes, not for every walk
+#: of the request. Process peak (VmHWM) after six ``corpus_exp`` rounds
+#: (972 k lanes, 175.4 MiB prepared engine, 2 shared vCPUs, one slice in
+#: flight) by width: 16 384 → 197.5 MiB, 32 768 → 197.7, 65 536 → 197.6,
+#: 131 072 → 197.7, one frontier → 245.1. Two threads add ≈5.5 MiB with
+#: two 32 768-lane slices in flight and ≈10 with two 65 536-lane ones:
+#: each worker thread's malloc arena keeps its slices' pages. Walks,
+#: counters and stream consumption never depend on it.
 FRONTIER_LANES = 65_536
 
 #: Padded cells (lanes × widest candidate set) one row group of the exact
@@ -94,11 +101,24 @@ def hpat_sample_batch(
                                 counters, scratch=scratch)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a cpuset-limited container sees its share, not the
+    host's), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class BatchTeaEngine(Engine):
     """Frontier-vectorised TEA (HPAT sampling, exact semantics)."""
 
     has_candidate_index = True
     name = "tea-batch"
+    #: Whether a request wider than :data:`FRONTIER_LANES` walks its
+    #: slices on threads (:meth:`_walk_chunks`); an engine whose shared
+    #: state depends on the order of the slices walks them one by one.
+    slices_on_threads = True
 
     def __init__(self, graph: TemporalGraph, spec: WalkSpec,
                  kernel_backend="auto"):
@@ -273,11 +293,13 @@ class BatchTeaEngine(Engine):
 
         The one frontier loop of every storage tier: :meth:`run`,
         :meth:`run_lanes` and the parallel executor's chunks
-        (:mod:`repro.parallel`) all run exactly this, once per
-        :data:`FRONTIER_LANES`-lane slice (:meth:`_walk_seeds`), in
-        memory or against a trunk store — engines differ only in the three
-        seams :meth:`_sample_batch`, :meth:`_frontier_scope` and
-        :meth:`_fused_step`.
+        (:mod:`repro.parallel`) all run exactly this, once per slice
+        (:meth:`_walk_chunks`), in memory or against a trunk store —
+        engines differ only in the three seams :meth:`_sample_batch`,
+        :meth:`_frontier_scope` and :meth:`_fused_step`. Slices of one
+        request may run it on several threads at once: it writes only
+        its own arrays and the ``counters``/``registry``/``profiler`` it
+        is handed, and reads the engine.
         Hops land in columnar ``(num, width)`` arrays — all lanes active
         at iteration ``k`` have taken ``k`` hops, so recording is one
         scatter per iteration instead of a Python append per lane. The
@@ -286,8 +308,8 @@ class BatchTeaEngine(Engine):
         not ``max_length``.
 
         ``profiler`` is passed explicitly (never read from ``self`` here)
-        because the thread backend shares one engine instance across
-        worker threads — each chunk profiles into its own instance.
+        because threaded slices and the thread backend share one engine
+        instance across threads — each profiles into its own instance.
         Phase cost is charged per frontier *iteration*, not per step, so
         the bookkeeping stays far under the <5% overhead budget.
 
@@ -454,8 +476,9 @@ class BatchTeaEngine(Engine):
         profiler=NULL_PROFILER,
     ) -> FrontierResult:
         """Walk ``starts``, walk ``i`` keyed on ``seeds[i]``, in
-        :data:`FRONTIER_LANES`-lane slices — the one in-process executor
-        of :meth:`run`, :meth:`run_lanes` and every parallel chunk.
+        :data:`FRONTIER_LANES`-lane slices one after another on this
+        thread — the executor of every parallel chunk, of the
+        out-of-core engine and of any request of one slice.
 
         Each slice is its own :meth:`_run_frontier` over its own
         ``LaneRng(seeds[lo:hi])``, so the walks, counters and stream
@@ -478,6 +501,68 @@ class BatchTeaEngine(Engine):
                 profiler=profiler), max_length)
         return out
 
+    def _walk_threads(
+        self,
+        starts: np.ndarray,
+        seeds: np.ndarray,
+        max_length: int,
+        stop_probability: float,
+        counters: CostCounters,
+        keep_hops: bool,
+        registry: Optional[MetricsRegistry],
+        profiler,
+        threads: int,
+    ) -> FrontierResult:
+        """:meth:`_walk_seeds` in ``FRONTIER_LANES // threads``-lane
+        slices on a pool of ``threads`` threads that lives for this call.
+
+        Only the calling thread writes ``out``: it places each slice as
+        soon as that slice completes and only then submits the next, so
+        at most ``threads`` slices — :data:`FRONTIER_LANES` lanes — are
+        live at once. Each slice counts, observes and profiles into its
+        own :class:`CostCounters`, :class:`MetricsRegistry` and recorder,
+        folded here in slice order, so walks, counters and stream
+        consumption are the same at any thread count.
+        """
+        width = FRONTIER_LANES // threads
+        out = FrontierResult.empty(starts, max_length, keep_hops)
+        folds = {}
+
+        def walk(lo: int):
+            part = (CostCounters(),
+                    None if registry is None else MetricsRegistry(),
+                    PhaseProfiler.bare() if profiler.enabled else NULL_PROFILER)
+            return lo, part, self._run_frontier(
+                starts[lo:lo + width], max_length, stop_probability,
+                LaneRng(seeds[lo:lo + width]), part[0], keep_hops, part[1],
+                profiler=part[2])
+
+        def settle(pending):
+            """Place the finished slices of ``pending``; the rest go on."""
+            done, rest = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                lo, part, result = future.result()
+                folds[lo] = part
+                out.place(lo, result, max_length)
+            return rest
+
+        with ThreadPoolExecutor(threads, "walk-slice") as pool:
+            pending = set()
+            for lo in range(0, starts.size, width):
+                if len(pending) == threads:
+                    pending = settle(pending)
+                pending.add(pool.submit(walk, lo))
+            while pending:
+                pending = settle(pending)
+        for lo in sorted(folds):
+            slice_counters, slice_registry, recorder = folds[lo]
+            counters.merge(slice_counters)
+            if registry is not None:
+                registry.merge(slice_registry)
+            if profiler.enabled:
+                profiler.absorb(recorder.snapshot())
+        return out
+
     def _walk_chunks(
         self,
         starts: np.ndarray,
@@ -490,15 +575,29 @@ class BatchTeaEngine(Engine):
         span=NULL_SPAN,
         profiler=NULL_PROFILER,
     ) -> FrontierResult:
-        """Where a request's walks run once every walk has its seed:
-        here inline, slice after slice (:meth:`_walk_seeds`). The
-        parallel engine (:mod:`repro.parallel`) overrides only this, to
-        run its chunks on a worker pool; ``span`` is the run's open
-        ``walk`` span (a null span under :meth:`run_lanes`)."""
-        span.set("chunks", -(-starts.size // FRONTIER_LANES))
-        return self._walk_seeds(starts, seeds, max_length, stop_probability,
-                                counters, keep_hops, registry,
-                                profiler=profiler)
+        """Where a request's walks run once every walk has its seed.
+
+        A request of at most :data:`FRONTIER_LANES` lanes is one slice,
+        walked inline (:meth:`_walk_seeds`). A wider one walks its
+        slices on one thread per usable CPU (:meth:`_walk_threads`), or
+        inline on a one-CPU process or an engine without
+        :attr:`slices_on_threads`. The parallel engine
+        (:mod:`repro.parallel`) overrides only this, to run its chunks on
+        a worker pool, each chunk inline. ``span`` is the run's open
+        ``walk`` span (a null span under :meth:`run_lanes`): ``chunks``
+        counts the slices, ``threads`` the threads they ran on."""
+        threads = 1
+        if self.slices_on_threads and starts.size > FRONTIER_LANES:
+            threads = min(usable_cpus(), FRONTIER_LANES)
+        span.set("chunks", -(-starts.size // (FRONTIER_LANES // threads)))
+        span.set("threads", threads)
+        if threads == 1:
+            return self._walk_seeds(starts, seeds, max_length,
+                                    stop_probability, counters, keep_hops,
+                                    registry, profiler=profiler)
+        return self._walk_threads(starts, seeds, max_length, stop_probability,
+                                  counters, keep_hops, registry, profiler,
+                                  threads)
 
     def _walk_lanes(self, starts, seeds, max_length, stop_probability,
                     keep_hops, counters, registry) -> FrontierResult:

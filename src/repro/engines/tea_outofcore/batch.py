@@ -227,6 +227,9 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
 
     has_candidate_index = True
     name = "tea-ooc-batch"
+    #: The frame pool's hits, evictions and ``read_ops`` are defined by
+    #: the order of the slices, so they walk one after another.
+    slices_on_threads = False
 
     def __init__(
         self,

@@ -50,7 +50,6 @@ Design invariants:
 from __future__ import annotations
 
 import multiprocessing
-import os
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import replace
@@ -59,7 +58,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.engines.base import FrontierResult
-from repro.engines.batch import BatchTeaEngine
+from repro.engines.batch import BatchTeaEngine, usable_cpus
 from repro.exceptions import WorkerCrashError
 from repro.graph.temporal_graph import TemporalGraph
 from repro.parallel.chunks import chunk_bounds
@@ -89,15 +88,6 @@ DEFAULT_CHUNK_RETRIES = 2
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one (a cpuset-limited container sees its share, not the
-    host's), else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 class _InlineExecutor:
@@ -155,7 +145,7 @@ class ParallelBatchTeaEngine(BatchTeaEngine):
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if share_mode != "inherit":
             raise ValueError(f"share_mode must be 'inherit', got {share_mode!r}")
-        self.workers = _usable_cpus() if workers is None else int(workers)
+        self.workers = usable_cpus() if workers is None else int(workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.chunk_size = int(chunk_size) if chunk_size else None

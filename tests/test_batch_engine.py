@@ -200,16 +200,20 @@ class TestHopColumns:
 
 
 class TestRoundMemory:
-    """A round holds one :data:`~repro.engines.batch.FRONTIER_LANES`-lane
-    slice of lane state at a time, not a column per walk of the request.
-    Counted by ``tracemalloc``, so the bound holds on any machine."""
+    """A round holds :data:`~repro.engines.batch.FRONTIER_LANES` lanes of
+    lane state at a time, however many threads walk its slices, not a
+    column per walk of the request. Counted by ``tracemalloc`` (every
+    thread's allocations), so the bound holds on any machine."""
 
     #: Peak bytes a ``record_paths=False`` round may allocate per walk:
-    #: its starts, seeds and lengths (24 B) plus one slice's lane state
-    #: spread over every walk. One frontier over every lane reads ≈81.
+    #: its starts, seeds and lengths (24 B) plus ``FRONTIER_LANES`` lanes
+    #: of lane state spread over every walk. One frontier over every lane
+    #: reads ≈81.
     BYTES_PER_LANE = 40
 
     def test_round_peak_is_one_slice_of_lane_state(self, monkeypatch):
+        """At 2 and 7 threads (``usable_cpus`` patched as the test seam),
+        in ``4096 // threads``-lane slices, ``threads`` in flight."""
         import tracemalloc
 
         from repro.engines import batch
@@ -222,18 +226,141 @@ class TestRoundMemory:
         workload = Workload(walks_per_vertex=120, max_length=80)
         engine.run(workload, seed=0, record_paths=False)  # build, compile
         monkeypatch.setattr(batch, "FRONTIER_LANES", 4096)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            result = engine.run(workload, seed=1, record_paths=False)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
         walks = graph.num_vertices * 120
-        walk = next(s for s in result.spans if s.name == "walk")
-        assert walk.attributes["chunks"] == -(-walks // 4096) > 20
-        assert result.total_steps > walks
-        assert peak / walks <= self.BYTES_PER_LANE, peak / walks
+        for threads in (2, 7):
+            monkeypatch.setattr(batch, "usable_cpus", lambda: threads)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = engine.run(workload, seed=1, record_paths=False)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            walk = next(s for s in result.spans if s.name == "walk")
+            assert walk.attributes["threads"] == threads
+            assert walk.attributes["chunks"] == -(-walks // (4096 // threads)) > 20
+            assert result.total_steps > walks
+            assert peak / walks <= self.BYTES_PER_LANE, (threads, peak / walks)
+
+
+class TestSliceThreads:
+    """A request wider than :data:`~repro.engines.batch.FRONTIER_LANES`
+    walks its slices on :func:`~repro.engines.batch.usable_cpus` threads
+    (both patched here as test seams): at 1, 2 and 7 threads the walks,
+    the counters and the lanes observed by ``batch.frontier_size`` are
+    those of one frontier over every lane."""
+
+    WIDTH = 64
+    SPECS = {
+        "exponential": exponential_walk(scale=20.0),
+        "node2vec": temporal_node2vec(p=4.0, q=0.25, scale=20.0),
+        # β_max = 1/p = 1e9: every lane with a predecessor spends its
+        # rejection rounds and takes the exact fallback.
+        "node2vec-fallback": temporal_node2vec(p=1e-9, q=1.0, scale=20.0),
+    }
+
+    @staticmethod
+    def _lanes_seen(registry):
+        """Lane-iterations the frontier histogram observed (count × mean,
+        summed exactly): slices change the count, never the sum."""
+        return registry.histogram("batch.frontier_size").total
+
+    @pytest.mark.parametrize("stop", [0.0, 0.1])
+    @pytest.mark.parametrize("app", sorted(SPECS))
+    def test_every_thread_count_walks_the_same_bits(self, medium_graph, app,
+                                                    stop, monkeypatch):
+        from repro.engines import batch
+        from repro.telemetry import MetricsRegistry
+
+        spec = self.SPECS[app]
+        workload = Workload(walks_per_vertex=2, max_length=8,
+                            stop_probability=stop, max_walks=300)
+        ref = BatchTeaEngine(medium_graph, spec).run(workload, seed=5)
+        assert ref.total_steps > 0
+        rng = make_rng(5)
+        starts = workload.resolve_starts(medium_graph.num_vertices, rng)
+        seeds = spawn_seeds(rng, starts.size)
+        fallback_lanes = []
+        real = BatchTeaEngine._beta_fallback_batch
+
+        def spy(engine, vs, *args):
+            fallback_lanes.append(vs.size)
+            return real(engine, vs, *args)
+
+        monkeypatch.setattr(BatchTeaEngine, "_beta_fallback_batch", spy)
+        monkeypatch.setattr(batch, "FRONTIER_LANES", self.WIDTH)
+        engine = BatchTeaEngine(medium_graph, spec)
+        for threads in (1, 2, 7):
+            monkeypatch.setattr(batch, "usable_cpus", lambda: threads)
+            for record in (True, False):
+                got = engine.run(workload, seed=5, record_paths=record)
+                walk = next(s for s in got.spans if s.name == "walk")
+                assert walk.attributes["threads"] == threads
+                assert walk.attributes["chunks"] == -(-300 // (self.WIDTH // threads))
+                assert [p.hops for p in got.paths] == (
+                    [p.hops for p in ref.paths] if record else [])
+                assert got.counters.snapshot() == ref.counters.snapshot()
+                assert self._lanes_seen(got.registry) == \
+                    self._lanes_seen(ref.registry)
+            counters, registry = CostCounters(), MetricsRegistry()
+            lanes = engine.run_lanes(starts, seeds, 8, stop, counters=counters,
+                                     registry=registry)
+            assert [p.hops for p in lanes.materialise_paths()] == \
+                [p.hops for p in ref.paths]
+            assert counters.snapshot() == ref.counters.snapshot()
+            assert self._lanes_seen(registry) == self._lanes_seen(ref.registry)
+        if app == "node2vec-fallback":
+            assert sum(fallback_lanes) > 0
+
+    def test_threaded_slices_profile_every_iteration(self, medium_graph,
+                                                     monkeypatch):
+        """Each slice's recorder folds in under the run's ``walk`` frame:
+        one ``walk;hop`` call (``walk;gather`` on the numpy passes) per
+        iteration of every slice."""
+        from repro.engines import batch
+        from repro.telemetry import PhaseProfiler
+
+        monkeypatch.setattr(batch, "FRONTIER_LANES", self.WIDTH)
+        monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
+        engine = BatchTeaEngine(medium_graph, exponential_walk(scale=20.0))
+        engine.profiler = profiler = PhaseProfiler()
+        result = engine.run(Workload(walks_per_vertex=2, max_length=8),
+                            seed=5, record_paths=False)
+        iterations = result.registry.histogram("batch.frontier_size").count
+        phase = "gather" if engine.kernel.hop is None else "hop"
+        assert profiler.phases[("walk", phase)][0] == iterations > 0
+
+    def test_out_of_core_slices_stay_sequential(self, medium_graph,
+                                                monkeypatch):
+        """The frame pool's counts are defined by the slice order: a
+        multi-slice out-of-core request walks on the calling thread and
+        counts what the sequential executor counted before threads
+        (recorded from it: ``FRONTIER_LANES`` = 64, 16 KiB pool)."""
+        from repro.engines import batch
+
+        monkeypatch.setattr(batch, "FRONTIER_LANES", self.WIDTH)
+        monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(BatchTeaEngine, "_walk_threads", None)
+        sequential = {
+            "exponential": (dict(hits=578, misses=792, evictions=565,
+                                 bytes_in=47768, bytes_evicted=32712,
+                                 bytes_served=39136, promotions=118), 530),
+            "node2vec": (dict(hits=1270, misses=792, evictions=565,
+                              bytes_in=47632, bytes_evicted=32464,
+                              bytes_served=86984, promotions=157), 525),
+        }
+        for app, (stats, read_ops) in sequential.items():
+            engine = BatchTeaOutOfCoreEngine(medium_graph, self.SPECS[app],
+                                             trunk_size=8,
+                                             cache_bytes=16 << 10)
+            result = engine.run(Workload(walks_per_vertex=2, max_length=20),
+                                seed=5, record_paths=False)
+            walk = next(s for s in result.spans if s.name == "walk")
+            assert (walk.attributes["chunks"], walk.attributes["threads"]) == (7, 1)
+            snapshot = engine.cache_stats.snapshot()
+            snapshot.pop("hit_rate")
+            assert snapshot == stats, app
+            assert engine.index.store.read_ops == read_ops, app
 
 
 class TestBetaFallbackMemory:

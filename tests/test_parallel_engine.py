@@ -735,3 +735,46 @@ class TestOneDeterminismClass:
         finally:
             for engine in parallel:
                 engine.close()
+
+
+class TestThreadedSlicesThenPools:
+    """A threaded ``BatchTeaEngine`` round leaves nothing behind: its
+    pool lives for the call, so a parallel engine built after it — forked
+    workers included — walks the inline bits and returns. A parallel
+    chunk wider than ``FRONTIER_LANES`` walks its slices inline, never on
+    a pool of its own."""
+
+    #: Seconds before a hung run dumps every stack and ends the process.
+    WATCHDOG_S = 120
+
+    def test_threaded_round_then_both_pools(self, medium_graph, monkeypatch):
+        import faulthandler
+        import sys
+
+        from repro.engines import batch
+
+        spec = temporal_node2vec(p=4.0, q=0.25, scale=20.0)
+        workload = Workload(walks_per_vertex=2, max_length=8, max_walks=300)
+        ref = BatchTeaEngine(medium_graph, spec).run(workload, seed=5)
+        monkeypatch.setattr(batch, "FRONTIER_LANES", 64)
+        monkeypatch.setattr(batch, "usable_cpus", lambda: 2)
+        faulthandler.dump_traceback_later(self.WATCHDOG_S, exit=True,
+                                          file=sys.__stderr__)
+        try:
+            threaded = BatchTeaEngine(medium_graph, spec).run(workload, seed=5)
+            walk = next(s for s in threaded.spans if s.name == "walk")
+            assert walk.attributes["threads"] == 2
+            assert _paths_equal(threaded.paths, ref.paths)
+            monkeypatch.setattr(BatchTeaEngine, "_walk_threads", None)
+            for backend in ["thread"] + (["process"] if HAVE_FORK else []):
+                engine = ParallelBatchTeaEngine(medium_graph, spec, workers=2,
+                                                chunk_size=150, backend=backend)
+                try:
+                    got = engine.run(workload, seed=5)
+                finally:
+                    engine.close()
+                assert engine.last_backend == backend
+                assert _paths_equal(got.paths, ref.paths), backend
+                assert got.counters.snapshot() == ref.counters.snapshot()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
