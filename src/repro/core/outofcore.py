@@ -97,15 +97,6 @@ def coalesce_runs(los: np.ndarray, his: np.ndarray):
     return first, los[first], reach[np.append(first[1:] - 1, los.size - 1)]
 
 
-def _observe_values(hist, values: np.ndarray) -> None:
-    """One batched histogram update: a fold per *distinct* value."""
-    distinct, counts = values, np.ones(1, dtype=np.int64)
-    if values.size > 1:  # a batch of one is its own dedupe
-        distinct, counts = np.unique(values, return_counts=True)
-    for value, n in zip(distinct.tolist(), counts.tolist()):
-        hist.observe_n(value, n)
-
-
 class TrunkStore:
     """Disk-resident PAT payload: per-edge prefix sums + alias arrays.
 
@@ -432,13 +423,26 @@ class TrunkStore:
     def account(self, run_bytes: np.ndarray, load_bytes: np.ndarray,
                 counters: Optional[CostCounters]) -> None:
         """Charge a step's backing runs and trunk loads, in bytes each
-        (:meth:`read_batch` and the kernel's ``ooc_step``)."""
+        (:meth:`read_batch`)."""
         if counters is not None:
             counters.io_bytes += int(run_bytes.sum())
             counters.io_blocks += int((-(-run_bytes // BLOCK_BYTES)).sum())
         self.read_ops += run_bytes.size
-        _observe_values(self.coalesced_hist, run_bytes)
-        _observe_values(self.read_bytes_hist, load_bytes)
+        self.coalesced_hist.observe_array(run_bytes)
+        self.read_bytes_hist.observe_array(load_bytes)
+
+    def account_tallies(self, runs, loads, counters: Optional[CostCounters]
+                        ) -> None:
+        """:meth:`account` of a step that tallied its own bytes (the
+        kernel's ``ooc_step``): ``runs`` and ``loads`` are each ``(count,
+        sum, blocks, zeros, least, greatest, *per-bucket counts)``."""
+        if counters is not None:
+            counters.io_bytes += runs[1]
+            counters.io_blocks += runs[2]
+        self.read_ops += runs[0]
+        for hist, (count, total, _, zeros, least, most, *buckets) in (
+                (self.coalesced_hist, runs), (self.read_bytes_hist, loads)):
+            hist.fold(count, total, zeros, least, most, buckets)
 
     def read_batch(self, region: str, los, his,
                    counters: Optional[CostCounters]):

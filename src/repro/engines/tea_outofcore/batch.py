@@ -51,6 +51,7 @@ import numpy as np
 
 from repro.core.builder import build_pat, search_candidate_sets
 from repro.core.outofcore import OutOfCorePAT, TrunkStore
+from repro.engines import batch as in_memory
 from repro.engines.base import Engine
 from repro.engines.batch import BatchTeaEngine
 from repro.graph.temporal_graph import TemporalGraph
@@ -326,14 +327,16 @@ class BatchTeaOutOfCoreEngine(BatchTeaEngine):
                                 scratch=scratch)
 
     def _fused_step(self, walk, lane_rng, stop_probability, node2vec, scratch):
-        """``ooc_step`` unless β, fault injection or checksum verification
-        (the last two live in the numpy read path) keep the sequence."""
+        """``ooc_step`` on every usable CPU unless β, fault injection or
+        checksum verification (the last two live in the numpy read path)
+        keep the sequence."""
         store = self.index.store
         if (node2vec is not None or self.kernel.ooc_step is None
                 or store.fault_injector is not None or store.verify_checksums):
             return None
         return self.kernel.ooc_step(self.index, walk, lane_rng,
-                                    stop_probability, scratch)
+                                    stop_probability, scratch,
+                                    in_memory.usable_cpus())
 
     @contextmanager
     def _frontier_scope(self, profiler):

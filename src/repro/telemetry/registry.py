@@ -29,6 +29,8 @@ import math
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Union
 
+import numpy as np
+
 Number = Union[int, float]
 
 _GAUGE_AGGS = ("last", "sum", "max", "min")
@@ -147,6 +149,32 @@ class Histogram:
             self.zero_count += n
             return
         self.counts[bisect_left(self.bounds, value)] += n
+
+    def observe_array(self, values: np.ndarray) -> None:
+        """``observe`` every element of an integer array in a few array
+        passes — a bucket index per element, a count per bucket, no sort."""
+        if not values.size:
+            return
+        positive = values[values > 0]
+        self.fold(values.size, int(values.sum()), values.size - positive.size,
+                  int(values.min()), int(values.max()),
+                  np.bincount(np.searchsorted(self.bounds, positive),
+                              minlength=len(self.counts)).tolist())
+
+    def fold(self, count: int, total: Number, zero_count: int, low: Number,
+             high: Number, counts: List[int]) -> None:
+        """Add ``count`` observations given as their sum, how many were
+        ``<= 0``, the least and greatest, and how many fell in each bucket
+        (``counts`` may run past the overflow bucket with zeros)."""
+        if not count:
+            return
+        self.count += count
+        self.total += total
+        self.zero_count += zero_count
+        self.min = min(self.min, low)
+        self.max = max(self.max, high)
+        for i, n in enumerate(counts[:len(self.counts)]):
+            self.counts[i] += n
 
     @property
     def mean(self) -> float:
