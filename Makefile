@@ -95,10 +95,12 @@ scaling-smoke:
 # the compiled draw bit-identical to the numpy lockstep (walks, stream
 # counters, costs, reads and cache statistics) on the trunk-size x pool
 # grid, the fused step (ooc_step) identical to the call sequence it fuses
-# and bound once per iteration exactly where it should be, its load-time
-# self-test, and the compiled pool passes identical to FramePool's numpy
-# ones (and both to the per-block oracle) under generated read schedules,
-# turning whole ranges away.
+# and bound once per iteration exactly where it should be, the same on 1,
+# 2 and 7 threads (bad rows reported as inline, no thread left behind, a
+# forked pool after it), its load-time self-test (refusing a step whose
+# ranges join out of order), and the compiled pool passes identical to
+# FramePool's numpy ones (and both to the per-block oracle) under
+# generated read schedules, turning whole ranges away.
 ooc-smoke:
 	$(SMOKE) "tests/test_ooc_batch.py::TestParityAndDeterminism" \
 		"tests/test_ooc_batch.py::TestSynchronousReads" \
@@ -107,6 +109,8 @@ ooc-smoke:
 		"tests/test_ooc_kernel.py::TestOocDrawBinds::test_one_compiled_call_per_iteration" \
 		"tests/test_ooc_kernel.py::TestOocSelfTest::test_step_passes" \
 		"tests/test_ooc_kernel.py::TestOocSelfTest::test_refuses_a_step_one_edge_off" \
+		"tests/test_ooc_kernel.py::TestOocSelfTest::test_refuses_a_step_whose_ranges_join_out_of_order" \
+		"tests/test_ooc_kernel.py::TestStepThreads" \
 		"tests/test_frame_pool.py::TestCompiledPoolPasses" \
 		"tests/test_frame_pool.py::TestWholeRangeAdmission"
 

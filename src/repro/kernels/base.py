@@ -130,9 +130,10 @@ A last optional member is the whole out-of-core iteration, the way
 ``read_batch`` calls and their pool passes, then ``scatter`` — is its
 specification, bit for bit (walks, stream counters, costs, the pool's
 columns and statistics, ``read_ops``, the ``ooc.*`` byte histograms and
-the ``cache.*`` events). Not re-entrant, like the pool passes.
+the ``cache.*`` events) at any thread count. Not re-entrant, like the
+pool passes.
 
-``ooc_step(index, walk, rng, stop, scratch) -> step | None``
+``ooc_step(index, walk, rng, stop, scratch, threads) -> step | None``
     Bind one lane-keyed run without β over ``index`` (an
     ``OutOfCorePAT``; its store's pool must be sized and its maps open),
     sizing its scratch once from the run's lanes (``None``: the arrays
@@ -141,7 +142,10 @@ the ``cache.*`` events). Not re-entrant, like the pool passes.
     lookup, select, the misses' runs and admission from the mapped
     ``c.bin``, the same for ``"pa"`` from ``prob.bin`` / ``alias.bin``,
     alias, scatter — and charges ``counters``, the pool's statistics and
-    the store (``TrunkStore.account``); ``spent`` is empty.
+    the store (``TrunkStore.account_tallies``); ``spent`` is empty. The
+    per-lane passes may run on up to ``threads`` threads that live for
+    one call (the engine passes its usable CPUs); the pool passes run on
+    the calling thread, in the call sequence's order.
 """
 
 from __future__ import annotations
