@@ -129,6 +129,17 @@ class TestHistogram:
         assert h.mean == pytest.approx(2.0)
         assert h.min == 1 and h.max == 3
 
+    def test_observe_array_matches_observe(self):
+        values = np.array([0, 3, -2, 4096, 4097, 1, 1 << 40, 4096, 0, 7])
+        one, many = Histogram("h", **BYTES_BUCKETS), Histogram("h", **BYTES_BUCKETS)
+        for v in values.tolist():
+            one.observe(v)
+        many.observe_array(values)
+        many.observe_array(values[:0])
+        assert (many.count, many.total, many.zero_count, many.min, many.max,
+                many.counts) == (one.count, one.total, one.zero_count, one.min,
+                                 one.max, one.counts)
+
     def test_latency_scheme_covers_microseconds_to_seconds(self):
         h = Histogram("h", **LATENCY_BUCKETS)
         h.observe(2e-6)
