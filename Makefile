@@ -28,7 +28,11 @@ SMOKE = PYTHONPATH=src $(PYTHON) -m pytest -q -p no:cacheprovider
 # back copied and mapped, engine prepare, the engine a forked parallel
 # worker inherits) binds the fused hop, an out-of-core run draws through
 # the compiled members on every call and their self-test refuses members
-# that did not bind or are one bit off, node2vec's static adjacency is
+# that did not bind or are one bit off, a run's seeds come from the
+# compiled draw once per run, equal to Generator.integers on every numpy
+# bit generator (end state included), and its self-test refuses a draw
+# without the redraw or a binder that drops the generator's lock,
+# node2vec's static adjacency is
 # one key array on the graph (the in-memory, out-of-core, parallel and
 # scalar engines read the same object, and a prepared parallel engine
 # holds it before its pool forks), the walk engines hold only what the
@@ -48,6 +52,8 @@ kernel-smoke:
 		"tests/test_kernels.py::TestOneStaticKeyArray" \
 		"tests/test_ooc_kernel.py::TestOocDrawBinds" \
 		"tests/test_ooc_kernel.py::TestOocSelfTest" \
+		"tests/test_kernels.py::TestCompiledSeeds" \
+		"tests/test_kernels.py::TestSeedsSelfTest" \
 		"tests/test_batch_engine.py::TestHeldArrays" \
 		"tests/test_kernel_passes.py::TestConstantCalls"
 

@@ -124,12 +124,16 @@ class FrontierResult:
     ``hop_vertex[i, :lengths[i]]`` / ``hop_time[i, :lengths[i]]``; the
     width is at least the longest walk and at most ``max_length``.
     ``hop_vertex``/``hop_time`` are ``None`` when hop recording was off.
+    ``length_counts[k]`` is how many walks took ``k`` hops, counted by
+    the frontier run that walked them and summed by :meth:`place`
+    (``None``: not counted; :meth:`observe_lengths` counts then).
     """
 
     starts: np.ndarray
     lengths: np.ndarray
     hop_vertex: Optional[np.ndarray] = None
     hop_time: Optional[np.ndarray] = None
+    length_counts: Optional[np.ndarray] = None
 
     @classmethod
     def empty(cls, starts: np.ndarray, max_length: int,
@@ -158,10 +162,18 @@ class FrontierResult:
     def place(self, lo: int, part, max_length: int) -> None:
         """Copy ``part``'s walks — its ``lengths`` and, when both sides
         keep them, its hop columns — into rows ``lo:lo + len(part)``,
-        widening the columns by :meth:`make_room` first. ``part`` is a
-        slice's :class:`FrontierResult` or a parallel chunk's result."""
+        widening the columns by :meth:`make_room` first, and add its
+        ``length_counts`` to this result's. ``part`` is a slice's
+        :class:`FrontierResult` or a parallel chunk's result."""
         hi = lo + part.lengths.size
         self.lengths[lo:hi] = part.lengths
+        # The longer of the two count arrays takes the other's counts.
+        mine, theirs = self.length_counts, part.length_counts
+        if mine is None or mine.size < theirs.size:
+            mine, theirs = theirs.copy(), mine
+        if theirs is not None:
+            mine[:theirs.size] += theirs
+        self.length_counts = mine
         if self.hop_vertex is not None and part.hop_vertex is not None:
             width = part.hop_vertex.shape[1]
             self.make_room(width, max_length)
@@ -206,9 +218,12 @@ class FrontierResult:
 
     def observe_lengths(self, histogram) -> None:
         """Fold walk lengths into ``histogram`` one distinct value at a
-        time. Lengths are small non-negative integers, so they are
-        counted by value, not sorted."""
-        for value, n in enumerate(np.bincount(self.lengths).tolist()):
+        time: ``length_counts`` where the walks were counted, else the
+        lengths counted by value here (never sorted)."""
+        counts = self.length_counts
+        if counts is None:
+            counts = np.bincount(self.lengths)
+        for value, n in enumerate(counts.tolist()):
             if n:
                 histogram.observe_n(value, n)
 

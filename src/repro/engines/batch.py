@@ -42,7 +42,7 @@ from repro.kernels import (
     resolve_backend,
     sample_batch as _kernel_sample_batch,
 )
-from repro.rng import LaneRng, spawn_seeds
+from repro.rng import LaneRng
 from repro.sampling.counters import CostCounters
 from repro.telemetry import (
     MemoryReport,
@@ -460,6 +460,8 @@ class BatchTeaEngine(Engine):
                 iteration += 1
 
         out.lengths = max_length - steps_left
+        # Counted here, on the thread that walked: finalize folds the sum.
+        out.length_counts = np.bincount(out.lengths)
         return out
 
     # -- lane-seeded execution ---------------------------------------------------
@@ -606,10 +608,11 @@ class BatchTeaEngine(Engine):
 
     def _walk(self, starts, workload: Workload, rng, counters, registry,
               keep_hops, span) -> FrontierResult:
-        # One seed per walk, drawn before any slice or chunk exists:
-        # run(seed) walks what run_lanes walks on these seeds.
+        # One seed per walk, drawn before any slice or chunk exists (the
+        # backend's spawn_seeds): run(seed) walks what run_lanes walks on
+        # these seeds.
         return self._walk_chunks(
-            starts, spawn_seeds(rng, starts.size), workload.max_length,
+            starts, self.kernel.seeds(rng, starts.size), workload.max_length,
             workload.stop_probability, counters, keep_hops, registry,
             span=span, profiler=self.profiler,
         )

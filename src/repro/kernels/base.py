@@ -146,6 +146,15 @@ pool passes.
     per-lane passes may run on up to ``threads`` threads that live for
     one call (the engine passes its usable CPUs); the pool passes run on
     the calling thread, in the call sequence's order.
+
+A last member draws a run's lane seeds before any slice exists. Every
+backend has one: :func:`repro.rng.spawn_seeds` is the default and the
+specification, and ``c`` compiles it.
+
+``seeds(rng, n) -> int64[n]``
+    ``rng.integers(0, 2**63 - 1, n, dtype=np.int64)`` bit for bit, and
+    ``rng`` left in the state that call leaves it in, whatever its bit
+    generator; the call holds ``rng.bit_generator.lock``.
 """
 
 from __future__ import annotations
@@ -155,6 +164,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from repro.rng import spawn_seeds
 from repro.sampling.counters import CostCounters
 
 
@@ -232,6 +242,8 @@ class KernelBackend:
     pool_admit: Optional[Callable] = None
     #: Optional binder of a whole out-of-core iteration (only ``c``).
     ooc_step: Optional[Callable] = None
+    #: A run's lane seeds (see module doc); ``c`` compiles the default.
+    seeds: Callable = spawn_seeds
 
 
 def sample_batch(

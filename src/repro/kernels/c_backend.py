@@ -8,9 +8,10 @@ and checks the passes, its lane stream and its fused hop against numpy,
 out-of-core draw against its numpy lockstep (:func:`_self_test_ooc`), the
 frame-pool passes against ``FramePool``'s numpy methods
 (:func:`_self_test_pool`), the fused out-of-core step against the call
-sequence of those two (:func:`_self_test_ooc_step`), and the index build's
+sequence of those two (:func:`_self_test_ooc_step`), the index build's
 two loops — alias tables and prefix sums — against the numpy builders
-(:func:`_self_test_build`). Any failure raises
+(:func:`_self_test_build`), and a run's lane seeds against
+``Generator.integers`` (:func:`_self_test_seeds`). Any failure raises
 :class:`Unavailable` with the reason; the registry serves numpy.
 
 Memory safety is split in two. Python proves, once per run, that every
@@ -53,8 +54,11 @@ _SIGNATURES = {"hop_select": "qpppqpqppppp", "hop_alias": "qpqpppppqpqpqpp",
                "prefix_sums": "qqpqpqp", "ooc_plan": "qpppqpqpppppp",
                "ooc_select": "qpppqpqpppqppqpqqpppppp",
                "ooc_alias": "qpqpqppqpppqqpp", "pool_read": "pqppqqqqpppp",
-               "pool_admit": "pqppqqqppp", "ooc_step": "pqpqqp"}
-_KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double}
+               "pool_admit": "pqppqqqppp", "ooc_step": "pqpqqp",
+               "lane_seeds": "pfqp"}
+#: f: a bit generator's ``next_uint64`` (its ``ctypes`` interface's type).
+_KINDS = {"q": ctypes.c_int64, "p": ctypes.c_void_p, "d": ctypes.c_double,
+          "f": ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)}
 _I64, _I32, _F64, _U64, _BOOL = (np.dtype(t) for t in (
     np.int64, np.int32, np.float64, np.uint64, np.bool_))
 #: Widest alias table ``alias_build`` writes: its cells are int32 offsets.
@@ -166,6 +170,7 @@ def load() -> KernelBackend:
     _self_test_pool(backend)
     _self_test_ooc_step(backend)
     _self_test_build(backend)
+    _self_test_seeds(backend)
     return backend
 
 
@@ -508,12 +513,22 @@ def _make_backend(lib: ctypes.CDLL) -> KernelBackend:
         step.__dict__ = attrs
         return step
 
+    def seeds(rng, n):
+        # Under the bit generator's lock, as numpy's own integers fill.
+        bits = rng.bit_generator
+        face = bits.ctypes
+        out = np.empty(n, np.int64)
+        with bits.lock:
+            lib.lane_seeds(face.state_address, face.next_uint64, out.size,
+                           _addr(out, _I64))
+        return out
+
     return KernelBackend(name="c", select=select, alias=alias, scatter=scatter,
                          hop=hop, alias_build=alias_build,
                          prefix_sums=prefix_sums, ooc_plan=ooc_plan,
                          ooc_select=ooc_select, ooc_alias=ooc_alias,
                          pool_read=pool_read, pool_admit=pool_admit,
-                         ooc_step=ooc_step)
+                         ooc_step=ooc_step, seeds=seeds)
 
 
 def _fold_read(pool, hits, misses, served, promoted, promoted_bytes) -> None:
@@ -913,3 +928,79 @@ def _self_test_build(backend: KernelBackend) -> None:
         raise Unavailable(f"build self-test raised {exc!r}") from exc
     if not same:
         raise Unavailable("prefix_sums mismatch against np.cumsum")
+
+
+#: PCG64's 128-bit LCG multiplier (numpy's ``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def pcg64_drawing_zero(seed: int) -> np.random.PCG64:
+    """A ``PCG64(seed)`` moved to where its next raw output is 0: the state
+    it steps to has equal high and low words, which PCG64's XSL-RR output
+    folds to 0. ``0 · (2**63 − 1)`` has a low word below 2, so the first
+    of ``lane_seeds``' draws from it is a redraw."""
+    bits = np.random.PCG64(seed)
+    state = bits.state
+    inc, word = state["state"]["inc"], seed % 2**64
+    state["state"]["state"] = ((word << 64 | word) - inc) * pow(
+        _PCG64_MULTIPLIER, -1, 2**128) % 2**128
+    bits.state = state
+    return bits
+
+
+def _self_test_seeds(backend: KernelBackend) -> None:
+    """``seeds`` against :func:`repro.rng.spawn_seeds` —
+    ``Generator.integers(0, 2**63 - 1, n, int64)`` — on numpy's five bit
+    generators, 1, 0 and 300 seeds in turn: the seeds and the raw draws
+    after them (the generators' end states) must be equal. A PCG64 whose
+    next raw output is 0 (:func:`pcg64_drawing_zero`) forces the first
+    seed's redraw, and a bit generator whose ``next_uint64`` notes
+    whether its lock is held proves the call holds it, as numpy's own
+    fill does (≈2 ms)."""
+    from repro.rng import spawn_seeds
+
+    held = []
+
+    class Watched(np.random.PCG64):
+        """Its lock is itself, counting how deep it is held; each raw
+        draw through its ``ctypes`` interface notes whether it is."""
+        depth = 0
+
+        @property
+        def lock(self):
+            return self
+
+        def __enter__(self):
+            self.depth += 1
+
+        def __exit__(self, *exc):
+            self.depth -= 1
+
+        @property
+        def ctypes(self):
+            face = super().ctypes
+
+            def next_uint64(state):  # must not raise: C would read a 0
+                held.append(self.depth > 0)
+                return face.next_uint64(state)
+            return face._replace(next_uint64=_KINDS["f"](next_uint64))
+
+    kinds = (np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+             np.random.Philox, np.random.SFC64)
+    pairs = [(kind(35), kind(35)) for kind in kinds] + [
+        (pcg64_drawing_zero(36), pcg64_drawing_zero(36)),
+        (Watched(37), np.random.PCG64(37))]
+    try:
+        same = all(
+            np.array_equal(backend.seeds(np.random.Generator(mine), n),
+                           spawn_seeds(np.random.Generator(theirs), n))
+            and np.array_equal(mine.random_raw(2), theirs.random_raw(2))
+            for n in (1, 0, 300) for mine, theirs in pairs)
+    except Exception as exc:
+        raise Unavailable(f"seed self-test raised {exc!r}") from exc
+    if not same:
+        raise Unavailable("lane_seeds mismatch against Generator.integers "
+                          "(seeds or the generator's end state)")
+    if not held or not all(held):
+        raise Unavailable("lane_seeds: the call did not hold the bit "
+                          "generator's lock")

@@ -1,7 +1,7 @@
 /* One frontier hop per lane (the `c` kernel backend), the index build's two
  * per-table loops (Vose alias tables and per-vertex prefix sums), the
- * per-lane loops of the out-of-core PAT draw, and the out-of-core frame
- * pool's read and admit passes.
+ * per-lane loops of the out-of-core PAT draw, the out-of-core frame
+ * pool's read and admit passes, and a run's lane seeds.
  *
  * Built on first use by repro/kernels/c_backend.py with the system compiler:
  *
@@ -1449,6 +1449,26 @@ i64 hop_uniforms(i64 n, const u64 *key, u64 *ctr, i64 k, double *out)
     for (i64 j = 0; j < k; j++)
         for (i64 i = 0; i < n; i++)
             out[j * n + i] = lane_uniform(key[i], &ctr[i]);
+    return 0;
+}
+
+/* A run's n lane seeds: numpy's Generator.integers(0, 2**63 - 1, n,
+ * dtype=int64) bit for bit, drawn through the bit generator's own
+ * next_uint64 (state is its state address), so any bit generator works and
+ * is left where integers leaves it. That is numpy's Lemire draw over the
+ * 2^63 - 1 values: the high word of next * (2^63 - 1), redrawn while the
+ * low word is below (2^64 - 1 - (2^63 - 2)) mod (2^63 - 1) = 2. The caller
+ * holds the bit generator's lock. Returns 0.
+ */
+i64 lane_seeds(void *state, u64 (*next)(void *), i64 n, i64 *out)
+{
+    const u64 values = 0x7FFFFFFFFFFFFFFFULL;
+    for (i64 i = 0; i < n; i++) {
+        unsigned __int128 m = (unsigned __int128)next(state) * values;
+        while ((u64)m < 2)
+            m = (unsigned __int128)next(state) * values;
+        out[i] = (i64)(m >> 64);
+    }
     return 0;
 }
 

@@ -75,17 +75,19 @@ class ChunkTask:
 class ChunkResult:
     """One chunk's walks plus its private telemetry, ready to fold.
 
-    ``lengths``/``hop_vertex``/``hop_time`` are the chunk's slice of the
-    columnar frontier output (hop columns trimmed to the chunk's longest
-    walk so process workers ship minimal bytes). ``snapshot`` is the
-    chunk recorder's :meth:`~repro.telemetry.PhaseProfiler.snapshot`:
-    its ``walk.chunk`` span and rows, which the engine absorbs under its
-    ``walk`` frame at the barrier.
+    ``lengths``/``length_counts``/``hop_vertex``/``hop_time`` are the
+    chunk's slice of the columnar frontier output (hop columns trimmed
+    to the chunk's longest walk so process workers ship minimal bytes).
+    ``snapshot`` is the chunk recorder's
+    :meth:`~repro.telemetry.PhaseProfiler.snapshot`: its ``walk.chunk``
+    span and rows, which the engine absorbs under its ``walk`` frame at
+    the barrier.
     """
 
     chunk_id: int
     num_walks: int
     lengths: np.ndarray
+    length_counts: np.ndarray
     hop_vertex: Optional[np.ndarray]
     hop_time: Optional[np.ndarray]
     counters: CostCounters
@@ -187,6 +189,7 @@ def execute_chunk(engine: ParallelBatchTeaEngine, task: ChunkTask) -> ChunkResul
         chunk_id=task.chunk_id,
         num_walks=int(task.starts.size),
         lengths=result.lengths,
+        length_counts=result.length_counts,
         hop_vertex=hop_vertex,
         hop_time=hop_time,
         counters=counters,

@@ -39,6 +39,11 @@ def spawn_seeds(rng: np.random.Generator, n: int) -> np.ndarray:
     to workers instead of generator objects, so results are keyed by
     walk — independent of which worker runs it or in what order tasks
     complete.
+
+    The specification of the kernel backends' ``seeds`` member, which a
+    frontier engine's ``run`` draws through: its compiled twin is
+    ``lane_seeds`` in ``repro/kernels/hop.c`` (Lemire's draw through the
+    bit generator's own ``next_uint64``), equal seeds and end state.
     """
     return rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
 

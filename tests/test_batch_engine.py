@@ -247,8 +247,9 @@ class TestSliceThreads:
     """A request wider than :data:`~repro.engines.batch.FRONTIER_LANES`
     walks its slices on :func:`~repro.engines.batch.usable_cpus` threads
     (both patched here as test seams): at 1, 2 and 7 threads the walks,
-    the counters and the lanes observed by ``batch.frontier_size`` are
-    those of one frontier over every lane."""
+    the counters, the lanes observed by ``batch.frontier_size`` and the
+    ``walk.length`` histogram (counted on the slices) are those of one
+    frontier over every lane, and of the numpy backend."""
 
     WIDTH = 64
     SPECS = {
@@ -258,6 +259,11 @@ class TestSliceThreads:
         # rejection rounds and takes the exact fallback.
         "node2vec-fallback": temporal_node2vec(p=1e-9, q=1.0, scale=20.0),
     }
+
+    @staticmethod
+    def _lengths(registry):
+        """The ``walk.length`` histogram: buckets, count and total."""
+        return registry.histogram("walk.length").snapshot()
 
     @staticmethod
     def _lanes_seen(registry):
@@ -277,6 +283,11 @@ class TestSliceThreads:
                             stop_probability=stop, max_walks=300)
         ref = BatchTeaEngine(medium_graph, spec).run(workload, seed=5)
         assert ref.total_steps > 0
+        lengths = self._lengths(ref.registry)
+        assert lengths == self._lengths(BatchTeaEngine(
+            medium_graph, spec, kernel_backend="numpy").run(
+                workload, seed=5).registry)
+        assert lengths["count"] == 300 and lengths["sum"] == ref.total_steps
         rng = make_rng(5)
         starts = workload.resolve_starts(medium_graph.num_vertices, rng)
         seeds = spawn_seeds(rng, starts.size)
@@ -302,15 +313,52 @@ class TestSliceThreads:
                 assert got.counters.snapshot() == ref.counters.snapshot()
                 assert self._lanes_seen(got.registry) == \
                     self._lanes_seen(ref.registry)
+                assert self._lengths(got.registry) == lengths
             counters, registry = CostCounters(), MetricsRegistry()
             lanes = engine.run_lanes(starts, seeds, 8, stop, counters=counters,
                                      registry=registry)
             assert [p.hops for p in lanes.materialise_paths()] == \
                 [p.hops for p in ref.paths]
+            assert np.array_equal(lanes.length_counts,
+                                  np.bincount(lanes.lengths))
             assert counters.snapshot() == ref.counters.snapshot()
             assert self._lanes_seen(registry) == self._lanes_seen(ref.registry)
         if app == "node2vec-fallback":
             assert sum(fallback_lanes) > 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parallel_chunks_count_the_same_lengths(self, medium_graph,
+                                                    monkeypatch, backend):
+        """Parallel chunk results carry their slices' length counts: the
+        ``walk.length`` histogram of a run on 2 workers, at any chunk size
+        and slice width, is the inline engine's and the numpy backend's."""
+        import multiprocessing
+
+        from repro.engines import batch
+
+        if backend == "process" and "fork" not in \
+                multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        spec = self.SPECS["node2vec"]
+        workload = Workload(walks_per_vertex=2, max_length=8,
+                            stop_probability=0.1, max_walks=300)
+        ref = BatchTeaEngine(medium_graph, spec).run(workload, seed=5)
+        lengths = self._lengths(ref.registry)
+        assert lengths == self._lengths(BatchTeaEngine(
+            medium_graph, spec, kernel_backend="numpy").run(
+                workload, seed=5).registry)
+        monkeypatch.setattr(batch, "FRONTIER_LANES", self.WIDTH)
+        engine = ParallelBatchTeaEngine(medium_graph, spec, workers=2,
+                                        backend=backend)
+        try:
+            for chunk_size in (7, 150, None):
+                engine.chunk_size = chunk_size
+                got = engine.run(workload, seed=5, record_paths=False)
+                assert engine.last_backend == backend
+                assert self._lengths(got.registry) == lengths, chunk_size
+                assert got.counters.snapshot() == ref.counters.snapshot()
+        finally:
+            engine.close()
 
     def test_threaded_slices_profile_every_iteration(self, medium_graph,
                                                      monkeypatch):
