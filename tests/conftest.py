@@ -12,6 +12,18 @@ from repro.graph.temporal_graph import TemporalGraph
 
 
 @pytest.fixture
+def fresh_registry(monkeypatch, tmp_path):
+    """A kernel registry that has resolved nothing, over an empty cache
+    dir."""
+    from repro import kernels
+
+    monkeypatch.setattr(kernels, "_CACHE", {})
+    monkeypatch.setattr(kernels, "_FALLBACK_NOTE", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path
+
+
+@pytest.fixture
 def toy_graph() -> TemporalGraph:
     """The paper's Figure 1 commute network (vertex 7 is the worked example)."""
     return TemporalGraph.from_stream(toy_commute_graph())

@@ -626,15 +626,6 @@ class TestCompiledOnlyChecks:
         assert np.array_equal(got, ref)
 
 
-@pytest.fixture
-def fresh_registry(monkeypatch, tmp_path):
-    """A registry that has resolved nothing, over an empty cache dir."""
-    monkeypatch.setattr(kernels, "_CACHE", {})
-    monkeypatch.setattr(kernels, "_FALLBACK_NOTE", None)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    return tmp_path
-
-
 def _walks(graph):
     result = BatchTeaEngine(graph, exponential_walk(scale=8.0)).run(
         Workload(max_length=15, max_walks=120), seed=4, record_paths=True)
